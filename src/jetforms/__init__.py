@@ -32,7 +32,6 @@ from .expressions import (
     PolynomialSection,
     coeff_symbol,
     generic_section,
-    iterated_total_derivative,
     render_expr,
     substitute_section,
     total_derivative,
@@ -49,7 +48,6 @@ from .forms import (
     dx,
     dy,
     dz,
-    exterior_derivative,
     holonomic_pullback,
     holonomic_reduce,
     interior_product,
@@ -57,8 +55,8 @@ from .forms import (
     lie_derivative,
     render_form,
     vector_field,
+    vertical_contractions,
     volume_form,
-    wedge,
 )
 from .dedonder import (
     BoundaryCoefficients,

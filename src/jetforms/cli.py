@@ -5,9 +5,10 @@
 
 Commands: euler-lagrange, boundary-form, dedonder-form, verify, noether,
 evolve, residual.  Exit codes: 0 all checks passed, 1 a check failed,
-2 parse or semantic error in the input.  Set JETFORMS_LOG=debug for chatty
-logging.  Output is deterministic: identical inputs give byte-identical
-output.
+2 parse or semantic error in the input.  Set JETFORMS_LOG=debug to log, on
+stderr, the sizes and stage timings of the symmetric construction and the
+command's wall time.  Output is deterministic: identical inputs give
+byte-identical output.
 """
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ import json
 import logging
 import os
 import sys
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -95,10 +97,23 @@ class Report:
 
 
 def _symmetric_objects(spec: ProblemSpec):
+    t0 = time.perf_counter()
     phi, dec = phi_from_lagrangian(spec.cfg, spec.lagrangian)
+    t1 = time.perf_counter()
     coeffs = symmetric_boundary_coefficients(dec)
+    t2 = time.perf_counter()
     xi = assemble_boundary_form(coeffs, dec)
+    t3 = time.perf_counter()
     theta = dedonder_form(spec.cfg, spec.lagrangian, xi)
+    t4 = time.perf_counter()
+    log.debug(
+        "symmetric objects: %d coefficients, Xi %d wedge terms, Theta %d wedge terms",
+        len(coeffs.table), len(xi.form.terms()), len(theta.form.terms()),
+    )
+    log.debug(
+        "stage seconds: Phi %.4f, coefficients %.4f, Xi %.4f, Theta %.4f",
+        t1 - t0, t2 - t1, t3 - t2, t4 - t3,
+    )
     return phi, dec, coeffs, xi, theta
 
 
@@ -217,6 +232,12 @@ def cmd_noether(spec: ProblemSpec, report: Report, args):
         report.say("no symmetry fields declared")
         return
     _, dec, coeffs, xi, theta = _symmetric_objects(spec)
+    solves = {
+        section_name: all(
+            form.is_zero for form in dedonder_residual(theta, section).values()
+        )
+        for section_name, section in spec.sections.items()
+    }
     currents = {}
     for name in sorted(spec.fields):
         Y = spec.fields[name]
@@ -228,9 +249,7 @@ def cmd_noether(spec: ProblemSpec, report: Report, args):
         )
         for section_name in sorted(spec.sections):
             section = spec.sections[section_name]
-            residuals = dedonder_residual(theta, section)
-            solves = all(form.is_zero for form in residuals.values())
-            if not (symmetric and solves):
+            if not (symmetric and solves[section_name]):
                 report.say(
                     f"current-{name}-on-{section_name}: skipped "
                     f"({'not a symmetry' if not symmetric else 'section is not a solution'})"
@@ -402,6 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    start = time.perf_counter()
     logging.basicConfig(
         level=getattr(logging, os.environ.get("JETFORMS_LOG", "WARNING").upper(), 30)
     )
@@ -429,6 +449,7 @@ def main(argv=None) -> int:
         else:
             print(f"{args.problem}:{exc}", file=sys.stderr)
         return 2
+    log.debug("%s took %.4f s", args.command, time.perf_counter() - start)
     report.emit()
     return 0 if report.ok else 1
 

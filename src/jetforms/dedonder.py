@@ -47,12 +47,11 @@ from .expressions import (
 from .forms import (
     DifferentialForm,
     base_contraction,
-    basis_vector,
     contact_form,
     holonomic_pullback,
     holonomic_reduce,
-    interior_product,
     is_semibasic,
+    vertical_contractions,
     volume_form,
 )
 from .jets import (
@@ -116,7 +115,8 @@ def phi_from_lagrangian(cfg: JetConfig, L: Expr):
     decomposition = PhiDecomposition(cfg, field_components, jet_components)
     phi = DifferentialForm.from_scalar(L).wedge(volume_form(cfg)).d()
     # the coordinate computation and the component extraction must agree
-    assert phi == decomposition.form(), "Phi decomposition mismatch"
+    if phi != decomposition.form():
+        raise AssertionError("Phi decomposition mismatch")
     return phi, decomposition
 
 
@@ -184,13 +184,14 @@ def _splitting_system_rhs(
     return rhs
 
 
-def symmetric_boundary_coefficients(dec: PhiDecomposition) -> BoundaryCoefficients:
-    """The fully symmetric solution of the boundary-coefficient system.
+def _solve_top_down(dec: PhiDecomposition, top_delta: Mapping) -> BoundaryCoefficients:
+    """Solve the boundary-coefficient system level by level from k down to 1.
 
-    Built top-down: at each level the right-hand side for canonical I is
-    distributed equally over the splittings of I, so the value depends only
-    on the combined multiset of upper indices.  A level-(k-l+1) coefficient
-    ends up with jet order at most 2k - (k-l+1) = k+l-1.
+    At each level the right-hand side for canonical I is distributed equally
+    over the splittings of I; ``top_delta`` is then added to the top level,
+    and every lower level is solved against the level above it.  A
+    level-(k-l+1) coefficient ends up with jet order at most
+    2k - (k-l+1) = k+l-1.
     """
     cfg = dec.cfg
     table: dict = {}
@@ -199,19 +200,32 @@ def symmetric_boundary_coefficients(dec: PhiDecomposition) -> BoundaryCoefficien
         current: dict = {}
         for a in range(1, cfg.n + 1):
             for I in multiindices(cfg.m, level):
-                rhs = _splitting_system_rhs(dec, upper, I, a)
-                share = rhs / splitting_count(I)
-                for i1, tail in splittings(I):
-                    if not share.is_zero:
+                share = _splitting_system_rhs(dec, upper, I, a) / splitting_count(I)
+                if not share.is_zero:
+                    for i1, tail in splittings(I):
                         current[(a, i1, tail)] = share
+        if level == cfg.k:
+            for key, delta in top_delta.items():
+                current[key] = current.get(key, Expr.zero()) + delta
+            current = {key: value for key, value in current.items() if not value.is_zero}
         for (a, _, tail), value in current.items():
             expected = cfg.expression_order - (len(tail) + 1)
-            assert value.jet_order() <= expected, (
-                f"coefficient order {value.jet_order()} exceeds bound {expected}"
-            )
+            if value.jet_order() > expected:
+                raise AssertionError(
+                    f"coefficient order {value.jet_order()} exceeds bound {expected}"
+                )
         table.update(current)
         upper = current
     return BoundaryCoefficients(cfg, table)
+
+
+def symmetric_boundary_coefficients(dec: PhiDecomposition) -> BoundaryCoefficients:
+    """The fully symmetric solution of the boundary-coefficient system.
+
+    Equal shares over the splittings make each value depend only on the
+    combined multiset of upper indices.
+    """
+    return _solve_top_down(dec, {})
 
 
 def _check_splitting_system(
@@ -266,26 +280,7 @@ def perturbed_coefficients(
                     f"perturbation violates the top-level relation at a={a}, "
                     f"I={I}: splitting sum is {render_expr(total)}, not 0"
                 )
-    symmetric = symmetric_boundary_coefficients(dec)
-    table: dict = {}
-    for (a, i1, tail), value in symmetric.level(cfg.k).items():
-        table[(a, i1, tail)] = value
-    for key, delta in top_delta.items():
-        table[key] = table.get(key, Expr.zero()) + delta
-    upper = {key: value for key, value in table.items()}
-    for level in range(cfg.k - 1, 0, -1):
-        current: dict = {}
-        for a in range(1, cfg.n + 1):
-            for I in multiindices(cfg.m, level):
-                rhs = _splitting_system_rhs(dec, upper, I, a)
-                share = rhs / splitting_count(I)
-                for i1, tail in splittings(I):
-                    if not share.is_zero:
-                        current[(a, i1, tail)] = share
-        table.update(current)
-        upper = current
-    table = {key: value for key, value in table.items() if not value.is_zero}
-    return BoundaryCoefficients(dec.cfg, table)
+    return _solve_top_down(dec, top_delta)
 
 
 def skew_pair_perturbation(cfg: JetConfig, skew: Mapping) -> dict:
@@ -304,19 +299,19 @@ def skew_pair_perturbation(cfg: JetConfig, skew: Mapping) -> dict:
 
 
 def double_vertical_contraction_vanishes(form: DifferentialForm, cfg: JetConfig) -> bool:
-    """X2 -| (X1 -| form) = 0 for all source-vertical basis fields X1, X2."""
-    vertical = [
-        basis_vector(c)
-        for c in enumerate_coordinates(cfg, cfg.working_order)
-        if c[0] != "x"
-    ]
-    for X1 in vertical:
-        contracted = interior_product(X1, form)
-        if contracted.degree == 0 or contracted.is_zero:
-            continue
-        for X2 in vertical:
-            if not interior_product(X2, contracted).is_zero:
-                return False
+    """X2 -| (X1 -| form) = 0 for all source-vertical basis fields X1, X2.
+
+    X1 and X2 run over d/dy^a and d/dz^a_I with |I| <= 2k-1; on the
+    coordinate basis the statement is that no wedge term carries two dy/dz
+    factors of those orders.
+    """
+    for wedge_key, _ in form.terms():
+        vertical = [
+            b for b in wedge_key
+            if b[0] == "dy" or (b[0] == "dz" and len(b[2]) <= cfg.working_order)
+        ]
+        if len(vertical) > 1:
+            return False
     return True
 
 
@@ -453,27 +448,24 @@ def verify_condition3(
     cfg = xi.cfg
     phi_form = phi.form() if isinstance(phi, PhiDecomposition) else phi
     degree = 2 * cfg.k + 1 if section_degree is None else section_degree
-    total = phi_form + xi.form.d()
+    contractions = vertical_contractions(phi_form + xi.form.d())
     sigma = generic_section(cfg, degree)
     failures = []
-    for level in range(1, cfg.working_order + 1):
-        for a in range(1, cfg.n + 1):
-            for I in multiindices(cfg.m, level):
-                X = basis_vector(jet_coord(a, I))
-                reduced = holonomic_reduce(interior_product(X, total), cfg)
-                if reduced.is_zero:
-                    continue
-                certificate = DifferentialForm.zero(cfg.m)
-                for wedge_key, coeff in reduced.terms():
-                    certificate = certificate + DifferentialForm(
-                        cfg.m, {wedge_key: substitute_section(coeff, sigma)}
-                    )
-                if certificate.is_zero:
-                    continue
-                residual = reduced.coefficient(
-                    tuple(("dx", i) for i in range(1, cfg.m + 1))
-                )
-                failures.append((a, I, residual, certificate))
+    for coord in enumerate_coordinates(cfg, cfg.working_order):
+        if coord[0] != "z" or coord not in contractions:
+            continue
+        reduced = holonomic_reduce(contractions[coord], cfg)
+        if reduced.is_zero:
+            continue
+        certificate = DifferentialForm.zero(cfg.m)
+        for wedge_key, coeff in reduced.terms():
+            certificate = certificate + DifferentialForm(
+                cfg.m, {wedge_key: substitute_section(coeff, sigma)}
+            )
+        if certificate.is_zero:
+            continue
+        residual = reduced.coefficient(tuple(("dx", i) for i in range(1, cfg.m + 1)))
+        failures.append((coord[1], coord[2], residual, certificate))
     return Condition3Report(not failures, failures, degree)
 
 
@@ -512,9 +504,8 @@ def lagrange_derivative(cfg: JetConfig, L: Expr) -> list:
     coeffs = symmetric_boundary_coefficients(dec)
     for a in range(1, cfg.n + 1):
         identity = dec.component(a) - coeffs.holonomic_divergence(a)
-        assert (identity - out[a - 1]).is_zero, (
-            "Lagrange derivative disagrees with Phi_a - div p^i_a"
-        )
+        if not (identity - out[a - 1]).is_zero:
+            raise AssertionError("Lagrange derivative disagrees with Phi_a - div p^i_a")
     return out
 
 
@@ -527,16 +518,13 @@ def dedonder_residual(theta: DeDonderForm, section: PolynomialSection) -> dict:
     derivative evaluated on the section.
     """
     cfg = theta.cfg
-    d_theta = theta.form.d()
-    out = {}
-    for coord in enumerate_coordinates(cfg, cfg.working_order):
-        if coord[0] == "x":
-            continue
-        pulled = holonomic_pullback(
-            interior_product(basis_vector(coord), d_theta), section
-        )
-        out[coord] = pulled
-    return out
+    contractions = vertical_contractions(theta.form.d())
+    zero = DifferentialForm.zero(cfg.m)
+    return {
+        coord: holonomic_pullback(contractions.get(coord, zero), section)
+        for coord in enumerate_coordinates(cfg, cfg.working_order)
+        if coord[0] != "x"
+    }
 
 
 @dataclass
@@ -581,13 +569,11 @@ def compare_boundary_forms(xi: BoundaryForm, xi_prime: BoundaryForm) -> Comparis
     for a in range(1, cfg.n + 1):
         divergence_residuals[a] = q.holonomic_divergence(a)
     pullback_failures = []
-    delta = (xi.form - xi_prime.form).d()
+    contractions = vertical_contractions((xi.form - xi_prime.form).d())
     for coord in enumerate_coordinates(cfg, cfg.working_order):
-        if coord[0] == "x":
+        if coord[0] == "x" or coord not in contractions:
             continue
-        reduced = holonomic_reduce(
-            interior_product(basis_vector(coord), delta), cfg
-        )
+        reduced = holonomic_reduce(contractions[coord], cfg)
         if not reduced.is_zero:
             pullback_failures.append((coord, reduced))
     ok = (

@@ -115,25 +115,6 @@ class Expr:
     def constant_term(self):
         return self._terms.get((), 0)
 
-    def coefficient_of(self, coord) -> "Expr":
-        """Coefficient of the first power of ``coord`` (the expression must be
-        at most linear in it)."""
-        coord = tuple(coord)
-        out = {}
-        for mono, coeff in self._terms.items():
-            rest = []
-            power = 0
-            for c, e in mono:
-                if c == coord:
-                    power = e
-                else:
-                    rest.append((c, e))
-            if power == 1:
-                out[tuple(rest)] = out.get(tuple(rest), 0) + coeff
-            elif power > 1:
-                raise ValueError(f"expression is nonlinear in {coord}")
-        return Expr({m: c for m, c in out.items() if c != 0})
-
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other) -> "Expr":
@@ -297,10 +278,6 @@ def _merge_monomials(mono_a: Monomial, mono_b: Monomial) -> Monomial:
     )
 
 
-def coord_expr(coord) -> Expr:
-    return Expr.variable(coord)
-
-
 def x_var(i: int) -> Expr:
     return Expr.variable(base_coord(i))
 
@@ -401,15 +378,6 @@ def total_derivative(
             lifted = jet_coord(a, tuple(sorted(I + (i,))))
             out = out + Expr.variable(lifted) * e.partial(coord)
         # coefficient symbols are constants
-    return out
-
-
-def iterated_total_derivative(
-    e: Expr, indices: Sequence[int], cfg: JetConfig, max_order: int | None = None
-) -> Expr:
-    out = e
-    for i in indices:
-        out = total_derivative(out, i, cfg, max_order=max_order)
     return out
 
 

@@ -17,6 +17,11 @@ what pulling back along the jet extension of an arbitrary section does to the
 form part.  A form pulls back to zero along every section iff its reduction
 is the zero form, because jets of polynomial sections realize every
 combination of coordinate values.
+
+``vertical_contractions`` serves every "for all vertical X" statement: one
+scan over the wedge terms yields X -| form for every basis field
+X = d/dy^a, d/dz^a_I at once, since a term contributes only to the
+coordinates of its own dy/dz factors.
 """
 from __future__ import annotations
 
@@ -251,19 +256,6 @@ def basis_vector(coord) -> dict:
     return {tuple(coord): Expr.one()}
 
 
-def is_vertical_over_base(X: VectorFieldOnJet) -> bool:
-    """No dx-direction components (tangent to source-map fibres)."""
-    return all(coord[0] != "x" or comp.is_zero for coord, comp in X.items())
-
-
-def wedge(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
-    return a.wedge(b)
-
-
-def exterior_derivative(form: DifferentialForm) -> DifferentialForm:
-    return form.d()
-
-
 def interior_product(X: VectorFieldOnJet, form: DifferentialForm) -> DifferentialForm:
     """Left interior product (contraction) X -| form."""
     if form.degree < 1:
@@ -279,6 +271,30 @@ def interior_product(X: VectorFieldOnJet, form: DifferentialForm) -> Differentia
             signed = coeff * comp
             result._accumulate(out, reduced, signed if pos % 2 == 0 else -signed)
     return result
+
+
+def vertical_contractions(form: DifferentialForm) -> dict:
+    """X -| form for every vertical basis field X, in one scan of the form.
+
+    Returns a mapping coordinate -> form whose entry at ``c`` equals
+    ``interior_product(basis_vector(c), form)`` for every y and z coordinate
+    ``c``; coordinates whose contraction vanishes are absent.
+    """
+    if form.degree < 1:
+        raise ValueError("interior product needs a form of degree >= 1")
+    out: dict = {}
+    for wedge_key, coeff in form.terms():
+        for pos, b in enumerate(wedge_key):
+            if b[0] == "dx":
+                continue
+            # distinct terms sharing the factor b stay distinct once b is
+            # removed, so nothing accumulates and no entry can cancel
+            terms = out.setdefault(coordinate_of_basis(b), {})
+            reduced = wedge_key[:pos] + wedge_key[pos + 1 :]
+            terms[reduced] = coeff if pos % 2 == 0 else -coeff
+    return {
+        coord: DifferentialForm(form.degree - 1, terms) for coord, terms in out.items()
+    }
 
 
 def lie_derivative(X: VectorFieldOnJet, form: DifferentialForm) -> DifferentialForm:

@@ -139,8 +139,8 @@ def prolong(Y: ProjectableField, order: int) -> dict:
                         candidate = candidate - Expr.variable(lifted) * slope
                     if value is None:
                         value = candidate
-                    else:
-                        assert (value - candidate).is_zero, (
+                    elif not (value - candidate).is_zero:
+                        raise AssertionError(
                             f"prolongation recursion inconsistent at {a}, {J}"
                         )
                 next_values[(a, J)] = value

@@ -1,5 +1,6 @@
 import importlib.resources
 import json
+import logging
 
 import pytest
 
@@ -156,3 +157,21 @@ def test_evolve_rejects_unsupported_system(tmp_path, capsys):
     code, out, _ = run(capsys, "evolve", str(problem))
     assert code == 1
     assert "evolve-system-supported: FAIL" in out
+
+
+def test_debug_log_reports_sizes_and_timings(caplog, capsys):
+    with caplog.at_level(logging.DEBUG, logger="jetforms"):
+        code, quiet_out, _ = run(capsys, "dedonder-form", WAVE)
+    assert code == 0
+    messages = [r.getMessage() for r in caplog.records if r.name == "jetforms"]
+    assert any(
+        "8 coefficients, Xi 9 wedge terms, Theta 9 wedge terms" in m for m in messages
+    )
+    assert any(m.startswith("stage seconds:") for m in messages)
+    assert any(m.startswith("dedonder-form took") for m in messages)
+    # the default level logs nothing, and logging never touches stdout
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="jetforms"):
+        _, out, _ = run(capsys, "dedonder-form", WAVE)
+    assert not [r for r in caplog.records if r.name == "jetforms"]
+    assert out == quiet_out

@@ -11,6 +11,7 @@ from jetforms.dedonder import (
     decompose_phi,
     dedonder_form,
     dedonder_residual,
+    double_vertical_contraction_vanishes,
     lagrange_derivative,
     perturbed_coefficients,
     phi_from_lagrangian,
@@ -33,6 +34,9 @@ from jetforms.forms import (
     base_contraction,
     basis_vector,
     contact_form,
+    dx,
+    dy,
+    dz,
     holonomic_pullback,
     interior_product,
     volume_form,
@@ -119,6 +123,17 @@ def test_coefficient_order_bounds():
             assert value.jet_order() <= 2 * cfg.k - level
 
 
+def test_perturbed_with_empty_delta_is_symmetric():
+    # the shared top-down solve: no perturbation gives the symmetric table
+    rng = random.Random(23)
+    for cfg in (JetConfig(2, 2, 2), JetConfig(2, 1, 3)):
+        L = random_expr(rng, cfg, cfg.k, degree=2, terms=6)
+        _, dec = phi_from_lagrangian(cfg, L)
+        symmetric = symmetric_boundary_coefficients(dec)
+        assert symmetric.table
+        assert perturbed_coefficients(dec, {}).table == symmetric.table
+
+
 def test_k1_reduction_is_poincare_cartan():
     cfg = JetConfig(2, 1, 1)
     L = (z_var(1, (1,)) ** 2 + z_var(1, (2,)) ** 2) / 2
@@ -150,6 +165,16 @@ def test_assemble_checks_and_condition3():
     # assembling against the decomposition rejects the broken system
     with pytest.raises(AssertionError):
         assemble_boundary_form(BoundaryCoefficients(wp.cfg, broken), wp.decomposition)
+
+
+def test_double_vertical_contraction():
+    wp = wave_problem()
+    assert double_vertical_contraction_vanishes(wp.boundary_symmetric.form, wp.cfg)
+    assert double_vertical_contraction_vanishes(wp.theta_symmetric.form, wp.cfg)
+    two_vertical = DifferentialForm(2, {(dy(1), dz(2, (1, 2))): y_var(1)})
+    assert not double_vertical_contraction_vanishes(two_vertical, wp.cfg)
+    one_vertical = DifferentialForm(2, {(dx(1), dz(2, (1, 2))): y_var(1)})
+    assert double_vertical_contraction_vanishes(one_vertical, wp.cfg)
 
 
 def test_condition3_zero_phi():

@@ -17,6 +17,7 @@ from jetforms.expressions import (
 from jetforms.forms import (
     DifferentialForm,
     base_contraction,
+    basis_of_coordinate,
     basis_vector,
     contact_forms,
     dx,
@@ -28,6 +29,7 @@ from jetforms.forms import (
     is_semibasic,
     lie_derivative,
     vector_field,
+    vertical_contractions,
     volume_form,
 )
 from jetforms.jets import JetConfig, base_coord, enumerate_coordinates, field_coord, jet_coord
@@ -140,6 +142,27 @@ def test_interior_product_alternation_and_antiderivation():
             interior_product(X, beta)
         )
         assert lhs == rhs
+
+
+def test_vertical_contractions_match_interior_product():
+    # the one-scan kernel against the per-field reference, on forms whose
+    # terms share factors
+    rng = random.Random(17)
+    for cfg in (JetConfig(2, 1, 2), JetConfig(2, 2, 2), JetConfig(3, 1, 2)):
+        coords = enumerate_coordinates(cfg, cfg.working_order)
+        basis = [basis_of_coordinate(c) for c in coords]
+        vertical = [c for c in coords if c[0] != "x"]
+        for degree in range(1, cfg.m + 2):
+            for _ in range(4):
+                form = random_form(rng, cfg, basis, degree, terms=8)
+                contractions = vertical_contractions(form)
+                assert set(contractions) <= set(vertical)
+                for c in vertical:
+                    expected = interior_product(basis_vector(c), form)
+                    got = contractions.get(c, DifferentialForm.zero(degree - 1))
+                    assert got == expected, (cfg, degree, c)
+    with pytest.raises(ValueError):
+        vertical_contractions(DifferentialForm.from_scalar(Expr.one()))
 
 
 def test_lie_derivative_examples():
