@@ -1,10 +1,11 @@
 """Cauchy evolution of the fourth-order wave system and energy conservation.
 
-The squared d'Alembertian splits per spatial Fourier mode into a 4x4 linear
-system whose matrix exponential is evaluated exactly, so the evolution has
-no time-stepping error.  The slice energy is the spatial integral of the
-time-translation current; boundary-form ambiguity shifts the integrand by an
-exact derivative that periodicity integrates away.
+The squared d'Alembertian splits per spatial Fourier mode into the equation
+(d_t^2 + xi^2)^2 y = 0, whose closed-form solution advances every mode at
+once in a single step, so the evolution has no time-stepping error.  The
+slice energy is the spatial integral of the time-translation current;
+boundary-form ambiguity shifts the integrand by an exact derivative that
+periodicity integrates away.
 """
 import math
 

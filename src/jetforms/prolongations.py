@@ -24,7 +24,6 @@ from itertools import product
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .dedonder import DeDonderForm
 from .expressions import Expr, PolynomialSection, total_derivative
@@ -247,6 +246,8 @@ def _flowed_jet_coordinates(
     jets at x_t = e^{tY^0} x0 pulls phi_{-t}(x_t) back to x0, so only the jets
     of sigma at x0 enter, contracted with powers of the affine matrix.
     """
+    from scipy.linalg import expm  # the flow oracle is scipy's only user
+
     cfg = Y.cfg
     m, n = cfg.m, cfg.n
     G = _affine_generator(Y)

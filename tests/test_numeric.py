@@ -215,6 +215,74 @@ def test_cauchy_zero_mode_cubic_growth():
     assert abs(float(out.data[0, 2].mean()) - 2.0 * 1.5) <= 1e-12
 
 
+def _companion_exponential(xi, dt):
+    from scipy.linalg import expm
+
+    A = np.array(
+        [
+            [0.0, 1.0, 0.0, 0.0],
+            [0.0, 0.0, 1.0, 0.0],
+            [0.0, 0.0, 0.0, 1.0],
+            [-(xi**4), 0.0, -2.0 * xi**2, 0.0],
+        ]
+    )
+    return expm(dt * A)
+
+
+@pytest.mark.parametrize("dt", [0.37, -1.0])
+def test_cauchy_propagator_matches_matrix_exponential(dt):
+    # per mode xi the evolution is exp(dt A) on the spectrum of
+    # (y, y_t, y_tt, y_ttt); read it off column by column from single-mode data
+    count = 16
+    grid = periodic_grid(count)
+    for xi in (0, 1, 3, 7):
+        propagator = np.empty((4, 4), dtype=complex)
+        for j in range(4):
+            spectrum = np.zeros((1, 4, count // 2 + 1), dtype=complex)
+            spectrum[0, j, xi] = 1.0
+            data = np.fft.irfft(spectrum, n=count, axis=2)
+            out = cauchy_evolve(CauchyState(grid, data, t=0.5), 0.5 + dt)
+            propagator[:, j] = np.fft.rfft(out.data, axis=2)[0, :, xi]
+        expected = _companion_exponential(xi, dt)
+        err = np.max(np.abs(propagator - expected))
+        assert err <= 1e-14 * np.max(np.abs(expected)), (xi, dt, err)
+
+
+def _band_limited_loop(grid, n, max_mode, seed):
+    # reference: the mode-by-mode cos/sin sum the FFT construction replaces
+    rng = np.random.default_rng(seed)
+    x = grid.points(0)
+    lo, hi, _, _ = grid.axes[0]
+    base = TWO_PI / (hi - lo)
+    data = np.zeros((n, 4, grid.shape[0]))
+    for a in range(n):
+        for row in range(4):
+            for mode in range(1, max_mode + 1):
+                amp_c, amp_s = rng.normal(size=2) / max_mode
+                data[a, row] += amp_c * np.cos(mode * base * x)
+                data[a, row] += amp_s * np.sin(mode * base * x)
+    return data
+
+
+@pytest.mark.parametrize("count", [64, 256])
+@pytest.mark.parametrize("lo", [0.0, -1.3])
+def test_band_limited_state_matches_mode_loop(count, lo):
+    grid = GridSpec(((lo, lo + 4.1, count, True),))
+    for max_mode in (1, count // 8, count // 2 - 1):
+        state = band_limited_state(grid, 2, max_mode, seed=11)
+        expected = _band_limited_loop(grid, 2, max_mode, seed=11)
+        assert state.t == 0.0
+        assert np.max(np.abs(state.data - expected)) <= 1e-13, max_mode
+
+
+def test_band_limited_state_rejects_nyquist_modes():
+    for count in (64, 65):
+        grid = periodic_grid(count)
+        band_limited_state(grid, 1, (count - 1) // 2, seed=0)
+        with pytest.raises(ValueError, match="Nyquist"):
+            band_limited_state(grid, 1, (count + 1) // 2, seed=0)
+
+
 def test_cauchy_rejects_bad_grids():
     grid = GridSpec(((0.0, 1.0, 32, False),))
     with pytest.raises(ValueError, match="periodic"):
