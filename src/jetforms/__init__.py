@@ -22,10 +22,8 @@ from .jets import (
     field_coord,
     jet_coord,
     multiindices,
-    multiplicity,
     splitting_count,
     splittings,
-    symmetrize_table,
 )
 from .expressions import (
     Expr,
@@ -62,13 +60,15 @@ from .dedonder import (
     BoundaryCoefficients,
     BoundaryForm,
     DeDonderForm,
+    Derivation,
     PhiDecomposition,
     assemble_boundary_form,
-    boundary_form_for_lagrangian,
     compare_boundary_forms,
     decompose_phi,
+    default_skew_perturbation,
     dedonder_form,
     dedonder_residual,
+    derive,
     double_vertical_contraction_vanishes,
     lagrange_derivative,
     perturbed_coefficients,
@@ -94,7 +94,6 @@ from .numeric import (
     band_limited_state,
     cauchy_evolve,
     decomposition_terms,
-    energy_integral,
     functional_derivative_oracle,
     integrate_action,
     numeric_jet,

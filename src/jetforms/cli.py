@@ -5,9 +5,9 @@
 
 Commands: euler-lagrange, boundary-form, dedonder-form, verify, noether,
 evolve, residual.  Exit codes: 0 all checks passed, 1 a check failed,
-2 parse or semantic error in the input.  Set JETFORMS_LOG=debug to log, on
-stderr, the sizes and stage timings of the symmetric construction and the
-command's wall time.  Output is deterministic: identical inputs give
+2 parse or semantic error in the input (the problem file or an option such
+as --grid-n).  Set JETFORMS_LOG=debug to log, on stderr, the sizes and
+stage timings of the symmetric construction and the command's wall time.  Output is deterministic: identical inputs give
 byte-identical output.
 """
 from __future__ import annotations
@@ -22,18 +22,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .dedonder import (
-    assemble_boundary_form,
     compare_boundary_forms,
-    dedonder_form,
     dedonder_residual,
+    derive,
     lagrange_derivative,
-    perturbed_coefficients,
-    phi_from_lagrangian,
     skew_pair_perturbation,
-    symmetric_boundary_coefficients,
     verify_condition3,
 )
-from .expressions import Expr, render_expr, z_var
+from .expressions import Expr, render_expr
 from .forms import render_form
 from .jets import jet_coord
 from .numeric import (
@@ -96,27 +92,6 @@ class Report:
                 stream.write(line + "\n")
 
 
-def _symmetric_objects(spec: ProblemSpec):
-    t0 = time.perf_counter()
-    phi, dec = phi_from_lagrangian(spec.cfg, spec.lagrangian)
-    t1 = time.perf_counter()
-    coeffs = symmetric_boundary_coefficients(dec)
-    t2 = time.perf_counter()
-    xi = assemble_boundary_form(coeffs, dec)
-    t3 = time.perf_counter()
-    theta = dedonder_form(spec.cfg, spec.lagrangian, xi)
-    t4 = time.perf_counter()
-    log.debug(
-        "symmetric objects: %d coefficients, Xi %d wedge terms, Theta %d wedge terms",
-        len(coeffs.table), len(xi.form.terms()), len(theta.form.terms()),
-    )
-    log.debug(
-        "stage seconds: Phi %.4f, coefficients %.4f, Xi %.4f, Theta %.4f",
-        t1 - t0, t2 - t1, t3 - t2, t4 - t3,
-    )
-    return phi, dec, coeffs, xi, theta
-
-
 def _coefficient_key(a: int, i1: int, tail: tuple) -> str:
     indices = " ".join(map(str, (i1,) + tail))
     return f"p[{a}; {indices}]"
@@ -151,7 +126,8 @@ def cmd_euler_lagrange(spec: ProblemSpec, report: Report, args):
 def cmd_boundary_form(spec: ProblemSpec, report: Report, args):
     from .dedonder import contact_presentation
 
-    _, dec, coeffs, xi, _ = _symmetric_objects(spec)
+    xi = derive(spec.cfg, spec.lagrangian).boundary_symmetric
+    coeffs = xi.coefficients
     rendered = {}
     for (a, i1, tail) in sorted(coeffs.table):
         key = _coefficient_key(a, i1, tail)
@@ -165,15 +141,14 @@ def cmd_boundary_form(spec: ProblemSpec, report: Report, args):
 
 
 def cmd_dedonder_form(spec: ProblemSpec, report: Report, args):
-    _, dec, coeffs, xi, theta = _symmetric_objects(spec)
+    theta = derive(spec.cfg, spec.lagrangian).theta_symmetric
     report.say(f"Theta = {render_form(theta.form)}")
     report.data["dedonder_form"] = render_form(theta.form)
     report.data["lagrangian"] = render_expr(spec.lagrangian)
 
 
 def _declared_skew_delta(spec: ProblemSpec):
-    skew = {key: value for key, value in spec.skew.items()}
-    return skew_pair_perturbation(spec.cfg, skew) if skew else None
+    return skew_pair_perturbation(spec.cfg, spec.skew) if spec.skew else None
 
 
 def cmd_verify(spec: ProblemSpec, report: Report, args):
@@ -181,7 +156,8 @@ def cmd_verify(spec: ProblemSpec, report: Report, args):
 
     from .dedonder import double_vertical_contraction_vanishes
 
-    phi, dec, coeffs, xi, theta = _symmetric_objects(spec)
+    derivation = derive(spec.cfg, spec.lagrangian)
+    dec, xi = derivation.decomposition, derivation.boundary_symmetric
     cfg = spec.cfg
     report.check(
         "boundary-form-semibasic-over-forgetful",
@@ -199,14 +175,12 @@ def cmd_verify(spec: ProblemSpec, report: Report, args):
         detail = f"first failure at a={a}, I={I}: {render_expr(residual)}"
     report.check("boundary-form-target-vertical-pullback", condition3.ok, detail)
     if spec.skew:
-        delta = _declared_skew_delta(spec)
         try:
-            alt_coeffs = perturbed_coefficients(dec, delta)
+            alt = derivation.skew_boundary(_declared_skew_delta(spec))
         except ValueError as exc:
             report.check("skew-structure", False, str(exc))
             return
         report.check("skew-structure", True)
-        alt = assemble_boundary_form(alt_coeffs, dec)
         comparison = compare_boundary_forms(xi, alt)
         report.check(
             "skew-homogeneous-relations",
@@ -231,7 +205,7 @@ def cmd_noether(spec: ProblemSpec, report: Report, args):
     if not spec.fields:
         report.say("no symmetry fields declared")
         return
-    _, dec, coeffs, xi, theta = _symmetric_objects(spec)
+    theta = derive(spec.cfg, spec.lagrangian).theta_symmetric
     solves = {
         section_name: all(
             form.is_zero for form in dedonder_residual(theta, section).values()
@@ -286,8 +260,18 @@ def cmd_evolve(spec: ProblemSpec, report: Report, args):
         raise ProblemError(
             "the evolve command needs grid and evolve declarations", 1, 1
         )
-    deltas = lagrange_derivative(cfg, spec.lagrangian)
-    if not _squared_wave_pattern(cfg, deltas):
+    grid = spec.grid
+    if args.grid_n:
+        try:
+            grid = GridSpec(
+                tuple((lo, hi, args.grid_n, periodic) for lo, hi, _, periodic in grid.axes)
+            )
+        except ValueError as exc:
+            raise ProblemError(f"--grid-n {args.grid_n}: {exc}", 1, 1)
+    if grid.ndim != 1 or not grid.axes[0][3]:
+        raise ProblemError("Cauchy evolution needs a 1-D periodic grid", 1, 1)
+    derivation = derive(cfg, spec.lagrangian)
+    if not _squared_wave_pattern(cfg, derivation.euler_lagrange()):
         report.check(
             "evolve-system-supported",
             False,
@@ -296,28 +280,11 @@ def cmd_evolve(spec: ProblemSpec, report: Report, args):
         )
         return
     report.check("evolve-system-supported", True)
-    grid = spec.grid
-    if args.grid_n:
-        grid = GridSpec(
-            tuple((lo, hi, args.grid_n, periodic) for lo, hi, _, periodic in grid.axes)
-        )
     t0, t1, steps = spec.evolve
     if args.t1 is not None:
         t1 = args.t1
-    _, dec, coeffs, xi, theta = _symmetric_objects(spec)
-    if spec.skew:
-        delta = _declared_skew_delta(spec)
-    else:
-        delta = skew_pair_perturbation(
-            cfg,
-            {
-                (a, i1, i2): sign * z_var(a, (2,))
-                for a in range(1, cfg.n + 1)
-                for (i1, i2, sign) in ((1, 2, 1), (2, 1, -1))
-            },
-        )
-    alt = assemble_boundary_form(perturbed_coefficients(dec, delta), dec)
-    theta_skew = dedonder_form(cfg, spec.lagrangian, alt)
+    theta = derivation.theta_symmetric
+    theta_skew = derivation.theta_skew(_declared_skew_delta(spec))
     energy_sym = EnergyFunctional(theta)
     energy_skew = EnergyFunctional(theta_skew)
     count = grid.shape[0]
@@ -365,7 +332,7 @@ def cmd_residual(spec: ProblemSpec, report: Report, args):
     if not spec.sections:
         raise ProblemError("the residual command needs a section declaration", 1, 1)
     names = [args.section] if args.section else sorted(spec.sections)
-    _, dec, coeffs, xi, theta = _symmetric_objects(spec)
+    theta = derive(spec.cfg, spec.lagrangian).theta_symmetric
     results = {}
     for name in names:
         section = spec.sections.get(name)

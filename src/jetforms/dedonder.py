@@ -33,7 +33,9 @@ derivative of L times the volume form.
 """
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
+from time import perf_counter
 from typing import Mapping
 
 from .expressions import (
@@ -43,6 +45,7 @@ from .expressions import (
     render_expr,
     substitute_section,
     total_derivative,
+    z_var,
 )
 from .forms import (
     DifferentialForm,
@@ -63,6 +66,8 @@ from .jets import (
     splitting_count,
     splittings,
 )
+
+log = logging.getLogger("jetforms")
 
 
 @dataclass
@@ -298,6 +303,20 @@ def skew_pair_perturbation(cfg: JetConfig, skew: Mapping) -> dict:
     }
 
 
+def default_skew_perturbation(cfg: JetConfig) -> dict:
+    """Q^{12}_a = -Q^{21}_a = z^a_2 for every field, when k = 2 and m >= 2.
+
+    It is the simplest jet-dependent member of the skew family.
+    """
+    if cfg.k != 2 or cfg.m < 2:
+        raise ValueError("the default skew perturbation needs k = 2 and m >= 2")
+    skew = {}
+    for a in range(1, cfg.n + 1):
+        skew[(a, 1, 2)] = z_var(a, (2,))
+        skew[(a, 2, 1)] = -z_var(a, (2,))
+    return skew_pair_perturbation(cfg, skew)
+
+
 def double_vertical_contraction_vanishes(form: DifferentialForm, cfg: JetConfig) -> bool:
     """X2 -| (X1 -| form) = 0 for all source-vertical basis fields X1, X2.
 
@@ -363,12 +382,6 @@ def assemble_boundary_form(
     return BoundaryForm(cfg, xi, coeffs, phi)
 
 
-def boundary_form_for_lagrangian(cfg: JetConfig, L: Expr) -> BoundaryForm:
-    """Convenience: the symmetric boundary form of d(L d_m x)."""
-    _, dec = phi_from_lagrangian(cfg, L)
-    return assemble_boundary_form(symmetric_boundary_coefficients(dec), dec)
-
-
 def contact_presentation(xi: BoundaryForm) -> str:
     """Render Xi in the contact basis: sum of p * theta^a_T ^ (d/dx^i -| d_m x).
 
@@ -421,6 +434,62 @@ def dedonder_form(cfg: JetConfig, L: Expr, xi: BoundaryForm) -> DeDonderForm:
 
 
 @dataclass
+class Derivation:
+    """The objects one Lagrangian derives, each built and checked once."""
+
+    cfg: JetConfig
+    lagrangian: Expr
+    decomposition: PhiDecomposition
+    boundary_symmetric: BoundaryForm
+    theta_symmetric: DeDonderForm
+
+    def euler_lagrange(self) -> list:
+        """dL/dy^a, checked against this derivation's symmetric coefficients."""
+        return _lagrange_derivative(
+            self.decomposition, self.boundary_symmetric.coefficients
+        )
+
+    def skew_boundary(self, delta: Mapping | None = None) -> BoundaryForm:
+        """The boundary form of the same Phi whose top level is shifted by
+        ``delta`` (see :func:`perturbed_coefficients`); without ``delta``,
+        by :func:`default_skew_perturbation`."""
+        if delta is None:
+            delta = default_skew_perturbation(self.cfg)
+        coeffs = perturbed_coefficients(self.decomposition, delta)
+        return assemble_boundary_form(coeffs, self.decomposition)
+
+    def theta_skew(self, delta: Mapping | None = None) -> DeDonderForm:
+        """Theta = L d_m x + skew_boundary(delta)."""
+        return dedonder_form(self.cfg, self.lagrangian, self.skew_boundary(delta))
+
+
+def derive(cfg: JetConfig, L: Expr) -> Derivation:
+    """Phi, the symmetric coefficients, Xi and Theta of L, in that order.
+
+    Every construction-time check of the stages runs once; sizes and
+    seconds per stage are logged at debug level.
+    """
+    t0 = perf_counter()
+    _, dec = phi_from_lagrangian(cfg, L)
+    t1 = perf_counter()
+    coeffs = symmetric_boundary_coefficients(dec)
+    t2 = perf_counter()
+    xi = assemble_boundary_form(coeffs, dec)
+    t3 = perf_counter()
+    theta = dedonder_form(cfg, L, xi)
+    t4 = perf_counter()
+    log.debug(
+        "symmetric objects: %d coefficients, Xi %d wedge terms, Theta %d wedge terms",
+        len(coeffs.table), len(xi.form.terms()), len(theta.form.terms()),
+    )
+    log.debug(
+        "stage seconds: Phi %.4f, coefficients %.4f, Xi %.4f, Theta %.4f",
+        t1 - t0, t2 - t1, t3 - t2, t4 - t3,
+    )
+    return Derivation(cfg, L, dec, xi, theta)
+
+
+@dataclass
 class Condition3Report:
     """Outcome of the target-vertical pullback check, per probing field."""
 
@@ -469,29 +538,28 @@ def verify_condition3(
     return Condition3Report(not failures, failures, degree)
 
 
-def lagrange_derivative(cfg: JetConfig, L: Expr) -> list:
-    """Lagrange derivatives dL/dy^a as expressions of jet order <= 2k.
+def _lagrange_derivative(
+    dec: PhiDecomposition, coeffs: BoundaryCoefficients
+) -> list:
+    """dL/dy^a from the components of Phi, checked against the coefficients.
 
     On canonical storage the alternating-sign total-derivative sum collapses
-    to one term per canonical multi-index:
+    to one term per canonical multi-index, with Phi^I_a = dL/dz^a_I:
 
-        dL/dy^a = sum_{l=0..k} (-1)^l sum_{canonical |I|=l} D_I [dL/dz^a_I].
+        dL/dy^a = sum_{l=0..k} (-1)^l sum_{canonical |I|=l} D_I [Phi^I_a].
 
     The identity Phi_a - sum_i D_i p^i_a = dL/dy^a against the symmetric
     boundary coefficients is verified exactly before returning.
     """
-    if L.jet_order() > cfg.k:
-        raise ValueError(
-            f"Lagrangian has jet order {L.jet_order()}, exceeding k={cfg.k}"
-        )
+    cfg = dec.cfg
     out = []
     for a in range(1, cfg.n + 1):
-        acc = L.partial(field_coord(a))
+        acc = dec.component(a)
         sign = 1
         for level in range(1, cfg.k + 1):
             sign = -sign
             for I in multiindices(cfg.m, level):
-                term = L.partial(jet_coord(a, I))
+                term = dec.component(a, I)
                 if term.is_zero:
                     continue
                 for i in I:
@@ -499,14 +567,22 @@ def lagrange_derivative(cfg: JetConfig, L: Expr) -> list:
                         term, i, cfg, max_order=cfg.expression_order
                     )
                 acc = acc + (term if sign == 1 else -term)
-        out.append(acc)
-    _, dec = phi_from_lagrangian(cfg, L)
-    coeffs = symmetric_boundary_coefficients(dec)
-    for a in range(1, cfg.n + 1):
         identity = dec.component(a) - coeffs.holonomic_divergence(a)
-        if not (identity - out[a - 1]).is_zero:
+        if not (identity - acc).is_zero:
             raise AssertionError("Lagrange derivative disagrees with Phi_a - div p^i_a")
+        out.append(acc)
     return out
+
+
+def lagrange_derivative(cfg: JetConfig, L: Expr) -> list:
+    """Lagrange derivatives dL/dy^a as expressions of jet order <= 2k.
+
+    Builds Phi and the symmetric coefficients p to check the identity
+    Phi_a - sum_i D_i p^i_a = dL/dy^a; :meth:`Derivation.euler_lagrange`
+    gives the same list from a derivation's own coefficients.
+    """
+    _, dec = phi_from_lagrangian(cfg, L)
+    return _lagrange_derivative(dec, symmetric_boundary_coefficients(dec))
 
 
 def dedonder_residual(theta: DeDonderForm, section: PolynomialSection) -> dict:

@@ -18,8 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 MultiIndex = "tuple[int, ...]"
 Coordinate = tuple
@@ -119,18 +118,6 @@ def canonicalize(indices: Sequence[int], m: int) -> tuple:
     return tuple(sorted(indices))
 
 
-def multiplicity(indices: Sequence[int]) -> int:
-    """Number of distinct orderings of a canonical multi-index.
-
-    This is the weight that converts a sum over canonical multi-indices into
-    the corresponding sum over all index tuples of a symmetric table.
-    """
-    count = math.factorial(len(indices))
-    for v in set(indices):
-        count //= math.factorial(indices.count(v))
-    return count
-
-
 def splittings(indices: Sequence[int]):
     """Distinct ways of removing one entry: pairs (i1, canonical remainder).
 
@@ -183,32 +170,3 @@ def coordinate_count(cfg: JetConfig, order: int) -> int:
     return cfg.m + cfg.n * sum(
         math.comb(cfg.m + level - 1, level) for level in range(order + 1)
     )
-
-
-def symmetrize_table(table: Mapping[tuple, object], length: int | None = None) -> dict:
-    """Fully symmetric part of a table indexed by ordered index tuples.
-
-    ``table`` must be defined on all ``m^l`` orderings; the result holds
-    ``S(I) = (1/l!) * sum_{permutations p} table[p(I)]`` once per canonical
-    multi-index.  Values may be numbers or anything supporting ``+`` and
-    multiplication by :class:`~fractions.Fraction`.
-    """
-    if not table:
-        return {}
-    keys = list(table)
-    if length is None:
-        length = len(keys[0])
-    if any(len(key) != length for key in keys):
-        raise ValueError("all index tuples must have equal length")
-    weight = Fraction(1, math.factorial(length))
-    out = {}
-    for key in keys:
-        canonical = tuple(sorted(key))
-        if canonical in out:
-            continue
-        total = None
-        for perm in itertools.permutations(canonical):
-            value = table[perm]
-            total = value if total is None else total + value
-        out[canonical] = total * weight
-    return out

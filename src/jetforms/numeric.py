@@ -532,11 +532,6 @@ class EnergyFunctional:
         return quadrature(integrand, state.grid)
 
 
-def energy_integral(state: CauchyState, theta: DeDonderForm) -> float:
-    """One-shot evaluation of :class:`EnergyFunctional` at a state."""
-    return EnergyFunctional(theta)(state)
-
-
 def band_limited_state(
     grid: GridSpec, n: int, max_mode: int, seed: int
 ) -> CauchyState:

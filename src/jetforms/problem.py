@@ -192,15 +192,6 @@ class _Parser:
             )
         return self.advance()
 
-    def expect_keyword(self, word: str):
-        token = self.expect("name", f"'{word}'")
-        if token.text != word:
-            raise ProblemSyntaxError(
-                f"unexpected {token.text!r}", token.line, token.column,
-                expected=[f"'{word}'"],
-            )
-        return token
-
     def expect_int(self, what: str = "an integer") -> tuple:
         token = self.expect("int", what)
         return int(token.text), token

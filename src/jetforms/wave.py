@@ -6,26 +6,17 @@ fibre, the Lagrangian
     L = g_ab g^ij g^kl z^a_ij z^b_kl
 
 has Euler-Lagrange operator 2 g_ab (d^4/dt^4 - 2 d^4/dt^2 dx^2 + d^4/dx^4),
-i.e. the square of the d'Alembertian per field.  This module builds the
-problem data programmatically; the same problem ships as a DSL fixture in
-``fixtures/fourth_order_wave.jet``.
+i.e. the square of the d'Alembertian per field.  ``wave_problem()`` is the
+example's :class:`~jetforms.dedonder.Derivation` plus its symmetry fields:
+the time and space translations and the Lorentz boost.  The same problem
+ships as a DSL fixture in ``fixtures/fourth_order_wave.jet``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dedonder import (
-    BoundaryForm,
-    DeDonderForm,
-    PhiDecomposition,
-    assemble_boundary_form,
-    dedonder_form,
-    perturbed_coefficients,
-    phi_from_lagrangian,
-    skew_pair_perturbation,
-    symmetric_boundary_coefficients,
-)
+from .dedonder import Derivation, derive
 from .expressions import Expr, z_var
 from .jets import JetConfig
 from .prolongations import ProjectableField
@@ -54,56 +45,22 @@ def wave_lagrangian(cfg: JetConfig, g_fibre=MINKOWSKI, g_base=MINKOWSKI) -> Expr
 
 
 @dataclass
-class WaveProblem:
-    """All derived objects of the example, built once."""
+class WaveProblem(Derivation):
+    """The example's derived objects and its symmetry fields."""
 
-    cfg: JetConfig
-    lagrangian: Expr
-    phi: object
-    decomposition: PhiDecomposition
-    boundary_symmetric: BoundaryForm
-    theta_symmetric: DeDonderForm
     time_translation: ProjectableField
     space_translation: ProjectableField
     lorentz_boost: ProjectableField
 
-    def skew_boundary(self, skew_value: Expr | None = None, a: int | None = None):
-        """A non-symmetric boundary form from a skew top-level perturbation.
-
-        The default perturbation is Q^{12}_a = z^a_x for every field, the
-        simplest jet-dependent member of the skew family.
-        """
-        skew = {}
-        fields = range(1, self.cfg.n + 1) if a is None else (a,)
-        for b in fields:
-            value = z_var(b, (2,)) if skew_value is None else skew_value
-            skew[(b, 1, 2)] = value
-            skew[(b, 2, 1)] = -value
-        delta = skew_pair_perturbation(self.cfg, skew)
-        coeffs = perturbed_coefficients(self.decomposition, delta)
-        return assemble_boundary_form(coeffs, self.decomposition)
-
-    def theta_skew(self, **kwargs) -> DeDonderForm:
-        return dedonder_form(self.cfg, self.lagrangian, self.skew_boundary(**kwargs))
-
 
 def wave_problem() -> WaveProblem:
     cfg = JetConfig(m=2, n=2, k=2)
-    L = wave_lagrangian(cfg)
-    phi, dec = phi_from_lagrangian(cfg, L)
-    xi = assemble_boundary_form(symmetric_boundary_coefficients(dec), dec)
-    theta = dedonder_form(cfg, L, xi)
     zero = Expr.zero()
     one = Expr.one()
     x1 = Expr.variable(("x", 1))
     x2 = Expr.variable(("x", 2))
     return WaveProblem(
-        cfg=cfg,
-        lagrangian=L,
-        phi=phi,
-        decomposition=dec,
-        boundary_symmetric=xi,
-        theta_symmetric=theta,
+        **vars(derive(cfg, wave_lagrangian(cfg))),
         time_translation=ProjectableField(cfg, (one, zero), (zero, zero)),
         space_translation=ProjectableField(cfg, (zero, one), (zero, zero)),
         lorentz_boost=ProjectableField(cfg, (x2, x1), (zero, zero)),

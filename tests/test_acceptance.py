@@ -13,9 +13,9 @@ import pytest
 
 from jetforms.cli import main as cli_main
 from jetforms.dedonder import (
-    boundary_form_for_lagrangian,
     compare_boundary_forms,
     dedonder_form,
+    derive,
     verify_condition3,
 )
 from jetforms.expressions import (
@@ -114,7 +114,7 @@ def test_criterion_2_condition3_symbolic_zero(report):
     for cfg in CONFIGS:
         for _ in range(4):
             L = random_expr(rng, cfg, cfg.k, degree=2, terms=5)
-            xi = boundary_form_for_lagrangian(cfg, L)
+            xi = derive(cfg, L).boundary_symmetric
             ok = ok and verify_condition3(xi.phi, xi).ok
             count += 1
     elapsed = time.perf_counter() - start
@@ -163,7 +163,7 @@ def test_criterion_3_boundary_form_independence(report):
 def test_criterion_4_k1_reduction_and_oracle(report):
     cfg = JetConfig(2, 1, 1)
     L = (z_var(1, (1,)) ** 2 + z_var(1, (2,)) ** 2) / 2
-    xi = boundary_form_for_lagrangian(cfg, L)
+    xi = derive(cfg, L).boundary_symmetric
     theta = dedonder_form(cfg, L, xi)
     classical = DifferentialForm.from_scalar(L).wedge(volume_form(cfg))
     for i in (1, 2):

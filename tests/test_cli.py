@@ -208,3 +208,76 @@ def test_debug_log_reports_sizes_and_timings(caplog, capsys):
         _, out, _ = run(capsys, "dedonder-form", WAVE)
     assert not [r for r in caplog.records if r.name == "jetforms"]
     assert out == quiet_out
+
+
+def _fail_derive(cfg, L):
+    raise AssertionError("derive ran before the input was rejected")
+
+
+def test_evolve_rejects_small_grid_n(monkeypatch, capsys):
+    import jetforms.cli as cli
+
+    monkeypatch.setattr(cli, "derive", _fail_derive)
+    code, out, err = run(capsys, "evolve", WAVE, "--grid-n", "4")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "grids need at least 8 points per axis, got 4" in err
+    code, out, _ = run(capsys, "evolve", WAVE, "--grid-n", "4", "--json")
+    assert code == 2
+    assert "at least 8 points" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize(
+    "grid", ["0 6.283185307179586 64 open", "0 1 8 periodic 0 1 8 periodic"]
+)
+def test_evolve_rejects_grid_that_is_not_1d_periodic(grid, tmp_path, monkeypatch, capsys):
+    import jetforms.cli as cli
+
+    problem = tmp_path / "grid.jet"
+    problem.write_text(
+        pathlib.Path(WAVE).read_text().replace(
+            "grid 0 6.283185307179586 256 periodic;", f"grid {grid};"
+        )
+    )
+    monkeypatch.setattr(cli, "derive", _fail_derive)
+    code, out, err = run(capsys, "evolve", str(problem))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "Cauchy evolution needs a 1-D periodic grid" in err
+    code, out, _ = run(capsys, "evolve", str(problem), "--json")
+    assert code == 2
+    assert json.loads(out)["error"] == "Cauchy evolution needs a 1-D periodic grid"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("euler-lagrange",),
+        ("boundary-form",),
+        ("dedonder-form",),
+        ("verify",),
+        ("noether",),
+        ("residual",),
+        ("evolve", "--grid-n", "64"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_one_symmetric_solve_per_command(argv, monkeypatch, capsys):
+    import jetforms.cli as cli
+    import jetforms.dedonder as dedonder
+
+    solves = []
+    solve = dedonder.symmetric_boundary_coefficients
+
+    def counted(dec):
+        solves.append(dec)
+        return solve(dec)
+
+    for module in (dedonder, cli):
+        if hasattr(module, "symmetric_boundary_coefficients"):
+            monkeypatch.setattr(module, "symmetric_boundary_coefficients", counted)
+    code, _, _ = run(capsys, argv[0], WAVE, *argv[1:])
+    assert code in (0, 1)
+    assert len(solves) == 1

@@ -6,11 +6,11 @@ import pytest
 from jetforms.dedonder import (
     BoundaryCoefficients,
     assemble_boundary_form,
-    boundary_form_for_lagrangian,
     compare_boundary_forms,
     decompose_phi,
     dedonder_form,
     dedonder_residual,
+    derive,
     double_vertical_contraction_vanishes,
     lagrange_derivative,
     perturbed_coefficients,
@@ -137,7 +137,7 @@ def test_perturbed_with_empty_delta_is_symmetric():
 def test_k1_reduction_is_poincare_cartan():
     cfg = JetConfig(2, 1, 1)
     L = (z_var(1, (1,)) ** 2 + z_var(1, (2,)) ** 2) / 2
-    xi = boundary_form_for_lagrangian(cfg, L)
+    xi = derive(cfg, L).boundary_symmetric
     theta = dedonder_form(cfg, L, xi)
     classical = DifferentialForm.from_scalar(L).wedge(volume_form(cfg))
     for i in (1, 2):
@@ -198,7 +198,7 @@ def test_condition3_random_lagrangians():
     for cfg in configs:
         for _ in range(3):
             L = random_expr(rng, cfg, cfg.k, degree=2, terms=5)
-            xi = boundary_form_for_lagrangian(cfg, L)
+            xi = derive(cfg, L).boundary_symmetric
             assert verify_condition3(xi.phi, xi).ok
 
 
@@ -206,7 +206,7 @@ def test_condition3_higher_order_k3():
     # the construction is not k=2 specific: check a third-order Lagrangian
     cfg = JetConfig(2, 1, 3)
     L = z_var(1, (1, 1, 2)) ** 2 + z_var(1, (1, 2)) * z_var(1, (2, 2, 2))
-    xi = boundary_form_for_lagrangian(cfg, L)
+    xi = derive(cfg, L).boundary_symmetric
     assert verify_condition3(xi.phi, xi).ok
 
 
@@ -234,7 +234,7 @@ def test_el_consistency_of_dedonder_contractions():
     for cfg in (JetConfig(1, 1, 2), JetConfig(2, 1, 2), JetConfig(2, 2, 2)):
         for _ in range(3):
             L = random_expr(rng, cfg, cfg.k, degree=2, terms=4)
-            xi = boundary_form_for_lagrangian(cfg, L)
+            xi = derive(cfg, L).boundary_symmetric
             theta = dedonder_form(cfg, L, xi)
             deltas = lagrange_derivative(cfg, L)
             comps = tuple(
@@ -275,7 +275,7 @@ def test_decomposition_identity_symbolic():
 
     for _ in range(3):
         L = random_expr(rng, cfg, 2, degree=2, terms=5)
-        xi = boundary_form_for_lagrangian(cfg, L)
+        xi = derive(cfg, L).boundary_symmetric
         dec = xi.phi
         Y = ProjectableField(
             cfg,
@@ -319,7 +319,7 @@ def test_dedonder_residual_examples():
             assert form.is_zero, coord
     # zero Lagrangian: zero residuals for any section
     cfg1 = JetConfig(1, 1, 1)
-    xi0 = boundary_form_for_lagrangian(cfg1, Expr.zero())
+    xi0 = derive(cfg1, Expr.zero()).boundary_symmetric
     theta0 = dedonder_form(cfg1, Expr.zero(), xi0)
     any_sigma = PolynomialSection(cfg1, (x_var(1) ** 4,))
     assert all(f.is_zero for f in dedonder_residual(theta0, any_sigma).values())
@@ -330,7 +330,7 @@ def test_dedonder_form_pullback_equals_lagrangian_pullback():
     rng = random.Random(17)
     cfg = JetConfig(2, 1, 2)
     L = z_var(1, (1, 1)) * z_var(1, (2, 2)) + y_var(1) ** 2
-    xi = boundary_form_for_lagrangian(cfg, L)
+    xi = derive(cfg, L).boundary_symmetric
     theta = dedonder_form(cfg, L, xi)
     sigma = PolynomialSection(cfg, (x_var(1) ** 3 + x_var(1) * x_var(2) ** 2,))
     pulled = holonomic_pullback(theta.form, sigma)
@@ -343,7 +343,7 @@ def test_contact_presentation():
 
     cfg = JetConfig(1, 1, 1)
     L = z_var(1, (1,)) ** 2 / 2
-    xi = boundary_form_for_lagrangian(cfg, L)
+    xi = derive(cfg, L).boundary_symmetric
     assert contact_presentation(xi) == "(z[1;1]) theta[1]^w[1]"
 
 
@@ -409,8 +409,8 @@ def test_invalid_skew_rejected():
 
 def test_comparison_requires_same_phi():
     cfg = JetConfig(2, 1, 2)
-    xi_a = boundary_form_for_lagrangian(cfg, z_var(1, (1, 1)) ** 2)
-    xi_b = boundary_form_for_lagrangian(cfg, z_var(1, (2, 2)) ** 2)
+    xi_a = derive(cfg, z_var(1, (1, 1)) ** 2).boundary_symmetric
+    xi_b = derive(cfg, z_var(1, (2, 2)) ** 2).boundary_symmetric
     with pytest.raises(ValueError):
         compare_boundary_forms(xi_a, xi_b)
 

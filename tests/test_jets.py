@@ -9,10 +9,8 @@ from jetforms.jets import (
     coordinate_count,
     enumerate_coordinates,
     multiindices,
-    multiplicity,
     splitting_count,
     splittings,
-    symmetrize_table,
 )
 
 
@@ -49,21 +47,6 @@ def test_canonicalize_idempotent_and_order_insensitive():
         shuffled = list(indices)
         rng.shuffle(shuffled)
         assert canonicalize(tuple(shuffled), m) == canonical
-
-
-def test_multiplicity_examples():
-    assert multiplicity((1, 2)) == 2
-    assert multiplicity((1, 1)) == 1
-    # brute force: distinct permutations of (1, 1, 2)
-    assert multiplicity((1, 1, 2)) == len(set(itertools.permutations((1, 1, 2))))
-    assert multiplicity(()) == 1
-
-
-def test_multiplicity_sums_to_power():
-    for m in (1, 2, 3):
-        for length in range(6):
-            total = sum(multiplicity(I) for I in multiindices(m, length))
-            assert total == m**length
 
 
 def test_splittings():
@@ -105,34 +88,3 @@ def test_enumerate_order_bound():
     cfg = JetConfig(2, 1, 2)
     with pytest.raises(ValueError):
         enumerate_coordinates(cfg, 4)
-
-
-def test_symmetrize_table_examples():
-    from fractions import Fraction
-
-    table = {(1, 2): Fraction(3), (2, 1): Fraction(5), (1, 1): Fraction(7), (2, 2): Fraction(1)}
-    sym = symmetrize_table(table)
-    assert sym[(1, 2)] == Fraction(4)
-    assert sym[(1, 1)] == Fraction(7)
-    # already symmetric: fixed point on canonical tuples
-    table2 = {key: Fraction(2) for key in itertools.product((1, 2), repeat=2)}
-    assert symmetrize_table(table2) == {(1, 1): 2, (1, 2): 2, (2, 2): 2}
-    # skew part is annihilated
-    table3 = {(1, 2): Fraction(9), (2, 1): Fraction(-9), (1, 1): Fraction(0), (2, 2): Fraction(0)}
-    assert symmetrize_table(table3)[(1, 2)] == 0
-
-
-def test_symmetrize_table_is_projection():
-    rng = random.Random(42)
-    from fractions import Fraction
-
-    table = {
-        key: Fraction(rng.randint(-5, 5))
-        for key in itertools.product((1, 2, 3), repeat=3)
-    }
-    sym = symmetrize_table(table)
-    # extend back to all tuples and symmetrize again
-    full = {
-        key: sym[tuple(sorted(key))] for key in itertools.product((1, 2, 3), repeat=3)
-    }
-    assert symmetrize_table(full) == sym

@@ -185,10 +185,10 @@ def test_noether_current_closed_on_shell():
     assert not noether_current(wp.time_translation, wp.theta_symmetric, bad).d().is_zero
     # zero Lagrangian: zero current
     cfg1 = JetConfig(1, 1, 1)
-    from jetforms.dedonder import boundary_form_for_lagrangian, dedonder_form
+    from jetforms.dedonder import dedonder_form, derive
 
     theta0 = dedonder_form(
-        cfg1, Expr.zero(), boundary_form_for_lagrangian(cfg1, Expr.zero())
+        cfg1, Expr.zero(), derive(cfg1, Expr.zero()).boundary_symmetric
     )
     Y0 = ProjectableField(cfg1, (Expr.one(),), (Expr.zero(),))
     assert noether_current(
