@@ -43,7 +43,6 @@ from .expressions import (
     PolynomialSection,
     generic_section,
     render_expr,
-    substitute_section,
     total_derivative,
     z_var,
 )
@@ -90,15 +89,13 @@ class PhiDecomposition:
     def form(self) -> DifferentialForm:
         """Reassemble Phi from its components."""
         vol = volume_form(self.cfg)
-        out = DifferentialForm.zero(self.cfg.m + 1)
-        for a in range(1, self.cfg.n + 1):
-            coeff = self.component(a)
-            if not coeff.is_zero:
-                out = out + DifferentialForm(1, {(("dy", a),): coeff}).wedge(vol)
-        for (a, I), coeff in sorted(self.jet_components.items()):
-            if not coeff.is_zero:
-                out = out + DifferentialForm(1, {(("dz", a, I),): coeff}).wedge(vol)
-        return out
+        leads = [(("dy", a), self.component(a)) for a in range(1, self.cfg.n + 1)]
+        leads += [(("dz", a, I), c) for (a, I), c in sorted(self.jet_components.items())]
+        return DifferentialForm.sum(
+            self.cfg.m + 1,
+            (DifferentialForm(1, {(lead,): coeff}).wedge(vol)
+             for lead, coeff in leads if not coeff.is_zero),
+        )
 
 
 def phi_from_lagrangian(cfg: JetConfig, L: Expr):
@@ -107,16 +104,16 @@ def phi_from_lagrangian(cfg: JetConfig, L: Expr):
         raise ValueError(
             f"Lagrangian has jet order {L.jet_order()}, exceeding k={cfg.k}"
         )
+    gradient = L.gradient()
     field_components = {
-        a: L.partial(field_coord(a)) for a in range(1, cfg.n + 1)
+        a: gradient.get(field_coord(a), Expr.zero()) for a in range(1, cfg.n + 1)
     }
     jet_components = {}
     for level in range(1, cfg.k + 1):
         for a in range(1, cfg.n + 1):
             for I in multiindices(cfg.m, level):
-                partial = L.partial(jet_coord(a, I))
-                if not partial.is_zero:
-                    jet_components[(a, I)] = partial
+                if jet_coord(a, I) in gradient:
+                    jet_components[(a, I)] = gradient[jet_coord(a, I)]
     decomposition = PhiDecomposition(cfg, field_components, jet_components)
     phi = DifferentialForm.from_scalar(L).wedge(volume_form(cfg)).d()
     # the coordinate computation and the component extraction must agree
@@ -167,12 +164,12 @@ class BoundaryCoefficients:
 
     def holonomic_divergence(self, a: int) -> Expr:
         """sum_i D_i p^{i}_a of the level-one coefficients (order <= 2k)."""
-        out = Expr.zero()
-        for i in range(1, self.cfg.m + 1):
-            out = out + total_derivative(
+        return Expr.sum(
+            total_derivative(
                 self.coefficient(a, i), i, self.cfg, max_order=self.cfg.expression_order
             )
-        return out
+            for i in range(1, self.cfg.m + 1)
+        )
 
 
 def _splitting_system_rhs(
@@ -180,13 +177,13 @@ def _splitting_system_rhs(
 ) -> Expr:
     """Phi^I_a minus the divergence of the next level's coefficients with tail I."""
     cfg = dec.cfg
-    rhs = dec.component(a, I)
-    if upper is not None:
-        for j in range(1, cfg.m + 1):
-            coeff = upper.get((a, j, I))
-            if coeff is not None and not coeff.is_zero:
-                rhs = rhs - total_derivative(coeff, j, cfg)
-    return rhs
+    if upper is None:
+        return dec.component(a, I)
+    return dec.component(a, I) - Expr.sum(
+        total_derivative(upper[(a, j, I)], j, cfg)
+        for j in range(1, cfg.m + 1)
+        if (a, j, I) in upper
+    )
 
 
 def _solve_top_down(dec: PhiDecomposition, top_delta: Mapping) -> BoundaryCoefficients:
@@ -244,9 +241,9 @@ def _check_splitting_system(
         for a in range(1, cfg.n + 1):
             for I in multiindices(cfg.m, level):
                 rhs = _splitting_system_rhs(dec, upper, I, a)
-                total = Expr.zero()
-                for i1, tail in splittings(I):
-                    total = total + coeffs.coefficient(a, i1, tail)
+                total = Expr.sum(
+                    coeffs.coefficient(a, i1, tail) for i1, tail in splittings(I)
+                )
                 residual = total - rhs
                 if not residual.is_zero:
                     failures.append((a, I, residual))
@@ -277,9 +274,9 @@ def perturbed_coefficients(
             )
     for a in range(1, cfg.n + 1):
         for I in multiindices(cfg.m, cfg.k):
-            total = Expr.zero()
-            for i1, tail in splittings(I):
-                total = total + top_delta.get((a, i1, tail), Expr.zero())
+            total = Expr.sum(
+                top_delta.get((a, i1, tail), Expr.zero()) for i1, tail in splittings(I)
+            )
             if not total.is_zero:
                 raise ValueError(
                     f"perturbation violates the top-level relation at a={a}, "
@@ -343,10 +340,6 @@ class BoundaryForm:
     coefficients: BoundaryCoefficients
     phi: PhiDecomposition | None = None
 
-    @property
-    def is_boundary_form_of_phi(self) -> bool:
-        return self.phi is not None
-
 
 def assemble_boundary_form(
     coeffs: BoundaryCoefficients, phi: PhiDecomposition | None = None
@@ -361,10 +354,11 @@ def assemble_boundary_form(
     and the result is marked as a boundary form of that Phi.
     """
     cfg = coeffs.cfg
-    xi = DifferentialForm.zero(cfg.m)
-    for (a, i1, tail), value in sorted(coeffs.table.items()):
-        block = contact_form(cfg, a, tail).wedge(base_contraction(cfg, i1))
-        xi = xi + block * value
+    xi = DifferentialForm.sum(
+        cfg.m,
+        (contact_form(cfg, a, tail).wedge(base_contraction(cfg, i1)) * value
+         for (a, i1, tail), value in sorted(coeffs.table.items())),
+    )
     if not is_semibasic(xi, ("forgetful", cfg.k - 1)):
         raise AssertionError("assembled form is not semi-basic over order k-1")
     if not double_vertical_contraction_vanishes(xi, cfg):
@@ -416,7 +410,7 @@ class DeDonderForm:
 
 def dedonder_form(cfg: JetConfig, L: Expr, xi: BoundaryForm) -> DeDonderForm:
     """Theta = pi* (L d_m x) + Xi, verified to pull back like the Lagrangian."""
-    if not xi.is_boundary_form_of_phi:
+    if xi.phi is None:
         raise ValueError(
             "the boundary form was not constructed against a Phi; a De Donder "
             "form requires a boundary form of d(L d_m x)"
@@ -424,11 +418,9 @@ def dedonder_form(cfg: JetConfig, L: Expr, xi: BoundaryForm) -> DeDonderForm:
     theta = DeDonderForm(cfg, L, xi)
     if not is_semibasic(theta.form, ("forgetful", cfg.k - 1)):
         raise AssertionError("De Donder form is not semi-basic over order k-1")
-    reduced = holonomic_reduce(theta.form, cfg)
-    expected = holonomic_reduce(
-        DifferentialForm.from_scalar(L).wedge(volume_form(cfg)), cfg
-    )
-    if not (reduced - expected).is_zero:
+    # L d_m x has only dx factors, so it is its own holonomic reduction
+    lagrangian_form = DifferentialForm.from_scalar(L).wedge(volume_form(cfg))
+    if holonomic_reduce(theta.form, cfg) != lagrangian_form:
         raise AssertionError("j*Theta does not equal j*Lambda")
     return theta
 
@@ -526,11 +518,7 @@ def verify_condition3(
         reduced = holonomic_reduce(contractions[coord], cfg)
         if reduced.is_zero:
             continue
-        certificate = DifferentialForm.zero(cfg.m)
-        for wedge_key, coeff in reduced.terms():
-            certificate = certificate + DifferentialForm(
-                cfg.m, {wedge_key: substitute_section(coeff, sigma)}
-            )
+        certificate = holonomic_pullback(reduced, sigma)
         if certificate.is_zero:
             continue
         residual = reduced.coefficient(tuple(("dx", i) for i in range(1, cfg.m + 1)))
@@ -552,12 +540,10 @@ def _lagrange_derivative(
     boundary coefficients is verified exactly before returning.
     """
     cfg = dec.cfg
-    out = []
-    for a in range(1, cfg.n + 1):
-        acc = dec.component(a)
-        sign = 1
+
+    def signed_terms(a: int):
+        yield dec.component(a)
         for level in range(1, cfg.k + 1):
-            sign = -sign
             for I in multiindices(cfg.m, level):
                 term = dec.component(a, I)
                 if term.is_zero:
@@ -566,7 +552,11 @@ def _lagrange_derivative(
                     term = total_derivative(
                         term, i, cfg, max_order=cfg.expression_order
                     )
-                acc = acc + (term if sign == 1 else -term)
+                yield -term if level % 2 else term
+
+    out = []
+    for a in range(1, cfg.n + 1):
+        acc = Expr.sum(signed_terms(a))
         identity = dec.component(a) - coeffs.holonomic_divergence(a)
         if not (identity - acc).is_zero:
             raise AssertionError("Lagrange derivative disagrees with Phi_a - div p^i_a")

@@ -7,8 +7,12 @@ under all differential operators (used for undetermined-coefficient generic
 sections).  Canonical form means: no zero coefficients, one entry per
 power-product, so expression equality is mathematical equality.
 
+Every sum (``+``, ``*``, ``Expr.sum``, ``gradient``) goes through one
+accumulator that keeps that form, adding into one dict in place.
+
 The two derivations that matter are the formal partial derivative with
-respect to a single canonical coordinate and the total derivative
+respect to a single canonical coordinate (one entry of the gradient) and the
+total derivative
 
     D_i = d/dx^i + z^a_(i) d/dy^a + sum_I z^a_{I+i} d/dz^a_I ,
 
@@ -42,6 +46,25 @@ def _norm_coeff(q):
     if isinstance(q, int):
         return q
     raise TypeError(f"coefficient must be rational, got {type(q).__name__}")
+
+
+def _accumulate(store: dict, pairs) -> dict:
+    """Add (monomial, coefficient) pairs into ``store`` in place.
+
+    This is the one rule every sum follows: a coefficient that reaches zero
+    is dropped and an integral Fraction is stored as an int.  Returns
+    ``store``.
+    """
+    get = store.get
+    for mono, coeff in pairs:
+        acc = get(mono, 0) + coeff
+        if not acc:
+            store.pop(mono, None)
+        elif acc.__class__ is Fraction and acc.denominator == 1:
+            store[mono] = acc.numerator
+        else:
+            store[mono] = acc
+    return store
 
 
 class Expr:
@@ -109,13 +132,15 @@ class Expr:
                 order = max(order, coordinate_order(coord))
         return order
 
-    def total_degree(self) -> int:
-        return max((sum(e for _, e in mono) for mono in self._terms), default=0)
-
     def constant_term(self):
         return self._terms.get((), 0)
 
     # -- ring operations ---------------------------------------------------
+
+    @staticmethod
+    def sum(exprs) -> "Expr":
+        """The sum of an iterable of Exprs, accumulated in one dict."""
+        return Expr(_accumulate({}, (item for e in exprs for item in e._terms.items())))
 
     def __add__(self, other) -> "Expr":
         other = _as_expr(other)
@@ -125,14 +150,7 @@ class Expr:
             return other
         if not other._terms:
             return self
-        out = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            acc = out.get(mono, 0) + coeff
-            if acc == 0:
-                out.pop(mono, None)
-            else:
-                out[mono] = _norm_coeff(acc) if isinstance(acc, Fraction) else acc
-        return Expr(out)
+        return Expr(_accumulate(dict(self._terms), other._terms.items()))
 
     __radd__ = __add__
 
@@ -150,31 +168,18 @@ class Expr:
 
     def __mul__(self, other) -> "Expr":
         if isinstance(other, (int, Fraction)):
-            other = _norm_coeff(other)
-            if other == 0:
-                return Expr.zero()
             if other == 1:
                 return self
-            return Expr(
-                {
-                    mono: _norm_coeff(coeff * other)
-                    if isinstance(coeff * other, Fraction)
-                    else coeff * other
-                    for mono, coeff in self._terms.items()
-                }
+            pairs = ((mono, coeff * other) for mono, coeff in self._terms.items())
+        elif isinstance(other, Expr):
+            pairs = (
+                (_merge_monomials(mono_a, mono_b), coeff_a * coeff_b)
+                for mono_a, coeff_a in self._terms.items()
+                for mono_b, coeff_b in other._terms.items()
             )
-        if not isinstance(other, Expr):
+        else:
             return NotImplemented
-        out: dict = {}
-        for mono_a, coeff_a in self._terms.items():
-            for mono_b, coeff_b in other._terms.items():
-                mono = _merge_monomials(mono_a, mono_b)
-                acc = out.get(mono, 0) + coeff_a * coeff_b
-                if acc == 0:
-                    out.pop(mono, None)
-                else:
-                    out[mono] = _norm_coeff(acc) if isinstance(acc, Fraction) else acc
-        return Expr(out)
+        return Expr(_accumulate({}, pairs))
 
     __rmul__ = __mul__
 
@@ -216,23 +221,24 @@ class Expr:
 
     # -- calculus ----------------------------------------------------------
 
-    def partial(self, coord) -> "Expr":
-        """Formal partial derivative w.r.t. one canonical coordinate."""
-        coord = tuple(coord)
-        out: dict = {}
+    def gradient(self) -> dict:
+        """Every first partial derivative in one scan: coordinate -> Expr.
+
+        Exactly the coordinates the expression contains are present, each
+        with a nonzero partial.
+        """
+        pairs: dict = {}
         for mono, coeff in self._terms.items():
             for pos, (c, e) in enumerate(mono):
-                if c != coord:
-                    continue
-                rest = mono[:pos] + ((c, e - 1),) + mono[pos + 1 :]
-                rest = tuple(item for item in rest if item[1])
-                acc = out.get(rest, 0) + coeff * e
-                if acc == 0:
-                    out.pop(rest, None)
-                else:
-                    out[rest] = acc
-                break
-        return Expr(out)
+                lowered = ((c, e - 1),) if e > 1 else ()
+                rest = mono[:pos] + lowered + mono[pos + 1 :]
+                pairs.setdefault(c, []).append((rest, coeff * e))
+        return {c: Expr(_accumulate({}, items)) for c, items in pairs.items()}
+
+    def partial(self, coord) -> "Expr":
+        """Formal partial derivative w.r.t. one canonical coordinate: one
+        entry of :meth:`gradient`."""
+        return self.gradient().get(tuple(coord), Expr.zero())
 
     def evaluate(self, values: Mapping[tuple, object]):
         """Evaluate at a point; values may be numbers or numpy arrays."""
@@ -246,15 +252,16 @@ class Expr:
 
     def substitute(self, replacements: Mapping[tuple, "Expr"]) -> "Expr":
         """Replace coordinates by expressions (exact, simultaneous)."""
-        out = Expr.zero()
-        for mono, coeff in self._terms.items():
+
+        def image(mono, coeff) -> "Expr":
             term = Expr.constant(coeff)
             for coord, exp in mono:
                 repl = replacements.get(coord)
                 factor = repl if repl is not None else Expr.variable(coord)
                 term = term * factor**exp
-            out = out + term
-        return out
+            return term
+
+        return Expr.sum(image(mono, coeff) for mono, coeff in self._terms.items())
 
 
 def _as_expr(value):
@@ -360,25 +367,23 @@ def total_derivative(
     if not 1 <= i <= cfg.m:
         raise ValueError(f"base index {i} out of range 1..{cfg.m}")
     limit = cfg.working_order if max_order is None else max_order
-    out = Expr.zero()
-    for coord in e.variables():
-        tag = coord[0]
-        if tag == "x":
-            if coord[1] == i:
-                out = out + e.partial(coord)
-        elif tag == "y":
-            out = out + Expr.variable(jet_coord(coord[1], (i,))) * e.partial(coord)
-        elif tag == "z":
-            a, I = coord[1], coord[2]
-            if len(I) + 1 > limit:
-                raise ValueError(
-                    f"total derivative would need jet order {len(I) + 1} "
-                    f"beyond the allowed order {limit}"
-                )
-            lifted = jet_coord(a, tuple(sorted(I + (i,))))
-            out = out + Expr.variable(lifted) * e.partial(coord)
-        # coefficient symbols are constants
-    return out
+
+    def terms():
+        for coord, partial in e.gradient().items():
+            tag = coord[0]
+            if tag == "x" and coord[1] == i:
+                yield partial
+            elif tag in ("y", "z"):  # coefficient symbols are constants
+                I = coord[2] if tag == "z" else ()
+                if len(I) + 1 > limit:
+                    raise ValueError(
+                        f"total derivative would need jet order {len(I) + 1} "
+                        f"beyond the allowed order {limit}"
+                    )
+                lifted = jet_coord(coord[1], tuple(sorted(I + (i,))))
+                yield Expr.variable(lifted) * partial
+
+    return Expr.sum(terms())
 
 
 # -- polynomial sections -----------------------------------------------------
@@ -457,9 +462,6 @@ class PolynomialSection:
                     values[jet_coord(a, I)] = self.jet(a, I).evaluate(point)
         return values
 
-    def degree(self) -> int:
-        return max(comp.total_degree() for comp in self.components)
-
 
 def substitute_section(e: Expr, section: PolynomialSection) -> Expr:
     """Replace every y/z coordinate by the exact derivative of the section."""
@@ -481,9 +483,7 @@ def generic_section(cfg: JetConfig, degree: int, tag: str = "s") -> PolynomialSe
     """
     import itertools as _it
 
-    components = []
-    for a in range(1, cfg.n + 1):
-        comp = Expr.zero()
+    def monomials(a: int):
         for total in range(degree + 1):
             for exponents in _it.combinations_with_replacement(
                 range(1, cfg.m + 1), total
@@ -491,9 +491,11 @@ def generic_section(cfg: JetConfig, degree: int, tag: str = "s") -> PolynomialSe
                 powers = {base_coord(i): exponents.count(i) for i in set(exponents)}
                 label = f"{tag}{a}_" + "".join(map(str, exponents))
                 powers[coeff_symbol(label)] = 1
-                comp = comp + Expr.monomial(powers)
-        components.append(comp)
-    return PolynomialSection(cfg, components)
+                yield Expr.monomial(powers)
+
+    return PolynomialSection(
+        cfg, [Expr.sum(monomials(a)) for a in range(1, cfg.n + 1)]
+    )
 
 
 def random_expr(rng, cfg: JetConfig, order: int, degree: int = 2, terms: int = 4,
@@ -502,8 +504,8 @@ def random_expr(rng, cfg: JetConfig, order: int, degree: int = 2, terms: int = 4
     from .jets import enumerate_coordinates
 
     coords = enumerate_coordinates(cfg, order)
-    out = Expr.zero()
-    for _ in range(terms):
+
+    def term() -> Expr:
         total = rng.randrange(degree + 1)
         powers: dict = {}
         for _ in range(total):
@@ -512,5 +514,6 @@ def random_expr(rng, cfg: JetConfig, order: int, degree: int = 2, terms: int = 4
         coeff = 0
         while coeff == 0:
             coeff = rng.randrange(-coeff_range, coeff_range + 1)
-        out = out + Expr.monomial(powers, coeff)
-    return out
+        return Expr.monomial(powers, coeff)
+
+    return Expr.sum(term() for _ in range(terms))

@@ -11,11 +11,16 @@ missing entries are zero.  Fields with dx-components are allowed (time
 translation in the wave example is one), verticality is checked where an
 operation requires it.
 
+Every sum of forms adds the Exprs landing on a wedge into one monomial dict
+in place; ``d`` differentiates each coefficient once, by ``Expr.gradient``.
+
 ``holonomic_reduce`` is the workhorse for "for every section" statements: it
 rewrites dy^a -> z^a_(i) dx^i and dz^a_I -> z^a_{I+i} dx^i, which is exactly
 what pulling back along the jet extension of an arbitrary section does to the
-form part.  A form pulls back to zero along every section iff its reduction
-is the zero form, because jets of polynomial sections realize every
+form part.  It is a map per term: each dy/dz factor takes one of the base
+directions the term's dx factors leave free, injectively, and the sign is the
+parity of that choice.  A form pulls back to zero along every section iff its
+reduction is the zero form, because jets of polynomial sections realize every
 combination of coordinate values.
 
 ``vertical_contractions`` serves every "for all vertical X" statement: one
@@ -26,9 +31,11 @@ coordinates of its own dy/dz factors.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations, permutations
 from typing import Mapping, Sequence
 
 from .expressions import Expr, PolynomialSection, render_expr, substitute_section
+from .expressions import _accumulate as _add_terms
 from .jets import JetConfig, base_coord, field_coord, jet_coord, multiindices
 
 BasisOneForm = tuple  # ("dx", i) | ("dy", a) | ("dz", a, I)
@@ -76,20 +83,6 @@ def basis_of_coordinate(coord) -> BasisOneForm:
     raise ValueError(f"coordinate {coord!r} has no differential")
 
 
-def _prepend_signed(wedge: tuple, b: BasisOneForm):
-    """Sort b ^ wedge into canonical order; returns (wedge, sign) or None."""
-    key = basis_sort_key(b)
-    for pos, existing in enumerate(wedge):
-        existing_key = basis_sort_key(existing)
-        if existing_key == key:
-            return None
-        if existing_key > key:
-            sign = -1 if pos % 2 else 1
-            return wedge[:pos] + (b,) + wedge[pos:], sign
-    sign = -1 if len(wedge) % 2 else 1
-    return wedge + (b,), sign
-
-
 def _merge_wedges(wedge_a: tuple, wedge_b: tuple):
     """Sort wedge_a ^ wedge_b, counting inversions; None on a repeated factor."""
     out = []
@@ -111,6 +104,25 @@ def _merge_wedges(wedge_a: tuple, wedge_b: tuple):
     out.extend(wedge_a[ia:])
     out.extend(wedge_b[ib:])
     return tuple(out), sign
+
+
+def _accumulate(pairs) -> dict:
+    """Sum (wedge, Expr) pairs into wedge -> Expr, zero coefficients dropped.
+
+    A wedge hit once keeps its Expr; a wedge hit again gets a monomial dict
+    of its own, and every later Expr on it is added into that dict in place.
+    """
+    out: dict = {}
+    for wedge, coeff in pairs:
+        acc = out.get(wedge)
+        if acc is None:
+            out[wedge] = coeff
+            continue
+        if acc.__class__ is not dict:
+            acc = out[wedge] = dict(acc.terms())
+        _add_terms(acc, coeff.terms())
+    out = {w: Expr(acc) if acc.__class__ is dict else acc for w, acc in out.items()}
+    return {wedge: coeff for wedge, coeff in out.items() if not coeff.is_zero}
 
 
 class DifferentialForm:
@@ -144,15 +156,19 @@ class DifferentialForm:
     def coefficient(self, wedge: Sequence[BasisOneForm]) -> Expr:
         return self._terms.get(tuple(wedge), Expr.zero())
 
-    def _accumulate(self, store: dict, wedge: tuple, coeff: Expr):
-        if coeff.is_zero:
-            return
-        acc = store.get(wedge)
-        total = coeff if acc is None else acc + coeff
-        if total.is_zero:
-            store.pop(wedge, None)
-        else:
-            store[wedge] = total
+    @staticmethod
+    def sum(degree: int, forms) -> "DifferentialForm":
+        """The sum of forms of one degree (or zero), accumulated in one dict."""
+
+        def pairs():
+            for form in forms:
+                if form._terms and form.degree != degree:
+                    raise ValueError(
+                        f"cannot add forms of degree {degree} and {form.degree}"
+                    )
+                yield from form._terms.items()
+
+        return DifferentialForm(degree, _accumulate(pairs()))
 
     def __add__(self, other: "DifferentialForm") -> "DifferentialForm":
         if not isinstance(other, DifferentialForm):
@@ -161,15 +177,7 @@ class DifferentialForm:
             return other
         if other.is_zero:
             return self
-        if self.degree != other.degree:
-            raise ValueError(
-                f"cannot add forms of degree {self.degree} and {other.degree}"
-            )
-        out = dict(self._terms)
-        result = DifferentialForm(self.degree, out)
-        for wedge, coeff in other._terms.items():
-            result._accumulate(out, wedge, coeff)
-        return result
+        return DifferentialForm.sum(self.degree, (self, other))
 
     def __neg__(self) -> "DifferentialForm":
         return DifferentialForm(
@@ -183,11 +191,10 @@ class DifferentialForm:
 
     def __mul__(self, scalar) -> "DifferentialForm":
         if isinstance(scalar, (int, Fraction, Expr)):
-            out: dict = {}
-            result = DifferentialForm(self.degree, out)
-            for wedge, coeff in self._terms.items():
-                result._accumulate(out, wedge, coeff * scalar)
-            return result
+            return DifferentialForm(
+                self.degree,
+                _accumulate((w, c * scalar) for w, c in self._terms.items()),
+            )
         return NotImplemented
 
     __rmul__ = __mul__
@@ -211,38 +218,31 @@ class DifferentialForm:
     def wedge(self, other: "DifferentialForm") -> "DifferentialForm":
         if not isinstance(other, DifferentialForm):
             raise TypeError("wedge expects a DifferentialForm")
-        out: dict = {}
-        result = DifferentialForm(self.degree + other.degree, out)
-        for wedge_a, coeff_a in self._terms.items():
-            for wedge_b, coeff_b in other._terms.items():
-                merged = _merge_wedges(wedge_a, wedge_b)
-                if merged is None:
-                    continue
-                wedge, sign = merged
-                coeff = coeff_a * coeff_b
-                result._accumulate(out, wedge, coeff if sign == 1 else -coeff)
-        return result
+
+        def pairs():
+            for wedge_a, coeff_a in self._terms.items():
+                for wedge_b, coeff_b in other._terms.items():
+                    merged = _merge_wedges(wedge_a, wedge_b)
+                    if merged is not None:
+                        coeff = coeff_a * coeff_b
+                        yield merged[0], coeff if merged[1] == 1 else -coeff
+
+        return DifferentialForm(self.degree + other.degree, _accumulate(pairs()))
 
     def d(self) -> "DifferentialForm":
         """Exterior derivative; differentiates coefficients in every
         coordinate present (coefficient symbols are constants)."""
-        out: dict = {}
-        result = DifferentialForm(self.degree + 1, out)
-        for wedge, coeff in self._terms.items():
-            for coord in coeff.variables():
-                if coord[0] == "c":
-                    continue
-                dcoeff = coeff.partial(coord)
-                if dcoeff.is_zero:
-                    continue
-                inserted = _prepend_signed(wedge, basis_of_coordinate(coord))
-                if inserted is None:
-                    continue
-                new_wedge, sign = inserted
-                result._accumulate(
-                    out, new_wedge, dcoeff if sign == 1 else -dcoeff
-                )
-        return result
+
+        def pairs():
+            for wedge, coeff in self._terms.items():
+                for coord, dcoeff in coeff.gradient().items():
+                    if coord[0] == "c":
+                        continue
+                    inserted = _merge_wedges((basis_of_coordinate(coord),), wedge)
+                    if inserted is not None:
+                        yield inserted[0], dcoeff if inserted[1] == 1 else -dcoeff
+
+        return DifferentialForm(self.degree + 1, _accumulate(pairs()))
 
 
 VectorFieldOnJet = Mapping[tuple, Expr]
@@ -260,17 +260,19 @@ def interior_product(X: VectorFieldOnJet, form: DifferentialForm) -> Differentia
     """Left interior product (contraction) X -| form."""
     if form.degree < 1:
         raise ValueError("interior product needs a form of degree >= 1")
-    out: dict = {}
-    result = DifferentialForm(form.degree - 1, out)
-    for wedge_key, coeff in form.terms():
-        for pos, b in enumerate(wedge_key):
-            comp = X.get(coordinate_of_basis(b))
-            if comp is None or comp.is_zero:
-                continue
-            reduced = wedge_key[:pos] + wedge_key[pos + 1 :]
-            signed = coeff * comp
-            result._accumulate(out, reduced, signed if pos % 2 == 0 else -signed)
-    return result
+
+    def pairs():
+        for wedge_key, coeff in form.terms():
+            for pos, b in enumerate(wedge_key):
+                comp = X.get(coordinate_of_basis(b))
+                if comp is None or comp.is_zero:
+                    continue
+                signed = coeff * comp
+                yield wedge_key[:pos] + wedge_key[pos + 1 :], (
+                    signed if pos % 2 == 0 else -signed
+                )
+
+    return DifferentialForm(form.degree - 1, _accumulate(pairs()))
 
 
 def vertical_contractions(form: DifferentialForm) -> dict:
@@ -305,10 +307,9 @@ def lie_derivative(X: VectorFieldOnJet, form: DifferentialForm) -> DifferentialF
 
 
 def volume_form(cfg: JetConfig) -> DifferentialForm:
-    out = DifferentialForm.basis(dx(1))
-    for i in range(2, cfg.m + 1):
-        out = out.wedge(DifferentialForm.basis(dx(i)))
-    return out
+    return DifferentialForm(
+        cfg.m, {tuple(dx(i) for i in range(1, cfg.m + 1)): Expr.one()}
+    )
 
 
 def base_contraction(cfg: JetConfig, i: int) -> DifferentialForm:
@@ -373,30 +374,36 @@ def holonomic_reduce(form: DifferentialForm, cfg: JetConfig) -> DifferentialForm
     The result has only dx factors; its coefficients are polynomials in the
     jet coordinates (one order above those appearing as dz).  Pulling ``form``
     back along j^r sigma equals substituting sigma into the reduction, for
-    every section sigma.
+    every section sigma.  Each term maps directly, as the module docstring
+    describes: a factor dy^a or dz^a_I in direction i becomes z^a_{I+i} dx^i.
     """
-    result = DifferentialForm.zero(form.degree)
-    for wedge_key, coeff in form.terms():
-        partial = DifferentialForm(0, {(): coeff})
-        for b in wedge_key:
-            if b[0] == "dx":
-                factor = DifferentialForm.basis(b)
-            else:
-                a = b[1]
-                indices = b[2] if b[0] == "dz" else ()
-                terms = {}
-                for i in range(1, cfg.m + 1):
-                    lifted = tuple(sorted(indices + (i,)))
-                    if len(lifted) > cfg.expression_order:
-                        raise ValueError(
-                            f"holonomic reduction needs jet order {len(lifted)} "
-                            f"beyond the allowed order {cfg.expression_order}"
-                        )
-                    terms[(dx(i),)] = Expr.variable(jet_coord(a, lifted))
-                factor = DifferentialForm(1, terms)
-            partial = partial.wedge(factor)
-        result = result + partial
-    return result
+
+    def pairs():
+        for wedge_key, coeff in form.terms():
+            fixed = tuple(b[1] for b in wedge_key if b[0] == "dx")
+            # the canonical order puts every dx factor first
+            vertical = [
+                (b[1], b[2] if b[0] == "dz" else ()) for b in wedge_key[len(fixed) :]
+            ]
+            top = max((len(indices) + 1 for _, indices in vertical), default=0)
+            if top > cfg.expression_order:
+                raise ValueError(
+                    f"holonomic reduction needs jet order {top} "
+                    f"beyond the allowed order {cfg.expression_order}"
+                )
+            free = [i for i in range(1, cfg.m + 1) if i not in fixed]
+            for choice in permutations(free, len(vertical)):
+                order = fixed + choice
+                inversions = sum(u > v for u, v in combinations(order, 2))
+                sign = -1 if inversions % 2 else 1
+                powers: dict = {}
+                for (a, indices), i in zip(vertical, choice):
+                    lifted = jet_coord(a, tuple(sorted(indices + (i,))))
+                    powers[lifted] = powers.get(lifted, 0) + 1
+                factor = Expr.monomial(powers, sign) if powers else sign
+                yield tuple(dx(i) for i in sorted(order)), coeff * factor
+
+    return DifferentialForm(form.degree, _accumulate(pairs()))
 
 
 def holonomic_pullback(
@@ -411,11 +418,13 @@ def holonomic_pullback(
     if form.degree > cfg.m:
         return DifferentialForm.zero(form.degree)
     reduced = holonomic_reduce(form, cfg)
-    out: dict = {}
-    result = DifferentialForm(form.degree, out)
-    for wedge_key, coeff in reduced.terms():
-        result._accumulate(out, wedge_key, substitute_section(coeff, section))
-    return result
+    return DifferentialForm(
+        form.degree,
+        _accumulate(
+            (wedge_key, substitute_section(coeff, section))
+            for wedge_key, coeff in reduced.terms()
+        ),
+    )
 
 
 def render_form(form: DifferentialForm) -> str:

@@ -240,13 +240,13 @@ def integrate_action(
 
 
 def _exact_antiderivative(e: Expr, coord) -> Expr:
-    out = Expr.zero()
-    for mono, coeff in e.terms():
+    def raised(mono, coeff) -> Expr:
         powers = dict(mono)
         exp = powers.get(coord, 0)
         powers[coord] = exp + 1
-        out = out + Expr.monomial(powers, Fraction(coeff, exp + 1))
-    return out
+        return Expr.monomial(powers, Fraction(coeff, exp + 1))
+
+    return Expr.sum(raised(mono, coeff) for mono, coeff in e.terms())
 
 
 def _exact_integral_1d(e: Expr, coord, lo: Fraction, hi: Fraction) -> Expr:
@@ -309,10 +309,11 @@ def decomposition_terms(
     if method == "exact":
         if not isinstance(section, PolynomialSection):
             raise ValueError("exact integration needs a PolynomialSection")
-        body_expr = Expr.zero()
-        for a in range(1, cfg.n + 1):
-            e_a = dec.component(a) - xi.coefficients.holonomic_divergence(a)
-            body_expr = body_expr + e_a * Y.vertical_components[a - 1]
+        body_expr = Expr.sum(
+            (dec.component(a) - xi.coefficients.holonomic_divergence(a))
+            * Y.vertical_components[a - 1]
+            for a in range(1, cfg.n + 1)
+        )
         total = float(_exact_box_integral(substitute_section(total_expr, section), region))
         body = float(_exact_box_integral(substitute_section(body_expr, section), region))
         boundary = float(_exact_boundary_integral(current, section, region))

@@ -674,12 +674,9 @@ class _Elaborator:
             return self.eval_expr(node[1], env) ** node[2]
         if kind == "sum":
             _, var, lo, hi, body, token = node
-            total = Expr.zero()
-            for value in range(lo, hi + 1):
-                inner = dict(env)
-                inner[var] = value
-                total = total + self.eval_expr(body, inner)
-            return total
+            return Expr.sum(
+                self.eval_expr(body, {**env, var: value}) for value in range(lo, hi + 1)
+            )
         if kind == "coord1":
             _, name, idx_node, token = node
             idx = self.eval_index(idx_node, env)

@@ -129,13 +129,12 @@ def prolong(Y: ProjectableField, order: int) -> dict:
                         continue
                     seen.add(j)
                     I = J[:pos] + J[pos + 1 :]
-                    candidate = total_derivative(level_values[(a, I)], j, cfg)
-                    for jp in range(1, cfg.m + 1):
-                        slope = base_x_partials[(jp, j)]
-                        if slope.is_zero:
-                            continue
-                        lifted = jet_coord(a, tuple(sorted(I + (jp,))))
-                        candidate = candidate - Expr.variable(lifted) * slope
+                    shift = Expr.sum(
+                        Expr.variable(jet_coord(a, tuple(sorted(I + (jp,)))))
+                        * base_x_partials[(jp, j)]
+                        for jp in range(1, cfg.m + 1)
+                    )
+                    candidate = total_derivative(level_values[(a, I)], j, cfg) - shift
                     if value is None:
                         value = candidate
                     elif not (value - candidate).is_zero:

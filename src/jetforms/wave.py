@@ -26,22 +26,20 @@ MINKOWSKI = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(-1)))
 
 def wave_lagrangian(cfg: JetConfig, g_fibre=MINKOWSKI, g_base=MINKOWSKI) -> Expr:
     """g_ab g^ij g^kl z^a_ij z^b_kl with full (symmetric) index sums."""
-    L = Expr.zero()
-    for a in range(1, cfg.n + 1):
-        for b in range(1, cfg.n + 1):
-            g_ab = g_fibre[a - 1][b - 1]
-            if g_ab == 0:
-                continue
-            trace_a = Expr.zero()
-            trace_b = Expr.zero()
-            for i in range(1, cfg.m + 1):
-                for j in range(1, cfg.m + 1):
-                    if g_base[i - 1][j - 1] == 0:
-                        continue
-                    trace_a = trace_a + z_var(a, (i, j)) * g_base[i - 1][j - 1]
-                    trace_b = trace_b + z_var(b, (i, j)) * g_base[i - 1][j - 1]
-            L = L + trace_a * trace_b * g_ab
-    return L
+    def trace(a: int) -> Expr:
+        return Expr.sum(
+            z_var(a, (i, j)) * g_base[i - 1][j - 1]
+            for i in range(1, cfg.m + 1)
+            for j in range(1, cfg.m + 1)
+            if g_base[i - 1][j - 1] != 0
+        )
+
+    return Expr.sum(
+        trace(a) * trace(b) * g_fibre[a - 1][b - 1]
+        for a in range(1, cfg.n + 1)
+        for b in range(1, cfg.n + 1)
+        if g_fibre[a - 1][b - 1] != 0
+    )
 
 
 @dataclass

@@ -93,6 +93,20 @@ def test_verify_rejects_malformed_skew(tmp_path, capsys):
     assert "splitting sum" in out  # names the violated relation
 
 
+def test_integral_fractions_render_as_integers(tmp_path, capsys):
+    # the partials of 3/2 z^2 and 5/2 y^2 have integral coefficients, which
+    # print as 3 and 5, not 3/1 and 5/1
+    problem = tmp_path / "fractions.jet"
+    problem.write_text("dims 1 1 1;\nL = 3/2*z[1;1]^2 + 5/2*y[1]^2;\n")
+    code, out, _ = run(capsys, "euler-lagrange", str(problem))
+    assert code == 0
+    assert "deltaL/dy[1] = 5*y[1] - 3*z[1;1 1]\n" in out
+    code, out, _ = run(capsys, "boundary-form", str(problem))
+    assert code == 0
+    assert "p[1; 1] = 3*z[1;1]\n" in out
+    assert "/1*" not in out
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     problem = tmp_path / "broken.jet"
     problem.write_text("dims 1 1; L = y[1];")

@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -15,7 +16,13 @@ from jetforms.expressions import (
     y_var,
     z_var,
 )
-from jetforms.jets import JetConfig, base_coord, field_coord, jet_coord
+from jetforms.jets import (
+    JetConfig,
+    base_coord,
+    enumerate_coordinates,
+    field_coord,
+    jet_coord,
+)
 
 
 def test_ring_basics():
@@ -42,6 +49,65 @@ def test_partial_examples():
     assert (z11**2).partial(field_coord(1)).is_zero
     e = x_var(1) * y_var(1) ** 3
     assert e.partial(field_coord(1)) == 3 * x_var(1) * y_var(1) ** 2
+
+
+def test_partial_stores_integral_fractions_as_ints():
+    L = Fraction(3, 2) * z_var(1, (1,)) ** 2 + Fraction(5, 2) * y_var(1) ** 2
+    assert render_expr(L.partial(jet_coord(1, (1,)))) == "3*z[1;1]"
+    assert render_expr(L.partial(field_coord(1))) == "5*y[1]"
+    for partial in L.gradient().values():
+        assert all(type(coeff) is int for _, coeff in partial.terms())
+
+
+def reference_partial(e, coord):
+    """One scan per coordinate: the partial derivative before gradient()."""
+    out = {}
+    for mono, coeff in e.terms():
+        for pos, (c, k) in enumerate(mono):
+            if c != coord:
+                continue
+            rest = mono[:pos] + ((c, k - 1),) + mono[pos + 1 :]
+            rest = tuple(item for item in rest if item[1])
+            out[rest] = out.get(rest, 0) + coeff * k
+            break
+    return Expr({mono: coeff for mono, coeff in out.items() if coeff != 0})
+
+
+def test_gradient_matches_per_coordinate_partial():
+    rng = random.Random(41)
+    for cfg in (JetConfig(1, 1, 2), JetConfig(2, 2, 2)):
+        coords = enumerate_coordinates(cfg, cfg.working_order) + [("c", "q")]
+        for _ in range(20):
+            e = random_expr(rng, cfg, cfg.working_order, degree=3, terms=6)
+            e = e * Fraction(rng.randint(1, 5), rng.randint(1, 4))
+            e = e + Expr.monomial({("c", "q"): 2, coords[0]: 1}, Fraction(1, 2))
+            gradient = e.gradient()
+            assert set(gradient) == e.variables()
+            for c in coords:
+                expected = reference_partial(e, c)
+                assert gradient.get(c, Expr.zero()) == expected, c
+                assert e.partial(c) == expected, c
+    assert Expr.constant(3).gradient() == {}
+
+
+def test_sum_equals_left_fold_of_add():
+    rng = random.Random(8)
+    cfg = JetConfig(2, 1, 2)
+    for _ in range(20):
+        exprs = [
+            random_expr(rng, cfg, 2) * Fraction(1, rng.randint(1, 3))
+            for _ in range(rng.randint(0, 6))
+        ]
+        exprs += [-e for e in exprs[: rng.randint(0, len(exprs))]]
+        rng.shuffle(exprs)
+        folded = functools.reduce(lambda u, v: u + v, exprs, Expr.zero())
+        assert Expr.sum(exprs) == folded
+        assert Expr.sum(iter(exprs)) == folded
+    half = Fraction(1, 2) * y_var(1)
+    total = Expr.sum([half, half, z_var(1, (1,)), -z_var(1, (1,))])
+    assert list(total.terms()) == [(((field_coord(1), 1),), 1)]
+    assert type(next(iter(total.terms()))[1]) is int
+    assert Expr.sum([]).is_zero
 
 
 def test_partial_leibniz_random():

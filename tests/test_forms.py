@@ -165,6 +165,75 @@ def test_vertical_contractions_match_interior_product():
         vertical_contractions(DifferentialForm.from_scalar(Expr.one()))
 
 
+def reference_holonomic_reduce(form, cfg):
+    """The wedge chain holonomic_reduce replaced: each dy^a / dz^a_I factor
+    becomes the 1-form sum_i z^a_{I+i} dx^i and the factors are wedged in
+    order."""
+    result = DifferentialForm.zero(form.degree)
+    for wedge_key, coeff in form.terms():
+        partial = DifferentialForm(0, {(): coeff})
+        for b in wedge_key:
+            if b[0] == "dx":
+                factor = DifferentialForm.basis(b)
+            else:
+                indices = b[2] if b[0] == "dz" else ()
+                terms = {}
+                for i in range(1, cfg.m + 1):
+                    lifted = tuple(sorted(indices + (i,)))
+                    if len(lifted) > cfg.expression_order:
+                        raise ValueError("order overflow")
+                    terms[(dx(i),)] = Expr.variable(jet_coord(b[1], lifted))
+                factor = DifferentialForm(1, terms)
+            partial = partial.wedge(factor)
+        result = result + partial
+    return result
+
+
+def test_holonomic_reduce_matches_wedge_chain_reference():
+    rng = random.Random(23)
+    for cfg in (JetConfig(2, 1, 2), JetConfig(2, 2, 2), JetConfig(3, 1, 2)):
+        coords = enumerate_coordinates(cfg, cfg.working_order)
+        basis = [basis_of_coordinate(c) for c in coords]
+        for degree in range(0, cfg.m + 2):
+            for _ in range(4):
+                form = random_form(rng, cfg, basis, degree, terms=8)
+                reduced = holonomic_reduce(form, cfg)
+                assert reduced.degree == degree
+                assert reduced == reference_holonomic_reduce(form, cfg), (cfg, degree)
+                assert all(b[0] == "dx" for w, _ in reduced.terms() for b in w)
+
+
+def test_holonomic_reduce_rejects_order_overflow():
+    cfg = JetConfig(2, 1, 2)  # dz of order 2k = 4 would lift to order 5
+    deep = DifferentialForm.basis(dz(1, (1, 1, 1, 2)))
+    # raised even where no base direction is left for the factor
+    crowded = volume_form(cfg).wedge(deep)
+    for form in (deep, crowded, deep + DifferentialForm.basis(dy(1))):
+        with pytest.raises(ValueError, match="jet order 5"):
+            holonomic_reduce(form, cfg)
+        with pytest.raises(ValueError):
+            reference_holonomic_reduce(form, cfg)
+    assert holonomic_reduce(DifferentialForm.basis(dz(1, (1, 1, 2))), cfg) == (
+        DifferentialForm.basis(dx(1)) * z_var(1, (1, 1, 1, 2))
+        + DifferentialForm.basis(dx(2)) * z_var(1, (1, 1, 2, 2))
+    )
+
+
+def test_form_sum_equals_left_fold_of_add():
+    rng = random.Random(4)
+    cfg = JetConfig(2, 2, 1)
+    basis = [dx(1), dx(2), dy(1), dy(2), dz(1, (1,)), dz(2, (2,))]
+    for degree in (0, 1, 2):
+        forms = [random_form(rng, cfg, basis, degree) for _ in range(4)]
+        forms += [-forms[0], DifferentialForm.zero(degree + 1)]
+        folded = DifferentialForm.zero(degree)
+        for form in forms:
+            folded = folded + form
+        assert DifferentialForm.sum(degree, forms) == folded
+    with pytest.raises(ValueError, match="degree 1 and 2"):
+        DifferentialForm.sum(1, [form_dx(1), form_dx(1).wedge(form_dy(1))])
+
+
 def test_lie_derivative_examples():
     wp = wave_problem()
     lam = DifferentialForm.from_scalar(wp.lagrangian).wedge(volume_form(wp.cfg))

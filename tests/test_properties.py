@@ -1,0 +1,132 @@
+"""Property tests of the exact core: the Expr ring, D_i, d and Cartan's formula.
+
+The strategies draw small polynomials with rational coefficients over the
+jet coordinates of (m, n, k) = (2, 1, 2), forms over their differentials,
+vector fields and polynomial sections.  Runs are derandomized, so the
+suite sees the same examples every time.
+"""
+import functools
+from fractions import Fraction
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from jetforms.expressions import (  # noqa: E402
+    Expr,
+    PolynomialSection,
+    substitute_section,
+    total_derivative,
+)
+from jetforms.forms import (  # noqa: E402
+    DifferentialForm,
+    basis_of_coordinate,
+    coordinate_of_basis,
+    lie_derivative,
+)
+from jetforms.jets import JetConfig, base_coord, enumerate_coordinates  # noqa: E402
+
+CFG = JetConfig(2, 1, 2)
+COORDS = {order: enumerate_coordinates(CFG, order) for order in (1, 2)}
+PROPERTY = settings(max_examples=40, derandomize=True, deadline=None)
+
+coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+def polynomials(coords, max_terms=4):
+    monomial = st.dictionaries(st.sampled_from(coords), st.integers(1, 2), max_size=3)
+    return st.lists(st.tuples(monomial, coefficients), max_size=max_terms).map(
+        lambda terms: Expr.sum(Expr.monomial(powers, c) for powers, c in terms)
+    )
+
+
+exprs = polynomials(COORDS[2])
+low_order_exprs = polynomials(COORDS[1])
+base_polynomials = polynomials([base_coord(1), base_coord(2)])
+fields = st.dictionaries(st.sampled_from(COORDS[2]), polynomials(COORDS[2], 2), max_size=3)
+
+
+def wedge_all(factors):
+    return functools.reduce(
+        DifferentialForm.wedge, factors, DifferentialForm.from_scalar(Expr.one())
+    )
+
+
+@st.composite
+def forms(draw, degree):
+    basis = [basis_of_coordinate(c) for c in COORDS[2]]
+    terms = draw(st.lists(
+        st.tuples(
+            st.lists(st.sampled_from(basis), min_size=degree, max_size=degree, unique=True),
+            polynomials(COORDS[2], 3),
+        ),
+        max_size=3,
+    ))
+    return DifferentialForm.sum(degree, (
+        DifferentialForm.from_scalar(coeff).wedge(wedge_all(map(DifferentialForm.basis, w)))
+        for w, coeff in terms
+    ))
+
+
+@PROPERTY
+@given(exprs, exprs, exprs, coefficients)
+def test_expr_ring_axioms(u, v, w, q):
+    zero, one = Expr.zero(), Expr.one()
+    assert u + v == v + u and u * v == v * u
+    assert (u + v) + w == u + (v + w)
+    assert (u * v) * w == u * (v * w)
+    assert u * (v + w) == u * v + u * w
+    assert u + zero == u and u * one == u and (u * zero).is_zero
+    assert (u - u).is_zero and u + (-u) == zero
+    assert u * q == Expr.constant(q) * u
+    assert Expr.sum([u, v, w]) == u + v + w
+    # canonical storage: no zero coefficient, integral values as ints
+    for e in (u + v, u * v, u * q):
+        assert all(c != 0 for _, c in e.terms())
+        assert not any(isinstance(c, Fraction) and c.denominator == 1 for _, c in e.terms())
+
+
+@PROPERTY
+@given(low_order_exprs)
+def test_total_derivatives_commute(e):
+    d12 = total_derivative(total_derivative(e, 1, CFG), 2, CFG)
+    d21 = total_derivative(total_derivative(e, 2, CFG), 1, CFG)
+    assert d12 == d21
+
+
+@PROPERTY
+@given(st.integers(0, 2).flatmap(forms))
+def test_d_squared_is_zero(alpha):
+    assert alpha.d().d().is_zero
+
+
+def coordinate_lie_derivative(X, form):
+    """L_X from coordinates: X(f) on coefficients and L_X dc = d(X^c) on
+    every factor, independent of interior products."""
+    pieces = []
+    for wedge, f in form.terms():
+        factors = [DifferentialForm.basis(b) for b in wedge]
+        directional = Expr.sum(comp * f.partial(c) for c, comp in X.items())
+        pieces.append(DifferentialForm.from_scalar(directional).wedge(wedge_all(factors)))
+        for j, b in enumerate(wedge):
+            comp = X.get(coordinate_of_basis(b), Expr.zero())
+            swapped = factors[:j] + [DifferentialForm.from_scalar(comp).d()] + factors[j + 1:]
+            pieces.append(DifferentialForm.from_scalar(f).wedge(wedge_all(swapped)))
+    return DifferentialForm.sum(form.degree, pieces)
+
+
+@PROPERTY
+@given(fields, st.integers(0, 2).flatmap(forms))
+def test_cartan_formula(X, alpha):
+    assert lie_derivative(X, alpha) == coordinate_lie_derivative(X, alpha)
+
+
+@PROPERTY
+@given(exprs, base_polynomials, st.integers(1, 2))
+def test_section_substitution_commutes_with_total_derivative(e, component, i):
+    sigma = PolynomialSection(CFG, (component,))
+    lhs = substitute_section(total_derivative(e, i, CFG), sigma)
+    rhs = substitute_section(e, sigma).partial(base_coord(i))
+    assert lhs == rhs
