@@ -30,11 +30,17 @@ The De Donder form is Theta = L d_m x + Xi; a section is critical for the
 action iff the pullbacks of X -| dTheta vanish for all X tangent to
 source-map fibres, and for X = d/dy^a that pullback is exactly the Lagrange
 derivative of L times the volume form.
+
+Condition 3 and the De Donder residual read one table per boundary form,
+built once: the nonzero holonomic reductions of X -| (Phi + dXi), which is
+X -| dTheta.  Its d/dz entries vanish (condition 3); its d/dy^a entries are
+dL/dy^a d_m x.
 """
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 from time import perf_counter
 from typing import Mapping
 
@@ -331,6 +337,24 @@ def double_vertical_contraction_vanishes(form: DifferentialForm, cfg: JetConfig)
     return True
 
 
+# (name, predicate(form, cfg)) per structural condition of Xi; verify reports the names
+STRUCTURAL_CHECKS = (
+    ("boundary-form-semibasic-over-forgetful",
+     lambda form, cfg: is_semibasic(form, ("forgetful", cfg.k - 1))),
+    ("boundary-form-double-vertical-contraction", double_vertical_contraction_vanishes),
+    ("boundary-form-pullback-vanishes", lambda form, cfg: holonomic_reduce(form, cfg).is_zero),
+)
+
+
+def _reduced_vertical_contractions(form: DifferentialForm, cfg: JetConfig) -> dict:
+    """{coordinate: holonomic reduction of X -| form} for the source-vertical
+    basis fields X whose reduction is nonzero, in coordinate order."""
+    contractions = vertical_contractions(form)
+    reduced = ((c, holonomic_reduce(contractions[c], cfg))
+               for c in enumerate_coordinates(cfg, cfg.working_order) if c in contractions)
+    return {c: entry for c, entry in reduced if not entry.is_zero}
+
+
 @dataclass
 class BoundaryForm:
     """An assembled boundary form with its coefficients and provenance."""
@@ -340,13 +364,20 @@ class BoundaryForm:
     coefficients: BoundaryCoefficients
     phi: PhiDecomposition | None = None
 
+    @cached_property
+    def reduced_contractions(self) -> dict:
+        """The nonzero reductions of X -| (Phi + dXi), X source-vertical."""
+        if self.phi is None:
+            raise ValueError("the boundary form was not constructed against a Phi")
+        return _reduced_vertical_contractions(self.phi.form() + self.form.d(), self.cfg)
+
 
 def assemble_boundary_form(
     coeffs: BoundaryCoefficients, phi: PhiDecomposition | None = None
 ) -> BoundaryForm:
     """Assemble Xi = sum p^{i1,T}_a theta^a_T ^ (d/dx^{i1} -| d_m x).
 
-    Construction-time verification covers the structural conditions: Xi is
+    Construction-time verification runs :data:`STRUCTURAL_CHECKS`: Xi is
     semi-basic over the forgetful map to order k-1, double contraction with
     source-vertical fields vanishes, and the pullback along every section is
     zero.  Failures signal an implementation bug, not bad user input.  When
@@ -359,12 +390,9 @@ def assemble_boundary_form(
         (contact_form(cfg, a, tail).wedge(base_contraction(cfg, i1)) * value
          for (a, i1, tail), value in sorted(coeffs.table.items())),
     )
-    if not is_semibasic(xi, ("forgetful", cfg.k - 1)):
-        raise AssertionError("assembled form is not semi-basic over order k-1")
-    if not double_vertical_contraction_vanishes(xi, cfg):
-        raise AssertionError("double vertical contraction is nonzero")
-    if not holonomic_reduce(xi, cfg).is_zero:
-        raise AssertionError("assembled form does not pull back to zero on jets")
+    for name, holds in STRUCTURAL_CHECKS:
+        if not holds(xi, cfg):
+            raise AssertionError(f"assembled form fails {name}")
     if phi is not None:
         failures = _check_splitting_system(phi, coeffs)
         if failures:
@@ -409,12 +437,18 @@ class DeDonderForm:
 
 
 def dedonder_form(cfg: JetConfig, L: Expr, xi: BoundaryForm) -> DeDonderForm:
-    """Theta = pi* (L d_m x) + Xi, verified to pull back like the Lagrangian."""
-    if xi.phi is None:
-        raise ValueError(
-            "the boundary form was not constructed against a Phi; a De Donder "
-            "form requires a boundary form of d(L d_m x)"
-        )
+    """Theta = pi* (L d_m x) + Xi, verified to pull back like the Lagrangian.
+
+    ``xi.phi`` must hold the y and z partials of L, so that dTheta = Phi + dXi.
+    """
+    dec = xi.phi
+    partials = {c: g for c, g in L.gradient().items() if c[0] != "x"}
+    if dec is None or any(
+        dec.component(*c[1:]) != partials.get(c, Expr.zero())
+        for c in set(partials) | {field_coord(a) for a in dec.field_components}
+        | {jet_coord(a, I) for a, I in dec.jet_components}
+    ):
+        raise ValueError("a De Donder form needs a boundary form built against d(L d_m x)")
     theta = DeDonderForm(cfg, L, xi)
     if not is_semibasic(theta.form, ("forgetful", cfg.k - 1)):
         raise AssertionError("De Donder form is not semi-basic over order k-1")
@@ -487,43 +521,35 @@ class Condition3Report:
 
     ok: bool
     failures: list  # (a, I, residual Expr, pulled-back certificate Expr)
-    section_degree: int
-
-    def __bool__(self):
-        return self.ok
 
 
-def verify_condition3(
-    phi: DifferentialForm | PhiDecomposition,
-    xi: BoundaryForm,
-    section_degree: int | None = None,
-) -> Condition3Report:
+def verify_condition3(phi: PhiDecomposition, xi: BoundaryForm) -> Condition3Report:
     """Check j sigma*(X -| (Phi + dXi)) = 0 for all target-vertical basis X.
 
-    X runs over d/dz^a_I with 1 <= |I| <= 2k-1.  The pullback for a generic
-    undetermined-coefficient polynomial section of total degree 2k+1 (enough
-    to realize every jet of order 2k at any point) must vanish identically in
-    x and the free coefficients.  Failures carry the offending (a, I), the
-    reduced residual, and the generic-section certificate.
+    X runs over d/dz^a_I with 1 <= |I| <= 2k-1; ``xi.reduced_contractions``
+    serves when ``phi is xi.phi``.  A nonzero reduction is pulled back along
+    a generic polynomial section of total degree 2k+1 (enough to realize
+    every jet of order 2k at any point) as the certificate.  Failures carry
+    the offending (a, I), the reduced residual, and the certificate.
     """
     cfg = xi.cfg
-    phi_form = phi.form() if isinstance(phi, PhiDecomposition) else phi
-    degree = 2 * cfg.k + 1 if section_degree is None else section_degree
-    contractions = vertical_contractions(phi_form + xi.form.d())
-    sigma = generic_section(cfg, degree)
+    if phi is xi.phi:
+        table = xi.reduced_contractions
+    else:
+        table = _reduced_vertical_contractions(phi.form() + xi.form.d(), cfg)
+    sigma = None
     failures = []
-    for coord in enumerate_coordinates(cfg, cfg.working_order):
-        if coord[0] != "z" or coord not in contractions:
+    for coord, reduced in table.items():
+        if coord[0] != "z":
             continue
-        reduced = holonomic_reduce(contractions[coord], cfg)
-        if reduced.is_zero:
-            continue
+        if sigma is None:
+            sigma = generic_section(cfg, 2 * cfg.k + 1)
         certificate = holonomic_pullback(reduced, sigma)
         if certificate.is_zero:
             continue
         residual = reduced.coefficient(tuple(("dx", i) for i in range(1, cfg.m + 1)))
         failures.append((coord[1], coord[2], residual, certificate))
-    return Condition3Report(not failures, failures, degree)
+    return Condition3Report(not failures, failures)
 
 
 def _lagrange_derivative(
@@ -581,13 +607,14 @@ def dedonder_residual(theta: DeDonderForm, section: PolynomialSection) -> dict:
     Returns a mapping coordinate -> m-form on the base.  All values vanish
     exactly when the section satisfies the De Donder equations, equivalently
     the Euler-Lagrange equations; the d/dy^a entries carry the Lagrange
-    derivative evaluated on the section.
+    derivative evaluated on the section.  dTheta = Phi + dXi, so the section
+    is substituted into ``theta.boundary.reduced_contractions``.
     """
     cfg = theta.cfg
-    contractions = vertical_contractions(theta.form.d())
+    table = theta.boundary.reduced_contractions
     zero = DifferentialForm.zero(cfg.m)
     return {
-        coord: holonomic_pullback(contractions.get(coord, zero), section)
+        coord: holonomic_pullback(table.get(coord, zero), section)
         for coord in enumerate_coordinates(cfg, cfg.working_order)
         if coord[0] != "x"
     }
@@ -601,10 +628,7 @@ class ComparisonReport:
     differences: dict  # (a, i1, tail) -> Expr
     relation_failures: list  # (a, I, residual) from the homogeneous system
     divergence_residuals: dict  # a -> Expr, must all be zero
-    pullback_failures: list  # (coordinate, certificate) from d(Xi - Xi')
-
-    def __bool__(self):
-        return self.ok
+    pullback_failures: list  # (coordinate, nonzero reduced form) from d(Xi - Xi')
 
 
 def compare_boundary_forms(xi: BoundaryForm, xi_prime: BoundaryForm) -> ComparisonReport:
@@ -631,17 +655,10 @@ def compare_boundary_forms(xi: BoundaryForm, xi_prime: BoundaryForm) -> Comparis
     q = BoundaryCoefficients(cfg, differences)
     zero_dec = PhiDecomposition(cfg, {}, {})
     relation_failures = _check_splitting_system(zero_dec, q)
-    divergence_residuals = {}
-    for a in range(1, cfg.n + 1):
-        divergence_residuals[a] = q.holonomic_divergence(a)
-    pullback_failures = []
-    contractions = vertical_contractions((xi.form - xi_prime.form).d())
-    for coord in enumerate_coordinates(cfg, cfg.working_order):
-        if coord[0] == "x" or coord not in contractions:
-            continue
-        reduced = holonomic_reduce(contractions[coord], cfg)
-        if not reduced.is_zero:
-            pullback_failures.append((coord, reduced))
+    divergence_residuals = {a: q.holonomic_divergence(a) for a in range(1, cfg.n + 1)}
+    pullback_failures = list(
+        _reduced_vertical_contractions((xi.form - xi_prime.form).d(), cfg).items()
+    )
     ok = (
         not relation_failures
         and all(v.is_zero for v in divergence_residuals.values())

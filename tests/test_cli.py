@@ -42,18 +42,24 @@ def test_fixture_matches_programmatic_problem():
     assert spec.lagrangian == wave_problem().lagrangian
 
 
+# argv, golden file, expected exit code
 GOLDEN = [
-    (("euler-lagrange", WAVE), "wave_euler_lagrange.txt"),
-    (("boundary-form", WAVE, "--json"), "wave_boundary_form.json"),
-    (("dedonder-form", WAVE, "--json"), "wave_dedonder_form.json"),
+    (("euler-lagrange", WAVE), "wave_euler_lagrange.txt", 0),
+    (("boundary-form", WAVE, "--json"), "wave_boundary_form.json", 0),
+    (("dedonder-form", WAVE, "--json"), "wave_dedonder_form.json", 0),
+    (("verify", WAVE), "wave_verify.txt", 0),
+    (("verify", WAVE, "--json"), "wave_verify.json", 0),
+    (("noether", WAVE, "--json"), "wave_noether.json", 0),
+    (("residual", WAVE, "--section", "sol", "--json"), "wave_residual_sol.json", 0),
+    (("residual", WAVE, "--section", "bump", "--json"), "wave_residual_bump.json", 1),
 ]
 
 
-@pytest.mark.parametrize("argv,golden", GOLDEN, ids=[g for _, g in GOLDEN])
-def test_golden_outputs(capsys, argv, golden):
+@pytest.mark.parametrize("argv,golden,exit_code", GOLDEN, ids=[g for _, g, _ in GOLDEN])
+def test_golden_outputs(capsys, argv, golden, exit_code):
     # canonical renderings are part of the interface: pin them byte-for-byte
     code, out, _ = run(capsys, *argv)
-    assert code == 0
+    assert code == exit_code
     expected = (pathlib.Path(__file__).parent / "golden" / golden).read_text()
     assert out == expected
 
@@ -295,3 +301,29 @@ def test_one_symmetric_solve_per_command(argv, monkeypatch, capsys):
     code, _, _ = run(capsys, argv[0], WAVE, *argv[1:])
     assert code in (0, 1)
     assert len(solves) == 1
+
+
+@pytest.mark.parametrize("command", ["verify", "noether", "residual"])
+def test_one_reduced_table_per_command(command, monkeypatch, capsys):
+    # residual without --section runs all three sections, and noether tests
+    # each section for a solution: all of them read one table
+    import jetforms.dedonder as dedonder
+    from jetforms.problem import parse_problem
+
+    spec = parse_problem(open(WAVE).read())
+    derivation = dedonder.derive(spec.cfg, spec.lagrangian)
+    symmetric = (
+        derivation.decomposition.form() + derivation.boundary_symmetric.form.d()
+    )
+    builds = []
+    kernel = dedonder._reduced_vertical_contractions
+
+    def counted(form, cfg):
+        if form == symmetric:
+            builds.append(form)
+        return kernel(form, cfg)
+
+    monkeypatch.setattr(dedonder, "_reduced_vertical_contractions", counted)
+    code, _, _ = run(capsys, command, WAVE)
+    assert code in (0, 1)
+    assert len(builds) <= 1

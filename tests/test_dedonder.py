@@ -39,9 +39,10 @@ from jetforms.forms import (
     dz,
     holonomic_pullback,
     interior_product,
+    vertical_contractions,
     volume_form,
 )
-from jetforms.jets import JetConfig, field_coord, jet_coord
+from jetforms.jets import JetConfig, enumerate_coordinates, field_coord, jet_coord
 from jetforms.wave import wave_problem
 
 
@@ -325,6 +326,53 @@ def test_dedonder_residual_examples():
     assert all(f.is_zero for f in dedonder_residual(theta0, any_sigma).values())
 
 
+def reference_dedonder_residual(theta, section):
+    """dedonder_residual before it read the boundary form's reduced table:
+    contract the whole dTheta and pull every entry back."""
+    cfg = theta.cfg
+    contractions = vertical_contractions(theta.form.d())
+    zero = DifferentialForm.zero(cfg.m)
+    return {
+        coord: holonomic_pullback(contractions.get(coord, zero), section)
+        for coord in enumerate_coordinates(cfg, cfg.working_order)
+        if coord[0] != "x"
+    }
+
+
+def test_dedonder_residual_matches_full_dtheta_reference():
+    wp = wave_problem()
+    x1, x2 = x_var(1), x_var(2)
+    sections = [
+        PolynomialSection(wp.cfg, ((x2 - x1) ** 3, (x2 - x1) ** 2)),
+        PolynomialSection(wp.cfg, (x1**2 * x2**2, Expr.zero())),
+    ]
+    cases = [(wp.theta_symmetric, sections), (wp.theta_skew(), sections)]
+    rng = random.Random(808)
+    for cfg in (JetConfig(1, 1, 2), JetConfig(2, 2, 2), JetConfig(3, 1, 2), JetConfig(2, 1, 3)):
+        L = random_expr(rng, cfg, cfg.k, degree=2, terms=5)
+        sigma = PolynomialSection(cfg, tuple(
+            Expr.sum(
+                Expr.monomial(
+                    {("x", i): rng.randrange(4) for i in range(1, cfg.m + 1)},
+                    rng.randint(1, 3),
+                )
+                for _ in range(4)
+            )
+            for _ in range(cfg.n)
+        ))
+        cases.append((derive(cfg, L).theta_symmetric, [sigma]))
+    for theta, sigmas in cases:
+        for sigma in sigmas:
+            expected = reference_dedonder_residual(theta, sigma)
+            got = dedonder_residual(theta, sigma)
+            assert list(got) == list(expected)
+            assert got == expected
+        # only the n d/dy entries are kept
+        assert set(theta.boundary.reduced_contractions) <= {
+            field_coord(a) for a in range(1, theta.cfg.n + 1)
+        }
+
+
 def test_dedonder_form_pullback_equals_lagrangian_pullback():
     # j*Theta = L(j^k sigma) d_m x, checked by explicit substitution
     rng = random.Random(17)
@@ -352,6 +400,19 @@ def test_dedonder_form_requires_provenance():
     orphan = assemble_boundary_form(wp.boundary_symmetric.coefficients)
     with pytest.raises(ValueError):
         dedonder_form(wp.cfg, wp.lagrangian, orphan)
+
+
+def test_dedonder_form_rejects_boundary_form_of_another_lagrangian():
+    # Xi of L1 with L2 used to give a "Theta" whose d/dz^1_{12} residual on
+    # x1*x2 is 2 dx1^dx2; a De Donder form has no nonzero d/dz residual
+    cfg = JetConfig(2, 1, 2)
+    L1 = z_var(1, (1, 1)) ** 2
+    L2 = z_var(1, (1, 2)) ** 2 + y_var(1) ** 2
+    xi = derive(cfg, L1).boundary_symmetric
+    with pytest.raises(ValueError, match=r"built against d\(L d_m x\)"):
+        dedonder_form(cfg, L2, xi)
+    # L1 plus a function of x alone has the same Phi: accepted
+    assert dedonder_form(cfg, L1 + x_var(1) ** 2, xi).boundary is xi
 
 
 def test_skew_perturbation_invariance():
