@@ -31,7 +31,7 @@ from .dedonder import (
     skew_pair_perturbation,
     verify_condition3,
 )
-from .expressions import Expr, render_expr
+from .expressions import Expr, _monomial_sort_key, render_expr
 from .forms import render_form
 from .jets import jet_coord
 from .numeric import (
@@ -100,8 +100,6 @@ def _coefficient_key(a: int, i1: int, tail: tuple) -> str:
 
 
 def _leading_coefficient(delta: Expr):
-    from .expressions import _monomial_sort_key
-
     terms = sorted(delta.terms(), key=lambda item: _monomial_sort_key(item[0]))
     return terms[0][1] if terms else 0
 
@@ -133,11 +131,12 @@ def cmd_boundary_form(spec: ProblemSpec, report: Report, args):
         key = _coefficient_key(a, i1, tail)
         rendered[key] = render_expr(coeffs.coefficient(a, i1, tail))
         report.say(f"{key} = {rendered[key]}")
-    report.say(f"Xi = {contact_presentation(xi)}")
-    report.say(f"Xi (coordinate basis) = {render_form(xi.form)}")
+    contact, coordinate = contact_presentation(xi), render_form(xi.form)
+    report.say(f"Xi = {contact}")
+    report.say(f"Xi (coordinate basis) = {coordinate}")
     report.data["coefficients"] = rendered
-    report.data["boundary_form_contact"] = contact_presentation(xi)
-    report.data["boundary_form"] = render_form(xi.form)
+    report.data["boundary_form_contact"] = contact
+    report.data["boundary_form"] = coordinate
 
 
 def cmd_dedonder_form(spec: ProblemSpec, report: Report, args):

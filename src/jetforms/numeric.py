@@ -30,8 +30,10 @@ from .dedonder import (
     PhiDecomposition,
 )
 from .expressions import Expr, PolynomialSection, _monomial_sort_key, substitute_section
-from .forms import holonomic_reduce, interior_product
 from .jets import JetConfig, base_coord, field_coord, jet_coord, multiindices
+from .prolongations import (
+    ProjectableField, characteristic_jets, noether_current, reduced_current,
+)
 
 
 @dataclass(frozen=True)
@@ -286,26 +288,24 @@ def decomposition_terms(
         boundary = integral over the boundary of K of j sigma*(Y^{2k-1} -| Xi),
 
     and total = body + boundary (Stokes).  ``Y`` must be a vertical
-    projectable field.  With ``method="exact"`` (polynomial sections only)
-    the integrands are integrated exactly and the identity holds to roundoff;
+    projectable field, so Q = Y: the total integrand is sum_{|I|<=k} Phi^I_a
+    D_I Y^a and the boundary one the Noether current of 0 d_m x + Xi.  With
+    ``method="exact"`` (polynomial sections only) the integrands are
+    integrated exactly and the identity holds to roundoff;
     ``method="trapezoid"`` samples a :class:`SampledSection` on the region
     grid and is limited by quadrature accuracy.
     """
-    from .prolongations import ProjectableField, prolong  # runtime import: cycle
-
     if not isinstance(Y, ProjectableField) or not Y.is_vertical:
         raise ValueError("the decomposition requires a vertical projectable field")
     cfg = dec.cfg
     if cfg.m not in (1, 2):
         raise ValueError("boundary integrals are implemented for m in {1, 2}")
-    prolonged_k = prolong(Y, cfg.k)
-    total_expr = holonomic_reduce(
-        interior_product(prolonged_k, dec.form()), cfg
-    ).coefficient(tuple(("dx", i) for i in range(1, cfg.m + 1)))
-    current = holonomic_reduce(
-        interior_product(prolong(Y, cfg.working_order), xi.form), cfg
+    total_expr = Expr.sum(
+        dec.component(a, I) * value
+        for (a, I), value in characteristic_jets(Y, cfg.k).items()
     )
-
+    # Y^i = 0, so the Lagrangian drops out: Y -| Xi reduces like Y -| (0 d_m x + Xi)
+    theta = DeDonderForm(cfg, Expr.zero(), xi)
     if method == "exact":
         if not isinstance(section, PolynomialSection):
             raise ValueError("exact integration needs a PolynomialSection")
@@ -316,7 +316,8 @@ def decomposition_terms(
         )
         total = float(_exact_box_integral(substitute_section(total_expr, section), region))
         body = float(_exact_box_integral(substitute_section(body_expr, section), region))
-        boundary = float(_exact_boundary_integral(current, section, region))
+        pulled = noether_current(Y, theta, section)
+        boundary = float(_exact_boundary_integral(pulled, region))
         return total, body, boundary
     if method != "trapezoid":
         raise ValueError(f"unknown method {method!r}")
@@ -342,29 +343,22 @@ def decomposition_terms(
             Y.vertical_components[a - 1], arrays, region.shape
         )
     body = quadrature(body_vals, region)
-    boundary = _sampled_boundary_integral(current, arrays, region)
+    boundary = _sampled_boundary_integral(reduced_current(Y, theta), arrays, region)
     return total, body, boundary
 
 
-def _exact_boundary_integral(
-    current, section: PolynomialSection, region: GridSpec
-) -> Fraction:
-    """Integral of the pulled-back (m-1)-form over the oriented box boundary."""
-    cfg = section.cfg
-    pulled = {
-        wedge_key: substitute_section(coeff, section)
-        for wedge_key, coeff in current.terms()
-    }
-    if cfg.m == 1:
+def _exact_boundary_integral(current, region: GridSpec) -> Fraction:
+    """Integral of a pulled-back (m-1)-form over the oriented box boundary."""
+    if current.degree == 0:
         lo, hi, _, _ = region.axes[0]
-        g = pulled.get((), Expr.zero())
+        g = current.coefficient(())
         upper = g.substitute({base_coord(1): Expr.constant(Fraction(hi))})
         lower = g.substitute({base_coord(1): Expr.constant(Fraction(lo))})
         return Fraction((upper - lower).constant_term())
     (lo1, hi1, _, _), (lo2, hi2, _, _) = region.axes[0], region.axes[1]
     lo1, hi1, lo2, hi2 = map(Fraction, (lo1, hi1, lo2, hi2))
-    g1 = pulled.get((("dx", 1),), Expr.zero())
-    g2 = pulled.get((("dx", 2),), Expr.zero())
+    g1 = current.coefficient((("dx", 1),))
+    g2 = current.coefficient((("dx", 2),))
     x1, x2 = base_coord(1), base_coord(2)
     total = Fraction(0)
     # counterclockwise: bottom (+dx1), right (+dx2), top (-dx1), left (-dx2)
@@ -514,8 +508,6 @@ class EnergyFunctional:
     """
 
     def __init__(self, theta: DeDonderForm):
-        from .prolongations import ProjectableField, reduced_current
-
         cfg = theta.cfg
         if cfg.m != 2:
             raise ValueError("the slice energy is defined for m = 2")

@@ -10,6 +10,11 @@ seeded with Y^a_{()} = Y^a.  Because total derivatives commute, the right
 side is independent of how the canonical multi-index is split into (I, j);
 the implementation asserts that agreement instead of symmetrizing.
 
+Currents need only D_T Q^a = Y^r -| theta^a_T for the characteristic
+Q^a = Y^a - z^a_j Y^j, with |T| <= k-1 since Xi is semi-basic over J^{k-1}:
+
+    h(Y -| Theta) = sum_i [Y^i L + sum p^{i,T}_a D_T Q^a] d/dx^i -| d_m x .
+
 The supported symmetry-field class keeps flows closed-form: base components
 affine in x, vertical components affine in (x, y) jointly.  That covers
 translations, the Lorentz generator, scalings and linear internal mixings,
@@ -26,13 +31,12 @@ from typing import Sequence
 import numpy as np
 
 from .dedonder import DeDonderForm
-from .expressions import Expr, PolynomialSection, total_derivative
+from .expressions import Expr, PolynomialSection, substitute_section, total_derivative, z_var
 from .forms import (
     DifferentialForm,
+    base_contraction,
     contact_forms,
-    holonomic_pullback,
     holonomic_reduce,
-    interior_product,
     lie_derivative,
     volume_form,
 )
@@ -162,29 +166,54 @@ def is_symmetry(Y: ProjectableField, L: Expr):
     return residual.is_zero, residual
 
 
+def characteristic_jets(
+    Y: ProjectableField, order: int, section: PolynomialSection | None = None
+) -> dict:
+    """{(a, I): D_I Q^a} for canonical |I| <= order, Q^a = Y^a - z^a_j Y^j; a
+    section is substituted into Q first, so D_I then acts on x-polynomials."""
+    cfg = Y.cfg
+    jets = {}
+    for a in range(1, cfg.n + 1):
+        q = Y.vertical_components[a - 1] - Expr.sum(
+            z_var(a, (j,)) * Y.base_components[j - 1] for j in range(1, cfg.m + 1)
+        )
+        jets[(a, ())] = q if section is None else substitute_section(q, section)
+    for level in range(1, order + 1):
+        for a, I in product(range(1, cfg.n + 1), multiindices(cfg.m, level)):
+            jets[(a, I)] = total_derivative(jets[(a, I[:-1])], I[-1], cfg)
+    return jets
+
+
 def noether_current(
     Y: ProjectableField, theta: DeDonderForm, section: PolynomialSection
 ) -> DifferentialForm:
     """The current j sigma*(Y^{2k-1} -| Theta), an (m-1)-form on the base.
 
-    Closed (exterior derivative zero) whenever Y is a symmetry of the
-    Lagrangian and the section satisfies the De Donder equations; neither is
-    checked here, conservation simply fails off-shell.
+    sum_i [Y^i L + sum p^{i,T}_a D_T Q^a] d/dx^i -| d_m x, |T| <= k-1 as Theta
+    is semi-basic over J^{k-1}, with sigma (unless None) substituted into L,
+    p and Q first.  Closed whenever Y is a symmetry of the Lagrangian and the
+    section solves the De Donder equations; conservation fails off-shell.
     """
     cfg = theta.cfg
-    lifted = prolong(Y, cfg.working_order)
-    return holonomic_pullback(interior_product(lifted, theta.form), section)
+    pull = (lambda e: e) if section is None else (lambda e: substitute_section(e, section))
+    jets = characteristic_jets(Y, cfg.k - 1, section)
+    lagrangian = pull(theta.lagrangian)
+    densities = [[Y.base_components[i] * lagrangian] for i in range(cfg.m)]
+    for (a, i, tail), p in theta.boundary.coefficients.table.items():
+        if not jets[(a, tail)].is_zero:
+            densities[i - 1].append(pull(p) * jets[(a, tail)])
+    return DifferentialForm.sum(cfg.m - 1, (
+        base_contraction(cfg, i) * Expr.sum(terms) for i, terms in enumerate(densities, 1)
+    ))
 
 
 def reduced_current(Y: ProjectableField, theta: DeDonderForm) -> DifferentialForm:
     """Holonomic reduction of Y^{2k-1} -| Theta, with jet-coordinate coefficients.
 
-    Substituting a section into its coefficients gives the Noether current;
-    evaluating them on sampled jets gives the numeric conserved densities.
+    sum_i [Y^i L + sum p^{i,T}_a D_T Q^a] d/dx^i -| d_m x, |T| <= k-1 as Theta
+    is semi-basic over J^{k-1}; on sampled jets it gives the numeric densities.
     """
-    cfg = theta.cfg
-    lifted = prolong(Y, cfg.working_order)
-    return holonomic_reduce(interior_product(lifted, theta.form), cfg)
+    return noether_current(Y, theta, None)
 
 
 def preserves_contact_ideal(Y: ProjectableField, order: int) -> bool:

@@ -38,7 +38,9 @@ from jetforms.forms import (
     dy,
     dz,
     holonomic_pullback,
+    holonomic_reduce,
     interior_product,
+    is_semibasic,
     vertical_contractions,
     volume_form,
 )
@@ -374,16 +376,30 @@ def test_dedonder_residual_matches_full_dtheta_reference():
 
 
 def test_dedonder_form_pullback_equals_lagrangian_pullback():
-    # j*Theta = L(j^k sigma) d_m x, checked by explicit substitution
-    rng = random.Random(17)
+    # j*Theta = L(j^k sigma) d_m x, checked by explicit substitution; Theta
+    # is semi-basic over J^{k-1} and reduces to L d_m x, for symmetric and
+    # skew boundary forms (dedonder_form takes both from Xi's checks)
     cfg = JetConfig(2, 1, 2)
     L = z_var(1, (1, 1)) * z_var(1, (2, 2)) + y_var(1) ** 2
-    xi = derive(cfg, L).boundary_symmetric
-    theta = dedonder_form(cfg, L, xi)
+    derivation = derive(cfg, L)
     sigma = PolynomialSection(cfg, (x_var(1) ** 3 + x_var(1) * x_var(2) ** 2,))
-    pulled = holonomic_pullback(theta.form, sigma)
+    wp = wave_problem()
+    wave_sigma = PolynomialSection(wp.cfg, (x_var(1) ** 2 * x_var(2), x_var(2) ** 3))
+    cases = [
+        (dedonder_form(cfg, L, derivation.boundary_symmetric), sigma),
+        (derivation.theta_skew(), sigma),
+        (wp.theta_symmetric, wave_sigma),
+        (wp.theta_skew(), wave_sigma),
+    ]
     vol = (("dx", 1), ("dx", 2))
-    assert pulled.coefficient(vol) == substitute_section(L, sigma)
+    for theta, section in cases:
+        lagrangian_form = DifferentialForm.from_scalar(theta.lagrangian).wedge(
+            volume_form(theta.cfg)
+        )
+        assert is_semibasic(theta.form, ("forgetful", theta.cfg.k - 1))
+        assert holonomic_reduce(theta.form, theta.cfg) == lagrangian_form
+        pulled = holonomic_pullback(theta.form, section)
+        assert pulled.coefficient(vol) == substitute_section(theta.lagrangian, section)
 
 
 def test_contact_presentation():

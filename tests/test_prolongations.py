@@ -1,16 +1,27 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from jetforms.dedonder import derive, lagrange_derivative
 from jetforms.expressions import (
     Expr,
     PolynomialSection,
+    generic_section,
+    random_expr,
     total_derivative,
     x_var,
     y_var,
     z_var,
 )
-from jetforms.forms import holonomic_reduce
+from jetforms.forms import (
+    DifferentialForm,
+    holonomic_pullback,
+    holonomic_reduce,
+    interior_product,
+    lie_derivative,
+    volume_form,
+)
 from jetforms.jets import JetConfig, base_coord, field_coord, jet_coord
 from jetforms.prolongations import (
     ProjectableField,
@@ -201,8 +212,6 @@ def test_boundary_form_lie_derivative_pulls_back_to_zero():
     # Y produces sections, and Xi pulls back to zero along all of them
     wp = wave_problem()
     cfg = wp.cfg
-    from jetforms.forms import lie_derivative
-
     fields = [
         wp.time_translation,
         wp.lorentz_boost,
@@ -263,3 +272,97 @@ def test_skew_current_contribution_is_exact():
         assert diff == total_derivative(
             potential, i, cfg, max_order=cfg.expression_order
         )
+
+
+def _nonaffine_field(cfg):
+    x1, x2 = x_var(1), x_var(min(2, cfg.m))
+    base = (x1 * x2, x1**2) + (x2,) * (cfg.m - 2)
+    vertical = (y_var(cfg.n) ** 2 + x1,) + tuple(
+        x1 * y_var(1) * y_var(a) for a in range(2, cfg.n + 1)
+    )
+    return ProjectableField(cfg, base[: cfg.m], vertical)
+
+
+def _random_lagrangian(rng, cfg):
+    # a seeded polynomial with an x-dependent top-order product, so that
+    # every rung reaches jet order k and no field below is a symmetry
+    top = x_var(1) * z_var(1, (1,) * cfg.k) * z_var(cfg.n, (cfg.m,) * cfg.k)
+    return random_expr(rng, cfg, cfg.k, degree=3, terms=8) + top
+
+
+def _translation_and_boost(cfg):
+    zero, x1, x2 = Expr.zero(), x_var(1), x_var(2)
+    rest = (zero,) * (cfg.m - 2)
+    vertical = (zero,) * cfg.n
+    return [
+        ProjectableField(cfg, (Expr.one(), zero) + rest, vertical),
+        ProjectableField(cfg, (x2, x1) + rest, vertical),
+    ]
+
+
+def test_currents_match_dense_contraction_reference():
+    # the dense pipeline the characteristic kernel replaced: prolong Y to
+    # order 2k-1, contract the whole of Theta, reduce (and pull back)
+    def dense(Y, theta):
+        return interior_product(prolong(Y, theta.cfg.working_order), theta.form)
+
+    wp = wave_problem()
+    x1, x2 = x_var(1), x_var(2)
+    wave_fields = [wp.time_translation, wp.lorentz_boost, _nonaffine_field(wp.cfg)]
+    wave_sections = [
+        PolynomialSection(wp.cfg, ((x2 - x1) ** 3, (x2 - x1) ** 2)),
+        generic_section(wp.cfg, 3),
+    ]
+    cases = [
+        (theta, wave_fields, wave_sections)
+        for theta in (wp.theta_symmetric, wp.theta_skew())
+    ]
+    rng = random.Random(2024)
+    for shape in ((1, 1, 2), (1, 2, 3), (3, 2, 2)):
+        cfg = JetConfig(*shape)
+        derivation = derive(cfg, _random_lagrangian(rng, cfg))
+        zero = (Expr.zero(),) * cfg.n
+        fields = [
+            ProjectableField(cfg, (Expr.one(),) + zero[: cfg.m - 1], zero),
+            _nonaffine_field(cfg),
+        ]
+        sections = [
+            PolynomialSection(cfg, tuple(x1**3 + a * x_var(cfg.m) for a in range(cfg.n))),
+            generic_section(cfg, 2 if cfg.m > 1 else 2 * cfg.k + 1),
+        ]
+        cases.append((derivation.theta_symmetric, fields, sections))
+    for theta, fields, sections in cases:
+        for Y in fields:
+            assert reduced_current(Y, theta) == holonomic_reduce(dense(Y, theta), theta.cfg)
+            for sigma in sections:
+                assert noether_current(Y, theta, sigma) == holonomic_pullback(
+                    dense(Y, theta), sigma
+                )
+
+
+def test_first_variation_formula():
+    # off shell and without a section:
+    #   h(L_{Y^k}(L d_m x)) = h d(reduced_current) + Q^a dL/dy^a d_m x
+    # with Q^a = Y^a - z^a_j Y^j; the left side prolongs Y densely
+    wp = wave_problem()
+    fields = [wp.time_translation, wp.space_translation, wp.lorentz_boost]
+    cases = [(theta, fields) for theta in (wp.theta_symmetric, wp.theta_skew())]
+    rng = random.Random(77)
+    for shape in ((2, 2, 2), (3, 2, 2), (2, 2, 3)):
+        cfg = JetConfig(*shape)
+        theta = derive(cfg, _random_lagrangian(rng, cfg)).theta_symmetric
+        cases.append((theta, _translation_and_boost(cfg) + [_nonaffine_field(cfg)]))
+    for theta, fields in cases:
+        cfg, L = theta.cfg, theta.lagrangian
+        lam = DifferentialForm.from_scalar(L).wedge(volume_form(cfg))
+        deltas = lagrange_derivative(cfg, L)
+        for Y in fields:
+            lhs = holonomic_reduce(lie_derivative(prolong(Y, cfg.k), lam), cfg)
+            source = Expr.sum(
+                (Y.vertical_components[a - 1] - Expr.sum(
+                    z_var(a, (j,)) * Y.base_components[j - 1] for j in range(1, cfg.m + 1)
+                )) * deltas[a - 1]
+                for a in range(1, cfg.n + 1)
+            )
+            rhs = holonomic_reduce(reduced_current(Y, theta).d(), cfg)
+            assert lhs == rhs + volume_form(cfg) * source

@@ -34,3 +34,25 @@ def test_import_does_not_load_scipy():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "[]"
+
+
+def _unused_imports(path) -> list:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(bound, node.lineno)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+def test_library_modules_use_every_name_they_import():
+    # __init__ imports to re-export; every other module imports to use
+    paths = sorted(p for p in SOURCE.glob("*.py") if p.name != "__init__.py")
+    assert paths
+    hits = [hit for path in paths for hit in _unused_imports(path)]
+    assert not hits, f"imported but never used: {hits}"
