@@ -10,7 +10,6 @@ from jetforms import (
     Expr,
     PolynomialSection,
     ProjectableField,
-    flow_oracle,
     is_symmetry,
     noether_current,
     prolong,
@@ -20,6 +19,7 @@ from jetforms import (
     y_var,
 )
 from jetforms.jets import JetConfig
+from jetforms.numeric import flow_oracle
 from jetforms.wave import wave_problem
 
 # A scaling field on a single-field line: Y = x d/dx + 2y d/dy.

@@ -11,8 +11,13 @@ import math
 
 import numpy as np
 
-from jetforms import CauchyState, GridSpec, cauchy_evolve
-from jetforms.numeric import EnergyFunctional, band_limited_state
+from jetforms.numeric import (
+    CauchyState,
+    EnergyFunctional,
+    GridSpec,
+    band_limited_state,
+    cauchy_evolve,
+)
 from jetforms.wave import wave_problem
 
 wp = wave_problem()

@@ -6,12 +6,14 @@ fibration with m independent and n dependent variables:
 * the symmetric boundary-form coefficients and the assembled boundary form,
 * the De Donder form and its equivalence with the Euler-Lagrange equations,
 * prolongations of projectable vector fields and Noether currents,
-* numeric cross-checks: quadrature of pulled-back forms, a spectral solver
-  for the fourth-order wave example, and finite-difference oracles.
+* numeric cross-checks in :mod:`jetforms.numeric`: quadrature of
+  pulled-back forms, a spectral solver for the fourth-order wave example,
+  and finite-difference and flow oracles.
 
 Everything symbolic is exact (rational arithmetic, canonical polynomial
 forms); numeric routines exist to corroborate the symbolic results, never to
-replace them.
+replace them.  ``import jetforms`` loads neither numpy nor scipy; they load
+with ``jetforms.numeric``.
 """
 from .jets import (
     JetConfig,
@@ -79,28 +81,12 @@ from .dedonder import (
 )
 from .prolongations import (
     ProjectableField,
-    flow_oracle,
     is_symmetry,
     noether_current,
     preserves_contact_ideal,
     prolong,
-    reduced_current,
 )
-from .numeric import (
-    CauchyState,
-    EnergyFunctional,
-    GridSpec,
-    SampledSection,
-    band_limited_state,
-    cauchy_evolve,
-    decomposition_terms,
-    functional_derivative_oracle,
-    integrate_action,
-    numeric_jet,
-    quadrature,
-    sample_section,
-)
-from .problem import ProblemSpec, ProblemSyntaxError, parse_problem, render_problem
+from .problem import GridSpec, ProblemSpec, ProblemSyntaxError, parse_problem, render_problem
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -34,13 +34,7 @@ from .dedonder import (
 from .expressions import Expr, _monomial_sort_key, render_expr
 from .forms import render_form
 from .jets import jet_coord
-from .numeric import (
-    EnergyFunctional,
-    GridSpec,
-    band_limited_state,
-    cauchy_evolve,
-)
-from .problem import ProblemError, ProblemSpec, _render_rational, parse_problem
+from .problem import GridSpec, ProblemError, ProblemSpec, _render_rational, parse_problem
 from .prolongations import is_symmetry, noether_current
 
 log = logging.getLogger("jetforms")
@@ -219,8 +213,8 @@ def cmd_noether(spec: ProblemSpec, report: Report, args):
                 continue
             current = noether_current(Y, theta, section)
             closed = current.d().is_zero
-            currents[f"{name}:{section_name}"] = render_form(current)
-            report.say(f"current-{name}-on-{section_name} = {render_form(current)}")
+            rendered = currents[f"{name}:{section_name}"] = render_form(current)
+            report.say(f"current-{name}-on-{section_name} = {rendered}")
             report.check(f"conservation-{name}-on-{section_name}", closed)
     if currents:
         report.data["currents"] = currents
@@ -242,7 +236,21 @@ def _squared_wave_pattern(cfg, deltas) -> bool:
     return True
 
 
+def EnergyFunctional(theta):
+    """``numeric.EnergyFunctional(theta)``; numpy loads on the first call.
+
+    A module-level name rather than an import inside ``cmd_evolve``, because
+    ``benchmarks/tracing.py`` reads and rebinds ``cli.EnergyFunctional`` to
+    time each energy evaluation.
+    """
+    from .numeric import EnergyFunctional
+
+    return EnergyFunctional(theta)
+
+
 def cmd_evolve(spec: ProblemSpec, report: Report, args):
+    from .numeric import band_limited_state, cauchy_evolve
+
     cfg = spec.cfg
     if spec.grid is None or spec.evolve is None:
         raise ProblemError(

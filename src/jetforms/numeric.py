@@ -10,7 +10,16 @@ Everything here exists to corroborate the symbolic machinery:
 * the Cauchy evolution of the fourth-order wave example, advanced exactly
   for all spatial Fourier modes at once by the closed-form propagator of the
   mode equation, so conservation checks see no time-stepping error at all;
-* a finite-difference functional-derivative oracle for Lagrange derivatives.
+* a finite-difference functional-derivative oracle for Lagrange derivatives;
+* a flow oracle for prolongations.  The supported symmetry-field class keeps
+  flows closed-form: base components affine in x, vertical components affine
+  in (x, y) jointly.  That covers translations, the Lorentz generator,
+  scalings and linear internal mixings, and lets the oracle evaluate
+  e^{tY}* sigma exactly (up to the float matrix exponential) so only the
+  t-derivative is finite-differenced.
+
+This is the one module that imports numpy (and, inside the flow oracle,
+scipy); the symbolic core and the package import load neither.
 
 Periodic grids stand in for the decay-at-infinity assumptions of the
 continuum statements: both make boundary terms and exact forms integrate to
@@ -20,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -31,58 +41,8 @@ from .dedonder import (
 )
 from .expressions import Expr, PolynomialSection, _monomial_sort_key, substitute_section
 from .jets import JetConfig, base_coord, field_coord, jet_coord, multiindices
-from .prolongations import (
-    ProjectableField, characteristic_jets, noether_current, reduced_current,
-)
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Uniform tensor grid; per axis (lower, upper, count, periodic).
-
-    Periodic axes exclude the right endpoint (count cells of width
-    (upper-lower)/count); non-periodic axes include both endpoints.
-    """
-
-    axes: tuple
-
-    def __post_init__(self):
-        for lo, hi, count, periodic in self.axes:
-            if not (np.isfinite(lo) and np.isfinite(hi) and hi > lo):
-                raise ValueError(f"bad axis bounds ({lo}, {hi})")
-            if count < 8:
-                raise ValueError(f"grids need at least 8 points per axis, got {count}")
-
-    @property
-    def ndim(self) -> int:
-        return len(self.axes)
-
-    @property
-    def shape(self) -> tuple:
-        return tuple(int(count) for _, _, count, _ in self.axes)
-
-    def spacing(self, axis: int) -> float:
-        lo, hi, count, periodic = self.axes[axis]
-        return (hi - lo) / count if periodic else (hi - lo) / (count - 1)
-
-    def points(self, axis: int) -> np.ndarray:
-        lo, hi, count, periodic = self.axes[axis]
-        if periodic:
-            return lo + self.spacing(axis) * np.arange(count)
-        return np.linspace(lo, hi, count)
-
-    def meshes(self) -> list:
-        grids = np.meshgrid(*(self.points(i) for i in range(self.ndim)), indexing="ij")
-        return list(grids)
-
-    def quadrature_weights(self, axis: int) -> np.ndarray:
-        lo, hi, count, periodic = self.axes[axis]
-        h = self.spacing(axis)
-        if periodic:
-            return np.full(count, h)
-        w = np.full(count, h)
-        w[0] = w[-1] = h / 2
-        return w
+from .problem import GridSpec
+from .prolongations import ProjectableField, characteristic_jets, noether_current
 
 
 def quadrature(values: np.ndarray, grid: GridSpec) -> float:
@@ -343,7 +303,7 @@ def decomposition_terms(
             Y.vertical_components[a - 1], arrays, region.shape
         )
     body = quadrature(body_vals, region)
-    boundary = _sampled_boundary_integral(reduced_current(Y, theta), arrays, region)
+    boundary = _sampled_boundary_integral(noether_current(Y, theta, None), arrays, region)
     return total, body, boundary
 
 
@@ -517,7 +477,7 @@ class EnergyFunctional:
             tuple(Expr.zero() for _ in range(cfg.n)),
         )
         self.cfg = cfg
-        self.density = reduced_current(y_t, theta).coefficient((("dx", 2),))
+        self.density = noether_current(y_t, theta, None).coefficient((("dx", 2),))
 
     def __call__(self, state: CauchyState) -> float:
         values = state_coordinate_arrays(state, self.cfg, self.cfg.working_order)
@@ -602,3 +562,119 @@ def functional_derivative_oracle(
     action_plus = integrate_action(cfg, L, plus)
     action_minus = integrate_action(cfg, L, minus)
     return (action_plus - action_minus) / (2.0 * eps * mass)
+
+
+# -- prolongation flow oracle -------------------------------------------------
+
+
+def _affine_generator(Y: ProjectableField) -> np.ndarray:
+    """Generator of the flow on (x, y, 1) for the affine field class."""
+    cfg = Y.cfg
+    m, n = cfg.m, cfg.n
+    G = np.zeros((m + n + 1, m + n + 1))
+    for i in range(1, m + 1):
+        comp = Y.base_components[i - 1]
+        G[i - 1, m + n] = float(comp.constant_term())
+        for j in range(1, m + 1):
+            G[i - 1, j - 1] = float(comp.partial(base_coord(j)).constant_term())
+    for a in range(1, n + 1):
+        comp = Y.vertical_components[a - 1]
+        G[m + a - 1, m + n] = float(comp.constant_term())
+        for j in range(1, m + 1):
+            G[m + a - 1, j - 1] = float(comp.partial(base_coord(j)).constant_term())
+        for b in range(1, n + 1):
+            G[m + a - 1, m + b - 1] = float(
+                comp.partial(field_coord(b)).constant_term()
+            )
+    return G
+
+
+def _jet_table(section: PolynomialSection, x0, order: int) -> dict:
+    """Float partial derivatives of the section at a point, all full tuples."""
+    cfg = section.cfg
+    point = {base_coord(i + 1): Fraction(x) for i, x in enumerate(x0)}
+    table = {}
+    for a in range(1, cfg.n + 1):
+        for level in range(order + 1):
+            for I in multiindices(cfg.m, level):
+                value = float(section.jet(a, I).evaluate(point))
+                table[(a, I)] = value
+    return table
+
+
+def _flowed_jet_coordinates(
+    Y: ProjectableField, order: int, section: PolynomialSection, x0, t: float
+) -> dict:
+    """Coordinates of j^order(e^{tY}* sigma) at the flowed base point.
+
+    With phi_{-t} the inverse base flow, the transported section is
+    sigma_t = C(t) sigma(phi_{-t} x) + D(t) phi_{-t}(x) + e(t); evaluating its
+    jets at x_t = e^{tY^0} x0 pulls phi_{-t}(x_t) back to x0, so only the jets
+    of sigma at x0 enter, contracted with powers of the affine matrix.
+    """
+    from scipy.linalg import expm  # the flow oracle is scipy's only user
+
+    cfg = Y.cfg
+    m, n = cfg.m, cfg.n
+    G = _affine_generator(Y)
+    fwd = expm(t * G)
+    back = expm(-t * G)
+    x0 = np.asarray([float(v) for v in x0])
+    x_t = fwd[:m, :m] @ x0 + fwd[:m, m + n]
+    M = back[:m, :m]  # Jacobian of phi_{-t}
+    C = fwd[m : m + n, m : m + n]
+    D = fwd[m : m + n, :m]
+    e_shift = fwd[m : m + n, m + n]
+    jets = _jet_table(section, x0, order)
+    sigma0 = np.array([jets[(a, ())] for a in range(1, n + 1)])
+    coords = {base_coord(i + 1): x_t[i] for i in range(m)}
+    values0 = C @ sigma0 + D @ (M @ x_t + back[:m, m + n]) + e_shift
+    for a in range(1, n + 1):
+        coords[field_coord(a)] = values0[a - 1]
+    for level in range(1, order + 1):
+        for I in multiindices(cfg.m, level):
+            for a in range(1, n + 1):
+                total = 0.0
+                for J in product(range(1, m + 1), repeat=level):
+                    weight = 1.0
+                    for idx_out, idx_in in zip(I, J):
+                        weight *= M[idx_in - 1, idx_out - 1]
+                    chain = sum(
+                        C[a - 1, b - 1] * jets[(b, tuple(sorted(J)))]
+                        for b in range(1, n + 1)
+                    )
+                    total += weight * chain
+                if level == 1:
+                    # the affine D(t) x term contributes to first derivatives
+                    total += float(D[a - 1] @ M[:, I[0] - 1])
+                coords[jet_coord(a, I)] = total
+    return coords
+
+
+def flow_oracle(
+    Y: ProjectableField,
+    order: int,
+    section: PolynomialSection,
+    x0: Sequence,
+    h: float = 1e-4,
+) -> dict:
+    """Numeric prolongation components along a section, by flow differencing.
+
+    Central difference in t of the jet coordinates of e^{tY}* sigma at the
+    flowed base point; at t = 0 this is by construction the prolonged vector
+    field evaluated at j^order sigma(x0).  Used solely as a test oracle for
+    :func:`prolong`.
+    """
+    cfg = Y.cfg
+    if not 1 <= order <= cfg.working_order:
+        raise ValueError(f"order {order} outside 1..{cfg.working_order}")
+    if not Y.is_affine:
+        raise ValueError(
+            "the flow oracle supports fields with Y^i affine in x and "
+            "Y^a affine in (x, y); general flows have no closed form here"
+        )
+    plus = _flowed_jet_coordinates(Y, order, section, x0, +h)
+    minus = _flowed_jet_coordinates(Y, order, section, x0, -h)
+    return {
+        coord: (plus[coord] - minus[coord]) / (2.0 * h) for coord in plus
+    }

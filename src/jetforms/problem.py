@@ -21,12 +21,12 @@ duplicate declarations) point at the offending token.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
 from .expressions import Expr, PolynomialSection, render_expr
 from .jets import JetConfig, base_coord, field_coord, jet_coord
-from .numeric import GridSpec
 from .prolongations import ProjectableField
 
 
@@ -50,6 +50,63 @@ class ProblemSyntaxError(ProblemError):
 
 class ProblemSemanticError(ProblemError):
     pass
+
+
+@dataclass(frozen=True)
+class GridSpec:
+    """Uniform tensor grid; per axis (lower, upper, count, periodic).
+
+    Periodic axes exclude the right endpoint (count cells of width
+    (upper-lower)/count); non-periodic axes include both endpoints.  Points,
+    meshes and quadrature weights are numpy arrays, and numpy is imported
+    only when one of them is asked for, so parsing a problem loads none.
+    """
+
+    axes: tuple
+
+    def __post_init__(self):
+        for lo, hi, count, periodic in self.axes:
+            if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+                raise ValueError(f"bad axis bounds ({lo}, {hi})")
+            if count < 8:
+                raise ValueError(f"grids need at least 8 points per axis, got {count}")
+
+    @property
+    def ndim(self) -> int:
+        return len(self.axes)
+
+    @property
+    def shape(self) -> tuple:
+        return tuple(int(count) for _, _, count, _ in self.axes)
+
+    def spacing(self, axis: int) -> float:
+        lo, hi, count, periodic = self.axes[axis]
+        return (hi - lo) / count if periodic else (hi - lo) / (count - 1)
+
+    def points(self, axis: int):
+        import numpy as np
+
+        lo, hi, count, periodic = self.axes[axis]
+        if periodic:
+            return lo + self.spacing(axis) * np.arange(count)
+        return np.linspace(lo, hi, count)
+
+    def meshes(self) -> list:
+        import numpy as np
+
+        grids = np.meshgrid(*(self.points(i) for i in range(self.ndim)), indexing="ij")
+        return list(grids)
+
+    def quadrature_weights(self, axis: int):
+        import numpy as np
+
+        lo, hi, count, periodic = self.axes[axis]
+        h = self.spacing(axis)
+        if periodic:
+            return np.full(count, h)
+        w = np.full(count, h)
+        w[0] = w[-1] = h / 2
+        return w
 
 
 @dataclass

@@ -44,15 +44,11 @@ from jetforms.numeric import (
     band_limited_state,
     cauchy_evolve,
     decomposition_terms,
+    flow_oracle,
     functional_derivative_oracle,
 )
 from jetforms.problem import ProblemError, parse_problem, render_problem
-from jetforms.prolongations import (
-    ProjectableField,
-    flow_oracle,
-    preserves_contact_ideal,
-    prolong,
-)
+from jetforms.prolongations import ProjectableField, preserves_contact_ideal, prolong
 from jetforms.wave import wave_problem
 
 WAVE_PATH = str(

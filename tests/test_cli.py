@@ -191,6 +191,31 @@ def test_evolve_output_independent_of_hash_seed():
     assert outputs[0] == outputs[1]
 
 
+def test_benchmark_tracer_spans_the_energy_functional(monkeypatch, capsys):
+    # benchmarks/tracing.py times evolve's energy evaluations by rebinding
+    # cli.EnergyFunctional, so that name stays bound in cli.py at module level
+    import jetforms
+    import jetforms.numeric
+    import jetforms.problem
+
+    root = pathlib.Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(str(root / "benchmarks"))
+    import tracing
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code, out, _ = run(capsys, "evolve", WAVE, "--seed", "1", "--grid-n", "64")
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    names = [name for name, *_ in tracer.spans]
+    assert names.count("numeric.EnergyFunctional") == 2
+    states = sum(line[:1].isdigit() for line in out.splitlines())  # CSV rows
+    assert names.count("numeric.energy_call") == 2 * states > 0
+    assert jetforms.GridSpec is jetforms.numeric.GridSpec is jetforms.problem.GridSpec
+
+
 @pytest.mark.parametrize("seed", ["0", "1"])
 def test_evolve_energy_drift_at_16384_points(tmp_path, capsys, seed):
     # with max_mode = N/8 the unscaled per-mode propagator drifted by 1.9e-6

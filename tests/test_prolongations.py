@@ -23,14 +23,13 @@ from jetforms.forms import (
     volume_form,
 )
 from jetforms.jets import JetConfig, base_coord, field_coord, jet_coord
+from jetforms.numeric import flow_oracle
 from jetforms.prolongations import (
     ProjectableField,
-    flow_oracle,
     is_symmetry,
     noether_current,
     preserves_contact_ideal,
     prolong,
-    reduced_current,
 )
 from jetforms.wave import wave_problem
 
@@ -234,7 +233,7 @@ def test_energy_current_matches_display_structure():
     wp = wave_problem()
     cfg = wp.cfg
     coeffs = wp.boundary_symmetric.coefficients
-    J = reduced_current(wp.time_translation, wp.theta_symmetric)
+    J = noether_current(wp.time_translation, wp.theta_symmetric, None)
     hand = {1: Expr.zero(), 2: Expr.zero()}
     for a in (1, 2):
         for j in (1, 2):
@@ -261,8 +260,8 @@ def test_skew_current_contribution_is_exact():
     # the total-derivative differential of P^{[21]}_a y^a_,1
     wp = wave_problem()
     cfg = wp.cfg
-    J_sym = reduced_current(wp.time_translation, wp.theta_symmetric)
-    J_skew = reduced_current(wp.time_translation, wp.theta_skew())
+    J_sym = noether_current(wp.time_translation, wp.theta_symmetric, None)
+    J_skew = noether_current(wp.time_translation, wp.theta_skew(), None)
     potential = Expr.zero()
     for a in (1, 2):
         q12 = z_var(a, (2,))  # the default skew choice in WaveProblem
@@ -333,7 +332,8 @@ def test_currents_match_dense_contraction_reference():
         cases.append((derivation.theta_symmetric, fields, sections))
     for theta, fields, sections in cases:
         for Y in fields:
-            assert reduced_current(Y, theta) == holonomic_reduce(dense(Y, theta), theta.cfg)
+            reduced = holonomic_reduce(dense(Y, theta), theta.cfg)
+            assert noether_current(Y, theta, None) == reduced
             for sigma in sections:
                 assert noether_current(Y, theta, sigma) == holonomic_pullback(
                     dense(Y, theta), sigma
@@ -342,8 +342,9 @@ def test_currents_match_dense_contraction_reference():
 
 def test_first_variation_formula():
     # off shell and without a section:
-    #   h(L_{Y^k}(L d_m x)) = h d(reduced_current) + Q^a dL/dy^a d_m x
-    # with Q^a = Y^a - z^a_j Y^j; the left side prolongs Y densely
+    #   h(L_{Y^k}(L d_m x)) = h d(J) + Q^a dL/dy^a d_m x
+    # with J = noether_current(Y, Theta, None), the section-free current, and
+    # Q^a = Y^a - z^a_j Y^j; the left side prolongs Y densely
     wp = wave_problem()
     fields = [wp.time_translation, wp.space_translation, wp.lorentz_boost]
     cases = [(theta, fields) for theta in (wp.theta_symmetric, wp.theta_skew())]
@@ -364,5 +365,5 @@ def test_first_variation_formula():
                 )) * deltas[a - 1]
                 for a in range(1, cfg.n + 1)
             )
-            rhs = holonomic_reduce(reduced_current(Y, theta).d(), cfg)
+            rhs = holonomic_reduce(noether_current(Y, theta, None).d(), cfg)
             assert lhs == rhs + volume_form(cfg) * source
