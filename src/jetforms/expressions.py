@@ -22,6 +22,7 @@ commutes with D_i) is the keystone property the test-suite pins down.
 """
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -32,8 +33,10 @@ from .jets import (
     check_coordinate,
     coordinate_order,
     coordinate_sort_key,
+    enumerate_coordinates,
     field_coord,
     jet_coord,
+    multiindices,
 )
 
 Monomial = tuple  # sorted tuple of (coordinate, exponent) pairs
@@ -440,8 +443,6 @@ class PolynomialSection:
         Unlike the form machinery this may go one past the working order,
         since expressions (Lagrange derivatives) reach jet order 2k.
         """
-        from .jets import multiindices
-
         if order > self.cfg.expression_order:
             raise ValueError(
                 f"order {order} exceeds the expression order "
@@ -481,11 +482,9 @@ def generic_section(cfg: JetConfig, degree: int, tag: str = "s") -> PolynomialSe
     the map from coefficients to the jet of the section at any point is onto
     once ``degree`` is at least the jet order probed.
     """
-    import itertools as _it
-
     def monomials(a: int):
         for total in range(degree + 1):
-            for exponents in _it.combinations_with_replacement(
+            for exponents in itertools.combinations_with_replacement(
                 range(1, cfg.m + 1), total
             ):
                 powers = {base_coord(i): exponents.count(i) for i in set(exponents)}
@@ -501,8 +500,6 @@ def generic_section(cfg: JetConfig, degree: int, tag: str = "s") -> PolynomialSe
 def random_expr(rng, cfg: JetConfig, order: int, degree: int = 2, terms: int = 4,
                 coeff_range: int = 3) -> Expr:
     """Random polynomial in the jet coordinates up to the given order."""
-    from .jets import enumerate_coordinates
-
     coords = enumerate_coordinates(cfg, order)
 
     def term() -> Expr:

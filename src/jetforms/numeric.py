@@ -589,19 +589,6 @@ def _affine_generator(Y: ProjectableField) -> np.ndarray:
     return G
 
 
-def _jet_table(section: PolynomialSection, x0, order: int) -> dict:
-    """Float partial derivatives of the section at a point, all full tuples."""
-    cfg = section.cfg
-    point = {base_coord(i + 1): Fraction(x) for i, x in enumerate(x0)}
-    table = {}
-    for a in range(1, cfg.n + 1):
-        for level in range(order + 1):
-            for I in multiindices(cfg.m, level):
-                value = float(section.jet(a, I).evaluate(point))
-                table[(a, I)] = value
-    return table
-
-
 def _flowed_jet_coordinates(
     Y: ProjectableField, order: int, section: PolynomialSection, x0, t: float
 ) -> dict:
@@ -625,8 +612,8 @@ def _flowed_jet_coordinates(
     C = fwd[m : m + n, m : m + n]
     D = fwd[m : m + n, :m]
     e_shift = fwd[m : m + n, m + n]
-    jets = _jet_table(section, x0, order)
-    sigma0 = np.array([jets[(a, ())] for a in range(1, n + 1)])
+    values = section.jet_values(x0, order)
+    sigma0 = np.array([float(values[field_coord(a)]) for a in range(1, n + 1)])
     coords = {base_coord(i + 1): x_t[i] for i in range(m)}
     values0 = C @ sigma0 + D @ (M @ x_t + back[:m, m + n]) + e_shift
     for a in range(1, n + 1):
@@ -640,7 +627,7 @@ def _flowed_jet_coordinates(
                     for idx_out, idx_in in zip(I, J):
                         weight *= M[idx_in - 1, idx_out - 1]
                     chain = sum(
-                        C[a - 1, b - 1] * jets[(b, tuple(sorted(J)))]
+                        C[a - 1, b - 1] * float(values[jet_coord(b, tuple(sorted(J)))])
                         for b in range(1, n + 1)
                     )
                     total += weight * chain

@@ -1,17 +1,22 @@
 """Prolongation of projectable vector fields and Noether currents.
 
 A projectable field Y = Y^i(x) d/dx^i + Y^a(x,y) d/dy^a lifts uniquely to
-each jet space so that its flow commutes with jet extension.  The jet
-components follow the contact-preservation recursion
+each jet space so that its flow commutes with jet extension.  Every
+prolonged object here reads one kernel, :func:`characteristic_jets`, the
+total derivatives D_I Q^a of the characteristic Q^a = Y^a - z^a_j Y^j
+(P. J. Olver, *Applications of Lie Groups to Differential Equations*,
+Thm 2.36 and 4.12).  The prolonged jet components are
 
-    Y^a_{I+j} = D_j Y^a_I - sum_{j'} z^a_{I+j'} dY^{j'}/dx^j ,
+    Y^a_I = D_I Q^a + sum_j Y^j z^a_{I+j} ,
 
-seeded with Y^a_{()} = Y^a.  Because total derivatives commute, the right
-side is independent of how the canonical multi-index is split into (I, j);
-the implementation asserts that agreement instead of symmetrizing.
+and the symmetry test forms the one scalar
 
-Currents need only D_T Q^a = Y^r -| theta^a_T for the characteristic
-Q^a = Y^a - z^a_j Y^j, with |T| <= k-1 since Xi is semi-basic over J^{k-1}:
+    E = sum_c Y^{k,c} dL/dc + L sum_i d_i Y^i ,
+
+so that L_{Y^k}(L d_m x) = E d_m x, as Y^i depends on x only.
+
+Currents need only D_T Q^a = Y^r -| theta^a_T, with |T| <= k-1 since Xi is
+semi-basic over J^{k-1}:
 
     h(Y -| Theta) = sum_i [Y^i L + sum p^{i,T}_a D_T Q^a] d/dx^i -| d_m x .
 
@@ -91,71 +96,44 @@ class ProjectableField:
 def prolong(Y: ProjectableField, order: int) -> dict:
     """Prolongation of Y to the order-``order`` jet space.
 
-    Returns the vector-field mapping coordinate -> Expr.  Components at a
-    canonical multi-index are computed from any single splitting; all other
-    splittings are checked to agree, which is the commutativity of total
-    derivatives in action.
+    Returns the vector field as a map coordinate -> nonzero Expr: the base
+    components as given and Y^a_I = D_I Q^a + sum_j Y^j z^a_{I+j} for
+    |I| <= order.  Each canonical I is reached along one path of total
+    derivatives, so their commutativity needs no check here.
     """
     cfg = Y.cfg
     if not 1 <= order <= cfg.working_order:
         raise ValueError(f"order {order} outside 1..{cfg.working_order}")
-    components: dict = {}
-    for i in range(1, cfg.m + 1):
-        if not Y.base_components[i - 1].is_zero:
-            components[base_coord(i)] = Y.base_components[i - 1]
-    level_values = {
-        (a, ()): Y.vertical_components[a - 1] for a in range(1, cfg.n + 1)
+    components = {
+        base_coord(i): comp for i, comp in enumerate(Y.base_components, 1) if not comp.is_zero
     }
-    for a in range(1, cfg.n + 1):
-        if not level_values[(a, ())].is_zero:
-            components[field_coord(a)] = level_values[(a, ())]
-    base_x_partials = {
-        (j, i): Y.base_components[j - 1].partial(base_coord(i))
-        for j in range(1, cfg.m + 1)
-        for i in range(1, cfg.m + 1)
-    }
-    for level in range(1, order + 1):
-        next_values: dict = {}
-        for a in range(1, cfg.n + 1):
-            for J in multiindices(cfg.m, level):
-                value = None
-                seen = set()
-                for pos in range(len(J)):
-                    j = J[pos]
-                    if j in seen:
-                        continue
-                    seen.add(j)
-                    I = J[:pos] + J[pos + 1 :]
-                    shift = Expr.sum(
-                        Expr.variable(jet_coord(a, tuple(sorted(I + (jp,)))))
-                        * base_x_partials[(jp, j)]
-                        for jp in range(1, cfg.m + 1)
-                    )
-                    candidate = total_derivative(level_values[(a, I)], j, cfg) - shift
-                    if value is None:
-                        value = candidate
-                    elif not (value - candidate).is_zero:
-                        raise AssertionError(
-                            f"prolongation recursion inconsistent at {a}, {J}"
-                        )
-                next_values[(a, J)] = value
-                if not value.is_zero:
-                    components[jet_coord(a, J)] = value
-        level_values.update(next_values)
+    for (a, I), dq in characteristic_jets(Y, order).items():
+        value = dq + Expr.sum(
+            z_var(a, I + (j,)) * comp for j, comp in enumerate(Y.base_components, 1)
+        )
+        if not value.is_zero:
+            components[jet_coord(a, I) if I else field_coord(a)] = value
     return components
 
 
 def is_symmetry(Y: ProjectableField, L: Expr):
-    """Infinitesimal-symmetry test: Lie derivative of d(L d_m x) along Y^k.
+    """Infinitesimal-symmetry test of the Lagrangian L along Y.
 
-    Returns (flag, certificate); the certificate is the residual form and is
-    zero exactly when the flag is true.
+    With E = sum_c Y^{k,c} dL/dc + L sum_i d_i Y^i, the residual d(E d_m x)
+    is L_{Y^k} d(L d_m x).  Returns (flag, certificate); the certificate is
+    that residual (m+1)-form, zero exactly when E depends on x alone.
     """
     cfg = Y.cfg
     if L.jet_order() > cfg.k:
         raise ValueError("Lagrangian exceeds the configured order k")
-    lam = DifferentialForm.from_scalar(L).wedge(volume_form(cfg))
-    residual = lie_derivative(prolong(Y, cfg.k), lam.d())
+    lifted = prolong(Y, cfg.k)
+    divergence = Expr.sum(
+        comp.partial(base_coord(i)) for i, comp in enumerate(Y.base_components, 1)
+    )
+    variation = Expr.sum(
+        lifted[c] * partial for c, partial in L.gradient().items() if c in lifted
+    ) + L * divergence
+    residual = DifferentialForm.from_scalar(variation).wedge(volume_form(cfg)).d()
     return residual.is_zero, residual
 
 
@@ -163,7 +141,8 @@ def characteristic_jets(
     Y: ProjectableField, order: int, section: PolynomialSection | None = None
 ) -> dict:
     """{(a, I): D_I Q^a} for canonical |I| <= order, Q^a = Y^a - z^a_j Y^j; a
-    section is substituted into Q first, so D_I then acts on x-polynomials."""
+    section is substituted into Q first, so D_I then acts on x-polynomials.
+    D_I Q^a may reach jet order |I| + 1, up to the expression order 2k."""
     cfg = Y.cfg
     jets = {}
     for a in range(1, cfg.n + 1):
@@ -173,7 +152,9 @@ def characteristic_jets(
         jets[(a, ())] = q if section is None else substitute_section(q, section)
     for level in range(1, order + 1):
         for a, I in product(range(1, cfg.n + 1), multiindices(cfg.m, level)):
-            jets[(a, I)] = total_derivative(jets[(a, I[:-1])], I[-1], cfg)
+            jets[(a, I)] = total_derivative(
+                jets[(a, I[:-1])], I[-1], cfg, max_order=cfg.expression_order
+            )
     return jets
 
 

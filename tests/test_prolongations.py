@@ -22,7 +22,7 @@ from jetforms.forms import (
     lie_derivative,
     volume_form,
 )
-from jetforms.jets import JetConfig, base_coord, field_coord, jet_coord
+from jetforms.jets import JetConfig, base_coord, field_coord, jet_coord, multiindices
 from jetforms.numeric import flow_oracle
 from jetforms.prolongations import (
     ProjectableField,
@@ -86,7 +86,7 @@ def test_prolong_order_guard():
 
 
 def test_flow_oracle_fixtures():
-    # five (field, section, point) fixtures across the recursion depths
+    # five (field, section, point) fixtures across the prolongation orders
     cfg = JetConfig(1, 1, 2)
     x, y = x_var(1), y_var(1)
     cubic = PolynomialSection(cfg, (x**3 + 2 * x,))
@@ -367,3 +367,114 @@ def test_first_variation_formula():
             )
             rhs = holonomic_reduce(noether_current(Y, theta, None).d(), cfg)
             assert lhs == rhs + volume_form(cfg) * source
+
+
+def prolong_ref(Y, order):
+    """The contact-preservation recursion prolong replaced: each component
+    Y^a_{I+j} = D_j Y^a_I - sum_{j'} z^a_{I+j'} dY^{j'}/dx^j, computed from
+    every splitting of the canonical index, which must all agree."""
+    cfg = Y.cfg
+    components = {
+        base_coord(i): comp for i, comp in enumerate(Y.base_components, 1) if not comp.is_zero
+    }
+    values = {(a, ()): Y.vertical_components[a - 1] for a in range(1, cfg.n + 1)}
+    for a in range(1, cfg.n + 1):
+        if not values[(a, ())].is_zero:
+            components[field_coord(a)] = values[(a, ())]
+    for level in range(1, order + 1):
+        for a in range(1, cfg.n + 1):
+            for J in multiindices(cfg.m, level):
+                candidates = [
+                    total_derivative(values[(a, J[:pos] + J[pos + 1:])], J[pos], cfg)
+                    - Expr.sum(
+                        z_var(a, J[:pos] + J[pos + 1:] + (jp,))
+                        * Y.base_components[jp - 1].partial(base_coord(J[pos]))
+                        for jp in range(1, cfg.m + 1)
+                    )
+                    for pos in range(len(J))
+                ]
+                assert all(c == candidates[0] for c in candidates)
+                values[(a, J)] = candidates[0]
+                if not candidates[0].is_zero:
+                    components[jet_coord(a, J)] = candidates[0]
+    return components
+
+
+def is_symmetry_ref(Y, L):
+    """The Lie derivative of d(L d_m x) along the reference prolongation."""
+    lam = DifferentialForm.from_scalar(L).wedge(volume_form(Y.cfg))
+    residual = lie_derivative(prolong_ref(Y, Y.cfg.k), lam.d())
+    return residual.is_zero, residual
+
+
+def _random_polynomial(rng, coords, terms=4):
+    # seeded, of degree at most two in the given coordinates
+    def term():
+        powers = {}
+        for _ in range(rng.randrange(3)):
+            coord = coords[rng.randrange(len(coords))]
+            powers[coord] = powers.get(coord, 0) + 1
+        return Expr.monomial(powers, rng.choice((-3, -2, -1, 1, 2, 3)))
+
+    return Expr.sum(term() for _ in range(terms))
+
+
+def _random_fields(rng, cfg, count=3):
+    # Y^i quadratic in x and Y^a quadratic in (x, y), so div Y^0 != 0 in general
+    xs = [base_coord(i) for i in range(1, cfg.m + 1)]
+    xys = xs + [field_coord(a) for a in range(1, cfg.n + 1)]
+    return [
+        ProjectableField(
+            cfg,
+            tuple(_random_polynomial(rng, xs) for _ in range(cfg.m)),
+            tuple(_random_polynomial(rng, xys) for _ in range(cfg.n)),
+        )
+        for _ in range(count)
+    ]
+
+
+def _divergence(Y):
+    return Expr.sum(
+        comp.partial(base_coord(i)) for i, comp in enumerate(Y.base_components, 1)
+    )
+
+
+PROLONG_SHAPES = ((1, 1, 2), (2, 2, 2), (3, 1, 2), (2, 1, 3))
+
+
+def test_prolong_matches_contact_recursion_reference():
+    rng = random.Random(9)
+    for shape in PROLONG_SHAPES:
+        cfg = JetConfig(*shape)
+        fields = _random_fields(rng, cfg)
+        assert any(not _divergence(Y).is_zero for Y in fields)
+        for Y in fields:
+            for order in range(1, cfg.working_order + 1):
+                assert prolong(Y, order) == prolong_ref(Y, order)
+
+
+def test_is_symmetry_matches_lie_derivative_reference():
+    wp = wave_problem()
+    wave_fields = (wp.time_translation, wp.space_translation, wp.lorentz_boost)
+    cases = [(Y, wp.lagrangian) for Y in wave_fields]
+    # x d/dx + y/2 d/dy scales L = (y')^2 by the inverse of the volume's
+    # factor: a symmetry only once L div Y^0 is counted
+    cfg1 = JetConfig(1, 1, 1)
+    scaling = ProjectableField(cfg1, (x_var(1),), (y_var(1) / 2,))
+    cases.append((scaling, z_var(1, (1,)) ** 2))
+    rng = random.Random(31)
+    for shape in PROLONG_SHAPES:
+        cfg = JetConfig(*shape)
+        L = random_expr(rng, cfg, cfg.k, degree=3, terms=6)
+        fields = _random_fields(rng, cfg)
+        if cfg.m > 1:
+            fields += _translation_and_boost(cfg)
+        cases += [(Y, L) for Y in fields]
+    flags = []
+    for Y, L in cases:
+        flag, residual = is_symmetry(Y, L)
+        ref_flag, ref_residual = is_symmetry_ref(Y, L)
+        assert flag == ref_flag and residual == ref_residual
+        flags.append(flag)
+    assert flags[:4] == [True] * 4 and not all(flags)
+    assert not _divergence(scaling).is_zero

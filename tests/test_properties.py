@@ -1,9 +1,10 @@
-"""Property tests of the exact core: the Expr ring, D_i, d and Cartan's formula.
+"""Property tests of the exact core: the Expr ring, D_i, d, Cartan's formula
+and the prolongation commutator.
 
 The strategies draw small polynomials with rational coefficients over the
 jet coordinates of (m, n, k) = (2, 1, 2), forms over their differentials,
-vector fields and polynomial sections.  Runs are derandomized, so the
-suite sees the same examples every time.
+vector fields, projectable fields and polynomial sections.  Runs are
+derandomized, so the suite sees the same examples every time.
 """
 import functools
 from fractions import Fraction
@@ -26,10 +27,12 @@ from jetforms.forms import (  # noqa: E402
     coordinate_of_basis,
     lie_derivative,
 )
-from jetforms.jets import JetConfig, base_coord, enumerate_coordinates  # noqa: E402
+from jetforms.jets import JetConfig, base_coord, enumerate_coordinates, field_coord  # noqa: E402
+from jetforms.prolongations import ProjectableField, prolong  # noqa: E402
 
 CFG = JetConfig(2, 1, 2)
 COORDS = {order: enumerate_coordinates(CFG, order) for order in (1, 2)}
+BASE = [base_coord(1), base_coord(2)]
 PROPERTY = settings(max_examples=40, derandomize=True, deadline=None)
 
 coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -44,8 +47,14 @@ def polynomials(coords, max_terms=4):
 
 exprs = polynomials(COORDS[2])
 low_order_exprs = polynomials(COORDS[1])
-base_polynomials = polynomials([base_coord(1), base_coord(2)])
+base_polynomials = polynomials(BASE)
 fields = st.dictionaries(st.sampled_from(COORDS[2]), polynomials(COORDS[2], 2), max_size=3)
+projectable_fields = st.builds(
+    lambda base1, base2, vertical: ProjectableField(CFG, (base1, base2), (vertical,)),
+    polynomials(BASE, 2),
+    polynomials(BASE, 2),
+    polynomials(BASE + [field_coord(1)], 2),
+)
 
 
 def wedge_all(factors):
@@ -130,3 +139,22 @@ def test_section_substitution_commutes_with_total_derivative(e, component, i):
     lhs = substitute_section(total_derivative(e, i, CFG), sigma)
     rhs = substitute_section(e, sigma).partial(base_coord(i))
     assert lhs == rhs
+
+
+@PROPERTY
+@given(projectable_fields, exprs, st.integers(1, 2))
+def test_prolongation_commutator(Y, f, i):
+    # pr Y(D_i f) = D_i(pr Y f) - sum_j D_i(Y^j) D_j f for f of jet order
+    # <= 2k-2, with pr Y f = sum_c Y^c df/dc read off prolong(Y, 2k-1)
+    lifted = prolong(Y, CFG.working_order)
+
+    def pr(g):
+        return Expr.sum(
+            lifted[c] * partial for c, partial in g.gradient().items() if c in lifted
+        )
+
+    shift = Expr.sum(
+        total_derivative(comp, i, CFG) * total_derivative(f, j, CFG)
+        for j, comp in enumerate(Y.base_components, 1)
+    )
+    assert pr(total_derivative(f, i, CFG)) == total_derivative(pr(f), i, CFG) - shift

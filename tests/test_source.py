@@ -70,22 +70,37 @@ def test_symbolic_commands_do_not_load_numpy(command, exit_code):
     assert _run_fresh(statements) == ([str(exit_code)], "[]")
 
 
+def _imported_modules(node) -> list:
+    """The modules an import statement names; relative ones start with '.'."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    modules = [node.module] if node.module else [a.name for a in node.names]
+    return ["." * node.level + module for module in modules]
+
+
 def _eager_imports(tree) -> list:
     """(line, module) for each import outside every function body, i.e. each
-    one that runs when the module is imported; relative ones start with '.'."""
+    one that runs when the module is imported."""
     found, stack = [], list(tree.body)
     while stack:
         node = stack.pop()
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
-        if isinstance(node, ast.Import):
-            found += [(node.lineno, alias.name) for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            prefix = "." * node.level
-            modules = [node.module] if node.module else [a.name for a in node.names]
-            found += [(node.lineno, prefix + module) for module in modules]
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [(node.lineno, module) for module in _imported_modules(node)]
         stack.extend(ast.iter_child_nodes(node))
     return found
+
+
+def _lazy_imports(tree) -> list:
+    """(line, module) for each import inside a function body."""
+    every = {
+        (node.lineno, module)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for module in _imported_modules(node)
+    }
+    return sorted(every - set(_eager_imports(tree)))
 
 
 def test_only_numeric_imports_numpy_or_scipy_at_module_level():
@@ -102,6 +117,18 @@ def test_only_numeric_imports_numpy_or_scipy_at_module_level():
     assert eager.pop("numeric.py")  # the scan does see numeric's own import
     hits = [hit for found in eager.values() for hit in found]
     assert not hits, f"module-level numpy, scipy or numeric imports: {hits}"
+
+
+def test_function_local_imports_are_only_the_deliberate_lazy_loads():
+    # numpy, scipy and .numeric load inside functions so that importing the
+    # symbolic core stays light; every other import belongs at the top
+    hits = [
+        f"{path.name}:{line} {module}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for line, module in _lazy_imports(ast.parse(path.read_text()))
+        if module.split(".")[0] not in ("numpy", "scipy") and module != ".numeric"
+    ]
+    assert not hits, f"function-local imports: {hits}"
 
 
 def _unused_imports(path) -> list:
