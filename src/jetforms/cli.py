@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -266,6 +267,10 @@ def cmd_evolve(spec: ProblemSpec, report: Report, args):
             raise ProblemError(f"--grid-n {args.grid_n}: {exc}", 1, 1)
     if grid.ndim != 1 or not grid.axes[0][3]:
         raise ProblemError("Cauchy evolution needs a 1-D periodic grid", 1, 1)
+    if args.t1 is not None and not math.isfinite(args.t1):
+        raise ProblemError(f"--t1 {args.t1}: the end time must be finite", 1, 1)
+    if args.seed < 0:
+        raise ProblemError(f"--seed {args.seed}: the seed must be non-negative", 1, 1)
     derivation = derive(cfg, spec.lagrangian)
     if not _squared_wave_pattern(cfg, derivation.euler_lagrange()):
         report.check(
@@ -289,7 +294,10 @@ def cmd_evolve(spec: ProblemSpec, report: Report, args):
     rows = []
     for step in range(steps + 1):
         t = t0 + (t1 - t0) * step / steps
-        state = cauchy_evolve(state, t)
+        try:
+            state = cauchy_evolve(state, t)
+        except (OverflowError, ValueError):
+            raise ProblemError(f"evolving to t = {t:g} leaves the float range", 1, 1)
         e_sym = energy_sym(state)
         e_skew = energy_skew(state)
         rows.append((t, e_sym, e_skew))

@@ -10,6 +10,8 @@ Everything here exists to corroborate the symbolic machinery:
 * the Cauchy evolution of the fourth-order wave example, advanced exactly
   for all spatial Fourier modes at once by the closed-form propagator of the
   mode equation, so conservation checks see no time-stepping error at all;
+  the state is carried as its scaled spectrum d_t^j y^ / xi^j, so a step
+  takes no FFT and only jet arrays and the physical view take inverse ones;
 * a finite-difference functional-derivative oracle for Lagrange derivatives;
 * a flow oracle for prolongations.  The supported symmetry-field class keeps
   flows closed-form: base components affine in x, vertical components affine
@@ -156,23 +158,10 @@ class SampledSection:
         meshes = self.grid.meshes()
         values = {base_coord(i + 1): meshes[i] for i in range(self.grid.ndim)}
         for a in range(1, self.n + 1):
-            values[field_coord(a)] = self.values[a - 1]
-            for level in range(1, order + 1):
+            for level in range(order + 1):
                 for I in multiindices(cfg.m, level):
-                    values[jet_coord(a, I)] = self.jet(a, I)
+                    values[jet_coord(a, I) if I else field_coord(a)] = self.jet(a, I)
         return values
-
-
-def numeric_jet(section: SampledSection, cfg: JetConfig, order: int) -> dict:
-    """All jet arrays up to the given order (at most 2k-1)."""
-    if order > cfg.working_order:
-        raise ValueError(f"order {order} exceeds the working order {cfg.working_order}")
-    out = {}
-    for a in range(1, section.n + 1):
-        for level in range(1, order + 1):
-            for I in multiindices(cfg.m, level):
-                out[(a, I)] = section.jet(a, I)
-    return out
 
 
 def sample_section(section: PolynomialSection, grid: GridSpec) -> SampledSection:
@@ -350,28 +339,50 @@ def _sampled_boundary_integral(current, arrays: dict, region: GridSpec) -> float
 # -- the fourth-order wave Cauchy problem -------------------------------------
 
 
-@dataclass
 class CauchyState:
-    """Cauchy data (y, y_t, y_tt, y_ttt) per field on a periodic spatial grid."""
+    """Cauchy data (y, y_t, y_tt, y_ttt) per field on a periodic spatial grid.
 
-    grid: GridSpec
-    data: np.ndarray  # shape (n, 4, N)
-    t: float = 0.0
+    Stored only as the scaled spectrum u_j = rfft(d_t^j y) / xi^j, shape
+    (n, 4, N // 2 + 1), with xi = 1 in the zero mode.  The constructor takes
+    physical rows (n, 4, N) through one forward FFT; ``data`` is the physical
+    view, one inverse FFT.
+    """
 
-    def __post_init__(self):
-        if self.grid.ndim != 1 or not self.grid.axes[0][3]:
-            raise ValueError("Cauchy evolution needs a 1-D periodic grid")
-        self.data = np.asarray(self.data, dtype=float)
-        if self.data.ndim != 3 or self.data.shape[1] != 4:
+    def __init__(self, grid: GridSpec, data, t: float = 0.0):
+        data = np.asarray(data, dtype=float)
+        if data.ndim != 3 or data.shape[1] != 4:
             raise ValueError("state data must have shape (n, 4, N)")
-        if self.data.shape[2] != self.grid.shape[0]:
+        if data.shape[2] != grid.shape[0]:
             raise ValueError("state data does not match the grid")
-        if not np.all(np.isfinite(self.data)):
+        self._set(grid, np.fft.rfft(data, axis=2) / _time_scales(grid), t)
+
+    @classmethod
+    def _from_spectrum(cls, grid: GridSpec, spectrum: np.ndarray, t: float):
+        state = cls.__new__(cls)
+        state._set(grid, spectrum, t)
+        return state
+
+    def _set(self, grid: GridSpec, spectrum: np.ndarray, t: float):
+        if not np.all(np.isfinite(spectrum)):
             raise ValueError("state data contains non-finite values")
+        self.grid, self.spectrum, self.t = grid, spectrum, t
+        self.n = spectrum.shape[0]
+        self._arrays: dict = {}  # (m, order, t) -> state_coordinate_arrays
 
     @property
-    def n(self) -> int:
-        return self.data.shape[0]
+    def data(self) -> np.ndarray:
+        scaled = self.spectrum * _time_scales(self.grid)
+        return np.fft.irfft(scaled, n=self.grid.shape[0], axis=2)
+
+
+def _time_scales(grid: GridSpec) -> np.ndarray:
+    """xi^j per rfft bin in row j = 0..3, with xi = 1 in the zero mode."""
+    if grid.ndim != 1 or not grid.axes[0][3]:
+        raise ValueError("Cauchy evolution needs a 1-D periodic grid")
+    lo, hi, count, _ = grid.axes[0]
+    xi = _wavenumbers(count, hi - lo)
+    xi[0] = 1.0
+    return xi ** np.arange(4)[:, None]
 
 
 def cauchy_evolve(state: CauchyState, t_target: float) -> CauchyState:
@@ -379,65 +390,57 @@ def cauchy_evolve(state: CauchyState, t_target: float) -> CauchyState:
 
     Per spatial mode xi != 0 the system is (d_t^2 + xi^2)^2 y = 0, whose
     solutions are y = (A + B tau) cos tau + (C + D tau) sin tau with
-    tau = xi t.  In the scaled data u_j = d_t^j y / xi^j the propagator over
-    dt has entries of size O(1 + |xi dt|), so it is evaluated in closed form
-    for every mode by broadcasting, with no matrix exponential and no
-    time-stepping error.  The xi = 0 mode advances by the exact cubic Taylor
-    polynomial in dt.
+    tau = xi t.  On the stored scaled data u_j = d_t^j y / xi^j the
+    propagator over dt has entries of size O(1 + |xi dt|), so it is
+    evaluated in closed form for every mode by broadcasting, with no FFT, no
+    matrix exponential and no time-stepping error.  Each entry carries a
+    relative rounding error of a few eps times its size, so one step moves u
+    by O(eps (1 + xi_max |dt|)) |u|, xi_max the largest wavenumber carrying
+    data.  A round trip t -> t + dt -> t, whose second propagator amplifies
+    the first one's error by the same factor, returns u within
+    O(eps (1 + xi_max |dt|)^2) |u|.  The xi = 0 mode advances by the exact
+    cubic Taylor polynomial in dt.
     """
     dt = t_target - state.t
     if dt == 0.0:
-        return CauchyState(state.grid, state.data.copy(), state.t)
+        return state
+    taylor = [1.0, dt, dt**2 / 2.0, dt**3 / 6.0]  # a huge dt raises OverflowError
     lo, hi, count, _ = state.grid.axes[0]
-    xi = _wavenumbers(count, hi - lo)[1:]
-    powers = xi ** np.arange(4)[:, None]  # (4, M-1): row j holds xi^j
-    spectrum = np.fft.rfft(state.data, axis=2)  # (n, 4, M)
-    u0, u1, u2, u3 = np.moveaxis(spectrum[:, :, 1:] / powers, 1, 0)
-    tau = xi * dt
+    tau = _wavenumbers(count, hi - lo)[1:] * dt
+    u0, u1, u2, u3 = np.moveaxis(state.spectrum[:, :, 1:], 1, 0)
     c, s = np.cos(tau), np.sin(tau)
     A, B = u0, -(u1 + u3) / 2.0
     C, D = (3.0 * u1 + u3) / 2.0, (u0 + u2) / 2.0
     Bt, Dt = B * tau, D * tau
-    rows = (
-        (A + Bt) * c + (C + Dt) * s,
-        (B + C + Dt) * c + (D - A - Bt) * s,
-        (2.0 * D - A - Bt) * c - (2.0 * B + C + Dt) * s,
-        (-3.0 * B - C - Dt) * c + (A - 3.0 * D + Bt) * s,
-    )
-    out = np.empty_like(spectrum)
-    out[:, :, 1:] = np.stack(rows, axis=1) * powers
-    taylor = np.array(
-        [
-            [1.0, dt, dt**2 / 2.0, dt**3 / 6.0],
-            [0.0, 1.0, dt, dt**2 / 2.0],
-            [0.0, 0.0, 1.0, dt],
-            [0.0, 0.0, 0.0, 1.0],
-        ]
-    )
-    out[:, :, 0] = spectrum[:, :, 0] @ taylor.T
-    data = np.fft.irfft(out, n=count, axis=2)
-    if not np.all(np.isfinite(data)):
-        raise ValueError("evolution produced non-finite values")
-    return CauchyState(state.grid, data, t_target)
+    out = np.empty_like(state.spectrum)
+    out[:, 0, 1:] = (A + Bt) * c + (C + Dt) * s
+    out[:, 1, 1:] = (B + C + Dt) * c + (D - A - Bt) * s
+    out[:, 2, 1:] = (2.0 * D - A - Bt) * c - (2.0 * B + C + Dt) * s
+    out[:, 3, 1:] = (-3.0 * B - C - Dt) * c + (A - 3.0 * D + Bt) * s
+    # zero mode: u_i <- sum over j >= i of taylor[j - i] u_j
+    shift = [[taylor[j - i] if j >= i else 0.0 for i in range(4)] for j in range(4)]
+    out[:, :, 0] = state.spectrum[:, :, 0] @ np.array(shift)
+    return CauchyState._from_spectrum(state.grid, out, t_target)
 
 
 def state_coordinate_arrays(state: CauchyState, cfg: JetConfig, order: int) -> dict:
     """Evaluate jet coordinates on a constant-t slice of a Cauchy state.
 
-    x^1 is time (a scalar), x^2 the spatial grid; z^a_I with r ones and s twos
-    is the s-th spectral x-derivative of the r-th stored time derivative,
-    taken as one inverse FFT of (i xi)^s times that row's spectrum.
+    x^1 is time (a scalar), x^2 the spatial grid; y^a and z^a_I with r ones
+    and s twos are the s-th spectral x-derivative of the r-th time
+    derivative, one inverse FFT of (i xi)^s xi^r u_r each.  The arrays are
+    cached on the state per (m, order, t), so every energy of one state
+    shares one build, and a state whose t is reassigned builds anew.
     """
-    values = {
-        base_coord(1): state.t,
-        base_coord(2): state.grid.points(0),
-    }
+    key = (cfg.m, order, state.t)
+    if key in state._arrays:
+        return state._arrays[key]
+    values = {base_coord(1): state.t, base_coord(2): state.grid.points(0)}
     lo, hi, count, _ = state.grid.axes[0]
     symbol = _derivative_symbol(count, hi - lo)
-    spectra = {}
+    scaled = state.spectrum * _time_scales(state.grid)
     for a in range(1, state.n + 1):
-        values[field_coord(a)] = state.data[a - 1, 0]
-        for level in range(1, order + 1):
+        for level in range(order + 1):
             for I in multiindices(cfg.m, level):
                 r = sum(1 for i in I if i == 1)
                 s = len(I) - r
@@ -446,14 +449,9 @@ def state_coordinate_arrays(state: CauchyState, cfg: JetConfig, order: int) -> d
                         f"slice data only carries three time derivatives; "
                         f"cannot evaluate z[{a};{' '.join(map(str, I))}]"
                     )
-                if s == 0:
-                    values[jet_coord(a, I)] = state.data[a - 1, r]
-                    continue
-                if (a, r) not in spectra:
-                    spectra[(a, r)] = np.fft.rfft(state.data[a - 1, r])
-                values[jet_coord(a, I)] = np.fft.irfft(
-                    symbol**s * spectra[(a, r)], n=count
-                )
+                coord = jet_coord(a, I) if I else field_coord(a)
+                values[coord] = np.fft.irfft(symbol**s * scaled[a - 1, r], n=count)
+    state._arrays[key] = values
     return values
 
 
@@ -492,8 +490,8 @@ def band_limited_state(
 
     Each field and stored time derivative is sum_k a_c cos(k b x) +
     a_s sin(k b x) with b = 2 pi / length and normal amplitudes a / max_mode,
-    drawn in (field, row, mode, cos/sin) order; the sum is built as one
-    inverse FFT of the matching spectrum.
+    drawn in (field, row, mode, cos/sin) order; the state stores the
+    matching spectrum, scaled, without a transform.
     """
     count = grid.shape[0]
     if 2 * max_mode >= count:
@@ -508,8 +506,8 @@ def band_limited_state(
     spectrum = np.zeros((n, 4, count // 2 + 1), dtype=complex)
     spectrum[:, :, 1 : max_mode + 1] = (
         (amps[..., 0] - 1j * amps[..., 1]) * (count / 2.0) * phase
-    )
-    return CauchyState(grid, np.fft.irfft(spectrum, n=count, axis=2))
+    ) / _time_scales(grid)[:, 1 : max_mode + 1]
+    return CauchyState._from_spectrum(grid, spectrum, 0.0)
 
 
 # -- functional-derivative oracle ---------------------------------------------
@@ -553,15 +551,13 @@ def functional_derivative_oracle(
             if center[axis] - margin < lo or center[axis] + margin > hi:
                 raise ValueError("bump too close to the region boundary")
     mass = quadrature(phi, grid)
-    plus = SampledSection(
-        grid, [v + (eps * phi if b == a - 1 else 0.0) for b, v in enumerate(section.values)]
-    )
-    minus = SampledSection(
-        grid, [v - (eps * phi if b == a - 1 else 0.0) for b, v in enumerate(section.values)]
-    )
-    action_plus = integrate_action(cfg, L, plus)
-    action_minus = integrate_action(cfg, L, minus)
-    return (action_plus - action_minus) / (2.0 * eps * mass)
+
+    def action(sign: float) -> float:
+        shifted = list(section.values)
+        shifted[a - 1] = shifted[a - 1] + sign * eps * phi
+        return integrate_action(cfg, L, SampledSection(grid, shifted))
+
+    return (action(1.0) - action(-1.0)) / (2.0 * eps * mass)
 
 
 # -- prolongation flow oracle -------------------------------------------------

@@ -265,7 +265,12 @@ class _Parser:
                 expected=["a number"],
             )
         self.advance()
-        return sign * float(token.text)
+        value = float(token.text)
+        if not math.isfinite(value):
+            raise ProblemSemanticError(
+                f"number {token.text} is not finite", token.line, token.column
+            )
+        return sign * value
 
     # -- statements ---------------------------------------------------------
 
@@ -623,11 +628,6 @@ class _Elaborator:
     def build(self, lagrangian_ast, field_asts, skew_asts, section_asts, grid, evolve):
         cfg = self.cfg
         lagrangian = self.eval_expr(lagrangian_ast, {})
-        order = lagrangian.jet_order()
-        if order > cfg.k:
-            raise ProblemSemanticError(
-                f"Lagrangian has jet order {order} > k = {cfg.k}", 1, 1
-            )
         fields = {}
         for name, (token, terms) in field_asts.items():
             fields[name] = self.eval_vector_field(name, token, terms)
@@ -652,14 +652,7 @@ class _Elaborator:
                     token.line,
                     token.column,
                 )
-            value = self.eval_expr(ast, {})
-            if value.jet_order() > cfg.k:
-                raise ProblemSemanticError(
-                    f"skewQ value has jet order {value.jet_order()} > {cfg.k}",
-                    token.line,
-                    token.column,
-                )
-            skew[(a, i1, i2)] = value
+            skew[(a, i1, i2)] = self.eval_expr(ast, {})
         sections = {}
         for name, (token, comp_asts) in section_asts.items():
             if len(comp_asts) != cfg.n:

@@ -274,6 +274,47 @@ def test_evolve_rejects_small_grid_n(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
+    "option,message,before_derive",
+    [
+        (("--t1", "nan"), "--t1 nan: the end time must be finite", True),
+        (("--t1=-inf",), "--t1 -inf: the end time must be finite", True),
+        (("--seed", "-1"), "--seed -1: the seed must be non-negative", True),
+        (("--t1", "1e308"), "evolving to t = 1.25e+307 leaves the float range", False),
+    ],
+)
+def test_evolve_rejects_bad_inputs(option, message, before_derive, monkeypatch, capsys):
+    import jetforms.cli as cli
+
+    if before_derive:
+        monkeypatch.setattr(cli, "derive", _fail_derive)
+    code, out, err = run(capsys, "evolve", WAVE, *option)
+    assert code == 2
+    assert out == ""
+    assert err == f"{WAVE}:1:1: {message}\n"
+    code, out, _ = run(capsys, "evolve", WAVE, *option, "--json")
+    assert code == 2
+    assert json.loads(out) == {"error": message, "line": 1, "column": 1, "expected": []}
+
+
+def test_evolve_builds_jet_arrays_once_per_state(monkeypatch, capsys):
+    import jetforms.numeric as numeric
+
+    states = []
+    evolve = numeric.cauchy_evolve
+
+    def recording(state, t):
+        states.append(evolve(state, t))
+        return states[-1]
+
+    monkeypatch.setattr(numeric, "cauchy_evolve", recording)
+    code, out, _ = run(capsys, "evolve", WAVE, "--seed", "1", "--grid-n", "64")
+    assert code == 0
+    assert len(states) == sum(line[:1].isdigit() for line in out.splitlines()) == 9
+    # both energies of a state read one cached build
+    assert [len(state._arrays) for state in states] == [1] * 9
+
+
+@pytest.mark.parametrize(
     "grid", ["0 6.283185307179586 64 open", "0 1 8 periodic 0 1 8 periodic"]
 )
 def test_evolve_rejects_grid_that_is_not_1d_periodic(grid, tmp_path, monkeypatch, capsys):

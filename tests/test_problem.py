@@ -102,6 +102,8 @@ MALFORMED = [
     ("dims 1 1 1; L = y[1]; grid 0 1 4 open;", 1, 23),  # too few points
     ("dims 1 1 1; L = y[1]; grid 0 1 16 sideways;", 1, 35),  # bad flag
     ("dims 1 1 1; L = y[1]; evolve 0 1 0;", 1, 34),  # zero steps
+    ("dims 1 1 1; L = y[1]; evolve 0 1e999 4;", 1, 32),  # infinite end time
+    ("dims 1 1 1; L = y[1]; grid 0 1e999 16 periodic;", 1, 30),  # infinite bound
     ("dims 1 1 1; L = y[1]; bogus 1;", 1, 23),  # unknown statement
     ("dims 1 1 1; L = y[1]; field F = dx[1] dx[1];", 1, 39),  # missing +
     ("dims 1 1 1; L = (y[1];", 1, 22),  # unbalanced parenthesis
