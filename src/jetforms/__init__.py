@@ -14,12 +14,15 @@ Everything symbolic is exact (rational arithmetic, canonical polynomial
 forms); numeric routines exist to corroborate the symbolic results, never to
 replace them.  ``import jetforms`` loads neither numpy nor scipy; they load
 with ``jetforms.numeric``.
+
+The library holds what the commands, demos and benchmarks call.  References
+that only tests use (the Cartan-formula Lie derivative, the contact-ideal
+check, the problem renderer, random polynomials) live with the tests.
 """
 from .jets import (
     JetConfig,
     base_coord,
     canonicalize,
-    coordinate_count,
     enumerate_coordinates,
     field_coord,
     jet_coord,
@@ -44,7 +47,6 @@ from .forms import (
     base_contraction,
     basis_vector,
     contact_form,
-    contact_forms,
     dx,
     dy,
     dz,
@@ -52,9 +54,7 @@ from .forms import (
     holonomic_reduce,
     interior_product,
     is_semibasic,
-    lie_derivative,
     render_form,
-    vector_field,
     vertical_contractions,
     volume_form,
 )
@@ -66,7 +66,6 @@ from .dedonder import (
     PhiDecomposition,
     assemble_boundary_form,
     compare_boundary_forms,
-    decompose_phi,
     default_skew_perturbation,
     dedonder_form,
     dedonder_residual,
@@ -83,10 +82,9 @@ from .prolongations import (
     ProjectableField,
     is_symmetry,
     noether_current,
-    preserves_contact_ideal,
     prolong,
 )
-from .problem import GridSpec, ProblemSpec, ProblemSyntaxError, parse_problem, render_problem
+from .problem import GridSpec, ProblemSpec, ProblemSyntaxError, parse_problem
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -271,6 +271,24 @@ def cmd_evolve(spec: ProblemSpec, report: Report, args):
         raise ProblemError(f"--t1 {args.t1}: the end time must be finite", 1, 1)
     if args.seed < 0:
         raise ProblemError(f"--seed {args.seed}: the seed must be non-negative", 1, 1)
+    t0, t1, steps = spec.evolve
+    if args.t1 is not None:
+        t1 = args.t1
+    lo, hi, count, _ = grid.axes[0]
+    max_mode = max(2, count // 8)
+    # past xi_max |t1 - t0| = 1/sqrt(eps), with xi_max = 2 pi max_mode/(hi - lo),
+    # cauchy_evolve's round-trip bound eps (1 + xi_max |t|)^2 passes 1
+    span = (hi - lo) / (2 * math.pi * max_mode * math.sqrt(sys.float_info.epsilon))
+    if abs(t1 - t0) > span:
+        raise ProblemError(
+            f"end time {t1:g}: |t1 - t0| exceeds {span:.3g}, past which no digit "
+            f"of the evolved state survives (max mode {max_mode})", 1, 1
+        )
+    if args.out:
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ProblemError(f"--out {args.out}: {exc}", 1, 1)
     derivation = derive(cfg, spec.lagrangian)
     if not _squared_wave_pattern(cfg, derivation.euler_lagrange()):
         report.check(
@@ -281,15 +299,11 @@ def cmd_evolve(spec: ProblemSpec, report: Report, args):
         )
         return
     report.check("evolve-system-supported", True)
-    t0, t1, steps = spec.evolve
-    if args.t1 is not None:
-        t1 = args.t1
     theta = derivation.theta_symmetric
     theta_skew = derivation.theta_skew(_declared_skew_delta(spec))
     energy_sym = EnergyFunctional(theta)
     energy_skew = EnergyFunctional(theta_skew)
-    count = grid.shape[0]
-    state = band_limited_state(grid, cfg.n, max_mode=max(2, count // 8), seed=args.seed)
+    state = band_limited_state(grid, cfg.n, max_mode=max_mode, seed=args.seed)
     state.t = t0
     rows = []
     for step in range(steps + 1):
@@ -312,10 +326,12 @@ def cmd_evolve(spec: ProblemSpec, report: Report, args):
         )
     csv_text = "\n".join(csv_lines) + "\n"
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "conservation.csv")
-        with open(path, "w") as handle:
-            handle.write(csv_text)
+        try:
+            with open(path, "w") as handle:
+                handle.write(csv_text)
+        except OSError as exc:
+            raise ProblemError(f"--out {args.out}: {exc}", 1, 1)
         report.say(f"wrote {path}")
     else:
         report.say(csv_text.rstrip("\n"))

@@ -128,31 +128,6 @@ def phi_from_lagrangian(cfg: JetConfig, L: Expr):
     return phi, decomposition
 
 
-def decompose_phi(cfg: JetConfig, phi: DifferentialForm) -> PhiDecomposition:
-    """Extract the local components of a general source-semi-basic (m+1)-form."""
-    if phi.degree != cfg.m + 1:
-        raise ValueError(f"expected an (m+1)-form, got degree {phi.degree}")
-    vol_wedge = tuple(("dx", i) for i in range(1, cfg.m + 1))
-    field_components: dict = {}
-    jet_components: dict = {}
-    for wedge_key, coeff in phi.terms():
-        non_dx = [b for b in wedge_key if b[0] != "dx"]
-        if len(non_dx) != 1 or tuple(b for b in wedge_key if b[0] == "dx") != vol_wedge:
-            raise ValueError(
-                "form is not of the semi-basic shape (single dy/dz factor "
-                "wedged with the volume form)"
-            )
-        lead = non_dx[0]
-        # global basis order puts dy/dz after all dx, so no extra sign
-        if lead[0] == "dy":
-            field_components[lead[1]] = coeff
-        else:
-            if len(lead[2]) > cfg.k:
-                raise ValueError(f"component dz{lead[1:]} exceeds order k={cfg.k}")
-            jet_components[(lead[1], lead[2])] = coeff
-    return PhiDecomposition(cfg, field_components, jet_components)
-
-
 @dataclass
 class BoundaryCoefficients:
     """Coefficients p^{i1,T}_a: first index free, tail canonical, level |T|+1 <= k."""

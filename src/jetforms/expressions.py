@@ -33,7 +33,6 @@ from .jets import (
     check_coordinate,
     coordinate_order,
     coordinate_sort_key,
-    enumerate_coordinates,
     field_coord,
     jet_coord,
     multiindices,
@@ -495,22 +494,3 @@ def generic_section(cfg: JetConfig, degree: int, tag: str = "s") -> PolynomialSe
     return PolynomialSection(
         cfg, [Expr.sum(monomials(a)) for a in range(1, cfg.n + 1)]
     )
-
-
-def random_expr(rng, cfg: JetConfig, order: int, degree: int = 2, terms: int = 4,
-                coeff_range: int = 3) -> Expr:
-    """Random polynomial in the jet coordinates up to the given order."""
-    coords = enumerate_coordinates(cfg, order)
-
-    def term() -> Expr:
-        total = rng.randrange(degree + 1)
-        powers: dict = {}
-        for _ in range(total):
-            coord = coords[rng.randrange(len(coords))]
-            powers[coord] = powers.get(coord, 0) + 1
-        coeff = 0
-        while coeff == 0:
-            coeff = rng.randrange(-coeff_range, coeff_range + 1)
-        return Expr.monomial(powers, coeff)
-
-    return Expr.sum(term() for _ in range(terms))

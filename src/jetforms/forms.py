@@ -36,7 +36,7 @@ from typing import Mapping, Sequence
 
 from .expressions import Expr, PolynomialSection, render_expr, substitute_section
 from .expressions import _accumulate as _add_terms
-from .jets import JetConfig, base_coord, field_coord, jet_coord, multiindices
+from .jets import JetConfig, base_coord, field_coord, jet_coord
 
 BasisOneForm = tuple  # ("dx", i) | ("dy", a) | ("dz", a, I)
 
@@ -248,10 +248,6 @@ class DifferentialForm:
 VectorFieldOnJet = Mapping[tuple, Expr]
 
 
-def vector_field(components: Mapping[tuple, Expr]) -> dict:
-    return {tuple(c): e for c, e in components.items() if not e.is_zero}
-
-
 def basis_vector(coord) -> dict:
     return {tuple(coord): Expr.one()}
 
@@ -299,13 +295,6 @@ def vertical_contractions(form: DifferentialForm) -> dict:
     }
 
 
-def lie_derivative(X: VectorFieldOnJet, form: DifferentialForm) -> DifferentialForm:
-    """Cartan formula: L_X = X -| d + d (X -| .)."""
-    if form.degree == 0:
-        return interior_product(X, form.d())
-    return interior_product(X, form.d()) + interior_product(X, form).d()
-
-
 def volume_form(cfg: JetConfig) -> DifferentialForm:
     return DifferentialForm(
         cfg.m, {tuple(dx(i) for i in range(1, cfg.m + 1)): Expr.one()}
@@ -328,42 +317,18 @@ def contact_form(cfg: JetConfig, a: int, indices: tuple) -> DifferentialForm:
     return DifferentialForm(1, terms)
 
 
-def contact_forms(cfg: JetConfig, order: int) -> list:
-    """All contact forms of the order-``order`` jet space."""
-    if not 1 <= order <= cfg.working_order:
-        raise ValueError(f"order {order} outside 1..{cfg.working_order}")
-    forms = []
-    for level in range(order):
-        for a in range(1, cfg.n + 1):
-            for I in multiindices(cfg.m, level):
-                forms.append(contact_form(cfg, a, I))
-    return forms
-
-
-_SEMIBASIC_KINDS = ("source", "target")
-
-
 def is_semibasic(form: DifferentialForm, fibration) -> bool:
-    """True iff X -| form = 0 for every X tangent to the fibration's fibres.
-
-    ``fibration`` is "source" (fibres along all y and z directions),
-    "target" (along all z directions), or ("forgetful", l) (along z^a_I with
-    |I| > l).  On the expanded coordinate basis this is the statement that no
-    term contains the corresponding dual one-forms.
+    """True iff X -| form = 0 for every X tangent to the fibres of the
+    forgetful fibration ``fibration = ("forgetful", l)``, J^r -> J^l, that is
+    for every X along some z^a_I with |I| > l.  On the expanded coordinate
+    basis this is the statement that no term contains such a dz^a_I.
     """
-    if fibration in _SEMIBASIC_KINDS:
-        kind, level = fibration, None
-    else:
-        kind, level = fibration
-        if kind != "forgetful":
-            raise ValueError(f"unknown fibration {fibration!r}")
+    if not isinstance(fibration, tuple) or len(fibration) != 2 or fibration[0] != "forgetful":
+        raise ValueError(f"unknown fibration {fibration!r}")
+    level = fibration[1]
     for wedge_key in dict(form.terms()):
         for b in wedge_key:
-            if kind == "source" and b[0] in ("dy", "dz"):
-                return False
-            if kind == "target" and b[0] == "dz":
-                return False
-            if kind == "forgetful" and b[0] == "dz" and len(b[2]) > level:
+            if b[0] == "dz" and len(b[2]) > level:
                 return False
     return True
 

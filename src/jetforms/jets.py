@@ -16,11 +16,9 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
-MultiIndex = "tuple[int, ...]"
 Coordinate = tuple
 
 
@@ -163,10 +161,3 @@ def enumerate_coordinates(cfg: JetConfig, order: int) -> list:
             for I in multiindices(cfg.m, level):
                 coords.append(jet_coord(a, I))
     return coords
-
-
-def coordinate_count(cfg: JetConfig, order: int) -> int:
-    """Closed-form count: m + n * sum_{l=0..order} C(m+l-1, l)."""
-    return cfg.m + cfg.n * sum(
-        math.comb(cfg.m + level - 1, level) for level in range(order + 1)
-    )

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
-from .expressions import Expr, PolynomialSection, render_expr
+from .expressions import Expr, PolynomialSection
 from .jets import JetConfig, base_coord, field_coord, jet_coord
 from .prolongations import ProjectableField
 
@@ -843,44 +843,3 @@ def parse_problem(text: str) -> ProblemSpec:
 
 def _render_rational(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
-def render_problem(spec: ProblemSpec) -> str:
-    """Deterministic rendering; parsing it back reproduces the spec."""
-    lines = [f"dims {spec.cfg.m} {spec.cfg.n} {spec.cfg.k};"]
-    for name in sorted(spec.metrics):
-        rows = ", ".join(
-            "[" + ", ".join(_render_rational(v) for v in row) + "]"
-            for row in spec.metrics[name]
-        )
-        lines.append(f"metric {name} = [{rows}];")
-    lines.append(f"L = {render_expr(spec.lagrangian)};")
-    for name in sorted(spec.fields):
-        f = spec.fields[name]
-        chunks = []
-        for i, comp in enumerate(f.base_components, start=1):
-            if not comp.is_zero:
-                chunks.append(f"({render_expr(comp)})*dx[{i}]")
-        for a, comp in enumerate(f.vertical_components, start=1):
-            if not comp.is_zero:
-                chunks.append(f"({render_expr(comp)})*dy[{a}]")
-        lines.append(f"field {name} = {' + '.join(chunks) if chunks else '0*dx[1]'};")
-    for (a, i1, i2) in sorted(spec.skew):
-        lines.append(
-            f"skewQ[{a}; {i1} {i2}] = {render_expr(spec.skew[(a, i1, i2)])};"
-        )
-    for name in sorted(spec.sections):
-        comps = ", ".join(
-            render_expr(comp) for comp in spec.sections[name].components
-        )
-        lines.append(f"section {name} = ({comps});")
-    if spec.grid is not None:
-        parts = []
-        for lo, hi, count, periodic in spec.grid.axes:
-            flag = "periodic" if periodic else "open"
-            parts.append(f"{lo!r} {hi!r} {count} {flag}")
-        lines.append("grid " + "  ".join(parts) + ";")
-    if spec.evolve is not None:
-        t0, t1, steps = spec.evolve
-        lines.append(f"evolve {t0!r} {t1!r} {steps};")
-    return "\n".join(lines) + "\n"

@@ -33,9 +33,6 @@ from .expressions import Expr, PolynomialSection, substitute_section, total_deri
 from .forms import (
     DifferentialForm,
     base_contraction,
-    contact_forms,
-    holonomic_reduce,
-    lie_derivative,
     volume_form,
 )
 from .jets import (
@@ -182,13 +179,3 @@ def noether_current(
     return DifferentialForm.sum(cfg.m - 1, (
         base_contraction(cfg, i) * Expr.sum(terms) for i, terms in enumerate(densities, 1)
     ))
-
-
-def preserves_contact_ideal(Y: ProjectableField, order: int) -> bool:
-    """Check L_{Y^order} theta lies in the contact ideal, for every theta."""
-    cfg = Y.cfg
-    lifted = prolong(Y, order)
-    for theta in contact_forms(cfg, order):
-        if not holonomic_reduce(lie_derivative(lifted, theta), cfg).is_zero:
-            return False
-    return True

@@ -21,7 +21,6 @@ from jetforms.dedonder import (
 from jetforms.expressions import (
     Expr,
     PolynomialSection,
-    random_expr,
     x_var,
     y_var,
     z_var,
@@ -30,7 +29,6 @@ from jetforms.forms import (
     DifferentialForm,
     base_contraction,
     contact_form,
-    contact_forms,
     holonomic_pullback,
     holonomic_reduce,
     volume_form,
@@ -47,9 +45,10 @@ from jetforms.numeric import (
     flow_oracle,
     functional_derivative_oracle,
 )
-from jetforms.problem import ProblemError, parse_problem, render_problem
-from jetforms.prolongations import ProjectableField, preserves_contact_ideal, prolong
+from jetforms.problem import ProblemError, parse_problem
+from jetforms.prolongations import ProjectableField, prolong
 from jetforms.wave import wave_problem
+from tests.support import contact_forms, preserves_contact_ideal, random_expr
 
 WAVE_PATH = str(
     importlib.resources.files("jetforms").joinpath("fixtures/fourth_order_wave.jet")
@@ -288,7 +287,7 @@ def test_criterion_8_cauchy_exactness(report):
 
 
 def test_criterion_9_parser_corpus(report):
-    from tests.test_problem import MALFORMED, VALID_FIXTURES
+    from tests.test_problem import MALFORMED, VALID_FIXTURES, render_problem
 
     positioned = 0
     for source, line, column in MALFORMED:

@@ -273,13 +273,21 @@ def test_evolve_rejects_small_grid_n(monkeypatch, capsys):
     assert "at least 8 points" in json.loads(out)["error"]
 
 
+# xi_max = 32 on the fixture's grid of 256 points over [0, 2 pi]
+NO_DIGIT_AT_FIXTURE = (
+    "|t1 - t0| exceeds 2.1e+06, past which no digit of the evolved state survives "
+    "(max mode 32)"
+)
+
+
 @pytest.mark.parametrize(
     "option,message,before_derive",
     [
         (("--t1", "nan"), "--t1 nan: the end time must be finite", True),
         (("--t1=-inf",), "--t1 -inf: the end time must be finite", True),
         (("--seed", "-1"), "--seed -1: the seed must be non-negative", True),
-        (("--t1", "1e308"), "evolving to t = 1.25e+307 leaves the float range", False),
+        (("--t1", "1e308"), "end time 1e+308: " + NO_DIGIT_AT_FIXTURE, True),
+        (("--t1", "1e100"), "end time 1e+100: " + NO_DIGIT_AT_FIXTURE, True),
     ],
 )
 def test_evolve_rejects_bad_inputs(option, message, before_derive, monkeypatch, capsys):
@@ -294,6 +302,58 @@ def test_evolve_rejects_bad_inputs(option, message, before_derive, monkeypatch, 
     code, out, _ = run(capsys, "evolve", WAVE, *option, "--json")
     assert code == 2
     assert json.loads(out) == {"error": message, "line": 1, "column": 1, "expected": []}
+
+
+def test_evolve_keeps_end_times_below_the_digit_limit(capsys):
+    # xi_max * t1 = 3.2e7 < 1/sqrt(eps) = 6.7e7: evolved and judged, not rejected
+    code, out, _ = run(capsys, "evolve", WAVE, "--t1", "1e6")
+    assert code in (0, 1)
+    assert "energy-drift:" in out
+
+
+def test_evolve_reports_float_overflow(tmp_path, capsys):
+    # a domain of 1e100 keeps xi_max |t1 - t0| = 5e6 below the digit limit,
+    # but the propagator's dt^3 overflows
+    problem = tmp_path / "wide.jet"
+    problem.write_text(
+        open(WAVE).read()
+        .replace("grid 0 6.283185307179586 256 periodic;", "grid 0 1e100 64 periodic;")
+        .replace("evolve 0 1 8;", "evolve 0 1e105 1;")
+    )
+    message = "evolving to t = 1e+105 leaves the float range"
+    code, out, err = run(capsys, "evolve", str(problem))
+    assert code == 2
+    assert out == ""
+    assert err == f"{problem}:1:1: {message}\n"
+    code, out, _ = run(capsys, "evolve", str(problem), "--json")
+    assert code == 2
+    assert json.loads(out)["error"] == message
+
+
+@pytest.mark.parametrize("case", ["file", "under_file", "csv_is_directory"])
+@pytest.mark.parametrize("json_mode", [False, True])
+def test_evolve_rejects_unwritable_out(case, json_mode, tmp_path, monkeypatch, capsys):
+    import jetforms.cli as cli
+
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out_dir = {"file": blocker, "under_file": blocker / "sub", "csv_is_directory": tmp_path}[case]
+    if case == "csv_is_directory":
+        (tmp_path / "conservation.csv").mkdir()
+    else:
+        monkeypatch.setattr(cli, "derive", _fail_derive)
+    flags = ["--json"] if json_mode else []
+    code, out, err = run(capsys, "evolve", WAVE, "--out", str(out_dir), *flags)
+    assert code == 2
+    if json_mode:
+        record = json.loads(out)
+        assert record["error"].startswith(f"--out {out_dir}: ")
+        assert (record["line"], record["column"]) == (1, 1)
+    else:
+        assert out == ""
+        assert err.startswith(f"{WAVE}:1:1: --out {out_dir}: ")
+        assert err.count("\n") == 1
+    assert blocker.read_text() == ""
 
 
 def test_evolve_builds_jet_arrays_once_per_state(monkeypatch, capsys):

@@ -7,7 +7,6 @@ from jetforms.dedonder import (
     BoundaryCoefficients,
     assemble_boundary_form,
     compare_boundary_forms,
-    decompose_phi,
     dedonder_form,
     dedonder_residual,
     derive,
@@ -22,7 +21,6 @@ from jetforms.dedonder import (
 from jetforms.expressions import (
     Expr,
     PolynomialSection,
-    random_expr,
     substitute_section,
     total_derivative,
     x_var,
@@ -46,6 +44,7 @@ from jetforms.forms import (
 )
 from jetforms.jets import JetConfig, enumerate_coordinates, field_coord, jet_coord
 from jetforms.wave import wave_problem
+from tests.support import random_expr
 
 
 def test_phi_from_lagrangian_examples():
@@ -78,18 +77,6 @@ def test_wave_phi_components():
         assert wp.decomposition.component(a, (1, 1)) == 2 * g[a] * box[a]
         assert wp.decomposition.component(a, (2, 2)) == -2 * g[a] * box[a]
         assert wp.decomposition.component(a, (1, 2)).is_zero
-
-
-def test_decompose_phi_roundtrip():
-    rng = random.Random(8)
-    cfg = JetConfig(2, 2, 2)
-    L = random_expr(rng, cfg, 2, degree=2, terms=6)
-    phi, dec = phi_from_lagrangian(cfg, L)
-    again = decompose_phi(cfg, phi)
-    assert again.form() == phi
-    bad = DifferentialForm.basis(("dy", 1)).wedge(DifferentialForm.basis(("dy", 2)))
-    with pytest.raises(ValueError):
-        decompose_phi(JetConfig(1, 2, 1), bad)
 
 
 def test_symmetric_coefficients_wave_closed_form():

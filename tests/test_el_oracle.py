@@ -10,9 +10,10 @@ import random
 import pytest
 
 from jetforms.dedonder import derive, lagrange_derivative
-from jetforms.expressions import Expr, random_expr
+from jetforms.expressions import Expr
 from jetforms.forms import DifferentialForm, volume_form
 from jetforms.jets import JetConfig, field_coord, jet_coord, multiindices
+from tests.support import random_expr
 
 
 def dense_lagrangian(cfg: JetConfig, rng) -> Expr:

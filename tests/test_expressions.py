@@ -8,7 +8,6 @@ from jetforms.expressions import (
     Expr,
     PolynomialSection,
     generic_section,
-    random_expr,
     render_expr,
     substitute_section,
     total_derivative,
@@ -23,6 +22,7 @@ from jetforms.jets import (
     field_coord,
     jet_coord,
 )
+from tests.support import random_expr
 
 
 def test_ring_basics():

@@ -9,7 +9,6 @@ from scipy.integrate import solve_ivp
 from jetforms.expressions import (
     Expr,
     PolynomialSection,
-    random_expr,
     x_var,
     y_var,
     z_var,
@@ -19,7 +18,6 @@ from jetforms.forms import (
     base_contraction,
     basis_of_coordinate,
     basis_vector,
-    contact_forms,
     dx,
     dy,
     dz,
@@ -27,13 +25,12 @@ from jetforms.forms import (
     holonomic_reduce,
     interior_product,
     is_semibasic,
-    lie_derivative,
-    vector_field,
     vertical_contractions,
     volume_form,
 )
 from jetforms.jets import JetConfig, base_coord, enumerate_coordinates, field_coord, jet_coord
 from jetforms.wave import wave_problem
+from tests.support import contact_forms, lie_derivative, random_expr
 
 
 def form_dx(i):
@@ -306,13 +303,11 @@ def test_lie_derivative_matches_flow_oracle():
     cfg = JetConfig(1, 1, 1)
     coords = enumerate_coordinates(cfg, 1)
     x, y, z1 = coords
-    X = vector_field(
-        {
-            x: Expr.constant(1) + Fraction(1, 2) * x_var(1),
-            y: y_var(1) * x_var(1),
-            z1: z_var(1, (1,)) - y_var(1),
-        }
-    )
+    X = {
+        x: Expr.constant(1) + Fraction(1, 2) * x_var(1),
+        y: y_var(1) * x_var(1),
+        z1: z_var(1, (1,)) - y_var(1),
+    }
     one_form = (
         DifferentialForm.from_scalar(y_var(1) * z_var(1, (1,))).wedge(form_dx(1))
         + DifferentialForm.from_scalar(x_var(1)).wedge(form_dy(1))
@@ -406,12 +401,18 @@ def test_is_semibasic():
     wp = wave_problem()
     cfg = wp.cfg
     lam = DifferentialForm.from_scalar(wp.lagrangian).wedge(volume_form(cfg))
-    assert is_semibasic(lam, "source")
+    # semi-basic over the source map: no vertical field contracts to nonzero
+    assert vertical_contractions(lam) == {}
     assert is_semibasic(wp.boundary_symmetric.form, ("forgetful", cfg.k - 1))
-    assert not is_semibasic(wp.boundary_symmetric.form, "source")
+    assert vertical_contractions(wp.boundary_symmetric.form) != {}
     mixed = form_dy(1).wedge(form_dx(1))
-    assert not is_semibasic(mixed, "source")
-    assert is_semibasic(mixed, "target")
+    assert vertical_contractions(mixed) != {}
+    # over the target map: every dz factor has |I| >= 1
+    assert is_semibasic(mixed, ("forgetful", 0))
     deep = DifferentialForm.basis(dz(1, (1, 1, 2)))
+    assert not is_semibasic(deep, ("forgetful", 0))
     assert not is_semibasic(deep, ("forgetful", 1))
     assert is_semibasic(deep, ("forgetful", 3))
+    for fibration in ("source", "target", ("target", 1), ("forgetful",)):
+        with pytest.raises(ValueError, match="unknown fibration"):
+            is_semibasic(mixed, fibration)

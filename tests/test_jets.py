@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -6,7 +7,6 @@ import pytest
 from jetforms.jets import (
     JetConfig,
     canonicalize,
-    coordinate_count,
     enumerate_coordinates,
     multiindices,
     splitting_count,
@@ -66,6 +66,13 @@ def test_enumerate_coordinates_examples():
     assert len(enumerate_coordinates(cfg, 1)) == 5
     cfg = JetConfig(2, 2, 2)
     assert len(enumerate_coordinates(cfg, 3)) == 22
+
+
+def coordinate_count(cfg: JetConfig, order: int) -> int:
+    """Closed-form count: m + n * sum_{l=0..order} C(m+l-1, l)."""
+    return cfg.m + cfg.n * sum(
+        math.comb(cfg.m + level - 1, level) for level in range(order + 1)
+    )
 
 
 def test_enumerate_counts_match_brute_force():

@@ -2,14 +2,15 @@ import importlib.resources
 
 import pytest
 
-from jetforms.expressions import z_var
+from jetforms.expressions import render_expr, z_var
 from jetforms.jets import JetConfig
 from jetforms.problem import (
     ProblemError,
     ProblemSemanticError,
+    ProblemSpec,
     ProblemSyntaxError,
+    _render_rational,
     parse_problem,
-    render_problem,
 )
 
 MINIMAL = "dims 1 1 1; L = (1/2)*z[1;1]^2;"
@@ -21,6 +22,47 @@ def wave_text():
         .joinpath("fixtures/fourth_order_wave.jet")
         .read_text()
     )
+
+
+def render_problem(spec: ProblemSpec) -> str:
+    """Deterministic rendering; parsing it back reproduces the spec."""
+    lines = [f"dims {spec.cfg.m} {spec.cfg.n} {spec.cfg.k};"]
+    for name in sorted(spec.metrics):
+        rows = ", ".join(
+            "[" + ", ".join(_render_rational(v) for v in row) + "]"
+            for row in spec.metrics[name]
+        )
+        lines.append(f"metric {name} = [{rows}];")
+    lines.append(f"L = {render_expr(spec.lagrangian)};")
+    for name in sorted(spec.fields):
+        f = spec.fields[name]
+        chunks = []
+        for i, comp in enumerate(f.base_components, start=1):
+            if not comp.is_zero:
+                chunks.append(f"({render_expr(comp)})*dx[{i}]")
+        for a, comp in enumerate(f.vertical_components, start=1):
+            if not comp.is_zero:
+                chunks.append(f"({render_expr(comp)})*dy[{a}]")
+        lines.append(f"field {name} = {' + '.join(chunks) if chunks else '0*dx[1]'};")
+    for (a, i1, i2) in sorted(spec.skew):
+        lines.append(
+            f"skewQ[{a}; {i1} {i2}] = {render_expr(spec.skew[(a, i1, i2)])};"
+        )
+    for name in sorted(spec.sections):
+        comps = ", ".join(
+            render_expr(comp) for comp in spec.sections[name].components
+        )
+        lines.append(f"section {name} = ({comps});")
+    if spec.grid is not None:
+        parts = []
+        for lo, hi, count, periodic in spec.grid.axes:
+            flag = "periodic" if periodic else "open"
+            parts.append(f"{lo!r} {hi!r} {count} {flag}")
+        lines.append("grid " + "  ".join(parts) + ";")
+    if spec.evolve is not None:
+        t0, t1, steps = spec.evolve
+        lines.append(f"evolve {t0!r} {t1!r} {steps};")
+    return "\n".join(lines) + "\n"
 
 
 def test_minimal_problem():

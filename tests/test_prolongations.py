@@ -8,7 +8,6 @@ from jetforms.expressions import (
     Expr,
     PolynomialSection,
     generic_section,
-    random_expr,
     total_derivative,
     x_var,
     y_var,
@@ -19,7 +18,6 @@ from jetforms.forms import (
     holonomic_pullback,
     holonomic_reduce,
     interior_product,
-    lie_derivative,
     volume_form,
 )
 from jetforms.jets import JetConfig, base_coord, field_coord, jet_coord, multiindices
@@ -28,10 +26,10 @@ from jetforms.prolongations import (
     ProjectableField,
     is_symmetry,
     noether_current,
-    preserves_contact_ideal,
     prolong,
 )
 from jetforms.wave import wave_problem
+from tests.support import lie_derivative, preserves_contact_ideal, random_expr
 
 
 def _check_against_flow(Y, order, sigma, x0, tol=1e-6):

@@ -25,10 +25,10 @@ from jetforms.forms import (  # noqa: E402
     DifferentialForm,
     basis_of_coordinate,
     coordinate_of_basis,
-    lie_derivative,
 )
 from jetforms.jets import JetConfig, base_coord, enumerate_coordinates, field_coord  # noqa: E402
 from jetforms.prolongations import ProjectableField, prolong  # noqa: E402
+from tests.support import lie_derivative  # noqa: E402
 
 CFG = JetConfig(2, 1, 2)
 COORDS = {order: enumerate_coordinates(CFG, order) for order in (1, 2)}

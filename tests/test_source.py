@@ -151,3 +151,72 @@ def test_library_modules_use_every_name_they_import():
     assert paths
     hits = [hit for path in paths for hit in _unused_imports(path)]
     assert not hits, f"imported but never used: {hits}"
+
+
+def _top_level_public_names(tree) -> dict:
+    """name -> defining statement, for each public function, class and
+    assigned name at module level."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for leaf in ast.walk(target):
+                    if isinstance(leaf, ast.Name):
+                        found[leaf.id] = node
+    return {name: node for name, node in found.items() if not name.startswith("_")}
+
+
+def _referenced_names(tree, skip=None) -> set:
+    """Every name the tree reads, imports or spells as an identifier string
+    (the benchmarks bind library functions with getattr on such strings);
+    the subtree ``skip`` is left out."""
+    found, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                found.add(node.value)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+# numeric oracles the paper's cross-checks name; only tests call them
+ORACLE_ONLY_NAMES = {"decomposition_terms", "functional_derivative_oracle"}
+
+
+def test_every_public_library_name_has_a_caller_outside_the_tests():
+    # __init__ re-exports, so it counts as no caller; a name only tests call
+    # belongs in the tests, as a reference or a helper
+    root = SOURCE.parents[1]
+    modules = {
+        path.stem: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(SOURCE.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    outside = set()
+    for folder in ("demos", "benchmarks"):
+        paths = sorted((root / folder).glob("*.py"))
+        assert paths, folder
+        for path in paths:
+            outside |= _referenced_names(ast.parse(path.read_text(), filename=str(path)))
+    by_module = {stem: _referenced_names(tree) for stem, tree in modules.items()}
+    hits = []
+    for stem, tree in modules.items():
+        elsewhere = outside.union(*(names for other, names in by_module.items() if other != stem))
+        for name, node in _top_level_public_names(tree).items():
+            if name in ORACLE_ONLY_NAMES or name in elsewhere:
+                continue
+            if name not in _referenced_names(tree, skip=node):
+                hits.append(f"{stem}.{name}")
+    assert not hits, f"public library names that only tests call: {hits}"
