@@ -265,8 +265,6 @@ def cmd_evolve(spec: ProblemSpec, report: Report, args):
             )
         except ValueError as exc:
             raise ProblemError(f"--grid-n {args.grid_n}: {exc}", 1, 1)
-    if grid.ndim != 1 or not grid.axes[0][3]:
-        raise ProblemError("Cauchy evolution needs a 1-D periodic grid", 1, 1)
     if args.t1 is not None and not math.isfinite(args.t1):
         raise ProblemError(f"--t1 {args.t1}: the end time must be finite", 1, 1)
     if args.seed < 0:
@@ -284,27 +282,29 @@ def cmd_evolve(spec: ProblemSpec, report: Report, args):
             f"end time {t1:g}: |t1 - t0| exceeds {span:.3g}, past which no digit "
             f"of the evolved state survives (max mode {max_mode})", 1, 1
         )
+    try:
+        state = band_limited_state(grid, cfg.n, max_mode=max_mode, seed=args.seed)
+    except ValueError as exc:
+        raise ProblemError(str(exc), 1, 1)
+    state.t = t0
     if args.out:
         try:
             os.makedirs(args.out, exist_ok=True)
         except OSError as exc:
             raise ProblemError(f"--out {args.out}: {exc}", 1, 1)
     derivation = derive(cfg, spec.lagrangian)
-    if not _squared_wave_pattern(cfg, derivation.euler_lagrange()):
-        report.check(
-            "evolve-system-supported",
-            False,
-            "the Cauchy solver covers the squared-wave operator "
-            "z_tttt - 2 z_ttxx + z_xxxx only",
-        )
+    try:  # the operator, the slice energy and the skew data all must be supported
+        if not _squared_wave_pattern(cfg, derivation.euler_lagrange()):
+            raise ValueError(
+                "the Cauchy solver covers the squared-wave operator "
+                "z_tttt - 2 z_ttxx + z_xxxx only"
+            )
+        energy_sym = EnergyFunctional(derivation.theta_symmetric)
+        energy_skew = EnergyFunctional(derivation.theta_skew(_declared_skew_delta(spec)))
+    except ValueError as exc:
+        report.check("evolve-system-supported", False, str(exc))
         return
     report.check("evolve-system-supported", True)
-    theta = derivation.theta_symmetric
-    theta_skew = derivation.theta_skew(_declared_skew_delta(spec))
-    energy_sym = EnergyFunctional(theta)
-    energy_skew = EnergyFunctional(theta_skew)
-    state = band_limited_state(grid, cfg.n, max_mode=max_mode, seed=args.seed)
-    state.t = t0
     rows = []
     for step in range(steps + 1):
         t = t0 + (t1 - t0) * step / steps

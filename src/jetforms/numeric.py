@@ -10,8 +10,8 @@ Everything here exists to corroborate the symbolic machinery:
 * the Cauchy evolution of the fourth-order wave example, advanced exactly
   for all spatial Fourier modes at once by the closed-form propagator of the
   mode equation, so conservation checks see no time-stepping error at all;
-  the state is carried as its scaled spectrum d_t^j y^ / xi^j, so a step
-  takes no FFT and only jet arrays and the physical view take inverse ones;
+  the state is carried as its scaled spectrum d_t^j y^ / xi^j, a step takes
+  no FFT, and the slice energy reads that spectrum mode by mode (Parseval);
 * a finite-difference functional-derivative oracle for Lagrange derivatives;
 * a flow oracle for prolongations.  The supported symmetry-field class keeps
   flows closed-form: base components affine in x, vertical components affine
@@ -42,6 +42,7 @@ from .dedonder import (
     PhiDecomposition,
 )
 from .expressions import Expr, PolynomialSection, _monomial_sort_key, substitute_section
+from .expressions import render_expr
 from .jets import JetConfig, base_coord, field_coord, jet_coord, multiindices
 from .problem import GridSpec
 from .prolongations import ProjectableField, characteristic_jets, noether_current
@@ -343,9 +344,10 @@ class CauchyState:
     """Cauchy data (y, y_t, y_tt, y_ttt) per field on a periodic spatial grid.
 
     Stored only as the scaled spectrum u_j = rfft(d_t^j y) / xi^j, shape
-    (n, 4, N // 2 + 1), with xi = 1 in the zero mode.  The constructor takes
-    physical rows (n, 4, N) through one forward FFT; ``data`` is the physical
-    view, one inverse FFT.
+    (n, 4, N // 2 + 1), with xi = 1 in the zero mode; a step and the slice
+    energy read it without a transform.  The constructor takes physical rows
+    (n, 4, N) through one forward FFT; ``data`` is the physical view, one
+    inverse FFT.
     """
 
     def __init__(self, grid: GridSpec, data, t: float = 0.0):
@@ -366,8 +368,6 @@ class CauchyState:
         if not np.all(np.isfinite(spectrum)):
             raise ValueError("state data contains non-finite values")
         self.grid, self.spectrum, self.t = grid, spectrum, t
-        self.n = spectrum.shape[0]
-        self._arrays: dict = {}  # (m, order, t) -> state_coordinate_arrays
 
     @property
     def data(self) -> np.ndarray:
@@ -382,7 +382,11 @@ def _time_scales(grid: GridSpec) -> np.ndarray:
     lo, hi, count, _ = grid.axes[0]
     xi = _wavenumbers(count, hi - lo)
     xi[0] = 1.0
-    return xi ** np.arange(4)[:, None]
+    with np.errstate(over="ignore"):
+        scales = xi ** np.arange(4)[:, None]
+    if not np.all((scales > 0.0) & (scales < np.inf)):
+        raise ValueError(f"a period of {hi - lo:g} puts xi^3 outside the float range")
+    return scales
 
 
 def cauchy_evolve(state: CauchyState, t_target: float) -> CauchyState:
@@ -423,64 +427,59 @@ def cauchy_evolve(state: CauchyState, t_target: float) -> CauchyState:
     return CauchyState._from_spectrum(state.grid, out, t_target)
 
 
-def state_coordinate_arrays(state: CauchyState, cfg: JetConfig, order: int) -> dict:
-    """Evaluate jet coordinates on a constant-t slice of a Cauchy state.
-
-    x^1 is time (a scalar), x^2 the spatial grid; y^a and z^a_I with r ones
-    and s twos are the s-th spectral x-derivative of the r-th time
-    derivative, one inverse FFT of (i xi)^s xi^r u_r each.  The arrays are
-    cached on the state per (m, order, t), so every energy of one state
-    shares one build, and a state whose t is reassigned builds anew.
-    """
-    key = (cfg.m, order, state.t)
-    if key in state._arrays:
-        return state._arrays[key]
-    values = {base_coord(1): state.t, base_coord(2): state.grid.points(0)}
-    lo, hi, count, _ = state.grid.axes[0]
-    symbol = _derivative_symbol(count, hi - lo)
-    scaled = state.spectrum * _time_scales(state.grid)
-    for a in range(1, state.n + 1):
-        for level in range(order + 1):
-            for I in multiindices(cfg.m, level):
-                r = sum(1 for i in I if i == 1)
-                s = len(I) - r
-                if r >= 4:
-                    raise ValueError(
-                        f"slice data only carries three time derivatives; "
-                        f"cannot evaluate z[{a};{' '.join(map(str, I))}]"
-                    )
-                coord = jet_coord(a, I) if I else field_coord(a)
-                values[coord] = np.fft.irfft(symbol**s * scaled[a - 1, r], n=count)
-    state._arrays[key] = values
-    return values
-
-
 class EnergyFunctional:
     """Spatial integral of the time-translation current of a De Donder form.
 
-    Precomputes the holonomically reduced current j sigma*(Y_T -| Theta) for
-    Y_T = d/dx^1; only the dx^2 component survives on a constant-t slice, and
-    periodicity plays the role of the decay conditions: exact-form
-    contributions (the skew part of any boundary-form choice) integrate to
-    zero, so the value is independent of that choice.
+    On a constant-t slice only the dx^2 component of j sigma*(Y_T -| Theta),
+    Y_T = d/dx^1, survives; it must be a constant-coefficient quadratic form
+    in y and z with at most three time indices per factor (else ValueError).
+    A coordinate with r time and s space indices has the mode value
+    (i xi)^s v_r, v_r = rfft(d_t^r y^a); by Parseval E = (L / N^2) sum_k w_k
+    sum_e c_e xi_k^S part_e(conj(v_r) v'_r'), w_k = 1 in the zero and Nyquist
+    modes and 2 elsewhere.  ``entries`` maps (a, r, b, r', S = s + s', part_e)
+    to the exact c_e, which absorbs the phase i^(s' - s); an exact
+    x-derivative cancels inside it, so all boundary forms give one table.
     """
 
     def __init__(self, theta: DeDonderForm):
         cfg = theta.cfg
         if cfg.m != 2:
             raise ValueError("the slice energy is defined for m = 2")
-        y_t = ProjectableField(
-            cfg,
-            (Expr.one(), Expr.zero()),
-            tuple(Expr.zero() for _ in range(cfg.n)),
-        )
-        self.cfg = cfg
-        self.density = noether_current(y_t, theta, None).coefficient((("dx", 2),))
+        y_t = ProjectableField(cfg, (Expr.one(), Expr.zero()), (Expr.zero(),) * cfg.n)
+        density = noether_current(y_t, theta, None).coefficient((("dx", 2),))
+        entries: dict = {}
+        for mono, coeff in sorted(density.terms(), key=lambda t: _monomial_sort_key(t[0])):
+            slots = sorted(  # (a, r, s) of each y/z factor
+                (c[1], c[2].count(1), c[2].count(2)) if c[0] == "z" else (c[1], 0, 0)
+                for c, exp in mono if c[0] != "x" for _ in range(exp)
+            )
+            degree = sum(exp for _, exp in mono)
+            if degree != 2 or len(slots) != 2 or max(r for _, r, _ in slots) > 3:
+                raise ValueError(
+                    "the slice energy needs a quadratic form in y and z with constant "
+                    "coefficients and at most three time derivatives, not the term "
+                    + render_expr(Expr({mono: coeff}))
+                )
+            (a, r, s), (b, r2, s2) = slots
+            if (a, r) == (b, r2) and (s2 - s) % 2:
+                continue  # conj(v_r) v_r is real, so an odd phase leaves no real part
+            # Re(i^d X) = sign * part(X) for the phase d = s' - s
+            sign, part = ((1, "real"), (-1, "imag"), (-1, "real"), (1, "imag"))[(s2 - s) % 4]
+            key = (a, r, b, r2, s + s2, part)
+            entries[key] = entries.get(key, 0) + sign * coeff
+        self.entries = {key: c for key, c in sorted(entries.items()) if c != 0}
 
     def __call__(self, state: CauchyState) -> float:
-        values = state_coordinate_arrays(state, self.cfg, self.cfg.working_order)
-        integrand = evaluate_on_grid(self.density, values, state.grid.shape)
-        return quadrature(integrand, state.grid)
+        lo, hi, count, _ = state.grid.axes[0]
+        # products of the stored u_r = v_r / xi^r would overflow on wide domains
+        rows = state.spectrum * _time_scales(state.grid)
+        xi = _derivative_symbol(count, hi - lo).imag  # 0 in the Nyquist mode
+        per_mode = np.zeros(count // 2 + 1)
+        for (a, r, b, r2, total_s, part), coeff in self.entries.items():
+            pair = np.conj(rows[a - 1, r]) * rows[b - 1, r2]
+            per_mode += float(coeff) * xi**total_s * getattr(pair, part)
+        per_mode[1 : (count + 1) // 2] *= 2.0  # all but the zero and Nyquist modes
+        return float(per_mode.sum()) * (hi - lo) / count**2
 
 
 def band_limited_state(

@@ -216,14 +216,19 @@ def test_benchmark_tracer_spans_the_energy_functional(monkeypatch, capsys):
     assert jetforms.GridSpec is jetforms.numeric.GridSpec is jetforms.problem.GridSpec
 
 
-@pytest.mark.parametrize("seed", ["0", "1"])
+@pytest.mark.parametrize("seed", ["0", "1", "3", "106"])
 def test_evolve_energy_drift_at_16384_points(tmp_path, capsys, seed):
     # with max_mode = N/8 the unscaled per-mode propagator drifted by 1.9e-6
-    # at seed 1; the scaled closed form stays near 1e-9
-    _, out, _ = run(
+    # at seed 1; the scaled closed form stays near 1e-9.  Both energies read
+    # one table, so they agree exactly; by quadrature they differed by
+    # 2.5e-10 (seed 3) and 1.5e-10 (seed 106), over the 1e-10 gate.
+    code, out, _ = run(
         capsys, "evolve", WAVE, "--grid-n", "16384", "--seed", seed, "--out", str(tmp_path)
     )
     assert "energy-drift: PASS" in out, out
+    gap = "max relative symmetric-vs-skew gap 0.000e+00"
+    assert f"boundary-form-independence: PASS ({gap})" in out
+    assert code == 0
 
 
 def test_evolve_rejects_unsupported_system(tmp_path, capsys):
@@ -235,6 +240,65 @@ def test_evolve_rejects_unsupported_system(tmp_path, capsys):
     code, out, _ = run(capsys, "evolve", str(problem))
     assert code == 1
     assert "evolve-system-supported: FAIL" in out
+
+
+@pytest.mark.parametrize(
+    "old,new,detail",
+    [
+        # the null Lagrangians D_2(y[1]^3 / 3) and D_2(x[1] y[2]) keep the
+        # squared-wave operator, but the density gains a cubic and an
+        # x-dependent term, which the per-mode energy does not cover
+        (
+            "z[b; k l]))))));",
+            "z[b; k l])))))) + z[1; 2]*y[1]^2 + x[1]*z[2; 2];",
+            "the slice energy needs a quadratic form in y and z with constant "
+            "coefficients and at most three time derivatives, not the term x[1]*z[2;2]",
+        ),
+        (
+            "skewQ[1; 2 1] = -z[1; 2];",
+            "",
+            "perturbation violates the top-level relation at a=1, I=(1, 2): "
+            "splitting sum is z[1;2], not 0",
+        ),
+    ],
+    ids=["density", "skew"],
+)
+def test_evolve_reports_unsupported_system_as_a_failed_check(
+    old, new, detail, tmp_path, capsys
+):
+    problem = tmp_path / "unsupported.jet"
+    problem.write_text(open(WAVE).read().replace(old, new))
+    code, out, err = run(capsys, "evolve", str(problem))
+    assert code == 1
+    assert out == f"evolve-system-supported: FAIL ({detail})\n"
+    assert err == ""
+
+
+@pytest.mark.parametrize(
+    "grid,options,length",
+    [("0 1e300 64", (), "1e+300"), ("0 1e-300 64", ("--t1", "0"), "1e-300")],
+)
+def test_evolve_rejects_grid_beyond_the_float_range(
+    grid, options, length, tmp_path, monkeypatch, capsys
+):
+    # xi^3 underflows on the wide domain and xi^2 overflows on the narrow one
+    import jetforms.cli as cli
+
+    problem = tmp_path / "range.jet"
+    problem.write_text(
+        open(WAVE).read().replace(
+            "grid 0 6.283185307179586 256 periodic;", f"grid {grid} periodic;"
+        )
+    )
+    message = f"a period of {length} puts xi^3 outside the float range"
+    monkeypatch.setattr(cli, "derive", _fail_derive)
+    code, out, err = run(capsys, "evolve", str(problem), *options)
+    assert code == 2
+    assert out == ""
+    assert err == f"{problem}:1:1: {message}\n"
+    code, out, _ = run(capsys, "evolve", str(problem), *options, "--json")
+    assert code == 2
+    assert json.loads(out) == {"error": message, "line": 1, "column": 1, "expected": []}
 
 
 def test_debug_log_reports_sizes_and_timings(caplog, capsys):
@@ -354,24 +418,6 @@ def test_evolve_rejects_unwritable_out(case, json_mode, tmp_path, monkeypatch, c
         assert err.startswith(f"{WAVE}:1:1: --out {out_dir}: ")
         assert err.count("\n") == 1
     assert blocker.read_text() == ""
-
-
-def test_evolve_builds_jet_arrays_once_per_state(monkeypatch, capsys):
-    import jetforms.numeric as numeric
-
-    states = []
-    evolve = numeric.cauchy_evolve
-
-    def recording(state, t):
-        states.append(evolve(state, t))
-        return states[-1]
-
-    monkeypatch.setattr(numeric, "cauchy_evolve", recording)
-    code, out, _ = run(capsys, "evolve", WAVE, "--seed", "1", "--grid-n", "64")
-    assert code == 0
-    assert len(states) == sum(line[:1].isdigit() for line in out.splitlines()) == 9
-    # both energies of a state read one cached build
-    assert [len(state._arrays) for state in states] == [1] * 9
 
 
 @pytest.mark.parametrize(

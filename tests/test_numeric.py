@@ -1,25 +1,30 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 
+from jetforms.dedonder import derive, skew_pair_perturbation
 from jetforms.expressions import Expr, PolynomialSection, x_var, y_var, z_var
-from jetforms.jets import JetConfig, jet_coord
+from jetforms.jets import JetConfig, base_coord, field_coord, jet_coord, multiindices
 from jetforms.numeric import (
     CauchyState,
     EnergyFunctional,
     GridSpec,
+    _derivative_symbol,
+    _time_scales,
     band_limited_state,
     cauchy_evolve,
     decomposition_terms,
+    evaluate_on_grid,
     functional_derivative_oracle,
     integrate_action,
+    quadrature,
     sample_section,
-    state_coordinate_arrays,
     SampledSection,
 )
-from jetforms.prolongations import ProjectableField
+from jetforms.prolongations import ProjectableField, noether_current
 from jetforms.wave import wave_problem
 
 TWO_PI = 2.0 * math.pi
@@ -210,13 +215,12 @@ def test_cauchy_state_keeps_physical_data():
     assert cauchy_evolve(state, 0.25) is state
 
 
-def test_cauchy_step_and_jet_arrays_take_no_forward_fft(monkeypatch):
-    # the state is its scaled spectrum: a step transforms nothing, and jet
-    # arrays take only inverse FFTs (the *freq and *shift helpers are not
-    # transforms and stay available)
+def test_cauchy_step_and_energy_take_no_fft(monkeypatch):
+    # the state is its scaled spectrum: a step transforms nothing, and the
+    # energy reads the spectrum per mode (the *freq and *shift helpers are
+    # not transforms and stay available)
     wp = wave_problem()
     state = band_limited_state(periodic_grid(64), wp.cfg.n, 8, seed=1)
-    irfft = np.fft.irfft
 
     def forbidden(*args, **kwargs):
         raise AssertionError("unexpected FFT")
@@ -225,21 +229,8 @@ def test_cauchy_step_and_jet_arrays_take_no_forward_fft(monkeypatch):
         if not name.endswith(("freq", "shift")):
             monkeypatch.setattr(np.fft, name, forbidden)
     evolved = cauchy_evolve(state, 0.7)
-    monkeypatch.setattr(np.fft, "irfft", irfft)
-    values = state_coordinate_arrays(evolved, wp.cfg, 3)
-    assert values[jet_coord(2, (1, 1, 1))].shape == (64,)
-
-
-def test_state_coordinate_arrays_built_once_per_state_and_time():
-    wp = wave_problem()
-    state = band_limited_state(periodic_grid(64), wp.cfg.n, 8, seed=2)
-    first = state_coordinate_arrays(state, wp.cfg, 3)
-    assert state_coordinate_arrays(state, wp.cfg, 3) is first
-    # arrays built at one t never serve another
-    state.t = 0.5
-    moved = state_coordinate_arrays(state, wp.cfg, 3)
-    assert moved is not first
-    assert moved[("x", 1)] == 0.5 and first[("x", 1)] == 0.0
+    for theta in (wp.theta_symmetric, wp.theta_skew()):
+        assert EnergyFunctional(theta)(evolved) != 0.0
 
 
 def _scaled_roundtrip(count, seed, t):
@@ -382,7 +373,14 @@ def test_energy_conservation_and_boundary_form_independence():
         drift = max(drift, abs(es - e0))
         gap = max(gap, abs(es - e_skew(current)))
     assert drift / abs(e0) <= 1e-6
-    assert gap / abs(e0) <= 1e-10
+    # the skew part cancels inside the table, so the energies are one number
+    assert e_sym.entries == e_skew.entries
+    assert gap == 0.0
+    # other skew data gives the same table, such as z[1;1], whose exact
+    # derivative leaves the real |v_1|^2 under an odd phase
+    for q in (z_var(1, (1,)), z_var(1, (1, 1))):
+        delta = skew_pair_perturbation(wp.cfg, {(1, 1, 2): q, (1, 2, 1): -q})
+        assert EnergyFunctional(wp.theta_skew(delta)).entries == e_sym.entries
 
 
 def test_energy_integral_examples():
@@ -399,15 +397,88 @@ def test_energy_integral_examples():
     assert abs(e1 - e0) <= 1e-6 * max(1.0, abs(e0))
 
 
-def test_state_coordinate_arrays_guard():
+def state_coordinate_arrays(state, cfg, order):
+    """Reference: jet coordinates on a constant-t slice, one irfft each.
+
+    The library's slice energy evaluated its density on these arrays before
+    it read the stored spectrum per mode: y^a and z^a_I with r ones and s
+    twos are the arrays irfft((i xi)^s xi^r u_r).
+    """
+    values = {base_coord(1): state.t, base_coord(2): state.grid.points(0)}
+    lo, hi, count, _ = state.grid.axes[0]
+    symbol = _derivative_symbol(count, hi - lo)
+    scaled = state.spectrum * _time_scales(state.grid)
+    for a in range(1, cfg.n + 1):
+        for level in range(order + 1):
+            for I in multiindices(cfg.m, level):
+                r = sum(1 for i in I if i == 1)
+                coord = jet_coord(a, I) if I else field_coord(a)
+                spectrum = symbol ** (len(I) - r) * scaled[a - 1, r]
+                values[coord] = np.fft.irfft(spectrum, n=count)
+    return values
+
+
+def quadrature_energy(theta, state):
+    """Reference: the slice energy as the quadrature of its density.
+
+    Returns the energy and its roundoff scale, the quadrature of the density
+    with every term c P Q replaced by |c| |P| |Q|.
+    """
+    cfg, grid = theta.cfg, state.grid
+    y_t = ProjectableField(
+        cfg, (Expr.one(), Expr.zero()), tuple(Expr.zero() for _ in range(cfg.n))
+    )
+    density = noether_current(y_t, theta, None).coefficient((("dx", 2),))
+    magnitude = Expr({mono: abs(coeff) for mono, coeff in density.terms()})
+    values = state_coordinate_arrays(state, cfg, cfg.working_order)
+    sizes = {coord: np.abs(value) for coord, value in values.items()}
+    return (
+        quadrature(evaluate_on_grid(density, values, grid.shape), grid),
+        quadrature(evaluate_on_grid(magnitude, sizes, grid.shape), grid),
+    )
+
+
+@pytest.mark.parametrize("kind", ["band-limited", "full-spectrum"])
+@pytest.mark.parametrize("count", [16, 17, 64, 65, 256, 1024, 4096, 16384])
+def test_energy_matches_quadrature_reference(count, kind):
+    # Parseval makes the per-mode sum and the quadrature of the irfft arrays
+    # the same number; they differ by roundoff, bounded here by 8 eps A for
+    # the reference's scale A (at most 2.1 eps A measured over seeds 0-4 and
+    # these).  E itself is indefinite: A / |E| reaches 3e8 on band-limited
+    # data at 16384 points, so a bound relative to |E| would say little.
     wp = wave_problem()
-    grid = periodic_grid(16)
-    state = CauchyState(grid, np.zeros((2, 4, 16)))
-    values = state_coordinate_arrays(state, wp.cfg, 3)
-    assert values[jet_coord(1, (1, 1, 1))].shape == (16,)
-    with pytest.raises(ValueError, match="time derivatives"):
-        # order 4 would need four time derivatives of the stored data
-        state_coordinate_arrays(state, wp.cfg, 4)
+    # a density with an odd phase: its table reads Im(conj(v_1) v_2)
+    mixed = z_var(1, (1,)) * z_var(1, (2,)) + z_var(1, (1, 1)) * z_var(1, (1, 2))
+    odd = derive(JetConfig(2, 1, 2), mixed + z_var(1, (2, 2)) ** 2).theta_symmetric
+    grid = periodic_grid(count)
+    if kind == "band-limited":
+        state = band_limited_state(grid, wp.cfg.n, max(1, count // 8), seed=count)
+    else:
+        data = np.random.default_rng(count).normal(size=(wp.cfg.n, 4, count))
+        state = CauchyState(grid, data)
+    for t in (0.0, 0.6):
+        current = cauchy_evolve(state, t)
+        for theta in (wp.theta_symmetric, wp.theta_skew(), odd):
+            reference, scale = quadrature_energy(theta, current)
+            err = abs(EnergyFunctional(theta)(current) - reference)
+            assert err <= 8.0 * np.finfo(float).eps * scale, (t, err, scale)
+
+
+def test_state_coordinate_arrays_guard():
+    # the slice data carries three time derivatives, so a density that reads
+    # a fourth is refused, as is one that is not a constant-coefficient
+    # quadratic form in y and z (the wave L plus a null Lagrangian)
+    wp = wave_problem()
+    cases = [
+        (JetConfig(2, 1, 3), z_var(1, (1, 1, 1)) ** 2, "-2*z[1;1]*z[1;1 1 1 1 1]"),
+        (wp.cfg, wp.lagrangian + z_var(1, (2,)) * y_var(1) ** 2, "y[1]^2*z[1;2]"),
+        (wp.cfg, wp.lagrangian + x_var(1) * z_var(2, (2,)), "x[1]*z[2;2]"),
+    ]
+    for cfg, L, term in cases:
+        theta = derive(cfg, L).theta_symmetric
+        message = f"three time derivatives, not the term {term}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            EnergyFunctional(theta)
 
 
 def test_functional_derivative_oracle_matches_lagrange_derivative():
