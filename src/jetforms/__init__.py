@@ -47,9 +47,6 @@ from .forms import (
     base_contraction,
     basis_vector,
     contact_form,
-    dx,
-    dy,
-    dz,
     holonomic_pullback,
     holonomic_reduce,
     interior_product,

@@ -312,9 +312,10 @@ def cmd_evolve(spec: ProblemSpec, report: Report, args):
             state = cauchy_evolve(state, t)
         except (OverflowError, ValueError):
             raise ProblemError(f"evolving to t = {t:g} leaves the float range", 1, 1)
-        e_sym = energy_sym(state)
-        e_skew = energy_skew(state)
-        rows.append((t, e_sym, e_skew))
+        try:
+            rows.append((t, energy_sym(state), energy_skew(state)))
+        except ValueError as exc:
+            raise ProblemError(str(exc), 1, 1)
     e0 = rows[0][1]
     scale = abs(e0) if e0 else 1.0
     drift = max(abs(e - e0) for _, e, _ in rows) / scale

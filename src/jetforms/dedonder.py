@@ -64,6 +64,8 @@ from .forms import (
 )
 from .jets import (
     JetConfig,
+    base_coord,
+    coordinate_sort_key,
     enumerate_coordinates,
     field_coord,
     jet_coord,
@@ -79,28 +81,24 @@ log = logging.getLogger("jetforms")
 class PhiDecomposition:
     """Components of a source-semi-basic (m+1)-form in the contact-adapted basis.
 
-    ``field_components[a]`` is the dy^a ^ d_m x coefficient; ``jet_components``
-    maps (a, canonical I) with 1 <= |I| <= k to the dz^a_I ^ d_m x coefficient.
+    ``components`` maps a y or z coordinate c (z^a_I with 1 <= |I| <= k) to
+    the dc ^ d_m x coefficient; absent coordinates have coefficient zero.
     """
 
     cfg: JetConfig
-    field_components: dict
-    jet_components: dict
+    components: dict
 
     def component(self, a: int, indices: tuple = ()) -> Expr:
-        if not indices:
-            return self.field_components.get(a, Expr.zero())
-        return self.jet_components.get((a, tuple(indices)), Expr.zero())
+        coord = jet_coord(a, indices) if indices else field_coord(a)
+        return self.components.get(coord, Expr.zero())
 
     def form(self) -> DifferentialForm:
         """Reassemble Phi from its components."""
         vol = volume_form(self.cfg)
-        leads = [(("dy", a), self.component(a)) for a in range(1, self.cfg.n + 1)]
-        leads += [(("dz", a, I), c) for (a, I), c in sorted(self.jet_components.items())]
         return DifferentialForm.sum(
             self.cfg.m + 1,
-            (DifferentialForm(1, {(lead,): coeff}).wedge(vol)
-             for lead, coeff in leads if not coeff.is_zero),
+            (DifferentialForm(1, {(c,): self.components[c]}).wedge(vol)
+             for c in sorted(self.components, key=coordinate_sort_key)),
         )
 
 
@@ -110,17 +108,9 @@ def phi_from_lagrangian(cfg: JetConfig, L: Expr):
         raise ValueError(
             f"Lagrangian has jet order {L.jet_order()}, exceeding k={cfg.k}"
         )
-    gradient = L.gradient()
-    field_components = {
-        a: gradient.get(field_coord(a), Expr.zero()) for a in range(1, cfg.n + 1)
-    }
-    jet_components = {}
-    for level in range(1, cfg.k + 1):
-        for a in range(1, cfg.n + 1):
-            for I in multiindices(cfg.m, level):
-                if jet_coord(a, I) in gradient:
-                    jet_components[(a, I)] = gradient[jet_coord(a, I)]
-    decomposition = PhiDecomposition(cfg, field_components, jet_components)
+    decomposition = PhiDecomposition(
+        cfg, {c: g for c, g in L.gradient().items() if c[0] in ("y", "z")}
+    )
     phi = DifferentialForm.from_scalar(L).wedge(volume_form(cfg)).d()
     # the coordinate computation and the component extraction must agree
     if phi != decomposition.form():
@@ -305,7 +295,7 @@ def double_vertical_contraction_vanishes(form: DifferentialForm, cfg: JetConfig)
     for wedge_key, _ in form.terms():
         vertical = [
             b for b in wedge_key
-            if b[0] == "dy" or (b[0] == "dz" and len(b[2]) <= cfg.working_order)
+            if b[0] == "y" or (b[0] == "z" and len(b[2]) <= cfg.working_order)
         ]
         if len(vertical) > 1:
             return False
@@ -416,13 +406,8 @@ def dedonder_form(cfg: JetConfig, L: Expr, xi: BoundaryForm) -> DeDonderForm:
 
     ``xi.phi`` must hold the y and z partials of L, so that dTheta = Phi + dXi.
     """
-    dec = xi.phi
-    partials = {c: g for c, g in L.gradient().items() if c[0] != "x"}
-    if dec is None or any(
-        dec.component(*c[1:]) != partials.get(c, Expr.zero())
-        for c in set(partials) | {field_coord(a) for a in dec.field_components}
-        | {jet_coord(a, I) for a, I in dec.jet_components}
-    ):
+    partials = {c: g for c, g in L.gradient().items() if c[0] in ("y", "z")}
+    if xi.phi is None or xi.phi.components != partials:
         raise ValueError("a De Donder form needs a boundary form built against d(L d_m x)")
     # L d_m x has only dx factors, so Theta is semi-basic over J^{k-1} and
     # j*Theta = j*Lambda by linearity from the STRUCTURAL_CHECKS Xi passed
@@ -517,7 +502,7 @@ def verify_condition3(phi: PhiDecomposition, xi: BoundaryForm) -> Condition3Repo
         certificate = holonomic_pullback(reduced, sigma)
         if certificate.is_zero:
             continue
-        residual = reduced.coefficient(tuple(("dx", i) for i in range(1, cfg.m + 1)))
+        residual = reduced.coefficient(tuple(base_coord(i) for i in range(1, cfg.m + 1)))
         failures.append((coord[1], coord[2], residual, certificate))
     return Condition3Report(not failures, failures)
 
@@ -623,7 +608,7 @@ def compare_boundary_forms(xi: BoundaryForm, xi_prime: BoundaryForm) -> Comparis
         if not diff.is_zero:
             differences[(a, i1, tail)] = diff
     q = BoundaryCoefficients(cfg, differences)
-    zero_dec = PhiDecomposition(cfg, {}, {})
+    zero_dec = PhiDecomposition(cfg, {})
     relation_failures = _check_splitting_system(zero_dec, q)
     divergence_residuals = {a: q.holonomic_divergence(a) for a in range(1, cfg.n + 1)}
     pullback_failures = list(

@@ -1,10 +1,11 @@
 """Exterior calculus on the jet-coordinate chart.
 
-Differential forms are stored fully expanded over the coordinate one-form
-basis ``dx^i, dy^a, dz^a_I`` with :class:`~jetforms.expressions.Expr`
-coefficients.  Each term is an Expr times a strictly increasing wedge of
-basis one-forms under the fixed global order (dx by i, then dy by a, then dz
-by (|I|, a, I)), which pins down every sign once and for all.
+Differential forms are stored fully expanded over the coordinate one-forms
+``dx^i, dy^a, dz^a_I`` with :class:`~jetforms.expressions.Expr`
+coefficients.  The wedge factor dc is the coordinate ``c`` itself, rendered
+as ``"d" + render_coordinate(c)``.  Each term is an Expr times a strictly
+increasing wedge of coordinates under ``coordinate_sort_key`` (x by i, then y
+by a, then z by (|I|, a, I)), which pins down every sign once and for all.
 
 Vector fields on the jet space are plain mappings ``coordinate -> Expr``;
 missing entries are zero.  Fields with dx-components are allowed (time
@@ -34,53 +35,10 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Mapping, Sequence
 
-from .expressions import Expr, PolynomialSection, render_expr, substitute_section
+from .expressions import Expr, PolynomialSection, render_coordinate, render_expr
 from .expressions import _accumulate as _add_terms
-from .jets import JetConfig, base_coord, field_coord, jet_coord
-
-BasisOneForm = tuple  # ("dx", i) | ("dy", a) | ("dz", a, I)
-
-
-def dx(i: int) -> BasisOneForm:
-    return ("dx", i)
-
-
-def dy(a: int) -> BasisOneForm:
-    return ("dy", a)
-
-
-def dz(a: int, indices) -> BasisOneForm:
-    return ("dz", a, tuple(indices))
-
-
-def basis_sort_key(b: BasisOneForm):
-    tag = b[0]
-    if tag == "dx":
-        return (0, b[1])
-    if tag == "dy":
-        return (1, b[1])
-    return (2, len(b[2]), b[1], b[2])
-
-
-def coordinate_of_basis(b: BasisOneForm) -> tuple:
-    """The coordinate dual to a basis one-form (dz^a_I <-> z^a_I etc.)."""
-    tag = b[0]
-    if tag == "dx":
-        return base_coord(b[1])
-    if tag == "dy":
-        return field_coord(b[1])
-    return jet_coord(b[1], b[2])
-
-
-def basis_of_coordinate(coord) -> BasisOneForm:
-    tag = coord[0]
-    if tag == "x":
-        return dx(coord[1])
-    if tag == "y":
-        return dy(coord[1])
-    if tag == "z":
-        return dz(coord[1], coord[2])
-    raise ValueError(f"coordinate {coord!r} has no differential")
+from .expressions import substitute_section
+from .jets import JetConfig, base_coord, coordinate_sort_key, field_coord, jet_coord
 
 
 def _merge_wedges(wedge_a: tuple, wedge_b: tuple):
@@ -89,8 +47,8 @@ def _merge_wedges(wedge_a: tuple, wedge_b: tuple):
     sign = 1
     ia, ib = 0, 0
     while ia < len(wedge_a) and ib < len(wedge_b):
-        key_a = basis_sort_key(wedge_a[ia])
-        key_b = basis_sort_key(wedge_b[ib])
+        key_a = coordinate_sort_key(wedge_a[ia])
+        key_b = coordinate_sort_key(wedge_b[ib])
         if key_a == key_b:
             return None
         if key_a < key_b:
@@ -143,8 +101,9 @@ class DifferentialForm:
         return DifferentialForm(0, {(): e} if not e.is_zero else {})
 
     @staticmethod
-    def basis(b: BasisOneForm) -> "DifferentialForm":
-        return DifferentialForm(1, {(b,): Expr.one()})
+    def basis(coord: tuple) -> "DifferentialForm":
+        """The one-form d(coord)."""
+        return DifferentialForm(1, {(coord,): Expr.one()})
 
     @property
     def is_zero(self) -> bool:
@@ -153,7 +112,7 @@ class DifferentialForm:
     def terms(self):
         return self._terms.items()
 
-    def coefficient(self, wedge: Sequence[BasisOneForm]) -> Expr:
+    def coefficient(self, wedge: Sequence[tuple]) -> Expr:
         return self._terms.get(tuple(wedge), Expr.zero())
 
     @staticmethod
@@ -238,7 +197,7 @@ class DifferentialForm:
                 for coord, dcoeff in coeff.gradient().items():
                     if coord[0] == "c":
                         continue
-                    inserted = _merge_wedges((basis_of_coordinate(coord),), wedge)
+                    inserted = _merge_wedges((coord,), wedge)
                     if inserted is not None:
                         yield inserted[0], dcoeff if inserted[1] == 1 else -dcoeff
 
@@ -260,7 +219,7 @@ def interior_product(X: VectorFieldOnJet, form: DifferentialForm) -> Differentia
     def pairs():
         for wedge_key, coeff in form.terms():
             for pos, b in enumerate(wedge_key):
-                comp = X.get(coordinate_of_basis(b))
+                comp = X.get(b)
                 if comp is None or comp.is_zero:
                     continue
                 signed = coeff * comp
@@ -283,11 +242,11 @@ def vertical_contractions(form: DifferentialForm) -> dict:
     out: dict = {}
     for wedge_key, coeff in form.terms():
         for pos, b in enumerate(wedge_key):
-            if b[0] == "dx":
+            if b[0] == "x":
                 continue
             # distinct terms sharing the factor b stay distinct once b is
             # removed, so nothing accumulates and no entry can cancel
-            terms = out.setdefault(coordinate_of_basis(b), {})
+            terms = out.setdefault(b, {})
             reduced = wedge_key[:pos] + wedge_key[pos + 1 :]
             terms[reduced] = coeff if pos % 2 == 0 else -coeff
     return {
@@ -297,7 +256,7 @@ def vertical_contractions(form: DifferentialForm) -> dict:
 
 def volume_form(cfg: JetConfig) -> DifferentialForm:
     return DifferentialForm(
-        cfg.m, {tuple(dx(i) for i in range(1, cfg.m + 1)): Expr.one()}
+        cfg.m, {tuple(base_coord(i) for i in range(1, cfg.m + 1)): Expr.one()}
     )
 
 
@@ -309,11 +268,11 @@ def base_contraction(cfg: JetConfig, i: int) -> DifferentialForm:
 def contact_form(cfg: JetConfig, a: int, indices: tuple) -> DifferentialForm:
     """theta^a_I = dz^a_I - z^a_{I+i} dx^i (dy^a - z^a_(i) dx^i for |I|=0)."""
     indices = tuple(indices)
-    lead = dy(a) if not indices else dz(a, indices)
+    lead = jet_coord(a, indices) if indices else field_coord(a)
     terms = {(lead,): Expr.one()}
     for i in range(1, cfg.m + 1):
         lifted = jet_coord(a, tuple(sorted(indices + (i,))))
-        terms[(dx(i),)] = -Expr.variable(lifted)
+        terms[(base_coord(i),)] = -Expr.variable(lifted)
     return DifferentialForm(1, terms)
 
 
@@ -328,7 +287,7 @@ def is_semibasic(form: DifferentialForm, fibration) -> bool:
     level = fibration[1]
     for wedge_key in dict(form.terms()):
         for b in wedge_key:
-            if b[0] == "dz" and len(b[2]) > level:
+            if b[0] == "z" and len(b[2]) > level:
                 return False
     return True
 
@@ -345,10 +304,10 @@ def holonomic_reduce(form: DifferentialForm, cfg: JetConfig) -> DifferentialForm
 
     def pairs():
         for wedge_key, coeff in form.terms():
-            fixed = tuple(b[1] for b in wedge_key if b[0] == "dx")
+            fixed = tuple(b[1] for b in wedge_key if b[0] == "x")
             # the canonical order puts every dx factor first
             vertical = [
-                (b[1], b[2] if b[0] == "dz" else ()) for b in wedge_key[len(fixed) :]
+                (b[1], b[2] if b[0] == "z" else ()) for b in wedge_key[len(fixed) :]
             ]
             top = max((len(indices) + 1 for _, indices in vertical), default=0)
             if top > cfg.expression_order:
@@ -366,7 +325,7 @@ def holonomic_reduce(form: DifferentialForm, cfg: JetConfig) -> DifferentialForm
                     lifted = jet_coord(a, tuple(sorted(indices + (i,))))
                     powers[lifted] = powers.get(lifted, 0) + 1
                 factor = Expr.monomial(powers, sign) if powers else sign
-                yield tuple(dx(i) for i in sorted(order)), coeff * factor
+                yield tuple(base_coord(i) for i in sorted(order)), coeff * factor
 
     return DifferentialForm(form.degree, _accumulate(pairs()))
 
@@ -393,23 +352,15 @@ def holonomic_pullback(
 
 
 def render_form(form: DifferentialForm) -> str:
-    """Deterministic text rendering: `(coeff) b1^b2^...` per term."""
+    """Deterministic text rendering: `(coeff) dc1^dc2^...` per term."""
     if form.is_zero:
         return "0"
-
-    def render_basis(b):
-        if b[0] == "dx":
-            return f"dx[{b[1]}]"
-        if b[0] == "dy":
-            return f"dy[{b[1]}]"
-        return f"dz[{b[1]};{' '.join(map(str, b[2]))}]"
-
     parts = []
     for wedge_key in sorted(
-        dict(form.terms()), key=lambda w: tuple(basis_sort_key(b) for b in w)
+        dict(form.terms()), key=lambda w: tuple(coordinate_sort_key(c) for c in w)
     ):
         coeff = form.coefficient(wedge_key)
-        body = "^".join(render_basis(b) for b in wedge_key)
+        body = "^".join("d" + render_coordinate(c) for c in wedge_key)
         if not body:
             parts.append(f"({render_expr(coeff)})")
         else:

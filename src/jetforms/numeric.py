@@ -307,9 +307,8 @@ def _exact_boundary_integral(current, region: GridSpec) -> Fraction:
         return Fraction((upper - lower).constant_term())
     (lo1, hi1, _, _), (lo2, hi2, _, _) = region.axes[0], region.axes[1]
     lo1, hi1, lo2, hi2 = map(Fraction, (lo1, hi1, lo2, hi2))
-    g1 = current.coefficient((("dx", 1),))
-    g2 = current.coefficient((("dx", 2),))
     x1, x2 = base_coord(1), base_coord(2)
+    g1, g2 = current.coefficient((x1,)), current.coefficient((x2,))
     total = Fraction(0)
     # counterclockwise: bottom (+dx1), right (+dx2), top (-dx1), left (-dx2)
     bottom = _exact_integral_1d(g1.substitute({x2: Expr.constant(lo2)}), x1, lo1, hi1)
@@ -326,8 +325,8 @@ def _sampled_boundary_integral(current, arrays: dict, region: GridSpec) -> float
     if cfg_m == 1:
         values = evaluate_on_grid(current.coefficient(()), arrays, region.shape)
         return float(values[-1] - values[0])
-    g1 = evaluate_on_grid(current.coefficient((("dx", 1),)), arrays, region.shape)
-    g2 = evaluate_on_grid(current.coefficient((("dx", 2),)), arrays, region.shape)
+    g1 = evaluate_on_grid(current.coefficient((base_coord(1),)), arrays, region.shape)
+    g2 = evaluate_on_grid(current.coefficient((base_coord(2),)), arrays, region.shape)
     w1 = region.quadrature_weights(0)
     w2 = region.quadrature_weights(1)
     bottom = float(np.dot(g1[:, 0], w1))
@@ -446,7 +445,7 @@ class EnergyFunctional:
         if cfg.m != 2:
             raise ValueError("the slice energy is defined for m = 2")
         y_t = ProjectableField(cfg, (Expr.one(), Expr.zero()), (Expr.zero(),) * cfg.n)
-        density = noether_current(y_t, theta, None).coefficient((("dx", 2),))
+        density = noether_current(y_t, theta, None).coefficient((base_coord(2),))
         entries: dict = {}
         for mono, coeff in sorted(density.terms(), key=lambda t: _monomial_sort_key(t[0])):
             slots = sorted(  # (a, r, s) of each y/z factor
@@ -475,11 +474,15 @@ class EnergyFunctional:
         rows = state.spectrum * _time_scales(state.grid)
         xi = _derivative_symbol(count, hi - lo).imag  # 0 in the Nyquist mode
         per_mode = np.zeros(count // 2 + 1)
-        for (a, r, b, r2, total_s, part), coeff in self.entries.items():
-            pair = np.conj(rows[a - 1, r]) * rows[b - 1, r2]
-            per_mode += float(coeff) * xi**total_s * getattr(pair, part)
-        per_mode[1 : (count + 1) // 2] *= 2.0  # all but the zero and Nyquist modes
-        return float(per_mode.sum()) * (hi - lo) / count**2
+        with np.errstate(over="ignore", invalid="ignore"):
+            for (a, r, b, r2, total_s, part), coeff in self.entries.items():
+                pair = np.conj(rows[a - 1, r]) * rows[b - 1, r2]
+                per_mode += float(coeff) * xi**total_s * getattr(pair, part)
+            per_mode[1 : (count + 1) // 2] *= 2.0  # all but the zero and Nyquist modes
+            total = float(per_mode.sum())
+        if not np.isfinite(total):
+            raise ValueError(f"a period of {hi - lo:g} puts xi^S outside the float range")
+        return total * (hi - lo) / count**2
 
 
 def band_limited_state(

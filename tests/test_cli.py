@@ -301,6 +301,26 @@ def test_evolve_rejects_grid_beyond_the_float_range(
     assert json.loads(out) == {"error": message, "line": 1, "column": 1, "expected": []}
 
 
+def test_evolve_rejects_energy_beyond_the_float_range(tmp_path, capsys):
+    # xi^3 stays finite at this period, so the state is built and derive runs;
+    # the slice energy's higher powers of xi overflow (the pytest settings
+    # turn a numpy overflow warning into an error)
+    problem = tmp_path / "short.jet"
+    problem.write_text(
+        open(WAVE).read().replace(
+            "grid 0 6.283185307179586 256 periodic;", "grid 0 1e-100 64 periodic;"
+        )
+    )
+    message = "a period of 1e-100 puts xi^S outside the float range"
+    code, out, err = run(capsys, "evolve", str(problem), "--t1", "0")
+    assert code == 2
+    assert out == ""
+    assert err == f"{problem}:1:1: {message}\n"
+    code, out, _ = run(capsys, "evolve", str(problem), "--t1", "0", "--json")
+    assert code == 2
+    assert json.loads(out) == {"error": message, "line": 1, "column": 1, "expected": []}
+
+
 def test_debug_log_reports_sizes_and_timings(caplog, capsys):
     with caplog.at_level(logging.DEBUG, logger="jetforms"):
         code, quiet_out, _ = run(capsys, "dedonder-form", WAVE)

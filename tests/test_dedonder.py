@@ -21,6 +21,7 @@ from jetforms.dedonder import (
 from jetforms.expressions import (
     Expr,
     PolynomialSection,
+    coeff_symbol,
     substitute_section,
     total_derivative,
     x_var,
@@ -32,9 +33,6 @@ from jetforms.forms import (
     base_contraction,
     basis_vector,
     contact_form,
-    dx,
-    dy,
-    dz,
     holonomic_pullback,
     holonomic_reduce,
     interior_product,
@@ -42,7 +40,7 @@ from jetforms.forms import (
     vertical_contractions,
     volume_form,
 )
-from jetforms.jets import JetConfig, enumerate_coordinates, field_coord, jet_coord
+from jetforms.jets import JetConfig, base_coord, enumerate_coordinates, field_coord, jet_coord
 from jetforms.wave import wave_problem
 from tests.support import random_expr
 
@@ -50,7 +48,7 @@ from tests.support import random_expr
 def test_phi_from_lagrangian_examples():
     cfg = JetConfig(2, 1, 1)
     phi, dec = phi_from_lagrangian(cfg, Expr.zero())
-    assert phi.is_zero and not dec.jet_components
+    assert phi.is_zero and not any(c[0] == "z" for c in dec.components)
     # k=1, L = 1/2 sum z_i^2: Phi^i = z_i, Phi_a = 0
     L = (z_var(1, (1,)) ** 2 + z_var(1, (2,)) ** 2) / 2
     phi, dec = phi_from_lagrangian(cfg, L)
@@ -161,9 +159,13 @@ def test_double_vertical_contraction():
     wp = wave_problem()
     assert double_vertical_contraction_vanishes(wp.boundary_symmetric.form, wp.cfg)
     assert double_vertical_contraction_vanishes(wp.theta_symmetric.form, wp.cfg)
-    two_vertical = DifferentialForm(2, {(dy(1), dz(2, (1, 2))): y_var(1)})
+    two_vertical = DifferentialForm(
+        2, {(field_coord(1), jet_coord(2, (1, 2))): y_var(1)}
+    )
     assert not double_vertical_contraction_vanishes(two_vertical, wp.cfg)
-    one_vertical = DifferentialForm(2, {(dx(1), dz(2, (1, 2))): y_var(1)})
+    one_vertical = DifferentialForm(
+        2, {(base_coord(1), jet_coord(2, (1, 2))): y_var(1)}
+    )
     assert double_vertical_contraction_vanishes(one_vertical, wp.cfg)
 
 
@@ -242,7 +244,7 @@ def test_el_consistency_of_dedonder_contractions():
             )
             sigma = PolynomialSection(cfg, comps)
             d_theta = theta.form.d()
-            vol_wedge = tuple(("dx", i) for i in range(1, cfg.m + 1))
+            vol_wedge = tuple(base_coord(i) for i in range(1, cfg.m + 1))
             for a in range(1, cfg.n + 1):
                 pulled = holonomic_pullback(
                     interior_product(basis_vector(field_coord(a)), d_theta), sigma
@@ -275,7 +277,7 @@ def test_decomposition_identity_symbolic():
         )
         total_expr = reduce_form(
             contract(prolong(Y, cfg.k), dec.form()), cfg
-        ).coefficient((("dx", 1), ("dx", 2)))
+        ).coefficient((base_coord(1), base_coord(2)))
         body_expr = Expr.zero()
         for a in (1, 2):
             e_a = dec.component(a) - xi.coefficients.holonomic_divergence(a)
@@ -284,9 +286,9 @@ def test_decomposition_identity_symbolic():
             contract(prolong(Y, cfg.working_order), xi.form), cfg
         )
         div = total_derivative(
-            current.coefficient((("dx", 2),)), 1, cfg, max_order=4
+            current.coefficient((base_coord(2),)), 1, cfg, max_order=4
         ) - total_derivative(
-            current.coefficient((("dx", 1),)), 2, cfg, max_order=4
+            current.coefficient((base_coord(1),)), 2, cfg, max_order=4
         )
         assert (total_expr - body_expr - div).is_zero
 
@@ -300,7 +302,7 @@ def test_dedonder_residual_examples():
     assert all(form.is_zero for form in res.values())
     bad = PolynomialSection(cfg, (x1**2 * x2**2, Expr.zero()))
     res_bad = dedonder_residual(wp.theta_symmetric, bad)
-    vol = (("dx", 1), ("dx", 2))
+    vol = (base_coord(1), base_coord(2))
     assert res_bad[field_coord(1)].coefficient(vol) == Expr.constant(-16)
     # only the d/dy contractions can be nonzero: the d/dz ones vanish for
     # every section by the boundary-form construction
@@ -378,7 +380,7 @@ def test_dedonder_form_pullback_equals_lagrangian_pullback():
         (wp.theta_symmetric, wave_sigma),
         (wp.theta_skew(), wave_sigma),
     ]
-    vol = (("dx", 1), ("dx", 2))
+    vol = (base_coord(1), base_coord(2))
     for theta, section in cases:
         lagrangian_form = DifferentialForm.from_scalar(theta.lagrangian).wedge(
             volume_form(theta.cfg)
@@ -403,6 +405,18 @@ def test_dedonder_form_requires_provenance():
     orphan = assemble_boundary_form(wp.boundary_symmetric.coefficients)
     with pytest.raises(ValueError):
         dedonder_form(wp.cfg, wp.lagrangian, orphan)
+
+
+def test_derive_treats_coefficient_symbols_as_constants():
+    # Phi and the provenance check of Theta both read only the y and z
+    # partials, so a constant symbol in L is no partial of its own
+    cfg = JetConfig(1, 1, 1)
+    c, z = Expr.variable(coeff_symbol("c")), z_var(1, (1,))
+    theta = derive(cfg, c * z**2).theta_symmetric
+    assert theta.form == (
+        DifferentialForm.basis(base_coord(1)) * (-c * z**2)
+        + DifferentialForm.basis(field_coord(1)) * (2 * c * z)
+    )
 
 
 def test_dedonder_form_rejects_boundary_form_of_another_lagrangian():

@@ -16,11 +16,7 @@ from jetforms.expressions import (
 from jetforms.forms import (
     DifferentialForm,
     base_contraction,
-    basis_of_coordinate,
     basis_vector,
-    dx,
-    dy,
-    dz,
     holonomic_pullback,
     holonomic_reduce,
     interior_product,
@@ -34,11 +30,11 @@ from tests.support import contact_forms, lie_derivative, random_expr
 
 
 def form_dx(i):
-    return DifferentialForm.basis(dx(i))
+    return DifferentialForm.basis(base_coord(i))
 
 
 def form_dy(a):
-    return DifferentialForm.basis(dy(a))
+    return DifferentialForm.basis(field_coord(a))
 
 
 def test_wedge_examples():
@@ -47,13 +43,27 @@ def test_wedge_examples():
     cfg = JetConfig(3, 1, 1)
     vol = volume_form(cfg)
     assert len(dict(vol.terms())) == 1
-    assert vol.coefficient((dx(1), dx(2), dx(3))) == Expr.one()
+    assert vol.coefficient((base_coord(1), base_coord(2), base_coord(3))) == Expr.one()
+
+
+def test_coordinate_is_its_own_wedge_factor():
+    # d of the coordinate function c is the basis one-form dc, and the basis
+    # field d/dc contracts it to 1
+    one = DifferentialForm.from_scalar(Expr.one())
+    for cfg in (JetConfig(1, 1, 1), JetConfig(2, 2, 2), JetConfig(3, 1, 2)):
+        for c in enumerate_coordinates(cfg, cfg.working_order):
+            dc = DifferentialForm.basis(c)
+            assert DifferentialForm.from_scalar(Expr.variable(c)).d() == dc, c
+            assert interior_product(basis_vector(c), dc) == one, c
 
 
 def test_wedge_graded_commutative_random():
     rng = random.Random(5)
     cfg = JetConfig(2, 2, 1)
-    basis = [dx(1), dx(2), dy(1), dy(2), dz(1, (1,)), dz(2, (2,))]
+    basis = [
+        base_coord(1), base_coord(2), field_coord(1), field_coord(2),
+        jet_coord(1, (1,)), jet_coord(2, (2,)),
+    ]
     for _ in range(40):
         deg_a = rng.randint(0, 2)
         deg_b = rng.randint(0, 2)
@@ -80,13 +90,13 @@ def test_exterior_derivative_examples():
     # d(y dx) = dy ^ dx = -(dx ^ dy)
     alpha = DifferentialForm.from_scalar(y_var(1)).wedge(form_dx(1))
     d_alpha = alpha.d()
-    assert d_alpha.coefficient((dx(1), dy(1))) == Expr.constant(-1)
+    assert d_alpha.coefficient((base_coord(1), field_coord(1))) == Expr.constant(-1)
     wp = wave_problem()
     lam = DifferentialForm.from_scalar(wp.lagrangian).wedge(volume_form(wp.cfg))
     d_lam = lam.d()
     # wave example: dLambda = 2 g_ab g^ij g^kl z^b_kl dz^a_ij ^ d_2x; spot-check
-    vol_wedge = (dx(1), dx(2))
-    got = d_lam.coefficient(vol_wedge + (dz(1, (1, 1)),))
+    vol_wedge = (base_coord(1), base_coord(2))
+    got = d_lam.coefficient(vol_wedge + (jet_coord(1, (1, 1)),))
     expected = 2 * (z_var(1, (1, 1)) - z_var(1, (2, 2)))
     assert got == expected
     # d of dXi vanishes
@@ -96,7 +106,10 @@ def test_exterior_derivative_examples():
 def test_d_squared_zero_random():
     rng = random.Random(12)
     cfg = JetConfig(2, 1, 2)
-    basis = [dx(1), dx(2), dy(1), dz(1, (1,)), dz(1, (1, 2))]
+    basis = [
+        base_coord(1), base_coord(2), field_coord(1),
+        jet_coord(1, (1,)), jet_coord(1, (1, 2)),
+    ]
     for degree in (0, 1, 2):
         for _ in range(10):
             alpha = random_form(rng, cfg, basis, degree)
@@ -108,9 +121,9 @@ def test_interior_product_examples():
     vol = volume_form(cfg)
     # d/dx^i -| d_2x = delta_i^1 dx2 - delta_i^2 dx1
     c1 = base_contraction(cfg, 1)
-    assert c1 == DifferentialForm.basis(dx(2))
+    assert c1 == DifferentialForm.basis(base_coord(2))
     c2 = base_contraction(cfg, 2)
-    assert c2 == -DifferentialForm.basis(dx(1))
+    assert c2 == -DifferentialForm.basis(base_coord(1))
     # Y_T -| dx^j = delta_1^j
     y_t = basis_vector(base_coord(1))
     assert interior_product(y_t, form_dx(1)) == DifferentialForm.from_scalar(Expr.one())
@@ -122,7 +135,10 @@ def test_interior_product_examples():
 def test_interior_product_alternation_and_antiderivation():
     rng = random.Random(9)
     cfg = JetConfig(2, 2, 1)
-    basis = [dx(1), dx(2), dy(1), dy(2), dz(1, (1,)), dz(2, (2,))]
+    basis = [
+        base_coord(1), base_coord(2), field_coord(1), field_coord(2),
+        jet_coord(1, (1,)), jet_coord(2, (2,)),
+    ]
     X = {
         field_coord(1): y_var(2),
         jet_coord(1, (1,)): x_var(1),
@@ -147,11 +163,10 @@ def test_vertical_contractions_match_interior_product():
     rng = random.Random(17)
     for cfg in (JetConfig(2, 1, 2), JetConfig(2, 2, 2), JetConfig(3, 1, 2)):
         coords = enumerate_coordinates(cfg, cfg.working_order)
-        basis = [basis_of_coordinate(c) for c in coords]
         vertical = [c for c in coords if c[0] != "x"]
         for degree in range(1, cfg.m + 2):
             for _ in range(4):
-                form = random_form(rng, cfg, basis, degree, terms=8)
+                form = random_form(rng, cfg, coords, degree, terms=8)
                 contractions = vertical_contractions(form)
                 assert set(contractions) <= set(vertical)
                 for c in vertical:
@@ -170,16 +185,16 @@ def reference_holonomic_reduce(form, cfg):
     for wedge_key, coeff in form.terms():
         partial = DifferentialForm(0, {(): coeff})
         for b in wedge_key:
-            if b[0] == "dx":
+            if b[0] == "x":
                 factor = DifferentialForm.basis(b)
             else:
-                indices = b[2] if b[0] == "dz" else ()
+                indices = b[2] if b[0] == "z" else ()
                 terms = {}
                 for i in range(1, cfg.m + 1):
                     lifted = tuple(sorted(indices + (i,)))
                     if len(lifted) > cfg.expression_order:
                         raise ValueError("order overflow")
-                    terms[(dx(i),)] = Expr.variable(jet_coord(b[1], lifted))
+                    terms[(base_coord(i),)] = Expr.variable(jet_coord(b[1], lifted))
                 factor = DifferentialForm(1, terms)
             partial = partial.wedge(factor)
         result = result + partial
@@ -190,36 +205,38 @@ def test_holonomic_reduce_matches_wedge_chain_reference():
     rng = random.Random(23)
     for cfg in (JetConfig(2, 1, 2), JetConfig(2, 2, 2), JetConfig(3, 1, 2)):
         coords = enumerate_coordinates(cfg, cfg.working_order)
-        basis = [basis_of_coordinate(c) for c in coords]
         for degree in range(0, cfg.m + 2):
             for _ in range(4):
-                form = random_form(rng, cfg, basis, degree, terms=8)
+                form = random_form(rng, cfg, coords, degree, terms=8)
                 reduced = holonomic_reduce(form, cfg)
                 assert reduced.degree == degree
                 assert reduced == reference_holonomic_reduce(form, cfg), (cfg, degree)
-                assert all(b[0] == "dx" for w, _ in reduced.terms() for b in w)
+                assert all(b[0] == "x" for w, _ in reduced.terms() for b in w)
 
 
 def test_holonomic_reduce_rejects_order_overflow():
     cfg = JetConfig(2, 1, 2)  # dz of order 2k = 4 would lift to order 5
-    deep = DifferentialForm.basis(dz(1, (1, 1, 1, 2)))
+    deep = DifferentialForm.basis(jet_coord(1, (1, 1, 1, 2)))
     # raised even where no base direction is left for the factor
     crowded = volume_form(cfg).wedge(deep)
-    for form in (deep, crowded, deep + DifferentialForm.basis(dy(1))):
+    for form in (deep, crowded, deep + DifferentialForm.basis(field_coord(1))):
         with pytest.raises(ValueError, match="jet order 5"):
             holonomic_reduce(form, cfg)
         with pytest.raises(ValueError):
             reference_holonomic_reduce(form, cfg)
-    assert holonomic_reduce(DifferentialForm.basis(dz(1, (1, 1, 2))), cfg) == (
-        DifferentialForm.basis(dx(1)) * z_var(1, (1, 1, 1, 2))
-        + DifferentialForm.basis(dx(2)) * z_var(1, (1, 1, 2, 2))
+    assert holonomic_reduce(DifferentialForm.basis(jet_coord(1, (1, 1, 2))), cfg) == (
+        DifferentialForm.basis(base_coord(1)) * z_var(1, (1, 1, 1, 2))
+        + DifferentialForm.basis(base_coord(2)) * z_var(1, (1, 1, 2, 2))
     )
 
 
 def test_form_sum_equals_left_fold_of_add():
     rng = random.Random(4)
     cfg = JetConfig(2, 2, 1)
-    basis = [dx(1), dx(2), dy(1), dy(2), dz(1, (1,)), dz(2, (2,))]
+    basis = [
+        base_coord(1), base_coord(2), field_coord(1), field_coord(2),
+        jet_coord(1, (1,)), jet_coord(2, (2,)),
+    ]
     for degree in (0, 1, 2):
         forms = [random_form(rng, cfg, basis, degree) for _ in range(4)]
         forms += [-forms[0], DifferentialForm.zero(degree + 1)]
@@ -283,12 +300,10 @@ def _flow_lie_derivative_oracle(X, alpha, cfg, point, order, t_step=1e-4, fd=1e-
             jacobian[:, j] = (up - down) / (2 * fd)
         values = {c: base[i] for i, c in enumerate(coords)}
         comps = {}
-        from jetforms.forms import coordinate_of_basis
-
         for pair in itertools.combinations(range(len(coords)), alpha.degree):
             total = 0.0
             for wedge_key, coeff in alpha.terms():
-                rows = [index[coordinate_of_basis(b)] for b in wedge_key]
+                rows = [index[c] for c in wedge_key]
                 minor = jacobian[np.ix_(rows, list(pair))]
                 total += float(coeff.evaluate(values)) * np.linalg.det(minor)
             comps[pair] = total
@@ -317,11 +332,11 @@ def test_lie_derivative_matches_flow_oracle():
             form_dx(1).wedge(form_dy(1))
         )
         + DifferentialForm.from_scalar(y_var(1) - 2).wedge(
-            form_dy(1).wedge(DifferentialForm.basis(dz(1, (1,))))
+            form_dy(1).wedge(DifferentialForm.basis(jet_coord(1, (1,))))
         )
     )
     point = {x: 0.3, y: -0.7, z1: 1.1}
-    basis = [dx(1), dy(1), dz(1, (1,))]
+    basis = [base_coord(1), field_coord(1), jet_coord(1, (1,))]
     for alpha in (one_form, two_form):
         symbolic = lie_derivative(X, alpha)
         oracle = _flow_lie_derivative_oracle(X, alpha, cfg, point, 1)
@@ -336,8 +351,8 @@ def test_contact_forms():
     forms = contact_forms(cfg, 1)
     assert len(forms) == 1
     theta = forms[0]
-    assert theta.coefficient((dy(1),)) == Expr.one()
-    assert theta.coefficient((dx(1),)) == -z_var(1, (1,))
+    assert theta.coefficient((field_coord(1),)) == Expr.one()
+    assert theta.coefficient((base_coord(1),)) == -z_var(1, (1,))
     cfg2 = JetConfig(2, 1, 2)
     assert len(contact_forms(cfg2, 2)) == 3
     cfg3 = JetConfig(2, 2, 2)
@@ -372,7 +387,10 @@ def test_holonomic_pullback_annihilates_contact_ideal():
 def test_pullback_commutes_with_d():
     rng = random.Random(77)
     cfg = JetConfig(2, 1, 2)
-    basis = [dx(1), dx(2), dy(1), dz(1, (2,)), dz(1, (1, 2))]
+    basis = [
+        base_coord(1), base_coord(2), field_coord(1),
+        jet_coord(1, (2,)), jet_coord(1, (1, 2)),
+    ]
     sigma = PolynomialSection(
         cfg, (x_var(1) ** 3 + 2 * x_var(1) * x_var(2) ** 2 - x_var(2),)
     )
@@ -409,7 +427,7 @@ def test_is_semibasic():
     assert vertical_contractions(mixed) != {}
     # over the target map: every dz factor has |I| >= 1
     assert is_semibasic(mixed, ("forgetful", 0))
-    deep = DifferentialForm.basis(dz(1, (1, 1, 2)))
+    deep = DifferentialForm.basis(jet_coord(1, (1, 1, 2)))
     assert not is_semibasic(deep, ("forgetful", 0))
     assert not is_semibasic(deep, ("forgetful", 1))
     assert is_semibasic(deep, ("forgetful", 3))

@@ -428,7 +428,7 @@ def quadrature_energy(theta, state):
     y_t = ProjectableField(
         cfg, (Expr.one(), Expr.zero()), tuple(Expr.zero() for _ in range(cfg.n))
     )
-    density = noether_current(y_t, theta, None).coefficient((("dx", 2),))
+    density = noether_current(y_t, theta, None).coefficient((base_coord(2),))
     magnitude = Expr({mono: abs(coeff) for mono, coeff in density.terms()})
     values = state_coordinate_arrays(state, cfg, cfg.working_order)
     sizes = {coord: np.abs(value) for coord, value in values.items()}

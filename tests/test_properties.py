@@ -21,11 +21,7 @@ from jetforms.expressions import (  # noqa: E402
     substitute_section,
     total_derivative,
 )
-from jetforms.forms import (  # noqa: E402
-    DifferentialForm,
-    basis_of_coordinate,
-    coordinate_of_basis,
-)
+from jetforms.forms import DifferentialForm  # noqa: E402
 from jetforms.jets import JetConfig, base_coord, enumerate_coordinates, field_coord  # noqa: E402
 from jetforms.prolongations import ProjectableField, prolong  # noqa: E402
 from tests.support import lie_derivative  # noqa: E402
@@ -65,10 +61,9 @@ def wedge_all(factors):
 
 @st.composite
 def forms(draw, degree):
-    basis = [basis_of_coordinate(c) for c in COORDS[2]]
     terms = draw(st.lists(
         st.tuples(
-            st.lists(st.sampled_from(basis), min_size=degree, max_size=degree, unique=True),
+            st.lists(st.sampled_from(COORDS[2]), min_size=degree, max_size=degree, unique=True),
             polynomials(COORDS[2], 3),
         ),
         max_size=3,
@@ -120,7 +115,7 @@ def coordinate_lie_derivative(X, form):
         directional = Expr.sum(comp * f.partial(c) for c, comp in X.items())
         pieces.append(DifferentialForm.from_scalar(directional).wedge(wedge_all(factors)))
         for j, b in enumerate(wedge):
-            comp = X.get(coordinate_of_basis(b), Expr.zero())
+            comp = X.get(b, Expr.zero())
             swapped = factors[:j] + [DifferentialForm.from_scalar(comp).d()] + factors[j + 1:]
             pieces.append(DifferentialForm.from_scalar(f).wedge(wedge_all(swapped)))
     return DifferentialForm.sum(form.degree, pieces)

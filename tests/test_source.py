@@ -22,6 +22,19 @@ def test_no_assert_statements_in_library():
     assert not hits, f"assert statements in the library: {hits}"
 
 
+def test_one_coordinate_vocabulary():
+    # a wedge factor dc is keyed by the coordinate c itself; "dx", "dy" and
+    # "dz" are keywords of the problem language and nothing else
+    hits = [
+        f"{path.name}:{node.lineno} {node.value!r}"
+        for path in sorted(SOURCE.glob("*.py"))
+        if path.name != "problem.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Constant) and node.value in ("dx", "dy", "dz")
+    ]
+    assert not hits, f"one-form tags outside the problem language: {hits}"
+
+
 def _run_fresh(statements: str) -> tuple:
     """Run ``statements`` in a fresh interpreter on this checkout's package;
     return their stdout lines and the numpy and scipy modules now loaded."""
