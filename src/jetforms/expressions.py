@@ -4,15 +4,28 @@ An :class:`Expr` is a canonical sum of monomials with rational coefficients.
 The variables are the tagged coordinate tuples from :mod:`jetforms.jets`,
 plus free "coefficient symbols" ``("c", name)`` that behave as constants
 under all differential operators (used for undetermined-coefficient generic
-sections).  Canonical form means: no zero coefficients, one entry per
-power-product, so expression equality is mathematical equality.
+sections).
 
-Every sum (``+``, ``*``, ``Expr.sum``, ``gradient``) goes through one
-accumulator that keeps that form, adding into one dict in place.
+The coefficients are stored as integer numerators over one positive common
+denominator, as FLINT's ``fmpq_poly`` stores a polynomial over Q: a dict
+``monomial -> int`` and one ``int``.  The form is canonical: no numerator is
+zero, and the denominator and all numerators have gcd 1 (the zero
+expression has denominator 1).  So expression equality is structural, and
+no ``Fraction`` object is made inside the ring.  Every operation works on
+Python ints and ends with at most one lcm or product of denominators and
+one content reduction, which is skipped when the denominator is 1, the
+common case for integer data.  ``terms()`` gives the coefficients back as
+rationals: ints where integral, ``Fraction`` otherwise.
+
+Every sum (``+``, ``-``, ``Expr.sum`` and the sums of forms) goes through one
+accumulator, which adds numerators into one dict in place and brings them
+to a common denominator only when a new denominator arrives.  Multiplying
+by one monomial and a sign has its own kernel: it inserts the coordinates
+into each sorted monomial and keeps the denominator, since it changes no
+numerator's content.
 
 The two derivations that matter are the formal partial derivative with
-respect to a single canonical coordinate (one entry of the gradient) and the
-total derivative
+respect to a single canonical coordinate and the total derivative
 
     D_i = d/dx^i + z^a_(i) d/dy^a + sum_I z^a_{I+i} d/dz^a_I ,
 
@@ -24,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Mapping, Sequence
 
 from .jets import (
@@ -41,66 +55,190 @@ from .jets import (
 Monomial = tuple  # sorted tuple of (coordinate, exponent) pairs
 
 
-def _norm_coeff(q):
-    """Keep integer coefficients as ints; they are much faster than Fraction."""
-    if isinstance(q, Fraction):
-        return int(q) if q.denominator == 1 else q
+def _split(q) -> tuple:
+    """(numerator, denominator) of a rational coefficient."""
     if isinstance(q, int):
-        return q
+        return int(q), 1
+    if isinstance(q, Fraction):
+        return q.numerator, q.denominator
     raise TypeError(f"coefficient must be rational, got {type(q).__name__}")
 
 
-def _accumulate(store: dict, pairs) -> dict:
-    """Add (monomial, coefficient) pairs into ``store`` in place.
+def _rational(numerator: int, denominator: int):
+    """numerator/denominator as an int when integral, else as a Fraction."""
+    if denominator == 1:
+        return numerator
+    quotient, remainder = divmod(numerator, denominator)
+    return quotient if not remainder else Fraction(numerator, denominator)
 
-    This is the one rule every sum follows: a coefficient that reaches zero
-    is dropped and an integral Fraction is stored as an int.  Returns
-    ``store``.
-    """
-    get = store.get
-    for mono, coeff in pairs:
-        acc = get(mono, 0) + coeff
-        if not acc:
-            store.pop(mono, None)
-        elif acc.__class__ is Fraction and acc.denominator == 1:
-            store[mono] = acc.numerator
+
+def _expr(num: dict, den: int) -> "Expr":
+    """An Expr over numerators and denominator already in canonical form."""
+    e = object.__new__(Expr)
+    e._num = num
+    e._den = den
+    return e
+
+
+def _reduced(num: dict, den: int) -> "Expr":
+    """The Expr num/den, for nonzero numerators and den > 0: the one content
+    reduction, skipped when den is 1."""
+    if den != 1:
+        if not num:
+            den = 1
         else:
+            g = gcd(den, *num.values())
+            if g != 1:
+                den //= g
+                num = {mono: n // g for mono, n in num.items()}
+    return _expr(num, den)
+
+
+def _insert(mono: Monomial, coord, exp: int) -> Monomial:
+    """mono times coord^exp, kept sorted by the coordinate order."""
+    key = coordinate_sort_key(coord)
+    for pos, (c, e) in enumerate(mono):
+        if c == coord:
+            return mono[:pos] + ((c, e + exp),) + mono[pos + 1 :]
+        if coordinate_sort_key(c) > key:
+            return mono[:pos] + ((coord, exp),) + mono[pos:]
+    return mono + ((coord, exp),)
+
+
+def _merge_monomials(mono_a: Monomial, mono_b: Monomial) -> Monomial:
+    if len(mono_a) < len(mono_b):
+        mono_a, mono_b = mono_b, mono_a
+    for coord, exp in mono_b:
+        mono_a = _insert(mono_a, coord, exp)
+    return mono_a
+
+
+def _add_into(store: dict, num: dict, scale: int = 1) -> None:
+    """Add ``scale`` times the numerators ``num`` into ``store`` in place,
+    dropping every entry that cancels to zero."""
+    get = store.get
+    for mono, n in num.items():
+        acc = get(mono, 0) + n * scale
+        if acc:
             store[mono] = acc
-    return store
+        else:
+            del store[mono]
+
+
+def _partials(num: dict) -> dict:
+    """coordinate -> numerators of the first partial derivative, over the
+    denominator of ``num``, for every coordinate in one scan."""
+    parts: dict = {}
+    for mono, n in num.items():
+        for pos, (c, e) in enumerate(mono):
+            lowered = ((c, e - 1),) if e > 1 else ()
+            rest = mono[:pos] + lowered + mono[pos + 1 :]
+            # distinct monomials stay distinct once one c is removed
+            part = parts.get(c)
+            if part is None:
+                parts[c] = {rest: n * e}
+            else:
+                part[rest] = n * e
+    return parts
+
+
+def _shift(num: dict, powers: Sequence, sign: int) -> dict:
+    """The monomial kernel: ``num`` times sign * prod c^e over the
+    (coordinate, exponent) pairs of ``powers``, for sign = +-1.
+
+    Each monomial gains the coordinates by insertion.  Distinct monomials
+    stay distinct and no numerator changes its magnitude, so the result
+    needs neither accumulation nor a content reduction.
+    """
+    out = {}
+    for mono, n in num.items():
+        for coord, exp in powers:
+            mono = _insert(mono, coord, exp)
+        out[mono] = n if sign == 1 else -n
+    return out
+
+
+class _Accumulator:
+    """A running sum of Exprs: numerators added into one dict in place, over
+    the lcm of the denominators seen so far."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, first: "Expr | None" = None):
+        self.num: dict = {}
+        self.den = 1
+        if first is not None:
+            self.add(first)
+
+    def add(self, e: "Expr", sign: int = 1) -> None:
+        items = e._num
+        if not items:
+            return
+        store, d = self.num, e._den
+        if not store:
+            self.num = dict(items) if sign == 1 else {m: -n for m, n in items.items()}
+            self.den = d
+            return
+        den = self.den
+        if d == den:
+            scale = sign
+        elif den % d == 0:
+            scale = sign * (den // d)
+        else:
+            common = lcm(den, d)
+            up = common // den
+            for mono in store:
+                store[mono] *= up
+            self.den = common
+            scale = sign * (common // d)
+        _add_into(store, items, scale)
+
+    def result(self) -> "Expr":
+        return _reduced(self.num, self.den)
 
 
 class Expr:
-    """Polynomial with exact rational coefficients in canonical form."""
+    """Polynomial with exact rational coefficients in canonical form:
+    integer numerators ``_num`` over one positive denominator ``_den``."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_num", "_den")
 
-    def __init__(self, terms: dict | None = None):
-        # terms is assumed normalized; use the constructors below otherwise.
-        self._terms = terms if terms is not None else {}
+    def __init__(self, terms: Mapping | None = None):
+        """The expression with the given ``{monomial: int | Fraction}``
+        coefficients; zero coefficients are dropped."""
+        num: dict = {}
+        den = 1
+        if terms:
+            pairs = [(mono, _split(q)) for mono, q in terms.items() if q]
+            den = lcm(*(d for _, (_, d) in pairs))
+            num = {mono: n * (den // d) for mono, (n, d) in pairs}
+        reduced = _reduced(num, den)
+        self._num = reduced._num
+        self._den = reduced._den
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero() -> "Expr":
-        return Expr({})
+        return _expr({}, 1)
 
     @staticmethod
     def one() -> "Expr":
-        return Expr({(): 1})
+        return _expr({(): 1}, 1)
 
     @staticmethod
     def constant(q) -> "Expr":
-        q = _norm_coeff(Fraction(q) if not isinstance(q, (int, Fraction)) else q)
-        return Expr({(): q} if q != 0 else {})
+        n, d = _split(Fraction(q) if not isinstance(q, (int, Fraction)) else q)
+        return _expr({(): n} if n else {}, d if n else 1)
 
     @staticmethod
     def variable(coord) -> "Expr":
-        return Expr({((tuple(coord), 1),): 1})
+        return _expr({((tuple(coord), 1),): 1}, 1)
 
     @staticmethod
     def monomial(powers: Mapping[tuple, int], coeff=1) -> "Expr":
-        coeff = _norm_coeff(coeff)
-        if coeff == 0:
+        n, d = _split(coeff)
+        if n == 0:
             return Expr.zero()
         key = tuple(
             sorted(
@@ -108,20 +246,25 @@ class Expr:
                 key=lambda item: coordinate_sort_key(item[0]),
             )
         )
-        return Expr({key: coeff})
+        return _expr({key: n}, d)
 
     # -- inspection --------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def terms(self):
-        return self._terms.items()
+        """(monomial, coefficient) pairs, coefficients as ints where
+        integral and as Fractions otherwise."""
+        den = self._den
+        if den == 1:
+            return self._num.items()
+        return {mono: _rational(n, den) for mono, n in self._num.items()}.items()
 
     def variables(self) -> set:
         out = set()
-        for mono in self._terms:
+        for mono in self._num:
             for coord, _ in mono:
                 out.add(coord)
         return out
@@ -129,59 +272,95 @@ class Expr:
     def jet_order(self) -> int:
         """Highest jet order of any coordinate occurring in the expression."""
         order = 0
-        for mono in self._terms:
+        for mono in self._num:
             for coord, _ in mono:
                 order = max(order, coordinate_order(coord))
         return order
 
     def constant_term(self):
-        return self._terms.get((), 0)
+        return _rational(self._num.get((), 0), self._den)
 
     # -- ring operations ---------------------------------------------------
 
     @staticmethod
     def sum(exprs) -> "Expr":
         """The sum of an iterable of Exprs, accumulated in one dict."""
-        return Expr(_accumulate({}, (item for e in exprs for item in e._terms.items())))
+        acc = _Accumulator()
+        for e in exprs:
+            acc.add(e)
+        return acc.result()
 
     def __add__(self, other) -> "Expr":
         other = _as_expr(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self._terms:
+        if not self._num:
             return other
-        if not other._terms:
+        if not other._num:
             return self
-        return Expr(_accumulate(dict(self._terms), other._terms.items()))
+        acc = _Accumulator(self)
+        acc.add(other)
+        return acc.result()
 
     __radd__ = __add__
 
     def __neg__(self) -> "Expr":
-        return Expr({mono: -coeff for mono, coeff in self._terms.items()})
+        return _expr({mono: -n for mono, n in self._num.items()}, self._den)
 
     def __sub__(self, other) -> "Expr":
         other = _as_expr(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        acc = _Accumulator(self)
+        acc.add(other, -1)
+        return acc.result()
 
     def __rsub__(self, other) -> "Expr":
-        return _as_expr(other) + (-self)
+        other = _as_expr(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other - self
+
+    def _scaled(self, p: int, q: int) -> "Expr":
+        """self * p/q for integers p and q > 0."""
+        if not p or not self._num:
+            return Expr.zero()
+        den = self._den
+        if q == 1:
+            if p == 1:
+                return self
+            # gcd(den, numerators) = 1, so dividing out gcd(p, den) is the
+            # whole content reduction
+            g = gcd(p, den) if den != 1 else 1
+            p //= g
+            return _expr({mono: n * p for mono, n in self._num.items()}, den // g)
+        return _reduced({mono: n * p for mono, n in self._num.items()}, den * q)
+
+    def _times_monomial(self, powers: Sequence, sign: int) -> "Expr":
+        """self * sign * prod c^e over the (coordinate, exponent) pairs of
+        ``powers``, for sign = +-1, by the monomial kernel."""
+        return _expr(_shift(self._num, powers, sign), self._den)
 
     def __mul__(self, other) -> "Expr":
+        if other.__class__ is Expr:
+            if not self._num or not other._num:
+                return Expr.zero()
+            store: dict = {}
+            get = store.get
+            other_items = other._num.items()
+            for mono_a, n_a in self._num.items():
+                for mono_b, n_b in other_items:
+                    mono = _merge_monomials(mono_a, mono_b)
+                    acc = get(mono, 0) + n_a * n_b
+                    if acc:
+                        store[mono] = acc
+                    else:
+                        del store[mono]
+            return _reduced(store, self._den * other._den)
         if isinstance(other, (int, Fraction)):
-            if other == 1:
-                return self
-            pairs = ((mono, coeff * other) for mono, coeff in self._terms.items())
-        elif isinstance(other, Expr):
-            pairs = (
-                (_merge_monomials(mono_a, mono_b), coeff_a * coeff_b)
-                for mono_a, coeff_a in self._terms.items()
-                for mono_b, coeff_b in other._terms.items()
-            )
-        else:
-            return NotImplemented
-        return Expr(_accumulate({}, pairs))
+            n, d = _split(other)
+            return self._scaled(n, d)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -190,7 +369,8 @@ class Expr:
             return NotImplemented
         if scalar == 0:
             raise ZeroDivisionError("division of an expression by zero")
-        return self * (Fraction(1) / scalar)
+        n, d = _split(scalar)
+        return self._scaled(-d, -n) if n < 0 else self._scaled(d, n)
 
     def __pow__(self, exponent: int) -> "Expr":
         if not isinstance(exponent, int) or exponent < 0:
@@ -210,7 +390,7 @@ class Expr:
         other = _as_expr(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._num == other._num
 
     def __ne__(self, other) -> bool:
         eq = self.__eq__(other)
@@ -229,23 +409,26 @@ class Expr:
         Exactly the coordinates the expression contains are present, each
         with a nonzero partial.
         """
-        pairs: dict = {}
-        for mono, coeff in self._terms.items():
-            for pos, (c, e) in enumerate(mono):
-                lowered = ((c, e - 1),) if e > 1 else ()
-                rest = mono[:pos] + lowered + mono[pos + 1 :]
-                pairs.setdefault(c, []).append((rest, coeff * e))
-        return {c: Expr(_accumulate({}, items)) for c, items in pairs.items()}
+        den = self._den
+        return {c: _reduced(part, den) for c, part in _partials(self._num).items()}
 
     def partial(self, coord) -> "Expr":
-        """Formal partial derivative w.r.t. one canonical coordinate: one
-        entry of :meth:`gradient`."""
-        return self.gradient().get(tuple(coord), Expr.zero())
+        """Formal partial derivative w.r.t. one canonical coordinate, from
+        the monomials that contain it."""
+        coord = tuple(coord)
+        part = {}
+        for mono, n in self._num.items():
+            for pos, (c, e) in enumerate(mono):
+                if c == coord:
+                    lowered = ((c, e - 1),) if e > 1 else ()
+                    part[mono[:pos] + lowered + mono[pos + 1 :]] = n * e
+                    break
+        return _reduced(part, self._den)
 
     def evaluate(self, values: Mapping[tuple, object]):
         """Evaluate at a point; values may be numbers or numpy arrays."""
         total = 0
-        for mono, coeff in self._terms.items():
+        for mono, coeff in self.terms():
             term = coeff
             for coord, exp in mono:
                 term = term * values[coord] ** exp
@@ -255,15 +438,16 @@ class Expr:
     def substitute(self, replacements: Mapping[tuple, "Expr"]) -> "Expr":
         """Replace coordinates by expressions (exact, simultaneous)."""
 
-        def image(mono, coeff) -> "Expr":
-            term = Expr.constant(coeff)
+        def image(mono, n) -> "Expr":
+            term = Expr.constant(n)
             for coord, exp in mono:
                 repl = replacements.get(coord)
                 factor = repl if repl is not None else Expr.variable(coord)
                 term = term * factor**exp
             return term
 
-        return Expr.sum(image(mono, coeff) for mono, coeff in self._terms.items())
+        numerators = Expr.sum(image(mono, n) for mono, n in self._num.items())
+        return numerators._scaled(1, self._den)
 
 
 def _as_expr(value):
@@ -272,19 +456,6 @@ def _as_expr(value):
     if isinstance(value, (int, Fraction)):
         return Expr.constant(value)
     return NotImplemented
-
-
-def _merge_monomials(mono_a: Monomial, mono_b: Monomial) -> Monomial:
-    if not mono_a:
-        return mono_b
-    if not mono_b:
-        return mono_a
-    powers = dict(mono_a)
-    for coord, exp in mono_b:
-        powers[coord] = powers.get(coord, 0) + exp
-    return tuple(
-        sorted(powers.items(), key=lambda item: coordinate_sort_key(item[0]))
-    )
 
 
 def x_var(i: int) -> Expr:
@@ -369,23 +540,22 @@ def total_derivative(
     if not 1 <= i <= cfg.m:
         raise ValueError(f"base index {i} out of range 1..{cfg.m}")
     limit = cfg.working_order if max_order is None else max_order
-
-    def terms():
-        for coord, partial in e.gradient().items():
-            tag = coord[0]
-            if tag == "x" and coord[1] == i:
-                yield partial
-            elif tag in ("y", "z"):  # coefficient symbols are constants
-                I = coord[2] if tag == "z" else ()
-                if len(I) + 1 > limit:
-                    raise ValueError(
-                        f"total derivative would need jet order {len(I) + 1} "
-                        f"beyond the allowed order {limit}"
-                    )
-                lifted = jet_coord(coord[1], tuple(sorted(I + (i,))))
-                yield Expr.variable(lifted) * partial
-
-    return Expr.sum(terms())
+    # every partial shares e's denominator, so the sum is over numerators
+    store: dict = {}
+    for coord, part in _partials(e._num).items():
+        tag = coord[0]
+        if tag == "x" and coord[1] == i:
+            _add_into(store, part)
+        elif tag in ("y", "z"):  # coefficient symbols are constants
+            I = coord[2] if tag == "z" else ()
+            if len(I) + 1 > limit:
+                raise ValueError(
+                    f"total derivative would need jet order {len(I) + 1} "
+                    f"beyond the allowed order {limit}"
+                )
+            lifted = jet_coord(coord[1], tuple(sorted(I + (i,))))
+            _add_into(store, _shift(part, ((lifted, 1),), 1))
+    return _reduced(store, e._den)
 
 
 # -- polynomial sections -----------------------------------------------------

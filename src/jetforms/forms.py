@@ -12,8 +12,9 @@ missing entries are zero.  Fields with dx-components are allowed (time
 translation in the wave example is one), verticality is checked where an
 operation requires it.
 
-Every sum of forms adds the Exprs landing on a wedge into one monomial dict
-in place; ``d`` differentiates each coefficient once, by ``Expr.gradient``.
+Every sum of forms adds the Exprs landing on a wedge into one running Expr
+sum in place; ``d`` differentiates each coefficient once, by
+``Expr.gradient``.
 
 ``holonomic_reduce`` is the workhorse for "for every section" statements: it
 rewrites dy^a -> z^a_(i) dx^i and dz^a_I -> z^a_{I+i} dx^i, which is exactly
@@ -31,13 +32,11 @@ coordinates of its own dy/dz factors.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Mapping, Sequence
 
 from .expressions import Expr, PolynomialSection, render_coordinate, render_expr
-from .expressions import _accumulate as _add_terms
-from .expressions import substitute_section
+from .expressions import _Accumulator, substitute_section
 from .jets import JetConfig, base_coord, coordinate_sort_key, field_coord, jet_coord
 
 
@@ -67,8 +66,8 @@ def _merge_wedges(wedge_a: tuple, wedge_b: tuple):
 def _accumulate(pairs) -> dict:
     """Sum (wedge, Expr) pairs into wedge -> Expr, zero coefficients dropped.
 
-    A wedge hit once keeps its Expr; a wedge hit again gets a monomial dict
-    of its own, and every later Expr on it is added into that dict in place.
+    A wedge hit once keeps its Expr; a wedge hit again gets a running Expr
+    sum of its own, and every later Expr on it is added into that in place.
     """
     out: dict = {}
     for wedge, coeff in pairs:
@@ -76,10 +75,10 @@ def _accumulate(pairs) -> dict:
         if acc is None:
             out[wedge] = coeff
             continue
-        if acc.__class__ is not dict:
-            acc = out[wedge] = dict(acc.terms())
-        _add_terms(acc, coeff.terms())
-    out = {w: Expr(acc) if acc.__class__ is dict else acc for w, acc in out.items()}
+        if acc.__class__ is Expr:
+            out[wedge] = acc = _Accumulator(acc)
+        acc.add(coeff)
+    out = {w: acc if acc.__class__ is Expr else acc.result() for w, acc in out.items()}
     return {wedge: coeff for wedge, coeff in out.items() if not coeff.is_zero}
 
 
@@ -149,12 +148,15 @@ class DifferentialForm:
         return self + (-other)
 
     def __mul__(self, scalar) -> "DifferentialForm":
-        if isinstance(scalar, (int, Fraction, Expr)):
-            return DifferentialForm(
-                self.degree,
-                _accumulate((w, c * scalar) for w, c in self._terms.items()),
-            )
-        return NotImplemented
+        # Expr decides which scalars it takes; it returns NotImplemented for
+        # any other, a form among them
+        products = {}
+        for w, c in self._terms.items():
+            product = c.__mul__(scalar)
+            if product is NotImplemented:
+                return NotImplemented
+            products[w] = product
+        return DifferentialForm(self.degree, _accumulate(products.items()))
 
     __rmul__ = __mul__
 
@@ -320,12 +322,13 @@ def holonomic_reduce(form: DifferentialForm, cfg: JetConfig) -> DifferentialForm
                 order = fixed + choice
                 inversions = sum(u > v for u, v in combinations(order, 2))
                 sign = -1 if inversions % 2 else 1
-                powers: dict = {}
-                for (a, indices), i in zip(vertical, choice):
-                    lifted = jet_coord(a, tuple(sorted(indices + (i,))))
-                    powers[lifted] = powers.get(lifted, 0) + 1
-                factor = Expr.monomial(powers, sign) if powers else sign
-                yield tuple(base_coord(i) for i in sorted(order)), coeff * factor
+                lifted = [
+                    (jet_coord(a, tuple(sorted(indices + (i,)))), 1)
+                    for (a, indices), i in zip(vertical, choice)
+                ]
+                yield tuple(base_coord(i) for i in sorted(order)), coeff._times_monomial(
+                    lifted, sign
+                )
 
     return DifferentialForm(form.degree, _accumulate(pairs()))
 

@@ -1,12 +1,15 @@
 """Helpers that only the tests call: the Cartan-formula Lie derivative, the
-contact forms of a jet space, the contact-ideal test built from them, and a
-seeded random polynomial generator.
+contact forms of a jet space, the contact-ideal test built from them, a
+seeded random polynomial generator and a reference ring.
 
 The library reaches the same statements by other routes (prolongation from
-the characteristic jets, the symmetry test through d(E d_m x)); these stay as
-independent references.
+the characteristic jets, the symmetry test through d(E d_m x), integer
+numerators over one denominator); these stay as independent references.
 """
 from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd
 
 from jetforms.expressions import Expr
 from jetforms.forms import (
@@ -16,7 +19,13 @@ from jetforms.forms import (
     holonomic_reduce,
     interior_product,
 )
-from jetforms.jets import JetConfig, enumerate_coordinates, multiindices
+from jetforms.jets import (
+    JetConfig,
+    coordinate_sort_key,
+    enumerate_coordinates,
+    jet_coord,
+    multiindices,
+)
 from jetforms.prolongations import ProjectableField, prolong
 
 
@@ -66,3 +75,132 @@ def random_expr(rng, cfg: JetConfig, order: int, degree: int = 2, terms: int = 4
         return Expr.monomial(powers, coeff)
 
     return Expr.sum(term() for _ in range(terms))
+
+
+# -- reference ring ----------------------------------------------------------
+
+
+def _accumulate(store: dict, pairs) -> dict:
+    """Add (monomial, coefficient) pairs into ``store``: zero sums dropped,
+    integral Fractions stored as ints."""
+    for mono, coeff in pairs:
+        acc = store.get(mono, 0) + coeff
+        if not acc:
+            store.pop(mono, None)
+        elif isinstance(acc, Fraction) and acc.denominator == 1:
+            store[mono] = acc.numerator
+        else:
+            store[mono] = acc
+    return store
+
+
+def _merge_monomials(mono_a: tuple, mono_b: tuple) -> tuple:
+    powers = dict(mono_a)
+    for coord, exp in mono_b:
+        powers[coord] = powers.get(coord, 0) + exp
+    return tuple(sorted(powers.items(), key=lambda item: coordinate_sort_key(item[0])))
+
+
+class ReferenceExpr:
+    """The ring as a ``{monomial: int | Fraction}`` dict, one Fraction per
+    coefficient.  It has the ``is_zero`` and ``terms()`` that ``render_expr``
+    reads, so both rings render through the same function."""
+
+    def __init__(self, terms: dict | None = None):
+        self._terms = _accumulate({}, (terms or {}).items())
+
+    @staticmethod
+    def monomial(powers: dict, coeff) -> "ReferenceExpr":
+        key = tuple(sorted(
+            ((c, e) for c, e in powers.items() if e),
+            key=lambda item: coordinate_sort_key(item[0]),
+        ))
+        return ReferenceExpr({key: coeff})
+
+    @staticmethod
+    def variable(coord) -> "ReferenceExpr":
+        return ReferenceExpr({((coord, 1),): 1})
+
+    @staticmethod
+    def sum(exprs) -> "ReferenceExpr":
+        store: dict = {}
+        for e in exprs:
+            _accumulate(store, e._terms.items())
+        return ReferenceExpr(store)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def terms(self):
+        return self._terms.items()
+
+    def __add__(self, other: "ReferenceExpr") -> "ReferenceExpr":
+        return ReferenceExpr.sum((self, other))
+
+    def __neg__(self) -> "ReferenceExpr":
+        return ReferenceExpr({mono: -c for mono, c in self._terms.items()})
+
+    def __sub__(self, other: "ReferenceExpr") -> "ReferenceExpr":
+        return self + (-other)
+
+    def __mul__(self, other) -> "ReferenceExpr":
+        if isinstance(other, ReferenceExpr):
+            return ReferenceExpr(_accumulate({}, (
+                (_merge_monomials(mono_a, mono_b), c_a * c_b)
+                for mono_a, c_a in self._terms.items()
+                for mono_b, c_b in other._terms.items()
+            )))
+        return ReferenceExpr({mono: c * other for mono, c in self._terms.items()})
+
+    def __truediv__(self, scalar) -> "ReferenceExpr":
+        return self * (Fraction(1) / scalar)
+
+    def __pow__(self, exponent: int) -> "ReferenceExpr":
+        result = ReferenceExpr({(): 1})
+        for _ in range(exponent):
+            result = result * self
+        return result
+
+    def gradient(self) -> dict:
+        pairs: dict = {}
+        for mono, coeff in self._terms.items():
+            for pos, (c, e) in enumerate(mono):
+                lowered = ((c, e - 1),) if e > 1 else ()
+                rest = mono[:pos] + lowered + mono[pos + 1 :]
+                pairs.setdefault(c, []).append((rest, coeff * e))
+        return {c: ReferenceExpr(_accumulate({}, items)) for c, items in pairs.items()}
+
+    def substitute(self, replacements: dict) -> "ReferenceExpr":
+        def image(mono, coeff):
+            term = ReferenceExpr({(): coeff})
+            for coord, exp in mono:
+                repl = replacements.get(coord)
+                factor = repl if repl is not None else ReferenceExpr.variable(coord)
+                term = term * factor**exp
+            return term
+
+        return ReferenceExpr.sum(image(mono, coeff) for mono, coeff in self._terms.items())
+
+
+def reference_total_derivative(e: ReferenceExpr, i: int) -> ReferenceExpr:
+    """D_i e by the generic product, with no jet-order bound."""
+    terms = []
+    for coord, partial in e.gradient().items():
+        if coord == ("x", i):
+            terms.append(partial)
+        elif coord[0] in ("y", "z"):
+            I = coord[2] if coord[0] == "z" else ()
+            lifted = jet_coord(coord[1], tuple(sorted(I + (i,))))
+            terms.append(ReferenceExpr.variable(lifted) * partial)
+    return ReferenceExpr.sum(terms)
+
+
+def assert_canonical(e: Expr) -> None:
+    """Integer numerators over one positive denominator, none zero, with
+    gcd 1 over all of them; the zero expression has denominator 1."""
+    num, den = e._num, e._den
+    assert type(den) is int and den > 0, den
+    assert all(type(n) is int and n != 0 for n in num.values()), num
+    assert gcd(den, *num.values()) == 1, (den, num)
+    assert num or den == 1, den

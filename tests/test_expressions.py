@@ -226,3 +226,36 @@ def test_jet_values_exact():
     assert values[jet_coord(1, (1, 1))] == 4  # d^2/dt^2 (t^2 x) = 2x
     assert values[jet_coord(1, (1, 2))] == 2  # d^2/dtdx = 2t
     assert values[field_coord(1)] == 2
+
+
+def test_integer_numerators_over_one_content_reduced_denominator():
+    x, y = ((base_coord(1), 1),), ((field_coord(1), 1),)
+    e = Expr({x: Fraction(1, 2), y: Fraction(-2, 3), (): 0})
+    assert (e._num, e._den) == ({x: 3, y: -4}, 6)
+    assert dict(e.terms()) == {x: Fraction(1, 2), y: Fraction(-2, 3)}
+    # scaling to integers clears the denominator; integral values come back as int
+    assert ((e * 6)._num, (e * 6)._den) == ({x: 3, y: -4}, 1)
+    assert [type(c) for _, c in (e * 6).terms()] == [int, int]
+    assert (e * 6) / 6 == e and e * 4 == Expr({x: 2, y: Fraction(-8, 3)})
+    # a sum whose content cancels is reduced again
+    half = Expr({x: Fraction(1, 2)})
+    assert ((half + half)._num, (half + half)._den) == ({x: 1}, 1)
+    assert (e - e)._den == 1 and (e - e).is_zero
+    assert e.constant_term() == 0 and (e + Fraction(5, 4)).constant_term() == Fraction(5, 4)
+    with pytest.raises(TypeError):
+        Expr({x: 0.5})
+
+
+def test_monomial_kernel_matches_the_generic_product():
+    rng = random.Random(17)
+    cfg = JetConfig(2, 2, 2)
+    coords = enumerate_coordinates(cfg, 2)
+    for _ in range(30):
+        e = random_expr(rng, cfg, 2, degree=3) * Fraction(rng.randint(1, 5), rng.randint(1, 6))
+        powers = [(coords[rng.randrange(len(coords))], rng.randint(1, 2))
+                  for _ in range(rng.randint(0, 3))]
+        sign = rng.choice((1, -1))
+        expected = e * sign
+        for coord, exp in powers:
+            expected = expected * Expr.variable(coord) ** exp
+        assert e._times_monomial(powers, sign) == expected

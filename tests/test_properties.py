@@ -1,5 +1,6 @@
-"""Property tests of the exact core: the Expr ring, D_i, d, Cartan's formula
-and the prolongation commutator.
+"""Property tests of the exact core: the Expr ring against the reference
+Fraction-dict ring, its canonical form, D_i, d, Cartan's formula and the
+prolongation commutator.
 
 The strategies draw small polynomials with rational coefficients over the
 jet coordinates of (m, n, k) = (2, 1, 2), forms over their differentials,
@@ -18,13 +19,19 @@ from hypothesis import strategies as st  # noqa: E402
 from jetforms.expressions import (  # noqa: E402
     Expr,
     PolynomialSection,
+    render_expr,
     substitute_section,
     total_derivative,
 )
 from jetforms.forms import DifferentialForm  # noqa: E402
 from jetforms.jets import JetConfig, base_coord, enumerate_coordinates, field_coord  # noqa: E402
 from jetforms.prolongations import ProjectableField, prolong  # noqa: E402
-from tests.support import lie_derivative  # noqa: E402
+from tests.support import (  # noqa: E402
+    ReferenceExpr,
+    assert_canonical,
+    lie_derivative,
+    reference_total_derivative,
+)
 
 CFG = JetConfig(2, 1, 2)
 COORDS = {order: enumerate_coordinates(CFG, order) for order in (1, 2)}
@@ -42,6 +49,22 @@ def polynomials(coords, max_terms=4):
 
 
 exprs = polynomials(COORDS[2])
+# denominators up to 6, so that sums and products need common denominators
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+def paired_polynomials(coords, max_terms=4):
+    """(Expr, ReferenceExpr) pairs built from the same drawn terms."""
+    monomial = st.dictionaries(st.sampled_from(coords), st.integers(1, 2), max_size=3)
+    return st.lists(st.tuples(monomial, rationals), max_size=max_terms).map(
+        lambda terms: (
+            Expr.sum(Expr.monomial(powers, c) for powers, c in terms),
+            ReferenceExpr.sum(ReferenceExpr.monomial(powers, c) for powers, c in terms),
+        )
+    )
+
+
+pairs = paired_polynomials(COORDS[2])
 low_order_exprs = polynomials(COORDS[1])
 base_polynomials = polynomials(BASE)
 fields = st.dictionaries(st.sampled_from(COORDS[2]), polynomials(COORDS[2], 2), max_size=3)
@@ -90,6 +113,66 @@ def test_expr_ring_axioms(u, v, w, q):
     for e in (u + v, u * v, u * q):
         assert all(c != 0 for _, c in e.terms())
         assert not any(isinstance(c, Fraction) and c.denominator == 1 for _, c in e.terms())
+
+
+@PROPERTY
+@given(pairs, pairs, rationals, st.integers(-6, 6))
+def test_ring_operations_match_the_reference_ring(u, v, q, k):
+    (a, ra), (b, rb) = u, v
+    results = [
+        (a + b, ra + rb),
+        (a - b, ra - rb),
+        (-a, -ra),
+        (a * b, ra * rb),
+        (a * q, ra * q),
+        (k * a, ra * k),
+        (a**2, ra**2),
+        (Expr.sum([a, b, -a, b]), ReferenceExpr.sum([ra, rb, -ra, rb])),
+    ]
+    if q:
+        results.append((a / q, ra / q))
+    if k:
+        results.append((a / k, ra / k))
+    for got, expected in results:
+        assert render_expr(got) == render_expr(expected)
+        assert_canonical(got)
+
+
+@PROPERTY
+@given(pairs, st.integers(1, 2))
+def test_calculus_matches_the_reference_ring(u, i):
+    a, ra = u
+    gradient, expected = a.gradient(), ra.gradient()
+    assert set(gradient) == set(expected)
+    for c in COORDS[2]:
+        text = render_expr(expected[c]) if c in expected else "0"
+        for got in (gradient.get(c, Expr.zero()), a.partial(c)):
+            assert render_expr(got) == text
+            assert_canonical(got)
+    got = total_derivative(a, i, CFG)
+    assert render_expr(got) == render_expr(reference_total_derivative(ra, i))
+    assert_canonical(got)
+
+
+@PROPERTY
+@given(pairs, st.dictionaries(st.sampled_from(COORDS[2]), paired_polynomials(COORDS[2], 2),
+                              max_size=3))
+def test_substitute_matches_the_reference_ring(u, replacements):
+    a, ra = u
+    got = a.substitute({c: e for c, (e, _) in replacements.items()})
+    expected = ra.substitute({c: r for c, (_, r) in replacements.items()})
+    assert render_expr(got) == render_expr(expected)
+    assert_canonical(got)
+
+
+@PROPERTY
+@given(pairs)
+def test_terms_round_trip_through_the_dict_constructor(u):
+    a, _ = u
+    assert_canonical(a)
+    assert Expr(dict(a.terms())) == a
+    for _, c in a.terms():
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1)
 
 
 @PROPERTY

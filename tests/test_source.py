@@ -233,3 +233,16 @@ def test_every_public_library_name_has_a_caller_outside_the_tests():
             if name not in _referenced_names(tree, skip=node):
                 hits.append(f"{stem}.{name}")
     assert not hits, f"public library names that only tests call: {hits}"
+
+
+def test_rational_arithmetic_of_the_symbolic_core_lives_in_expressions():
+    # Expr stores integer numerators over one denominator and takes int and
+    # Fraction scalars itself; the modules built on it import no fractions
+    hits = [
+        f"{name}:{line} {module}"
+        for name in ("forms.py", "dedonder.py", "prolongations.py", "jets.py")
+        for line, module in _eager_imports(ast.parse((SOURCE / name).read_text()))
+        + _lazy_imports(ast.parse((SOURCE / name).read_text()))
+        if module.split(".")[0] == "fractions"
+    ]
+    assert not hits, f"fractions imported outside expressions: {hits}"
