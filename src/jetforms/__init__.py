@@ -17,12 +17,12 @@ with ``jetforms.numeric``.
 
 The library holds what the commands, demos and benchmarks call.  References
 that only tests use (the Cartan-formula Lie derivative, the contact-ideal
-check, the problem renderer, random polynomials) live with the tests.
+check, the problem renderer, random polynomials, generic sections) live with
+the tests.
 """
 from .jets import (
     JetConfig,
     base_coord,
-    canonicalize,
     enumerate_coordinates,
     field_coord,
     jet_coord,
@@ -33,8 +33,6 @@ from .jets import (
 from .expressions import (
     Expr,
     PolynomialSection,
-    coeff_symbol,
-    generic_section,
     render_expr,
     substitute_section,
     total_derivative,

@@ -75,18 +75,17 @@ class Report:
     def ok(self) -> bool:
         return all(c["ok"] for c in self.checks)
 
-    def emit(self, stream=None):
-        stream = stream or sys.stdout
+    def emit(self):
         if self.json_mode:
             payload = dict(self.data)
             if self.checks:
                 payload["checks"] = self.checks
                 payload["ok"] = self.ok
-            json.dump(payload, stream, indent=2, sort_keys=True)
-            stream.write("\n")
+            json.dump(payload, sys.stdout, indent=2, sort_keys=True)
+            sys.stdout.write("\n")
         else:
             for line in self.lines:
-                stream.write(line + "\n")
+                sys.stdout.write(line + "\n")
 
 
 def _coefficient_key(a: int, i1: int, tail: tuple) -> str:
@@ -154,7 +153,7 @@ def cmd_verify(spec: ProblemSpec, report: Report, args):
     condition3 = verify_condition3(dec, xi)
     detail = ""
     if not condition3.ok:
-        a, I, residual, _ = condition3.failures[0]
+        a, I, residual = condition3.failures[0]
         detail = f"first failure at a={a}, I={I}: {render_expr(residual)}"
     report.check("boundary-form-target-vertical-pullback", condition3.ok, detail)
     if spec.skew:

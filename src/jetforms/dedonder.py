@@ -18,7 +18,7 @@ On canonical storage that condition is the linear system
                     = Phi^I_a - sum_j D_j p^{j,I}_a
 
 for every canonical I, where a splitting of I is a pair (i1, T) with
-canonicalize((i1,)+T) = I; a canonical I admits one splitting per distinct
+sorted((i1,)+T) = I; a canonical I admits one splitting per distinct
 value it contains.  The generalized De Donder construction distributes each
 right-hand side equally over the splittings, which yields coefficients fully
 symmetric in all upper indices; any two solutions differ by "skew" data with
@@ -47,7 +47,6 @@ from typing import Mapping
 from .expressions import (
     Expr,
     PolynomialSection,
-    generic_section,
     render_expr,
     total_derivative,
     z_var,
@@ -475,35 +474,29 @@ class Condition3Report:
     """Outcome of the target-vertical pullback check, per probing field."""
 
     ok: bool
-    failures: list  # (a, I, residual Expr, pulled-back certificate Expr)
+    failures: list  # (a, I, residual Expr)
 
 
 def verify_condition3(phi: PhiDecomposition, xi: BoundaryForm) -> Condition3Report:
     """Check j sigma*(X -| (Phi + dXi)) = 0 for all target-vertical basis X.
 
     X runs over d/dz^a_I with 1 <= |I| <= 2k-1; ``xi.reduced_contractions``
-    serves when ``phi is xi.phi``.  A nonzero reduction is pulled back along
-    a generic polynomial section of total degree 2k+1 (enough to realize
-    every jet of order 2k at any point) as the certificate.  Failures carry
-    the offending (a, I), the reduced residual, and the certificate.
+    serves when ``phi is xi.phi``.  The table keeps only nonzero holonomic
+    reductions, of jet order at most 2k, and the jets of sections take every
+    value, so no such reduction pulls back to zero along every section: each
+    d/dz entry fails, with its (a, I) and the d_m x coefficient as residual.
     """
     cfg = xi.cfg
     if phi is xi.phi:
         table = xi.reduced_contractions
     else:
         table = _reduced_vertical_contractions(phi.form() + xi.form.d(), cfg)
-    sigma = None
-    failures = []
-    for coord, reduced in table.items():
-        if coord[0] != "z":
-            continue
-        if sigma is None:
-            sigma = generic_section(cfg, 2 * cfg.k + 1)
-        certificate = holonomic_pullback(reduced, sigma)
-        if certificate.is_zero:
-            continue
-        residual = reduced.coefficient(tuple(base_coord(i) for i in range(1, cfg.m + 1)))
-        failures.append((coord[1], coord[2], residual, certificate))
+    volume = tuple(base_coord(i) for i in range(1, cfg.m + 1))
+    failures = [
+        (coord[1], coord[2], reduced.coefficient(volume))
+        for coord, reduced in table.items()
+        if coord[0] == "z"
+    ]
     return Condition3Report(not failures, failures)
 
 

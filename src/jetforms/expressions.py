@@ -35,7 +35,6 @@ commutes with D_i) is the keystone property the test-suite pins down.
 """
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, Sequence
@@ -43,7 +42,6 @@ from typing import Mapping, Sequence
 from .jets import (
     JetConfig,
     base_coord,
-    canonicalize,
     check_coordinate,
     coordinate_order,
     coordinate_sort_key,
@@ -466,13 +464,8 @@ def y_var(a: int) -> Expr:
     return Expr.variable(field_coord(a))
 
 
-def z_var(a: int, indices, m: int | None = None) -> Expr:
-    indices = tuple(sorted(indices)) if m is None else canonicalize(indices, m)
-    return Expr.variable(jet_coord(a, indices))
-
-
-def coeff_symbol(name: str) -> tuple:
-    return ("c", name)
+def z_var(a: int, indices) -> Expr:
+    return Expr.variable(jet_coord(a, tuple(sorted(indices))))
 
 
 # -- rendering ---------------------------------------------------------------
@@ -640,27 +633,3 @@ def substitute_section(e: Expr, section: PolynomialSection) -> Expr:
         if coord[0] in ("y", "z"):
             replacements[coord] = section.coordinate_value(coord)
     return e.substitute(replacements)
-
-
-def generic_section(cfg: JetConfig, degree: int, tag: str = "s") -> PolynomialSection:
-    """Undetermined-coefficient polynomial section of given total degree.
-
-    The coefficient of ``x^d`` in component ``a`` is the free symbol
-    ``c[{tag}{a}_{d}]``.  Substituting such a section and requiring the result
-    to vanish identically in x and all symbols certifies "for every section":
-    the map from coefficients to the jet of the section at any point is onto
-    once ``degree`` is at least the jet order probed.
-    """
-    def monomials(a: int):
-        for total in range(degree + 1):
-            for exponents in itertools.combinations_with_replacement(
-                range(1, cfg.m + 1), total
-            ):
-                powers = {base_coord(i): exponents.count(i) for i in set(exponents)}
-                label = f"{tag}{a}_" + "".join(map(str, exponents))
-                powers[coeff_symbol(label)] = 1
-                yield Expr.monomial(powers)
-
-    return PolynomialSection(
-        cfg, [Expr.sum(monomials(a)) for a in range(1, cfg.n + 1)]
-    )

@@ -83,7 +83,7 @@ def coordinate_sort_key(coord: Coordinate):
     return (3, coord[1])
 
 
-def check_coordinate(cfg: JetConfig, coord: Coordinate, max_order: int | None = None):
+def check_coordinate(cfg: JetConfig, coord: Coordinate):
     """Validate a coordinate against a configuration; returns it unchanged."""
     tag = coord[0]
     if tag == "x":
@@ -100,27 +100,18 @@ def check_coordinate(cfg: JetConfig, coord: Coordinate, max_order: int | None = 
             raise ValueError(f"jet multi-index {I} is not canonical")
         if any(not 1 <= i <= cfg.m for i in I):
             raise ValueError(f"jet multi-index {I} has entries outside 1..{cfg.m}")
-        limit = cfg.expression_order if max_order is None else max_order
-        if len(I) > limit:
-            raise ValueError(f"jet order {len(I)} exceeds maximum {limit}")
+        if len(I) > cfg.expression_order:
+            raise ValueError(f"jet order {len(I)} exceeds maximum {cfg.expression_order}")
     elif tag != "c":
         raise ValueError(f"unknown coordinate {coord!r}")
     return coord
-
-
-def canonicalize(indices: Sequence[int], m: int) -> tuple:
-    """Sort a tuple of base indices into the canonical non-decreasing order."""
-    for i in indices:
-        if not 1 <= i <= m:
-            raise ValueError(f"base index {i} out of range 1..{m}")
-    return tuple(sorted(indices))
 
 
 def splittings(indices: Sequence[int]):
     """Distinct ways of removing one entry: pairs (i1, canonical remainder).
 
     Splittings enumerate how a canonical multi-index arises as
-    ``canonicalize((i1,) + tail)`` with a canonical tail; there is one per
+    ``sorted((i1,) + tail)`` with a canonical tail; there is one per
     distinct value occurring in the index.
     """
     out = []

@@ -179,13 +179,10 @@ def sample_section(section: PolynomialSection, grid: GridSpec) -> SampledSection
     return SampledSection(grid, arrays)
 
 
-def integrate_action(
-    cfg: JetConfig, L: Expr, section: SampledSection, grid: GridSpec | None = None
-) -> float:
-    """Quadrature of the action integrand L(j^k sigma) over the grid."""
-    grid = section.grid if grid is None else grid
+def integrate_action(cfg: JetConfig, L: Expr, section: SampledSection) -> float:
+    """Quadrature of the action integrand L(j^k sigma) over the section's grid."""
     values = section.coordinate_arrays(cfg, cfg.k)
-    return quadrature(evaluate_on_grid(L, values, grid.shape), grid)
+    return quadrature(evaluate_on_grid(L, values, section.grid.shape), section.grid)
 
 
 # -- decomposition of force functionals ---------------------------------------
@@ -345,17 +342,17 @@ class CauchyState:
     Stored only as the scaled spectrum u_j = rfft(d_t^j y) / xi^j, shape
     (n, 4, N // 2 + 1), with xi = 1 in the zero mode; a step and the slice
     energy read it without a transform.  The constructor takes physical rows
-    (n, 4, N) through one forward FFT; ``data`` is the physical view, one
-    inverse FFT.
+    (n, 4, N) through one forward FFT and starts at t = 0; ``data`` is the
+    physical view, one inverse FFT.
     """
 
-    def __init__(self, grid: GridSpec, data, t: float = 0.0):
+    def __init__(self, grid: GridSpec, data):
         data = np.asarray(data, dtype=float)
         if data.ndim != 3 or data.shape[1] != 4:
             raise ValueError("state data must have shape (n, 4, N)")
         if data.shape[2] != grid.shape[0]:
             raise ValueError("state data does not match the grid")
-        self._set(grid, np.fft.rfft(data, axis=2) / _time_scales(grid), t)
+        self._set(grid, np.fft.rfft(data, axis=2) / _time_scales(grid), 0.0)
 
     @classmethod
     def _from_spectrum(cls, grid: GridSpec, spectrum: np.ndarray, t: float):
@@ -637,18 +634,14 @@ def _flowed_jet_coordinates(
 
 
 def flow_oracle(
-    Y: ProjectableField,
-    order: int,
-    section: PolynomialSection,
-    x0: Sequence,
-    h: float = 1e-4,
+    Y: ProjectableField, order: int, section: PolynomialSection, x0: Sequence
 ) -> dict:
     """Numeric prolongation components along a section, by flow differencing.
 
-    Central difference in t of the jet coordinates of e^{tY}* sigma at the
-    flowed base point; at t = 0 this is by construction the prolonged vector
-    field evaluated at j^order sigma(x0).  Used solely as a test oracle for
-    :func:`prolong`.
+    Central difference in t, step 1e-4, of the jet coordinates of e^{tY}*
+    sigma at the flowed base point; at t = 0 this is by construction the
+    prolonged vector field evaluated at j^order sigma(x0).  Used solely as a
+    test oracle for :func:`prolong`.
     """
     cfg = Y.cfg
     if not 1 <= order <= cfg.working_order:
@@ -658,8 +651,7 @@ def flow_oracle(
             "the flow oracle supports fields with Y^i affine in x and "
             "Y^a affine in (x, y); general flows have no closed form here"
         )
-    plus = _flowed_jet_coordinates(Y, order, section, x0, +h)
+    h = 1e-4
+    plus = _flowed_jet_coordinates(Y, order, section, x0, h)
     minus = _flowed_jet_coordinates(Y, order, section, x0, -h)
-    return {
-        coord: (plus[coord] - minus[coord]) / (2.0 * h) for coord in plus
-    }
+    return {coord: (plus[coord] - minus[coord]) / (2.0 * h) for coord in plus}

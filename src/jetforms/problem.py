@@ -109,7 +109,7 @@ class GridSpec:
         return w
 
 
-@dataclass
+@dataclass(eq=False)
 class ProblemSpec:
     """Parsed, validated problem data."""
 
@@ -121,24 +121,6 @@ class ProblemSpec:
     sections: dict = dataclass_field(default_factory=dict)  # name -> PolynomialSection
     grid: GridSpec | None = None
     evolve: tuple | None = None  # (t0, t1, steps)
-
-    def __eq__(self, other):
-        if not isinstance(other, ProblemSpec):
-            return NotImplemented
-        return (
-            self.cfg == other.cfg
-            and self.metrics == other.metrics
-            and self.lagrangian == other.lagrangian
-            and {k: v.base_components for k, v in self.fields.items()}
-            == {k: v.base_components for k, v in other.fields.items()}
-            and {k: v.vertical_components for k, v in self.fields.items()}
-            == {k: v.vertical_components for k, v in other.fields.items()}
-            and self.skew == other.skew
-            and {k: v.components for k, v in self.sections.items()}
-            == {k: v.components for k, v in other.sections.items()}
-            and self.grid == other.grid
-            and self.evolve == other.evolve
-        )
 
 
 # -- tokenizer ----------------------------------------------------------------
@@ -186,14 +168,13 @@ def _tokenize(text: str):
                 elif c == "." and not seen_dot and not seen_exp:
                     seen_dot = True
                     j += 1
-                elif c in "eE" and not seen_exp and j > i:
-                    if j + 1 < len(text) and (
-                        text[j + 1].isdigit() or text[j + 1] in "+-"
-                    ):
-                        seen_exp = True
-                        j += 2 if text[j + 1] in "+-" else 1
-                    else:
+                elif c in "eE" and not seen_exp:
+                    # an exponent needs a digit after its optional sign
+                    digit = j + 2 if text[j + 1 : j + 2] in ("+", "-") else j + 1
+                    if not text[digit : digit + 1].isdigit():
                         break
+                    seen_exp = True
+                    j = digit
                 else:
                     break
             chunk = text[i:j]
@@ -283,14 +264,19 @@ class _Parser:
         section_asts: dict = {}
         grid = None
         evolve = None
+        declared = set()
+
+        def declare(what: str):
+            # each declaration names itself once; a repeat points at its keyword
+            if what in declared:
+                raise ProblemSemanticError(f"duplicate {what}", token.line, token.column)
+            declared.add(what)
+
         while self.peek().kind != "end":
             token = self.expect("name", "a statement keyword")
             word = token.text
             if word == "dims":
-                if dims is not None:
-                    raise ProblemSemanticError(
-                        "duplicate dims declaration", token.line, token.column
-                    )
+                declare("dims declaration")
                 m, _ = self.expect_int("m")
                 n, _ = self.expect_int("n")
                 k, _ = self.expect_int("k")
@@ -300,29 +286,19 @@ class _Parser:
                     raise ProblemSemanticError(str(exc), token.line, token.column)
             elif word == "metric":
                 name = self.expect("name", "a metric name").text
-                if name in metrics:
-                    raise ProblemSemanticError(
-                        f"duplicate metric {name!r}", token.line, token.column
-                    )
+                declare(f"metric {name!r}")
                 self.expect("=")
                 metrics[name] = (token, self.parse_matrix(token))
             elif word == "L":
-                if lagrangian_ast is not None:
-                    raise ProblemSemanticError(
-                        "duplicate Lagrangian", token.line, token.column
-                    )
+                declare("Lagrangian")
                 self.expect("=")
                 lagrangian_ast = self.parse_expr()
             elif word == "field":
                 name = self.expect("name", "a field name").text
-                if name in field_asts:
-                    raise ProblemSemanticError(
-                        f"duplicate field {name!r}", token.line, token.column
-                    )
+                declare(f"field {name!r}")
                 self.expect("=")
                 field_asts[name] = (token, self.parse_vector_field())
             elif word == "skewQ":
-                key_token = token
                 self.expect("[")
                 a, _ = self.expect_int("a field index")
                 self.expect(";")
@@ -330,19 +306,11 @@ class _Parser:
                 i2, _ = self.expect_int("a base index")
                 self.expect("]")
                 self.expect("=")
-                if (a, i1, i2) in skew_asts:
-                    raise ProblemSemanticError(
-                        f"duplicate skewQ[{a}; {i1} {i2}]",
-                        key_token.line,
-                        key_token.column,
-                    )
-                skew_asts[(a, i1, i2)] = (key_token, self.parse_expr())
+                declare(f"skewQ[{a}; {i1} {i2}]")
+                skew_asts[(a, i1, i2)] = (token, self.parse_expr())
             elif word == "section":
                 name = self.expect("name", "a section name").text
-                if name in section_asts:
-                    raise ProblemSemanticError(
-                        f"duplicate section {name!r}", token.line, token.column
-                    )
+                declare(f"section {name!r}")
                 self.expect("=")
                 self.expect("(")
                 comps = [self.parse_expr()]
@@ -352,10 +320,7 @@ class _Parser:
                 self.expect(")")
                 section_asts[name] = (token, comps)
             elif word == "grid":
-                if grid is not None:
-                    raise ProblemSemanticError(
-                        "duplicate grid declaration", token.line, token.column
-                    )
+                declare("grid declaration")
                 axes = []
                 while self.peek().kind != ";":
                     lo = self.expect_number()
@@ -375,10 +340,7 @@ class _Parser:
                         str(exc), token.line, token.column
                     )
             elif word == "evolve":
-                if evolve is not None:
-                    raise ProblemSemanticError(
-                        "duplicate evolve declaration", token.line, token.column
-                    )
+                declare("evolve declaration")
                 t0 = self.expect_number()
                 t1 = self.expect_number()
                 steps, steps_token = self.expect_int("a step count")
@@ -598,6 +560,15 @@ class _Parser:
 # -- elaboration --------------------------------------------------------------
 
 
+def _in_range(label: str, value: int, bound: int, token: _Token) -> int:
+    """``value`` when it lies in 1..bound; otherwise an error at ``token``."""
+    if not 1 <= value <= bound:
+        raise ProblemSemanticError(
+            f"{label} {value} out of range 1..{bound}", token.line, token.column
+        )
+    return value
+
+
 class _Elaborator:
     def __init__(self, cfg: JetConfig, metric_asts: dict):
         self.cfg = cfg
@@ -633,19 +604,9 @@ class _Elaborator:
             fields[name] = self.eval_vector_field(name, token, terms)
         skew = {}
         for (a, i1, i2), (token, ast) in skew_asts.items():
-            if not 1 <= a <= cfg.n:
-                raise ProblemSemanticError(
-                    f"skewQ field index {a} out of range 1..{cfg.n}",
-                    token.line,
-                    token.column,
-                )
+            _in_range("skewQ field index", a, cfg.n, token)
             for idx in (i1, i2):
-                if not 1 <= idx <= cfg.m:
-                    raise ProblemSemanticError(
-                        f"skewQ base index {idx} out of range 1..{cfg.m}",
-                        token.line,
-                        token.column,
-                    )
+                _in_range("skewQ base index", idx, cfg.m, token)
             if cfg.k != 2:
                 raise ProblemSemanticError(
                     "skewQ perturbations are defined for k = 2 problems",
@@ -729,33 +690,16 @@ class _Elaborator:
             )
         if kind == "coord1":
             _, name, idx_node, token = node
-            idx = self.eval_index(idx_node, env)
             bound = self.cfg.m if name == "x" else self.cfg.n
-            if not 1 <= idx <= bound:
-                raise ProblemSemanticError(
-                    f"{name} index {idx} out of range 1..{bound}",
-                    token.line,
-                    token.column,
-                )
+            idx = _in_range(f"{name} index", self.eval_index(idx_node, env), bound, token)
             coord = base_coord(idx) if name == "x" else field_coord(idx)
             return Expr.variable(coord)
         if kind == "jet":
             _, a_node, jet_nodes, token = node
-            a = self.eval_index(a_node, env)
-            if not 1 <= a <= self.cfg.n:
-                raise ProblemSemanticError(
-                    f"field index {a} out of range 1..{self.cfg.n}",
-                    token.line,
-                    token.column,
-                )
+            a = _in_range("field index", self.eval_index(a_node, env), self.cfg.n, token)
             indices = [self.eval_index(j, env) for j in jet_nodes]
             for idx in indices:
-                if not 1 <= idx <= self.cfg.m:
-                    raise ProblemSemanticError(
-                        f"jet index {idx} out of range 1..{self.cfg.m}",
-                        token.line,
-                        token.column,
-                    )
+                _in_range("jet index", idx, self.cfg.m, token)
             if len(indices) > self.cfg.k:
                 raise ProblemSemanticError(
                     f"jet order {len(indices)} > k = {self.cfg.k}",
@@ -772,14 +716,8 @@ class _Elaborator:
                 )
             i = self.eval_index(i_node, env)
             j = self.eval_index(j_node, env)
-            size = len(matrix)
             for idx in (i, j):
-                if not 1 <= idx <= size:
-                    raise ProblemSemanticError(
-                        f"metric index {idx} out of range 1..{size}",
-                        token.line,
-                        token.column,
-                    )
+                _in_range("metric index", idx, len(matrix), token)
             return Expr.constant(matrix[i - 1][j - 1])
         if kind == "index_value":
             _, name, token = node
@@ -798,22 +736,9 @@ class _Elaborator:
             coeff = Expr.constant(sign)
             for ast in factor_asts:
                 coeff = coeff * self.eval_expr(ast, {})
-            if which == "dx":
-                if not 1 <= idx <= cfg.m:
-                    raise ProblemSemanticError(
-                        f"dx index {idx} out of range 1..{cfg.m}",
-                        token.line,
-                        token.column,
-                    )
-                base[idx - 1] = base[idx - 1] + coeff
-            else:
-                if not 1 <= idx <= cfg.n:
-                    raise ProblemSemanticError(
-                        f"dy index {idx} out of range 1..{cfg.n}",
-                        token.line,
-                        token.column,
-                    )
-                vertical[idx - 1] = vertical[idx - 1] + coeff
+            target = base if which == "dx" else vertical
+            _in_range(f"{which} index", idx, len(target), token)
+            target[idx - 1] = target[idx - 1] + coeff
         try:
             return ProjectableField(cfg, tuple(base), tuple(vertical))
         except ValueError as exc:

@@ -114,11 +114,11 @@ def prolong(Y: ProjectableField, order: int) -> dict:
 
 
 def is_symmetry(Y: ProjectableField, L: Expr):
-    """Infinitesimal-symmetry test of the Lagrangian L along Y.
+    """Strict infinitesimal-symmetry test of the Lagrangian L along Y.
 
-    With E = sum_c Y^{k,c} dL/dc + L sum_i d_i Y^i, the residual d(E d_m x)
-    is L_{Y^k} d(L d_m x).  Returns (flag, certificate); the certificate is
-    that residual (m+1)-form, zero exactly when E depends on x alone.
+    With E = sum_c Y^{k,c} dL/dc + L sum_i d_i Y^i, the residual E d_m x is
+    L_{Y^k}(L d_m x).  Returns (E == 0, E d_m x); a divergence symmetry,
+    with E a nonzero total divergence, does not pass.
     """
     cfg = Y.cfg
     if L.jet_order() > cfg.k:
@@ -130,8 +130,7 @@ def is_symmetry(Y: ProjectableField, L: Expr):
     variation = Expr.sum(
         lifted[c] * partial for c, partial in L.gradient().items() if c in lifted
     ) + L * divergence
-    residual = DifferentialForm.from_scalar(variation).wedge(volume_form(cfg)).d()
-    return residual.is_zero, residual
+    return variation.is_zero, volume_form(cfg) * variation
 
 
 def characteristic_jets(

@@ -24,21 +24,24 @@ from .prolongations import ProjectableField
 MINKOWSKI = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(-1)))
 
 
-def wave_lagrangian(cfg: JetConfig, g_fibre=MINKOWSKI, g_base=MINKOWSKI) -> Expr:
-    """g_ab g^ij g^kl z^a_ij z^b_kl with full (symmetric) index sums."""
+def wave_lagrangian(cfg: JetConfig) -> Expr:
+    """g_ab g^ij g^kl z^a_ij z^b_kl with full (symmetric) index sums and
+    g = MINKOWSKI on both the base and the fibre."""
+    g = MINKOWSKI
+
     def trace(a: int) -> Expr:
         return Expr.sum(
-            z_var(a, (i, j)) * g_base[i - 1][j - 1]
+            z_var(a, (i, j)) * g[i - 1][j - 1]
             for i in range(1, cfg.m + 1)
             for j in range(1, cfg.m + 1)
-            if g_base[i - 1][j - 1] != 0
+            if g[i - 1][j - 1] != 0
         )
 
     return Expr.sum(
-        trace(a) * trace(b) * g_fibre[a - 1][b - 1]
+        trace(a) * trace(b) * g[a - 1][b - 1]
         for a in range(1, cfg.n + 1)
         for b in range(1, cfg.n + 1)
-        if g_fibre[a - 1][b - 1] != 0
+        if g[a - 1][b - 1] != 0
     )
 
 

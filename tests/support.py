@@ -1,17 +1,19 @@
 """Helpers that only the tests call: the Cartan-formula Lie derivative, the
 contact forms of a jet space, the contact-ideal test built from them, a
-seeded random polynomial generator and a reference ring.
+seeded random polynomial generator, generic sections with free coefficients
+and a reference ring.
 
 The library reaches the same statements by other routes (prolongation from
-the characteristic jets, the symmetry test through d(E d_m x), integer
+the characteristic jets, the symmetry test through E d_m x, integer
 numerators over one denominator); these stay as independent references.
 """
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import gcd
 
-from jetforms.expressions import Expr
+from jetforms.expressions import Expr, PolynomialSection
 from jetforms.forms import (
     DifferentialForm,
     VectorFieldOnJet,
@@ -21,6 +23,7 @@ from jetforms.forms import (
 )
 from jetforms.jets import (
     JetConfig,
+    base_coord,
     coordinate_sort_key,
     enumerate_coordinates,
     jet_coord,
@@ -75,6 +78,35 @@ def random_expr(rng, cfg: JetConfig, order: int, degree: int = 2, terms: int = 4
         return Expr.monomial(powers, coeff)
 
     return Expr.sum(term() for _ in range(terms))
+
+
+def coeff_symbol(name: str) -> tuple:
+    """The coordinate of a free coefficient; it sorts after every jet coordinate."""
+    return ("c", name)
+
+
+def generic_section(cfg: JetConfig, degree: int) -> PolynomialSection:
+    """Undetermined-coefficient polynomial section of given total degree.
+
+    The coefficient of ``x^d`` in component ``a`` is the free symbol
+    ``c[s{a}_{d}]``.  Substituting such a section and requiring the result
+    to vanish identically in x and all symbols certifies "for every section":
+    the map from coefficients to the jet of the section at any point is onto
+    once ``degree`` is at least the jet order probed.
+    """
+    def monomials(a: int):
+        for total in range(degree + 1):
+            for exponents in itertools.combinations_with_replacement(
+                range(1, cfg.m + 1), total
+            ):
+                powers = {base_coord(i): exponents.count(i) for i in set(exponents)}
+                label = f"s{a}_" + "".join(map(str, exponents))
+                powers[coeff_symbol(label)] = 1
+                yield Expr.monomial(powers)
+
+    return PolynomialSection(
+        cfg, [Expr.sum(monomials(a)) for a in range(1, cfg.n + 1)]
+    )
 
 
 # -- reference ring ----------------------------------------------------------

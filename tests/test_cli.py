@@ -149,6 +149,22 @@ def test_noether_command(capsys):
     assert "current-YT-on-bump: skipped" in out
 
 
+def test_noether_rejects_a_divergence_symmetry(tmp_path, capsys):
+    # Y = d/dy moves L = y + (y')^2/2 by E d_1 x with E = 1, a total
+    # divergence: not a strict symmetry, so no current is claimed conserved
+    problem = tmp_path / "divergence.jet"
+    problem.write_text(
+        "dims 1 1 1; L = y[1] + 1/2*z[1; 1]^2; field YV = dy[1];\n"
+        "section sol = (1/2*x[1]^2);\n"
+    )
+    code, out, _ = run(capsys, "noether", str(problem))
+    assert code == 1
+    assert out == (
+        "symmetry-YV: FAIL (residual (1) dx[1])\n"
+        "current-YV-on-sol: skipped (not a symmetry)\n"
+    )
+
+
 def test_evolve_command(tmp_path, capsys):
     code, out, _ = run(
         capsys, "evolve", WAVE, "--out", str(tmp_path), "--grid-n", "64", "--t1", "0.5"

@@ -21,7 +21,6 @@ from jetforms.dedonder import (
 from jetforms.expressions import (
     Expr,
     PolynomialSection,
-    coeff_symbol,
     substitute_section,
     total_derivative,
     x_var,
@@ -42,7 +41,7 @@ from jetforms.forms import (
 )
 from jetforms.jets import JetConfig, base_coord, enumerate_coordinates, field_coord, jet_coord
 from jetforms.wave import wave_problem
-from tests.support import random_expr
+from tests.support import coeff_symbol, random_expr
 
 
 def test_phi_from_lagrangian_examples():
@@ -148,7 +147,7 @@ def test_assemble_checks_and_condition3():
     )  # structural conditions still hold without a Phi
     report = verify_condition3(wp.decomposition, bad_xi)
     assert not report.ok
-    failing = {(a, I) for a, I, _, _ in report.failures}
+    failing = {(a, I) for a, I, _ in report.failures}
     assert (1, (1, 1)) in failing
     # assembling against the decomposition rejects the broken system
     with pytest.raises(AssertionError):

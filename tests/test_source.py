@@ -235,6 +235,63 @@ def test_every_public_library_name_has_a_caller_outside_the_tests():
     assert not hits, f"public library names that only tests call: {hits}"
 
 
+def _optional_parameters(node) -> list:
+    """(position, name) for each parameter of a function definition that has
+    a default; the position of a keyword-only parameter is None."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    found = [(i, arg.arg) for i, arg in enumerate(positional) if i >= first]
+    keyword_only = zip(args.kwonlyargs, args.kw_defaults)
+    return found + [(None, arg.arg) for arg, default in keyword_only if default is not None]
+
+
+def _calls(tree):
+    """(callee name, positional arguments, keyword names) for each call in
+    the tree; a function handed to a wrapper, as in ``call(f, *args)``, counts
+    as called with the arguments that follow it."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        keywords = {keyword.arg for keyword in node.keywords}  # None: **kwargs
+        for position, target in enumerate([node.func] + node.args):
+            if isinstance(target, (ast.Name, ast.Attribute)):
+                name = target.id if isinstance(target, ast.Name) else target.attr
+                yield name, node.args[position:], keywords
+
+
+def _sets(call, position, name) -> bool:
+    _, args, keywords = call
+    if name in keywords or None in keywords:
+        return True
+    if position is None:
+        return False
+    return len(args) > position or any(isinstance(a, ast.Starred) for a in args)
+
+
+def test_every_option_of_a_public_library_function_is_set_outside_the_tests():
+    # an option that no command, demo or benchmark sets only ever takes its
+    # default: it belongs in the body as a constant
+    root = SOURCE.parents[1]
+    paths = [
+        path
+        for folder in (SOURCE, root / "demos", root / "benchmarks")
+        for path in sorted(folder.glob("*.py"))
+    ]
+    calls = [call for path in paths for call in _calls(ast.parse(path.read_text()))]
+    hits = [
+        f"{path.stem}.{node.name}.{name}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and node.name not in ORACLE_ONLY_NAMES
+        for position, name in _optional_parameters(node)
+        if not any(_sets(call, position, name) for call in calls if call[0] == node.name)
+    ]
+    assert not hits, f"options that only tests set: {hits}"
+
+
 def test_rational_arithmetic_of_the_symbolic_core_lives_in_expressions():
     # Expr stores integer numerators over one denominator and takes int and
     # Fraction scalars itself; the modules built on it import no fractions
