@@ -50,7 +50,6 @@ from .forms import (
     interior_product,
     is_semibasic,
     render_form,
-    vertical_contractions,
     volume_form,
 )
 from .dedonder import (

@@ -31,16 +31,26 @@ action iff the pullbacks of X -| dTheta vanish for all X tangent to
 source-map fibres, and for X = d/dy^a that pullback is exactly the Lagrange
 derivative of L times the volume form.
 
-Condition 3 and the De Donder residual read one table per boundary form,
-built once: the nonzero holonomic reductions of X -| (Phi + dXi), which is
-X -| dTheta.  Its d/dz entries vanish (condition 3); its d/dy^a entries are
-dL/dy^a d_m x.
+Condition 3, the De Donder residual and the comparison of two boundary
+forms read one coefficient identity and never form dXi.  Let Xi be
+assembled from any coefficients p and let X be a source-vertical basis
+field.  The holonomic reduction of X -| (Phi + dXi) is
+
+    X = d/dy^a:             (Phi_a - sum_i D_i p^i_a) d_m x
+    X = d/dz^a_I, |I| <= k:  -r^a_I d_m x
+    X = d/dz^a_I, |I| > k:   0
+
+with r^a_I the residual of the system above at (a, I).  So condition 3
+holds iff the system does; the d/dy^a entries of X -| dTheta are the
+Lagrange derivatives dL/dy^a d_m x; and two boundary forms of one Phi pull
+back alike iff their difference solves the homogeneous system with zero
+level-one divergence.  The form-level contractions stay in the tests as the
+reference for the identity.
 """
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from functools import cached_property
 from time import perf_counter
 from typing import Mapping
 
@@ -48,6 +58,7 @@ from .expressions import (
     Expr,
     PolynomialSection,
     render_expr,
+    substitute_section,
     total_derivative,
     z_var,
 )
@@ -55,15 +66,12 @@ from .forms import (
     DifferentialForm,
     base_contraction,
     contact_form,
-    holonomic_pullback,
     holonomic_reduce,
     is_semibasic,
-    vertical_contractions,
     volume_form,
 )
 from .jets import (
     JetConfig,
-    base_coord,
     coordinate_sort_key,
     enumerate_coordinates,
     field_coord,
@@ -310,15 +318,6 @@ STRUCTURAL_CHECKS = (
 )
 
 
-def _reduced_vertical_contractions(form: DifferentialForm, cfg: JetConfig) -> dict:
-    """{coordinate: holonomic reduction of X -| form} for the source-vertical
-    basis fields X whose reduction is nonzero, in coordinate order."""
-    contractions = vertical_contractions(form)
-    reduced = ((c, holonomic_reduce(contractions[c], cfg))
-               for c in enumerate_coordinates(cfg, cfg.working_order) if c in contractions)
-    return {c: entry for c, entry in reduced if not entry.is_zero}
-
-
 @dataclass
 class BoundaryForm:
     """An assembled boundary form with its coefficients and provenance."""
@@ -327,13 +326,6 @@ class BoundaryForm:
     form: DifferentialForm
     coefficients: BoundaryCoefficients
     phi: PhiDecomposition | None = None
-
-    @cached_property
-    def reduced_contractions(self) -> dict:
-        """The nonzero reductions of X -| (Phi + dXi), X source-vertical."""
-        if self.phi is None:
-            raise ValueError("the boundary form was not constructed against a Phi")
-        return _reduced_vertical_contractions(self.phi.form() + self.form.d(), self.cfg)
 
 
 def assemble_boundary_form(
@@ -480,23 +472,17 @@ class Condition3Report:
 def verify_condition3(phi: PhiDecomposition, xi: BoundaryForm) -> Condition3Report:
     """Check j sigma*(X -| (Phi + dXi)) = 0 for all target-vertical basis X.
 
-    X runs over d/dz^a_I with 1 <= |I| <= 2k-1; ``xi.reduced_contractions``
-    serves when ``phi is xi.phi``.  The table keeps only nonzero holonomic
-    reductions, of jet order at most 2k, and the jets of sections take every
-    value, so no such reduction pulls back to zero along every section: each
-    d/dz entry fails, with its (a, I) and the d_m x coefficient as residual.
+    X runs over d/dz^a_I with 1 <= |I| <= 2k-1.  By the module's identity the
+    holonomic reduction is -r^a_I d_m x, r^a_I the residual of the splitting
+    system of ``phi`` on ``xi.coefficients``, and zero for |I| > k.  The jets
+    of sections take every value, so the check fails exactly where the
+    system does: each failure is (a, I, -r^a_I), in coordinate order
+    (|I|, a, I).
     """
-    cfg = xi.cfg
-    if phi is xi.phi:
-        table = xi.reduced_contractions
-    else:
-        table = _reduced_vertical_contractions(phi.form() + xi.form.d(), cfg)
-    volume = tuple(base_coord(i) for i in range(1, cfg.m + 1))
-    failures = [
-        (coord[1], coord[2], reduced.coefficient(volume))
-        for coord, reduced in table.items()
-        if coord[0] == "z"
-    ]
+    failures = sorted(
+        ((a, I, -residual) for a, I, residual in _check_splitting_system(phi, xi.coefficients)),
+        key=lambda failure: (len(failure[1]), failure[0], failure[1]),
+    )
     return Condition3Report(not failures, failures)
 
 
@@ -552,20 +538,25 @@ def lagrange_derivative(cfg: JetConfig, L: Expr) -> list:
 def dedonder_residual(theta: DeDonderForm, section: PolynomialSection) -> dict:
     """Pullbacks j sigma*(X -| dTheta) for every source-vertical basis X.
 
-    Returns a mapping coordinate -> m-form on the base.  All values vanish
-    exactly when the section satisfies the De Donder equations, equivalently
-    the Euler-Lagrange equations; the d/dy^a entries carry the Lagrange
-    derivative evaluated on the section.  dTheta = Phi + dXi, so the section
-    is substituted into ``theta.boundary.reduced_contractions``.
+    Returns a mapping coordinate -> m-form on the base, one entry per
+    source-vertical coordinate of order <= 2k-1 in coordinate order.  All
+    values vanish exactly when the section satisfies the De Donder
+    equations, equivalently the Euler-Lagrange equations.  dTheta = Phi +
+    dXi and Xi solves the splitting system, so by the module's identity the
+    d/dy^a entry is the pullback of (Phi_a - sum_i D_i p^i_a) d_m x, the
+    Lagrange derivative, and every d/dz entry is the zero m-form.
     """
     cfg = theta.cfg
-    table = theta.boundary.reduced_contractions
-    zero = DifferentialForm.zero(cfg.m)
-    return {
-        coord: holonomic_pullback(table.get(coord, zero), section)
-        for coord in enumerate_coordinates(cfg, cfg.working_order)
-        if coord[0] != "x"
-    }
+    dec, coeffs = theta.boundary.phi, theta.boundary.coefficients
+    volume = volume_form(cfg)
+    residuals = {}
+    for coord in enumerate_coordinates(cfg, cfg.working_order):
+        if coord[0] == "y":
+            density = dec.component(coord[1]) - coeffs.holonomic_divergence(coord[1])
+            residuals[coord] = volume * substitute_section(density, section)
+        elif coord[0] == "z":
+            residuals[coord] = DifferentialForm.zero(cfg.m)
+    return residuals
 
 
 @dataclass
@@ -576,7 +567,7 @@ class ComparisonReport:
     differences: dict  # (a, i1, tail) -> Expr
     relation_failures: list  # (a, I, residual) from the homogeneous system
     divergence_residuals: dict  # a -> Expr, must all be zero
-    pullback_failures: list  # (coordinate, nonzero reduced form) from d(Xi - Xi')
+    pullback_failures: list  # (coordinate, nonzero reduced X -| d(Xi - Xi'))
 
 
 def compare_boundary_forms(xi: BoundaryForm, xi_prime: BoundaryForm) -> ComparisonReport:
@@ -585,7 +576,10 @@ def compare_boundary_forms(xi: BoundaryForm, xi_prime: BoundaryForm) -> Comparis
     Checks, all exactly: the difference Q = p - p' satisfies the homogeneous
     coefficient relations; the level-one divergence trace sum_i D_i Q^i_a
     vanishes identically; and the pullbacks of X -| d(Xi - Xi') vanish for
-    every source-vertical basis X.
+    every source-vertical basis X.  Xi - Xi' is assembled from Q, so by the
+    module's identity with Phi = 0 the last check reads the first two: the
+    reduction is -sum_i D_i Q^i_a d_m x for X = d/dy^a and -r^a_I d_m x for
+    X = d/dz^a_I.
     """
     if xi.phi is None or xi_prime.phi is None:
         raise ValueError("both forms must be boundary forms of a Phi")
@@ -604,14 +598,15 @@ def compare_boundary_forms(xi: BoundaryForm, xi_prime: BoundaryForm) -> Comparis
     zero_dec = PhiDecomposition(cfg, {})
     relation_failures = _check_splitting_system(zero_dec, q)
     divergence_residuals = {a: q.holonomic_divergence(a) for a in range(1, cfg.n + 1)}
-    pullback_failures = list(
-        _reduced_vertical_contractions((xi.form - xi_prime.form).d(), cfg).items()
+    volume = volume_form(cfg)
+    pullback_failures = sorted(
+        [(field_coord(a), volume * -residual)
+         for a, residual in divergence_residuals.items() if not residual.is_zero]
+        + [(jet_coord(a, I), volume * -residual) for a, I, residual in relation_failures],
+        key=lambda failure: coordinate_sort_key(failure[0]),
     )
-    ok = (
-        not relation_failures
-        and all(v.is_zero for v in divergence_residuals.values())
-        and not pullback_failures
-    )
+    # the pullback failures are exactly the failures of the first two checks
     return ComparisonReport(
-        ok, differences, relation_failures, divergence_residuals, pullback_failures
+        not pullback_failures, differences, relation_failures, divergence_residuals,
+        pullback_failures,
     )

@@ -25,10 +25,9 @@ parity of that choice.  A form pulls back to zero along every section iff its
 reduction is the zero form, because jets of polynomial sections realize every
 combination of coordinate values.
 
-``vertical_contractions`` serves every "for all vertical X" statement: one
-scan over the wedge terms yields X -| form for every basis field
-X = d/dy^a, d/dz^a_I at once, since a term contributes only to the
-coordinates of its own dy/dz factors.
+The "for every source-vertical X" conditions on boundary and De Donder forms
+contract no form here: ``jetforms.dedonder`` reads them from an identity on
+the boundary-form coefficients.
 """
 from __future__ import annotations
 
@@ -230,30 +229,6 @@ def interior_product(X: VectorFieldOnJet, form: DifferentialForm) -> Differentia
                 )
 
     return DifferentialForm(form.degree - 1, _accumulate(pairs()))
-
-
-def vertical_contractions(form: DifferentialForm) -> dict:
-    """X -| form for every vertical basis field X, in one scan of the form.
-
-    Returns a mapping coordinate -> form whose entry at ``c`` equals
-    ``interior_product(basis_vector(c), form)`` for every y and z coordinate
-    ``c``; coordinates whose contraction vanishes are absent.
-    """
-    if form.degree < 1:
-        raise ValueError("interior product needs a form of degree >= 1")
-    out: dict = {}
-    for wedge_key, coeff in form.terms():
-        for pos, b in enumerate(wedge_key):
-            if b[0] == "x":
-                continue
-            # distinct terms sharing the factor b stay distinct once b is
-            # removed, so nothing accumulates and no entry can cancel
-            terms = out.setdefault(b, {})
-            reduced = wedge_key[:pos] + wedge_key[pos + 1 :]
-            terms[reduced] = coeff if pos % 2 == 0 else -coeff
-    return {
-        coord: DifferentialForm(form.degree - 1, terms) for coord, terms in out.items()
-    }
 
 
 def volume_form(cfg: JetConfig) -> DifferentialForm:

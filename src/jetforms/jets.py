@@ -84,27 +84,9 @@ def coordinate_sort_key(coord: Coordinate):
 
 
 def check_coordinate(cfg: JetConfig, coord: Coordinate):
-    """Validate a coordinate against a configuration; returns it unchanged."""
-    tag = coord[0]
-    if tag == "x":
-        if not 1 <= coord[1] <= cfg.m:
-            raise ValueError(f"base index {coord[1]} out of range 1..{cfg.m}")
-    elif tag == "y":
-        if not 1 <= coord[1] <= cfg.n:
-            raise ValueError(f"field index {coord[1]} out of range 1..{cfg.n}")
-    elif tag == "z":
-        a, I = coord[1], coord[2]
-        if not 1 <= a <= cfg.n:
-            raise ValueError(f"field index {a} out of range 1..{cfg.n}")
-        if tuple(sorted(I)) != I or not I:
-            raise ValueError(f"jet multi-index {I} is not canonical")
-        if any(not 1 <= i <= cfg.m for i in I):
-            raise ValueError(f"jet multi-index {I} has entries outside 1..{cfg.m}")
-        if len(I) > cfg.expression_order:
-            raise ValueError(f"jet order {len(I)} exceeds maximum {cfg.expression_order}")
-    elif tag != "c":
-        raise ValueError(f"unknown coordinate {coord!r}")
-    return coord
+    """Validate a base coordinate x^i against a configuration."""
+    if not 1 <= coord[1] <= cfg.m:
+        raise ValueError(f"base index {coord[1]} out of range 1..{cfg.m}")
 
 
 def splittings(indices: Sequence[int]):

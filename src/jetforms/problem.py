@@ -14,8 +14,8 @@ A problem file is a sequence of statements::
 Expressions are sums, products and non-negative integer powers of rational
 constants, ``x[i]``, ``y[a]``, ``z[a; i1 i2 ...]``, metric entries
 ``name[i j]``, and explicit contractions ``sum(idx, lo, hi, body)``; division
-is permitted by (nonzero) constants only.  Jet indices are canonicalized on
-parse.  Every syntax error carries a line/column position and the expected
+is permitted by (nonzero) constants only.  Numbers are written in ASCII
+digits.  Jet indices are canonicalized on parse.  Every syntax error carries a line/column position and the expected
 tokens; semantic errors (index ranges, order overflow, asymmetric metrics,
 duplicate declarations) point at the offending token.
 """
@@ -126,6 +126,9 @@ class ProblemSpec:
 # -- tokenizer ----------------------------------------------------------------
 
 _PUNCT = {";", ",", "=", "(", ")", "[", "]", "+", "-", "*", "/", "^"}
+# numbers are ASCII digits only: str.isdigit also accepts superscripts,
+# which int() rejects, and the digits of other scripts, which it reads
+_DIGITS = frozenset("0123456789")
 
 
 @dataclass(frozen=True)
@@ -134,6 +137,17 @@ class _Token:
     text: str
     line: int
     column: int
+
+
+def _int_value(token: _Token) -> int:
+    """The value of an int token; one with more digits than the interpreter
+    converts (``sys.get_int_max_str_digits``) is an error at the token."""
+    try:
+        return int(token.text)
+    except ValueError:
+        raise ProblemSemanticError(
+            f"integer of {len(token.text)} digits is too long", token.line, token.column
+        ) from None
 
 
 def _tokenize(text: str):
@@ -156,14 +170,12 @@ def _tokenize(text: str):
                 i += 1
             continue
         start_col = column
-        if ch.isdigit() or (
-            ch == "." and i + 1 < len(text) and text[i + 1].isdigit()
-        ):
+        if ch in _DIGITS or (ch == "." and text[i + 1 : i + 2] in _DIGITS):
             j = i
             seen_dot = seen_exp = False
             while j < len(text):
                 c = text[j]
-                if c.isdigit():
+                if c in _DIGITS:
                     j += 1
                 elif c == "." and not seen_dot and not seen_exp:
                     seen_dot = True
@@ -171,7 +183,7 @@ def _tokenize(text: str):
                 elif c in "eE" and not seen_exp:
                     # an exponent needs a digit after its optional sign
                     digit = j + 2 if text[j + 1 : j + 2] in ("+", "-") else j + 1
-                    if not text[digit : digit + 1].isdigit():
+                    if text[digit : digit + 1] not in _DIGITS:
                         break
                     seen_exp = True
                     j = digit
@@ -232,7 +244,7 @@ class _Parser:
 
     def expect_int(self, what: str = "an integer") -> tuple:
         token = self.expect("int", what)
-        return int(token.text), token
+        return _int_value(token), token
 
     def expect_number(self) -> float:
         sign = 1.0
@@ -459,7 +471,7 @@ class _Parser:
         token = self.peek()
         if token.kind == "int":
             self.advance()
-            return ("num", Fraction(int(token.text)))
+            return ("num", Fraction(_int_value(token)))
         if token.kind == "float":
             raise ProblemSyntaxError(
                 "decimal literals are not allowed in expressions; use rationals",
@@ -519,7 +531,7 @@ class _Parser:
         token = self.peek()
         if token.kind == "int":
             self.advance()
-            return ("int", int(token.text), token)
+            return ("int", _int_value(token), token)
         if token.kind == "name":
             self.advance()
             return ("name", token.text, token)
@@ -576,9 +588,9 @@ class _Elaborator:
         for name, (token, matrix) in metric_asts.items():
             size = len(matrix)
             if size not in (cfg.m, cfg.n):
+                sizes = " or ".join(f"{s}x{s}" for s in dict.fromkeys((cfg.m, cfg.n)))
                 raise ProblemSemanticError(
-                    f"metric {name!r} is {size}x{size}; expected "
-                    f"{cfg.m}x{cfg.m} or {cfg.n}x{cfg.n}",
+                    f"metric {name!r} is {size}x{size}; expected {sizes}",
                     token.line,
                     token.column,
                 )

@@ -1,11 +1,14 @@
 """Helpers that only the tests call: the Cartan-formula Lie derivative, the
-contact forms of a jet space, the contact-ideal test built from them, a
+contact forms of a jet space, the contact-ideal test built from them, the
+one-scan vertical contractions of a form and their holonomic reductions, a
 seeded random polynomial generator, generic sections with free coefficients
 and a reference ring.
 
 The library reaches the same statements by other routes (prolongation from
-the characteristic jets, the symmetry test through E d_m x, integer
-numerators over one denominator); these stay as independent references.
+the characteristic jets, the symmetry test through E d_m x, the
+boundary-form conditions through the splitting system of the coefficients,
+integer numerators over one denominator); these stay as independent
+references.
 """
 from __future__ import annotations
 
@@ -59,6 +62,42 @@ def preserves_contact_ideal(Y: ProjectableField, order: int) -> bool:
         if not holonomic_reduce(lie_derivative(lifted, theta), cfg).is_zero:
             return False
     return True
+
+
+def vertical_contractions(form: DifferentialForm) -> dict:
+    """X -| form for every vertical basis field X, in one scan of the form.
+
+    Returns a mapping coordinate -> form whose entry at ``c`` equals
+    ``interior_product(basis_vector(c), form)`` for every y and z coordinate
+    ``c``; coordinates whose contraction vanishes are absent.
+    """
+    if form.degree < 1:
+        raise ValueError("interior product needs a form of degree >= 1")
+    out: dict = {}
+    for wedge_key, coeff in form.terms():
+        for pos, b in enumerate(wedge_key):
+            if b[0] == "x":
+                continue
+            # distinct terms sharing the factor b stay distinct once b is
+            # removed, so nothing accumulates and no entry can cancel
+            terms = out.setdefault(b, {})
+            reduced = wedge_key[:pos] + wedge_key[pos + 1 :]
+            terms[reduced] = coeff if pos % 2 == 0 else -coeff
+    return {
+        coord: DifferentialForm(form.degree - 1, terms) for coord, terms in out.items()
+    }
+
+
+def reduced_vertical_contractions(form: DifferentialForm, cfg: JetConfig) -> dict:
+    """{coordinate: holonomic reduction of X -| form} for the source-vertical
+    basis fields X of order <= 2k-1 whose reduction is nonzero, in
+    coordinate order: the form-level reference for the coefficient identity
+    that condition 3, the De Donder residual and the boundary-form
+    comparison read."""
+    contractions = vertical_contractions(form)
+    reduced = ((c, holonomic_reduce(contractions[c], cfg))
+               for c in enumerate_coordinates(cfg, cfg.working_order) if c in contractions)
+    return {c: entry for c, entry in reduced if not entry.is_zero}
 
 
 def random_expr(rng, cfg: JetConfig, order: int, degree: int = 2, terms: int = 4,

@@ -509,29 +509,3 @@ def test_one_symmetric_solve_per_command(argv, monkeypatch, capsys):
     code, _, _ = run(capsys, argv[0], WAVE, *argv[1:])
     assert code in (0, 1)
     assert len(solves) == 1
-
-
-@pytest.mark.parametrize("command", ["verify", "noether", "residual"])
-def test_one_reduced_table_per_command(command, monkeypatch, capsys):
-    # residual without --section runs all three sections, and noether tests
-    # each section for a solution: all of them read one table
-    import jetforms.dedonder as dedonder
-    from jetforms.problem import parse_problem
-
-    spec = parse_problem(open(WAVE).read())
-    derivation = dedonder.derive(spec.cfg, spec.lagrangian)
-    symmetric = (
-        derivation.decomposition.form() + derivation.boundary_symmetric.form.d()
-    )
-    builds = []
-    kernel = dedonder._reduced_vertical_contractions
-
-    def counted(form, cfg):
-        if form == symmetric:
-            builds.append(form)
-        return kernel(form, cfg)
-
-    monkeypatch.setattr(dedonder, "_reduced_vertical_contractions", counted)
-    code, _, _ = run(capsys, command, WAVE)
-    assert code in (0, 1)
-    assert len(builds) <= 1

@@ -36,12 +36,11 @@ from jetforms.forms import (
     holonomic_reduce,
     interior_product,
     is_semibasic,
-    vertical_contractions,
     volume_form,
 )
 from jetforms.jets import JetConfig, base_coord, enumerate_coordinates, field_coord, jet_coord
 from jetforms.wave import wave_problem
-from tests.support import coeff_symbol, random_expr
+from tests.support import coeff_symbol, random_expr, vertical_contractions
 
 
 def test_phi_from_lagrangian_examples():
@@ -317,8 +316,8 @@ def test_dedonder_residual_examples():
 
 
 def reference_dedonder_residual(theta, section):
-    """dedonder_residual before it read the boundary form's reduced table:
-    contract the whole dTheta and pull every entry back."""
+    """dedonder_residual at the form level: contract the whole dTheta and
+    pull every entry back."""
     cfg = theta.cfg
     contractions = vertical_contractions(theta.form.d())
     zero = DifferentialForm.zero(cfg.m)
@@ -357,10 +356,6 @@ def test_dedonder_residual_matches_full_dtheta_reference():
             got = dedonder_residual(theta, sigma)
             assert list(got) == list(expected)
             assert got == expected
-        # only the n d/dy entries are kept
-        assert set(theta.boundary.reduced_contractions) <= {
-            field_coord(a) for a in range(1, theta.cfg.n + 1)
-        }
 
 
 def test_dedonder_form_pullback_equals_lagrangian_pullback():

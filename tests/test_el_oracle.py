@@ -1,5 +1,5 @@
 """Lagrange derivatives against sympy's euler_equations, and the d/dy entries
-of the reduced-contraction table against them.
+of the form-level reduced-contraction table of Phi + dXi against them.
 
 The sympy side rebuilds each Lagrangian from its monomials as an expression
 in the derivatives of functions y_a(x_1..x_m) and computes the variational
@@ -13,7 +13,7 @@ from jetforms.dedonder import derive, lagrange_derivative
 from jetforms.expressions import Expr
 from jetforms.forms import DifferentialForm, volume_form
 from jetforms.jets import JetConfig, field_coord, jet_coord, multiindices
-from tests.support import random_expr
+from tests.support import random_expr, reduced_vertical_contractions
 
 
 def dense_lagrangian(cfg: JetConfig, rng) -> Expr:
@@ -85,10 +85,11 @@ def test_lagrange_derivative_matches_sympy_euler_equations(cfg, L):
 def test_reduced_table_carries_the_euler_lagrange_expressions(cfg, L):
     # the d/dz entries vanish (condition 3), the d/dy^a ones are dL/dy^a d_m x
     derivation = derive(cfg, L)
+    xi = derivation.boundary_symmetric
     vol = volume_form(cfg)
     expected = {
         field_coord(a): DifferentialForm.from_scalar(delta).wedge(vol)
         for a, delta in enumerate(derivation.euler_lagrange(), start=1)
         if not delta.is_zero
     }
-    assert derivation.boundary_symmetric.reduced_contractions == expected
+    assert reduced_vertical_contractions(xi.phi.form() + xi.form.d(), cfg) == expected

@@ -21,12 +21,11 @@ from jetforms.forms import (
     holonomic_reduce,
     interior_product,
     is_semibasic,
-    vertical_contractions,
     volume_form,
 )
 from jetforms.jets import JetConfig, base_coord, enumerate_coordinates, field_coord, jet_coord
 from jetforms.wave import wave_problem
-from tests.support import contact_forms, lie_derivative, random_expr
+from tests.support import contact_forms, lie_derivative, random_expr, vertical_contractions
 
 
 def form_dx(i):

@@ -1,6 +1,8 @@
 import importlib.resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jetforms.expressions import render_expr, z_var
 from jetforms.jets import JetConfig
@@ -167,12 +169,16 @@ MALFORMED = [
      "1:32: unbound index variable 'j'", ()),
     ("dims 1 1 1; metric g = diag(1); metric g = diag(1); L = y[1];", SEM,  # duplicate metric
      "1:33: duplicate metric 'g'", ()),
-    ("dims 1 1 1; metric g = [[1, 2], [3, 4]]; L = y[1];", SEM,  # asymmetric
-     "1:13: metric 'g' is 2x2; expected 1x1 or 1x1", ()),
+    ("dims 1 1 1; metric g = [[1, 2], [3, 4]]; L = y[1];", SEM,  # wrong size, m = n
+     "1:13: metric 'g' is 2x2; expected 1x1", ()),
+    ("dims 2 3 1; metric g = diag(1); L = y[1];", SEM,  # wrong size, m != n
+     "1:13: metric 'g' is 1x1; expected 2x2 or 3x3", ()),
+    ("dims 2 2 1; metric g = [[1, 2], [3, 4]]; L = y[1];", SEM,  # asymmetric
+     "1:13: metric 'g' is not symmetric", ()),
     ("dims 1 1 1; metric g = diag(0); L = y[1];", SEM,  # singular
      "1:13: metric 'g' is singular", ()),
     ("dims 2 2 2; metric g = diag(1, -1, 1); L = y[1];", SEM,  # wrong size
-     "1:13: metric 'g' is 3x3; expected 2x2 or 2x2", ()),
+     "1:13: metric 'g' is 3x3; expected 2x2", ()),
     ("dims 1 1 1; L = y[1]; L = y[1];", SEM,  # duplicate Lagrangian
      "1:23: duplicate Lagrangian", ()),
     ("dims 2 1 2; L = y[1]; skewQ[1; 1 2] = z[1;1 1 1];", SEM,  # skew order
@@ -249,6 +255,14 @@ MALFORMED = [
      "1:33: unexpected 'e' (expected a step count)", ("a step count",)),
     ("dims 1 1 1; L = y[1]; grid 0 2e 16 periodic;", SYN,  # exponent without digits
      "1:31: unexpected 'e' (expected a point count)", ("a point count",)),
+    ("dims 1 1 1; L = 2\u00b2*y[1];", SYN,  # superscript two: a digit to str.isdigit
+     "1:18: unexpected character '\u00b2'", ()),
+    ("dims 1 1 1; L = \u0663*y[1];", SYN,  # Arabic-Indic three: int() reads it as 3
+     "1:17: unexpected character '\u0663'", ()),
+    ("dims 1 1 1; L = y[1]; evolve 0 1 \u00b9;", SYN,  # superscript one as a count
+     "1:34: unexpected character '\u00b9'", ()),
+    ("dims 1 1 1; L = " + "9" * 5000 + "*y[1];", SEM,  # beyond int()'s digit limit
+     "1:17: integer of 5000 digits is too long", ()),
 ]
 
 
@@ -262,6 +276,28 @@ def test_malformed_corpus_has_positioned_diagnostics():
         assert str(err) == text, (source, str(err))
         assert err.expected == expected, (source, err.expected)
         assert text.startswith(f"{err.line}:{err.column}: "), (source, err)
+
+
+# ASCII that the problem language uses, plus characters str.isdigit or
+# str.isalpha accept beyond it: superscripts, an Arabic-Indic digit, a
+# vulgar fraction and an accented letter
+FUZZ_ALPHABET = "0123456789.eE+-*/^()[];,=# \n\tdxyz_\u00b2\u00b9\u0663\u00bd\u00e9"
+# (position, characters removed there, text inserted there)
+edits = st.tuples(st.integers(0, 10**4), st.integers(0, 4), st.text(FUZZ_ALPHABET, max_size=4))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.lists(edits, min_size=1, max_size=3))
+def test_every_mutation_of_the_fixture_parses_or_gets_a_positioned_error(changes):
+    text = wave_text()
+    for position, removed, inserted in changes:
+        position %= len(text) + 1
+        text = text[:position] + inserted + text[position + removed:]
+    try:
+        parse_problem(text)
+    except ProblemError as err:
+        assert 1 <= err.line <= text.count("\n") + 1 and err.column >= 1, str(err)
+        assert str(err).startswith(f"{err.line}:{err.column}: ")
 
 
 def test_multiline_positions():

@@ -1,11 +1,13 @@
 """Property tests of the exact core: the Expr ring against the reference
-Fraction-dict ring, its canonical form, D_i, d, Cartan's formula and the
-prolongation commutator.
+Fraction-dict ring, its canonical form, D_i, d, Cartan's formula, the
+prolongation commutator, and the coefficient identity that condition 3, the
+De Donder residual and the boundary-form comparison read.
 
 The strategies draw small polynomials with rational coefficients over the
 jet coordinates of (m, n, k) = (2, 1, 2), forms over their differentials,
-vector fields, projectable fields and polynomial sections.  Runs are
-derandomized, so the suite sees the same examples every time.
+vector fields, projectable fields and polynomial sections; the identity
+draws Lagrangians and coefficient corruptions at several small (m, n, k).
+Runs are derandomized, so the suite sees the same examples every time.
 """
 import functools
 from fractions import Fraction
@@ -16,6 +18,16 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from jetforms.dedonder import (  # noqa: E402
+    BoundaryCoefficients,
+    BoundaryForm,
+    _check_splitting_system,
+    assemble_boundary_form,
+    compare_boundary_forms,
+    phi_from_lagrangian,
+    symmetric_boundary_coefficients,
+    verify_condition3,
+)
 from jetforms.expressions import (  # noqa: E402
     Expr,
     PolynomialSection,
@@ -23,13 +35,21 @@ from jetforms.expressions import (  # noqa: E402
     substitute_section,
     total_derivative,
 )
-from jetforms.forms import DifferentialForm  # noqa: E402
-from jetforms.jets import JetConfig, base_coord, enumerate_coordinates, field_coord  # noqa: E402
+from jetforms.forms import DifferentialForm, volume_form  # noqa: E402
+from jetforms.jets import (  # noqa: E402
+    JetConfig,
+    base_coord,
+    enumerate_coordinates,
+    field_coord,
+    jet_coord,
+    multiindices,
+)
 from jetforms.prolongations import ProjectableField, prolong  # noqa: E402
 from tests.support import (  # noqa: E402
     ReferenceExpr,
     assert_canonical,
     lie_derivative,
+    reduced_vertical_contractions,
     reference_total_derivative,
 )
 
@@ -41,9 +61,10 @@ PROPERTY = settings(max_examples=40, derandomize=True, deadline=None)
 coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
 
-def polynomials(coords, max_terms=4):
+def polynomials(coords, max_terms=4, min_terms=0):
     monomial = st.dictionaries(st.sampled_from(coords), st.integers(1, 2), max_size=3)
-    return st.lists(st.tuples(monomial, coefficients), max_size=max_terms).map(
+    terms = st.lists(st.tuples(monomial, coefficients), min_size=min_terms, max_size=max_terms)
+    return terms.map(
         lambda terms: Expr.sum(Expr.monomial(powers, c) for powers, c in terms)
     )
 
@@ -236,3 +257,67 @@ def test_prolongation_commutator(Y, f, i):
         for j, comp in enumerate(Y.base_components, 1)
     )
     assert pr(total_derivative(f, i, CFG)) == total_derivative(pr(f), i, CFG) - shift
+
+
+IDENTITY_SHAPES = ((1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2), (2, 1, 2), (2, 2, 2), (1, 2, 3),
+                   (2, 1, 3))
+
+
+@st.composite
+def boundary_problems(draw):
+    """(cfg, L, corruption): a Lagrangian of jet order <= k and additions to
+    at most two boundary coefficients p^{i1,T}_a, often none."""
+    cfg = JetConfig(*draw(st.sampled_from(IDENTITY_SHAPES)))
+    coords = enumerate_coordinates(cfg, cfg.k)
+    keys = [
+        (a, i1, tail)
+        for a in range(1, cfg.n + 1)
+        for i1 in range(1, cfg.m + 1)
+        for level in range(cfg.k)
+        for tail in multiindices(cfg.m, level)
+    ]
+    corruption = st.dictionaries(
+        st.sampled_from(keys), polynomials(coords, 2, min_terms=1), max_size=2
+    )
+    return cfg, draw(polynomials(coords, min_terms=1)), draw(corruption)
+
+
+@PROPERTY
+@given(boundary_problems())
+def test_vertical_contractions_of_phi_plus_dxi_follow_the_coefficient_identity(problem):
+    # reduce X -| (Phi + dXi) for every source-vertical basis X at the form
+    # level: (Phi_a - sum_i D_i p^i_a) d_m x at d/dy^a, -r^a_I d_m x at
+    # d/dz^a_I, nothing else, for any coefficients p
+    cfg, lagrangian, corruption = problem
+    _, dec = phi_from_lagrangian(cfg, lagrangian)
+    symmetric = symmetric_boundary_coefficients(dec)
+    table = dict(symmetric.table)
+    for key, delta in corruption.items():
+        table[key] = table.get(key, Expr.zero()) + delta
+    coeffs = BoundaryCoefficients(cfg, {key: p for key, p in table.items() if not p.is_zero})
+    xi = assemble_boundary_form(coeffs)
+    reference = reduced_vertical_contractions(dec.form() + xi.form.d(), cfg)
+    volume = volume_form(cfg)
+    identity = {
+        field_coord(a): volume * (dec.component(a) - coeffs.holonomic_divergence(a))
+        for a in range(1, cfg.n + 1)
+    }
+    identity.update(
+        (jet_coord(a, I), volume * -residual)
+        for a, I, residual in _check_splitting_system(dec, coeffs)
+    )
+    assert reference == {c: form for c, form in identity.items() if not form.is_zero}
+    # condition 3 reports the d/dz entries, signs and order included
+    vol = tuple(base_coord(i) for i in range(1, cfg.m + 1))
+    report = verify_condition3(dec, xi)
+    assert report.failures == [
+        (c[1], c[2], form.coefficient(vol)) for c, form in reference.items() if c[0] == "z"
+    ]
+    # the comparison against the symmetric boundary form reads the same
+    # identity with Phi = 0 on the difference of the coefficients
+    xi_symmetric = assemble_boundary_form(symmetric, dec)
+    comparison = compare_boundary_forms(xi_symmetric, BoundaryForm(cfg, xi.form, coeffs, dec))
+    expected = reduced_vertical_contractions((xi_symmetric.form - xi.form).d(), cfg)
+    assert [c for c, _ in comparison.pullback_failures] == list(expected)
+    assert dict(comparison.pullback_failures) == expected
+    assert comparison.ok == (not expected)
