@@ -26,6 +26,14 @@ vanishing splitting sums, and their level-one divergences agree identically
 (that is the divergence-trace invariance behind the decomposition's
 independence of the chosen boundary form).
 
+Each divergence sum_j D_j p^{j,I}_a is computed once, by the coefficients
+that carry it (:meth:`BoundaryCoefficients.divergence`).  The top-down solve
+fills that table level by level as its right-hand sides ask for it; the
+splitting check of assembly and of condition 3 reads it back, so no check
+computes a D_i on a solved table.  Its I = () entries are the divergences
+that the Lagrange derivative, the De Donder residual and the comparison of
+two boundary forms read.
+
 The De Donder form is Theta = L d_m x + Xi; a section is critical for the
 action iff the pullbacks of X -| dTheta vanish for all X tangent to
 source-map fibres, and for X = d/dy^a that pullback is exactly the Lagrange
@@ -127,41 +135,46 @@ def phi_from_lagrangian(cfg: JetConfig, L: Expr):
 
 @dataclass
 class BoundaryCoefficients:
-    """Coefficients p^{i1,T}_a: first index free, tail canonical, level |T|+1 <= k."""
+    """Coefficients p^{i1,T}_a: first index free, tail canonical, level |T|+1 <= k.
+
+    The table is not mutated after construction: :meth:`divergence`
+    memoizes what it reads from it.
+    """
 
     cfg: JetConfig
     table: dict  # (a, i1, tail) -> Expr
+    _divergences: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def coefficient(self, a: int, i1: int, tail: tuple = ()) -> Expr:
         return self.table.get((a, i1, tuple(tail)), Expr.zero())
 
-    def level(self, level: int) -> dict:
-        return {
-            key: value for key, value in self.table.items() if len(key[2]) + 1 == level
-        }
+    def divergence(self, a: int, I: tuple) -> Expr:
+        """sum_j D_j p^{j,I}_a, computed once per (a, I).
 
-    def holonomic_divergence(self, a: int) -> Expr:
-        """sum_i D_i p^{i}_a of the level-one coefficients (order <= 2k)."""
-        return Expr.sum(
-            total_derivative(
-                self.coefficient(a, i), i, self.cfg, max_order=self.cfg.expression_order
+        Its jet order is at most 2k-1 for |I| >= 1, where it enters the
+        splitting system, and 2k for I = (), where Phi_a minus it is the
+        Lagrange derivative.
+        """
+        value = self._divergences.get((a, I))
+        if value is None:
+            cfg, table = self.cfg, self.table
+            limit = cfg.working_order if I else cfg.expression_order
+            value = self._divergences[(a, I)] = Expr.sum(
+                total_derivative(table[(a, j, I)], j, cfg, limit)
+                for j in range(1, cfg.m + 1)
+                if (a, j, I) in table
             )
-            for i in range(1, self.cfg.m + 1)
-        )
+        return value
 
 
 def _splitting_system_rhs(
-    dec: PhiDecomposition, upper: Mapping, I: tuple, a: int
+    dec: PhiDecomposition, coeffs: BoundaryCoefficients, a: int, I: tuple
 ) -> Expr:
-    """Phi^I_a minus the divergence of the next level's coefficients with tail I."""
-    cfg = dec.cfg
-    if upper is None:
+    """Phi^I_a, minus the divergence of the next level's coefficients with
+    tail I below the top level."""
+    if len(I) == dec.cfg.k:
         return dec.component(a, I)
-    return dec.component(a, I) - Expr.sum(
-        total_derivative(upper[(a, j, I)], j, cfg)
-        for j in range(1, cfg.m + 1)
-        if (a, j, I) in upper
-    )
+    return dec.component(a, I) - coeffs.divergence(a, I)
 
 
 def _solve_top_down(dec: PhiDecomposition, top_delta: Mapping) -> BoundaryCoefficients:
@@ -169,18 +182,17 @@ def _solve_top_down(dec: PhiDecomposition, top_delta: Mapping) -> BoundaryCoeffi
 
     At each level the right-hand side for canonical I is distributed equally
     over the splittings of I; ``top_delta`` is then added to the top level,
-    and every lower level is solved against the level above it.  A
-    level-(k-l+1) coefficient ends up with jet order at most
-    2k - (k-l+1) = k+l-1.
+    and every lower level is solved against the level above it, whose
+    divergences the result keeps.  A level-(k-l+1) coefficient ends up with
+    jet order at most 2k - (k-l+1) = k+l-1.
     """
     cfg = dec.cfg
-    table: dict = {}
-    upper: dict | None = None
+    coeffs = BoundaryCoefficients(cfg, {})
     for level in range(cfg.k, 0, -1):
         current: dict = {}
         for a in range(1, cfg.n + 1):
             for I in multiindices(cfg.m, level):
-                share = _splitting_system_rhs(dec, upper, I, a) / splitting_count(I)
+                share = _splitting_system_rhs(dec, coeffs, a, I) / splitting_count(I)
                 if not share.is_zero:
                     for i1, tail in splittings(I):
                         current[(a, i1, tail)] = share
@@ -194,9 +206,10 @@ def _solve_top_down(dec: PhiDecomposition, top_delta: Mapping) -> BoundaryCoeffi
                 raise AssertionError(
                     f"coefficient order {value.jet_order()} exceeds bound {expected}"
                 )
-        table.update(current)
-        upper = current
-    return BoundaryCoefficients(cfg, table)
+        # the next level reads only this one, so the table is complete
+        # wherever the solve reads it
+        coeffs.table.update(current)
+    return coeffs
 
 
 def symmetric_boundary_coefficients(dec: PhiDecomposition) -> BoundaryCoefficients:
@@ -215,10 +228,9 @@ def _check_splitting_system(
     cfg = dec.cfg
     failures = []
     for level in range(cfg.k, 0, -1):
-        upper = coeffs.level(level + 1) if level < cfg.k else None
         for a in range(1, cfg.n + 1):
             for I in multiindices(cfg.m, level):
-                rhs = _splitting_system_rhs(dec, upper, I, a)
+                rhs = _splitting_system_rhs(dec, coeffs, a, I)
                 total = Expr.sum(
                     coeffs.coefficient(a, i1, tail) for i1, tail in splittings(I)
                 )
@@ -517,7 +529,7 @@ def _lagrange_derivative(
     out = []
     for a in range(1, cfg.n + 1):
         acc = Expr.sum(signed_terms(a))
-        identity = dec.component(a) - coeffs.holonomic_divergence(a)
+        identity = dec.component(a) - coeffs.divergence(a, ())
         if not (identity - acc).is_zero:
             raise AssertionError("Lagrange derivative disagrees with Phi_a - div p^i_a")
         out.append(acc)
@@ -552,7 +564,7 @@ def dedonder_residual(theta: DeDonderForm, section: PolynomialSection) -> dict:
     residuals = {}
     for coord in enumerate_coordinates(cfg, cfg.working_order):
         if coord[0] == "y":
-            density = dec.component(coord[1]) - coeffs.holonomic_divergence(coord[1])
+            density = dec.component(coord[1]) - coeffs.divergence(coord[1], ())
             residuals[coord] = volume * substitute_section(density, section)
         elif coord[0] == "z":
             residuals[coord] = DifferentialForm.zero(cfg.m)
@@ -597,7 +609,7 @@ def compare_boundary_forms(xi: BoundaryForm, xi_prime: BoundaryForm) -> Comparis
     q = BoundaryCoefficients(cfg, differences)
     zero_dec = PhiDecomposition(cfg, {})
     relation_failures = _check_splitting_system(zero_dec, q)
-    divergence_residuals = {a: q.holonomic_divergence(a) for a in range(1, cfg.n + 1)}
+    divergence_residuals = {a: q.divergence(a, ()) for a in range(1, cfg.n + 1)}
     volume = volume_form(cfg)
     pullback_failures = sorted(
         [(field_coord(a), volume * -residual)

@@ -18,11 +18,14 @@ common case for integer data.  ``terms()`` gives the coefficients back as
 rationals: ints where integral, ``Fraction`` otherwise.
 
 Every sum (``+``, ``-``, ``Expr.sum`` and the sums of forms) goes through one
-accumulator, which adds numerators into one dict in place and brings them
-to a common denominator only when a new denominator arrives.  Multiplying
-by one monomial and a sign has its own kernel: it inserts the coordinates
-into each sorted monomial and keeps the denominator, since it changes no
-numerator's content.
+accumulator, which adds integer multiples of numerators into one dict in
+place and brings them to a common denominator only when a new denominator
+arrives.  Multiplying by one monomial and a sign has its own kernel: it
+inserts the coordinates into each sorted monomial and keeps the
+denominator, since it changes no numerator's content.  ``*`` routes every
+product with a factor +-1 times one monomial to that kernel, and a factor
++-1 gives the other factor itself or its negation, so such products share
+their Exprs instead of copying them.
 
 The two derivations that matter are the formal partial derivative with
 respect to a single canonical coordinate and the total derivative
@@ -30,7 +33,13 @@ respect to a single canonical coordinate and the total derivative
     D_i = d/dx^i + z^a_(i) d/dy^a + sum_I z^a_{I+i} d/dz^a_I ,
 
 which differentiates along the i-th base direction treating jet coordinates
-as holonomic.  Their interplay with polynomial sections (substitution
+as holonomic.  ``total_derivative`` walks each monomial once: it lowers the
+x^i factor, and lifts each y/z factor in place, lowering its exponent and
+inserting the lifted coordinate into the rest of the monomial, which sorts
+after it.  Each coordinate's lift is checked against the jet-order bound
+once.  ``Expr.substitute`` raises each (coordinate, exponent) power once per
+call and adds every numerator times the product of its powers into one
+accumulator.  Their interplay with polynomial sections (substitution
 commutes with D_i) is the keystone property the test-suite pins down.
 """
 from __future__ import annotations
@@ -140,22 +149,6 @@ def _partials(num: dict) -> dict:
     return parts
 
 
-def _shift(num: dict, powers: Sequence, sign: int) -> dict:
-    """The monomial kernel: ``num`` times sign * prod c^e over the
-    (coordinate, exponent) pairs of ``powers``, for sign = +-1.
-
-    Each monomial gains the coordinates by insertion.  Distinct monomials
-    stay distinct and no numerator changes its magnitude, so the result
-    needs neither accumulation nor a content reduction.
-    """
-    out = {}
-    for mono, n in num.items():
-        for coord, exp in powers:
-            mono = _insert(mono, coord, exp)
-        out[mono] = n if sign == 1 else -n
-    return out
-
-
 class _Accumulator:
     """A running sum of Exprs: numerators added into one dict in place, over
     the lcm of the denominators seen so far."""
@@ -168,27 +161,27 @@ class _Accumulator:
         if first is not None:
             self.add(first)
 
-    def add(self, e: "Expr", sign: int = 1) -> None:
+    def add(self, e: "Expr", scale: int = 1) -> None:
+        """Add ``scale`` times ``e``, for an integer ``scale``."""
         items = e._num
         if not items:
             return
         store, d = self.num, e._den
         if not store:
-            self.num = dict(items) if sign == 1 else {m: -n for m, n in items.items()}
+            self.num = dict(items) if scale == 1 else {m: n * scale for m, n in items.items()}
             self.den = d
             return
         den = self.den
-        if d == den:
-            scale = sign
-        elif den % d == 0:
-            scale = sign * (den // d)
-        else:
-            common = lcm(den, d)
-            up = common // den
-            for mono in store:
-                store[mono] *= up
-            self.den = common
-            scale = sign * (common // d)
+        if d != den:
+            if den % d == 0:
+                scale *= den // d
+            else:
+                common = lcm(den, d)
+                up = common // den
+                for mono in store:
+                    store[mono] *= up
+                self.den = common
+                scale *= common // d
         _add_into(store, items, scale)
 
     def result(self) -> "Expr":
@@ -335,14 +328,33 @@ class Expr:
         return _reduced({mono: n * p for mono, n in self._num.items()}, den * q)
 
     def _times_monomial(self, powers: Sequence, sign: int) -> "Expr":
-        """self * sign * prod c^e over the (coordinate, exponent) pairs of
-        ``powers``, for sign = +-1, by the monomial kernel."""
-        return _expr(_shift(self._num, powers, sign), self._den)
+        """The monomial kernel: self * sign * prod c^e over the (coordinate,
+        exponent) pairs of ``powers``, for sign = +-1.
+
+        Each monomial gains the coordinates by insertion.  Distinct monomials
+        stay distinct and no numerator changes its magnitude, so the result
+        needs neither accumulation nor a content reduction.
+        """
+        out = {}
+        for mono, n in self._num.items():
+            for coord, exp in powers:
+                mono = _insert(mono, coord, exp)
+            out[mono] = n if sign == 1 else -n
+        return _expr(out, self._den)
 
     def __mul__(self, other) -> "Expr":
         if other.__class__ is Expr:
             if not self._num or not other._num:
                 return Expr.zero()
+            # the monomial route: a factor +-1 * c^e goes to the kernel above,
+            # and a factor +-1 gives the other factor itself or its negation
+            for unit, rest in ((other, self), (self, other)):
+                if len(unit._num) == 1 and unit._den == 1:
+                    (mono, sign), = unit._num.items()
+                    if sign == 1 or sign == -1:
+                        if not mono:
+                            return rest if sign == 1 else -rest
+                        return rest._times_monomial(mono, sign)
             store: dict = {}
             get = store.get
             other_items = other._num.items()
@@ -434,18 +446,28 @@ class Expr:
         return total
 
     def substitute(self, replacements: Mapping[tuple, "Expr"]) -> "Expr":
-        """Replace coordinates by expressions (exact, simultaneous)."""
+        """Replace coordinates by expressions (exact, simultaneous).
 
-        def image(mono, n) -> "Expr":
-            term = Expr.constant(n)
-            for coord, exp in mono:
-                repl = replacements.get(coord)
-                factor = repl if repl is not None else Expr.variable(coord)
-                term = term * factor**exp
-            return term
+        Each power factor^exp is computed once per call, and every monomial
+        adds its numerator times the product of its powers into one sum.
+        """
+        powers: dict = {}  # (coordinate, exponent) -> image of that power
+        acc = _Accumulator()
+        for mono, n in self._num.items():
+            term = _ONE
+            for power in mono:
+                image = powers.get(power)
+                if image is None:
+                    coord, exp = power
+                    repl = replacements.get(coord)
+                    factor = repl if repl is not None else Expr.variable(coord)
+                    image = powers[power] = factor**exp
+                term = term * image
+            acc.add(term, n)
+        return _reduced(acc.num, acc.den * self._den)
 
-        numerators = Expr.sum(image(mono, n) for mono, n in self._num.items())
-        return numerators._scaled(1, self._den)
+
+_ONE = Expr.one()
 
 
 def _as_expr(value):
@@ -533,21 +555,38 @@ def total_derivative(
     if not 1 <= i <= cfg.m:
         raise ValueError(f"base index {i} out of range 1..{cfg.m}")
     limit = cfg.working_order if max_order is None else max_order
-    # every partial shares e's denominator, so the sum is over numerators
+    x_i = base_coord(i)
+    lifts: dict = {}  # y/z coordinate -> its lift, checked against the bound once
+    # every image keeps e's denominator, so the sum is over numerators
     store: dict = {}
-    for coord, part in _partials(e._num).items():
-        tag = coord[0]
-        if tag == "x" and coord[1] == i:
-            _add_into(store, part)
-        elif tag in ("y", "z"):  # coefficient symbols are constants
-            I = coord[2] if tag == "z" else ()
-            if len(I) + 1 > limit:
-                raise ValueError(
-                    f"total derivative would need jet order {len(I) + 1} "
-                    f"beyond the allowed order {limit}"
-                )
-            lifted = jet_coord(coord[1], tuple(sorted(I + (i,))))
-            _add_into(store, _shift(part, ((lifted, 1),), 1))
+    get = store.get
+    for mono, n in e._num.items():
+        for pos, (c, exp) in enumerate(mono):
+            tag = c[0]
+            if tag == "x":
+                if c != x_i:
+                    continue
+                tail = mono[pos + 1 :]
+            elif tag == "c":  # coefficient symbols are constants
+                continue
+            else:
+                lifted = lifts.get(c)
+                if lifted is None:
+                    I = c[2] if tag == "z" else ()
+                    if len(I) + 1 > limit:
+                        raise ValueError(
+                            f"total derivative would need jet order {len(I) + 1} "
+                            f"beyond the allowed order {limit}"
+                        )
+                    lifted = lifts[c] = jet_coord(c[1], tuple(sorted(I + (i,))))
+                # the lift sorts after c, so it goes into the tail
+                tail = _insert(mono[pos + 1 :], lifted, 1)
+            image = mono[:pos] + (((c, exp - 1),) if exp > 1 else ()) + tail
+            acc = get(image, 0) + n * exp
+            if acc:
+                store[image] = acc
+            else:
+                del store[image]
     return _reduced(store, e._den)
 
 

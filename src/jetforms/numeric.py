@@ -257,7 +257,7 @@ def decomposition_terms(
         if not isinstance(section, PolynomialSection):
             raise ValueError("exact integration needs a PolynomialSection")
         body_expr = Expr.sum(
-            (dec.component(a) - xi.coefficients.holonomic_divergence(a))
+            (dec.component(a) - xi.coefficients.divergence(a, ()))
             * Y.vertical_components[a - 1]
             for a in range(1, cfg.n + 1)
         )

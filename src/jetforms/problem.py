@@ -15,7 +15,9 @@ Expressions are sums, products and non-negative integer powers of rational
 constants, ``x[i]``, ``y[a]``, ``z[a; i1 i2 ...]``, metric entries
 ``name[i j]``, and explicit contractions ``sum(idx, lo, hi, body)``; division
 is permitted by (nonzero) constants only.  Numbers are written in ASCII
-digits.  Jet indices are canonicalized on parse.  Every syntax error carries a line/column position and the expected
+digits.  Sums and products may be arbitrarily long; parentheses, sum bodies
+and unary signs nest at most 200 levels deep.  Jet indices are canonicalized
+on parse.  Every syntax error carries a line/column position and the expected
 tokens; semantic errors (index ranges, order overflow, asymmetric metrics,
 duplicate declarations) point at the offending token.
 """
@@ -129,6 +131,11 @@ _PUNCT = {";", ",", "=", "(", ")", "[", "]", "+", "-", "*", "/", "^"}
 # numbers are ASCII digits only: str.isdigit also accepts superscripts,
 # which int() rejects, and the digits of other scripts, which it reads
 _DIGITS = frozenset("0123456789")
+# Parentheses, sum bodies and unary signs nest by recursion, in the parser
+# and in the elaboration; deeper input is a positioned error, not a
+# RecursionError.  Chains of +, -, * and / do not nest: they parse into one
+# flat node each.
+_MAX_NESTING = 200
 
 
 @dataclass(frozen=True)
@@ -220,6 +227,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -433,27 +441,37 @@ class _Parser:
 
     # -- expressions (to AST) -------------------------------------------------
 
-    def parse_expr(self):
-        node = self.parse_term()
-        while self.peek().kind in ("+", "-"):
-            op = self.advance().kind
-            rhs = self.parse_term()
-            node = (op, node, rhs)
-        return node
+    def enter(self, token: _Token) -> None:
+        """Open one nesting level at ``token``; the caller closes it."""
+        if self.depth == _MAX_NESTING:
+            raise ProblemSyntaxError(
+                f"nesting deeper than {_MAX_NESTING} levels", token.line, token.column
+            )
+        self.depth += 1
 
-    def parse_term(self):
-        node = self.parse_factor()
-        while self.peek().kind in ("*", "/"):
-            op = self.advance()
-            rhs = self.parse_factor()
-            node = ("mul" if op.kind == "*" else "div", node, rhs, op)
-        return node
+    def parse_expr(self):
+        """Terms joined by + and - as one node ("add", terms), each term
+        factors joined by * and / as one node ("product", first,
+        [(operator token, factor), ...]); a chain of one is left bare."""
+        terms, negate = [], False
+        while True:
+            first, rest = self.parse_factor(), []
+            while self.peek().kind in ("*", "/"):
+                op = self.advance()
+                rest.append((op, self.parse_factor()))
+            term = ("product", first, rest) if rest else first
+            terms.append(("neg", term) if negate else term)
+            if self.peek().kind not in ("+", "-"):
+                return terms[0] if len(terms) == 1 else ("add", terms)
+            negate = self.advance().kind == "-"
 
     def parse_factor(self):
         token = self.peek()
         if token.kind in ("+", "-"):
             self.advance()
+            self.enter(token)
             inner = self.parse_factor()
+            self.depth -= 1
             return inner if token.kind == "+" else ("neg", inner)
         node = self.parse_atom()
         if self.peek().kind == "^":
@@ -481,7 +499,9 @@ class _Parser:
             )
         if token.kind == "(":
             self.advance()
+            self.enter(token)
             node = self.parse_expr()
+            self.depth -= 1
             self.expect(")")
             return node
         if token.kind == "name":
@@ -495,7 +515,9 @@ class _Parser:
                 self.expect(",")
                 hi, _ = self.expect_int("an upper bound")
                 self.expect(",")
+                self.enter(token)
                 body = self.parse_expr()
+                self.depth -= 1
                 self.expect(")")
                 return ("sum", var.text, lo, hi, body, var)
             if name in ("x", "y"):
@@ -672,34 +694,39 @@ class _Elaborator:
         kind = node[0]
         if kind == "num":
             return Expr.constant(node[1])
-        if kind == "+":
-            return self.eval_expr(node[1], env) + self.eval_expr(node[2], env)
-        if kind == "-":
-            return self.eval_expr(node[1], env) - self.eval_expr(node[2], env)
+        # loops rather than generators, so that one level of nesting in the
+        # input is one frame here
+        if kind == "add":
+            terms = []
+            for term in node[1]:
+                terms.append(self.eval_expr(term, env))
+            return Expr.sum(terms)
         if kind == "neg":
             return -self.eval_expr(node[1], env)
-        if kind == "mul":
-            return self.eval_expr(node[1], env) * self.eval_expr(node[2], env)
-        if kind == "div":
-            denominator = self.eval_expr(node[2], env)
-            token = node[3]
-            constant = denominator.constant_term()
-            if denominator != Expr.constant(constant):
-                raise ProblemSemanticError(
-                    "division is only allowed by constants", token.line, token.column
-                )
-            if constant == 0:
-                raise ProblemSemanticError(
-                    "division by zero", token.line, token.column
-                )
-            return self.eval_expr(node[1], env) / Fraction(constant)
+        if kind == "product":
+            value = self.eval_expr(node[1], env)
+            for op, factor_node in node[2]:
+                factor = self.eval_expr(factor_node, env)
+                if op.kind == "*":
+                    value = value * factor
+                    continue
+                constant = factor.constant_term()
+                if factor != Expr.constant(constant):
+                    raise ProblemSemanticError(
+                        "division is only allowed by constants", op.line, op.column
+                    )
+                if constant == 0:
+                    raise ProblemSemanticError("division by zero", op.line, op.column)
+                value = value / Fraction(constant)
+            return value
         if kind == "pow":
             return self.eval_expr(node[1], env) ** node[2]
         if kind == "sum":
             _, var, lo, hi, body, token = node
-            return Expr.sum(
-                self.eval_expr(body, {**env, var: value}) for value in range(lo, hi + 1)
-            )
+            terms = []
+            for value in range(lo, hi + 1):
+                terms.append(self.eval_expr(body, {**env, var: value}))
+            return Expr.sum(terms)
         if kind == "coord1":
             _, name, idx_node, token = node
             bound = self.cfg.m if name == "x" else self.cfg.n

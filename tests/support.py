@@ -1,14 +1,15 @@
 """Helpers that only the tests call: the Cartan-formula Lie derivative, the
 contact forms of a jet space, the contact-ideal test built from them, the
 one-scan vertical contractions of a form and their holonomic reductions, a
-seeded random polynomial generator, generic sections with free coefficients
-and a reference ring.
+seeded random polynomial generator, generic sections with free coefficients,
+a reference ring, and the Expr kernels the library replaced.
 
 The library reaches the same statements by other routes (prolongation from
 the characteristic jets, the symmetry test through E d_m x, the
 boundary-form conditions through the splitting system of the coefficients,
-integer numerators over one denominator); these stay as independent
-references.
+integer numerators over one denominator, D_i in one pass over the
+monomials, substitution through one table of powers, products with one
+monomial by insertion); these stay as independent references.
 """
 from __future__ import annotations
 
@@ -265,6 +266,71 @@ def reference_total_derivative(e: ReferenceExpr, i: int) -> ReferenceExpr:
             lifted = jet_coord(coord[1], tuple(sorted(I + (i,))))
             terms.append(ReferenceExpr.variable(lifted) * partial)
     return ReferenceExpr.sum(terms)
+
+
+# -- the Expr kernels the library replaced ----------------------------------
+
+
+def generic_product(a: Expr, b: Expr) -> Expr:
+    """a * b by the double loop over monomials, with no monomial route."""
+    store: dict = {}
+    for mono_a, n_a in a._num.items():
+        for mono_b, n_b in b._num.items():
+            mono = _merge_monomials(mono_a, mono_b)
+            acc = store.get(mono, 0) + n_a * n_b
+            if acc:
+                store[mono] = acc
+            else:
+                del store[mono]
+    den = a._den * b._den
+    return Expr({mono: Fraction(n, den) for mono, n in store.items()})
+
+
+def two_pass_total_derivative(
+    e: Expr, i: int, cfg: JetConfig, max_order: int | None = None
+) -> Expr:
+    """D_i e as every first partial in one scan, then each y/z partial times
+    its lifted coordinate by the generic product, with the library's bound
+    on the jet order and its error messages."""
+    if not 1 <= i <= cfg.m:
+        raise ValueError(f"base index {i} out of range 1..{cfg.m}")
+    limit = cfg.working_order if max_order is None else max_order
+    terms = []
+    for coord, partial in e.gradient().items():
+        if coord == base_coord(i):
+            terms.append(partial)
+        elif coord[0] in ("y", "z"):
+            I = coord[2] if coord[0] == "z" else ()
+            if len(I) + 1 > limit:
+                raise ValueError(
+                    f"total derivative would need jet order {len(I) + 1} "
+                    f"beyond the allowed order {limit}"
+                )
+            lifted = jet_coord(coord[1], tuple(sorted(I + (i,))))
+            terms.append(generic_product(partial, Expr.variable(lifted)))
+    return Expr.sum(terms)
+
+
+def per_monomial_substitute(e: Expr, replacements: dict) -> Expr:
+    """Expr.substitute as one image Expr per monomial, every power raised
+    anew, by the generic product."""
+
+    def power(factor: Expr, exp: int) -> Expr:
+        out = Expr.one()
+        for _ in range(exp):
+            out = generic_product(out, factor)
+        return out
+
+    def image(mono, coeff) -> Expr:
+        term = Expr.constant(coeff)
+        for coord, exp in mono:
+            factor = replacements.get(coord)
+            if factor is None:
+                factor = Expr.variable(coord)
+            term = generic_product(term, power(factor, exp))
+        return term
+
+    return Expr.sum(image(mono, coeff) for mono, coeff in e.terms())
 
 
 def assert_canonical(e: Expr) -> None:

@@ -125,6 +125,20 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert payload["line"] == 1 and payload["column"] == 9
 
 
+def test_long_sums_and_deep_nesting(tmp_path, capsys):
+    # a 1000-term sum is one flat node, and nesting past the limit is an
+    # input error with exit code 2, neither a traceback
+    problem = tmp_path / "long.jet"
+    problem.write_text("dims 1 1 1;\nL = " + " + ".join(["y[1]^2"] * 1000) + ";\n")
+    code, out, _ = run(capsys, "euler-lagrange", str(problem))
+    assert code == 0
+    assert "deltaL/dy[1] = 2000*y[1]\n" in out
+    problem.write_text("dims 1 1 1;\nL = " + "(" * 300 + "y[1]" + ")" * 300 + ";\n")
+    code, _, err = run(capsys, "euler-lagrange", str(problem))
+    assert code == 2
+    assert err == f"{problem}:2:205: nesting deeper than 200 levels\n"
+
+
 def test_missing_file_exit_code(capsys):
     code, _, err = run(capsys, "verify", "/nonexistent/problem.jet")
     assert code == 2

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from jetforms import dedonder
 from jetforms.dedonder import (
     BoundaryCoefficients,
     assemble_boundary_form,
@@ -38,7 +39,14 @@ from jetforms.forms import (
     is_semibasic,
     volume_form,
 )
-from jetforms.jets import JetConfig, base_coord, enumerate_coordinates, field_coord, jet_coord
+from jetforms.jets import (
+    JetConfig,
+    base_coord,
+    enumerate_coordinates,
+    field_coord,
+    jet_coord,
+    multiindices,
+)
 from jetforms.wave import wave_problem
 from tests.support import coeff_symbol, random_expr, vertical_contractions
 
@@ -118,6 +126,82 @@ def test_perturbed_with_empty_delta_is_symmetric():
         symmetric = symmetric_boundary_coefficients(dec)
         assert symmetric.table
         assert perturbed_coefficients(dec, {}).table == symmetric.table
+
+
+def fresh_divergence(coeffs: BoundaryCoefficients, a: int, I: tuple) -> Expr:
+    """sum_j D_j p^{j,I}_a computed now from the table, under the bounds the
+    memoized divergence keeps."""
+    cfg = coeffs.cfg
+    limit = cfg.working_order if I else cfg.expression_order
+    return Expr.sum(
+        total_derivative(coeffs.coefficient(a, j, I), j, cfg, limit)
+        for j in range(1, cfg.m + 1)
+    )
+
+
+def assert_divergences_are_fresh(coeffs: BoundaryCoefficients) -> None:
+    cfg = coeffs.cfg
+    for a in range(1, cfg.n + 1):
+        for level in range(cfg.k):
+            for I in multiindices(cfg.m, level):
+                value = coeffs.divergence(a, I)
+                assert value == fresh_divergence(coeffs, a, I), (a, I)
+                assert coeffs.divergence(a, I) is value  # computed once
+
+
+def test_divergence_table_matches_a_fresh_divergence():
+    rng = random.Random(31)
+    for cfg, delta in (
+        (JetConfig(2, 2, 2), dedonder.default_skew_perturbation(JetConfig(2, 2, 2))),
+        (JetConfig(3, 1, 2), {(1, 1, (2,)): z_var(1, (3,)), (1, 2, (1,)): -z_var(1, (3,))}),
+        (JetConfig(2, 1, 3), None),
+    ):
+        top = z_var(1, (1,) * cfg.k)
+        L = random_expr(rng, cfg, cfg.k, degree=2, terms=6) + top * top
+        _, dec = phi_from_lagrangian(cfg, L)
+        # the tables the solve leaves behind, symmetric and perturbed: their
+        # divergences were memoized while the levels above them were solved
+        assert_divergences_are_fresh(symmetric_boundary_coefficients(dec))
+        if delta is not None:
+            assert_divergences_are_fresh(perturbed_coefficients(dec, delta))
+        # a hand-built table of random coefficients at every level
+        hand_built = {
+            (a, i1, tail): random_expr(rng, cfg, cfg.k, degree=2, terms=3)
+            for a in range(1, cfg.n + 1)
+            for i1 in range(1, cfg.m + 1)
+            for level in range(cfg.k)
+            for tail in multiindices(cfg.m, level)
+        }
+        assert_divergences_are_fresh(BoundaryCoefficients(cfg, hand_built))
+        # a solved table with one coefficient corrupted, in a new instance
+        corrupted = dict(symmetric_boundary_coefficients(dec).table)
+        key = sorted(corrupted)[rng.randrange(len(corrupted))]
+        corrupted[key] = corrupted[key] + y_var(1) * z_var(1, (1,))
+        assert_divergences_are_fresh(BoundaryCoefficients(cfg, corrupted))
+
+
+def test_checks_on_a_solved_table_compute_no_total_derivative(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return total_derivative(*args)
+
+    monkeypatch.setattr(dedonder, "total_derivative", counting)
+    rng = random.Random(37)
+    cfg = JetConfig(2, 2, 2)
+    L = random_expr(rng, cfg, cfg.k, degree=2, terms=6)
+    derivation = derive(cfg, L)
+    assert calls  # the solve computes the divergences
+    calls.clear()
+    report = verify_condition3(derivation.decomposition, derivation.boundary_symmetric)
+    assert report.ok and calls == []
+    # the splitting check of assembly reads the skew solve's table as well
+    delta = dedonder.default_skew_perturbation(cfg)
+    coeffs = perturbed_coefficients(derivation.decomposition, delta)
+    calls.clear()
+    assemble_boundary_form(coeffs, derivation.decomposition)
+    assert calls == []
 
 
 def test_k1_reduction_is_poincare_cartan():
@@ -278,7 +362,7 @@ def test_decomposition_identity_symbolic():
         ).coefficient((base_coord(1), base_coord(2)))
         body_expr = Expr.zero()
         for a in (1, 2):
-            e_a = dec.component(a) - xi.coefficients.holonomic_divergence(a)
+            e_a = dec.component(a) - xi.coefficients.divergence(a, ())
             body_expr = body_expr + e_a * Y.vertical_components[a - 1]
         current = reduce_form(
             contract(prolong(Y, cfg.working_order), xi.form), cfg

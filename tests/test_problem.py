@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetforms.expressions import render_expr, z_var
+from jetforms.expressions import render_expr, y_var, z_var
 from jetforms.jets import JetConfig
 from jetforms.problem import (
     ProblemError,
@@ -263,6 +263,15 @@ MALFORMED = [
      "1:34: unexpected character '\u00b9'", ()),
     ("dims 1 1 1; L = " + "9" * 5000 + "*y[1];", SEM,  # beyond int()'s digit limit
      "1:17: integer of 5000 digits is too long", ()),
+    # the 201st opening parenthesis, sign or sum body is one level too deep
+    ("dims 1 1 1; L = " + "(" * 300 + "y[1]" + ")" * 300 + ";", SYN,
+     "1:217: nesting deeper than 200 levels", ()),
+    ("dims 1 1 1; L = " + "-" * 201 + "y[1];", SYN,
+     "1:217: nesting deeper than 200 levels", ()),
+    ("dims 1 1 1; L = " + "-(" * 101 + "y[1]" + ")" * 101 + ";", SYN,
+     "1:217: nesting deeper than 200 levels", ()),
+    ("dims 1 1 1; L = " + "sum(i,1,1," * 201 + "y[1]" + ")" * 201 + ";", SYN,
+     "1:2017: nesting deeper than 200 levels", ()),
 ]
 
 
@@ -298,6 +307,34 @@ def test_every_mutation_of_the_fixture_parses_or_gets_a_positioned_error(changes
     except ProblemError as err:
         assert 1 <= err.line <= text.count("\n") + 1 and err.column >= 1, str(err)
         assert str(err).startswith(f"{err.line}:{err.column}: ")
+
+
+def test_long_chains_parse_flat():
+    # a chain of + or * is one node, however long; a left-deep chain of
+    # binary nodes exhausted the interpreter's stack at 1000 terms
+    spec = parse_problem("dims 1 1 1; L = " + " + ".join(["y[1]"] * 1000) + ";")
+    assert spec.lagrangian == 1000 * y_var(1)
+    spec = parse_problem("dims 1 1 1; L = " + " - ".join(["y[1]"] * 1001) + ";")
+    assert spec.lagrangian == -999 * y_var(1)
+    spec = parse_problem("dims 1 1 1; L = " + "*".join(["z[1;1]"] * 1000) + "/2/5;")
+    assert spec.lagrangian == z_var(1, (1,)) ** 1000 / 10
+
+
+def test_nesting_up_to_the_limit_parses():
+    # 200 levels of each construct that nests; one more is in the corpus above
+    doubled = y_var(1)
+    for _ in range(200):
+        doubled = (doubled + 1) * 2
+    for text, expected in (
+        ("(" * 200 + "y[1]" + ")" * 200, y_var(1)),
+        ("(" * 200 + "y[1]" + " + 1)*2" * 200, doubled),
+        ("-" * 200 + "y[1]", y_var(1)),
+        ("sum(i,1,1, 1 + " * 200 + "y[1]" + ")" * 200, y_var(1) + 200),
+    ):
+        assert parse_problem(f"dims 1 1 1; L = {text};").lagrangian == expected
+    # the depth is that of one expression, not a count over the input
+    many = " ".join(f"section s{j} = ({'(' * 150}x[1]{')' * 150});" for j in range(3))
+    assert len(parse_problem(f"dims 1 1 1; L = y[1]; {many}").sections) == 3
 
 
 def test_multiline_positions():

@@ -1,5 +1,6 @@
 """Property tests of the exact core: the Expr ring against the reference
-Fraction-dict ring, its canonical form, D_i, d, Cartan's formula, the
+Fraction-dict ring, its canonical form, the product, D_i and substitution
+kernels against the ones they replaced, d, Cartan's formula, the
 prolongation commutator, and the coefficient identity that condition 3, the
 De Donder residual and the boundary-form comparison read.
 
@@ -48,9 +49,12 @@ from jetforms.prolongations import ProjectableField, prolong  # noqa: E402
 from tests.support import (  # noqa: E402
     ReferenceExpr,
     assert_canonical,
+    generic_product,
     lie_derivative,
+    per_monomial_substitute,
     reduced_vertical_contractions,
     reference_total_derivative,
+    two_pass_total_derivative,
 )
 
 CFG = JetConfig(2, 1, 2)
@@ -186,6 +190,59 @@ def test_substitute_matches_the_reference_ring(u, replacements):
     assert_canonical(got)
 
 
+# x, y and z up to the working order 2k-1 = 3, where D_i meets its bound,
+# and two coefficient symbols; exponents up to 3
+KERNEL_COORDS = enumerate_coordinates(CFG, CFG.working_order) + [("c", "s"), ("c", "t")]
+kernel_monomials = st.dictionaries(st.sampled_from(KERNEL_COORDS), st.integers(1, 3), max_size=3)
+kernel_operands = st.one_of(
+    st.lists(st.tuples(kernel_monomials, rationals), max_size=4).map(
+        lambda terms: Expr.sum(Expr.monomial(powers, c) for powers, c in terms)
+    ),
+    # one monomial times +-1, the monomial route, or times another rational
+    st.builds(Expr.monomial, kernel_monomials, st.sampled_from((1, -1))),
+    st.builds(Expr.monomial, kernel_monomials, rationals.filter(bool)),
+)
+
+
+def outcome(kernel, *args):
+    """The rendered result of a kernel, or the message of its ValueError."""
+    try:
+        return render_expr(kernel(*args))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@PROPERTY
+@given(kernel_operands, kernel_operands)
+def test_product_matches_the_generic_product(a, b):
+    for got, expected in ((a * b, generic_product(a, b)), (b * a, generic_product(b, a))):
+        assert got == expected
+        # the same terms in the same order, which float evaluation reads
+        assert list(got.terms()) == list(expected.terms())
+        assert_canonical(got)
+
+
+@PROPERTY
+@given(kernel_operands, st.integers(0, 3), st.sampled_from((None, 3, 4)))
+def test_total_derivative_matches_the_two_pass_kernel(a, i, max_order):
+    # order-bound and index errors included
+    got = outcome(total_derivative, a, i, CFG, max_order)
+    assert got == outcome(two_pass_total_derivative, a, i, CFG, max_order)
+    if not got.startswith("ValueError"):
+        assert_canonical(total_derivative(a, i, CFG, max_order))
+
+
+@PROPERTY
+@given(kernel_operands, st.dictionaries(st.sampled_from(KERNEL_COORDS), kernel_operands,
+                                        max_size=3))
+def test_substitute_matches_the_per_monomial_kernel(a, replacements):
+    got = a.substitute(replacements)
+    expected = per_monomial_substitute(a, replacements)
+    assert got == expected
+    assert list(got.terms()) == list(expected.terms())
+    assert_canonical(got)
+
+
 @PROPERTY
 @given(pairs)
 def test_terms_round_trip_through_the_dict_constructor(u):
@@ -299,7 +356,7 @@ def test_vertical_contractions_of_phi_plus_dxi_follow_the_coefficient_identity(p
     reference = reduced_vertical_contractions(dec.form() + xi.form.d(), cfg)
     volume = volume_form(cfg)
     identity = {
-        field_coord(a): volume * (dec.component(a) - coeffs.holonomic_divergence(a))
+        field_coord(a): volume * (dec.component(a) - coeffs.divergence(a, ()))
         for a in range(1, cfg.n + 1)
     }
     identity.update(
