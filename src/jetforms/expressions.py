@@ -6,6 +6,23 @@ plus free "coefficient symbols" ``("c", name)`` that behave as constants
 under all differential operators (used for undetermined-coefficient generic
 sections).
 
+Every coordinate is interned once: a module-level registry gives it a small
+int id the first time it is seen, and per-id tables hold the coordinate, its
+jet order and its ``coordinate_sort_key``.  One lift table, shared by D_i and
+holonomic reduction, holds per base direction i and id the id of the D_i
+lift (x^i and the constants, other x and ``("c", name)``, are marked
+instead).  A monomial is a tuple of ``(id, exponent)`` pairs sorted by id, so
+products and derivatives hash and compare ints, as packed monomials do in
+computer-algebra kernels (M. Monagan and R. Pearce, "POLY: a new polynomial
+data structure for Maple 17", 2014).  The ids never leave this module:
+``Expr(terms)``, ``Expr.monomial``, ``Expr.variable``, ``partial`` and
+``substitute`` take coordinate tuples, and ``terms()``, ``variables()`` and
+``gradient()`` give coordinate tuples back, each ``terms()`` monomial in
+``coordinate_sort_key`` order.  Values, the factor order of each monomial,
+the key order of ``gradient()``, the order of the factors ``substitute``
+multiplies and the errors raised do not depend on the order in which
+coordinates were first seen; only the order of an Expr's monomials may.
+
 The coefficients are stored as integer numerators over one positive common
 denominator, as FLINT's ``fmpq_poly`` stores a polynomial over Q: a dict
 ``monomial -> int`` and one ``int``.  The form is canonical: no numerator is
@@ -21,11 +38,11 @@ Every sum (``+``, ``-``, ``Expr.sum`` and the sums of forms) goes through one
 accumulator, which adds integer multiples of numerators into one dict in
 place and brings them to a common denominator only when a new denominator
 arrives.  Multiplying by one monomial and a sign has its own kernel: it
-inserts the coordinates into each sorted monomial and keeps the
-denominator, since it changes no numerator's content.  ``*`` routes every
-product with a factor +-1 times one monomial to that kernel, and a factor
-+-1 gives the other factor itself or its negation, so such products share
-their Exprs instead of copying them.
+inserts the ids into each sorted monomial and keeps the denominator, since
+it changes no numerator's content.  ``*`` routes every product with a factor
++-1 times one monomial to that kernel, and a factor +-1 gives the other
+factor itself or its negation, so such products share their Exprs instead of
+copying them.
 
 The two derivations that matter are the formal partial derivative with
 respect to a single canonical coordinate and the total derivative
@@ -35,11 +52,12 @@ respect to a single canonical coordinate and the total derivative
 which differentiates along the i-th base direction treating jet coordinates
 as holonomic.  ``total_derivative`` walks each monomial once: it lowers the
 x^i factor, and lifts each y/z factor in place, lowering its exponent and
-inserting the lifted coordinate into the rest of the monomial, which sorts
-after it.  Each coordinate's lift is checked against the jet-order bound
-once.  ``Expr.substitute`` raises each (coordinate, exponent) power once per
-call and adds every numerator times the product of its powers into one
-accumulator.  Their interplay with polynomial sections (substitution
+inserting the lift's id, read from the shared lift table, into the rest of
+the monomial.  A lift beyond the jet-order bound raises the ``ValueError``
+of the first such coordinate in ``terms()`` order.  ``Expr.substitute``
+raises each (coordinate, exponent) power once per call and adds every
+numerator times the product of its powers, taken in coordinate order, into
+one accumulator.  Their interplay with polynomial sections (substitution
 commutes with D_i) is the keystone property the test-suite pins down.
 """
 from __future__ import annotations
@@ -59,7 +77,71 @@ from .jets import (
     multiindices,
 )
 
-Monomial = tuple  # sorted tuple of (coordinate, exponent) pairs
+Monomial = tuple  # tuple of (coordinate id, exponent) pairs sorted by id
+
+# -- the coordinate registry ---------------------------------------------------
+
+_IDS: dict = {}  # coordinate -> id
+_COORDS: list = []  # id -> coordinate
+_ORDERS: list = []  # id -> jet order
+_KEYS: list = []  # id -> coordinate_sort_key
+# base direction i -> {id -> id of the D_i lift, or _LOWER for x^i, or
+# _CONSTANT for the other x and the coefficient symbols}, filled on first use
+_LIFTS: dict = {}
+_LOWER, _CONSTANT = -1, -2
+
+
+def _id(coord) -> int:
+    """The id of a coordinate tuple, registered the first time it is seen."""
+    cid = _IDS.get(coord)
+    if cid is None:
+        cid = _IDS[coord] = len(_COORDS)
+        _COORDS.append(coord)
+        _ORDERS.append(coordinate_order(coord))
+        _KEYS.append(coordinate_sort_key(coord))
+    return cid
+
+
+def _lift(cid: int, i: int) -> int:
+    """The D_i entry of the lift table for one id, filled on first use."""
+    row = _LIFTS.setdefault(i, {})
+    lifted = row.get(cid)
+    if lifted is None:
+        coord = _COORDS[cid]
+        tag = coord[0]
+        if tag == "y" or tag == "z":
+            indices = coord[2] if tag == "z" else ()
+            lifted = _id(jet_coord(coord[1], tuple(sorted(indices + (i,)))))
+        elif tag == "x" and coord[1] == i:
+            lifted = _LOWER
+        else:
+            lifted = _CONSTANT
+        row[cid] = lifted
+    return lifted
+
+
+def _pair_key(pair):
+    return _KEYS[pair[0]]
+
+
+def _in_coordinate_order(mono: Monomial):
+    """The (id, exponent) pairs of a monomial in coordinate_sort_key order."""
+    if len(mono) == 2:  # most monomials of quadratic Lagrangians
+        first, second = mono
+        return mono if _KEYS[first[0]] < _KEYS[second[0]] else (second, first)
+    return mono if len(mono) < 2 else sorted(mono, key=_pair_key)
+
+
+def _monomial_of(pairs) -> Monomial:
+    """The id monomial of (coordinate, exponent) pairs; the exponents of a
+    repeated coordinate add and zero exponents drop."""
+    mono, get = (), _IDS.get
+    for coord, exp in pairs:
+        if exp:
+            coord = tuple(coord)
+            cid = get(coord)
+            mono = _insert(mono, _id(coord) if cid is None else cid, exp)
+    return mono
 
 
 def _split(q) -> tuple:
@@ -101,22 +183,23 @@ def _reduced(num: dict, den: int) -> "Expr":
     return _expr(num, den)
 
 
-def _insert(mono: Monomial, coord, exp: int) -> Monomial:
-    """mono times coord^exp, kept sorted by the coordinate order."""
-    key = coordinate_sort_key(coord)
+def _insert(mono: Monomial, cid: int, exp: int) -> Monomial:
+    """mono times the coordinate ``cid`` to the power exp, kept sorted by id."""
+    if not mono or mono[-1][0] < cid:
+        return mono + ((cid, exp),)
+    # some id in mono is >= cid, so the loop returns
     for pos, (c, e) in enumerate(mono):
-        if c == coord:
-            return mono[:pos] + ((c, e + exp),) + mono[pos + 1 :]
-        if coordinate_sort_key(c) > key:
-            return mono[:pos] + ((coord, exp),) + mono[pos:]
-    return mono + ((coord, exp),)
+        if c >= cid:
+            if c == cid:
+                return mono[:pos] + ((c, e + exp),) + mono[pos + 1 :]
+            return mono[:pos] + ((cid, exp),) + mono[pos:]
 
 
 def _merge_monomials(mono_a: Monomial, mono_b: Monomial) -> Monomial:
     if len(mono_a) < len(mono_b):
         mono_a, mono_b = mono_b, mono_a
-    for coord, exp in mono_b:
-        mono_a = _insert(mono_a, coord, exp)
+    for cid, exp in mono_b:
+        mono_a = _insert(mono_a, cid, exp)
     return mono_a
 
 
@@ -133,10 +216,15 @@ def _add_into(store: dict, num: dict, scale: int = 1) -> None:
 
 
 def _partials(num: dict) -> dict:
-    """coordinate -> numerators of the first partial derivative, over the
-    denominator of ``num``, for every coordinate in one scan."""
+    """id -> numerators of the first partial derivative, over the
+    denominator of ``num``, for every coordinate in one scan.
+
+    The ids come in ``terms()`` order of first appearance: by the first
+    monomial that holds them, then by coordinate order within it.
+    """
     parts: dict = {}
-    for mono, n in num.items():
+    first: dict = {}  # id -> index of the first monomial that holds it
+    for index, (mono, n) in enumerate(num.items()):
         for pos, (c, e) in enumerate(mono):
             lowered = ((c, e - 1),) if e > 1 else ()
             rest = mono[:pos] + lowered + mono[pos + 1 :]
@@ -144,9 +232,10 @@ def _partials(num: dict) -> dict:
             part = parts.get(c)
             if part is None:
                 parts[c] = {rest: n * e}
+                first[c] = index
             else:
                 part[rest] = n * e
-    return parts
+    return {c: parts[c] for c in sorted(parts, key=lambda c: (first[c], _KEYS[c]))}
 
 
 class _Accumulator:
@@ -190,19 +279,29 @@ class _Accumulator:
 
 class Expr:
     """Polynomial with exact rational coefficients in canonical form:
-    integer numerators ``_num`` over one positive denominator ``_den``."""
+    integer numerators ``_num``, keyed by id monomials, over one positive
+    denominator ``_den``."""
 
     __slots__ = ("_num", "_den")
 
-    def __init__(self, terms: Mapping | None = None):
-        """The expression with the given ``{monomial: int | Fraction}``
-        coefficients; zero coefficients are dropped."""
+    def __init__(self, terms=None):
+        """The expression with the given coefficients: a mapping
+        ``{monomial: int | Fraction}`` or (monomial, coefficient) pairs such
+        as ``terms()`` gives, each monomial a sequence of (coordinate,
+        exponent) pairs.  Zero coefficients are dropped."""
         num: dict = {}
         den = 1
         if terms:
-            pairs = [(mono, _split(q)) for mono, q in terms.items() if q]
+            items = terms.items() if isinstance(terms, Mapping) else terms
+            pairs = [(_monomial_of(mono), _split(q)) for mono, q in items if q]
             den = lcm(*(d for _, (_, d) in pairs))
-            num = {mono: n * (den // d) for mono, (n, d) in pairs}
+            # monomials that differ only in factor order meet in one id monomial
+            for mono, (n, d) in pairs:
+                acc = num.get(mono, 0) + n * (den // d)
+                if acc:
+                    num[mono] = acc
+                else:
+                    del num[mono]
         reduced = _reduced(num, den)
         self._num = reduced._num
         self._den = reduced._den
@@ -224,20 +323,14 @@ class Expr:
 
     @staticmethod
     def variable(coord) -> "Expr":
-        return _expr({((tuple(coord), 1),): 1}, 1)
+        return _expr({((_id(tuple(coord)), 1),): 1}, 1)
 
     @staticmethod
     def monomial(powers: Mapping[tuple, int], coeff=1) -> "Expr":
         n, d = _split(coeff)
         if n == 0:
             return Expr.zero()
-        key = tuple(
-            sorted(
-                ((tuple(c), e) for c, e in powers.items() if e),
-                key=lambda item: coordinate_sort_key(item[0]),
-            )
-        )
-        return _expr({key: n}, d)
+        return _expr({_monomial_of(powers.items()): n}, d)
 
     # -- inspection --------------------------------------------------------
 
@@ -245,28 +338,28 @@ class Expr:
     def is_zero(self) -> bool:
         return not self._num
 
-    def terms(self):
-        """(monomial, coefficient) pairs, coefficients as ints where
-        integral and as Fractions otherwise."""
-        den = self._den
-        if den == 1:
-            return self._num.items()
-        return {mono: _rational(n, den) for mono, n in self._num.items()}.items()
+    def terms(self) -> list:
+        """(monomial, coefficient) pairs, each monomial a tuple of
+        (coordinate, exponent) pairs in coordinate_sort_key order, each
+        coefficient an int where integral and a Fraction otherwise."""
+        den, coords = self._den, _COORDS
+        return [
+            (
+                tuple([(coords[c], e) for c, e in _in_coordinate_order(mono)]),
+                n if den == 1 else _rational(n, den),
+            )
+            for mono, n in self._num.items()
+        ]
+
+    def _ids(self) -> set:
+        return {c for mono in self._num for c, _ in mono}
 
     def variables(self) -> set:
-        out = set()
-        for mono in self._num:
-            for coord, _ in mono:
-                out.add(coord)
-        return out
+        return {_COORDS[c] for c in self._ids()}
 
     def jet_order(self) -> int:
         """Highest jet order of any coordinate occurring in the expression."""
-        order = 0
-        for mono in self._num:
-            for coord, _ in mono:
-                order = max(order, coordinate_order(coord))
-        return order
+        return max((_ORDERS[c] for c in self._ids()), default=0)
 
     def constant_term(self):
         return _rational(self._num.get((), 0), self._den)
@@ -328,17 +421,17 @@ class Expr:
         return _reduced({mono: n * p for mono, n in self._num.items()}, den * q)
 
     def _times_monomial(self, powers: Sequence, sign: int) -> "Expr":
-        """The monomial kernel: self * sign * prod c^e over the (coordinate,
+        """The monomial kernel: self * sign * prod c^e over the (id,
         exponent) pairs of ``powers``, for sign = +-1.
 
-        Each monomial gains the coordinates by insertion.  Distinct monomials
+        Each monomial gains the ids by insertion.  Distinct monomials
         stay distinct and no numerator changes its magnitude, so the result
         needs neither accumulation nor a content reduction.
         """
         out = {}
         for mono, n in self._num.items():
-            for coord, exp in powers:
-                mono = _insert(mono, coord, exp)
+            for cid, exp in powers:
+                mono = _insert(mono, cid, exp)
             out[mono] = n if sign == 1 else -n
         return _expr(out, self._den)
 
@@ -420,16 +513,16 @@ class Expr:
         with a nonzero partial.
         """
         den = self._den
-        return {c: _reduced(part, den) for c, part in _partials(self._num).items()}
+        return {_COORDS[c]: _reduced(part, den) for c, part in _partials(self._num).items()}
 
     def partial(self, coord) -> "Expr":
         """Formal partial derivative w.r.t. one canonical coordinate, from
         the monomials that contain it."""
-        coord = tuple(coord)
+        cid = _IDS.get(tuple(coord))
         part = {}
         for mono, n in self._num.items():
             for pos, (c, e) in enumerate(mono):
-                if c == coord:
+                if c == cid:
                     lowered = ((c, e - 1),) if e > 1 else ()
                     part[mono[:pos] + lowered + mono[pos + 1 :]] = n * e
                     break
@@ -449,18 +542,21 @@ class Expr:
         """Replace coordinates by expressions (exact, simultaneous).
 
         Each power factor^exp is computed once per call, and every monomial
-        adds its numerator times the product of its powers into one sum.
+        adds its numerator times the product of its powers, in coordinate
+        order, into one sum.
         """
-        powers: dict = {}  # (coordinate, exponent) -> image of that power
+        # a coordinate never seen occurs in no monomial
+        by_id = {_IDS[c]: repl for c, repl in replacements.items() if c in _IDS}
+        powers: dict = {}  # (id, exponent) -> image of that power
         acc = _Accumulator()
         for mono, n in self._num.items():
             term = _ONE
-            for power in mono:
+            for power in _in_coordinate_order(mono):
                 image = powers.get(power)
                 if image is None:
-                    coord, exp = power
-                    repl = replacements.get(coord)
-                    factor = repl if repl is not None else Expr.variable(coord)
+                    cid, exp = power
+                    repl = by_id.get(cid)
+                    factor = repl if repl is not None else _expr({((cid, 1),): 1}, 1)
                     image = powers[power] = factor**exp
                 term = term * image
             acc.add(term, n)
@@ -555,39 +651,41 @@ def total_derivative(
     if not 1 <= i <= cfg.m:
         raise ValueError(f"base index {i} out of range 1..{cfg.m}")
     limit = cfg.working_order if max_order is None else max_order
-    x_i = base_coord(i)
-    lifts: dict = {}  # y/z coordinate -> its lift, checked against the bound once
+    lifts, orders = _LIFTS.setdefault(i, {}), _ORDERS
     # every image keeps e's denominator, so the sum is over numerators
     store: dict = {}
     get = store.get
     for mono, n in e._num.items():
         for pos, (c, exp) in enumerate(mono):
-            tag = c[0]
-            if tag == "x":
-                if c != x_i:
-                    continue
-                tail = mono[pos + 1 :]
-            elif tag == "c":  # coefficient symbols are constants
+            lifted = lifts.get(c)
+            if lifted is None:
+                lifted = _lift(c, i)
+            if lifted == _CONSTANT:
                 continue
-            else:
-                lifted = lifts.get(c)
-                if lifted is None:
-                    I = c[2] if tag == "z" else ()
-                    if len(I) + 1 > limit:
-                        raise ValueError(
-                            f"total derivative would need jet order {len(I) + 1} "
-                            f"beyond the allowed order {limit}"
-                        )
-                    lifted = lifts[c] = jet_coord(c[1], tuple(sorted(I + (i,))))
-                # the lift sorts after c, so it goes into the tail
-                tail = _insert(mono[pos + 1 :], lifted, 1)
-            image = mono[:pos] + (((c, exp - 1),) if exp > 1 else ()) + tail
+            image = mono[:pos] + (((c, exp - 1),) if exp > 1 else ()) + mono[pos + 1 :]
+            if lifted != _LOWER:
+                if orders[lifted] > limit:
+                    _raise_order_bound(e, i, limit)
+                image = _insert(image, lifted, 1)
             acc = get(image, 0) + n * exp
             if acc:
                 store[image] = acc
             else:
                 del store[image]
     return _reduced(store, e._den)
+
+
+def _raise_order_bound(e: Expr, i: int, limit: int):
+    """The jet-order error of D_i e, for the first coordinate in ``terms()``
+    order whose lift goes beyond ``limit``."""
+    for mono in e._num:
+        for c, _ in _in_coordinate_order(mono):
+            lifted = _lift(c, i)
+            if lifted >= 0 and _ORDERS[lifted] > limit:
+                raise ValueError(
+                    f"total derivative would need jet order {_ORDERS[lifted]} "
+                    f"beyond the allowed order {limit}"
+                )
 
 
 # -- polynomial sections -----------------------------------------------------

@@ -21,9 +21,11 @@ rewrites dy^a -> z^a_(i) dx^i and dz^a_I -> z^a_{I+i} dx^i, which is exactly
 what pulling back along the jet extension of an arbitrary section does to the
 form part.  It is a map per term: each dy/dz factor takes one of the base
 directions the term's dx factors leave free, injectively, and the sign is the
-parity of that choice.  A form pulls back to zero along every section iff its
-reduction is the zero form, because jets of polynomial sections realize every
-combination of coordinate values.
+parity of that choice.  The lifts come from the one lift table of interned
+coordinate ids that ``total_derivative`` reads too, and go into each
+coefficient's monomials by ``Expr``'s monomial kernel.  A form pulls back to
+zero along every section iff its reduction is the zero form, because jets of
+polynomial sections realize every combination of coordinate values.
 
 The "for every source-vertical X" conditions on boundary and De Donder forms
 contract no form here: ``jetforms.dedonder`` reads them from an identity on
@@ -35,8 +37,15 @@ from itertools import combinations, permutations
 from typing import Mapping, Sequence
 
 from .expressions import Expr, PolynomialSection, render_coordinate, render_expr
-from .expressions import _Accumulator, substitute_section
-from .jets import JetConfig, base_coord, coordinate_sort_key, field_coord, jet_coord
+from .expressions import _Accumulator, _id, _lift, substitute_section
+from .jets import (
+    JetConfig,
+    base_coord,
+    coordinate_order,
+    coordinate_sort_key,
+    field_coord,
+    jet_coord,
+)
 
 
 def _merge_wedges(wedge_a: tuple, wedge_b: tuple):
@@ -283,24 +292,21 @@ def holonomic_reduce(form: DifferentialForm, cfg: JetConfig) -> DifferentialForm
         for wedge_key, coeff in form.terms():
             fixed = tuple(b[1] for b in wedge_key if b[0] == "x")
             # the canonical order puts every dx factor first
-            vertical = [
-                (b[1], b[2] if b[0] == "z" else ()) for b in wedge_key[len(fixed) :]
-            ]
-            top = max((len(indices) + 1 for _, indices in vertical), default=0)
+            vertical = wedge_key[len(fixed) :]
+            top = max((coordinate_order(b) + 1 for b in vertical), default=0)
             if top > cfg.expression_order:
                 raise ValueError(
                     f"holonomic reduction needs jet order {top} "
                     f"beyond the allowed order {cfg.expression_order}"
                 )
             free = [i for i in range(1, cfg.m + 1) if i not in fixed]
-            for choice in permutations(free, len(vertical)):
+            ids = [_id(b) for b in vertical]
+            for choice in permutations(free, len(ids)):
                 order = fixed + choice
                 inversions = sum(u > v for u, v in combinations(order, 2))
                 sign = -1 if inversions % 2 else 1
-                lifted = [
-                    (jet_coord(a, tuple(sorted(indices + (i,)))), 1)
-                    for (a, indices), i in zip(vertical, choice)
-                ]
+                # the lift table gives the id of each factor's lift z^a_{I+i}
+                lifted = [(_lift(cid, i), 1) for cid, i in zip(ids, choice)]
                 yield tuple(base_coord(i) for i in sorted(order)), coeff._times_monomial(
                     lifted, sign
                 )

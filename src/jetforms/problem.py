@@ -787,17 +787,25 @@ class _Elaborator:
 
 
 def _determinant(matrix) -> Fraction:
-    size = len(matrix)
-    if size == 1:
-        return matrix[0][0]
-    total = Fraction(0)
-    for j in range(size):
-        minor = tuple(
-            tuple(row[:j] + row[j + 1 :]) for row in matrix[1:]
-        )
-        term = matrix[0][j] * _determinant(minor)
-        total += term if j % 2 == 0 else -term
-    return total
+    """Exact determinant by Gaussian elimination: O(size^3) Fraction steps."""
+    rows = [[Fraction(v) for v in row] for row in matrix]
+    size = len(rows)
+    det = Fraction(1)
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if rows[r][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        head = rows[col]
+        det *= head[col]
+        for row in rows[col + 1 :]:
+            factor = row[col] / head[col]
+            if factor:
+                for j in range(col + 1, size):
+                    row[j] -= factor * head[j]
+    return det
 
 
 def parse_problem(text: str) -> ProblemSpec:

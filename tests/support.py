@@ -2,14 +2,18 @@
 contact forms of a jet space, the contact-ideal test built from them, the
 one-scan vertical contractions of a form and their holonomic reductions, a
 seeded random polynomial generator, generic sections with free coefficients,
-a reference ring, and the Expr kernels the library replaced.
+a reference ring, the determinant by minors, and the Expr kernels the
+library replaced.
 
 The library reaches the same statements by other routes (prolongation from
 the characteristic jets, the symmetry test through E d_m x, the
 boundary-form conditions through the splitting system of the coefficients,
 integer numerators over one denominator, D_i in one pass over the
 monomials, substitution through one table of powers, products with one
-monomial by insertion); these stay as independent references.
+monomial by insertion, monomials over interned coordinate ids, the
+determinant by elimination); these stay as independent references.  The
+kernels read an Expr only through ``terms()``, so they work on coordinate
+monomials whatever ids the library gives the coordinates.
 """
 from __future__ import annotations
 
@@ -272,18 +276,13 @@ def reference_total_derivative(e: ReferenceExpr, i: int) -> ReferenceExpr:
 
 
 def generic_product(a: Expr, b: Expr) -> Expr:
-    """a * b by the double loop over monomials, with no monomial route."""
-    store: dict = {}
-    for mono_a, n_a in a._num.items():
-        for mono_b, n_b in b._num.items():
-            mono = _merge_monomials(mono_a, mono_b)
-            acc = store.get(mono, 0) + n_a * n_b
-            if acc:
-                store[mono] = acc
-            else:
-                del store[mono]
-    den = a._den * b._den
-    return Expr({mono: Fraction(n, den) for mono, n in store.items()})
+    """a * b by the double loop over the coordinate monomials of ``terms()``,
+    with no monomial route."""
+    return Expr(_accumulate({}, (
+        (_merge_monomials(mono_a, mono_b), c_a * c_b)
+        for mono_a, c_a in a.terms()
+        for mono_b, c_b in b.terms()
+    )))
 
 
 def two_pass_total_derivative(
@@ -333,11 +332,32 @@ def per_monomial_substitute(e: Expr, replacements: dict) -> Expr:
     return Expr.sum(image(mono, coeff) for mono, coeff in e.terms())
 
 
+def minors_determinant(matrix) -> Fraction:
+    """The determinant by expansion along the first row: the parser's
+    reference, factorial in the size."""
+    size = len(matrix)
+    if size == 1:
+        return matrix[0][0]
+    total = Fraction(0)
+    for j in range(size):
+        minor = tuple(tuple(row[:j] + row[j + 1 :]) for row in matrix[1:])
+        term = matrix[0][j] * minors_determinant(minor)
+        total += term if j % 2 == 0 else -term
+    return total
+
+
+def numerators(e: Expr) -> tuple:
+    """({coordinate monomial: integer numerator}, common denominator), the
+    numerators read back through ``terms()``."""
+    den = e._den
+    return {mono: int(c * den) for mono, c in e.terms()}, den
+
+
 def assert_canonical(e: Expr) -> None:
     """Integer numerators over one positive denominator, none zero, with
     gcd 1 over all of them; the zero expression has denominator 1."""
-    num, den = e._num, e._den
+    num, den = list(e._num.values()), e._den
     assert type(den) is int and den > 0, den
-    assert all(type(n) is int and n != 0 for n in num.values()), num
-    assert gcd(den, *num.values()) == 1, (den, num)
+    assert all(type(n) is int and n != 0 for n in num), num
+    assert gcd(den, *num) == 1, (den, num)
     assert num or den == 1, den

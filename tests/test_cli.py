@@ -1,3 +1,4 @@
+import ast
 import importlib.resources
 import json
 import logging
@@ -219,6 +220,71 @@ def test_evolve_output_independent_of_hash_seed():
         assert result.returncode == 0, result.stdout + result.stderr
         outputs.append(result.stdout)
     assert outputs[0] == outputs[1]
+
+
+FIXTURE_COMMANDS = [
+    argv + json_flag
+    for argv in (
+        ("euler-lagrange",), ("boundary-form",), ("dedonder-form",), ("verify",), ("noether",),
+        ("residual", "--section", "sol"), ("residual", "--section", "bump"),
+        ("evolve", "--seed", "1"),
+    )
+    for json_flag in ((), ("--json",))
+]
+
+# Runs every fixture command in one interpreter and prints the exit code and
+# stdout of each as a Python literal.  With ``reverse`` set it first interns
+# every coordinate of the fixture's jet spaces, up to order 2k + 1, in the
+# reverse of the coordinate order, so that coordinate ids and coordinate
+# order disagree everywhere.
+FIXTURE_RUNNER = """
+import ast, contextlib, io, sys
+from jetforms.expressions import Expr, _COORDS
+from jetforms.jets import base_coord, field_coord, jet_coord, multiindices
+from jetforms.cli import main
+
+wave, out, reverse, commands = sys.argv[1], sys.argv[2], sys.argv[3] == "1", ast.literal_eval(sys.argv[4])
+if reverse:
+    coords = [base_coord(i) for i in (1, 2)] + [field_coord(a) for a in (1, 2)] + [
+        jet_coord(a, I) for level in range(1, 6) for a in (1, 2) for I in multiindices(2, level)
+    ]
+    assert not _COORDS  # importing the package interns no coordinate
+    for coord in reversed(coords):
+        Expr.variable(coord)
+    assert _COORDS == coords[::-1]
+results = []
+for argv in commands:
+    extra = ["--out", out] if argv[0] == "evolve" else []
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        code = main([argv[0], wave, *argv[1:], *extra])
+    results.append((code, buffer.getvalue()))
+print(repr(results))
+"""
+
+
+def test_output_does_not_depend_on_the_order_coordinates_are_first_seen(tmp_path):
+    # coordinates are interned as ids in the order they are first seen;
+    # stdout and the evolve CSV must not depend on that order
+    import jetforms
+
+    package_root = str(pathlib.Path(jetforms.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    env["PYTHONHASHSEED"] = "0"
+    runs = []
+    out = tmp_path / "out"  # one directory, since evolve prints the CSV's path
+    for reverse in ("0", "1"):
+        result = subprocess.run(
+            [sys.executable, "-c", FIXTURE_RUNNER, WAVE, str(out), reverse,
+             repr(FIXTURE_COMMANDS)],
+            env=env, capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        runs.append((result.stdout, (out / "conservation.csv").read_bytes()))
+    assert runs[0] == runs[1]
+    codes = [code for code, _ in ast.literal_eval(runs[0][0])]
+    assert codes == [0] * 12 + [1, 1, 0, 0]  # the bump is not a solution
 
 
 def test_benchmark_tracer_spans_the_energy_functional(monkeypatch, capsys):

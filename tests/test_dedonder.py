@@ -6,6 +6,9 @@ import pytest
 from jetforms import dedonder
 from jetforms.dedonder import (
     BoundaryCoefficients,
+    BoundaryForm,
+    PhiDecomposition,
+    _check_splitting_system,
     assemble_boundary_form,
     compare_boundary_forms,
     dedonder_form,
@@ -178,6 +181,36 @@ def test_divergence_table_matches_a_fresh_divergence():
         key = sorted(corrupted)[rng.randrange(len(corrupted))]
         corrupted[key] = corrupted[key] + y_var(1) * z_var(1, (1,))
         assert_divergences_are_fresh(BoundaryCoefficients(cfg, corrupted))
+
+
+def test_comparison_reads_the_divergences_of_the_difference():
+    # on solved, perturbed and corrupted tables, in both orders, the report's
+    # divergence trace and homogeneous residuals are those of a fresh table
+    # Q = p - p'
+    rng = random.Random(41)
+    for cfg, delta in (
+        (JetConfig(2, 2, 2), dedonder.default_skew_perturbation(JetConfig(2, 2, 2))),
+        (JetConfig(3, 1, 2), {(1, 1, (2,)): z_var(1, (3,)), (1, 2, (1,)): -z_var(1, (3,))}),
+        (JetConfig(2, 1, 3), {}),
+    ):
+        top = z_var(1, (1,) * cfg.k)
+        L = random_expr(rng, cfg, cfg.k, degree=2, terms=6) + top * top
+        _, dec = phi_from_lagrangian(cfg, L)
+        xi = assemble_boundary_form(symmetric_boundary_coefficients(dec), dec)
+        alt = assemble_boundary_form(perturbed_coefficients(dec, delta), dec)
+        corrupted = dict(xi.coefficients.table)
+        key = sorted(corrupted)[rng.randrange(len(corrupted))]
+        corrupted[key] = corrupted[key] + y_var(1) * z_var(1, (1,))
+        bad = BoundaryForm(cfg, xi.form, BoundaryCoefficients(cfg, corrupted), dec)
+        for first, second in ((xi, alt), (alt, xi), (xi, bad), (bad, alt), (xi, xi)):
+            report = compare_boundary_forms(first, second)
+            q = BoundaryCoefficients(cfg, report.differences)
+            assert report.divergence_residuals == {
+                a: fresh_divergence(q, a, ()) for a in range(1, cfg.n + 1)
+            }
+            fresh = _check_splitting_system(PhiDecomposition(cfg, {}), q)
+            assert report.relation_failures == fresh
+            assert report.ok == (first is not bad and second is not bad)
 
 
 def test_checks_on_a_solved_table_compute_no_total_derivative(monkeypatch):

@@ -1,4 +1,5 @@
 import importlib.resources
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -11,9 +12,11 @@ from jetforms.problem import (
     ProblemSemanticError,
     ProblemSpec,
     ProblemSyntaxError,
+    _determinant,
     _render_rational,
     parse_problem,
 )
+from tests.support import minors_determinant
 
 MINIMAL = "dims 1 1 1; L = (1/2)*z[1;1]^2;"
 
@@ -335,6 +338,45 @@ def test_nesting_up_to_the_limit_parses():
     # the depth is that of one expression, not a count over the input
     many = " ".join(f"section s{j} = ({'(' * 150}x[1]{')' * 150});" for j in range(3))
     assert len(parse_problem(f"dims 1 1 1; L = y[1]; {many}").sections) == 3
+
+
+entries = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+
+
+@st.composite
+def square_matrices(draw):
+    """Rational matrices up to 4x4; about half are made singular by a row
+    that repeats a multiple of another, or by a zero row at size 1."""
+    size = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(entries, min_size=size, max_size=size),
+                         min_size=size, max_size=size))
+    if draw(st.booleans()):
+        source = draw(st.integers(0, size - 1))
+        target = (source + draw(st.integers(1, size - 1))) % size if size > 1 else 0
+        scale = draw(entries) if size > 1 else 0
+        rows[target] = [scale * v for v in rows[source]]
+    return tuple(tuple(row) for row in rows)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(square_matrices())
+def test_elimination_determinant_matches_the_minors_expansion(matrix):
+    assert _determinant(matrix) == minors_determinant(matrix)
+
+
+def test_large_metrics_parse_and_singular_ones_are_positioned():
+    # elimination is cubic in the size; the expansion by minors took hours at 12x12
+    diagonal = "dims 12 1 1; metric g = diag(" + ", ".join(["1"] * 11 + ["-2"]) + "); L = y[1];"
+    spec = parse_problem(diagonal)
+    assert spec.metrics["g"][11][11] == -2 and _determinant(spec.metrics["g"]) == -2
+    for metric in (
+        "diag(" + ", ".join(["1"] * 11 + ["0"]) + ")",
+        "[" + ", ".join(["[" + ", ".join(["1/2"] * 12) + "]"] * 12) + "]",
+    ):
+        with pytest.raises(ProblemSemanticError) as excinfo:
+            parse_problem(f"dims 12 1 1; metric g = {metric}; L = y[1];")
+        assert str(excinfo.value) == "1:14: metric 'g' is singular"
+    assert _determinant(((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)))) == -1
 
 
 def test_multiline_positions():

@@ -40,6 +40,7 @@ from jetforms.forms import DifferentialForm, volume_form  # noqa: E402
 from jetforms.jets import (  # noqa: E402
     JetConfig,
     base_coord,
+    coordinate_sort_key,
     enumerate_coordinates,
     field_coord,
     jet_coord,
@@ -251,6 +252,44 @@ def test_terms_round_trip_through_the_dict_constructor(u):
     assert Expr(dict(a.terms())) == a
     for _, c in a.terms():
         assert type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
+# a field index and coefficient symbols that only the next property uses,
+# their coordinates interned here in the reverse of the coordinate order, so
+# that ids and coordinate order disagree whatever the other tests intern first
+REVERSED = [field_coord(7)] + [
+    jet_coord(7, I) for level in (1, 2, 3) for I in multiindices(2, level)
+] + [("c", f"r{j}") for j in range(3)]
+for _coord in reversed(REVERSED):
+    Expr.variable(_coord)
+mixed_monomials = st.dictionaries(
+    st.sampled_from(KERNEL_COORDS + REVERSED), st.integers(1, 3), max_size=4
+)
+mixed_operands = st.lists(st.tuples(mixed_monomials, rationals), max_size=5).map(
+    lambda terms: Expr.sum(Expr.monomial(powers, c) for powers, c in terms)
+)
+
+
+def assert_terms_in_coordinate_order(e):
+    for mono, _ in e.terms():
+        keys = [coordinate_sort_key(c) for c, _ in mono]
+        assert keys == sorted(set(keys)), mono
+    assert Expr(e.terms()) == e
+
+
+@PROPERTY
+@given(mixed_operands, mixed_operands, st.integers(1, 2), st.integers(1, 3))
+def test_terms_come_in_coordinate_order_whatever_the_ids(a, b, i, max_order):
+    assert_terms_in_coordinate_order(a)
+    assert_terms_in_coordinate_order(a * b)
+    assert_terms_in_coordinate_order(total_derivative(a, i, CFG, 4))
+    assert_terms_in_coordinate_order(a.substitute({REVERSED[-1]: b, REVERSED[1]: b}))
+    # an order-bound error names the first coordinate in terms() order
+    got = outcome(total_derivative, a, i, CFG, max_order)
+    assert got == outcome(two_pass_total_derivative, a, i, CFG, max_order)
+    for c, part in a.gradient().items():
+        assert part == a.partial(c)
+        assert_terms_in_coordinate_order(part)
 
 
 @PROPERTY

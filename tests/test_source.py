@@ -303,3 +303,24 @@ def test_rational_arithmetic_of_the_symbolic_core_lives_in_expressions():
         if module.split(".")[0] == "fractions"
     ]
     assert not hits, f"fractions imported outside expressions: {hits}"
+
+
+def test_only_expressions_reads_the_storage_of_an_expr():
+    # an Expr's monomials are keyed by interned coordinate ids; every other
+    # module reads coordinate tuples through terms(), variables() and
+    # gradient(), so the id layout cannot leak into what it computes
+    root = SOURCE.parents[1]
+    paths = [
+        path
+        for folder in (SOURCE, root / "demos", root / "benchmarks")
+        for path in sorted(folder.glob("*.py"))
+        if path != SOURCE / "expressions.py"
+    ]
+    assert len(paths) > 10
+    hits = [
+        f"{path.name}:{node.lineno} .{node.attr}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in ("_num", "_den")
+    ]
+    assert not hits, f"Expr storage read outside expressions.py: {hits}"
