@@ -15,13 +15,14 @@ instead).  A monomial is a tuple of ``(id, exponent)`` pairs sorted by id, so
 products and derivatives hash and compare ints, as packed monomials do in
 computer-algebra kernels (M. Monagan and R. Pearce, "POLY: a new polynomial
 data structure for Maple 17", 2014).  The ids never leave this module:
-``Expr(terms)``, ``Expr.monomial``, ``Expr.variable``, ``partial`` and
-``substitute`` take coordinate tuples, and ``terms()``, ``variables()`` and
-``gradient()`` give coordinate tuples back, each ``terms()`` monomial in
-``coordinate_sort_key`` order.  Values, the factor order of each monomial,
-the key order of ``gradient()``, the order of the factors ``substitute``
-multiplies and the errors raised do not depend on the order in which
-coordinates were first seen; only the order of an Expr's monomials may.
+``Expr(terms)``, ``Expr.monomial``, ``Expr.variable``, ``partial``,
+``substitute`` and ``times_lifts`` take coordinate tuples, and ``terms()``,
+``variables()`` and ``gradient()`` give coordinate tuples back, each
+``terms()`` monomial in ``coordinate_sort_key`` order.  Values, the factor
+order of each monomial, the key order of ``gradient()``, the order of the
+factors ``substitute`` multiplies and the errors raised do not depend on the
+order in which coordinates were first seen; only the order of an Expr's
+monomials may.
 
 The coefficients are stored as integer numerators over one positive common
 denominator, as FLINT's ``fmpq_poly`` stores a polynomial over Q: a dict
@@ -126,9 +127,6 @@ def _pair_key(pair):
 
 def _in_coordinate_order(mono: Monomial):
     """The (id, exponent) pairs of a monomial in coordinate_sort_key order."""
-    if len(mono) == 2:  # most monomials of quadratic Lagrangians
-        first, second = mono
-        return mono if _KEYS[first[0]] < _KEYS[second[0]] else (second, first)
     return mono if len(mono) < 2 else sorted(mono, key=_pair_key)
 
 
@@ -686,6 +684,19 @@ def _raise_order_bound(e: Expr, i: int, limit: int):
                     f"total derivative would need jet order {_ORDERS[lifted]} "
                     f"beyond the allowed order {limit}"
                 )
+
+
+def times_lifts(e: Expr, coords: Sequence, directions: Sequence[int], sign: int) -> Expr:
+    """``sign * e`` times the D_i lift of each y/z coordinate in ``coords``,
+    z^a_I -> z^a_{I+i} with i the matching entry of ``directions``, for
+    sign = +-1; the lifts are read from the lift table D_i reads."""
+    powers = []
+    for coord, i in zip(coords, directions):
+        lifted = _lift(_id(coord), i)
+        if lifted < 0:
+            raise ValueError(f"{render_coordinate(coord)} has no holonomic lift")
+        powers.append((lifted, 1))
+    return e._times_monomial(powers, sign)
 
 
 # -- polynomial sections -----------------------------------------------------

@@ -21,11 +21,12 @@ rewrites dy^a -> z^a_(i) dx^i and dz^a_I -> z^a_{I+i} dx^i, which is exactly
 what pulling back along the jet extension of an arbitrary section does to the
 form part.  It is a map per term: each dy/dz factor takes one of the base
 directions the term's dx factors leave free, injectively, and the sign is the
-parity of that choice.  The lifts come from the one lift table of interned
-coordinate ids that ``total_derivative`` reads too, and go into each
-coefficient's monomials by ``Expr``'s monomial kernel.  A form pulls back to
-zero along every section iff its reduction is the zero form, because jets of
-polynomial sections realize every combination of coordinate values.
+parity of that choice.  ``expressions.times_lifts`` multiplies the
+coefficient by the lifts, read from the lift table ``total_derivative`` reads
+too, so the interned coordinate ids stay inside ``jetforms.expressions``.  A
+form pulls back to zero along every section iff its reduction is the zero
+form, because jets of polynomial sections realize every combination of
+coordinate values.
 
 The "for every source-vertical X" conditions on boundary and De Donder forms
 contract no form here: ``jetforms.dedonder`` reads them from an identity on
@@ -37,7 +38,7 @@ from itertools import combinations, permutations
 from typing import Mapping, Sequence
 
 from .expressions import Expr, PolynomialSection, render_coordinate, render_expr
-from .expressions import _Accumulator, _id, _lift, substitute_section
+from .expressions import _Accumulator, substitute_section, times_lifts
 from .jets import (
     JetConfig,
     base_coord,
@@ -300,15 +301,12 @@ def holonomic_reduce(form: DifferentialForm, cfg: JetConfig) -> DifferentialForm
                     f"beyond the allowed order {cfg.expression_order}"
                 )
             free = [i for i in range(1, cfg.m + 1) if i not in fixed]
-            ids = [_id(b) for b in vertical]
-            for choice in permutations(free, len(ids)):
+            for choice in permutations(free, len(vertical)):
                 order = fixed + choice
                 inversions = sum(u > v for u, v in combinations(order, 2))
                 sign = -1 if inversions % 2 else 1
-                # the lift table gives the id of each factor's lift z^a_{I+i}
-                lifted = [(_lift(cid, i), 1) for cid, i in zip(ids, choice)]
-                yield tuple(base_coord(i) for i in sorted(order)), coeff._times_monomial(
-                    lifted, sign
+                yield tuple(base_coord(i) for i in sorted(order)), times_lifts(
+                    coeff, vertical, choice, sign
                 )
 
     return DifferentialForm(form.degree, _accumulate(pairs()))

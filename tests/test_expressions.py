@@ -9,6 +9,7 @@ from jetforms.expressions import (
     PolynomialSection,
     render_expr,
     substitute_section,
+    times_lifts,
     total_derivative,
     x_var,
     y_var,
@@ -271,3 +272,25 @@ def test_monomial_kernel_matches_the_generic_product():
             expected = generic_product(expected, Expr.variable(coord) ** exp)
         assert got == expected
         assert list(got.terms()) == list(expected.terms())
+
+
+def test_times_lifts_multiplies_by_the_holonomic_lifts():
+    rng = random.Random(23)
+    cfg = JetConfig(3, 2, 2)
+    vertical = [c for c in enumerate_coordinates(cfg, 1) if c[0] != "x"]
+    for _ in range(30):
+        e = random_expr(rng, cfg, 2, degree=3) * Fraction(rng.randint(1, 5), rng.randint(1, 6))
+        coords = rng.sample(vertical, rng.randint(0, 2))
+        directions = [rng.randint(1, cfg.m) for _ in coords]
+        sign = rng.choice((1, -1))
+        expected = generic_product(e, Expr.constant(sign))
+        for coord, i in zip(coords, directions):
+            indices = coord[2] if coord[0] == "z" else ()
+            lift = jet_coord(coord[1], tuple(sorted(indices + (i,))))
+            expected = generic_product(expected, Expr.variable(lift))
+        got = times_lifts(e, coords, directions, sign)
+        assert got == expected
+        assert list(got.terms()) == list(expected.terms())
+    for constant in (base_coord(1), ("c", "k")):
+        with pytest.raises(ValueError, match="has no holonomic lift"):
+            times_lifts(Expr.one(), [constant], [1], 1)

@@ -305,10 +305,31 @@ def test_rational_arithmetic_of_the_symbolic_core_lives_in_expressions():
     assert not hits, f"fractions imported outside expressions: {hits}"
 
 
+# the storage of an Expr and the kernels and tables keyed by interned ids
+EXPR_STORAGE_NAMES = {"_num", "_den", "_times_monomial", "_id", "_lift"}
+
+
+def _storage_reads(tree):
+    """(line, name) for each attribute read, name or import of an Expr
+    storage name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.alias):
+            name = node.name
+        else:
+            continue
+        if name in EXPR_STORAGE_NAMES:
+            yield node.lineno, name
+
+
 def test_only_expressions_reads_the_storage_of_an_expr():
     # an Expr's monomials are keyed by interned coordinate ids; every other
     # module reads coordinate tuples through terms(), variables() and
-    # gradient(), so the id layout cannot leak into what it computes
+    # gradient() and multiplies by lifts through times_lifts, so the id
+    # layout cannot leak into what it computes
     root = SOURCE.parents[1]
     paths = [
         path
@@ -317,10 +338,14 @@ def test_only_expressions_reads_the_storage_of_an_expr():
         if path != SOURCE / "expressions.py"
     ]
     assert len(paths) > 10
+    found = {
+        name
+        for _, name in _storage_reads(ast.parse((SOURCE / "expressions.py").read_text()))
+    }
+    assert found == EXPR_STORAGE_NAMES  # the scan does see them where they live
     hits = [
-        f"{path.name}:{node.lineno} .{node.attr}"
+        f"{path.name}:{line} {name}"
         for path in paths
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.Attribute) and node.attr in ("_num", "_den")
+        for line, name in _storage_reads(ast.parse(path.read_text(), filename=str(path)))
     ]
     assert not hits, f"Expr storage read outside expressions.py: {hits}"
