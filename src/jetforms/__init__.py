@@ -27,7 +27,6 @@ from .jets import (
     field_coord,
     jet_coord,
     multiindices,
-    splitting_count,
     splittings,
 )
 from .expressions import (

@@ -20,7 +20,6 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .dedonder import (
     STRUCTURAL_CHECKS,
@@ -32,27 +31,16 @@ from .dedonder import (
     skew_pair_perturbation,
     verify_condition3,
 )
-from .expressions import Expr, _monomial_sort_key, render_expr
+from .expressions import Expr, render_expr, render_rational
 from .forms import render_form
 from .jets import jet_coord
-from .problem import GridSpec, ProblemError, ProblemSpec, _render_rational, parse_problem
+from .problem import GridSpec, ProblemError, ProblemSpec, parse_problem
 from .prolongations import is_symmetry, noether_current
 
 log = logging.getLogger("jetforms")
 
 ENERGY_DRIFT_TOL = 1e-6
 ENERGY_AGREE_TOL = 1e-10
-
-COMMANDS = (
-    "euler-lagrange",
-    "boundary-form",
-    "dedonder-form",
-    "verify",
-    "noether",
-    "evolve",
-    "residual",
-)
-
 
 @dataclass
 class Report:
@@ -94,7 +82,7 @@ def _coefficient_key(a: int, i1: int, tail: tuple) -> str:
 
 
 def _leading_coefficient(delta: Expr):
-    terms = sorted(delta.terms(), key=lambda item: _monomial_sort_key(item[0]))
+    terms = delta.terms()
     return terms[0][1] if terms else 0
 
 
@@ -107,9 +95,9 @@ def cmd_euler_lagrange(spec: ProblemSpec, report: Report, args):
         report.say(f"deltaL/dy[{a}] = {rendered[str(a)]}")
         lead = _leading_coefficient(delta)
         if lead not in (0, 1):
-            normalized[str(a)] = render_expr(delta * (Fraction(1) / Fraction(lead)))
+            normalized[str(a)] = render_expr(delta / lead)
             report.say(
-                f"deltaL/dy[{a}] = ({_render_rational(Fraction(lead))}) * "
+                f"deltaL/dy[{a}] = ({render_rational(lead)}) * "
                 f"({normalized[str(a)]})"
             )
     report.data["euler_lagrange"] = rendered
@@ -360,10 +348,10 @@ def cmd_residual(spec: ProblemSpec, report: Report, args):
             raise ProblemError(f"unknown section {name!r}", 1, 1)
         residuals = dedonder_residual(theta, section)
         nonzero = results[name] = {}  # rendered coordinate -> rendered form
-        for coord in sorted(residuals, key=lambda c: (c[0], c[1:])):
-            if not residuals[coord].is_zero:
+        for coord, residual in residuals.items():
+            if not residual.is_zero:
                 label = render_expr(Expr.variable(coord))
-                nonzero[label] = render_form(residuals[coord])
+                nonzero[label] = render_form(residual)
                 report.say(f"residual[{name}] d/d{label}: {nonzero[label]}")
         report.check(
             f"dedonder-equations-{name}",
@@ -389,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="jetforms",
         description="Boundary forms, De Donder forms and conservation checks.",
     )
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=HANDLERS)
     parser.add_argument("problem", help="problem description file")
     parser.add_argument("--json", action="store_true", help="structured output")
     parser.add_argument("--out", help="directory for artifacts (CSV)")
@@ -402,9 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     start = time.perf_counter()
-    logging.basicConfig(
-        level=getattr(logging, os.environ.get("JETFORMS_LOG", "WARNING").upper(), 30)
-    )
+    # getLevelName maps a registered level name to its int, anything else to a str
+    level = logging.getLevelName(os.environ.get("JETFORMS_LOG", "WARNING").upper())
+    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING)
     args = build_parser().parse_args(argv)
     try:
         with open(args.problem) as handle:

@@ -80,12 +80,10 @@ from .forms import (
 )
 from .jets import (
     JetConfig,
-    coordinate_sort_key,
     enumerate_coordinates,
     field_coord,
     jet_coord,
     multiindices,
-    splitting_count,
     splittings,
 )
 
@@ -104,16 +102,15 @@ class PhiDecomposition:
     components: dict
 
     def component(self, a: int, indices: tuple = ()) -> Expr:
-        coord = jet_coord(a, indices) if indices else field_coord(a)
-        return self.components.get(coord, Expr.zero())
+        return self.components.get(jet_coord(a, indices), Expr.zero())
 
     def form(self) -> DifferentialForm:
         """Reassemble Phi from its components."""
         vol = volume_form(self.cfg)
         return DifferentialForm.sum(
             self.cfg.m + 1,
-            (DifferentialForm(1, {(c,): self.components[c]}).wedge(vol)
-             for c in sorted(self.components, key=coordinate_sort_key)),
+            (DifferentialForm(1, {(c,): value}).wedge(vol)
+             for c, value in self.components.items()),
         )
 
 
@@ -192,9 +189,10 @@ def _solve_top_down(dec: PhiDecomposition, top_delta: Mapping) -> BoundaryCoeffi
         current: dict = {}
         for a in range(1, cfg.n + 1):
             for I in multiindices(cfg.m, level):
-                share = _splitting_system_rhs(dec, coeffs, a, I) / splitting_count(I)
+                parts = splittings(I)
+                share = _splitting_system_rhs(dec, coeffs, a, I) / len(parts)
                 if not share.is_zero:
-                    for i1, tail in splittings(I):
+                    for i1, tail in parts:
                         current[(a, i1, tail)] = share
         if level == cfg.k:
             for key, delta in top_delta.items():
@@ -224,10 +222,11 @@ def symmetric_boundary_coefficients(dec: PhiDecomposition) -> BoundaryCoefficien
 def _check_splitting_system(
     dec: PhiDecomposition, coeffs: BoundaryCoefficients
 ) -> list:
-    """Residuals of the boundary-coefficient system; empty iff it holds."""
+    """Residuals (a, I, r^a_I) of the boundary-coefficient system, in
+    coordinate order (|I|, a, I); empty iff the system holds."""
     cfg = dec.cfg
     failures = []
-    for level in range(cfg.k, 0, -1):
+    for level in range(1, cfg.k + 1):
         for a in range(1, cfg.n + 1):
             for I in multiindices(cfg.m, level):
                 rhs = _splitting_system_rhs(dec, coeffs, a, I)
@@ -356,7 +355,7 @@ def assemble_boundary_form(
     xi = DifferentialForm.sum(
         cfg.m,
         (contact_form(cfg, a, tail).wedge(base_contraction(cfg, i1)) * value
-         for (a, i1, tail), value in sorted(coeffs.table.items())),
+         for (a, i1, tail), value in coeffs.table.items()),
     )
     for name, holds in STRUCTURAL_CHECKS:
         if not holds(xi, cfg):
@@ -491,10 +490,9 @@ def verify_condition3(phi: PhiDecomposition, xi: BoundaryForm) -> Condition3Repo
     system does: each failure is (a, I, -r^a_I), in coordinate order
     (|I|, a, I).
     """
-    failures = sorted(
-        ((a, I, -residual) for a, I, residual in _check_splitting_system(phi, xi.coefficients)),
-        key=lambda failure: (len(failure[1]), failure[0], failure[1]),
-    )
+    failures = [
+        (a, I, -residual) for a, I, residual in _check_splitting_system(phi, xi.coefficients)
+    ]
     return Condition3Report(not failures, failures)
 
 
@@ -514,8 +512,7 @@ def _lagrange_derivative(
     cfg = dec.cfg
 
     def signed_terms(a: int):
-        yield dec.component(a)
-        for level in range(1, cfg.k + 1):
+        for level in range(cfg.k + 1):
             for I in multiindices(cfg.m, level):
                 term = dec.component(a, I)
                 if term.is_zero:
@@ -595,7 +592,7 @@ def compare_boundary_forms(xi: BoundaryForm, xi_prime: BoundaryForm) -> Comparis
     """
     if xi.phi is None or xi_prime.phi is None:
         raise ValueError("both forms must be boundary forms of a Phi")
-    if not (xi.phi.form() - xi_prime.phi.form()).is_zero:
+    if xi.phi.components != xi_prime.phi.components:
         raise ValueError("the two boundary forms belong to different Phi")
     cfg = xi.cfg
     differences: dict = {}
@@ -611,13 +608,12 @@ def compare_boundary_forms(xi: BoundaryForm, xi_prime: BoundaryForm) -> Comparis
     relation_failures = _check_splitting_system(zero_dec, q)
     divergence_residuals = {a: q.divergence(a, ()) for a in range(1, cfg.n + 1)}
     volume = volume_form(cfg)
-    pullback_failures = sorted(
-        [(field_coord(a), volume * -residual)
-         for a, residual in divergence_residuals.items() if not residual.is_zero]
-        + [(jet_coord(a, I), volume * -residual) for a, I, residual in relation_failures],
-        key=lambda failure: coordinate_sort_key(failure[0]),
-    )
-    # the pullback failures are exactly the failures of the first two checks
+    # the pullback failures are exactly the failures of the first two checks,
+    # in coordinate order: the y^a before the z^a_I, which come in that order
+    pullback_failures = [
+        (field_coord(a), volume * -residual)
+        for a, residual in divergence_residuals.items() if not residual.is_zero
+    ] + [(jet_coord(a, I), volume * -residual) for a, I, residual in relation_failures]
     return ComparisonReport(
         not pullback_failures, differences, relation_failures, divergence_residuals,
         pullback_failures,

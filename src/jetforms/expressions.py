@@ -17,12 +17,13 @@ computer-algebra kernels (M. Monagan and R. Pearce, "POLY: a new polynomial
 data structure for Maple 17", 2014).  The ids never leave this module:
 ``Expr(terms)``, ``Expr.monomial``, ``Expr.variable``, ``partial``,
 ``substitute`` and ``times_lifts`` take coordinate tuples, and ``terms()``,
-``variables()`` and ``gradient()`` give coordinate tuples back, each
-``terms()`` monomial in ``coordinate_sort_key`` order.  Values, the factor
-order of each monomial, the key order of ``gradient()``, the order of the
-factors ``substitute`` multiplies and the errors raised do not depend on the
-order in which coordinates were first seen; only the order of an Expr's
-monomials may.
+``variables()`` and ``gradient()`` give coordinate tuples back.  ``terms()``
+owns the canonical order of an Expr: the factors of each monomial in
+``coordinate_sort_key`` order, and the monomials sorted by the (key,
+exponent) pairs of their factors, the order ``render_expr`` prints.
+``gradient()`` gives its keys in coordinate order.  So nothing an Expr
+shows, its errors included, depends on the order in which coordinates were
+first seen.
 
 The coefficients are stored as integer numerators over one positive common
 denominator, as FLINT's ``fmpq_poly`` stores a polynomial over Q: a dict
@@ -55,11 +56,12 @@ as holonomic.  ``total_derivative`` walks each monomial once: it lowers the
 x^i factor, and lifts each y/z factor in place, lowering its exponent and
 inserting the lift's id, read from the shared lift table, into the rest of
 the monomial.  A lift beyond the jet-order bound raises the ``ValueError``
-of the first such coordinate in ``terms()`` order.  ``Expr.substitute``
+of the first such coordinate in coordinate order.  ``Expr.substitute``
 raises each (coordinate, exponent) power once per call and adds every
-numerator times the product of its powers, taken in coordinate order, into
-one accumulator.  Their interplay with polynomial sections (substitution
-commutes with D_i) is the keystone property the test-suite pins down.
+numerator times the product of its powers into one accumulator; a monomial
+stops at its first power whose image is zero.  Their interplay with
+polynomial sections (substitution commutes with D_i) is the keystone
+property the test-suite pins down.
 """
 from __future__ import annotations
 
@@ -112,7 +114,7 @@ def _lift(cid: int, i: int) -> int:
         tag = coord[0]
         if tag == "y" or tag == "z":
             indices = coord[2] if tag == "z" else ()
-            lifted = _id(jet_coord(coord[1], tuple(sorted(indices + (i,)))))
+            lifted = _id(jet_coord(coord[1], indices + (i,)))
         elif tag == "x" and coord[1] == i:
             lifted = _LOWER
         else:
@@ -123,11 +125,6 @@ def _lift(cid: int, i: int) -> int:
 
 def _pair_key(pair):
     return _KEYS[pair[0]]
-
-
-def _in_coordinate_order(mono: Monomial):
-    """The (id, exponent) pairs of a monomial in coordinate_sort_key order."""
-    return mono if len(mono) < 2 else sorted(mono, key=_pair_key)
 
 
 def _monomial_of(pairs) -> Monomial:
@@ -215,14 +212,10 @@ def _add_into(store: dict, num: dict, scale: int = 1) -> None:
 
 def _partials(num: dict) -> dict:
     """id -> numerators of the first partial derivative, over the
-    denominator of ``num``, for every coordinate in one scan.
-
-    The ids come in ``terms()`` order of first appearance: by the first
-    monomial that holds them, then by coordinate order within it.
-    """
+    denominator of ``num``, for every coordinate in one scan; the ids come
+    in coordinate order."""
     parts: dict = {}
-    first: dict = {}  # id -> index of the first monomial that holds it
-    for index, (mono, n) in enumerate(num.items()):
+    for mono, n in num.items():
         for pos, (c, e) in enumerate(mono):
             lowered = ((c, e - 1),) if e > 1 else ()
             rest = mono[:pos] + lowered + mono[pos + 1 :]
@@ -230,10 +223,9 @@ def _partials(num: dict) -> dict:
             part = parts.get(c)
             if part is None:
                 parts[c] = {rest: n * e}
-                first[c] = index
             else:
                 part[rest] = n * e
-    return {c: parts[c] for c in sorted(parts, key=lambda c: (first[c], _KEYS[c]))}
+    return {c: parts[c] for c in sorted(parts, key=_KEYS.__getitem__)}
 
 
 class _Accumulator:
@@ -273,6 +265,25 @@ class _Accumulator:
 
     def result(self) -> "Expr":
         return _reduced(self.num, self.den)
+
+
+def sum_by_key(pairs) -> dict:
+    """Sum (key, Expr) pairs into key -> Expr, zero sums dropped.
+
+    A key hit once keeps its Expr; a key hit again gets an accumulator of
+    its own, and every later Expr on it is added into that in place.
+    """
+    out: dict = {}
+    for key, e in pairs:
+        acc = out.get(key)
+        if acc is None:
+            out[key] = e
+            continue
+        if acc.__class__ is Expr:
+            out[key] = acc = _Accumulator(acc)
+        acc.add(e)
+    sums = ((key, acc if acc.__class__ is Expr else acc.result()) for key, acc in out.items())
+    return {key: e for key, e in sums if e._num}
 
 
 class Expr:
@@ -337,16 +348,20 @@ class Expr:
         return not self._num
 
     def terms(self) -> list:
-        """(monomial, coefficient) pairs, each monomial a tuple of
-        (coordinate, exponent) pairs in coordinate_sort_key order, each
-        coefficient an int where integral and a Fraction otherwise."""
-        den, coords = self._den, _COORDS
-        return [
-            (
-                tuple([(coords[c], e) for c, e in _in_coordinate_order(mono)]),
-                n if den == 1 else _rational(n, den),
-            )
+        """(monomial, coefficient) pairs in canonical order: each monomial a
+        tuple of (coordinate, exponent) pairs in coordinate_sort_key order,
+        the monomials sorted by the (key, exponent) pairs of their factors,
+        each coefficient an int where integral and a Fraction otherwise."""
+        den, coords, keys = self._den, _COORDS, _KEYS
+        ordered = [
+            (mono if len(mono) < 2 else sorted(mono, key=_pair_key), n)
             for mono, n in self._num.items()
+        ]
+        if len(ordered) > 1:
+            ordered.sort(key=lambda item: [(keys[c], e) for c, e in item[0]])
+        return [
+            (tuple([(coords[c], e) for c, e in mono]), n if den == 1 else _rational(n, den))
+            for mono, n in ordered
         ]
 
     def _ids(self) -> set:
@@ -540,8 +555,9 @@ class Expr:
         """Replace coordinates by expressions (exact, simultaneous).
 
         Each power factor^exp is computed once per call, and every monomial
-        adds its numerator times the product of its powers, in coordinate
-        order, into one sum.
+        adds its numerator times the product of its powers into one sum; a
+        monomial stops at its first power whose image is zero, and a zero
+        factor is not raised, so no product has a zero operand.
         """
         # a coordinate never seen occurs in no monomial
         by_id = {_IDS[c]: repl for c, repl in replacements.items() if c in _IDS}
@@ -549,15 +565,21 @@ class Expr:
         acc = _Accumulator()
         for mono, n in self._num.items():
             term = _ONE
-            for power in _in_coordinate_order(mono):
+            for power in mono:
                 image = powers.get(power)
                 if image is None:
                     cid, exp = power
                     repl = by_id.get(cid)
-                    factor = repl if repl is not None else _expr({((cid, 1),): 1}, 1)
-                    image = powers[power] = factor**exp
+                    if repl is None:
+                        image = _expr({(power,): 1}, 1)
+                    else:
+                        image = repl**exp if repl._num else repl
+                    powers[power] = image
+                if not image._num:
+                    break
                 term = term * image
-            acc.add(term, n)
+            else:
+                acc.add(term, n)
         return _reduced(acc.num, acc.den * self._den)
 
 
@@ -581,7 +603,7 @@ def y_var(a: int) -> Expr:
 
 
 def z_var(a: int, indices) -> Expr:
-    return Expr.variable(jet_coord(a, tuple(sorted(indices))))
+    return Expr.variable(jet_coord(a, indices))
 
 
 # -- rendering ---------------------------------------------------------------
@@ -598,27 +620,25 @@ def render_coordinate(coord) -> str:
     return f"c[{coord[1]}]"
 
 
-def _monomial_sort_key(mono: Monomial):
-    return tuple((coordinate_sort_key(c), e) for c, e in mono)
+def render_rational(q) -> str:
+    """An int or Fraction as the problem DSL writes it: "n" or "n/d"."""
+    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 def render_expr(e: Expr) -> str:
-    """Deterministic text form, re-parseable by the problem DSL."""
+    """Deterministic text form in ``terms()`` order, re-parseable by the
+    problem DSL."""
     if e.is_zero:
         return "0"
     pieces = []
-    for mono, coeff in sorted(e.terms(), key=lambda item: _monomial_sort_key(item[0])):
+    for mono, coeff in e.terms():
         factors = []
         for coord, exp in mono:
             name = render_coordinate(coord)
             factors.append(name if exp == 1 else f"{name}^{exp}")
         body = "*".join(factors)
         magnitude = abs(coeff)
-        coeff_text = (
-            str(magnitude)
-            if isinstance(magnitude, int)
-            else f"{magnitude.numerator}/{magnitude.denominator}"
-        )
+        coeff_text = render_rational(magnitude)
         if not body:
             chunk = coeff_text
         elif magnitude == 1:
@@ -674,16 +694,15 @@ def total_derivative(
 
 
 def _raise_order_bound(e: Expr, i: int, limit: int):
-    """The jet-order error of D_i e, for the first coordinate in ``terms()``
+    """The jet-order error of D_i e, for the first coordinate in coordinate
     order whose lift goes beyond ``limit``."""
-    for mono in e._num:
-        for c, _ in _in_coordinate_order(mono):
-            lifted = _lift(c, i)
-            if lifted >= 0 and _ORDERS[lifted] > limit:
-                raise ValueError(
-                    f"total derivative would need jet order {_ORDERS[lifted]} "
-                    f"beyond the allowed order {limit}"
-                )
+    for c in sorted(e._ids(), key=_KEYS.__getitem__):
+        lifted = _lift(c, i)
+        if lifted >= 0 and _ORDERS[lifted] > limit:
+            raise ValueError(
+                f"total derivative would need jet order {_ORDERS[lifted]} "
+                f"beyond the allowed order {limit}"
+            )
 
 
 def times_lifts(e: Expr, coords: Sequence, directions: Sequence[int], sign: int) -> Expr:
@@ -767,8 +786,7 @@ class PolynomialSection:
         point = {base_coord(i + 1): Fraction(x) for i, x in enumerate(x0)}
         values = dict(point)
         for a in range(1, self.cfg.n + 1):
-            values[field_coord(a)] = self.components[a - 1].evaluate(point)
-            for level in range(1, order + 1):
+            for level in range(order + 1):
                 for I in multiindices(self.cfg.m, level):
                     values[jet_coord(a, I)] = self.jet(a, I).evaluate(point)
         return values

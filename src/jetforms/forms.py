@@ -13,8 +13,8 @@ translation in the wave example is one), verticality is checked where an
 operation requires it.
 
 Every sum of forms adds the Exprs landing on a wedge into one running Expr
-sum in place; ``d`` differentiates each coefficient once, by
-``Expr.gradient``.
+sum in place, by ``expressions.sum_by_key``; ``d`` differentiates each
+coefficient once, by ``Expr.gradient``.
 
 ``holonomic_reduce`` is the workhorse for "for every section" statements: it
 rewrites dy^a -> z^a_(i) dx^i and dz^a_I -> z^a_{I+i} dx^i, which is exactly
@@ -38,15 +38,8 @@ from itertools import combinations, permutations
 from typing import Mapping, Sequence
 
 from .expressions import Expr, PolynomialSection, render_coordinate, render_expr
-from .expressions import _Accumulator, substitute_section, times_lifts
-from .jets import (
-    JetConfig,
-    base_coord,
-    coordinate_order,
-    coordinate_sort_key,
-    field_coord,
-    jet_coord,
-)
+from .expressions import substitute_section, sum_by_key, times_lifts
+from .jets import JetConfig, base_coord, coordinate_order, coordinate_sort_key, jet_coord
 
 
 def _merge_wedges(wedge_a: tuple, wedge_b: tuple):
@@ -70,25 +63,6 @@ def _merge_wedges(wedge_a: tuple, wedge_b: tuple):
     out.extend(wedge_a[ia:])
     out.extend(wedge_b[ib:])
     return tuple(out), sign
-
-
-def _accumulate(pairs) -> dict:
-    """Sum (wedge, Expr) pairs into wedge -> Expr, zero coefficients dropped.
-
-    A wedge hit once keeps its Expr; a wedge hit again gets a running Expr
-    sum of its own, and every later Expr on it is added into that in place.
-    """
-    out: dict = {}
-    for wedge, coeff in pairs:
-        acc = out.get(wedge)
-        if acc is None:
-            out[wedge] = coeff
-            continue
-        if acc.__class__ is Expr:
-            out[wedge] = acc = _Accumulator(acc)
-        acc.add(coeff)
-    out = {w: acc if acc.__class__ is Expr else acc.result() for w, acc in out.items()}
-    return {wedge: coeff for wedge, coeff in out.items() if not coeff.is_zero}
 
 
 class DifferentialForm:
@@ -135,7 +109,7 @@ class DifferentialForm:
                     )
                 yield from form._terms.items()
 
-        return DifferentialForm(degree, _accumulate(pairs()))
+        return DifferentialForm(degree, sum_by_key(pairs()))
 
     def __add__(self, other: "DifferentialForm") -> "DifferentialForm":
         if not isinstance(other, DifferentialForm):
@@ -165,7 +139,7 @@ class DifferentialForm:
             if product is NotImplemented:
                 return NotImplemented
             products[w] = product
-        return DifferentialForm(self.degree, _accumulate(products.items()))
+        return DifferentialForm(self.degree, sum_by_key(products.items()))
 
     __rmul__ = __mul__
 
@@ -197,7 +171,7 @@ class DifferentialForm:
                         coeff = coeff_a * coeff_b
                         yield merged[0], coeff if merged[1] == 1 else -coeff
 
-        return DifferentialForm(self.degree + other.degree, _accumulate(pairs()))
+        return DifferentialForm(self.degree + other.degree, sum_by_key(pairs()))
 
     def d(self) -> "DifferentialForm":
         """Exterior derivative; differentiates coefficients in every
@@ -212,7 +186,7 @@ class DifferentialForm:
                     if inserted is not None:
                         yield inserted[0], dcoeff if inserted[1] == 1 else -dcoeff
 
-        return DifferentialForm(self.degree + 1, _accumulate(pairs()))
+        return DifferentialForm(self.degree + 1, sum_by_key(pairs()))
 
 
 VectorFieldOnJet = Mapping[tuple, Expr]
@@ -238,7 +212,7 @@ def interior_product(X: VectorFieldOnJet, form: DifferentialForm) -> Differentia
                     signed if pos % 2 == 0 else -signed
                 )
 
-    return DifferentialForm(form.degree - 1, _accumulate(pairs()))
+    return DifferentialForm(form.degree - 1, sum_by_key(pairs()))
 
 
 def volume_form(cfg: JetConfig) -> DifferentialForm:
@@ -254,12 +228,9 @@ def base_contraction(cfg: JetConfig, i: int) -> DifferentialForm:
 
 def contact_form(cfg: JetConfig, a: int, indices: tuple) -> DifferentialForm:
     """theta^a_I = dz^a_I - z^a_{I+i} dx^i (dy^a - z^a_(i) dx^i for |I|=0)."""
-    indices = tuple(indices)
-    lead = jet_coord(a, indices) if indices else field_coord(a)
-    terms = {(lead,): Expr.one()}
+    terms = {(jet_coord(a, indices),): Expr.one()}
     for i in range(1, cfg.m + 1):
-        lifted = jet_coord(a, tuple(sorted(indices + (i,))))
-        terms[(base_coord(i),)] = -Expr.variable(lifted)
+        terms[(base_coord(i),)] = -Expr.variable(jet_coord(a, (*indices, i)))
     return DifferentialForm(1, terms)
 
 
@@ -309,7 +280,7 @@ def holonomic_reduce(form: DifferentialForm, cfg: JetConfig) -> DifferentialForm
                     coeff, vertical, choice, sign
                 )
 
-    return DifferentialForm(form.degree, _accumulate(pairs()))
+    return DifferentialForm(form.degree, sum_by_key(pairs()))
 
 
 def holonomic_pullback(
@@ -326,7 +297,7 @@ def holonomic_pullback(
     reduced = holonomic_reduce(form, cfg)
     return DifferentialForm(
         form.degree,
-        _accumulate(
+        sum_by_key(
             (wedge_key, substitute_section(coeff, section))
             for wedge_key, coeff in reduced.terms()
         ),

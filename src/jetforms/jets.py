@@ -12,6 +12,10 @@ Conventions used throughout the package:
 * a multi-index is a plain non-decreasing ``tuple`` of base indices;
 * a coordinate is a tagged tuple ``("x", i)``, ``("y", a)`` or
   ``("z", a, I)`` so that coordinates are hashable and cheaply comparable.
+
+:func:`jet_coord` owns the convention y^a = z^a_(): ``jet_coord(a, I)``
+sorts ``I`` into its canonical order and gives ``("y", a)`` for the empty
+index, so no caller canonicalizes an index or special-cases level zero.
 """
 from __future__ import annotations
 
@@ -62,7 +66,9 @@ def field_coord(a: int) -> Coordinate:
 
 
 def jet_coord(a: int, indices) -> Coordinate:
-    return ("z", a, tuple(indices))
+    """The coordinate z^a_I for the index ``indices`` in any order; y^a for ()."""
+    I = tuple(sorted(indices))
+    return ("z", a, I) if I else field_coord(a)
 
 
 def coordinate_order(coord: Coordinate) -> int:
@@ -107,11 +113,6 @@ def splittings(indices: Sequence[int]):
     return out
 
 
-def splitting_count(indices: Sequence[int]) -> int:
-    """Number of distinct (first index, canonical tail) splittings."""
-    return len(set(indices))
-
-
 def multiindices(m: int, length: int):
     """All canonical multi-indices of the given length, lexicographic."""
     return list(itertools.combinations_with_replacement(range(1, m + 1), length))
@@ -128,8 +129,7 @@ def enumerate_coordinates(cfg: JetConfig, order: int) -> list:
             f"order {order} outside supported range 0..{cfg.working_order}"
         )
     coords = [base_coord(i) for i in range(1, cfg.m + 1)]
-    coords += [field_coord(a) for a in range(1, cfg.n + 1)]
-    for level in range(1, order + 1):
+    for level in range(order + 1):
         for a in range(1, cfg.n + 1):
             for I in multiindices(cfg.m, level):
                 coords.append(jet_coord(a, I))

@@ -41,8 +41,7 @@ from .dedonder import (
     DeDonderForm,
     PhiDecomposition,
 )
-from .expressions import Expr, PolynomialSection, _monomial_sort_key, substitute_section
-from .expressions import render_expr
+from .expressions import Expr, PolynomialSection, render_expr, substitute_section
 from .jets import JetConfig, base_coord, field_coord, jet_coord, multiindices
 from .problem import GridSpec
 from .prolongations import ProjectableField, characteristic_jets, noether_current
@@ -60,12 +59,12 @@ def quadrature(values: np.ndarray, grid: GridSpec) -> float:
 def evaluate_on_grid(e: Expr, values: dict, shape: tuple) -> np.ndarray:
     """Float evaluation of an expression on coordinate arrays.
 
-    Monomials are summed in canonical order, so the float result does not
-    depend on the insertion order of the expression's terms (and hence not on
+    Monomials are summed in the canonical order of ``terms()``, so the float
+    result does not depend on how the expression was built (and hence not on
     the interpreter's hash seed).
     """
     total = np.zeros(shape)
-    for mono, coeff in sorted(e.terms(), key=lambda item: _monomial_sort_key(item[0])):
+    for mono, coeff in e.terms():
         term = np.full(shape, float(coeff))
         for coord, exp in mono:
             term = term * np.asarray(values[coord], dtype=float) ** exp
@@ -161,7 +160,7 @@ class SampledSection:
         for a in range(1, self.n + 1):
             for level in range(order + 1):
                 for I in multiindices(cfg.m, level):
-                    values[jet_coord(a, I) if I else field_coord(a)] = self.jet(a, I)
+                    values[jet_coord(a, I)] = self.jet(a, I)
         return values
 
 
@@ -444,7 +443,7 @@ class EnergyFunctional:
         y_t = ProjectableField(cfg, (Expr.one(), Expr.zero()), (Expr.zero(),) * cfg.n)
         density = noether_current(y_t, theta, None).coefficient((base_coord(2),))
         entries: dict = {}
-        for mono, coeff in sorted(density.terms(), key=lambda t: _monomial_sort_key(t[0])):
+        for mono, coeff in density.terms():
             slots = sorted(  # (a, r, s) of each y/z factor
                 (c[1], c[2].count(1), c[2].count(2)) if c[0] == "z" else (c[1], 0, 0)
                 for c, exp in mono if c[0] != "x" for _ in range(exp)
@@ -622,7 +621,7 @@ def _flowed_jet_coordinates(
                     for idx_out, idx_in in zip(I, J):
                         weight *= M[idx_in - 1, idx_out - 1]
                     chain = sum(
-                        C[a - 1, b - 1] * float(values[jet_coord(b, tuple(sorted(J)))])
+                        C[a - 1, b - 1] * float(values[jet_coord(b, J)])
                         for b in range(1, n + 1)
                     )
                     total += weight * chain

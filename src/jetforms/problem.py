@@ -745,7 +745,7 @@ class _Elaborator:
                     token.line,
                     token.column,
                 )
-            return Expr.variable(jet_coord(a, tuple(sorted(indices))))
+            return Expr.variable(jet_coord(a, indices))
         if kind == "metric":
             _, name, i_node, j_node, token = node
             matrix = self.metrics.get(name)
@@ -812,6 +812,3 @@ def parse_problem(text: str) -> ProblemSpec:
     """Parse and validate a problem file."""
     return _Parser(text).parse_problem()
 
-
-def _render_rational(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"

@@ -35,13 +35,7 @@ from .forms import (
     base_contraction,
     volume_form,
 )
-from .jets import (
-    JetConfig,
-    base_coord,
-    field_coord,
-    jet_coord,
-    multiindices,
-)
+from .jets import JetConfig, base_coord, jet_coord, multiindices
 
 
 def _is_affine(e: Expr, allowed_tags: tuple) -> bool:
@@ -109,7 +103,7 @@ def prolong(Y: ProjectableField, order: int) -> dict:
             z_var(a, I + (j,)) * comp for j, comp in enumerate(Y.base_components, 1)
         )
         if not value.is_zero:
-            components[jet_coord(a, I) if I else field_coord(a)] = value
+            components[jet_coord(a, I)] = value
     return components
 
 

@@ -209,7 +209,10 @@ class ReferenceExpr:
         return not self._terms
 
     def terms(self):
-        return self._terms.items()
+        """The monomials in the canonical order of ``Expr.terms()``."""
+        return sorted(self._terms.items(), key=lambda item: [
+            (coordinate_sort_key(c), e) for c, e in item[0]
+        ])
 
     def __add__(self, other: "ReferenceExpr") -> "ReferenceExpr":
         return ReferenceExpr.sum((self, other))

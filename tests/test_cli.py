@@ -435,6 +435,27 @@ def test_debug_log_reports_sizes_and_timings(caplog, capsys):
     assert out == quiet_out
 
 
+@pytest.mark.parametrize(
+    "level,logged",
+    [("basic_format", ""), ("no-such-level", ""), ("debug", "euler-lagrange took")],
+)
+def test_log_variable_reads_level_names_only(level, logged):
+    # BASIC_FORMAT is an attribute of logging but no level: like any name
+    # that is no level it leaves the level at WARNING
+    import jetforms
+
+    package_root = str(pathlib.Path(jetforms.__file__).parents[1])
+    env = dict(os.environ, JETFORMS_LOG=level)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "jetforms.cli", "euler-lagrange", WAVE],
+        env=env, capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "Traceback" not in result.stderr
+    assert (logged in result.stderr) if logged else result.stderr == ""
+
+
 def _fail_derive(cfg, L):
     raise AssertionError("derive ran before the input was rejected")
 

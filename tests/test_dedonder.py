@@ -263,10 +263,11 @@ def test_assemble_checks_and_condition3():
     )  # structural conditions still hold without a Phi
     report = verify_condition3(wp.decomposition, bad_xi)
     assert not report.ok
-    failing = {(a, I) for a, I, _ in report.failures}
-    assert (1, (1, 1)) in failing
-    # assembling against the decomposition rejects the broken system
-    with pytest.raises(AssertionError):
+    # failures come in coordinate order (|I|, a, I)
+    assert [(a, I) for a, I, _ in report.failures] == [(1, (1,)), (1, (1, 1))]
+    # assembling against the decomposition rejects the broken system and
+    # names the first failure in that order
+    with pytest.raises(AssertionError, match=r"at a=1, I=\(1,\): "):
         assemble_boundary_form(BoundaryCoefficients(wp.cfg, broken), wp.decomposition)
 
 
@@ -597,11 +598,20 @@ def test_invalid_skew_rejected():
 
 
 def test_comparison_requires_same_phi():
+    # Phi is compared by its components: equal ones from two derivations
+    # pass, those of another Lagrangian or a missing Phi are rejected
     cfg = JetConfig(2, 1, 2)
     xi_a = derive(cfg, z_var(1, (1, 1)) ** 2).boundary_symmetric
     xi_b = derive(cfg, z_var(1, (2, 2)) ** 2).boundary_symmetric
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="belong to different Phi"):
         compare_boundary_forms(xi_a, xi_b)
+    with pytest.raises(ValueError, match="belong to different Phi"):
+        compare_boundary_forms(xi_a, derive(cfg, 2 * z_var(1, (1, 1)) ** 2).boundary_symmetric)
+    again = derive(cfg, z_var(1, (1, 1)) ** 2).boundary_symmetric
+    assert again.phi is not xi_a.phi
+    assert compare_boundary_forms(xi_a, again).ok
+    with pytest.raises(ValueError, match="must be boundary forms of a Phi"):
+        compare_boundary_forms(xi_a, assemble_boundary_form(xi_a.coefficients))
 
 
 def test_divergence_trace_random_skew_family():

@@ -27,6 +27,7 @@ from tests.support import (
     generic_product,
     generic_section,
     numerators,
+    per_monomial_substitute,
     random_expr,
 )
 
@@ -168,6 +169,32 @@ def test_substitution_examples():
     lhs = substitute_section(total_derivative(f, 1, cfg), sigma2)
     rhs = substitute_section(f, sigma2).partial(base_coord(1))
     assert lhs == rhs
+
+
+def test_substitution_makes_no_product_with_a_zero_operand(monkeypatch):
+    # an affine section has zero jets of order two: a monomial stops at its
+    # first power whose image is zero, and a zero image is never raised
+    cfg = JetConfig(2, 1, 2)
+    sigma = PolynomialSection(cfg, (3 * x_var(1) - x_var(2) + 1,))
+    e = Expr.sum(
+        z_var(1, (1,)) ** j * z_var(1, (1, 2)) ** (j % 3) * y_var(1) for j in range(1, 7)
+    ) + z_var(1, (2, 2)) * x_var(2)
+    expected = per_monomial_substitute(
+        e, {c: sigma.coordinate_value(c) for c in e.variables() if c[0] != "x"}
+    )
+    multiply, zero_operands = Expr.__mul__, []
+
+    def counting(a, b):
+        if isinstance(b, Expr) and (a.is_zero or b.is_zero):
+            zero_operands.append((a, b))
+        return multiply(a, b)
+
+    monkeypatch.setattr(Expr, "__mul__", counting)
+    got = substitute_section(e, sigma)
+    monkeypatch.undo()
+    assert got == expected
+    assert not got.is_zero
+    assert zero_operands == []
 
 
 def test_chain_rule_keystone_property():

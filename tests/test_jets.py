@@ -4,11 +4,12 @@ import random
 
 import pytest
 
+from jetforms.expressions import y_var, z_var
 from jetforms.jets import (
     JetConfig,
     enumerate_coordinates,
+    jet_coord,
     multiindices,
-    splitting_count,
     splittings,
 )
 
@@ -60,9 +61,18 @@ def test_splittings():
     assert splittings((1, 1, 2)) == [(1, (1, 2)), (2, (1, 1))]
     assert splittings((3,)) == [(3, ())]
     for I in multiindices(3, 4):
-        assert splitting_count(I) == len(set(I))
+        assert len(splittings(I)) == len(set(I))
         rebuilt = {tuple(sorted((first,) + tail)) for first, tail in splittings(I)}
         assert rebuilt == {I}
+
+
+def test_jet_coord_sorts_the_index_and_names_level_zero_y():
+    # z^a_I for I in any order, and y^a = z^a_() is the field coordinate
+    assert jet_coord(1, (2, 1)) == ("z", 1, (1, 2))
+    assert jet_coord(1, [2, 2, 1]) == ("z", 1, (1, 2, 2))
+    assert jet_coord(1, ()) == ("y", 1)
+    assert z_var(1, ()) == y_var(1)
+    assert z_var(2, (2, 1)) == z_var(2, (1, 2))
 
 
 def test_enumerate_coordinates_examples():

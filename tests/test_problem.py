@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetforms.expressions import render_expr, y_var, z_var
+from jetforms.expressions import render_expr, render_rational, y_var, z_var
 from jetforms.jets import JetConfig
 from jetforms.problem import (
     ProblemError,
@@ -13,7 +13,6 @@ from jetforms.problem import (
     ProblemSpec,
     ProblemSyntaxError,
     _determinant,
-    _render_rational,
     parse_problem,
 )
 from tests.support import minors_determinant
@@ -34,7 +33,7 @@ def render_problem(spec: ProblemSpec) -> str:
     lines = [f"dims {spec.cfg.m} {spec.cfg.n} {spec.cfg.k};"]
     for name in sorted(spec.metrics):
         rows = ", ".join(
-            "[" + ", ".join(_render_rational(v) for v in row) + "]"
+            "[" + ", ".join(render_rational(v) for v in row) + "]"
             for row in spec.metrics[name]
         )
         lines.append(f"metric {name} = [{rows}];")

@@ -271,9 +271,14 @@ mixed_operands = st.lists(st.tuples(mixed_monomials, rationals), max_size=5).map
 
 
 def assert_terms_in_coordinate_order(e):
+    # the factors of each monomial in coordinate order, the monomials in
+    # canonical order: by the (key, exponent) pairs of their factors
+    monomials = []
     for mono, _ in e.terms():
         keys = [coordinate_sort_key(c) for c, _ in mono]
         assert keys == sorted(set(keys)), mono
+        monomials.append([(coordinate_sort_key(c), exp) for c, exp in mono])
+    assert monomials == sorted(monomials)
     assert Expr(e.terms()) == e
 
 
@@ -284,10 +289,13 @@ def test_terms_come_in_coordinate_order_whatever_the_ids(a, b, i, max_order):
     assert_terms_in_coordinate_order(a * b)
     assert_terms_in_coordinate_order(total_derivative(a, i, CFG, 4))
     assert_terms_in_coordinate_order(a.substitute({REVERSED[-1]: b, REVERSED[1]: b}))
-    # an order-bound error names the first coordinate in terms() order
+    # an order-bound error names the first coordinate in coordinate order
     got = outcome(total_derivative, a, i, CFG, max_order)
     assert got == outcome(two_pass_total_derivative, a, i, CFG, max_order)
-    for c, part in a.gradient().items():
+    gradient = a.gradient()
+    keys = [coordinate_sort_key(c) for c in gradient]
+    assert keys == sorted(keys)
+    for c, part in gradient.items():
         assert part == a.partial(c)
         assert_terms_in_coordinate_order(part)
 

@@ -305,6 +305,33 @@ def test_rational_arithmetic_of_the_symbolic_core_lives_in_expressions():
     assert not hits, f"fractions imported outside expressions: {hits}"
 
 
+def _private_imports(tree) -> list:
+    """(line, module, name) for each name starting with "_" that an import
+    takes from a jetforms module, relative or absolute."""
+    return [
+        (node.lineno, node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "jetforms")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+def test_no_library_module_imports_a_private_name_of_another():
+    # each canonical order and shared helper has one owner that exports it
+    # under a public name; a private name stays in the module defining it
+    # the scan does see a private import, relative or absolute
+    snippet = "from .expressions import _x\nfrom jetforms.jets import _y\n"
+    assert [name for _, _, name in _private_imports(ast.parse(snippet))] == ["_x", "_y"]
+    hits = [
+        f"{path.name}:{line} {module}.{name}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for line, module, name in _private_imports(ast.parse(path.read_text()))
+    ]
+    assert not hits, f"private names imported across library modules: {hits}"
+
+
 # the storage of an Expr and the kernels and tables keyed by interned ids
 EXPR_STORAGE_NAMES = {"_num", "_den", "_times_monomial", "_id", "_lift"}
 
