@@ -43,7 +43,6 @@ from .forms import (
     DifferentialForm,
     base_contraction,
     basis_vector,
-    contact_form,
     holonomic_pullback,
     holonomic_reduce,
     interior_product,

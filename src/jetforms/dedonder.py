@@ -34,6 +34,18 @@ computes a D_i on a solved table.  Its I = () entries are the divergences
 that the Lagrange derivative, the De Donder residual and the comparison of
 two boundary forms read.
 
+The system is linear in (Phi, top-level data).  A decomposition keeps its
+symmetric solution once solved, and a skew solution is that table plus the
+solve of its top-level data alone with Phi = 0; the divergences add the
+same way, so the skew solve differentiates no symmetric coefficient again.
+
+Since dx^i ^ (d/dx^{i1} -| d_m x) = delta^i_{i1} d_m x, Xi has one
+dz^a_T term per coefficient and one d_m x coefficient, -sum z^a_I S^a_I,
+with S^a_I the splitting sum of the system at (a, I).  Assembly writes Xi
+that way from the table, in one pass over the splitting sums that also
+gives the residuals of the system; the contact-form sum stays in the tests
+as the reference.
+
 The De Donder form is Theta = L d_m x + Xi; a section is critical for the
 action iff the pullbacks of X -| dTheta vanish for all X tangent to
 source-map fibres, and for X = d/dy^a that pullback is exactly the Lagrange
@@ -67,19 +79,14 @@ from .expressions import (
     PolynomialSection,
     render_expr,
     substitute_section,
+    sum_by_key,
     total_derivative,
     z_var,
 )
-from .forms import (
-    DifferentialForm,
-    base_contraction,
-    contact_form,
-    holonomic_reduce,
-    is_semibasic,
-    volume_form,
-)
+from .forms import DifferentialForm, holonomic_reduce, is_semibasic, volume_form
 from .jets import (
     JetConfig,
+    base_coord,
     enumerate_coordinates,
     field_coord,
     jet_coord,
@@ -96,10 +103,15 @@ class PhiDecomposition:
 
     ``components`` maps a y or z coordinate c (z^a_I with 1 <= |I| <= k) to
     the dc ^ d_m x coefficient; absent coordinates have coefficient zero.
+    The components are not mutated after construction: the symmetric
+    solution of their boundary system is kept the first time it is solved.
     """
 
     cfg: JetConfig
     components: dict
+    _symmetric: BoundaryCoefficients | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def component(self, a: int, indices: tuple = ()) -> Expr:
         return self.components.get(jet_coord(a, indices), Expr.zero())
@@ -135,12 +147,15 @@ class BoundaryCoefficients:
     """Coefficients p^{i1,T}_a: first index free, tail canonical, level |T|+1 <= k.
 
     The table is not mutated after construction: :meth:`divergence`
-    memoizes what it reads from it.
+    memoizes what it reads from it.  A table that is the sum of solved
+    tables (:func:`perturbed_coefficients`) keeps them as its parts and sums
+    their divergences instead.
     """
 
     cfg: JetConfig
     table: dict  # (a, i1, tail) -> Expr
     _divergences: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _parts: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def coefficient(self, a: int, i1: int, tail: tuple = ()) -> Expr:
         return self.table.get((a, i1, tuple(tail)), Expr.zero())
@@ -154,14 +169,31 @@ class BoundaryCoefficients:
         """
         value = self._divergences.get((a, I))
         if value is None:
-            cfg, table = self.cfg, self.table
-            limit = cfg.working_order if I else cfg.expression_order
-            value = self._divergences[(a, I)] = Expr.sum(
-                total_derivative(table[(a, j, I)], j, cfg, limit)
-                for j in range(1, cfg.m + 1)
-                if (a, j, I) in table
-            )
+            if self._parts:
+                terms = (part.divergence(a, I) for part in self._parts)
+            else:
+                cfg, table = self.cfg, self.table
+                limit = cfg.working_order if I else cfg.expression_order
+                terms = (
+                    total_derivative(table[(a, j, I)], j, cfg, limit)
+                    for j in range(1, cfg.m + 1)
+                    if (a, j, I) in table
+                )
+            value = self._divergences[(a, I)] = Expr.sum(terms)
         return value
+
+
+def _check_key(cfg: JetConfig, key: tuple) -> None:
+    """Reject a coefficient key (a, i1, tail) with an index out of range or
+    a tail that is not canonical."""
+    a, i1, tail = key
+    if not (1 <= a <= cfg.n and 1 <= i1 <= cfg.m and all(1 <= i <= cfg.m for i in tail)):
+        raise ValueError(
+            f"coefficient key {key} is out of range: the field index runs over "
+            f"1..{cfg.n}, i1 and the tail over 1..{cfg.m}"
+        )
+    if tuple(sorted(tail)) != tuple(tail):
+        raise ValueError(f"coefficient key {key} has a tail that is not canonical")
 
 
 def _splitting_system_rhs(
@@ -210,30 +242,50 @@ def _solve_top_down(dec: PhiDecomposition, top_delta: Mapping) -> BoundaryCoeffi
     return coeffs
 
 
+def _symmetric_solution(dec: PhiDecomposition) -> BoundaryCoefficients:
+    if dec._symmetric is None:
+        dec._symmetric = _solve_top_down(dec, {})
+    return dec._symmetric
+
+
 def symmetric_boundary_coefficients(dec: PhiDecomposition) -> BoundaryCoefficients:
-    """The fully symmetric solution of the boundary-coefficient system.
+    """The fully symmetric solution of the boundary-coefficient system,
+    solved once per decomposition.
 
     Equal shares over the splittings make each value depend only on the
     combined multiset of upper indices.
     """
-    return _solve_top_down(dec, {})
+    return _symmetric_solution(dec)
+
+
+def _splitting_sums(coeffs: BoundaryCoefficients) -> dict:
+    """z^a_I -> S^a_I, the sum of p^{i1,T}_a over the splittings (i1, T) of
+    I, wherever it is nonzero; every key is one splitting of one I.  Keys
+    out of range raise a ``ValueError`` naming them."""
+    for key in coeffs.table:
+        _check_key(coeffs.cfg, key)
+    return sum_by_key(
+        (jet_coord(a, (*tail, i1)), p) for (a, i1, tail), p in coeffs.table.items()
+    )
 
 
 def _check_splitting_system(
-    dec: PhiDecomposition, coeffs: BoundaryCoefficients
+    dec: PhiDecomposition, coeffs: BoundaryCoefficients, sums: dict | None = None
 ) -> list:
-    """Residuals (a, I, r^a_I) of the boundary-coefficient system, in
-    coordinate order (|I|, a, I); empty iff the system holds."""
+    """Residuals (a, I, r^a_I = S^a_I - rhs^a_I) of the boundary-coefficient
+    system, in coordinate order (|I|, a, I); empty iff the system holds.
+    ``sums`` are the splitting sums of ``coeffs`` when the caller has them."""
     cfg = dec.cfg
+    if sums is None:
+        sums = _splitting_sums(coeffs)
+    zero = Expr.zero()
     failures = []
     for level in range(1, cfg.k + 1):
         for a in range(1, cfg.n + 1):
             for I in multiindices(cfg.m, level):
-                rhs = _splitting_system_rhs(dec, coeffs, a, I)
-                total = Expr.sum(
-                    coeffs.coefficient(a, i1, tail) for i1, tail in splittings(I)
+                residual = sums.get(jet_coord(a, I), zero) - _splitting_system_rhs(
+                    dec, coeffs, a, I
                 )
-                residual = total - rhs
                 if not residual.is_zero:
                     failures.append((a, I, residual))
     return failures
@@ -246,19 +298,26 @@ def perturbed_coefficients(
 
     ``top_delta`` maps (a, i1, tail) with |tail| = k-1 to Exprs whose
     splitting sums vanish for every canonical index (the homogeneous top
-    equation); violations are rejected with the offending index named.
+    equation); violations and keys out of range are rejected, the offending
+    index or key named.
+
+    The system is linear in (Phi, top_delta), so the solution is the
+    symmetric one of ``dec`` (solved once per decomposition) plus the
+    top-down solve of ``top_delta`` with Phi = 0.  Keys that solve leaves
+    untouched share their Expr with the symmetric table, and each divergence
+    is the sum of the two tables' divergences, so no D_i runs again on a
+    symmetric coefficient.
     """
     cfg = dec.cfg
-    for (a, i1, tail), value in top_delta.items():
-        if len(tail) != cfg.k - 1:
-            raise ValueError(f"perturbation {(a, i1, tail)} is not top-level")
-        if tuple(sorted(tail)) != tuple(tail):
-            raise ValueError(f"perturbation tail {tail} is not canonical")
+    for key, value in top_delta.items():
+        _check_key(cfg, key)
+        if len(key[2]) != cfg.k - 1:
+            raise ValueError(f"perturbation {key} is not top-level")
         # k-1 total derivatives are applied on the way down to level one,
         # which must stay within the working order 2k-1
         if value.jet_order() > cfg.k:
             raise ValueError(
-                f"perturbation at {(a, i1, tail)} has jet order "
+                f"perturbation at {key} has jet order "
                 f"{value.jet_order()}; at most {cfg.k} is allowed"
             )
     for a in range(1, cfg.n + 1):
@@ -271,7 +330,12 @@ def perturbed_coefficients(
                     f"perturbation violates the top-level relation at a={a}, "
                     f"I={I}: splitting sum is {render_expr(total)}, not 0"
                 )
-    return _solve_top_down(dec, top_delta)
+    parts = (_symmetric_solution(dec), _solve_top_down(PhiDecomposition(cfg, {}), top_delta))
+    coeffs = BoundaryCoefficients(
+        cfg, sum_by_key(item for part in parts for item in part.table.items())
+    )
+    coeffs._parts = parts
+    return coeffs
 
 
 def skew_pair_perturbation(cfg: JetConfig, skew: Mapping) -> dict:
@@ -331,12 +395,17 @@ STRUCTURAL_CHECKS = (
 
 @dataclass
 class BoundaryForm:
-    """An assembled boundary form with its coefficients and provenance."""
+    """An assembled boundary form with its coefficients and provenance.
+
+    Only :func:`assemble_boundary_form` marks a boundary form as solving the
+    system of its ``phi``; one built by hand is checked anew.
+    """
 
     cfg: JetConfig
     form: DifferentialForm
     coefficients: BoundaryCoefficients
     phi: PhiDecomposition | None = None
+    _solves_phi: bool = field(default=False, init=False, repr=False, compare=False)
 
 
 def assemble_boundary_form(
@@ -344,31 +413,49 @@ def assemble_boundary_form(
 ) -> BoundaryForm:
     """Assemble Xi = sum p^{i1,T}_a theta^a_T ^ (d/dx^{i1} -| d_m x).
 
+    Xi is written straight from the coefficient table.  With d_m x^- the
+    wedge of every dx^i except dx^{i1}, each coefficient is one term
+    (-1)^(i1+m) p^{i1,T}_a d_m x^- ^ dz^a_T, and dx^i ^ (d/dx^{i1} -| d_m x)
+    = delta^i_{i1} d_m x collects the contact parts into one d_m x
+    coefficient, -sum_{a,I} z^a_I S^a_I, with S^a_I the splitting sum of the
+    system.  That one pass over the splitting sums also gives the residuals
+    of the system when ``phi`` is supplied.  A key out of range raises a
+    ``ValueError`` that names it.
+
     Construction-time verification runs :data:`STRUCTURAL_CHECKS`: Xi is
     semi-basic over the forgetful map to order k-1, double contraction with
     source-vertical fields vanishes, and the pullback along every section is
     zero.  Failures signal an implementation bug, not bad user input.  When
     ``phi`` is supplied, the defining coefficient system is checked exactly
-    and the result is marked as a boundary form of that Phi.
+    and the result is marked as a boundary form of that Phi, which
+    :func:`verify_condition3` then reads without a recompute.
     """
     cfg = coeffs.cfg
-    xi = DifferentialForm.sum(
-        cfg.m,
-        (contact_form(cfg, a, tail).wedge(base_contraction(cfg, i1)) * value
-         for (a, i1, tail), value in coeffs.table.items()),
-    )
+    sums = _splitting_sums(coeffs)
+    dx = [base_coord(i) for i in range(1, cfg.m + 1)]
+    terms = {}
+    for (a, i1, tail), value in coeffs.table.items():
+        if not value.is_zero:
+            wedge = (*dx[: i1 - 1], *dx[i1:], jet_coord(a, tail))
+            terms[wedge] = value if (i1 + cfg.m) % 2 == 0 else -value
+    volume = Expr.sum(-Expr.variable(c) * total for c, total in sums.items())
+    if not volume.is_zero:
+        terms[tuple(dx)] = volume
+    xi = DifferentialForm(cfg.m, terms)
     for name, holds in STRUCTURAL_CHECKS:
         if not holds(xi, cfg):
             raise AssertionError(f"assembled form fails {name}")
     if phi is not None:
-        failures = _check_splitting_system(phi, coeffs)
+        failures = _check_splitting_system(phi, coeffs, sums)
         if failures:
             a, I, residual = failures[0]
             raise AssertionError(
                 f"coefficients do not solve the boundary system at a={a}, I={I}: "
                 f"{render_expr(residual)}"
             )
-    return BoundaryForm(cfg, xi, coeffs, phi)
+    boundary = BoundaryForm(cfg, xi, coeffs, phi)
+    boundary._solves_phi = phi is not None
+    return boundary
 
 
 def contact_presentation(xi: BoundaryForm) -> str:
@@ -488,8 +575,11 @@ def verify_condition3(phi: PhiDecomposition, xi: BoundaryForm) -> Condition3Repo
     system of ``phi`` on ``xi.coefficients``, and zero for |I| > k.  The jets
     of sections take every value, so the check fails exactly where the
     system does: each failure is (a, I, -r^a_I), in coordinate order
-    (|I|, a, I).
+    (|I|, a, I).  A boundary form that assembly checked against this very
+    ``phi`` passes without a recompute.
     """
+    if xi._solves_phi and phi is xi.phi:
+        return Condition3Report(True, [])
     failures = [
         (a, I, -residual) for a, I, residual in _check_splitting_system(phi, xi.coefficients)
     ]

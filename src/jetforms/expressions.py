@@ -41,10 +41,12 @@ accumulator, which adds integer multiples of numerators into one dict in
 place and brings them to a common denominator only when a new denominator
 arrives.  Multiplying by one monomial and a sign has its own kernel: it
 inserts the ids into each sorted monomial and keeps the denominator, since
-it changes no numerator's content.  ``*`` routes every product with a factor
-+-1 times one monomial to that kernel, and a factor +-1 gives the other
-factor itself or its negation, so such products share their Exprs instead of
-copying them.
+it changes no numerator's content.  An id goes after a smaller last id, or
+else where ``bisect`` places it among the sorted pairs; a single power, as
+in every product by one coordinate and every lift, is inserted inline.
+``*`` routes every product with a factor +-1 times one monomial to that
+kernel, and a factor +-1 gives the other factor itself or its negation, so
+such products share their Exprs instead of copying them.
 
 The two derivations that matter are the formal partial derivative with
 respect to a single canonical coordinate and the total derivative
@@ -65,6 +67,7 @@ property the test-suite pins down.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, Sequence
@@ -179,15 +182,15 @@ def _reduced(num: dict, den: int) -> "Expr":
 
 
 def _insert(mono: Monomial, cid: int, exp: int) -> Monomial:
-    """mono times the coordinate ``cid`` to the power exp, kept sorted by id."""
+    """mono times the coordinate ``cid`` to the power exp, kept sorted by id:
+    appended after a smaller last id, else placed by bisection, since
+    ``(cid,)`` sorts just before every pair ``(cid, e)``."""
     if not mono or mono[-1][0] < cid:
         return mono + ((cid, exp),)
-    # some id in mono is >= cid, so the loop returns
-    for pos, (c, e) in enumerate(mono):
-        if c >= cid:
-            if c == cid:
-                return mono[:pos] + ((c, e + exp),) + mono[pos + 1 :]
-            return mono[:pos] + ((cid, exp),) + mono[pos:]
+    pos = bisect_left(mono, (cid,))
+    if mono[pos][0] == cid:
+        return mono[:pos] + ((cid, mono[pos][1] + exp),) + mono[pos + 1 :]
+    return mono[:pos] + ((cid, exp),) + mono[pos:]
 
 
 def _merge_monomials(mono_a: Monomial, mono_b: Monomial) -> Monomial:
@@ -437,14 +440,30 @@ class Expr:
         """The monomial kernel: self * sign * prod c^e over the (id,
         exponent) pairs of ``powers``, for sign = +-1.
 
-        Each monomial gains the ids by insertion.  Distinct monomials
-        stay distinct and no numerator changes its magnitude, so the result
-        needs neither accumulation nor a content reduction.
+        Each monomial gains the ids by insertion; a single power, as in
+        every product by one coordinate and every lift, is inserted inline.
+        Distinct monomials stay distinct and no numerator changes its
+        magnitude, so the result needs neither accumulation nor a content
+        reduction.
         """
         out = {}
+        if len(powers) != 1:
+            for mono, n in self._num.items():
+                for cid, exp in powers:
+                    mono = _insert(mono, cid, exp)
+                out[mono] = n if sign == 1 else -n
+            return _expr(out, self._den)
+        (cid, exp), = powers
+        key = (cid,)
         for mono, n in self._num.items():
-            for cid, exp in powers:
-                mono = _insert(mono, cid, exp)
+            if not mono or mono[-1][0] < cid:
+                mono = mono + ((cid, exp),)
+            else:
+                pos = bisect_left(mono, key)
+                if mono[pos][0] == cid:
+                    mono = mono[:pos] + ((cid, mono[pos][1] + exp),) + mono[pos + 1 :]
+                else:
+                    mono = mono[:pos] + ((cid, exp),) + mono[pos:]
             out[mono] = n if sign == 1 else -n
         return _expr(out, self._den)
 

@@ -39,7 +39,7 @@ from typing import Mapping, Sequence
 
 from .expressions import Expr, PolynomialSection, render_coordinate, render_expr
 from .expressions import substitute_section, sum_by_key, times_lifts
-from .jets import JetConfig, base_coord, coordinate_order, coordinate_sort_key, jet_coord
+from .jets import JetConfig, base_coord, coordinate_order, coordinate_sort_key
 
 
 def _merge_wedges(wedge_a: tuple, wedge_b: tuple):
@@ -224,14 +224,6 @@ def volume_form(cfg: JetConfig) -> DifferentialForm:
 def base_contraction(cfg: JetConfig, i: int) -> DifferentialForm:
     """The (m-1)-form d/dx^i -| d_m x."""
     return interior_product(basis_vector(base_coord(i)), volume_form(cfg))
-
-
-def contact_form(cfg: JetConfig, a: int, indices: tuple) -> DifferentialForm:
-    """theta^a_I = dz^a_I - z^a_{I+i} dx^i (dy^a - z^a_(i) dx^i for |I|=0)."""
-    terms = {(jet_coord(a, indices),): Expr.one()}
-    for i in range(1, cfg.m + 1):
-        terms[(base_coord(i),)] = -Expr.variable(jet_coord(a, (*indices, i)))
-    return DifferentialForm(1, terms)
 
 
 def is_semibasic(form: DifferentialForm, fibration) -> bool:

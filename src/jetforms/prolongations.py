@@ -100,7 +100,9 @@ def prolong(Y: ProjectableField, order: int) -> dict:
     }
     for (a, I), dq in characteristic_jets(Y, order).items():
         value = dq + Expr.sum(
-            z_var(a, I + (j,)) * comp for j, comp in enumerate(Y.base_components, 1)
+            z_var(a, I + (j,)) * comp
+            for j, comp in enumerate(Y.base_components, 1)
+            if not comp.is_zero
         )
         if not value.is_zero:
             components[jet_coord(a, I)] = value
@@ -137,7 +139,9 @@ def characteristic_jets(
     jets = {}
     for a in range(1, cfg.n + 1):
         q = Y.vertical_components[a - 1] - Expr.sum(
-            z_var(a, (j,)) * Y.base_components[j - 1] for j in range(1, cfg.m + 1)
+            z_var(a, (j,)) * comp
+            for j, comp in enumerate(Y.base_components, 1)
+            if not comp.is_zero
         )
         jets[(a, ())] = q if section is None else substitute_section(q, section)
     for level in range(1, order + 1):

@@ -1,13 +1,14 @@
 """Helpers that only the tests call: the Cartan-formula Lie derivative, the
-contact forms of a jet space, the contact-ideal test built from them, the
-one-scan vertical contractions of a form and their holonomic reductions, a
-seeded random polynomial generator, generic sections with free coefficients,
-a reference ring, the determinant by minors, and the Expr kernels the
-library replaced.
+contact forms of a jet space, the boundary form summed from them, the
+contact-ideal test built from them, the one-scan vertical contractions of a
+form and their holonomic reductions, a seeded random polynomial generator,
+generic sections with free coefficients, a reference ring, the determinant
+by minors, and the Expr kernels the library replaced.
 
 The library reaches the same statements by other routes (prolongation from
 the characteristic jets, the symmetry test through E d_m x, the
 boundary-form conditions through the splitting system of the coefficients,
+the boundary form written from its coefficient table,
 integer numerators over one denominator, D_i in one pass over the
 monomials, substitution through one table of powers, products with one
 monomial by insertion, monomials over interned coordinate ids, the
@@ -25,7 +26,7 @@ from jetforms.expressions import Expr, PolynomialSection
 from jetforms.forms import (
     DifferentialForm,
     VectorFieldOnJet,
-    contact_form,
+    base_contraction,
     holonomic_reduce,
     interior_product,
 )
@@ -45,6 +46,24 @@ def lie_derivative(X: VectorFieldOnJet, form: DifferentialForm) -> DifferentialF
     if form.degree == 0:
         return interior_product(X, form.d())
     return interior_product(X, form.d()) + interior_product(X, form).d()
+
+
+def contact_form(cfg: JetConfig, a: int, indices: tuple) -> DifferentialForm:
+    """theta^a_I = dz^a_I - z^a_{I+i} dx^i (dy^a - z^a_(i) dx^i for |I|=0)."""
+    terms = {(jet_coord(a, indices),): Expr.one()}
+    for i in range(1, cfg.m + 1):
+        terms[(base_coord(i),)] = -Expr.variable(jet_coord(a, (*indices, i)))
+    return DifferentialForm(1, terms)
+
+
+def contact_boundary_form(coefficients: dict, cfg: JetConfig) -> DifferentialForm:
+    """Xi = sum p^{i1,T}_a theta^a_T ^ (d/dx^{i1} -| d_m x) from contact forms,
+    wedges and interior products: the reference for the boundary form that
+    ``assemble_boundary_form`` writes straight from the coefficient table."""
+    return DifferentialForm.sum(cfg.m, (
+        contact_form(cfg, a, tail).wedge(base_contraction(cfg, i1)) * value
+        for (a, i1, tail), value in coefficients.items()
+    ))
 
 
 def contact_forms(cfg: JetConfig, order: int) -> list:

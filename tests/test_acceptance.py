@@ -28,7 +28,6 @@ from jetforms.expressions import (
 from jetforms.forms import (
     DifferentialForm,
     base_contraction,
-    contact_form,
     holonomic_pullback,
     holonomic_reduce,
     volume_form,
@@ -48,7 +47,7 @@ from jetforms.numeric import (
 from jetforms.problem import ProblemError, parse_problem
 from jetforms.prolongations import ProjectableField, prolong
 from jetforms.wave import wave_problem
-from tests.support import contact_forms, preserves_contact_ideal, random_expr
+from tests.support import contact_form, contact_forms, preserves_contact_ideal, random_expr
 
 WAVE_PATH = str(
     importlib.resources.files("jetforms").joinpath("fixtures/fourth_order_wave.jet")

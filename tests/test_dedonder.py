@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -35,7 +36,6 @@ from jetforms.forms import (
     DifferentialForm,
     base_contraction,
     basis_vector,
-    contact_form,
     holonomic_pullback,
     holonomic_reduce,
     interior_product,
@@ -51,7 +51,7 @@ from jetforms.jets import (
     multiindices,
 )
 from jetforms.wave import wave_problem
-from tests.support import coeff_symbol, random_expr, vertical_contractions
+from tests.support import coeff_symbol, contact_form, random_expr, vertical_contractions
 
 
 def test_phi_from_lagrangian_examples():
@@ -632,3 +632,98 @@ def test_divergence_trace_random_skew_family():
             perturbed_coefficients(dec, skew_pair_perturbation(cfg, skew)), dec
         )
         assert compare_boundary_forms(xi, alt).ok
+
+
+def test_condition3_reads_the_check_of_assembly(monkeypatch):
+    # a boundary form assembled against a Phi passes condition 3 for that
+    # Phi with no recompute; a hand-built one, or another Phi, is checked
+    # anew, and a corrupted table fails
+    wp = wave_problem()
+    dec, xi = wp.decomposition, wp.boundary_symmetric
+    checks = []
+    check = dedonder._check_splitting_system
+
+    def counted(*args):
+        checks.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(dedonder, "_check_splitting_system", counted)
+    assert verify_condition3(dec, xi).ok and checks == []
+    assert verify_condition3(dec, wp.skew_boundary()).ok
+    assert len(checks) == 1  # the assembly of the skew form, not condition 3
+    _, equal_dec = phi_from_lagrangian(wp.cfg, wp.lagrangian)
+    assert verify_condition3(equal_dec, xi).ok and len(checks) == 2
+    assert verify_condition3(dec, BoundaryForm(wp.cfg, xi.form, xi.coefficients, dec)).ok
+    assert len(checks) == 3
+    corrupted = dict(xi.coefficients.table)
+    corrupted[(1, 1, (1,))] = corrupted[(1, 1, (1,))] + y_var(1)
+    bad = BoundaryForm(wp.cfg, xi.form, BoundaryCoefficients(wp.cfg, corrupted), dec)
+    report = verify_condition3(dec, bad)
+    assert len(checks) == 4
+    assert not report.ok
+    assert [(a, I) for a, I, _ in report.failures] == [(1, (1,)), (1, (1, 1))]
+
+
+@pytest.mark.parametrize("key", [(2, 1, (1,)), (1, 3, (1,)), (1, 0, (1,)), (1, 1, (3,))])
+def test_coefficient_keys_out_of_range_are_rejected(key):
+    cfg = JetConfig(2, 1, 2)
+    _, dec = phi_from_lagrangian(cfg, z_var(1, (1, 2)) ** 2 + y_var(1) * z_var(1, (1, 1)))
+    named = re.escape(str(key))
+    with pytest.raises(ValueError, match=named):
+        perturbed_coefficients(dec, {key: y_var(1)})
+    table = dict(symmetric_boundary_coefficients(dec).table)
+    table[key] = y_var(1)
+    for phi in (dec, None):
+        with pytest.raises(ValueError, match=named):
+            assemble_boundary_form(BoundaryCoefficients(cfg, table), phi)
+
+
+def test_a_tail_that_is_not_canonical_is_rejected():
+    cfg = JetConfig(2, 1, 3)
+    _, dec = phi_from_lagrangian(cfg, z_var(1, (1, 1, 2)) ** 2)
+    key = (1, 1, (2, 1))
+    with pytest.raises(ValueError, match=r"not canonical"):
+        perturbed_coefficients(dec, {key: y_var(1), (1, 2, (1, 1)): -y_var(1)})
+    with pytest.raises(ValueError, match=r"not canonical"):
+        assemble_boundary_form(BoundaryCoefficients(cfg, {key: y_var(1)}))
+
+
+def test_perturbed_coefficients_add_the_homogeneous_solve_to_the_symmetric_table(monkeypatch):
+    # the skew solve is the symmetric table plus the solve of delta alone:
+    # untouched keys share their Expr, it differentiates only what the solve
+    # of delta alone does, and the result equals a fresh solve
+    cfg = JetConfig(3, 1, 2)
+    L = random_expr(random.Random(53), cfg, cfg.k, degree=2, terms=6)
+    _, dec = phi_from_lagrangian(cfg, L)
+    symmetric = symmetric_boundary_coefficients(dec)
+    assert symmetric_boundary_coefficients(dec) is symmetric  # solved once
+    delta = {(1, 1, (2,)): z_var(1, (3,)), (1, 2, (1,)): -z_var(1, (3,))}
+    indices = [(a, I) for a in range(1, cfg.n + 1)
+               for level in range(cfg.k) for I in multiindices(cfg.m, level)]
+    for a, I in indices:
+        symmetric.divergence(a, I)
+    differentiated = []
+
+    def counting(*args):
+        differentiated.append(args)
+        return total_derivative(*args)
+
+    def derivatives_of(solve):
+        differentiated.clear()
+        coeffs = solve()
+        for a, I in indices:
+            coeffs.divergence(a, I)
+        return coeffs, len(differentiated)
+
+    monkeypatch.setattr(dedonder, "total_derivative", counting)
+    perturbed, count = derivatives_of(lambda: perturbed_coefficients(dec, delta))
+    _, homogeneous = derivatives_of(
+        lambda: dedonder._solve_top_down(PhiDecomposition(cfg, {}), delta))
+    fresh, full = derivatives_of(lambda: dedonder._solve_top_down(dec, delta))
+    monkeypatch.undo()
+    assert 0 < count == homogeneous < full
+    assert perturbed.table == fresh.table
+    shared = [key for key, p in perturbed.table.items() if p is symmetric.table.get(key)]
+    assert shared and len(shared) < len(perturbed.table)
+    for a, I in indices:
+        assert perturbed.divergence(a, I) == fresh.divergence(a, I), (a, I)

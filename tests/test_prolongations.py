@@ -61,6 +61,29 @@ def test_base_translation_prolongs_trivially():
     assert comps == {base_coord(1): Expr.one()}
 
 
+def test_prolongation_makes_no_product_with_a_zero_base_component(monkeypatch):
+    # a translation along x^1 with zero vertical part, at (3,2,2): the zero
+    # base components Y^2 and Y^3 enter no product of prolong or of the
+    # characteristic jets, and the nonzero Y^1 still does
+    cfg = JetConfig(3, 2, 2)
+    zero = Expr.zero()
+    Y = ProjectableField(cfg, (Expr.one(), zero, zero), (zero, zero))
+    multiply, products, zero_operands = Expr.__mul__, [], []
+
+    def counting(a, b):
+        products.append((a, b))
+        if isinstance(b, Expr) and (a.is_zero or b.is_zero):
+            zero_operands.append((a, b))
+        return multiply(a, b)
+
+    monkeypatch.setattr(Expr, "__mul__", counting)
+    comps = prolong(Y, cfg.working_order)
+    monkeypatch.undo()
+    assert comps == {base_coord(1): Expr.one()}
+    assert products
+    assert zero_operands == []
+
+
 def test_linear_vertical_field_components():
     cfg = JetConfig(1, 1, 2)
     Y = ProjectableField(cfg, (Expr.zero(),), (y_var(1),))

@@ -1,13 +1,17 @@
 """Property tests of the exact core: the Expr ring against the reference
 Fraction-dict ring, its canonical form, the product, D_i and substitution
 kernels against the ones they replaced, d, Cartan's formula, the
-prolongation commutator, and the coefficient identity that condition 3, the
-De Donder residual and the boundary-form comparison read.
+prolongation commutator, the coefficient identity that condition 3, the De
+Donder residual and the boundary-form comparison read, the boundary form
+written from its coefficient table against the contact-form reference, and
+the skew solve by linearity against a fresh solve.
 
 The strategies draw small polynomials with rational coefficients over the
 jet coordinates of (m, n, k) = (2, 1, 2), forms over their differentials,
-vector fields, projectable fields and polynomial sections; the identity
-draws Lagrangians and coefficient corruptions at several small (m, n, k).
+vector fields, projectable fields and polynomial sections; the identity,
+the boundary form and the skew solve draw Lagrangians, coefficient tables,
+corruptions and homogeneous top-level data at several (m, n, k) with m <= 3,
+n <= 2 and k <= 3.
 Runs are derandomized, so the suite sees the same examples every time.
 """
 import functools
@@ -23,8 +27,10 @@ from jetforms.dedonder import (  # noqa: E402
     BoundaryCoefficients,
     BoundaryForm,
     _check_splitting_system,
+    _solve_top_down,
     assemble_boundary_form,
     compare_boundary_forms,
+    perturbed_coefficients,
     phi_from_lagrangian,
     symmetric_boundary_coefficients,
     verify_condition3,
@@ -45,11 +51,13 @@ from jetforms.jets import (  # noqa: E402
     field_coord,
     jet_coord,
     multiindices,
+    splittings,
 )
 from jetforms.prolongations import ProjectableField, prolong  # noqa: E402
 from tests.support import (  # noqa: E402
     ReferenceExpr,
     assert_canonical,
+    contact_boundary_form,
     generic_product,
     lie_derivative,
     per_monomial_substitute,
@@ -425,3 +433,90 @@ def test_vertical_contractions_of_phi_plus_dxi_follow_the_coefficient_identity(p
     assert [c for c, _ in comparison.pullback_failures] == list(expected)
     assert dict(comparison.pullback_failures) == expected
     assert comparison.ok == (not expected)
+
+
+TABLE_SHAPES = ((1, 1, 1), (2, 1, 1), (3, 2, 1), (1, 2, 2), (2, 1, 2), (3, 2, 2), (2, 2, 2),
+                (1, 1, 3), (2, 1, 3), (3, 2, 3))
+
+
+def coefficient_keys(cfg):
+    return [
+        (a, i1, tail)
+        for a in range(1, cfg.n + 1)
+        for i1 in range(1, cfg.m + 1)
+        for level in range(cfg.k)
+        for tail in multiindices(cfg.m, level)
+    ]
+
+
+@st.composite
+def coefficient_tables(draw):
+    """(cfg, table, dec): the symmetric table of a random Lagrangian, plus
+    additions at a few keys that often break the system, or a table of
+    random coefficients with no Phi behind it (dec None)."""
+    cfg = JetConfig(*draw(st.sampled_from(TABLE_SHAPES)))
+    coords = enumerate_coordinates(cfg, cfg.k)
+    additions = st.dictionaries(
+        st.sampled_from(coefficient_keys(cfg)), polynomials(coords, 2, min_terms=1), max_size=3
+    )
+    if draw(st.booleans()):
+        return cfg, draw(additions), None
+    _, dec = phi_from_lagrangian(cfg, draw(polynomials(coords, min_terms=1)))
+    table = dict(symmetric_boundary_coefficients(dec).table)
+    for key, value in draw(additions).items():
+        table[key] = table.get(key, Expr.zero()) + value
+    return cfg, {key: p for key, p in table.items() if not p.is_zero}, dec
+
+
+@PROPERTY
+@given(coefficient_tables())
+def test_boundary_form_from_the_table_equals_the_contact_form_reference(problem):
+    # Xi written straight from the coefficient table is, term by term, the
+    # sum of p^{i1,T}_a theta^a_T ^ (d/dx^{i1} -| d_m x) over contact forms,
+    # whether or not the table solves a system
+    cfg, table, dec = problem
+    coeffs = BoundaryCoefficients(cfg, table)
+    xi = assemble_boundary_form(coeffs)
+    assert dict(xi.form.terms()) == dict(contact_boundary_form(table, cfg).terms())
+    if dec is not None and not _check_splitting_system(dec, coeffs):
+        assert assemble_boundary_form(coeffs, dec).form == xi.form
+
+
+PERTURBATION_SHAPES = ((2, 1, 2), (3, 1, 2), (2, 2, 2), (2, 1, 3), (3, 2, 2), (3, 2, 3))
+
+
+@st.composite
+def perturbations(draw):
+    """(dec, delta): a random Lagrangian and homogeneous top-level data, +q
+    and -q on two splittings of some top-level indices."""
+    cfg = JetConfig(*draw(st.sampled_from(PERTURBATION_SHAPES)))
+    coords = enumerate_coordinates(cfg, cfg.k)
+    _, dec = phi_from_lagrangian(cfg, draw(polynomials(coords, min_terms=1)))
+    delta: dict = {}
+    for a in range(1, cfg.n + 1):
+        for I in multiindices(cfg.m, cfg.k):
+            parts = splittings(I)
+            if len(parts) < 2 or not draw(st.booleans()):
+                continue
+            first, second = draw(st.permutations(parts))[:2]
+            q = draw(polynomials(coords, 2, min_terms=1))
+            delta[(a, *first)] = delta.get((a, *first), Expr.zero()) + q
+            delta[(a, *second)] = delta.get((a, *second), Expr.zero()) - q
+    return dec, {key: q for key, q in delta.items() if not q.is_zero}
+
+
+@PROPERTY
+@given(perturbations())
+def test_perturbed_coefficients_equal_a_fresh_solve(problem):
+    # by linearity, the symmetric table plus the solve of delta with Phi = 0
+    # is the solve of delta against Phi: every coefficient and every entry of
+    # the divergence table
+    dec, delta = problem
+    cfg = dec.cfg
+    perturbed = perturbed_coefficients(dec, delta)
+    fresh = _solve_top_down(dec, delta)
+    assert perturbed.table == fresh.table
+    for a in range(1, cfg.n + 1):
+        for level in range(cfg.k):
+            for I in multiindices(cfg.m, level):
+                assert perturbed.divergence(a, I) == fresh.divergence(a, I), (a, I)
