@@ -50,9 +50,11 @@ xi = assemble_boundary_form(coeffs, dec)
 print("\nAssembled boundary form:")
 print("  Xi =", render_form(xi.form))
 
-# The structural conditions were checked during assembly; the substantive
-# one is that the pullbacks of X -| (Phi + dXi) vanish for every vector
-# field along the fibres of the target map.
+# Assembly checked the splitting system and two structural conditions (Xi
+# also pulls back to zero by construction, which `jetforms verify` reduces
+# and reports); the substantive condition is that the pullbacks of
+# X -| (Phi + dXi) vanish for every vector field along the fibres of the
+# target map.
 report = verify_condition3(dec, xi)
 print("\nAll target-vertical pullbacks vanish:", report.ok)
 

@@ -27,12 +27,11 @@ from .dedonder import (
     contact_presentation,
     dedonder_residual,
     derive,
-    lagrange_derivative,
     skew_pair_perturbation,
     verify_condition3,
 )
 from .expressions import Expr, render_expr, render_rational
-from .forms import render_form
+from .forms import holonomic_reduce, render_form
 from .jets import jet_coord
 from .problem import GridSpec, ProblemError, ProblemSpec, parse_problem
 from .prolongations import is_symmetry, noether_current
@@ -87,7 +86,7 @@ def _leading_coefficient(delta: Expr):
 
 
 def cmd_euler_lagrange(spec: ProblemSpec, report: Report, args):
-    deltas = lagrange_derivative(spec.cfg, spec.lagrangian)
+    deltas = derive(spec.cfg, spec.lagrangian).euler_lagrange()
     rendered = {}
     normalized = {}
     for a, delta in enumerate(deltas, start=1):
@@ -138,6 +137,10 @@ def cmd_verify(spec: ProblemSpec, report: Report, args):
     # assembling Xi inside derive raised if any structural check failed
     for name, _ in STRUCTURAL_CHECKS:
         report.check(name, True)
+    # zero by construction; reduced here, the one place that reports it
+    pullback = holonomic_reduce(xi.form, spec.cfg)
+    ok = pullback.is_zero
+    report.check("boundary-form-pullback-vanishes", ok, "" if ok else render_form(pullback))
     condition3 = verify_condition3(dec, xi)
     detail = ""
     if not condition3.ok:

@@ -26,30 +26,23 @@ vanishing splitting sums, and their level-one divergences agree identically
 (that is the divergence-trace invariance behind the decomposition's
 independence of the chosen boundary form).
 
-Each divergence sum_j D_j p^{j,I}_a is computed once, by the coefficients
-that carry it (:meth:`BoundaryCoefficients.divergence`).  The top-down solve
-fills that table level by level as its right-hand sides ask for it; the
-splitting check of assembly and of condition 3 reads it back, so no check
-computes a D_i on a solved table.  Its I = () entries are the divergences
-that the Lagrange derivative, the De Donder residual and the comparison of
-two boundary forms read.
+Each divergence sum_j D_j p^{j,I}_a is computed once, by the table that
+carries it (:meth:`BoundaryCoefficients.divergence`): the top-down solve
+fills it, and the splitting checks, :meth:`Derivation.euler_lagrange`, the
+De Donder residual and the comparison of two boundary forms read it back.
+The system is linear in (Phi, top-level data), so a skew solution is the
+symmetric table, kept once solved, plus the solve of its top-level data
+alone with Phi = 0, and the divergences add the same way.
 
-The system is linear in (Phi, top-level data).  A decomposition keeps its
-symmetric solution once solved, and a skew solution is that table plus the
-solve of its top-level data alone with Phi = 0; the divergences add the
-same way, so the skew solve differentiates no symmetric coefficient again.
-
-Since dx^i ^ (d/dx^{i1} -| d_m x) = delta^i_{i1} d_m x, Xi has one
-dz^a_T term per coefficient and one d_m x coefficient, -sum z^a_I S^a_I,
-with S^a_I the splitting sum of the system at (a, I).  Assembly writes Xi
-that way from the table, in one pass over the splitting sums that also
-gives the residuals of the system; the contact-form sum stays in the tests
-as the reference.
+Since dx^i ^ (d/dx^{i1} -| d_m x) = delta^i_{i1} d_m x, Xi has one dz^a_T
+term per coefficient and one d_m x coefficient, -sum z^a_I S^a_I, with
+S^a_I the splitting sum of the system at (a, I).  Assembly writes Xi that
+way, in one pass that also gives the residuals of the system, so Xi pulls
+back to zero along every section by construction.
 
 The De Donder form is Theta = L d_m x + Xi; a section is critical for the
 action iff the pullbacks of X -| dTheta vanish for all X tangent to
-source-map fibres, and for X = d/dy^a that pullback is exactly the Lagrange
-derivative of L times the volume form.
+source-map fibres.
 
 Condition 3, the De Donder residual and the comparison of two boundary
 forms read one coefficient identity and never form dXi.  Let Xi be
@@ -64,8 +57,14 @@ with r^a_I the residual of the system above at (a, I).  So condition 3
 holds iff the system does; the d/dy^a entries of X -| dTheta are the
 Lagrange derivatives dL/dy^a d_m x; and two boundary forms of one Phi pull
 back alike iff their difference solves the homogeneous system with zero
-level-one divergence.  The form-level contractions stay in the tests as the
-reference for the identity.
+level-one divergence.
+
+Each result has one route and each check runs once, where it is reported:
+:func:`lagrange_derivative` is the Euler operator alone, assembly checks
+the splitting system and :data:`STRUCTURAL_CHECKS`, and ``verify`` reduces
+Xi's pullback.  The second routes (the contact-form sum, d(L d_m x), the
+form-level contractions, Phi_a - sum_i D_i p^i_a against the Euler
+operator) are references in the tests.
 """
 from __future__ import annotations
 
@@ -83,10 +82,11 @@ from .expressions import (
     total_derivative,
     z_var,
 )
-from .forms import DifferentialForm, holonomic_reduce, is_semibasic, volume_form
+from .forms import DifferentialForm, is_semibasic, volume_form
 from .jets import (
     JetConfig,
     base_coord,
+    check_coordinate,
     enumerate_coordinates,
     field_coord,
     jet_coord,
@@ -95,6 +95,18 @@ from .jets import (
 )
 
 log = logging.getLogger("jetforms")
+
+
+def check_lagrangian(cfg: JetConfig, L: Expr) -> None:
+    """Reject, naming it, a coordinate of L outside ``cfg`` or of jet order
+    above k; coefficient symbols pass."""
+    for coord in L.variables():
+        check_coordinate(cfg, coord)
+        if coord[0] == "z" and len(coord[2]) > cfg.k:
+            raise ValueError(
+                f"Lagrangian coordinate {coord} has jet order {len(coord[2])}, "
+                f"exceeding k={cfg.k}"
+            )
 
 
 @dataclass
@@ -113,6 +125,12 @@ class PhiDecomposition:
         default=None, init=False, repr=False, compare=False
     )
 
+    @classmethod
+    def of_lagrangian(cls, cfg: JetConfig, L: Expr) -> PhiDecomposition:
+        """Phi_a = dL/dy^a and Phi^I_a = dL/dz^a_I, for L within ``cfg``."""
+        check_lagrangian(cfg, L)
+        return cls(cfg, {c: g for c, g in L.gradient().items() if c[0] in ("y", "z")})
+
     def component(self, a: int, indices: tuple = ()) -> Expr:
         return self.components.get(jet_coord(a, indices), Expr.zero())
 
@@ -127,19 +145,10 @@ class PhiDecomposition:
 
 
 def phi_from_lagrangian(cfg: JetConfig, L: Expr):
-    """d(L d_m x) together with its decomposition Phi_a = dL/dy^a, Phi^I_a = dL/dz^a_I."""
-    if L.jet_order() > cfg.k:
-        raise ValueError(
-            f"Lagrangian has jet order {L.jet_order()}, exceeding k={cfg.k}"
-        )
-    decomposition = PhiDecomposition(
-        cfg, {c: g for c, g in L.gradient().items() if c[0] in ("y", "z")}
-    )
-    phi = DifferentialForm.from_scalar(L).wedge(volume_form(cfg)).d()
-    # the coordinate computation and the component extraction must agree
-    if phi != decomposition.form():
-        raise AssertionError("Phi decomposition mismatch")
-    return phi, decomposition
+    """d(L d_m x), assembled from its decomposition Phi_a = dL/dy^a and
+    Phi^I_a = dL/dz^a_I, together with that decomposition."""
+    decomposition = PhiDecomposition.of_lagrangian(cfg, L)
+    return decomposition.form(), decomposition
 
 
 @dataclass
@@ -384,12 +393,12 @@ def double_vertical_contraction_vanishes(form: DifferentialForm, cfg: JetConfig)
     return True
 
 
-# (name, predicate(form, cfg)) per structural condition of Xi; verify reports the names
+# (name, predicate(form, cfg)) per structural condition of Xi that assembly
+# checks; verify reports the names, then reduces Xi's pullback itself
 STRUCTURAL_CHECKS = (
     ("boundary-form-semibasic-over-forgetful",
      lambda form, cfg: is_semibasic(form, ("forgetful", cfg.k - 1))),
     ("boundary-form-double-vertical-contraction", double_vertical_contraction_vanishes),
-    ("boundary-form-pullback-vanishes", lambda form, cfg: holonomic_reduce(form, cfg).is_zero),
 )
 
 
@@ -423,11 +432,12 @@ def assemble_boundary_form(
     ``ValueError`` that names it.
 
     Construction-time verification runs :data:`STRUCTURAL_CHECKS`: Xi is
-    semi-basic over the forgetful map to order k-1, double contraction with
-    source-vertical fields vanishes, and the pullback along every section is
-    zero.  Failures signal an implementation bug, not bad user input.  When
-    ``phi`` is supplied, the defining coefficient system is checked exactly
-    and the result is marked as a boundary form of that Phi, which
+    semi-basic over the forgetful map to order k-1, and double contraction
+    with source-vertical fields vanishes.  Failures signal an implementation
+    bug, not bad user input.  Xi pulls back to zero by construction, so its
+    reduction runs in the ``verify`` command that reports it.  When ``phi``
+    is supplied, the defining coefficient system is checked exactly and the
+    result is marked as a boundary form of that Phi, which
     :func:`verify_condition3` then reads without a recompute.
     """
     cfg = coeffs.cfg
@@ -495,11 +505,11 @@ def dedonder_form(cfg: JetConfig, L: Expr, xi: BoundaryForm) -> DeDonderForm:
 
     ``xi.phi`` must hold the y and z partials of L, so that dTheta = Phi + dXi.
     """
-    partials = {c: g for c, g in L.gradient().items() if c[0] in ("y", "z")}
+    partials = PhiDecomposition.of_lagrangian(cfg, L).components
     if xi.phi is None or xi.phi.components != partials:
         raise ValueError("a De Donder form needs a boundary form built against d(L d_m x)")
-    # L d_m x has only dx factors, so Theta is semi-basic over J^{k-1} and
-    # j*Theta = j*Lambda by linearity from the STRUCTURAL_CHECKS Xi passed
+    # L d_m x has only dx factors and Xi is a sum of contact terms by
+    # construction, so Theta is semi-basic over J^{k-1} and j*Theta = j*Lambda
     return DeDonderForm(cfg, L, xi)
 
 
@@ -514,10 +524,10 @@ class Derivation:
     theta_symmetric: DeDonderForm
 
     def euler_lagrange(self) -> list:
-        """dL/dy^a, checked against this derivation's symmetric coefficients."""
-        return _lagrange_derivative(
-            self.decomposition, self.boundary_symmetric.coefficients
-        )
+        """dL/dy^a as Phi_a - sum_i D_i p^i_a, read from the divergence
+        table of the symmetric coefficients; the tests hold it equal to
+        :func:`lagrange_derivative`."""
+        return _body_densities(self.decomposition, self.boundary_symmetric.coefficients)
 
     def skew_boundary(self, delta: Mapping | None = None) -> BoundaryForm:
         """The boundary form of the same Phi whose top level is shifted by
@@ -530,23 +540,24 @@ class Derivation:
 
     def theta_skew(self, delta: Mapping | None = None) -> DeDonderForm:
         """Theta = L d_m x + skew_boundary(delta)."""
-        return dedonder_form(self.cfg, self.lagrangian, self.skew_boundary(delta))
+        return DeDonderForm(self.cfg, self.lagrangian, self.skew_boundary(delta))
 
 
 def derive(cfg: JetConfig, L: Expr) -> Derivation:
     """Phi, the symmetric coefficients, Xi and Theta of L, in that order.
 
-    Every construction-time check of the stages runs once; sizes and
-    seconds per stage are logged at debug level.
+    Phi is kept as its components, with no form built.  Each stage's checks
+    run once (those of L, the solve and assembly); sizes and seconds per
+    stage are logged at debug level.
     """
     t0 = perf_counter()
-    _, dec = phi_from_lagrangian(cfg, L)
+    dec = PhiDecomposition.of_lagrangian(cfg, L)
     t1 = perf_counter()
     coeffs = symmetric_boundary_coefficients(dec)
     t2 = perf_counter()
     xi = assemble_boundary_form(coeffs, dec)
     t3 = perf_counter()
-    theta = dedonder_form(cfg, L, xi)
+    theta = DeDonderForm(cfg, L, xi)  # Xi is of L's own Phi
     t4 = perf_counter()
     log.debug(
         "symmetric objects: %d coefficients, Xi %d wedge terms, Theta %d wedge terms",
@@ -586,52 +597,34 @@ def verify_condition3(phi: PhiDecomposition, xi: BoundaryForm) -> Condition3Repo
     return Condition3Report(not failures, failures)
 
 
-def _lagrange_derivative(
-    dec: PhiDecomposition, coeffs: BoundaryCoefficients
-) -> list:
-    """dL/dy^a from the components of Phi, checked against the coefficients.
-
-    On canonical storage the alternating-sign total-derivative sum collapses
-    to one term per canonical multi-index, with Phi^I_a = dL/dz^a_I:
-
-        dL/dy^a = sum_{l=0..k} (-1)^l sum_{canonical |I|=l} D_I [Phi^I_a].
-
-    The identity Phi_a - sum_i D_i p^i_a = dL/dy^a against the symmetric
-    boundary coefficients is verified exactly before returning.
-    """
-    cfg = dec.cfg
-
-    def signed_terms(a: int):
-        for level in range(cfg.k + 1):
-            for I in multiindices(cfg.m, level):
-                term = dec.component(a, I)
-                if term.is_zero:
-                    continue
-                for i in I:
-                    term = total_derivative(
-                        term, i, cfg, max_order=cfg.expression_order
-                    )
-                yield -term if level % 2 else term
-
-    out = []
-    for a in range(1, cfg.n + 1):
-        acc = Expr.sum(signed_terms(a))
-        identity = dec.component(a) - coeffs.divergence(a, ())
-        if not (identity - acc).is_zero:
-            raise AssertionError("Lagrange derivative disagrees with Phi_a - div p^i_a")
-        out.append(acc)
-    return out
+def _body_densities(dec: PhiDecomposition, coeffs: BoundaryCoefficients) -> list:
+    """Phi_a - sum_i D_i p^i_a per field a, from the divergence table: the
+    Lagrange derivatives when ``coeffs`` solve the system of ``dec``."""
+    return [dec.component(a) - coeffs.divergence(a, ()) for a in range(1, dec.cfg.n + 1)]
 
 
 def lagrange_derivative(cfg: JetConfig, L: Expr) -> list:
     """Lagrange derivatives dL/dy^a as expressions of jet order <= 2k.
 
-    Builds Phi and the symmetric coefficients p to check the identity
-    Phi_a - sum_i D_i p^i_a = dL/dy^a; :meth:`Derivation.euler_lagrange`
-    gives the same list from a derivation's own coefficients.
+    The Euler operator alone, one term per nonzero partial of L.  On
+    canonical storage the alternating-sign total-derivative sum collapses to
+    one term per canonical multi-index:
+
+        dL/dy^a = sum_{l=0..k} (-1)^l sum_{canonical |I|=l} D_I [dL/dz^a_I].
+
+    No boundary coefficients are solved; :meth:`Derivation.euler_lagrange`
+    gives the same list as Phi_a - sum_i D_i p^i_a from a derivation.
     """
-    _, dec = phi_from_lagrangian(cfg, L)
-    return _lagrange_derivative(dec, symmetric_boundary_coefficients(dec))
+    check_lagrangian(cfg, L)
+    signed = []
+    for c, term in L.gradient().items():
+        if c[0] in ("y", "z"):
+            I = c[2] if c[0] == "z" else ()
+            for i in I:
+                term = total_derivative(term, i, cfg, max_order=cfg.expression_order)
+            signed.append((c[1], -term if len(I) % 2 else term))
+    by_field = sum_by_key(signed)
+    return [by_field.get(a, Expr.zero()) for a in range(1, cfg.n + 1)]
 
 
 def dedonder_residual(theta: DeDonderForm, section: PolynomialSection) -> dict:
@@ -646,13 +639,12 @@ def dedonder_residual(theta: DeDonderForm, section: PolynomialSection) -> dict:
     Lagrange derivative, and every d/dz entry is the zero m-form.
     """
     cfg = theta.cfg
-    dec, coeffs = theta.boundary.phi, theta.boundary.coefficients
+    densities = _body_densities(theta.boundary.phi, theta.boundary.coefficients)
     volume = volume_form(cfg)
     residuals = {}
     for coord in enumerate_coordinates(cfg, cfg.working_order):
         if coord[0] == "y":
-            density = dec.component(coord[1]) - coeffs.divergence(coord[1], ())
-            residuals[coord] = volume * substitute_section(density, section)
+            residuals[coord] = volume * substitute_section(densities[coord[1] - 1], section)
         elif coord[0] == "z":
             residuals[coord] = DifferentialForm.zero(cfg.m)
     return residuals
@@ -685,14 +677,10 @@ def compare_boundary_forms(xi: BoundaryForm, xi_prime: BoundaryForm) -> Comparis
     if xi.phi.components != xi_prime.phi.components:
         raise ValueError("the two boundary forms belong to different Phi")
     cfg = xi.cfg
-    differences: dict = {}
-    keys = set(xi.coefficients.table) | set(xi_prime.coefficients.table)
-    for a, i1, tail in keys:
-        diff = xi.coefficients.coefficient(a, i1, tail) - (
-            xi_prime.coefficients.coefficient(a, i1, tail)
-        )
-        if not diff.is_zero:
-            differences[(a, i1, tail)] = diff
+    differences = sum_by_key([
+        *xi.coefficients.table.items(),
+        *((key, -p) for key, p in xi_prime.coefficients.table.items()),
+    ])
     q = BoundaryCoefficients(cfg, differences)
     zero_dec = PhiDecomposition(cfg, {})
     relation_failures = _check_splitting_system(zero_dec, q)

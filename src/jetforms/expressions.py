@@ -752,13 +752,12 @@ class PolynomialSection:
             raise ValueError(f"expected {cfg.n} components, got {len(components)}")
         for comp in components:
             for coord in comp.variables():
-                if coord[0] == "x":
-                    check_coordinate(cfg, coord)
-                elif coord[0] != "c":
+                if coord[0] in ("y", "z"):
                     raise ValueError(
                         f"section components must be polynomials in x (and free "
                         f"coefficients); found {coord}"
                     )
+                check_coordinate(cfg, coord)
         self.cfg = cfg
         self.components = tuple(components)
         self._jets: dict = {}

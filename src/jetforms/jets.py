@@ -90,9 +90,17 @@ def coordinate_sort_key(coord: Coordinate):
 
 
 def check_coordinate(cfg: JetConfig, coord: Coordinate):
-    """Validate a base coordinate x^i against a configuration."""
-    if not 1 <= coord[1] <= cfg.m:
-        raise ValueError(f"base index {coord[1]} out of range 1..{cfg.m}")
+    """Validate x^i, y^a or z^a_I against a configuration, naming it when an
+    index is out of range.  Coefficient symbols ("c", name) always pass."""
+    tag = coord[0]
+    if tag == "x" and not 1 <= coord[1] <= cfg.m:
+        raise ValueError(f"coordinate {coord}: base index out of range 1..{cfg.m}")
+    if tag in ("y", "z") and not 1 <= coord[1] <= cfg.n:
+        raise ValueError(f"coordinate {coord}: field index out of range 1..{cfg.n}")
+    if tag == "z" and not all(1 <= i <= cfg.m for i in coord[2]):
+        raise ValueError(f"coordinate {coord}: jet index out of range 1..{cfg.m}")
+    if tag not in ("x", "y", "z", "c"):
+        raise ValueError(f"unknown coordinate {coord}")
 
 
 def splittings(indices: Sequence[int]):

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .dedonder import DeDonderForm
+from .dedonder import DeDonderForm, check_lagrangian
 from .expressions import Expr, PolynomialSection, substitute_section, total_derivative, z_var
 from .forms import (
     DifferentialForm,
@@ -114,11 +114,11 @@ def is_symmetry(Y: ProjectableField, L: Expr):
 
     With E = sum_c Y^{k,c} dL/dc + L sum_i d_i Y^i, the residual E d_m x is
     L_{Y^k}(L d_m x).  Returns (E == 0, E d_m x); a divergence symmetry,
-    with E a nonzero total divergence, does not pass.
+    with E a nonzero total divergence, does not pass.  L must lie within
+    ``Y.cfg`` (:func:`jetforms.dedonder.check_lagrangian`).
     """
     cfg = Y.cfg
-    if L.jet_order() > cfg.k:
-        raise ValueError("Lagrangian exceeds the configured order k")
+    check_lagrangian(cfg, L)
     lifted = prolong(Y, cfg.k)
     divergence = Expr.sum(
         comp.partial(base_coord(i)) for i, comp in enumerate(Y.base_components, 1)

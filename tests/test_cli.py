@@ -610,3 +610,66 @@ def test_one_symmetric_solve_per_command(argv, monkeypatch, capsys):
     code, _, _ = run(capsys, argv[0], WAVE, *argv[1:])
     assert code in (0, 1)
     assert len(solves) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("euler-lagrange",),
+        ("boundary-form",),
+        ("dedonder-form",),
+        ("verify",),
+        ("noether",),
+        ("residual",),
+        ("evolve", "--grid-n", "64"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_boundary_form_pullback_is_reduced_only_where_verify_reports_it(
+    argv, monkeypatch, capsys
+):
+    # Xi's pullback vanishes by construction; only verify reduces it, once
+    import jetforms.forms as forms
+
+    reductions = []
+    reduce = forms.holonomic_reduce
+
+    def counted(form, cfg):
+        reductions.append(form)
+        return reduce(form, cfg)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "jetforms" and getattr(module, "holonomic_reduce", None) is reduce:
+            monkeypatch.setattr(module, "holonomic_reduce", counted)
+    code, _, _ = run(capsys, argv[0], WAVE, *argv[1:])
+    assert code in (0, 1)
+    assert len(reductions) == (1 if argv[0] == "verify" else 0)
+
+
+def test_verify_reports_a_boundary_form_that_does_not_pull_back_to_zero(
+    monkeypatch, capsys
+):
+    import jetforms.cli as cli
+    from jetforms.forms import DifferentialForm, holonomic_reduce, render_form
+
+    derive = cli.derive
+    flipped = {}
+
+    def derive_with_one_flipped_term(cfg, L):
+        derivation = derive(cfg, L)
+        xi = derivation.boundary_symmetric
+        (wedge, value), *_ = xi.form.terms()
+        xi.form = DifferentialForm(
+            xi.form.degree, {**dict(xi.form.terms()), wedge: -value}
+        )
+        flipped["form"], flipped["cfg"] = xi.form, cfg
+        return derivation
+
+    monkeypatch.setattr(cli, "derive", derive_with_one_flipped_term)
+    code, out, err = run(capsys, "verify", WAVE)
+    assert code == 1 and err == ""
+    reduced = holonomic_reduce(flipped["form"], flipped["cfg"])
+    assert not reduced.is_zero
+    assert f"boundary-form-pullback-vanishes: FAIL ({render_form(reduced)})\n" in out
+    # the other checks still read the coefficients, which solve the system
+    assert "boundary-form-target-vertical-pullback: PASS\n" in out

@@ -727,3 +727,66 @@ def test_perturbed_coefficients_add_the_homogeneous_solve_to_the_symmetric_table
     assert shared and len(shared) < len(perturbed.table)
     for a, I in indices:
         assert perturbed.divergence(a, I) == fresh.divergence(a, I), (a, I)
+
+
+OUTSIDE = [
+    (y_var(2) ** 2, ("y", 2)),
+    (z_var(1, (3,)) ** 2, ("z", 1, (3,))),
+    (x_var(3) * z_var(1, (1,)) ** 2, ("x", 3)),
+]
+
+
+@pytest.mark.parametrize("L,coord", OUTSIDE, ids=["y2", "z1_3", "x3"])
+def test_a_lagrangian_outside_its_config_is_rejected(L, coord):
+    # each entry point names the coordinate instead of dropping it or
+    # failing a later consistency check
+    from jetforms.prolongations import ProjectableField, is_symmetry
+
+    cfg = JetConfig(2, 1, 2)
+    translation = ProjectableField(cfg, (Expr.one(), Expr.zero()), (Expr.zero(),))
+    named = re.escape(str(coord))
+    for build in (phi_from_lagrangian, lagrange_derivative, derive):
+        with pytest.raises(ValueError, match=named):
+            build(cfg, L)
+    with pytest.raises(ValueError, match=named):
+        is_symmetry(translation, L)
+    # a coefficient symbol is a constant of every configuration
+    c = Expr.variable(coeff_symbol("c"))
+    assert lagrange_derivative(cfg, c * z_var(1, (1,)) ** 2) == [-2 * c * z_var(1, (1, 1))]
+
+
+def test_lagrange_derivative_is_the_euler_operator_alone(monkeypatch):
+    # no boundary coefficients are solved and no form is built
+    wp = wave_problem()
+    solves, built = [], []
+    monkeypatch.setattr(dedonder, "symmetric_boundary_coefficients", solves.append)
+    monkeypatch.setattr(dedonder, "_solve_top_down", lambda *args: solves.append(args))
+    init = DifferentialForm.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(DifferentialForm, "__init__", counted)
+    deltas = lagrange_derivative(wp.cfg, wp.lagrangian)
+    assert solves == [] and built == []
+    assert deltas == wp.euler_lagrange()
+
+
+def test_phi_and_assembly_take_no_exterior_derivative_and_reduce_nothing(monkeypatch):
+    import jetforms.forms as forms
+
+    def forbidden(*args):
+        raise AssertionError("a second route ran")
+
+    monkeypatch.setattr(DifferentialForm, "d", forbidden)
+    monkeypatch.setattr(forms, "holonomic_reduce", forbidden)
+    monkeypatch.setattr(dedonder, "holonomic_reduce", forbidden, raising=False)
+    cfg = JetConfig(2, 2, 2)
+    L = random_expr(random.Random(7), cfg, cfg.k, degree=2, terms=5)
+    phi, dec = phi_from_lagrangian(cfg, L)
+    assert phi == dec.form()
+    xi = assemble_boundary_form(symmetric_boundary_coefficients(dec), dec)
+    skew = {(a, i1, i2): sign * y_var(a) for a in (1, 2) for i1, i2, sign in ((1, 2, 1), (2, 1, -1))}
+    assemble_boundary_form(perturbed_coefficients(dec, skew_pair_perturbation(cfg, skew)), dec)
+    assert verify_condition3(dec, xi).ok

@@ -7,6 +7,7 @@ import pytest
 from jetforms.expressions import y_var, z_var
 from jetforms.jets import (
     JetConfig,
+    check_coordinate,
     enumerate_coordinates,
     jet_coord,
     multiindices,
@@ -112,3 +113,19 @@ def test_enumerate_order_bound():
     cfg = JetConfig(2, 1, 2)
     with pytest.raises(ValueError):
         enumerate_coordinates(cfg, 4)
+
+
+def test_check_coordinate_covers_every_tag():
+    cfg = JetConfig(2, 1, 2)
+    for coord in (("x", 2), ("y", 1), ("z", 1, (1, 2, 2)), ("c", "a")):
+        check_coordinate(cfg, coord)
+    for coord, message in (
+        (("x", 3), "base index"),
+        (("y", 2), "field index"),
+        (("z", 2, (1,)), "field index"),
+        (("z", 1, (1, 3)), "jet index"),
+        (("w", 1), "unknown"),
+    ):
+        with pytest.raises(ValueError, match=message) as caught:
+            check_coordinate(cfg, coord)
+        assert str(coord) in str(caught.value)

@@ -2,9 +2,12 @@
 Fraction-dict ring, its canonical form, the product, D_i and substitution
 kernels against the ones they replaced, d, Cartan's formula, the
 prolongation commutator, the coefficient identity that condition 3, the De
-Donder residual and the boundary-form comparison read, the boundary form
-written from its coefficient table against the contact-form reference, and
-the skew solve by linearity against a fresh solve.
+Donder residual and the boundary-form comparison read, Phi assembled from its
+components against d(L d_m x), the boundary form written from its
+coefficient table against the contact-form reference and its pullback
+against zero, the skew solve by linearity against a fresh solve, and the
+Lagrange derivative against Phi_a - sum_i D_i p^i_a on the symmetric and the
+skew table.  These are the guards the library no longer runs on itself.
 
 The strategies draw small polynomials with rational coefficients over the
 jet coordinates of (m, n, k) = (2, 1, 2), forms over their differentials,
@@ -30,6 +33,8 @@ from jetforms.dedonder import (  # noqa: E402
     _solve_top_down,
     assemble_boundary_form,
     compare_boundary_forms,
+    derive,
+    lagrange_derivative,
     perturbed_coefficients,
     phi_from_lagrangian,
     symmetric_boundary_coefficients,
@@ -42,7 +47,7 @@ from jetforms.expressions import (  # noqa: E402
     substitute_section,
     total_derivative,
 )
-from jetforms.forms import DifferentialForm, volume_form  # noqa: E402
+from jetforms.forms import DifferentialForm, holonomic_reduce, volume_form  # noqa: E402
 from jetforms.jets import (  # noqa: E402
     JetConfig,
     base_coord,
@@ -401,7 +406,9 @@ def test_vertical_contractions_of_phi_plus_dxi_follow_the_coefficient_identity(p
     # level: (Phi_a - sum_i D_i p^i_a) d_m x at d/dy^a, -r^a_I d_m x at
     # d/dz^a_I, nothing else, for any coefficients p
     cfg, lagrangian, corruption = problem
-    _, dec = phi_from_lagrangian(cfg, lagrangian)
+    phi, dec = phi_from_lagrangian(cfg, lagrangian)
+    # Phi from its components is d(L d_m x)
+    assert phi == DifferentialForm.from_scalar(lagrangian).wedge(volume_form(cfg)).d()
     symmetric = symmetric_boundary_coefficients(dec)
     table = dict(symmetric.table)
     for key, delta in corruption.items():
@@ -473,11 +480,13 @@ def coefficient_tables(draw):
 def test_boundary_form_from_the_table_equals_the_contact_form_reference(problem):
     # Xi written straight from the coefficient table is, term by term, the
     # sum of p^{i1,T}_a theta^a_T ^ (d/dx^{i1} -| d_m x) over contact forms,
-    # whether or not the table solves a system
+    # whether or not the table solves a system; it pulls back to zero along
+    # every section, which assembly leaves to verify
     cfg, table, dec = problem
     coeffs = BoundaryCoefficients(cfg, table)
     xi = assemble_boundary_form(coeffs)
     assert dict(xi.form.terms()) == dict(contact_boundary_form(table, cfg).terms())
+    assert holonomic_reduce(xi.form, cfg).is_zero
     if dec is not None and not _check_splitting_system(dec, coeffs):
         assert assemble_boundary_form(coeffs, dec).form == xi.form
 
@@ -487,11 +496,12 @@ PERTURBATION_SHAPES = ((2, 1, 2), (3, 1, 2), (2, 2, 2), (2, 1, 3), (3, 2, 2), (3
 
 @st.composite
 def perturbations(draw):
-    """(dec, delta): a random Lagrangian and homogeneous top-level data, +q
-    and -q on two splittings of some top-level indices."""
+    """(L, dec, delta): a random Lagrangian, its Phi and homogeneous
+    top-level data, +q and -q on two splittings of some top-level indices."""
     cfg = JetConfig(*draw(st.sampled_from(PERTURBATION_SHAPES)))
     coords = enumerate_coordinates(cfg, cfg.k)
-    _, dec = phi_from_lagrangian(cfg, draw(polynomials(coords, min_terms=1)))
+    lagrangian = draw(polynomials(coords, min_terms=1))
+    _, dec = phi_from_lagrangian(cfg, lagrangian)
     delta: dict = {}
     for a in range(1, cfg.n + 1):
         for I in multiindices(cfg.m, cfg.k):
@@ -502,7 +512,7 @@ def perturbations(draw):
             q = draw(polynomials(coords, 2, min_terms=1))
             delta[(a, *first)] = delta.get((a, *first), Expr.zero()) + q
             delta[(a, *second)] = delta.get((a, *second), Expr.zero()) - q
-    return dec, {key: q for key, q in delta.items() if not q.is_zero}
+    return lagrangian, dec, {key: q for key, q in delta.items() if not q.is_zero}
 
 
 @PROPERTY
@@ -511,7 +521,7 @@ def test_perturbed_coefficients_equal_a_fresh_solve(problem):
     # by linearity, the symmetric table plus the solve of delta with Phi = 0
     # is the solve of delta against Phi: every coefficient and every entry of
     # the divergence table
-    dec, delta = problem
+    lagrangian, dec, delta = problem
     cfg = dec.cfg
     perturbed = perturbed_coefficients(dec, delta)
     fresh = _solve_top_down(dec, delta)
@@ -520,3 +530,15 @@ def test_perturbed_coefficients_equal_a_fresh_solve(problem):
         for level in range(cfg.k):
             for I in multiindices(cfg.m, level):
                 assert perturbed.divergence(a, I) == fresh.divergence(a, I), (a, I)
+    # the Euler operator is Phi_a - sum_i D_i p^i_a for the symmetric and the
+    # skew solution alike, and a derivation reads the same list
+    deltas = lagrange_derivative(cfg, lagrangian)
+    assert derive(cfg, lagrangian).euler_lagrange() == deltas
+    for coeffs in (symmetric_boundary_coefficients(dec), perturbed):
+        assert deltas == [
+            dec.component(a) - Expr.sum(
+                total_derivative(coeffs.coefficient(a, i), i, cfg, cfg.expression_order)
+                for i in range(1, cfg.m + 1)
+            )
+            for a in range(1, cfg.n + 1)
+        ]
