@@ -32,7 +32,10 @@ fills it, and the splitting checks, :meth:`Derivation.euler_lagrange`, the
 De Donder residual and the comparison of two boundary forms read it back.
 The system is linear in (Phi, top-level data), so a skew solution is the
 symmetric table, kept once solved, plus the solve of its top-level data
-alone with Phi = 0, and the divergences add the same way.
+alone with Phi = 0, and the divergences add the same way.  So do the
+splitting sums S^a_I and Xi's d_m x coefficient below: each table computes
+them once, and the skew table adds those of its two parts, so the skew
+boundary form computes only the values of the small top-level solve.
 
 Since dx^i ^ (d/dx^{i1} -| d_m x) = delta^i_{i1} d_m x, Xi has one dz^a_T
 term per coefficient and one d_m x coefficient, -sum z^a_I S^a_I, with
@@ -155,15 +158,18 @@ def phi_from_lagrangian(cfg: JetConfig, L: Expr):
 class BoundaryCoefficients:
     """Coefficients p^{i1,T}_a: first index free, tail canonical, level |T|+1 <= k.
 
-    The table is not mutated after construction: :meth:`divergence`
-    memoizes what it reads from it.  A table that is the sum of solved
-    tables (:func:`perturbed_coefficients`) keeps them as its parts and sums
-    their divergences instead.
+    The table is not mutated after construction: :meth:`divergence`,
+    :meth:`splitting_sums` and :meth:`volume_coefficient` memoize what they
+    read from it.  A table that is the sum of solved tables
+    (:func:`perturbed_coefficients`) keeps them as its parts and sums their
+    values instead.
     """
 
     cfg: JetConfig
     table: dict  # (a, i1, tail) -> Expr
     _divergences: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _sums: dict | None = field(default=None, init=False, repr=False, compare=False)
+    _volume: Expr | None = field(default=None, init=False, repr=False, compare=False)
     _parts: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def coefficient(self, a: int, i1: int, tail: tuple = ()) -> Expr:
@@ -190,6 +196,35 @@ class BoundaryCoefficients:
                 )
             value = self._divergences[(a, I)] = Expr.sum(terms)
         return value
+
+    def splitting_sums(self) -> dict:
+        """z^a_I -> S^a_I, the sum of p^{i1,T}_a over the splittings (i1, T)
+        of I, wherever it is nonzero; computed once.  Every key of the table
+        must be one splitting of one I: a key out of range raises a
+        ``ValueError`` naming it."""
+        if self._sums is None:
+            for key in self.table:
+                _check_key(self.cfg, key)
+            if self._parts:
+                items = (item for part in self._parts for item in part.splitting_sums().items())
+            else:
+                items = (
+                    (jet_coord(a, (*tail, i1)), p) for (a, i1, tail), p in self.table.items()
+                )
+            self._sums = sum_by_key(items)
+        return self._sums
+
+    def volume_coefficient(self) -> Expr:
+        """-sum_{a,I} z^a_I S^a_I, the d_m x coefficient of the boundary form
+        assembled from this table; computed once."""
+        if self._volume is None:
+            if self._parts:
+                self._volume = Expr.sum(part.volume_coefficient() for part in self._parts)
+            else:
+                self._volume = Expr.sum(
+                    -Expr.variable(c) * total for c, total in self.splitting_sums().items()
+                )
+        return self._volume
 
 
 def _check_key(cfg: JetConfig, key: tuple) -> None:
@@ -251,12 +286,6 @@ def _solve_top_down(dec: PhiDecomposition, top_delta: Mapping) -> BoundaryCoeffi
     return coeffs
 
 
-def _symmetric_solution(dec: PhiDecomposition) -> BoundaryCoefficients:
-    if dec._symmetric is None:
-        dec._symmetric = _solve_top_down(dec, {})
-    return dec._symmetric
-
-
 def symmetric_boundary_coefficients(dec: PhiDecomposition) -> BoundaryCoefficients:
     """The fully symmetric solution of the boundary-coefficient system,
     solved once per decomposition.
@@ -264,29 +293,16 @@ def symmetric_boundary_coefficients(dec: PhiDecomposition) -> BoundaryCoefficien
     Equal shares over the splittings make each value depend only on the
     combined multiset of upper indices.
     """
-    return _symmetric_solution(dec)
+    if dec._symmetric is None:
+        dec._symmetric = _solve_top_down(dec, {})
+    return dec._symmetric
 
 
-def _splitting_sums(coeffs: BoundaryCoefficients) -> dict:
-    """z^a_I -> S^a_I, the sum of p^{i1,T}_a over the splittings (i1, T) of
-    I, wherever it is nonzero; every key is one splitting of one I.  Keys
-    out of range raise a ``ValueError`` naming them."""
-    for key in coeffs.table:
-        _check_key(coeffs.cfg, key)
-    return sum_by_key(
-        (jet_coord(a, (*tail, i1)), p) for (a, i1, tail), p in coeffs.table.items()
-    )
-
-
-def _check_splitting_system(
-    dec: PhiDecomposition, coeffs: BoundaryCoefficients, sums: dict | None = None
-) -> list:
+def _check_splitting_system(dec: PhiDecomposition, coeffs: BoundaryCoefficients) -> list:
     """Residuals (a, I, r^a_I = S^a_I - rhs^a_I) of the boundary-coefficient
-    system, in coordinate order (|I|, a, I); empty iff the system holds.
-    ``sums`` are the splitting sums of ``coeffs`` when the caller has them."""
+    system, in coordinate order (|I|, a, I); empty iff the system holds."""
     cfg = dec.cfg
-    if sums is None:
-        sums = _splitting_sums(coeffs)
+    sums = coeffs.splitting_sums()
     zero = Expr.zero()
     failures = []
     for level in range(1, cfg.k + 1):
@@ -313,8 +329,9 @@ def perturbed_coefficients(
     The system is linear in (Phi, top_delta), so the solution is the
     symmetric one of ``dec`` (solved once per decomposition) plus the
     top-down solve of ``top_delta`` with Phi = 0.  Keys that solve leaves
-    untouched share their Expr with the symmetric table, and each divergence
-    is the sum of the two tables' divergences, so no D_i runs again on a
+    untouched share their Expr with the symmetric table, and each divergence,
+    splitting sum and the d_m x coefficient of Xi is the sum of the two
+    tables' values, so neither D_i nor a splitting sum runs again on a
     symmetric coefficient.
     """
     cfg = dec.cfg
@@ -339,7 +356,10 @@ def perturbed_coefficients(
                     f"perturbation violates the top-level relation at a={a}, "
                     f"I={I}: splitting sum is {render_expr(total)}, not 0"
                 )
-    parts = (_symmetric_solution(dec), _solve_top_down(PhiDecomposition(cfg, {}), top_delta))
+    parts = (
+        symmetric_boundary_coefficients(dec),
+        _solve_top_down(PhiDecomposition(cfg, {}), top_delta),
+    )
     coeffs = BoundaryCoefficients(
         cfg, sum_by_key(item for part in parts for item in part.table.items())
     )
@@ -441,14 +461,14 @@ def assemble_boundary_form(
     :func:`verify_condition3` then reads without a recompute.
     """
     cfg = coeffs.cfg
-    sums = _splitting_sums(coeffs)
+    coeffs.splitting_sums()  # rejects a key out of range before Xi is written
     dx = [base_coord(i) for i in range(1, cfg.m + 1)]
     terms = {}
     for (a, i1, tail), value in coeffs.table.items():
         if not value.is_zero:
             wedge = (*dx[: i1 - 1], *dx[i1:], jet_coord(a, tail))
             terms[wedge] = value if (i1 + cfg.m) % 2 == 0 else -value
-    volume = Expr.sum(-Expr.variable(c) * total for c, total in sums.items())
+    volume = coeffs.volume_coefficient()
     if not volume.is_zero:
         terms[tuple(dx)] = volume
     xi = DifferentialForm(cfg.m, terms)
@@ -456,7 +476,7 @@ def assemble_boundary_form(
         if not holds(xi, cfg):
             raise AssertionError(f"assembled form fails {name}")
     if phi is not None:
-        failures = _check_splitting_system(phi, coeffs, sums)
+        failures = _check_splitting_system(phi, coeffs)
         if failures:
             a, I, residual = failures[0]
             raise AssertionError(

@@ -58,10 +58,14 @@ as holonomic.  ``total_derivative`` walks each monomial once: it lowers the
 x^i factor, and lifts each y/z factor in place, lowering its exponent and
 inserting the lift's id, read from the shared lift table, into the rest of
 the monomial.  A lift beyond the jet-order bound raises the ``ValueError``
-of the first such coordinate in coordinate order.  ``Expr.substitute``
-raises each (coordinate, exponent) power once per call and adds every
-numerator times the product of its powers into one accumulator; a monomial
-stops at its first power whose image is zero.  Their interplay with
+of the first such coordinate in coordinate order.  ``Expr.substitute`` and
+``substitute_section`` run one substitution loop, which adds every
+numerator times the product of the images of its powers into one
+accumulator; a monomial stops at its first power whose image is zero.  The
+images differ only in where they come from: ``Expr.substitute`` raises each
+(coordinate, exponent) power once per call, and ``substitute_section`` once
+per section, into a table of images that the section keeps and every
+substitution through it shares.  Their interplay with
 polynomial sections (substitution commutes with D_i) is the keystone
 property the test-suite pins down.
 """
@@ -446,6 +450,8 @@ class Expr:
         magnitude, so the result needs neither accumulation nor a content
         reduction.
         """
+        if not powers:
+            return self if sign == 1 else -self
         out = {}
         if len(powers) != 1:
             for mono, n in self._num.items():
@@ -580,29 +586,39 @@ class Expr:
         """
         # a coordinate never seen occurs in no monomial
         by_id = {_IDS[c]: repl for c, repl in replacements.items() if c in _IDS}
-        powers: dict = {}  # (id, exponent) -> image of that power
-        acc = _Accumulator()
-        for mono, n in self._num.items():
-            term = _ONE
-            for power in mono:
-                image = powers.get(power)
-                if image is None:
-                    cid, exp = power
-                    repl = by_id.get(cid)
-                    if repl is None:
-                        image = _expr({(power,): 1}, 1)
-                    else:
-                        image = repl**exp if repl._num else repl
-                    powers[power] = image
-                if not image._num:
-                    break
-                term = term * image
-            else:
-                acc.add(term, n)
-        return _reduced(acc.num, acc.den * self._den)
+        return _substituted(self, {}, lambda cid, exp: _power_image(by_id.get(cid), cid, exp))
 
 
 _ONE = Expr.one()
+
+
+def _power_image(value: "Expr | None", cid: int, exp: int) -> Expr:
+    """The image of the power c^exp when c maps to ``value``, or to itself
+    when ``value`` is None; a zero value is not raised."""
+    if value is None:
+        return _expr({((cid, exp),): 1}, 1)
+    return value**exp if value._num else value
+
+
+def _substituted(e: Expr, images: dict, image_of) -> Expr:
+    """The substitution loop: every monomial of ``e`` adds its numerator
+    times the product of the images of its powers into one sum, stopping at
+    its first power whose image is zero.  ``images`` maps (id, exponent) to
+    the image of that power, and ``image_of(id, exponent)`` fills it on
+    first use."""
+    acc = _Accumulator()
+    for mono, n in e._num.items():
+        term = _ONE
+        for power in mono:
+            image = images.get(power)
+            if image is None:
+                image = images[power] = image_of(*power)
+            if not image._num:
+                break
+            term = term * image
+        else:
+            acc.add(term, n)
+    return _reduced(acc.num, acc.den * e._den)
 
 
 def _as_expr(value):
@@ -745,6 +761,10 @@ class PolynomialSection:
 
     Components may contain coefficient symbols (undetermined coefficients),
     which makes a single instance stand for a whole family of sections.
+    The section owns one table of images, keyed by (coordinate id,
+    exponent): the image of each power c^e, filled the first time a
+    substitution meets it and shared by every :func:`substitute_section`
+    on this section.
     """
 
     def __init__(self, cfg: JetConfig, components: Sequence[Expr]):
@@ -761,16 +781,20 @@ class PolynomialSection:
         self.cfg = cfg
         self.components = tuple(components)
         self._jets: dict = {}
+        self._images: dict = {}  # (id, exponent) -> image of that power
 
     def jet(self, a: int, indices: Sequence[int]) -> Expr:
-        """Exact partial derivative of component a along the multi-index."""
+        """Exact partial derivative of component a along the multi-index,
+        the last index differentiated from the kept jet of the others."""
         key = (a, tuple(sorted(indices)))
         cached = self._jets.get(key)
         if cached is not None:
             return cached
-        expr = self.components[a - 1]
-        for i in key[1]:
-            expr = expr.partial(base_coord(i))
+        I = key[1]
+        if I:
+            expr = self.jet(a, I[:-1]).partial(base_coord(I[-1]))
+        else:
+            expr = self.components[a - 1]
         self._jets[key] = expr
         return expr
 
@@ -783,6 +807,14 @@ class PolynomialSection:
         if tag == "z":
             return self.jet(coord[1], coord[2])
         return Expr.variable(coord)
+
+    def _image(self, cid: int, exp: int) -> Expr:
+        """The image of the power c^exp, c the coordinate of ``cid``: the
+        section's value raised for a y or z coordinate, c^exp itself for x
+        and the coefficient symbols."""
+        coord = _COORDS[cid]
+        value = self.coordinate_value(coord) if coord[0] in ("y", "z") else None
+        return _power_image(value, cid, exp)
 
     def jet_values(self, x0: Sequence, order: int) -> dict:
         """Exact coordinate values of the jet extension at a point.
@@ -811,9 +843,10 @@ class PolynomialSection:
 
 
 def substitute_section(e: Expr, section: PolynomialSection) -> Expr:
-    """Replace every y/z coordinate by the exact derivative of the section."""
-    replacements = {}
-    for coord in e.variables():
-        if coord[0] in ("y", "z"):
-            replacements[coord] = section.coordinate_value(coord)
-    return e.substitute(replacements)
+    """Replace every y/z coordinate by the exact derivative of the section.
+
+    Each power is raised once per section: its image is read from, or
+    added to, the section's image table, so substituting many expressions
+    through one section raises every power once in all.
+    """
+    return _substituted(e, section._images, section._image)

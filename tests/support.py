@@ -10,7 +10,8 @@ the characteristic jets, the symmetry test through E d_m x, the
 boundary-form conditions through the splitting system of the coefficients,
 the boundary form written from its coefficient table,
 integer numerators over one denominator, D_i in one pass over the
-monomials, substitution through one table of powers, products with one
+monomials, substitution through one table of powers, a section's
+substitution through the section's own table of images, products with one
 monomial by insertion, monomials over interned coordinate ids, the
 determinant by elimination); these stay as independent references.  The
 kernels read an Expr only through ``terms()``, so they work on coordinate
@@ -352,6 +353,17 @@ def per_monomial_substitute(e: Expr, replacements: dict) -> Expr:
         return term
 
     return Expr.sum(image(mono, coeff) for mono, coeff in e.terms())
+
+
+def reference_substitute_section(e: Expr, section: PolynomialSection) -> Expr:
+    """substitute_section as one replacement map per call: every y/z
+    coordinate of ``e`` mapped to the section's value, every power raised
+    anew by Expr.substitute."""
+    replacements = {}
+    for coord in e.variables():
+        if coord[0] in ("y", "z"):
+            replacements[coord] = section.coordinate_value(coord)
+    return e.substitute(replacements)
 
 
 def minors_determinant(matrix) -> Fraction:

@@ -594,22 +594,44 @@ def test_evolve_rejects_grid_that_is_not_1d_periodic(grid, tmp_path, monkeypatch
     ids=lambda argv: argv[0],
 )
 def test_one_symmetric_solve_per_command(argv, monkeypatch, capsys):
-    import jetforms.cli as cli
     import jetforms.dedonder as dedonder
 
+    # counts the solves themselves: the top-down solve with no top-level data
+    # is the symmetric solve, whichever public name reaches it
     solves = []
-    solve = dedonder.symmetric_boundary_coefficients
+    solve = dedonder._solve_top_down
 
-    def counted(dec):
-        solves.append(dec)
-        return solve(dec)
+    def counted(dec, top_delta):
+        if not top_delta:
+            solves.append(dec)
+        return solve(dec, top_delta)
 
-    for module in (dedonder, cli):
-        if hasattr(module, "symmetric_boundary_coefficients"):
-            monkeypatch.setattr(module, "symmetric_boundary_coefficients", counted)
+    monkeypatch.setattr(dedonder, "_solve_top_down", counted)
     code, _, _ = run(capsys, argv[0], WAVE, *argv[1:])
     assert code in (0, 1)
     assert len(solves) == 1
+    assert solves[0].components  # the command's own decomposition, not Phi = 0
+
+
+def test_each_image_is_built_once_per_section(monkeypatch, capsys):
+    # residual and noether substitute many Exprs through each declared
+    # section; the section raises each (coordinate, exponent) power once
+    from jetforms.expressions import PolynomialSection
+
+    builds = []
+    build = PolynomialSection._image
+
+    def counted(section, cid, exp):
+        builds.append((section, cid, exp))  # the section kept, so its id stays its own
+        return build(section, cid, exp)
+
+    monkeypatch.setattr(PolynomialSection, "_image", counted)
+    for command in ("noether", "residual"):
+        code, _, _ = run(capsys, command, WAVE)
+        assert code in (0, 1)
+    keys = [(id(section), cid, exp) for section, cid, exp in builds]
+    assert keys
+    assert len(keys) == len(set(keys))
 
 
 @pytest.mark.parametrize(

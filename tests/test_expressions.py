@@ -321,3 +321,12 @@ def test_times_lifts_multiplies_by_the_holonomic_lifts():
     for constant in (base_coord(1), ("c", "k")):
         with pytest.raises(ValueError, match="has no holonomic lift"):
             times_lifts(Expr.one(), [constant], [1], 1)
+
+
+def test_times_lifts_with_no_lifts_shares_the_expr():
+    # holonomic reduction multiplies every dx-only coefficient by no lifts
+    e = x_var(1) * z_var(1, (2,)) + Fraction(1, 3)
+    assert times_lifts(e, (), (), 1) is e
+    negated = times_lifts(e, (), (), -1)
+    assert negated == -e
+    assert list(negated.terms()) == list((-e).terms())

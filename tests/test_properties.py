@@ -7,7 +7,10 @@ components against d(L d_m x), the boundary form written from its
 coefficient table against the contact-form reference and its pullback
 against zero, the skew solve by linearity against a fresh solve, and the
 Lagrange derivative against Phi_a - sum_i D_i p^i_a on the symmetric and the
-skew table.  These are the guards the library no longer runs on itself.
+skew table, the skew table's splitting sums and d_m x coefficient against a
+fresh computation, and substitution through a section against the
+replacement map it replaced.  These are the guards the library no longer
+runs on itself.
 
 The strategies draw small polynomials with rational coefficients over the
 jet coordinates of (m, n, k) = (2, 1, 2), forms over their differentials,
@@ -67,6 +70,7 @@ from tests.support import (  # noqa: E402
     lie_derivative,
     per_monomial_substitute,
     reduced_vertical_contractions,
+    reference_substitute_section,
     reference_total_derivative,
     two_pass_total_derivative,
 )
@@ -357,6 +361,48 @@ def test_section_substitution_commutes_with_total_derivative(e, component, i):
     assert lhs == rhs
 
 
+# x, y and z up to the expression order 2k = 4 and a coefficient symbol,
+# exponents up to 3; the components are polynomials in x and the symbol,
+# zero included, so zero components and derivatives past their degree give
+# zero images
+SECTION_COORDS = (
+    enumerate_coordinates(CFG, CFG.working_order)
+    + [jet_coord(1, I) for I in multiindices(CFG.m, CFG.expression_order)]
+    + [("c", "s")]
+)
+section_monomials = st.dictionaries(st.sampled_from(SECTION_COORDS), st.integers(1, 3),
+                                    max_size=3)
+section_operands = st.lists(st.tuples(section_monomials, rationals), max_size=4).map(
+    lambda terms: Expr.sum(Expr.monomial(powers, c) for powers, c in terms)
+)
+
+
+@st.composite
+def section_substitutions(draw):
+    """(component, exprs, order): several Exprs to substitute through one
+    section, in the drawn order, repeats included."""
+    component = draw(polynomials(BASE + [("c", "s")], 3))
+    operands = draw(st.lists(section_operands, min_size=1, max_size=4))
+    order = draw(st.lists(st.sampled_from(range(len(operands))), min_size=1, max_size=8))
+    return component, operands, order
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(section_substitutions())
+def test_section_substitution_matches_the_reference(problem):
+    # the images a section keeps from one substitution serve the next
+    component, operands, order = problem
+    sigma = PolynomialSection(CFG, (component,))
+    for j in order:
+        got = substitute_section(operands[j], sigma)
+        expected = reference_substitute_section(
+            operands[j], PolynomialSection(CFG, (component,))
+        )
+        assert got == expected
+        assert list(got.terms()) == list(expected.terms())
+        assert_canonical(got)
+
+
 @PROPERTY
 @given(projectable_fields, exprs, st.integers(1, 2))
 def test_prolongation_commutator(Y, f, i):
@@ -542,3 +588,15 @@ def test_perturbed_coefficients_equal_a_fresh_solve(problem):
             )
             for a in range(1, cfg.n + 1)
         ]
+
+
+@PROPERTY
+@given(perturbations())
+def test_perturbed_splitting_sums_and_volume_coefficient_equal_a_fresh_computation(problem):
+    # the summed table adds its parts' splitting sums and d_m x coefficients;
+    # the same table without parts computes them from its own coefficients
+    _, dec, delta = problem
+    perturbed = perturbed_coefficients(dec, delta)
+    fresh = BoundaryCoefficients(dec.cfg, dict(perturbed.table))
+    assert perturbed.splitting_sums() == fresh.splitting_sums()
+    assert perturbed.volume_coefficient() == fresh.volume_coefficient()

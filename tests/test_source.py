@@ -332,8 +332,9 @@ def test_no_library_module_imports_a_private_name_of_another():
     assert not hits, f"private names imported across library modules: {hits}"
 
 
-# the storage of an Expr and the kernels and tables keyed by interned ids
-EXPR_STORAGE_NAMES = {"_num", "_den", "_times_monomial", "_id", "_lift"}
+# the storage of an Expr and the kernels and tables keyed by interned ids,
+# a section's table of images and the method that fills it included
+EXPR_STORAGE_NAMES = {"_num", "_den", "_times_monomial", "_id", "_lift", "_images", "_image"}
 
 
 def _storage_reads(tree):
