@@ -63,9 +63,10 @@ back alike iff their difference solves the homogeneous system with zero
 level-one divergence.
 
 Each result has one route and each check runs once, where it is reported:
-:func:`lagrange_derivative` is the Euler operator alone, assembly checks
-the splitting system and :data:`STRUCTURAL_CHECKS`, and ``verify`` reduces
-Xi's pullback.  The second routes (the contact-form sum, d(L d_m x), the
+:func:`lagrange_derivative` is the Euler operator alone, on the partials of
+:meth:`PhiDecomposition.of_lagrangian`; assembly checks the splitting
+system; and ``verify`` evaluates :data:`STRUCTURAL_CHECKS` and reduces Xi's
+pullback.  The second routes (the contact-form sum, d(L d_m x), the
 form-level contractions, Phi_a - sum_i D_i p^i_a against the Euler
 operator) are references in the tests.
 """
@@ -228,8 +229,12 @@ class BoundaryCoefficients:
 
 
 def _check_key(cfg: JetConfig, key: tuple) -> None:
-    """Reject a coefficient key (a, i1, tail) with an index out of range or
-    a tail that is not canonical."""
+    """Reject, naming it, a coefficient key (a, i1, tail) with an index out
+    of range, a tail that is not canonical or a level |tail|+1 above k.
+
+    A key that passes writes one term of Xi with one dz^a_T factor, |T| <= k-1,
+    so Xi assembled from such keys meets :data:`STRUCTURAL_CHECKS`.
+    """
     a, i1, tail = key
     if not (1 <= a <= cfg.n and 1 <= i1 <= cfg.m and all(1 <= i <= cfg.m for i in tail)):
         raise ValueError(
@@ -238,6 +243,8 @@ def _check_key(cfg: JetConfig, key: tuple) -> None:
         )
     if tuple(sorted(tail)) != tuple(tail):
         raise ValueError(f"coefficient key {key} has a tail that is not canonical")
+    if len(tail) >= cfg.k:
+        raise ValueError(f"coefficient key {key} has level {len(tail) + 1}, above k={cfg.k}")
 
 
 def _splitting_system_rhs(
@@ -413,8 +420,8 @@ def double_vertical_contraction_vanishes(form: DifferentialForm, cfg: JetConfig)
     return True
 
 
-# (name, predicate(form, cfg)) per structural condition of Xi that assembly
-# checks; verify reports the names, then reduces Xi's pullback itself
+# (name, predicate(form, cfg)) per structural condition of Xi; assembly
+# meets both by construction and ``verify`` evaluates and reports them
 STRUCTURAL_CHECKS = (
     ("boundary-form-semibasic-over-forgetful",
      lambda form, cfg: is_semibasic(form, ("forgetful", cfg.k - 1))),
@@ -451,13 +458,11 @@ def assemble_boundary_form(
     of the system when ``phi`` is supplied.  A key out of range raises a
     ``ValueError`` that names it.
 
-    Construction-time verification runs :data:`STRUCTURAL_CHECKS`: Xi is
-    semi-basic over the forgetful map to order k-1, and double contraction
-    with source-vertical fields vanishes.  Failures signal an implementation
-    bug, not bad user input.  Xi pulls back to zero by construction, so its
-    reduction runs in the ``verify`` command that reports it.  When ``phi``
-    is supplied, the defining coefficient system is checked exactly and the
-    result is marked as a boundary form of that Phi, which
+    Every key within range writes one dz^a_T factor with |T| <= k-1, so Xi
+    meets :data:`STRUCTURAL_CHECKS` and pulls back to zero by construction;
+    the ``verify`` command evaluates both and reduces the pullback.  When
+    ``phi`` is supplied, the defining coefficient system is checked exactly
+    and the result is marked as a boundary form of that Phi, which
     :func:`verify_condition3` then reads without a recompute.
     """
     cfg = coeffs.cfg
@@ -472,9 +477,6 @@ def assemble_boundary_form(
     if not volume.is_zero:
         terms[tuple(dx)] = volume
     xi = DifferentialForm(cfg.m, terms)
-    for name, holds in STRUCTURAL_CHECKS:
-        if not holds(xi, cfg):
-            raise AssertionError(f"assembled form fails {name}")
     if phi is not None:
         failures = _check_splitting_system(phi, coeffs)
         if failures:
@@ -518,6 +520,12 @@ class DeDonderForm:
             DifferentialForm.from_scalar(self.lagrangian).wedge(volume_form(self.cfg))
             + self.boundary.form
         )
+
+    def check_section(self, section: PolynomialSection) -> None:
+        """Reject, naming its (m, n), a section of another configuration."""
+        if (section.cfg.m, section.cfg.n) != (self.cfg.m, self.cfg.n):
+            raise ValueError(f"a section with (m, n) = ({section.cfg.m}, {section.cfg.n}) "
+                             f"against a De Donder form with ({self.cfg.m}, {self.cfg.n})")
 
 
 def dedonder_form(cfg: JetConfig, L: Expr, xi: BoundaryForm) -> DeDonderForm:
@@ -632,17 +640,16 @@ def lagrange_derivative(cfg: JetConfig, L: Expr) -> list:
 
         dL/dy^a = sum_{l=0..k} (-1)^l sum_{canonical |I|=l} D_I [dL/dz^a_I].
 
+    L's check and its partials are those of :meth:`PhiDecomposition.of_lagrangian`.
     No boundary coefficients are solved; :meth:`Derivation.euler_lagrange`
     gives the same list as Phi_a - sum_i D_i p^i_a from a derivation.
     """
-    check_lagrangian(cfg, L)
     signed = []
-    for c, term in L.gradient().items():
-        if c[0] in ("y", "z"):
-            I = c[2] if c[0] == "z" else ()
-            for i in I:
-                term = total_derivative(term, i, cfg, max_order=cfg.expression_order)
-            signed.append((c[1], -term if len(I) % 2 else term))
+    for c, term in PhiDecomposition.of_lagrangian(cfg, L).components.items():
+        I = c[2] if c[0] == "z" else ()
+        for i in I:
+            term = total_derivative(term, i, cfg, max_order=cfg.expression_order)
+        signed.append((c[1], -term if len(I) % 2 else term))
     by_field = sum_by_key(signed)
     return [by_field.get(a, Expr.zero()) for a in range(1, cfg.n + 1)]
 
@@ -656,9 +663,14 @@ def dedonder_residual(theta: DeDonderForm, section: PolynomialSection) -> dict:
     equations, equivalently the Euler-Lagrange equations.  dTheta = Phi +
     dXi and Xi solves the splitting system, so by the module's identity the
     d/dy^a entry is the pullback of (Phi_a - sum_i D_i p^i_a) d_m x, the
-    Lagrange derivative, and every d/dz entry is the zero m-form.
+    Lagrange derivative, and every d/dz entry is the zero m-form.  A
+    section of another (m, n), or a Theta whose Xi carries no Phi, raises a
+    ``ValueError``.
     """
     cfg = theta.cfg
+    theta.check_section(section)
+    if theta.boundary.phi is None:
+        raise ValueError("the De Donder residual needs a boundary form built against a Phi")
     densities = _body_densities(theta.boundary.phi, theta.boundary.coefficients)
     volume = volume_form(cfg)
     residuals = {}

@@ -533,10 +533,6 @@ class Expr:
             return NotImplemented
         return self._den == other._den and self._num == other._num
 
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     __hash__ = None  # mutable-dict backed; use canonical rendering as a key
 
     def __repr__(self):
@@ -811,8 +807,10 @@ class PolynomialSection:
     def _image(self, cid: int, exp: int) -> Expr:
         """The image of the power c^exp, c the coordinate of ``cid``: the
         section's value raised for a y or z coordinate, c^exp itself for x
-        and the coefficient symbols."""
+        and the coefficient symbols.  A coordinate outside the section's
+        configuration raises a ``ValueError`` that names it."""
         coord = _COORDS[cid]
+        check_coordinate(self.cfg, coord)
         value = self.coordinate_value(coord) if coord[0] in ("y", "z") else None
         return _power_image(value, cid, exp)
 

@@ -150,10 +150,6 @@ class DifferentialForm:
             return False
         return (self - other).is_zero
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     __hash__ = None
 
     def __repr__(self):

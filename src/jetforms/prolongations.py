@@ -163,9 +163,12 @@ def noether_current(
     holonomic reduction of Y^{2k-1} -| Theta, with jet-coordinate
     coefficients; on sampled jets it gives the numeric densities.  Closed
     whenever Y is a symmetry of the Lagrangian and the section solves the De
-    Donder equations; conservation fails off-shell.
+    Donder equations; conservation fails off-shell.  A section of another
+    (m, n) than Theta's raises a ``ValueError``.
     """
     cfg = theta.cfg
+    if section is not None:
+        theta.check_section(section)
     pull = (lambda e: e) if section is None else (lambda e: substitute_section(e, section))
     jets = characteristic_jets(Y, cfg.k - 1, section)
     lagrangian = pull(theta.lagrangian)

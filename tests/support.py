@@ -2,13 +2,15 @@
 contact forms of a jet space, the boundary form summed from them, the
 contact-ideal test built from them, the one-scan vertical contractions of a
 form and their holonomic reductions, a seeded random polynomial generator,
-generic sections with free coefficients, a reference ring, the determinant
-by minors, and the Expr kernels the library replaced.
+generic sections with free coefficients, the wave example's Lagrangian
+built in Python, a reference ring, the determinant by minors, and the Expr
+kernels the library replaced.
 
 The library reaches the same statements by other routes (prolongation from
 the characteristic jets, the symmetry test through E d_m x, the
 boundary-form conditions through the splitting system of the coefficients,
-the boundary form written from its coefficient table,
+the boundary form written from its coefficient table, the wave example
+read from its fixture,
 integer numerators over one denominator, D_i in one pass over the
 monomials, substitution through one table of powers, a section's
 substitution through the section's own table of images, products with one
@@ -23,7 +25,7 @@ import itertools
 from fractions import Fraction
 from math import gcd
 
-from jetforms.expressions import Expr, PolynomialSection
+from jetforms.expressions import Expr, PolynomialSection, z_var
 from jetforms.forms import (
     DifferentialForm,
     VectorFieldOnJet,
@@ -142,6 +144,29 @@ def random_expr(rng, cfg: JetConfig, order: int, degree: int = 2, terms: int = 4
         return Expr.monomial(powers, coeff)
 
     return Expr.sum(term() for _ in range(terms))
+
+
+def wave_lagrangian(cfg: JetConfig) -> Expr:
+    """g_ab g^ij g^kl z^a_ij z^b_kl with full (symmetric) index sums and the
+    Minkowski metric g = diag(1, -1) on both the base and the fibre: the
+    Lagrangian of the bundled fixture ``fourth_order_wave.jet``, built
+    without the problem language."""
+    g = ((1, 0), (0, -1))
+
+    def trace(a: int) -> Expr:
+        return Expr.sum(
+            z_var(a, (i, j)) * g[i - 1][j - 1]
+            for i in range(1, cfg.m + 1)
+            for j in range(1, cfg.m + 1)
+            if g[i - 1][j - 1] != 0
+        )
+
+    return Expr.sum(
+        trace(a) * trace(b) * g[a - 1][b - 1]
+        for a in range(1, cfg.n + 1)
+        for b in range(1, cfg.n + 1)
+        if g[a - 1][b - 1] != 0
+    )
 
 
 def coeff_symbol(name: str) -> tuple:

@@ -36,11 +36,23 @@ def test_euler_lagrange_text(capsys):
 
 
 def test_fixture_matches_programmatic_problem():
-    from jetforms.problem import parse_problem
+    from jetforms.expressions import Expr
+    from jetforms.jets import JetConfig
     from jetforms.wave import wave_problem
 
-    spec = parse_problem(open(WAVE).read())
-    assert spec.lagrangian == wave_problem().lagrangian
+    from tests.support import wave_lagrangian
+
+    wp = wave_problem()
+    assert wp.cfg == JetConfig(m=2, n=2, k=2)
+    assert wp.lagrangian == wave_lagrangian(wp.cfg)
+    zero, one = Expr.zero(), Expr.one()
+    x1, x2 = Expr.variable(("x", 1)), Expr.variable(("x", 2))
+    fields = (wp.time_translation, wp.space_translation, wp.lorentz_boost)
+    assert [(Y.cfg, Y.base_components, Y.vertical_components) for Y in fields] == [
+        (wp.cfg, (one, zero), (zero, zero)),
+        (wp.cfg, (zero, one), (zero, zero)),
+        (wp.cfg, (x2, x1), (zero, zero)),
+    ]
 
 
 # argv, golden file, expected exit code
@@ -695,3 +707,30 @@ def test_verify_reports_a_boundary_form_that_does_not_pull_back_to_zero(
     assert f"boundary-form-pullback-vanishes: FAIL ({render_form(reduced)})\n" in out
     # the other checks still read the coefficients, which solve the system
     assert "boundary-form-target-vertical-pullback: PASS\n" in out
+
+
+def test_verify_evaluates_the_structural_checks_of_the_boundary_form(monkeypatch, capsys):
+    # verify evaluates both structural predicates on Xi itself: a
+    # dx[2]^dz[1;1 1] term, of order k = 2 above the forgetful level k-1,
+    # fails the semi-basic check; one vertical factor keeps the double
+    # contraction at zero
+    import jetforms.cli as cli
+    from jetforms.expressions import Expr
+    from jetforms.forms import DifferentialForm
+    from jetforms.jets import base_coord, jet_coord
+
+    derive = cli.derive
+
+    def derive_with_one_deep_term(cfg, L):
+        derivation = derive(cfg, L)
+        xi = derivation.boundary_symmetric
+        deep = (base_coord(2), jet_coord(1, (1, 1)))
+        xi.form = DifferentialForm(xi.form.degree, {**dict(xi.form.terms()), deep: Expr.one()})
+        return derivation
+
+    monkeypatch.setattr(cli, "derive", derive_with_one_deep_term)
+    code, out, err = run(capsys, "verify", WAVE)
+    assert code == 1 and err == ""
+    assert "boundary-form-semibasic-over-forgetful: FAIL\n" in out
+    assert "boundary-form-double-vertical-contraction: PASS\n" in out
+    assert "boundary-form-pullback-vanishes: FAIL (" in out

@@ -8,6 +8,7 @@ from jetforms import dedonder
 from jetforms.dedonder import (
     BoundaryCoefficients,
     BoundaryForm,
+    DeDonderForm,
     PhiDecomposition,
     _check_splitting_system,
     assemble_boundary_form,
@@ -433,6 +434,20 @@ def test_dedonder_residual_examples():
     assert all(f.is_zero for f in dedonder_residual(theta0, any_sigma).values())
 
 
+def test_dedonder_residual_rejects_a_section_or_theta_of_another_configuration():
+    # an n = 3 section against an n = 2 Theta, and a Theta whose Xi carries
+    # no Phi, are refused by name rather than read past their components
+    wp = wave_problem()
+    x1, x2 = x_var(1), x_var(2)
+    wider = PolynomialSection(JetConfig(2, 3, 2), (x1, x2, x1 * x2))
+    with pytest.raises(ValueError, match=re.escape("(m, n) = (2, 3)")):
+        dedonder_residual(wp.theta_symmetric, wider)
+    xi = wp.boundary_symmetric
+    no_phi = DeDonderForm(wp.cfg, wp.lagrangian, BoundaryForm(wp.cfg, xi.form, xi.coefficients))
+    with pytest.raises(ValueError, match="Phi"):
+        dedonder_residual(no_phi, PolynomialSection(wp.cfg, (x1, x2)))
+
+
 def reference_dedonder_residual(theta, section):
     """dedonder_residual at the form level: contract the whole dTheta and
     pull every entry back."""
@@ -664,7 +679,9 @@ def test_condition3_reads_the_check_of_assembly(monkeypatch):
     assert [(a, I) for a, I, _ in report.failures] == [(1, (1,)), (1, (1, 1))]
 
 
-@pytest.mark.parametrize("key", [(2, 1, (1,)), (1, 3, (1,)), (1, 0, (1,)), (1, 1, (3,))])
+@pytest.mark.parametrize(
+    "key", [(2, 1, (1,)), (1, 3, (1,)), (1, 0, (1,)), (1, 1, (3,)), (1, 1, (1, 2))]
+)
 def test_coefficient_keys_out_of_range_are_rejected(key):
     cfg = JetConfig(2, 1, 2)
     _, dec = phi_from_lagrangian(cfg, z_var(1, (1, 2)) ** 2 + y_var(1) * z_var(1, (1, 1)))

@@ -1,5 +1,6 @@
 import functools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -222,6 +223,14 @@ def random_expr_in_x(rng, cfg, degree=4, terms=4):
             powers[base_coord(i)] = powers.get(base_coord(i), 0) + 1
         out = out + Expr.monomial(powers, rng.randint(-4, 4))
     return out
+
+
+@pytest.mark.parametrize("coord", [("y", 0), ("y", 3), ("z", 1, (2,))])
+def test_section_substitution_rejects_a_coordinate_outside_the_section(coord):
+    # m = 1, n = 2: no field 0 or 3 and no derivative along x[2]
+    section = PolynomialSection(JetConfig(1, 2, 1), (x_var(1), x_var(1) ** 2))
+    with pytest.raises(ValueError, match=re.escape(str(coord))):
+        substitute_section(Expr.variable(coord), section)
 
 
 def test_generic_section_realizes_jets():

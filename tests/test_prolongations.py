@@ -200,6 +200,13 @@ def test_is_symmetry_examples():
     assert not ok and not cert.is_zero
 
 
+def test_noether_current_rejects_a_section_of_another_configuration():
+    wp = wave_problem()
+    narrower = PolynomialSection(JetConfig(1, 2, 2), (x_var(1), x_var(1) ** 2))
+    with pytest.raises(ValueError, match=r"\(m, n\) = \(1, 2\)"):
+        noether_current(wp.time_translation, wp.theta_symmetric, narrower)
+
+
 def test_noether_current_closed_on_shell():
     wp = wave_problem()
     cfg = wp.cfg

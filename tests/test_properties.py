@@ -8,9 +8,10 @@ coefficient table against the contact-form reference and its pullback
 against zero, the skew solve by linearity against a fresh solve, and the
 Lagrange derivative against Phi_a - sum_i D_i p^i_a on the symmetric and the
 skew table, the skew table's splitting sums and d_m x coefficient against a
-fresh computation, and substitution through a section against the
-replacement map it replaced.  These are the guards the library no longer
-runs on itself.
+fresh computation, substitution through a section against the
+replacement map it replaced, and the structural checks of Xi on every
+table whose keys pass the key check.  These are the guards the library no
+longer runs on itself.
 
 The strategies draw small polynomials with rational coefficients over the
 jet coordinates of (m, n, k) = (2, 1, 2), forms over their differentials,
@@ -30,8 +31,10 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from jetforms.dedonder import (  # noqa: E402
+    STRUCTURAL_CHECKS,
     BoundaryCoefficients,
     BoundaryForm,
+    _check_key,
     _check_splitting_system,
     _solve_top_down,
     assemble_boundary_form,
@@ -535,6 +538,47 @@ def test_boundary_form_from_the_table_equals_the_contact_form_reference(problem)
     assert holonomic_reduce(xi.form, cfg).is_zero
     if dec is not None and not _check_splitting_system(dec, coeffs):
         assert assemble_boundary_form(coeffs, dec).form == xi.form
+
+
+@st.composite
+def drawn_key_tables(draw):
+    """(cfg, keys): a few coefficient keys, drawn among the keys of levels 1
+    to k+1 with canonical tails in range and keys whose every index may run
+    one past its range, with tails up to length k in any order."""
+    cfg = JetConfig(*draw(st.sampled_from(TABLE_SHAPES)))
+    levels = [
+        (a, i1, tail)
+        for a in range(1, cfg.n + 1)
+        for i1 in range(1, cfg.m + 1)
+        for level in range(cfg.k + 1)
+        for tail in multiindices(cfg.m, level)
+    ]
+    index = st.integers(0, cfg.m + 1)
+    raw = st.tuples(st.integers(0, cfg.n + 1), index, st.lists(index, max_size=cfg.k).map(tuple))
+    keys = st.lists(st.one_of(st.sampled_from(levels), raw), min_size=1, max_size=4)
+    return cfg, draw(keys)
+
+
+@PROPERTY
+@given(drawn_key_tables())
+def test_tables_whose_keys_pass_the_key_check_assemble_to_a_structural_boundary_form(problem):
+    # assembly evaluates no structural predicate: a key that _check_key
+    # accepts writes one dz^a_T factor with |T| <= k-1, so Xi meets both
+    # STRUCTURAL_CHECKS; a table with a key it rejects raises a ValueError
+    cfg, keys = problem
+    table = {key: Expr.variable(field_coord(1)) + 1 for key in keys}
+    rejected = []
+    for key in table:
+        try:
+            _check_key(cfg, key)
+        except ValueError:
+            rejected.append(key)
+    if rejected:
+        with pytest.raises(ValueError, match="coefficient key"):
+            assemble_boundary_form(BoundaryCoefficients(cfg, table))
+        return
+    xi = assemble_boundary_form(BoundaryCoefficients(cfg, table))
+    assert all(holds(xi.form, cfg) for _, holds in STRUCTURAL_CHECKS)
 
 
 PERTURBATION_SHAPES = ((2, 1, 2), (3, 1, 2), (2, 2, 2), (2, 1, 3), (3, 2, 2), (3, 2, 3))

@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import os
 import pathlib
 import subprocess
@@ -377,3 +378,28 @@ def test_only_expressions_reads_the_storage_of_an_expr():
         for line, name in _storage_reads(ast.parse(path.read_text(), filename=str(path)))
     ]
     assert not hits, f"Expr storage read outside expressions.py: {hits}"
+
+
+def test_code_line_counter_sums_the_modules_and_skips_docstrings(capsys):
+    # tools/code_lines.py counts lines that hold code: a docstring-only edit
+    # changes no count, and the total row is the sum of the module rows
+    path = SOURCE.parents[1] / "tools" / "code_lines.py"
+    spec = importlib.util.spec_from_file_location("code_lines", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    counts = tool.count()
+    assert "dedonder.py" in counts
+    assert tool.main([]) == 0
+    *rows, total = capsys.readouterr().out.splitlines()
+    assert [row.split()[0] for row in rows] == list(counts)
+    assert total.split() == [
+        "total", str(sum(code for code, _ in counts.values())),
+        str(sum(lines for _, lines in counts.values())),
+    ]
+    terse = 'class A:\n    """A."""\n\n    def f(self):\n        return 1  # one\n'
+    wordy = (
+        '"""Module\ndocs."""\nclass A:\n    """A,\n    at length."""\n\n'
+        '    def f(self):\n        """F."""\n        # a comment\n        return 1\n'
+    )
+    assert tool.code_lines(terse) == tool.code_lines(wordy) == 3
+    assert tool.code_lines('x = """a\nb"""\n') == 2
