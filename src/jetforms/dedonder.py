@@ -121,6 +121,9 @@ class PhiDecomposition:
     the dc ^ d_m x coefficient; absent coordinates have coefficient zero.
     The components are not mutated after construction: the symmetric
     solution of their boundary system is kept the first time it is solved.
+    A decomposition made by :meth:`of_lagrangian` also keeps the Lagrangian
+    it is the gradient of, uncompared, so that :func:`dedonder_form` can
+    tell it from one built by hand without a second gradient.
     """
 
     cfg: JetConfig
@@ -128,12 +131,15 @@ class PhiDecomposition:
     _symmetric: BoundaryCoefficients | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    _lagrangian: Expr | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def of_lagrangian(cls, cfg: JetConfig, L: Expr) -> PhiDecomposition:
         """Phi_a = dL/dy^a and Phi^I_a = dL/dz^a_I, for L within ``cfg``."""
         check_lagrangian(cfg, L)
-        return cls(cfg, {c: g for c, g in L.gradient().items() if c[0] in ("y", "z")})
+        dec = cls(cfg, {c: g for c, g in L.gradient().items() if c[0] in ("y", "z")})
+        dec._lagrangian = L
+        return dec
 
     def component(self, a: int, indices: tuple = ()) -> Expr:
         return self.components.get(jet_coord(a, indices), Expr.zero())
@@ -306,8 +312,11 @@ def symmetric_boundary_coefficients(dec: PhiDecomposition) -> BoundaryCoefficien
 
 
 def _check_splitting_system(dec: PhiDecomposition, coeffs: BoundaryCoefficients) -> list:
-    """Residuals (a, I, r^a_I = S^a_I - rhs^a_I) of the boundary-coefficient
-    system, in coordinate order (|I|, a, I); empty iff the system holds."""
+    """Residuals (a, I, r^a_I = S^a_I + sum_j D_j p^{j,I}_a - Phi^I_a) of
+    the boundary-coefficient system, the divergence only below the top
+    level, in coordinate order (|I|, a, I); empty iff the system holds.
+    Each (a, I) compares S + D with Phi, and only a failing one forms its
+    residual."""
     cfg = dec.cfg
     sums = coeffs.splitting_sums()
     zero = Expr.zero()
@@ -315,11 +324,12 @@ def _check_splitting_system(dec: PhiDecomposition, coeffs: BoundaryCoefficients)
     for level in range(1, cfg.k + 1):
         for a in range(1, cfg.n + 1):
             for I in multiindices(cfg.m, level):
-                residual = sums.get(jet_coord(a, I), zero) - _splitting_system_rhs(
-                    dec, coeffs, a, I
-                )
-                if not residual.is_zero:
-                    failures.append((a, I, residual))
+                lhs = sums.get(jet_coord(a, I), zero)
+                if level < cfg.k:
+                    lhs = lhs + coeffs.divergence(a, I)
+                phi = dec.component(a, I)
+                if lhs != phi:
+                    failures.append((a, I, lhs - phi))
     return failures
 
 
@@ -532,10 +542,16 @@ def dedonder_form(cfg: JetConfig, L: Expr, xi: BoundaryForm) -> DeDonderForm:
     """Theta = pi* (L d_m x) + Xi, verified to pull back like the Lagrangian.
 
     ``xi.phi`` must hold the y and z partials of L, so that dTheta = Phi + dXi.
+    A ``xi.phi`` that :meth:`PhiDecomposition.of_lagrangian` made from this
+    very L, with a ``cfg`` equal to this one, holds them by construction and
+    is taken without a second gradient of L; any other is compared with the
+    partials of L, which are checked against ``cfg`` first.
     """
-    partials = PhiDecomposition.of_lagrangian(cfg, L).components
-    if xi.phi is None or xi.phi.components != partials:
-        raise ValueError("a De Donder form needs a boundary form built against d(L d_m x)")
+    phi = xi.phi
+    if phi is None or phi._lagrangian is not L or phi.cfg != cfg:
+        partials = PhiDecomposition.of_lagrangian(cfg, L).components
+        if phi is None or phi.components != partials:
+            raise ValueError("a De Donder form needs a boundary form built against d(L d_m x)")
     # L d_m x has only dx factors and Xi is a sum of contact terms by
     # construction, so Theta is semi-basic over J^{k-1} and j*Theta = j*Lambda
     return DeDonderForm(cfg, L, xi)

@@ -11,14 +11,20 @@ int id the first time it is seen, and per-id tables hold the coordinate, its
 jet order and its ``coordinate_sort_key``.  One lift table, shared by D_i and
 holonomic reduction, holds per base direction i and id the id of the D_i
 lift (x^i and the constants, other x and ``("c", name)``, are marked
-instead).  A monomial is a tuple of ``(id, exponent)`` pairs sorted by id, so
-products and derivatives hash and compare ints, as packed monomials do in
+instead).  A monomial is one flat tuple of ids, sorted ascending, with each
+id repeated by its exponent: x1^2*z is ``(i, i, j)`` and ``()`` is the
+constant.  So a monomial is one object, a hash reads a tuple of small ints,
+and a product is a sort of ints, in the spirit of the packed monomials of
 computer-algebra kernels (M. Monagan and R. Pearce, "POLY: a new polynomial
-data structure for Maple 17", 2014).  The ids never leave this module:
+data structure for Maple 17", 2014).  A loop over the powers of a monomial
+skips an id equal to the one before it; the id's exponent is 1 unless the
+next id repeats it, and then its count.  The ids never leave this module:
 ``Expr(terms)``, ``Expr.monomial``, ``Expr.variable``, ``partial``,
 ``substitute`` and ``times_lifts`` take coordinate tuples, and ``terms()``,
-``variables()`` and ``gradient()`` give coordinate tuples back.  ``terms()``
-owns the canonical order of an Expr: the factors of each monomial in
+``variables()`` and ``gradient()`` give coordinate tuples back.  An exponent
+given to ``Expr(terms)`` or ``Expr.monomial`` must be a non-negative int.
+``terms()`` owns the canonical order of an Expr: each run of one id becomes
+one (coordinate, exponent) factor, the factors of each monomial in
 ``coordinate_sort_key`` order, and the monomials sorted by the (key,
 exponent) pairs of their factors, the order ``render_expr`` prints.
 ``gradient()`` gives its keys in coordinate order.  So nothing an Expr
@@ -40,13 +46,13 @@ Every sum (``+``, ``-``, ``Expr.sum`` and the sums of forms) goes through one
 accumulator, which adds integer multiples of numerators into one dict in
 place and brings them to a common denominator only when a new denominator
 arrives.  Multiplying by one monomial and a sign has its own kernel: it
-inserts the ids into each sorted monomial and keeps the denominator, since
-it changes no numerator's content.  An id goes after a smaller last id, or
-else where ``bisect`` places it among the sorted pairs; a single power, as
-in every product by one coordinate and every lift, is inserted inline.
-``*`` routes every product with a factor +-1 times one monomial to that
-kernel, and a factor +-1 gives the other factor itself or its negation, so
-such products share their Exprs instead of copying them.
+merges the ids into each sorted monomial and keeps the denominator, since it
+changes no numerator's content.  A single id, as in every product by one
+coordinate and every lift, goes after a last id no larger than it, or else
+where ``bisect_right`` places it.  ``*`` routes every product with a factor
++-1 times one monomial to that kernel, and a factor +-1 gives the other
+factor itself or its negation, so such products share their Exprs instead
+of copying them.
 
 The two derivations that matter are the formal partial derivative with
 respect to a single canonical coordinate and the total derivative
@@ -55,8 +61,8 @@ respect to a single canonical coordinate and the total derivative
 
 which differentiates along the i-th base direction treating jet coordinates
 as holonomic.  ``total_derivative`` walks each monomial once: it lowers the
-x^i factor, and lifts each y/z factor in place, lowering its exponent and
-inserting the lift's id, read from the shared lift table, into the rest of
+x^i factor, and lifts each y/z factor in place, dropping one copy of its id
+and inserting the lift's id, read from the shared lift table, into the rest of
 the monomial.  A lift beyond the jet-order bound raises the ``ValueError``
 of the first such coordinate in coordinate order.  ``Expr.substitute`` and
 ``substitute_section`` run one substitution loop, which adds every
@@ -71,7 +77,7 @@ property the test-suite pins down.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_right
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, Sequence
@@ -87,7 +93,7 @@ from .jets import (
     multiindices,
 )
 
-Monomial = tuple  # tuple of (coordinate id, exponent) pairs sorted by id
+Monomial = tuple  # coordinate ids sorted ascending, each repeated by its exponent
 
 # -- the coordinate registry ---------------------------------------------------
 
@@ -130,20 +136,23 @@ def _lift(cid: int, i: int) -> int:
     return lifted
 
 
-def _pair_key(pair):
-    return _KEYS[pair[0]]
-
-
 def _monomial_of(pairs) -> Monomial:
     """The id monomial of (coordinate, exponent) pairs; the exponents of a
-    repeated coordinate add and zero exponents drop."""
-    mono, get = (), _IDS.get
+    repeated coordinate add and zero exponents drop.  An exponent that is
+    not a non-negative int raises a ``ValueError`` naming its coordinate."""
+    ids, get = [], _IDS.get
     for coord, exp in pairs:
+        coord = tuple(coord)
+        if not isinstance(exp, int) or exp < 0:
+            raise ValueError(
+                f"the exponent of {render_coordinate(coord)} must be a non-negative "
+                f"integer, got {exp!r}"
+            )
         if exp:
-            coord = tuple(coord)
             cid = get(coord)
-            mono = _insert(mono, _id(coord) if cid is None else cid, exp)
-    return mono
+            ids += [_id(coord) if cid is None else cid] * exp
+    ids.sort()
+    return tuple(ids)
 
 
 def _split(q) -> tuple:
@@ -185,24 +194,13 @@ def _reduced(num: dict, den: int) -> "Expr":
     return _expr(num, den)
 
 
-def _insert(mono: Monomial, cid: int, exp: int) -> Monomial:
-    """mono times the coordinate ``cid`` to the power exp, kept sorted by id:
-    appended after a smaller last id, else placed by bisection, since
-    ``(cid,)`` sorts just before every pair ``(cid, e)``."""
-    if not mono or mono[-1][0] < cid:
-        return mono + ((cid, exp),)
-    pos = bisect_left(mono, (cid,))
-    if mono[pos][0] == cid:
-        return mono[:pos] + ((cid, mono[pos][1] + exp),) + mono[pos + 1 :]
-    return mono[:pos] + ((cid, exp),) + mono[pos:]
-
-
-def _merge_monomials(mono_a: Monomial, mono_b: Monomial) -> Monomial:
-    if len(mono_a) < len(mono_b):
-        mono_a, mono_b = mono_b, mono_a
-    for cid, exp in mono_b:
-        mono_a = _insert(mono_a, cid, exp)
-    return mono_a
+def _insert(mono: Monomial, cid: int) -> Monomial:
+    """mono times the coordinate ``cid``, kept sorted: appended after a last
+    id no larger than it, else placed by bisection."""
+    if not mono or mono[-1] <= cid:
+        return mono + (cid,)
+    pos = bisect_right(mono, cid)
+    return mono[:pos] + (cid,) + mono[pos:]
 
 
 def _add_into(store: dict, num: dict, scale: int = 1) -> None:
@@ -223,9 +221,13 @@ def _partials(num: dict) -> dict:
     in coordinate order."""
     parts: dict = {}
     for mono, n in num.items():
-        for pos, (c, e) in enumerate(mono):
-            lowered = ((c, e - 1),) if e > 1 else ()
-            rest = mono[:pos] + lowered + mono[pos + 1 :]
+        last, prev = len(mono) - 1, -1
+        for pos, c in enumerate(mono):
+            if c == prev:
+                continue
+            prev = c
+            e = mono.count(c) if pos < last and mono[pos + 1] == c else 1
+            rest = mono[:pos] + mono[pos + 1 :]
             # distinct monomials stay distinct once one c is removed
             part = parts.get(c)
             if part is None:
@@ -304,12 +306,16 @@ class Expr:
         """The expression with the given coefficients: a mapping
         ``{monomial: int | Fraction}`` or (monomial, coefficient) pairs such
         as ``terms()`` gives, each monomial a sequence of (coordinate,
-        exponent) pairs.  Zero coefficients are dropped."""
+        exponent) pairs with non-negative int exponents; the exponents of a
+        coordinate listed twice add.  Zero coefficients are dropped."""
         num: dict = {}
         den = 1
         if terms:
             items = terms.items() if isinstance(terms, Mapping) else terms
-            pairs = [(_monomial_of(mono), _split(q)) for mono, q in items if q]
+            # every monomial is read, so a bad exponent raises whatever its
+            # coefficient
+            pairs = [(_monomial_of(mono), q) for mono, q in items]
+            pairs = [(mono, _split(q)) for mono, q in pairs if q]
             den = lcm(*(d for _, (_, d) in pairs))
             # monomials that differ only in factor order meet in one id monomial
             for mono, (n, d) in pairs:
@@ -339,14 +345,15 @@ class Expr:
 
     @staticmethod
     def variable(coord) -> "Expr":
-        return _expr({((_id(tuple(coord)), 1),): 1}, 1)
+        return _expr({(_id(tuple(coord)),): 1}, 1)
 
     @staticmethod
     def monomial(powers: Mapping[tuple, int], coeff=1) -> "Expr":
+        mono = _monomial_of(powers.items())
         n, d = _split(coeff)
         if n == 0:
             return Expr.zero()
-        return _expr({_monomial_of(powers.items()): n}, d)
+        return _expr({mono: n}, d)
 
     # -- inspection --------------------------------------------------------
 
@@ -360,19 +367,20 @@ class Expr:
         the monomials sorted by the (key, exponent) pairs of their factors,
         each coefficient an int where integral and a Fraction otherwise."""
         den, coords, keys = self._den, _COORDS, _KEYS
-        ordered = [
-            (mono if len(mono) < 2 else sorted(mono, key=_pair_key), n)
+        # (key, exponent, id) per run of one id: the keys are distinct, so
+        # the sort compares (key, exponent) pairs and never an id or a numerator
+        ordered = sorted(
+            (sorted([(keys[c], mono.count(c), c) for c in dict.fromkeys(mono)]), n)
             for mono, n in self._num.items()
-        ]
-        if len(ordered) > 1:
-            ordered.sort(key=lambda item: [(keys[c], e) for c, e in item[0]])
+        )
         return [
-            (tuple([(coords[c], e) for c, e in mono]), n if den == 1 else _rational(n, den))
-            for mono, n in ordered
+            (tuple([(coords[c], e) for _, e, c in factors]),
+             n if den == 1 else _rational(n, den))
+            for factors, n in ordered
         ]
 
     def _ids(self) -> set:
-        return {c for mono in self._num for c, _ in mono}
+        return set().union(*self._num)
 
     def variables(self) -> set:
         return {_COORDS[c] for c in self._ids()}
@@ -440,36 +448,30 @@ class Expr:
             return _expr({mono: n * p for mono, n in self._num.items()}, den // g)
         return _reduced({mono: n * p for mono, n in self._num.items()}, den * q)
 
-    def _times_monomial(self, powers: Sequence, sign: int) -> "Expr":
-        """The monomial kernel: self * sign * prod c^e over the (id,
-        exponent) pairs of ``powers``, for sign = +-1.
+    def _times_monomial(self, ids: Monomial, sign: int) -> "Expr":
+        """The monomial kernel: self * sign * the monomial ``ids``, for
+        sign = +-1.
 
-        Each monomial gains the ids by insertion; a single power, as in
-        every product by one coordinate and every lift, is inserted inline.
+        Each monomial gains the ids by a sort; a single id, as in every
+        product by one coordinate and every lift, is inserted inline.
         Distinct monomials stay distinct and no numerator changes its
         magnitude, so the result needs neither accumulation nor a content
         reduction.
         """
-        if not powers:
+        if not ids:
             return self if sign == 1 else -self
         out = {}
-        if len(powers) != 1:
+        if len(ids) != 1:
             for mono, n in self._num.items():
-                for cid, exp in powers:
-                    mono = _insert(mono, cid, exp)
-                out[mono] = n if sign == 1 else -n
+                out[tuple(sorted(mono + ids))] = n if sign == 1 else -n
             return _expr(out, self._den)
-        (cid, exp), = powers
-        key = (cid,)
+        cid, = ids
         for mono, n in self._num.items():
-            if not mono or mono[-1][0] < cid:
-                mono = mono + ((cid, exp),)
+            if not mono or mono[-1] <= cid:
+                mono = mono + ids
             else:
-                pos = bisect_left(mono, key)
-                if mono[pos][0] == cid:
-                    mono = mono[:pos] + ((cid, mono[pos][1] + exp),) + mono[pos + 1 :]
-                else:
-                    mono = mono[:pos] + ((cid, exp),) + mono[pos:]
+                pos = bisect_right(mono, cid)
+                mono = mono[:pos] + ids + mono[pos:]
             out[mono] = n if sign == 1 else -n
         return _expr(out, self._den)
 
@@ -491,7 +493,7 @@ class Expr:
             other_items = other._num.items()
             for mono_a, n_a in self._num.items():
                 for mono_b, n_b in other_items:
-                    mono = _merge_monomials(mono_a, mono_b)
+                    mono = tuple(sorted(mono_a + mono_b))
                     acc = get(mono, 0) + n_a * n_b
                     if acc:
                         store[mono] = acc
@@ -555,11 +557,9 @@ class Expr:
         cid = _IDS.get(tuple(coord))
         part = {}
         for mono, n in self._num.items():
-            for pos, (c, e) in enumerate(mono):
-                if c == cid:
-                    lowered = ((c, e - 1),) if e > 1 else ()
-                    part[mono[:pos] + lowered + mono[pos + 1 :]] = n * e
-                    break
+            if cid in mono:
+                pos = mono.index(cid)
+                part[mono[:pos] + mono[pos + 1 :]] = n * mono.count(cid)
         return _reduced(part, self._den)
 
     def evaluate(self, values: Mapping[tuple, object]):
@@ -592,7 +592,7 @@ def _power_image(value: "Expr | None", cid: int, exp: int) -> Expr:
     """The image of the power c^exp when c maps to ``value``, or to itself
     when ``value`` is None; a zero value is not raised."""
     if value is None:
-        return _expr({((cid, exp),): 1}, 1)
+        return _expr({(cid,) * exp: 1}, 1)
     return value**exp if value._num else value
 
 
@@ -605,7 +605,12 @@ def _substituted(e: Expr, images: dict, image_of) -> Expr:
     acc = _Accumulator()
     for mono, n in e._num.items():
         term = _ONE
-        for power in mono:
+        last, prev = len(mono) - 1, -1
+        for pos, c in enumerate(mono):
+            if c == prev:
+                continue
+            prev = c
+            power = (c, mono.count(c) if pos < last and mono[pos + 1] == c else 1)
             image = images.get(power)
             if image is None:
                 image = images[power] = image_of(*power)
@@ -705,17 +710,22 @@ def total_derivative(
     store: dict = {}
     get = store.get
     for mono, n in e._num.items():
-        for pos, (c, exp) in enumerate(mono):
+        last, prev = len(mono) - 1, -1
+        for pos, c in enumerate(mono):
+            if c == prev:
+                continue
+            prev = c
             lifted = lifts.get(c)
             if lifted is None:
                 lifted = _lift(c, i)
             if lifted == _CONSTANT:
                 continue
-            image = mono[:pos] + (((c, exp - 1),) if exp > 1 else ()) + mono[pos + 1 :]
+            exp = mono.count(c) if pos < last and mono[pos + 1] == c else 1
+            image = mono[:pos] + mono[pos + 1 :]
             if lifted != _LOWER:
                 if orders[lifted] > limit:
                     _raise_order_bound(e, i, limit)
-                image = _insert(image, lifted, 1)
+                image = _insert(image, lifted)
             acc = get(image, 0) + n * exp
             if acc:
                 store[image] = acc
@@ -740,13 +750,13 @@ def times_lifts(e: Expr, coords: Sequence, directions: Sequence[int], sign: int)
     """``sign * e`` times the D_i lift of each y/z coordinate in ``coords``,
     z^a_I -> z^a_{I+i} with i the matching entry of ``directions``, for
     sign = +-1; the lifts are read from the lift table D_i reads."""
-    powers = []
+    ids = []
     for coord, i in zip(coords, directions):
         lifted = _lift(_id(coord), i)
         if lifted < 0:
             raise ValueError(f"{render_coordinate(coord)} has no holonomic lift")
-        powers.append((lifted, 1))
-    return e._times_monomial(powers, sign)
+        ids.append(lifted)
+    return e._times_monomial(tuple(ids), sign)
 
 
 # -- polynomial sections -----------------------------------------------------

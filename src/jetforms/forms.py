@@ -82,11 +82,6 @@ class DifferentialForm:
     def from_scalar(e: Expr) -> "DifferentialForm":
         return DifferentialForm(0, {(): e} if not e.is_zero else {})
 
-    @staticmethod
-    def basis(coord: tuple) -> "DifferentialForm":
-        """The one-form d(coord)."""
-        return DifferentialForm(1, {(coord,): Expr.one()})
-
     @property
     def is_zero(self) -> bool:
         return not self._terms
@@ -231,7 +226,7 @@ def is_semibasic(form: DifferentialForm, fibration) -> bool:
     if not isinstance(fibration, tuple) or len(fibration) != 2 or fibration[0] != "forgetful":
         raise ValueError(f"unknown fibration {fibration!r}")
     level = fibration[1]
-    for wedge_key in dict(form.terms()):
+    for wedge_key in form._terms:
         for b in wedge_key:
             if b[0] == "z" and len(b[2]) > level:
                 return False
@@ -297,10 +292,9 @@ def render_form(form: DifferentialForm) -> str:
     if form.is_zero:
         return "0"
     parts = []
-    for wedge_key in sorted(
-        dict(form.terms()), key=lambda w: tuple(coordinate_sort_key(c) for c in w)
+    for wedge_key, coeff in sorted(
+        form.terms(), key=lambda item: tuple(coordinate_sort_key(c) for c in item[0])
     ):
-        coeff = form.coefficient(wedge_key)
         body = "^".join("d" + render_coordinate(c) for c in wedge_key)
         if not body:
             parts.append(f"({render_expr(coeff)})")

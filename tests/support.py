@@ -1,10 +1,10 @@
 """Helpers that only the tests call: the Cartan-formula Lie derivative, the
-contact forms of a jet space, the boundary form summed from them, the
-contact-ideal test built from them, the one-scan vertical contractions of a
-form and their holonomic reductions, a seeded random polynomial generator,
-generic sections with free coefficients, the wave example's Lagrangian
-built in Python, a reference ring, the determinant by minors, and the Expr
-kernels the library replaced.
+basis one-forms dc, the contact forms of a jet space, the boundary form
+summed from them, the contact-ideal test built from them, the one-scan
+vertical contractions of a form and their holonomic reductions, a seeded
+random polynomial generator, generic sections with free coefficients, the
+wave example's Lagrangian built in Python, a reference ring, the determinant
+by minors, and the Expr kernels the library replaced.
 
 The library reaches the same statements by other routes (prolongation from
 the characteristic jets, the symmetry test through E d_m x, the
@@ -49,6 +49,11 @@ def lie_derivative(X: VectorFieldOnJet, form: DifferentialForm) -> DifferentialF
     if form.degree == 0:
         return interior_product(X, form.d())
     return interior_product(X, form.d()) + interior_product(X, form).d()
+
+
+def basis_form(coord: tuple) -> DifferentialForm:
+    """The one-form d(coord)."""
+    return DifferentialForm(1, {(coord,): Expr.one()})
 
 
 def contact_form(cfg: JetConfig, a: int, indices: tuple) -> DifferentialForm:

@@ -52,7 +52,13 @@ from jetforms.jets import (
     multiindices,
 )
 from jetforms.wave import wave_problem
-from tests.support import coeff_symbol, contact_form, random_expr, vertical_contractions
+from tests.support import (
+    basis_form,
+    coeff_symbol,
+    contact_form,
+    random_expr,
+    vertical_contractions,
+)
 
 
 def test_phi_from_lagrangian_examples():
@@ -541,8 +547,8 @@ def test_derive_treats_coefficient_symbols_as_constants():
     c, z = Expr.variable(coeff_symbol("c")), z_var(1, (1,))
     theta = derive(cfg, c * z**2).theta_symmetric
     assert theta.form == (
-        DifferentialForm.basis(base_coord(1)) * (-c * z**2)
-        + DifferentialForm.basis(field_coord(1)) * (2 * c * z)
+        basis_form(base_coord(1)) * (-c * z**2)
+        + basis_form(field_coord(1)) * (2 * c * z)
     )
 
 
@@ -557,6 +563,59 @@ def test_dedonder_form_rejects_boundary_form_of_another_lagrangian():
         dedonder_form(cfg, L2, xi)
     # L1 plus a function of x alone has the same Phi: accepted
     assert dedonder_form(cfg, L1 + x_var(1) ** 2, xi).boundary is xi
+
+
+def test_dedonder_form_takes_the_gradient_only_for_a_phi_of_another_lagrangian(monkeypatch):
+    # a Phi that of_lagrangian made from this very L, with an equal cfg,
+    # holds L's partials by construction; every other Phi is compared
+    cfg = JetConfig(2, 1, 2)
+    L = z_var(1, (1, 1)) ** 2 + y_var(1) * z_var(1, (2,))
+    _, dec = phi_from_lagrangian(cfg, L)
+    xi = assemble_boundary_form(symmetric_boundary_coefficients(dec), dec)
+    gradients = []
+    of_lagrangian = PhiDecomposition.of_lagrangian
+
+    def counted(cfg, L):
+        gradients.append(L)
+        return of_lagrangian(cfg, L)
+
+    monkeypatch.setattr(PhiDecomposition, "of_lagrangian", counted)
+    theta = dedonder_form(cfg, L, xi)
+    assert theta.boundary is xi and gradients == []
+    assert dedonder_form(JetConfig(2, 1, 2), L, xi).form == theta.form and gradients == []
+    equal = z_var(1, (1, 1)) ** 2 + y_var(1) * z_var(1, (2,))
+    assert equal == L and equal is not L
+    assert dedonder_form(cfg, equal, xi).form == theta.form and gradients == [equal]
+    other = z_var(1, (1, 2)) ** 2
+    with pytest.raises(ValueError, match=r"built against d\(L d_m x\)"):
+        dedonder_form(cfg, other, xi)
+    assert gradients == [equal, other]
+    hand = PhiDecomposition(cfg, dict(dec.components))
+    hand_xi = assemble_boundary_form(symmetric_boundary_coefficients(hand), hand)
+    assert dedonder_form(cfg, L, hand_xi).form == theta.form and gradients == [equal, other, L]
+    with pytest.raises(ValueError, match=r"built against d\(L d_m x\)"):
+        dedonder_form(cfg, other, hand_xi)
+
+
+def test_a_holding_splitting_system_forms_no_residual(monkeypatch):
+    # each (a, I) compares S + D with Phi; only a failing one subtracts
+    wp = wave_problem()
+    dec, coeffs = wp.decomposition, wp.boundary_symmetric.coefficients
+    subtractions = []
+    sub = Expr.__sub__
+
+    def counted(self, other):
+        subtractions.append(other)
+        return sub(self, other)
+
+    monkeypatch.setattr(Expr, "__sub__", counted)
+    assert _check_splitting_system(dec, coeffs) == []
+    assert subtractions == []
+    corrupted = dict(coeffs.table)
+    corrupted[(1, 1, (1,))] = corrupted[(1, 1, (1,))] + y_var(1)
+    failures = _check_splitting_system(dec, BoundaryCoefficients(wp.cfg, corrupted))
+    assert [(a, I) for a, I, _ in failures] == [(1, (1,)), (1, (1, 1))]
+    assert len(subtractions) == len(failures)
 
 
 def test_skew_perturbation_invariance():

@@ -51,6 +51,32 @@ def test_ring_basics():
         z1 / 0
 
 
+@pytest.mark.parametrize("exp", [-1, -2, Fraction(3, 2), Fraction(2), 1.5, 2.0, "2"])
+def test_an_exponent_must_be_a_non_negative_int(exp):
+    # x[1]^-1 is no polynomial, and x[1]^2 * x[1]^-2 used to give 3*x[1]^0,
+    # an Expr unequal to the constant 3
+    x1 = base_coord(1)
+    message = r"the exponent of x\[1\] must be a non-negative integer"
+    with pytest.raises(ValueError, match=message):
+        Expr.monomial({x1: exp})
+    with pytest.raises(ValueError, match=message):
+        Expr.monomial({x1: exp}, 0)
+    with pytest.raises(ValueError, match=message):
+        Expr({((x1, 2), (x1, exp)): 3})
+    with pytest.raises(ValueError, match=message):
+        Expr([(((x1, exp),), 0)])
+
+
+def test_exponents_of_a_coordinate_listed_twice_add():
+    x1, y1 = base_coord(1), field_coord(1)
+    assert Expr({((x1, 2), (y1, 1), (x1, 1)): 3}) == 3 * x_var(1) ** 3 * y_var(1)
+    assert Expr({((x1, 2), (x1, 0)): 3}) == 3 * x_var(1) ** 2
+    assert Expr({((x1, 0),): 3}) == Expr.constant(3)
+    assert Expr.monomial({x1: 0, y1: 2}) == y_var(1) ** 2
+    # the two listings of one monomial meet in one term
+    assert Expr([(((x1, 1), (x1, 1)), 1), (((x1, 2),), 1)]) == 2 * x_var(1) ** 2
+
+
 def test_partial_examples():
     z11 = z_var(1, (1, 1))
     assert (z11**2).partial(jet_coord(1, (1, 1))) == 2 * z11

@@ -25,15 +25,21 @@ from jetforms.forms import (
 )
 from jetforms.jets import JetConfig, base_coord, enumerate_coordinates, field_coord, jet_coord
 from jetforms.wave import wave_problem
-from tests.support import contact_forms, lie_derivative, random_expr, vertical_contractions
+from tests.support import (
+    basis_form,
+    contact_forms,
+    lie_derivative,
+    random_expr,
+    vertical_contractions,
+)
 
 
 def form_dx(i):
-    return DifferentialForm.basis(base_coord(i))
+    return basis_form(base_coord(i))
 
 
 def form_dy(a):
-    return DifferentialForm.basis(field_coord(a))
+    return basis_form(field_coord(a))
 
 
 def test_wedge_examples():
@@ -51,7 +57,7 @@ def test_coordinate_is_its_own_wedge_factor():
     one = DifferentialForm.from_scalar(Expr.one())
     for cfg in (JetConfig(1, 1, 1), JetConfig(2, 2, 2), JetConfig(3, 1, 2)):
         for c in enumerate_coordinates(cfg, cfg.working_order):
-            dc = DifferentialForm.basis(c)
+            dc = basis_form(c)
             assert DifferentialForm.from_scalar(Expr.variable(c)).d() == dc, c
             assert interior_product(basis_vector(c), dc) == one, c
 
@@ -80,7 +86,7 @@ def random_form(rng, cfg, basis, degree, terms=3):
         chosen = rng.sample(basis, degree) if degree else []
         block = DifferentialForm.from_scalar(random_expr(rng, cfg, 1, degree=2, terms=2))
         for b in chosen:
-            block = block.wedge(DifferentialForm.basis(b))
+            block = block.wedge(basis_form(b))
         out = out + block
     return out
 
@@ -120,9 +126,9 @@ def test_interior_product_examples():
     vol = volume_form(cfg)
     # d/dx^i -| d_2x = delta_i^1 dx2 - delta_i^2 dx1
     c1 = base_contraction(cfg, 1)
-    assert c1 == DifferentialForm.basis(base_coord(2))
+    assert c1 == basis_form(base_coord(2))
     c2 = base_contraction(cfg, 2)
-    assert c2 == -DifferentialForm.basis(base_coord(1))
+    assert c2 == -basis_form(base_coord(1))
     # Y_T -| dx^j = delta_1^j
     y_t = basis_vector(base_coord(1))
     assert interior_product(y_t, form_dx(1)) == DifferentialForm.from_scalar(Expr.one())
@@ -185,7 +191,7 @@ def reference_holonomic_reduce(form, cfg):
         partial = DifferentialForm(0, {(): coeff})
         for b in wedge_key:
             if b[0] == "x":
-                factor = DifferentialForm.basis(b)
+                factor = basis_form(b)
             else:
                 indices = b[2] if b[0] == "z" else ()
                 terms = {}
@@ -215,17 +221,17 @@ def test_holonomic_reduce_matches_wedge_chain_reference():
 
 def test_holonomic_reduce_rejects_order_overflow():
     cfg = JetConfig(2, 1, 2)  # dz of order 2k = 4 would lift to order 5
-    deep = DifferentialForm.basis(jet_coord(1, (1, 1, 1, 2)))
+    deep = basis_form(jet_coord(1, (1, 1, 1, 2)))
     # raised even where no base direction is left for the factor
     crowded = volume_form(cfg).wedge(deep)
-    for form in (deep, crowded, deep + DifferentialForm.basis(field_coord(1))):
+    for form in (deep, crowded, deep + basis_form(field_coord(1))):
         with pytest.raises(ValueError, match="jet order 5"):
             holonomic_reduce(form, cfg)
         with pytest.raises(ValueError):
             reference_holonomic_reduce(form, cfg)
-    assert holonomic_reduce(DifferentialForm.basis(jet_coord(1, (1, 1, 2))), cfg) == (
-        DifferentialForm.basis(base_coord(1)) * z_var(1, (1, 1, 1, 2))
-        + DifferentialForm.basis(base_coord(2)) * z_var(1, (1, 1, 2, 2))
+    assert holonomic_reduce(basis_form(jet_coord(1, (1, 1, 2))), cfg) == (
+        basis_form(base_coord(1)) * z_var(1, (1, 1, 1, 2))
+        + basis_form(base_coord(2)) * z_var(1, (1, 1, 2, 2))
     )
 
 
@@ -331,7 +337,7 @@ def test_lie_derivative_matches_flow_oracle():
             form_dx(1).wedge(form_dy(1))
         )
         + DifferentialForm.from_scalar(y_var(1) - 2).wedge(
-            form_dy(1).wedge(DifferentialForm.basis(jet_coord(1, (1,))))
+            form_dy(1).wedge(basis_form(jet_coord(1, (1,))))
         )
     )
     point = {x: 0.3, y: -0.7, z1: 1.1}
@@ -426,7 +432,7 @@ def test_is_semibasic():
     assert vertical_contractions(mixed) != {}
     # over the target map: every dz factor has |I| >= 1
     assert is_semibasic(mixed, ("forgetful", 0))
-    deep = DifferentialForm.basis(jet_coord(1, (1, 1, 2)))
+    deep = basis_form(jet_coord(1, (1, 1, 2)))
     assert not is_semibasic(deep, ("forgetful", 0))
     assert not is_semibasic(deep, ("forgetful", 1))
     assert is_semibasic(deep, ("forgetful", 3))

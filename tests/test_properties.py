@@ -68,6 +68,7 @@ from jetforms.prolongations import ProjectableField, prolong  # noqa: E402
 from tests.support import (  # noqa: E402
     ReferenceExpr,
     assert_canonical,
+    basis_form,
     contact_boundary_form,
     generic_product,
     lie_derivative,
@@ -138,7 +139,7 @@ def forms(draw, degree):
         max_size=3,
     ))
     return DifferentialForm.sum(degree, (
-        DifferentialForm.from_scalar(coeff).wedge(wedge_all(map(DifferentialForm.basis, w)))
+        DifferentialForm.from_scalar(coeff).wedge(wedge_all(map(basis_form, w)))
         for w, coeff in terms
     ))
 
@@ -212,13 +213,23 @@ def test_substitute_matches_the_reference_ring(u, replacements):
 
 
 # x, y and z up to the working order 2k-1 = 3, where D_i meets its bound,
-# and two coefficient symbols; exponents up to 3
+# and two coefficient symbols; exponents up to 6, so that a monomial holds
+# long runs of one coordinate
 KERNEL_COORDS = enumerate_coordinates(CFG, CFG.working_order) + [("c", "s"), ("c", "t")]
-kernel_monomials = st.dictionaries(st.sampled_from(KERNEL_COORDS), st.integers(1, 3), max_size=3)
+kernel_monomials = st.dictionaries(st.sampled_from(KERNEL_COORDS), st.integers(1, 6), max_size=3)
+kernel_powers = st.tuples(st.sampled_from(KERNEL_COORDS), st.integers(0, 6))
+# (coordinate, exponent) lists that name one coordinate twice, around up to
+# two other powers, for Expr(terms) to add
+listed_monomials = st.builds(
+    lambda coord, first, others, last: [(coord, first), *others, (coord, last)],
+    st.sampled_from(KERNEL_COORDS), st.integers(0, 6), st.lists(kernel_powers, max_size=2),
+    st.integers(0, 6),
+)
 kernel_operands = st.one_of(
     st.lists(st.tuples(kernel_monomials, rationals), max_size=4).map(
         lambda terms: Expr.sum(Expr.monomial(powers, c) for powers, c in terms)
     ),
+    st.lists(st.tuples(listed_monomials, rationals), max_size=4).map(Expr),
     # one monomial times +-1, the monomial route, or times another rational
     st.builds(Expr.monomial, kernel_monomials, st.sampled_from((1, -1))),
     st.builds(Expr.monomial, kernel_monomials, rationals.filter(bool)),
@@ -231,6 +242,21 @@ def outcome(kernel, *args):
         return render_expr(kernel(*args))
     except ValueError as exc:
         return f"ValueError: {exc}"
+
+
+@PROPERTY
+@given(st.lists(st.tuples(listed_monomials, rationals), max_size=4))
+def test_a_coordinate_listed_twice_adds_its_exponents(terms):
+    def merged(powers):
+        out: dict = {}
+        for coord, exp in powers:
+            out[coord] = out.get(coord, 0) + exp
+        return out
+
+    got = Expr(terms)
+    expected = ReferenceExpr.sum(ReferenceExpr.monomial(merged(mono), c) for mono, c in terms)
+    assert render_expr(got) == render_expr(expected)
+    assert_canonical(got)
 
 
 @PROPERTY
@@ -251,6 +277,19 @@ def test_total_derivative_matches_the_two_pass_kernel(a, i, max_order):
     assert got == outcome(two_pass_total_derivative, a, i, CFG, max_order)
     if not got.startswith("ValueError"):
         assert_canonical(total_derivative(a, i, CFG, max_order))
+
+
+@PROPERTY
+@given(kernel_operands)
+def test_partial_and_gradient_match_the_reference_ring(a):
+    expected = ReferenceExpr(dict(a.terms())).gradient()
+    gradient = a.gradient()
+    assert list(gradient) == sorted(expected, key=coordinate_sort_key)
+    for c in KERNEL_COORDS:
+        text = render_expr(expected[c]) if c in expected else "0"
+        for got in (gradient.get(c, Expr.zero()), a.partial(c)):
+            assert render_expr(got) == text
+            assert_canonical(got)
 
 
 @PROPERTY
@@ -283,7 +322,7 @@ REVERSED = [field_coord(7)] + [
 for _coord in reversed(REVERSED):
     Expr.variable(_coord)
 mixed_monomials = st.dictionaries(
-    st.sampled_from(KERNEL_COORDS + REVERSED), st.integers(1, 3), max_size=4
+    st.sampled_from(KERNEL_COORDS + REVERSED), st.integers(1, 6), max_size=4
 )
 mixed_operands = st.lists(st.tuples(mixed_monomials, rationals), max_size=5).map(
     lambda terms: Expr.sum(Expr.monomial(powers, c) for powers, c in terms)
@@ -339,7 +378,7 @@ def coordinate_lie_derivative(X, form):
     every factor, independent of interior products."""
     pieces = []
     for wedge, f in form.terms():
-        factors = [DifferentialForm.basis(b) for b in wedge]
+        factors = [basis_form(b) for b in wedge]
         directional = Expr.sum(comp * f.partial(c) for c, comp in X.items())
         pieces.append(DifferentialForm.from_scalar(directional).wedge(wedge_all(factors)))
         for j, b in enumerate(wedge):
@@ -365,7 +404,7 @@ def test_section_substitution_commutes_with_total_derivative(e, component, i):
 
 
 # x, y and z up to the expression order 2k = 4 and a coefficient symbol,
-# exponents up to 3; the components are polynomials in x and the symbol,
+# exponents up to 6; the components are polynomials in x and the symbol,
 # zero included, so zero components and derivatives past their degree give
 # zero images
 SECTION_COORDS = (
@@ -373,7 +412,7 @@ SECTION_COORDS = (
     + [jet_coord(1, I) for I in multiindices(CFG.m, CFG.expression_order)]
     + [("c", "s")]
 )
-section_monomials = st.dictionaries(st.sampled_from(SECTION_COORDS), st.integers(1, 3),
+section_monomials = st.dictionaries(st.sampled_from(SECTION_COORDS), st.integers(1, 6),
                                     max_size=3)
 section_operands = st.lists(st.tuples(section_monomials, rationals), max_size=4).map(
     lambda terms: Expr.sum(Expr.monomial(powers, c) for powers, c in terms)
