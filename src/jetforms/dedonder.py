@@ -145,13 +145,15 @@ class PhiDecomposition:
         return self.components.get(jet_coord(a, indices), Expr.zero())
 
     def form(self) -> DifferentialForm:
-        """Reassemble Phi from its components."""
-        vol = volume_form(self.cfg)
-        return DifferentialForm.sum(
-            self.cfg.m + 1,
-            (DifferentialForm(1, {(c,): value}).wedge(vol)
-             for c, value in self.components.items()),
-        )
+        """Reassemble Phi = sum_c Phi_c dc ^ d_m x from its components, one
+        term each: dc sorts after the m factors dx^i, so the term is
+        (x^1, ..., x^m, c) -> (-1)^m Phi_c."""
+        m = self.cfg.m
+        base = tuple(base_coord(i) for i in range(1, m + 1))
+        return DifferentialForm(m + 1, {
+            base + (c,): -value if m % 2 else value
+            for c, value in self.components.items() if not value.is_zero
+        })
 
 
 def phi_from_lagrangian(cfg: JetConfig, L: Expr):
@@ -545,8 +547,11 @@ def dedonder_form(cfg: JetConfig, L: Expr, xi: BoundaryForm) -> DeDonderForm:
     A ``xi.phi`` that :meth:`PhiDecomposition.of_lagrangian` made from this
     very L, with a ``cfg`` equal to this one, holds them by construction and
     is taken without a second gradient of L; any other is compared with the
-    partials of L, which are checked against ``cfg`` first.
+    partials of L, which are checked against ``cfg`` first.  A Xi of another
+    configuration than ``cfg`` raises a ``ValueError`` naming both.
     """
+    if xi.cfg != cfg:
+        raise ValueError(f"a boundary form of {xi.cfg} cannot make a De Donder form of {cfg}")
     phi = xi.phi
     if phi is None or phi._lagrangian is not L or phi.cfg != cfg:
         partials = PhiDecomposition.of_lagrangian(cfg, L).components

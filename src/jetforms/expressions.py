@@ -64,7 +64,11 @@ as holonomic.  ``total_derivative`` walks each monomial once: it lowers the
 x^i factor, and lifts each y/z factor in place, dropping one copy of its id
 and inserting the lift's id, read from the shared lift table, into the rest of
 the monomial.  A lift beyond the jet-order bound raises the ``ValueError``
-of the first such coordinate in coordinate order.  ``Expr.substitute`` and
+of the first such coordinate in coordinate order.  ``Expr.derivation``
+applies a vector field, sum_c Y^c d/dc, plus a multiple of the identity in
+one walk of each monomial: every power of a coordinate in the field adds the
+rest of the monomial times the field's entry straight into one sum, with no
+partial derivative and no product Expr in between.  ``Expr.substitute`` and
 ``substitute_section`` run one substitution loop, which adds every
 numerator times the product of the images of its powers into one
 accumulator; a monomial stops at its first power whose image is zero.  The
@@ -550,6 +554,55 @@ class Expr:
         """
         den = self._den
         return {_COORDS[c]: _reduced(part, den) for c, part in _partials(self._num).items()}
+
+    def derivation(self, field: Mapping[tuple, "Expr"], weight: "Expr") -> "Expr":
+        """sum_c field[c] d(self)/dc + weight * self, in one scan of the
+        monomials; ``field`` maps coordinates to Exprs, missing ones zero.
+
+        Each power c^p of a monomial, c in the field, adds p times the rest
+        of the monomial times each term of field[c] straight into one sum of
+        numerators over the common denominator of the field and the weight,
+        and so does the whole monomial times each term of the weight; no
+        partial derivative and no product Expr is built.
+        """
+        # id -> numerators of field[c], and None -> those of the weight, all
+        # over one denominator; a coordinate never seen occurs in no monomial
+        parts = [(_IDS[c], v) for c, v in field.items() if v._num and c in _IDS]
+        if weight._num:
+            parts.append((None, weight))
+        common = lcm(1, *(v._den for _, v in parts))
+        images = {
+            cid: [(mono, n * (common // v._den)) for mono, n in v._num.items()]
+            for cid, v in parts
+        }
+        scaled = images.pop(None, ())
+        store: dict = {}
+        get = store.get
+        for mono, n in self._num.items():
+            prev = -1
+            for pos, c in enumerate(mono):
+                if c == prev:
+                    continue
+                prev = c
+                image = images.get(c)
+                if image is None:
+                    continue
+                rest, scale = mono[:pos] + mono[pos + 1 :], n * mono.count(c)
+                for fmono, fn in image:
+                    key = tuple(sorted(rest + fmono))
+                    acc = get(key, 0) + scale * fn
+                    if acc:
+                        store[key] = acc
+                    else:
+                        del store[key]
+            for fmono, fn in scaled:
+                key = tuple(sorted(mono + fmono))
+                acc = get(key, 0) + n * fn
+                if acc:
+                    store[key] = acc
+                else:
+                    del store[key]
+        return _reduced(store, self._den * common)
 
     def partial(self, coord) -> "Expr":
         """Formal partial derivative w.r.t. one canonical coordinate, from

@@ -2,25 +2,34 @@
 
 A projectable field Y = Y^i(x) d/dx^i + Y^a(x,y) d/dy^a lifts uniquely to
 each jet space so that its flow commutes with jet extension.  Every
-prolonged object here reads one kernel, :func:`characteristic_jets`, the
-total derivatives D_I Q^a of the characteristic Q^a = Y^a - z^a_j Y^j
-(P. J. Olver, *Applications of Lie Groups to Differential Equations*,
-Thm 2.36 and 4.12).  The prolonged jet components are
+prolonged object here reads one table, the jet components built level by
+level by the recursive form of the prolongation formula (P. J. Olver,
+*Applications of Lie Groups to Differential Equations*, ch. 2 and 4):
 
-    Y^a_I = D_I Q^a + sum_j Y^j z^a_{I+j} ,
+    Y^a_() = Y^a ,   Y^a_{I+j} = D_j Y^a_I - sum_i (d_j Y^i) z^a_{I+i} ,
+
+valid because the base components depend on x only.  Each canonical I is
+reached along the one path (I[:-1], I[-1]).  A translation multiplies
+nothing, and a field with constant d_j Y^i multiplies one constant by one
+coordinate per correction.  The total derivatives of the characteristic
+Q^a = Y^a - z^a_j Y^j are read off the same table,
+
+    D_I Q^a = Y^a_I - sum_j Y^j z^a_{I+j} ,
 
 and the symmetry test forms the one scalar
 
-    E = sum_c Y^{k,c} dL/dc + L sum_i d_i Y^i ,
+    E = sum_c Y^{k,c} dL/dc + L sum_i d_i Y^i
 
-so that L_{Y^k}(L d_m x) = E d_m x, as Y^i depends on x only.
+in one scan of the monomials of L (:meth:`Expr.derivation`), so that
+L_{Y^k}(L d_m x) = E d_m x, as Y^i depends on x only.
 
 Currents need only D_T Q^a = Y^r -| theta^a_T, with |T| <= k-1 since Xi is
 semi-basic over J^{k-1}:
 
-    h(Y -| Theta) = sum_i [Y^i L + sum p^{i,T}_a D_T Q^a] d/dx^i -| d_m x .
+    h(Y -| Theta) = sum_i [Y^i L + sum p^{i,T}_a D_T Q^a] d/dx^i -| d_m x ,
 
-Everything here is exact; the flow oracle that corroborates :func:`prolong`
+with a section substituted into L, p and D_T Q^a afterwards.  Everything
+here is exact; the flow oracle that corroborates :func:`prolong`
 numerically lives in :mod:`jetforms.numeric`.
 """
 from __future__ import annotations
@@ -84,13 +93,36 @@ class ProjectableField:
         ) and all(_is_affine(c, ("x", "y")) for c in self.vertical_components)
 
 
+def _jet_components(Y: ProjectableField, order: int) -> dict:
+    """{(a, I): Y^a_I} for canonical |I| <= order, zeros kept, by
+
+        Y^a_() = Y^a ,   Y^a_{I+j} = D_j Y^a_I - sum_i (d_j Y^i) z^a_{I+i} ,
+
+    each I reached from (I[:-1], I[-1]).  The correction reads the partials
+    d_j Y^i once, as Y^i depends on x only; a zero partial enters no
+    product."""
+    cfg = Y.cfg
+    shifts = {}
+    for j in range(1, cfg.m + 1):
+        parts = [(i, comp.partial(base_coord(j))) for i, comp in enumerate(Y.base_components, 1)]
+        shifts[j] = [(i, -part) for i, part in parts if not part.is_zero]
+    jets = {(a, ()): comp for a, comp in enumerate(Y.vertical_components, 1)}
+    for level in range(1, order + 1):
+        for a, I in product(range(1, cfg.n + 1), multiindices(cfg.m, level)):
+            J, j = I[:-1], I[-1]
+            value = total_derivative(jets[(a, J)], j, cfg)
+            if shifts[j]:
+                value = Expr.sum([value, *(z_var(a, J + (i,)) * part for i, part in shifts[j])])
+            jets[(a, I)] = value
+    return jets
+
+
 def prolong(Y: ProjectableField, order: int) -> dict:
     """Prolongation of Y to the order-``order`` jet space.
 
     Returns the vector field as a map coordinate -> nonzero Expr: the base
-    components as given and Y^a_I = D_I Q^a + sum_j Y^j z^a_{I+j} for
-    |I| <= order.  Each canonical I is reached along one path of total
-    derivatives, so their commutativity needs no check here.
+    components as given and the jet components Y^a_I for |I| <= order, in
+    the order of :func:`characteristic_jets`.
     """
     cfg = Y.cfg
     if not 1 <= order <= cfg.working_order:
@@ -98,12 +130,7 @@ def prolong(Y: ProjectableField, order: int) -> dict:
     components = {
         base_coord(i): comp for i, comp in enumerate(Y.base_components, 1) if not comp.is_zero
     }
-    for (a, I), dq in characteristic_jets(Y, order).items():
-        value = dq + Expr.sum(
-            z_var(a, I + (j,)) * comp
-            for j, comp in enumerate(Y.base_components, 1)
-            if not comp.is_zero
-        )
+    for (a, I), value in _jet_components(Y, order).items():
         if not value.is_zero:
             components[jet_coord(a, I)] = value
     return components
@@ -113,43 +140,32 @@ def is_symmetry(Y: ProjectableField, L: Expr):
     """Strict infinitesimal-symmetry test of the Lagrangian L along Y.
 
     With E = sum_c Y^{k,c} dL/dc + L sum_i d_i Y^i, the residual E d_m x is
-    L_{Y^k}(L d_m x).  Returns (E == 0, E d_m x); a divergence symmetry,
-    with E a nonzero total divergence, does not pass.  L must lie within
-    ``Y.cfg`` (:func:`jetforms.dedonder.check_lagrangian`).
+    L_{Y^k}(L d_m x).  E is one derivation of L along the prolonged field,
+    with no gradient of L.  Returns (E == 0, E d_m x); a divergence
+    symmetry, with E a nonzero total divergence, does not pass.  L must lie
+    within ``Y.cfg`` (:func:`jetforms.dedonder.check_lagrangian`).
     """
     cfg = Y.cfg
     check_lagrangian(cfg, L)
-    lifted = prolong(Y, cfg.k)
     divergence = Expr.sum(
         comp.partial(base_coord(i)) for i, comp in enumerate(Y.base_components, 1)
     )
-    variation = Expr.sum(
-        lifted[c] * partial for c, partial in L.gradient().items() if c in lifted
-    ) + L * divergence
+    variation = L.derivation(prolong(Y, cfg.k), divergence)
     return variation.is_zero, volume_form(cfg) * variation
 
 
-def characteristic_jets(
-    Y: ProjectableField, order: int, section: PolynomialSection | None = None
-) -> dict:
-    """{(a, I): D_I Q^a} for canonical |I| <= order, Q^a = Y^a - z^a_j Y^j; a
-    section is substituted into Q first, so D_I then acts on x-polynomials.
-    D_I Q^a may reach jet order |I| + 1, up to the expression order 2k."""
-    cfg = Y.cfg
-    jets = {}
-    for a in range(1, cfg.n + 1):
-        q = Y.vertical_components[a - 1] - Expr.sum(
-            z_var(a, (j,)) * comp
-            for j, comp in enumerate(Y.base_components, 1)
-            if not comp.is_zero
-        )
-        jets[(a, ())] = q if section is None else substitute_section(q, section)
-    for level in range(1, order + 1):
-        for a, I in product(range(1, cfg.n + 1), multiindices(cfg.m, level)):
-            jets[(a, I)] = total_derivative(
-                jets[(a, I[:-1])], I[-1], cfg, max_order=cfg.expression_order
-            )
-    return jets
+def characteristic_jets(Y: ProjectableField, order: int) -> dict:
+    """{(a, I): D_I Q^a} for canonical |I| <= order, Q^a = Y^a - z^a_j Y^j,
+    read off the prolonged components as Y^a_I - sum_j Y^j z^a_{I+j}.
+    D_I Q^a may reach jet order |I| + 1."""
+    base = [(j, -comp) for j, comp in enumerate(Y.base_components, 1) if not comp.is_zero]
+    jets = _jet_components(Y, order)
+    if not base:
+        return jets
+    return {
+        (a, I): Expr.sum([value, *(z_var(a, I + (j,)) * comp for j, comp in base)])
+        for (a, I), value in jets.items()
+    }
 
 
 def noether_current(
@@ -158,7 +174,7 @@ def noether_current(
     """The current j sigma*(Y^{2k-1} -| Theta), an (m-1)-form on the base.
 
     sum_i [Y^i L + sum p^{i,T}_a D_T Q^a] d/dx^i -| d_m x, |T| <= k-1 as Theta
-    is semi-basic over J^{k-1}, with sigma substituted into L, p and Q first.
+    is semi-basic over J^{k-1}, with sigma substituted into L, p and D_T Q.
     With ``section=None`` nothing is substituted and the result is the
     holonomic reduction of Y^{2k-1} -| Theta, with jet-coordinate
     coefficients; on sampled jets it gives the numeric densities.  Closed
@@ -170,12 +186,13 @@ def noether_current(
     if section is not None:
         theta.check_section(section)
     pull = (lambda e: e) if section is None else (lambda e: substitute_section(e, section))
-    jets = characteristic_jets(Y, cfg.k - 1, section)
+    jets = {key: pull(dq) for key, dq in characteristic_jets(Y, cfg.k - 1).items()}
     lagrangian = pull(theta.lagrangian)
     densities = [[Y.base_components[i] * lagrangian] for i in range(cfg.m)]
     for (a, i, tail), p in theta.boundary.coefficients.table.items():
-        if not jets[(a, tail)].is_zero:
-            densities[i - 1].append(pull(p) * jets[(a, tail)])
+        dq = jets[(a, tail)]
+        if not dq.is_zero:
+            densities[i - 1].append(pull(p) * dq)
     return DifferentialForm.sum(cfg.m - 1, (
         base_contraction(cfg, i) * Expr.sum(terms) for i, terms in enumerate(densities, 1)
     ))

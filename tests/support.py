@@ -4,10 +4,13 @@ summed from them, the contact-ideal test built from them, the one-scan
 vertical contractions of a form and their holonomic reductions, a seeded
 random polynomial generator, generic sections with free coefficients, the
 wave example's Lagrangian built in Python, a reference ring, the determinant
-by minors, and the Expr kernels the library replaced.
+by minors, the Expr kernels the library replaced, and the prolongation,
+symmetry test, characteristic jets and currents by the total derivatives of
+the characteristic Q^a.
 
-The library reaches the same statements by other routes (prolongation from
-the characteristic jets, the symmetry test through E d_m x, the
+The library reaches the same statements by other routes (prolongation by
+the recursive formula, the symmetry test through E d_m x in one scan of L,
+the characteristic jets and currents read off the prolonged components, the
 boundary-form conditions through the splitting system of the coefficients,
 the boundary form written from its coefficient table, the wave example
 read from its fixture,
@@ -25,13 +28,21 @@ import itertools
 from fractions import Fraction
 from math import gcd
 
-from jetforms.expressions import Expr, PolynomialSection, z_var
+from jetforms.dedonder import DeDonderForm, check_lagrangian
+from jetforms.expressions import (
+    Expr,
+    PolynomialSection,
+    substitute_section,
+    total_derivative,
+    z_var,
+)
 from jetforms.forms import (
     DifferentialForm,
     VectorFieldOnJet,
     base_contraction,
     holonomic_reduce,
     interior_product,
+    volume_form,
 )
 from jetforms.jets import (
     JetConfig,
@@ -425,3 +436,83 @@ def assert_canonical(e: Expr) -> None:
     assert all(type(n) is int and n != 0 for n in num), num
     assert gcd(den, *num) == 1, (den, num)
     assert num or den == 1, den
+
+
+# -- the prolongation routes the library replaced ----------------------------
+
+
+def reference_characteristic_jets(
+    Y: ProjectableField, order: int, section: PolynomialSection | None = None
+) -> dict:
+    """{(a, I): D_I Q^a} for canonical |I| <= order by total derivatives of
+    Q^a = Y^a - z^a_j Y^j itself, a section substituted into Q first, so
+    that D_I then acts on x-polynomials."""
+    cfg = Y.cfg
+    jets = {}
+    for a in range(1, cfg.n + 1):
+        q = Y.vertical_components[a - 1] - Expr.sum(
+            z_var(a, (j,)) * comp
+            for j, comp in enumerate(Y.base_components, 1)
+            if not comp.is_zero
+        )
+        jets[(a, ())] = q if section is None else substitute_section(q, section)
+    for level in range(1, order + 1):
+        for a, I in itertools.product(range(1, cfg.n + 1), multiindices(cfg.m, level)):
+            jets[(a, I)] = total_derivative(
+                jets[(a, I[:-1])], I[-1], cfg, max_order=cfg.expression_order
+            )
+    return jets
+
+
+def reference_prolong(Y: ProjectableField, order: int) -> dict:
+    """Y^a_I = D_I Q^a + sum_j Y^j z^a_{I+j} from the reference
+    characteristic jets, which build the terms -Y^j z^a_{I+j} that the sum
+    cancels; the base components as given and zeros dropped."""
+    cfg = Y.cfg
+    if not 1 <= order <= cfg.working_order:
+        raise ValueError(f"order {order} outside 1..{cfg.working_order}")
+    components = {
+        base_coord(i): comp for i, comp in enumerate(Y.base_components, 1) if not comp.is_zero
+    }
+    for (a, I), dq in reference_characteristic_jets(Y, order).items():
+        value = dq + Expr.sum(
+            z_var(a, I + (j,)) * comp
+            for j, comp in enumerate(Y.base_components, 1)
+            if not comp.is_zero
+        )
+        if not value.is_zero:
+            components[jet_coord(a, I)] = value
+    return components
+
+
+def reference_is_symmetry(Y: ProjectableField, L: Expr):
+    """(E == 0, E d_m x) with E = sum_c Y^{k,c} dL/dc + L div Y^0 from the
+    gradient of L and the reference prolongation."""
+    cfg = Y.cfg
+    check_lagrangian(cfg, L)
+    lifted = reference_prolong(Y, cfg.k)
+    divergence = Expr.sum(
+        comp.partial(base_coord(i)) for i, comp in enumerate(Y.base_components, 1)
+    )
+    variation = Expr.sum(
+        lifted[c] * partial for c, partial in L.gradient().items() if c in lifted
+    ) + L * divergence
+    return variation.is_zero, volume_form(cfg) * variation
+
+
+def reference_noether_current(
+    Y: ProjectableField, theta: DeDonderForm, section: PolynomialSection | None
+) -> DifferentialForm:
+    """sum_i [Y^i L + sum p^{i,T}_a D_T Q^a] d/dx^i -| d_m x from the
+    reference characteristic jets, the section substituted into Q first."""
+    cfg = theta.cfg
+    pull = (lambda e: e) if section is None else (lambda e: substitute_section(e, section))
+    jets = reference_characteristic_jets(Y, cfg.k - 1, section)
+    lagrangian = pull(theta.lagrangian)
+    densities = [[Y.base_components[i] * lagrangian] for i in range(cfg.m)]
+    for (a, i, tail), p in theta.boundary.coefficients.table.items():
+        if not jets[(a, tail)].is_zero:
+            densities[i - 1].append(pull(p) * jets[(a, tail)])
+    return DifferentialForm.sum(cfg.m - 1, (
+        base_contraction(cfg, i) * Expr.sum(terms) for i, terms in enumerate(densities, 1)
+    ))

@@ -597,6 +597,52 @@ def test_dedonder_form_takes_the_gradient_only_for_a_phi_of_another_lagrangian(m
         dedonder_form(cfg, other, hand_xi)
 
 
+def test_dedonder_form_rejects_a_boundary_form_of_another_configuration():
+    # L's partials are the same under k = 2 and k = 3, and under m = 2 and
+    # m = 3, so only the configurations tell the Xi solved under (2,1,2) apart
+    L = z_var(1, (1, 1)) ** 2
+    xi = derive(JetConfig(2, 1, 2), L).boundary_symmetric
+    for cfg in (JetConfig(2, 1, 3), JetConfig(3, 1, 2)):
+        named = re.escape(str(xi.cfg)) + ".*" + re.escape(str(cfg))
+        with pytest.raises(ValueError, match=named):
+            dedonder_form(cfg, L, xi)
+    assert dedonder_form(JetConfig(2, 1, 2), L, xi).cfg == xi.cfg
+
+
+def test_phi_form_is_written_term_by_term_like_the_wedge_reference(monkeypatch):
+    # each component c gives dc ^ d_m x, wedge-built and summed in the
+    # reference; form() builds no wedge and no sum of forms, for m odd and
+    # even, y and z components, a rational one and a zero one
+    def reference(dec):
+        vol = volume_form(dec.cfg)
+        return DifferentialForm.sum(dec.cfg.m + 1, (
+            DifferentialForm(1, {(c,): value}).wedge(vol) for c, value in dec.components.items()
+        ))
+
+    cases = []
+    for seed, shape in enumerate(((1, 1, 2), (2, 2, 2), (3, 1, 2), (2, 1, 3))):
+        cfg = JetConfig(*shape)
+        L = random_expr(random.Random(seed), cfg, cfg.k, degree=3, terms=6) / 3
+        _, dec = phi_from_lagrangian(cfg, L + y_var(1) * z_var(1, (1,)))
+        cases.append(dec)
+        components = dict(dec.components)
+        components[field_coord(cfg.n)] = Expr.zero()
+        cases.append(PhiDecomposition(cfg, components))
+    expected = [reference(dec) for dec in cases]
+
+    def forbidden(*args):
+        raise AssertionError("form() built a wedge or a sum of forms")
+
+    monkeypatch.setattr(DifferentialForm, "wedge", forbidden)
+    monkeypatch.setattr(DifferentialForm, "sum", forbidden)
+    written = [dec.form() for dec in cases]
+    monkeypatch.undo()
+    for form, reference_form in zip(written, expected):
+        assert not reference_form.is_zero
+        assert form == reference_form
+        assert form.degree == reference_form.degree
+
+
 def test_a_holding_splitting_system_forms_no_residual(monkeypatch):
     # each (a, I) compares S + D with Phi; only a failing one subtracts
     wp = wave_problem()

@@ -23,6 +23,7 @@ from jetforms.jets import JetConfig, base_coord, field_coord, jet_coord, multiin
 from jetforms.numeric import flow_oracle
 from jetforms.prolongations import (
     ProjectableField,
+    characteristic_jets,
     is_symmetry,
     noether_current,
     prolong,
@@ -62,25 +63,31 @@ def test_base_translation_prolongs_trivially():
 
 
 def test_prolongation_makes_no_product_with_a_zero_base_component(monkeypatch):
-    # a translation along x^1 with zero vertical part, at (3,2,2): the zero
-    # base components Y^2 and Y^3 enter no product of prolong or of the
-    # characteristic jets, and the nonzero Y^1 still does
+    # at (3,2,2): a translation along x^1 with zero vertical part multiplies
+    # nothing, and a field with zero base components Y^2, Y^3 and a
+    # nonconstant Y^1 multiplies, but never by a zero operand, neither in
+    # prolong nor in the characteristic jets
     cfg = JetConfig(3, 2, 2)
     zero = Expr.zero()
-    Y = ProjectableField(cfg, (Expr.one(), zero, zero), (zero, zero))
-    multiply, products, zero_operands = Expr.__mul__, [], []
+    translation = ProjectableField(cfg, (Expr.one(), zero, zero), (zero, zero))
+    shear = ProjectableField(cfg, (x_var(2), zero, zero), (y_var(1), zero))
+    multiply, products = Expr.__mul__, []
 
     def counting(a, b):
         products.append((a, b))
-        if isinstance(b, Expr) and (a.is_zero or b.is_zero):
-            zero_operands.append((a, b))
         return multiply(a, b)
 
     monkeypatch.setattr(Expr, "__mul__", counting)
-    comps = prolong(Y, cfg.working_order)
+    comps = prolong(translation, cfg.working_order)
+    assert products == []
+    prolong(shear, cfg.working_order)
+    characteristic_jets(shear, cfg.working_order)
     monkeypatch.undo()
     assert comps == {base_coord(1): Expr.one()}
     assert products
+    zero_operands = [
+        (a, b) for a, b in products if isinstance(b, Expr) and (a.is_zero or b.is_zero)
+    ]
     assert zero_operands == []
 
 
@@ -333,7 +340,7 @@ def _translation_and_boost(cfg):
 
 
 def test_currents_match_dense_contraction_reference():
-    # the dense pipeline the characteristic kernel replaced: prolong Y to
+    # the dense pipeline the currents replaced: prolong Y to
     # order 2k-1, contract the whole of Theta, reduce (and pull back)
     def dense(Y, theta):
         return interior_product(prolong(Y, theta.cfg.working_order), theta.form)
@@ -403,9 +410,9 @@ def test_first_variation_formula():
 
 
 def prolong_ref(Y, order):
-    """The contact-preservation recursion prolong replaced: each component
-    Y^a_{I+j} = D_j Y^a_I - sum_{j'} z^a_{I+j'} dY^{j'}/dx^j, computed from
-    every splitting of the canonical index, which must all agree."""
+    """The recursion prolong takes along one path, computed from every
+    splitting of the canonical index, which must all agree: each component
+    Y^a_{I+j} = D_j Y^a_I - sum_{j'} z^a_{I+j'} dY^{j'}/dx^j."""
     cfg = Y.cfg
     components = {
         base_coord(i): comp for i, comp in enumerate(Y.base_components, 1) if not comp.is_zero

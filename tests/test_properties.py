@@ -1,7 +1,10 @@
 """Property tests of the exact core: the Expr ring against the reference
 Fraction-dict ring, its canonical form, the product, D_i and substitution
-kernels against the ones they replaced, d, Cartan's formula, the
-prolongation commutator, the coefficient identity that condition 3, the De
+kernels against the ones they replaced, the derivation along a field
+against the gradient of the reference ring, d, Cartan's formula, the
+prolongation commutator, the recursive prolongation, the characteristic
+jets, the symmetry residual and the currents against their routes through
+the total derivatives of Q^a, the coefficient identity that condition 3, the De
 Donder residual and the boundary-form comparison read, Phi assembled from its
 components against d(L d_m x), the boundary form written from its
 coefficient table against the contact-form reference and its pullback
@@ -15,7 +18,9 @@ longer runs on itself.
 
 The strategies draw small polynomials with rational coefficients over the
 jet coordinates of (m, n, k) = (2, 1, 2), forms over their differentials,
-vector fields, projectable fields and polynomial sections; the identity,
+vector fields, projectable fields and polynomial sections; the
+prolongation draws fields with components of degree <= 2, Lagrangians and
+sections at several (m, n, k) with 2k - 1 <= 3; the identity,
 the boundary form and the skew solve draw Lagrangians, coefficient tables,
 corruptions and homogeneous top-level data at several (m, n, k) with m <= 3,
 n <= 2 and k <= 3.
@@ -64,7 +69,13 @@ from jetforms.jets import (  # noqa: E402
     multiindices,
     splittings,
 )
-from jetforms.prolongations import ProjectableField, prolong  # noqa: E402
+from jetforms.prolongations import (  # noqa: E402
+    ProjectableField,
+    characteristic_jets,
+    is_symmetry,
+    noether_current,
+    prolong,
+)
 from tests.support import (  # noqa: E402
     ReferenceExpr,
     assert_canonical,
@@ -74,6 +85,10 @@ from tests.support import (  # noqa: E402
     lie_derivative,
     per_monomial_substitute,
     reduced_vertical_contractions,
+    reference_characteristic_jets,
+    reference_is_symmetry,
+    reference_noether_current,
+    reference_prolong,
     reference_substitute_section,
     reference_total_derivative,
     two_pass_total_derivative,
@@ -301,6 +316,32 @@ def test_substitute_matches_the_per_monomial_kernel(a, replacements):
     assert got == expected
     assert list(got.terms()) == list(expected.terms())
     assert_canonical(got)
+
+
+# field keys: the kernel coordinates (x, y, z and coefficient symbols), a
+# field index that no operand holds, and a coordinate never interned
+FIELD_COORDS = KERNEL_COORDS + [field_coord(9), ("c", "unseen by any expression")]
+
+
+@PROPERTY
+@given(paired_polynomials(KERNEL_COORDS),
+       st.dictionaries(st.sampled_from(FIELD_COORDS), paired_polynomials(KERNEL_COORDS, 2),
+                       max_size=4),
+       paired_polynomials(KERNEL_COORDS, 2))
+def test_derivation_matches_the_gradient_of_the_reference_ring(u, field, weight):
+    # sum_c Y^c de/dc + w e from ReferenceExpr.gradient, with rational
+    # entries, entries on coordinates e does not hold, and a zero weight
+    a, ra = u
+    (w, rw) = weight
+    gradient = ra.gradient()
+    expected = ReferenceExpr.sum(
+        [r * gradient[c] for c, (_, r) in field.items() if c in gradient] + [rw * ra]
+    )
+    values = {c: e for c, (e, _) in field.items()}
+    for got, reference in ((a.derivation(values, w), expected),
+                           (a.derivation(values, Expr.zero()), expected - rw * ra)):
+        assert render_expr(got) == render_expr(reference)
+        assert_canonical(got)
 
 
 @PROPERTY
@@ -683,3 +724,58 @@ def test_perturbed_splitting_sums_and_volume_coefficient_equal_a_fresh_computati
     fresh = BoundaryCoefficients(dec.cfg, dict(perturbed.table))
     assert perturbed.splitting_sums() == fresh.splitting_sums()
     assert perturbed.volume_coefficient() == fresh.volume_coefficient()
+
+
+# prolongation shapes up to 2k - 1 = 3 and m = 3
+FIELD_SHAPES = ((1, 1, 1), (2, 1, 1), (3, 1, 1), (1, 2, 2), (2, 1, 2), (1, 1, 2), (2, 2, 1))
+
+
+def quadratics(coords, max_terms=3):
+    """Polynomials of degree <= 2 in ``coords`` with rational coefficients,
+    zero included."""
+    monomial = st.lists(st.sampled_from(coords), max_size=2)
+    return st.lists(st.tuples(monomial, rationals), max_size=max_terms).map(
+        lambda terms: Expr([(tuple((c, 1) for c in mono), q) for mono, q in terms])
+    )
+
+
+@st.composite
+def prolongation_problems(draw):
+    """(Y, L, theta, sigma): a projectable field with base components of
+    degree <= 2 in x and vertical ones of degree <= 2 in (x, y), zero ones
+    included, a Lagrangian, its symmetric De Donder form and a section."""
+    cfg = JetConfig(*draw(st.sampled_from(FIELD_SHAPES)))
+    xs = [base_coord(i) for i in range(1, cfg.m + 1)]
+    xys = xs + [field_coord(a) for a in range(1, cfg.n + 1)]
+    zero = st.just(Expr.zero())
+    Y = ProjectableField(
+        cfg,
+        tuple(draw(st.one_of(zero, quadratics(xs))) for _ in range(cfg.m)),
+        tuple(draw(st.one_of(zero, quadratics(xys))) for _ in range(cfg.n)),
+    )
+    lagrangian = draw(polynomials(enumerate_coordinates(cfg, cfg.k), min_terms=1))
+    theta = derive(cfg, lagrangian).theta_symmetric
+    sigma = PolynomialSection(cfg, [draw(polynomials(xs, 3)) for _ in range(cfg.n)])
+    return Y, lagrangian, theta, sigma
+
+
+@PROPERTY
+@given(prolongation_problems())
+def test_prolongation_matches_the_characteristic_reference(problem):
+    # the recursive formula against D_I Q^a + Y^j z^a_{I+j}: every order,
+    # the key order, the characteristic jets, the symmetry residual and the
+    # currents with a section and without
+    Y, lagrangian, theta, sigma = problem
+    cfg = Y.cfg
+    for order in range(1, cfg.working_order + 1):
+        got, expected = prolong(Y, order), reference_prolong(Y, order)
+        assert got == expected and list(got) == list(expected)
+    for order in range(cfg.working_order + 1):
+        got = characteristic_jets(Y, order)
+        expected = reference_characteristic_jets(Y, order)
+        assert got == expected and list(got) == list(expected)
+    flag, residual = is_symmetry(Y, lagrangian)
+    ref_flag, ref_residual = reference_is_symmetry(Y, lagrangian)
+    assert flag == ref_flag and residual == ref_residual
+    for section in (sigma, None):
+        assert noether_current(Y, theta, section) == reference_noether_current(Y, theta, section)
