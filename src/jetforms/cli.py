@@ -240,7 +240,7 @@ def cmd_evolve(spec: ProblemSpec, report: Report, args):
             "the evolve command needs grid and evolve declarations", 1, 1
         )
     grid = spec.grid
-    if args.grid_n:
+    if args.grid_n is not None:
         try:
             grid = GridSpec(
                 tuple((lo, hi, args.grid_n, periodic) for lo, hi, _, periodic in grid.axes)
@@ -376,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("problem", help="problem description file")
     parser.add_argument("--json", action="store_true", help="structured output")
     parser.add_argument("--out", help="directory for artifacts (CSV)")
-    parser.add_argument("--grid-n", type=int, default=0, help="override grid size")
+    parser.add_argument("--grid-n", type=int, default=None, help="override grid size")
     parser.add_argument("--t1", type=float, default=None, help="override end time")
     parser.add_argument("--seed", type=int, default=0, help="random data seed")
     parser.add_argument("--section", default=None, help="section name for residual")
@@ -390,10 +390,13 @@ def main(argv=None) -> int:
     logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING)
     args = build_parser().parse_args(argv)
     try:
-        with open(args.problem) as handle:
+        with open(args.problem, encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:
+        print(f"error: {args.problem}: not UTF-8 text: {exc}", file=sys.stderr)
         return 2
     report = Report(json_mode=args.json)
     try:

@@ -16,9 +16,9 @@ id repeated by its exponent: x1^2*z is ``(i, i, j)`` and ``()`` is the
 constant.  So a monomial is one object, a hash reads a tuple of small ints,
 and a product is a sort of ints, in the spirit of the packed monomials of
 computer-algebra kernels (M. Monagan and R. Pearce, "POLY: a new polynomial
-data structure for Maple 17", 2014).  A loop over the powers of a monomial
-skips an id equal to the one before it; the id's exponent is 1 unless the
-next id repeats it, and then its count.  The ids never leave this module:
+data structure for Maple 17", 2014).  The kernels walk a monomial one id
+occurrence at a time, so exponents appear only at the edges: in
+``_monomial_of``, ``terms()`` and ``**``.  The ids never leave this module:
 ``Expr(terms)``, ``Expr.monomial``, ``Expr.variable``, ``partial``,
 ``substitute`` and ``times_lifts`` take coordinate tuples, and ``terms()``,
 ``variables()`` and ``gradient()`` give coordinate tuples back.  An exponent
@@ -60,23 +60,26 @@ respect to a single canonical coordinate and the total derivative
     D_i = d/dx^i + z^a_(i) d/dy^a + sum_I z^a_{I+i} d/dz^a_I ,
 
 which differentiates along the i-th base direction treating jet coordinates
-as holonomic.  ``total_derivative`` walks each monomial once: it lowers the
-x^i factor, and lifts each y/z factor in place, dropping one copy of its id
-and inserting the lift's id, read from the shared lift table, into the rest of
-the monomial.  A lift beyond the jet-order bound raises the ``ValueError``
-of the first such coordinate in coordinate order.  ``Expr.derivation``
-applies a vector field, sum_c Y^c d/dc, plus a multiple of the identity in
-one walk of each monomial: every power of a coordinate in the field adds the
-rest of the monomial times the field's entry straight into one sum, with no
-partial derivative and no product Expr in between.  ``Expr.substitute`` and
+as holonomic.  Both follow the product rule one occurrence at a time:
+removing any one copy of c from c^e*r leaves the same rest, so the e
+occurrences each add the numerator into one sum.  ``total_derivative``
+walks each monomial once: it lowers the x^i factor, and lifts each y/z
+factor in place, dropping one copy of its id and inserting the lift's id,
+read from the shared lift table, into the rest of the monomial.  A lift
+beyond the jet-order bound raises the ``ValueError`` of the first such
+coordinate in coordinate order.  ``Expr.derivation`` applies a vector
+field, sum_c Y^c d/dc, plus a multiple of the identity in one walk of each
+monomial: every occurrence of a coordinate in the field adds the rest of
+the monomial times the field's entry straight into one sum, with no partial
+derivative and no product Expr in between.  ``Expr.substitute`` and
 ``substitute_section`` run one substitution loop, which adds every
-numerator times the product of the images of its powers into one
-accumulator; a monomial stops at its first power whose image is zero.  The
-images differ only in where they come from: ``Expr.substitute`` raises each
-(coordinate, exponent) power once per call, and ``substitute_section`` once
-per section, into a table of images that the section keeps and every
-substitution through it shares.  Their interplay with
-polynomial sections (substitution commutes with D_i) is the keystone
+numerator times the product of the images of its ids, one factor per
+occurrence, into one accumulator; a monomial stops at its first id whose
+image is zero.  The images differ only in where they come from:
+``Expr.substitute`` keys a table of images by id for one call, and
+``substitute_section`` reads the table the section keeps, one image per
+coordinate, which every substitution through it shares.  Their interplay
+with polynomial sections (substitution commutes with D_i) is the keystone
 property the test-suite pins down.
 """
 from __future__ import annotations
@@ -222,22 +225,17 @@ def _add_into(store: dict, num: dict, scale: int = 1) -> None:
 def _partials(num: dict) -> dict:
     """id -> numerators of the first partial derivative, over the
     denominator of ``num``, for every coordinate in one scan; the ids come
-    in coordinate order."""
+    in coordinate order.  Each occurrence of an id adds the numerator."""
     parts: dict = {}
     for mono, n in num.items():
-        last, prev = len(mono) - 1, -1
         for pos, c in enumerate(mono):
-            if c == prev:
-                continue
-            prev = c
-            e = mono.count(c) if pos < last and mono[pos + 1] == c else 1
-            rest = mono[:pos] + mono[pos + 1 :]
-            # distinct monomials stay distinct once one c is removed
             part = parts.get(c)
             if part is None:
-                parts[c] = {rest: n * e}
-            else:
-                part[rest] = n * e
+                part = parts[c] = {}
+            rest = mono[:pos] + mono[pos + 1 :]
+            # distinct monomials stay distinct once one c is removed, so no
+            # sum cancels
+            part[rest] = part.get(rest, 0) + n
     return {c: parts[c] for c in sorted(parts, key=_KEYS.__getitem__)}
 
 
@@ -559,11 +557,11 @@ class Expr:
         """sum_c field[c] d(self)/dc + weight * self, in one scan of the
         monomials; ``field`` maps coordinates to Exprs, missing ones zero.
 
-        Each power c^p of a monomial, c in the field, adds p times the rest
-        of the monomial times each term of field[c] straight into one sum of
-        numerators over the common denominator of the field and the weight,
-        and so does the whole monomial times each term of the weight; no
-        partial derivative and no product Expr is built.
+        Each occurrence of a coordinate c of the field in a monomial adds
+        the rest of the monomial times each term of field[c] straight into
+        one sum of numerators over the common denominator of the field and
+        the weight, and so does the whole monomial times each term of the
+        weight; no partial derivative and no product Expr is built.
         """
         # id -> numerators of field[c], and None -> those of the weight, all
         # over one denominator; a coordinate never seen occurs in no monomial
@@ -579,18 +577,14 @@ class Expr:
         store: dict = {}
         get = store.get
         for mono, n in self._num.items():
-            prev = -1
             for pos, c in enumerate(mono):
-                if c == prev:
-                    continue
-                prev = c
                 image = images.get(c)
                 if image is None:
                     continue
-                rest, scale = mono[:pos] + mono[pos + 1 :], n * mono.count(c)
+                rest = mono[:pos] + mono[pos + 1 :]
                 for fmono, fn in image:
                     key = tuple(sorted(rest + fmono))
-                    acc = get(key, 0) + scale * fn
+                    acc = get(key, 0) + n * fn
                     if acc:
                         store[key] = acc
                     else:
@@ -628,45 +622,31 @@ class Expr:
     def substitute(self, replacements: Mapping[tuple, "Expr"]) -> "Expr":
         """Replace coordinates by expressions (exact, simultaneous).
 
-        Each power factor^exp is computed once per call, and every monomial
-        adds its numerator times the product of its powers into one sum; a
-        monomial stops at its first power whose image is zero, and a zero
-        factor is not raised, so no product has a zero operand.
+        One table for the call maps each id to its image, the replacement or
+        else the coordinate itself, and every monomial adds its numerator
+        times the product of the images of its ids; a monomial stops at its
+        first id whose image is zero.
         """
         # a coordinate never seen occurs in no monomial
-        by_id = {_IDS[c]: repl for c, repl in replacements.items() if c in _IDS}
-        return _substituted(self, {}, lambda cid, exp: _power_image(by_id.get(cid), cid, exp))
+        images = {_IDS[c]: repl for c, repl in replacements.items() if c in _IDS}
+        return _substituted(self, images, lambda cid: _expr({(cid,): 1}, 1))
 
 
 _ONE = Expr.one()
 
 
-def _power_image(value: "Expr | None", cid: int, exp: int) -> Expr:
-    """The image of the power c^exp when c maps to ``value``, or to itself
-    when ``value`` is None; a zero value is not raised."""
-    if value is None:
-        return _expr({(cid,) * exp: 1}, 1)
-    return value**exp if value._num else value
-
-
 def _substituted(e: Expr, images: dict, image_of) -> Expr:
     """The substitution loop: every monomial of ``e`` adds its numerator
-    times the product of the images of its powers into one sum, stopping at
-    its first power whose image is zero.  ``images`` maps (id, exponent) to
-    the image of that power, and ``image_of(id, exponent)`` fills it on
-    first use."""
+    times the product of the images of its ids, one factor per occurrence,
+    into one sum, stopping at its first id whose image is zero.  ``images``
+    maps an id to its image, and ``image_of(id)`` fills it on first use."""
     acc = _Accumulator()
     for mono, n in e._num.items():
         term = _ONE
-        last, prev = len(mono) - 1, -1
-        for pos, c in enumerate(mono):
-            if c == prev:
-                continue
-            prev = c
-            power = (c, mono.count(c) if pos < last and mono[pos + 1] == c else 1)
-            image = images.get(power)
+        for c in mono:
+            image = images.get(c)
             if image is None:
-                image = images[power] = image_of(*power)
+                image = images[c] = image_of(c)
             if not image._num:
                 break
             term = term * image
@@ -763,23 +743,18 @@ def total_derivative(
     store: dict = {}
     get = store.get
     for mono, n in e._num.items():
-        last, prev = len(mono) - 1, -1
         for pos, c in enumerate(mono):
-            if c == prev:
-                continue
-            prev = c
             lifted = lifts.get(c)
             if lifted is None:
                 lifted = _lift(c, i)
             if lifted == _CONSTANT:
                 continue
-            exp = mono.count(c) if pos < last and mono[pos + 1] == c else 1
             image = mono[:pos] + mono[pos + 1 :]
             if lifted != _LOWER:
                 if orders[lifted] > limit:
                     _raise_order_bound(e, i, limit)
                 image = _insert(image, lifted)
-            acc = get(image, 0) + n * exp
+            acc = get(image, 0) + n
             if acc:
                 store[image] = acc
             else:
@@ -820,8 +795,8 @@ class PolynomialSection:
 
     Components may contain coefficient symbols (undetermined coefficients),
     which makes a single instance stand for a whole family of sections.
-    The section owns one table of images, keyed by (coordinate id,
-    exponent): the image of each power c^e, filled the first time a
+    The section owns one table of images, keyed by coordinate id: the
+    value of each coordinate on the section, filled the first time a
     substitution meets it and shared by every :func:`substitute_section`
     on this section.
     """
@@ -840,7 +815,7 @@ class PolynomialSection:
         self.cfg = cfg
         self.components = tuple(components)
         self._jets: dict = {}
-        self._images: dict = {}  # (id, exponent) -> image of that power
+        self._images: dict = {}  # id -> the coordinate's value
 
     def jet(self, a: int, indices: Sequence[int]) -> Expr:
         """Exact partial derivative of component a along the multi-index,
@@ -867,15 +842,14 @@ class PolynomialSection:
             return self.jet(coord[1], coord[2])
         return Expr.variable(coord)
 
-    def _image(self, cid: int, exp: int) -> Expr:
-        """The image of the power c^exp, c the coordinate of ``cid``: the
-        section's value raised for a y or z coordinate, c^exp itself for x
-        and the coefficient symbols.  A coordinate outside the section's
-        configuration raises a ``ValueError`` that names it."""
+    def _image(self, cid: int) -> Expr:
+        """The image of the coordinate of ``cid``: the section's jet for a y
+        or z coordinate, the coordinate itself for x and the coefficient
+        symbols.  A coordinate outside the section's configuration raises a
+        ``ValueError`` that names it."""
         coord = _COORDS[cid]
         check_coordinate(self.cfg, coord)
-        value = self.coordinate_value(coord) if coord[0] in ("y", "z") else None
-        return _power_image(value, cid, exp)
+        return self.coordinate_value(coord)
 
     def jet_values(self, x0: Sequence, order: int) -> dict:
         """Exact coordinate values of the jet extension at a point.
@@ -906,8 +880,8 @@ class PolynomialSection:
 def substitute_section(e: Expr, section: PolynomialSection) -> Expr:
     """Replace every y/z coordinate by the exact derivative of the section.
 
-    Each power is raised once per section: its image is read from, or
+    Each coordinate's image is built once per section: it is read from, or
     added to, the section's image table, so substituting many expressions
-    through one section raises every power once in all.
+    through one section builds every image once in all.
     """
     return _substituted(e, section._images, section._image)

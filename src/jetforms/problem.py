@@ -67,6 +67,8 @@ class GridSpec:
     axes: tuple
 
     def __post_init__(self):
+        if not self.axes:
+            raise ValueError("grids need at least one axis")
         for lo, hi, count, periodic in self.axes:
             if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
                 raise ValueError(f"bad axis bounds ({lo}, {hi})")

@@ -15,9 +15,10 @@ boundary-form conditions through the splitting system of the coefficients,
 the boundary form written from its coefficient table, the wave example
 read from its fixture,
 integer numerators over one denominator, D_i in one pass over the
-monomials, substitution through one table of powers, a section's
-substitution through the section's own table of images, products with one
-monomial by insertion, monomials over interned coordinate ids, the
+monomials, substitution through one table of images per coordinate, a
+section's substitution through the section's own table of images,
+products with one monomial by insertion, monomials over interned
+coordinate ids, the
 determinant by elimination); these stay as independent references.  The
 kernels read an Expr only through ``terms()``, so they work on coordinate
 monomials whatever ids the library gives the coordinates.

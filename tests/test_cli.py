@@ -157,6 +157,16 @@ def test_missing_file_exit_code(capsys):
     assert code == 2
 
 
+def test_a_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    problem = tmp_path / "utf16.jet"
+    problem.write_bytes(b"\xff\xfe" + "dims 1 1 1; L = y[1];".encode("utf-16-le"))
+    code, out, err = run(capsys, "verify", str(problem))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {problem}: not UTF-8 text: ")
+    assert err.count("\n") == 1
+
+
 def test_residual_command(capsys):
     code, out, _ = run(capsys, "residual", WAVE, "--section", "sol")
     assert code == 0
@@ -476,14 +486,16 @@ def test_evolve_rejects_small_grid_n(monkeypatch, capsys):
     import jetforms.cli as cli
 
     monkeypatch.setattr(cli, "derive", _fail_derive)
-    code, out, err = run(capsys, "evolve", WAVE, "--grid-n", "4")
-    assert code == 2
-    assert out == ""
-    assert err.count("\n") == 1
-    assert "grids need at least 8 points per axis, got 4" in err
-    code, out, _ = run(capsys, "evolve", WAVE, "--grid-n", "4", "--json")
-    assert code == 2
-    assert "at least 8 points" in json.loads(out)["error"]
+    # 0 is a given size like any other, not a missing option
+    for count in ("4", "0"):
+        code, out, err = run(capsys, "evolve", WAVE, "--grid-n", count)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert f"--grid-n {count}: grids need at least 8 points per axis, got {count}" in err
+        code, out, _ = run(capsys, "evolve", WAVE, "--grid-n", count, "--json")
+        assert code == 2
+        assert "at least 8 points" in json.loads(out)["error"]
 
 
 # xi_max = 32 on the fixture's grid of 256 points over [0, 2 pi]
@@ -627,21 +639,21 @@ def test_one_symmetric_solve_per_command(argv, monkeypatch, capsys):
 
 def test_each_image_is_built_once_per_section(monkeypatch, capsys):
     # residual and noether substitute many Exprs through each declared
-    # section; the section raises each (coordinate, exponent) power once
+    # section; the section builds each coordinate's image once
     from jetforms.expressions import PolynomialSection
 
     builds = []
     build = PolynomialSection._image
 
-    def counted(section, cid, exp):
-        builds.append((section, cid, exp))  # the section kept, so its id stays its own
-        return build(section, cid, exp)
+    def counted(section, cid):
+        builds.append((section, cid))  # the section kept, so its id stays its own
+        return build(section, cid)
 
     monkeypatch.setattr(PolynomialSection, "_image", counted)
     for command in ("noether", "residual"):
         code, _, _ = run(capsys, command, WAVE)
         assert code in (0, 1)
-    keys = [(id(section), cid, exp) for section, cid, exp in builds]
+    keys = [(id(section), cid) for section, cid in builds]
     assert keys
     assert len(keys) == len(set(keys))
 

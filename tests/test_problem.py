@@ -197,6 +197,8 @@ MALFORMED = [
      "1:23: section 's' components must depend on x only", ()),
     ("dims 1 1 1; L = y[1]; grid 0 1 4 open;", SEM,  # too few points
      "1:23: grids need at least 8 points per axis, got 4", ()),
+    ("dims 1 1 1; L = y[1]; grid ;", SEM,  # no axis
+     "1:23: grids need at least one axis", ()),
     ("dims 1 1 1; L = y[1]; grid 0 1 16 sideways;", SYN,  # bad flag
      "1:35: unexpected 'sideways' (expected 'periodic' or 'open')", ("'periodic'", "'open'")),
     ("dims 1 1 1; L = y[1]; evolve 0 1 0;", SEM,  # zero steps
