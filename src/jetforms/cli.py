@@ -264,10 +264,10 @@ def cmd_evolve(spec: ProblemSpec, report: Report, args):
             f"end time {t1:g}: |t1 - t0| exceeds {span:.3g}, past which no digit "
             f"of the evolved state survives (max mode {max_mode})", 1, 1
         )
-    try:
+    try:  # its errors are the grid's: its shape, or a period out of float range
         state = band_limited_state(grid, cfg.n, max_mode=max_mode, seed=args.seed)
     except ValueError as exc:
-        raise ProblemError(str(exc), 1, 1)
+        raise ProblemError(str(exc), *spec.grid_at)
     state.t = t0
     if args.out:
         try:
@@ -294,10 +294,10 @@ def cmd_evolve(spec: ProblemSpec, report: Report, args):
             state = cauchy_evolve(state, t)
         except (OverflowError, ValueError):
             raise ProblemError(f"evolving to t = {t:g} leaves the float range", 1, 1)
-        try:
+        try:  # a period that puts the energy out of float range
             rows.append((t, energy_sym(state), energy_skew(state)))
         except ValueError as exc:
-            raise ProblemError(str(exc), 1, 1)
+            raise ProblemError(str(exc), *spec.grid_at)
     e0 = rows[0][1]
     scale = abs(e0) if e0 else 1.0
     drift = max(abs(e - e0) for _, e, _ in rows) / scale

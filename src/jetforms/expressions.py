@@ -387,6 +387,10 @@ class Expr:
     def variables(self) -> set:
         return {_COORDS[c] for c in self._ids()}
 
+    def degree(self) -> int:
+        """Highest total degree of a monomial; 0 for a constant."""
+        return max(map(len, self._num), default=0)
+
     def jet_order(self) -> int:
         """Highest jet order of any coordinate occurring in the expression."""
         return max((_ORDERS[c] for c in self._ids()), default=0)
@@ -796,9 +800,9 @@ class PolynomialSection:
     Components may contain coefficient symbols (undetermined coefficients),
     which makes a single instance stand for a whole family of sections.
     The section owns one table of images, keyed by coordinate id: the
-    value of each coordinate on the section, filled the first time a
-    substitution meets it and shared by every :func:`substitute_section`
-    on this section.
+    value of each coordinate on the section, filled the first time
+    :meth:`jet`, :meth:`coordinate_value` or a substitution asks for it,
+    and shared by all of them.
     """
 
     def __init__(self, cfg: JetConfig, components: Sequence[Expr]):
@@ -814,42 +818,34 @@ class PolynomialSection:
                 check_coordinate(cfg, coord)
         self.cfg = cfg
         self.components = tuple(components)
-        self._jets: dict = {}
         self._images: dict = {}  # id -> the coordinate's value
 
     def jet(self, a: int, indices: Sequence[int]) -> Expr:
-        """Exact partial derivative of component a along the multi-index,
-        the last index differentiated from the kept jet of the others."""
-        key = (a, tuple(sorted(indices)))
-        cached = self._jets.get(key)
-        if cached is not None:
-            return cached
-        I = key[1]
-        if I:
-            expr = self.jet(a, I[:-1]).partial(base_coord(I[-1]))
-        else:
-            expr = self.components[a - 1]
-        self._jets[key] = expr
-        return expr
+        """Exact partial derivative of component a along the multi-index."""
+        return self.coordinate_value(jet_coord(a, indices))
 
     def coordinate_value(self, coord) -> Expr:
-        tag = coord[0]
-        if tag == "x":
-            return Expr.variable(coord)
-        if tag == "y":
-            return self.components[coord[1] - 1]
-        if tag == "z":
-            return self.jet(coord[1], coord[2])
-        return Expr.variable(coord)
+        """The value of a coordinate on the section, read from the table."""
+        cid = _id(coord)
+        image = self._images.get(cid)
+        if image is None:
+            image = self._images[cid] = self._image(cid)
+        return image
 
     def _image(self, cid: int) -> Expr:
-        """The image of the coordinate of ``cid``: the section's jet for a y
-        or z coordinate, the coordinate itself for x and the coefficient
-        symbols.  A coordinate outside the section's configuration raises a
+        """The image of the coordinate of ``cid``: component a for y^a, the
+        derivative along I[-1] of the image of z^a_{I[:-1]} for z^a_I, and
+        the coordinate itself for x and the coefficient symbols.  A
+        coordinate outside the section's configuration raises a
         ``ValueError`` that names it."""
         coord = _COORDS[cid]
         check_coordinate(self.cfg, coord)
-        return self.coordinate_value(coord)
+        tag = coord[0]
+        if tag == "y":
+            return self.components[coord[1] - 1]
+        if tag == "z":
+            return self.jet(coord[1], coord[2][:-1]).partial(base_coord(coord[2][-1]))
+        return Expr.variable(coord)
 
     def jet_values(self, x0: Sequence, order: int) -> dict:
         """Exact coordinate values of the jet extension at a point.

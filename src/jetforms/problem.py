@@ -14,12 +14,17 @@ A problem file is a sequence of statements::
 Expressions are sums, products and non-negative integer powers of rational
 constants, ``x[i]``, ``y[a]``, ``z[a; i1 i2 ...]``, metric entries
 ``name[i j]``, and explicit contractions ``sum(idx, lo, hi, body)``; division
-is permitted by (nonzero) constants only.  Numbers are written in ASCII
+is permitted by (nonzero) constants only.  Every value in a file is written
+in this one grammar: a metric entry is an expression that evaluates to a
+rational constant, naming no metric, and a field term is a product of
+factors, joined by ``*`` and ``/`` as in expressions, times ``dx[i]`` or
+``dy[a]`` (the product may be left out).  Numbers are written in ASCII
 digits.  Sums and products may be arbitrarily long; parentheses, sum bodies
-and unary signs nest at most 200 levels deep.  Jet indices are canonicalized
-on parse.  Every syntax error carries a line/column position and the expected
-tokens; semantic errors (index ranges, order overflow, asymmetric metrics,
-duplicate declarations) point at the offending token.
+and unary signs nest at most 200 levels deep, and a power's degree is at
+most 10000.  Jet indices are canonicalized on parse.  Every syntax error
+carries a line/column position and the expected tokens; semantic errors
+(index ranges, order overflow, asymmetric metrics, duplicate declarations)
+point at the offending token.
 """
 from __future__ import annotations
 
@@ -125,6 +130,9 @@ class ProblemSpec:
     sections: dict = dataclass_field(default_factory=dict)  # name -> PolynomialSection
     grid: GridSpec | None = None
     evolve: tuple | None = None  # (t0, t1, steps)
+    # (line, column) of the grid keyword, where evolve reports a grid it
+    # cannot evolve
+    grid_at: tuple | None = None
 
 
 # -- tokenizer ----------------------------------------------------------------
@@ -138,6 +146,10 @@ _DIGITS = frozenset("0123456789")
 # RecursionError.  Chains of +, -, * and / do not nest: they parse into one
 # flat node each.
 _MAX_NESTING = 200
+# A monomial holds one coordinate id per unit of degree, so a power's memory
+# grows with its degree: z[1;1]^1000000 took 46 MB, and ^999999999 would
+# take tens of GB.  A power of higher degree is a positioned error.
+_MAX_DEGREE = 10_000
 
 
 @dataclass(frozen=True)
@@ -286,6 +298,7 @@ class _Parser:
         section_asts: dict = {}
         grid = None
         evolve = None
+        grid_at = None
         declared = set()
 
         def declare(what: str):
@@ -334,15 +347,10 @@ class _Parser:
                 name = self.expect("name", "a section name").text
                 declare(f"section {name!r}")
                 self.expect("=")
-                self.expect("(")
-                comps = [self.parse_expr()]
-                while self.peek().kind == ",":
-                    self.advance()
-                    comps.append(self.parse_expr())
-                self.expect(")")
-                section_asts[name] = (token, comps)
+                section_asts[name] = (token, self.parse_list("(", ")", self.parse_expr))
             elif word == "grid":
                 declare("grid declaration")
+                grid_at = (token.line, token.column)
                 axes = []
                 while self.peek().kind != ";":
                     lo = self.expect_number()
@@ -388,58 +396,40 @@ class _Parser:
         if lagrangian_ast is None:
             raise ProblemSemanticError("missing Lagrangian", end.line, end.column)
         return _Elaborator(dims, metrics).build(
-            lagrangian_ast, field_asts, skew_asts, section_asts, grid, evolve
+            lagrangian_ast, field_asts, skew_asts, section_asts, grid, evolve, grid_at
         )
 
+    def parse_list(self, opening: str, closing: str, item, what: str | None = None):
+        """``opening item, item, ... closing`` as the list of its items."""
+        self.expect(opening, what)
+        items = [item()]
+        while self.peek().kind == ",":
+            self.advance()
+            items.append(item())
+        self.expect(closing)
+        return items
+
     def parse_matrix(self, at: _Token):
+        """Rows of (first token, expression) entries; ``diag`` fills the
+        entries off the diagonal with zero at its own token."""
+        def entry():
+            return self.peek(), self.parse_expr()
+
         token = self.peek()
-        rows = []
         if token.kind == "name" and token.text == "diag":
             self.advance()
-            self.expect("(")
-            entries = [self.parse_rational()]
-            while self.peek().kind == ",":
-                self.advance()
-                entries.append(self.parse_rational())
-            self.expect(")")
-            size = len(entries)
-            rows = [
-                tuple(entries[i] if i == j else Fraction(0) for j in range(size))
-                for i in range(size)
+            entries = self.parse_list("(", ")", entry)
+            zero = (token, ("num", Fraction(0)))
+            return [
+                [entries[i] if i == j else zero for j in range(len(entries))]
+                for i in range(len(entries))
             ]
-            return tuple(rows)
-        self.expect("[", "'diag' or '['")
-        while True:
-            self.expect("[")
-            row = [self.parse_rational()]
-            while self.peek().kind == ",":
-                self.advance()
-                row.append(self.parse_rational())
-            self.expect("]")
-            rows.append(tuple(row))
-            if self.peek().kind != ",":
-                break
-            self.advance()
-        self.expect("]")
+        rows = self.parse_list(
+            "[", "]", lambda: self.parse_list("[", "]", entry), "'diag' or '['"
+        )
         if any(len(row) != len(rows) for row in rows):
             raise ProblemSemanticError("metric matrix is not square", at.line, at.column)
-        return tuple(rows)
-
-    def parse_rational(self) -> Fraction:
-        sign = 1
-        if self.peek().kind == "-":
-            self.advance()
-            sign = -1
-        num, _ = self.expect_int("a rational number")
-        if self.peek().kind == "/":
-            self.advance()
-            den, den_token = self.expect_int("a denominator")
-            if den == 0:
-                raise ProblemSemanticError(
-                    "zero denominator", den_token.line, den_token.column
-                )
-            return Fraction(sign * num, den)
-        return Fraction(sign * num)
+        return rows
 
     # -- expressions (to AST) -------------------------------------------------
 
@@ -452,20 +442,32 @@ class _Parser:
         self.depth += 1
 
     def parse_expr(self):
-        """Terms joined by + and - as one node ("add", terms), each term
-        factors joined by * and / as one node ("product", first,
-        [(operator token, factor), ...]); a chain of one is left bare."""
+        """Terms joined by + and - as one node ("add", terms), each term a
+        product; a chain of one is left bare."""
         terms, negate = [], False
         while True:
-            first, rest = self.parse_factor(), []
-            while self.peek().kind in ("*", "/"):
-                op = self.advance()
-                rest.append((op, self.parse_factor()))
-            term = ("product", first, rest) if rest else first
+            term = self.parse_product()
             terms.append(("neg", term) if negate else term)
             if self.peek().kind not in ("+", "-"):
                 return terms[0] if len(terms) == 1 else ("add", terms)
             negate = self.advance().kind == "-"
+
+    def parse_product(self):
+        """Factors joined by * and / as one node ("product", first,
+        [(operator token, factor), ...]); a chain of one is left bare.  The
+        chain ends before ``* dx[i]`` or ``* dy[a]``, a field term's basis
+        vector: no factor is a name with one index, as a metric entry
+        takes two."""
+        first, rest = self.parse_factor(), []
+        while self.peek().kind in ("*", "/") and not self.basis_follows():
+            op = self.advance()
+            rest.append((op, self.parse_factor()))
+        return ("product", first, rest) if rest else first
+
+    def basis_follows(self) -> bool:
+        """Whether the tokens after the next one open ``dx[i]`` or ``dy[a]``."""
+        ahead = self.tokens[self.pos + 1 : self.pos + 5]
+        return len(ahead) == 4 and ahead[0].text in ("dx", "dy") and ahead[3].kind == "]"
 
     def parse_factor(self):
         token = self.peek()
@@ -478,13 +480,7 @@ class _Parser:
         node = self.parse_atom()
         if self.peek().kind == "^":
             self.advance()
-            exp_token = self.peek()
-            exponent, _ = self.expect_int("a non-negative integer exponent")
-            if exponent < 0:
-                raise ProblemSemanticError(
-                    "exponents must be non-negative", exp_token.line, exp_token.column
-                )
-            node = ("pow", node, exponent)
+            node = ("pow", node, *self.expect_int("a non-negative integer exponent"))
         return node
 
     def parse_atom(self):
@@ -574,23 +570,17 @@ class _Parser:
         return terms
 
     def parse_vector_term(self):
-        factors = []
-        while True:
-            token = self.peek()
-            if token.kind == "name" and token.text in ("dx", "dy"):
-                self.advance()
-                self.expect("[")
-                idx, idx_token = self.expect_int("an index")
-                self.expect("]")
-                return (factors, token.text, idx, token)
-            factors.append(self.parse_factor())
-            op = self.peek()
-            if op.kind != "*":
-                raise ProblemSyntaxError(
-                    f"unexpected {op.text!r}", op.line, op.column,
-                    expected=["'*'", "'dx'", "'dy'"],
-                )
-            self.advance()
+        """``product * dx[i]``, ``product * dy[a]`` or a bare basis vector,
+        whose product is 1."""
+        coefficient = ("num", Fraction(1))
+        if self.peek().text not in ("dx", "dy"):
+            coefficient = self.parse_product()
+            self.expect("*", "'*'")
+        token = self.advance()
+        self.expect("[")
+        idx, _ = self.expect_int("an index")
+        self.expect("]")
+        return (coefficient, token.text, idx, token)
 
 
 # -- elaboration --------------------------------------------------------------
@@ -609,7 +599,16 @@ class _Elaborator:
     def __init__(self, cfg: JetConfig, metric_asts: dict):
         self.cfg = cfg
         self.metrics = {}
-        for name, (token, matrix) in metric_asts.items():
+        # every entry is evaluated before any metric is registered, so an
+        # entry that names a metric names an unknown one
+        def entry(at: _Token, node) -> Fraction:
+            return _constant(self.eval_expr(node, {}), "metric entries must be constant", at)
+
+        matrices = {
+            name: (token, tuple(tuple(entry(*e) for e in row) for row in rows))
+            for name, (token, rows) in metric_asts.items()
+        }
+        for name, (token, matrix) in matrices.items():
             size = len(matrix)
             if size not in (cfg.m, cfg.n):
                 sizes = " or ".join(f"{s}x{s}" for s in dict.fromkeys((cfg.m, cfg.n)))
@@ -632,7 +631,9 @@ class _Elaborator:
                 )
             self.metrics[name] = matrix
 
-    def build(self, lagrangian_ast, field_asts, skew_asts, section_asts, grid, evolve):
+    def build(
+        self, lagrangian_ast, field_asts, skew_asts, section_asts, grid, evolve, grid_at
+    ):
         cfg = self.cfg
         lagrangian = self.eval_expr(lagrangian_ast, {})
         fields = {}
@@ -679,6 +680,7 @@ class _Elaborator:
             sections=sections,
             grid=grid,
             evolve=evolve,
+            grid_at=grid_at,
         )
 
     def eval_index(self, node, env) -> int:
@@ -712,17 +714,20 @@ class _Elaborator:
                 if op.kind == "*":
                     value = value * factor
                     continue
-                constant = factor.constant_term()
-                if factor != Expr.constant(constant):
-                    raise ProblemSemanticError(
-                        "division is only allowed by constants", op.line, op.column
-                    )
+                constant = _constant(factor, "division is only allowed by constants", op)
                 if constant == 0:
                     raise ProblemSemanticError("division by zero", op.line, op.column)
-                value = value / Fraction(constant)
+                value = value / constant
             return value
         if kind == "pow":
-            return self.eval_expr(node[1], env) ** node[2]
+            _, base_node, exponent, token = node
+            base = self.eval_expr(base_node, env)
+            degree = exponent * base.degree()
+            if degree > _MAX_DEGREE:
+                raise ProblemSemanticError(
+                    f"power of degree {degree} exceeds {_MAX_DEGREE}", token.line, token.column
+                )
+            return base**exponent
         if kind == "sum":
             _, var, lo, hi, body, token = node
             terms = []
@@ -773,10 +778,8 @@ class _Elaborator:
         cfg = self.cfg
         base = [Expr.zero() for _ in range(cfg.m)]
         vertical = [Expr.zero() for _ in range(cfg.n)]
-        for sign, (factor_asts, which, idx, token) in terms:
-            coeff = Expr.constant(sign)
-            for ast in factor_asts:
-                coeff = coeff * self.eval_expr(ast, {})
+        for sign, (coefficient, which, idx, token) in terms:
+            coeff = sign * self.eval_expr(coefficient, {})
             target = base if which == "dx" else vertical
             _in_range(f"{which} index", idx, len(target), token)
             target[idx - 1] = target[idx - 1] + coeff
@@ -786,6 +789,15 @@ class _Elaborator:
             raise ProblemSemanticError(
                 f"field {name!r}: {exc}", at.line, at.column
             )
+
+
+def _constant(value: Expr, message: str, token: _Token) -> Fraction:
+    """The rational value of a constant; any other value is an error at
+    ``token``."""
+    constant = value.constant_term()
+    if value != Expr.constant(constant):
+        raise ProblemSemanticError(message, token.line, token.column)
+    return Fraction(constant)
 
 
 def _determinant(matrix) -> Fraction:

@@ -14,6 +14,8 @@ from jetforms.cli import main
 WAVE = str(
     importlib.resources.files("jetforms").joinpath("fixtures/fourth_order_wave.jet")
 )
+# the fixture's grid declaration, where evolve reports a grid it cannot evolve
+GRID_LINE = 1 + open(WAVE).read().split("\n").index("grid 0 6.283185307179586 256 periodic;")
 
 
 def run(capsys, *argv):
@@ -413,10 +415,12 @@ def test_evolve_rejects_grid_beyond_the_float_range(
     code, out, err = run(capsys, "evolve", str(problem), *options)
     assert code == 2
     assert out == ""
-    assert err == f"{problem}:1:1: {message}\n"
+    assert err == f"{problem}:{GRID_LINE}:1: {message}\n"
     code, out, _ = run(capsys, "evolve", str(problem), *options, "--json")
     assert code == 2
-    assert json.loads(out) == {"error": message, "line": 1, "column": 1, "expected": []}
+    assert json.loads(out) == {
+        "error": message, "line": GRID_LINE, "column": 1, "expected": []
+    }
 
 
 def test_evolve_rejects_energy_beyond_the_float_range(tmp_path, capsys):
@@ -433,10 +437,41 @@ def test_evolve_rejects_energy_beyond_the_float_range(tmp_path, capsys):
     code, out, err = run(capsys, "evolve", str(problem), "--t1", "0")
     assert code == 2
     assert out == ""
-    assert err == f"{problem}:1:1: {message}\n"
+    assert err == f"{problem}:{GRID_LINE}:1: {message}\n"
     code, out, _ = run(capsys, "evolve", str(problem), "--t1", "0", "--json")
     assert code == 2
-    assert json.loads(out) == {"error": message, "line": 1, "column": 1, "expected": []}
+    assert json.loads(out) == {
+        "error": message, "line": GRID_LINE, "column": 1, "expected": []
+    }
+
+
+@pytest.mark.parametrize(
+    "grid", ["0 1 64 open", "0 6.283185307179586 64 periodic 0 1 64 periodic"]
+)
+def test_evolve_reports_a_grid_it_cannot_evolve_at_the_grid_keyword(
+    grid, tmp_path, monkeypatch, capsys
+):
+    # the Cauchy solver needs one periodic axis; the grid parses, and evolve
+    # points at its keyword, not at the start of the file
+    import jetforms.cli as cli
+
+    problem = tmp_path / "grid.jet"
+    problem.write_text(
+        open(WAVE).read().replace(
+            "grid 0 6.283185307179586 256 periodic;", f"grid {grid};"
+        )
+    )
+    message = "Cauchy evolution needs a 1-D periodic grid"
+    monkeypatch.setattr(cli, "derive", _fail_derive)
+    code, out, err = run(capsys, "evolve", str(problem))
+    assert code == 2
+    assert out == ""
+    assert err == f"{problem}:{GRID_LINE}:1: {message}\n"
+    code, out, _ = run(capsys, "evolve", str(problem), "--json")
+    assert code == 2
+    assert json.loads(out) == {
+        "error": message, "line": GRID_LINE, "column": 1, "expected": []
+    }
 
 
 def test_debug_log_reports_sizes_and_timings(caplog, capsys):

@@ -253,10 +253,13 @@ def random_expr_in_x(rng, cfg, degree=4, terms=4):
 
 @pytest.mark.parametrize("coord", [("y", 0), ("y", 3), ("z", 1, (2,))])
 def test_section_substitution_rejects_a_coordinate_outside_the_section(coord):
-    # m = 1, n = 2: no field 0 or 3 and no derivative along x[2]
+    # m = 1, n = 2: no field 0 or 3 and no derivative along x[2]; jet reads
+    # the table that substitution fills, and checks the coordinate alike
     section = PolynomialSection(JetConfig(1, 2, 1), (x_var(1), x_var(1) ** 2))
     with pytest.raises(ValueError, match=re.escape(str(coord))):
         substitute_section(Expr.variable(coord), section)
+    with pytest.raises(ValueError, match=re.escape(str(coord))):
+        section.jet(coord[1], coord[2] if coord[0] == "z" else ())
 
 
 def test_generic_section_realizes_jets():

@@ -30,7 +30,9 @@ from jetforms.expressions import Expr, y_var  # noqa: E402
 from jetforms.jets import JetConfig, enumerate_coordinates, multiindices, splittings  # noqa: E402
 
 ORACLE = settings(max_examples=4, derandomize=True, deadline=None)
-SHAPES = ((1, 1, 2), (2, 1, 2), (2, 2, 2))
+# at k = 3 the top-down solve runs two levels below the top; (2, 2, 3) and
+# (3, 1, 3) pass too, but take 9 to 16 s each
+SHAPES = ((1, 1, 2), (2, 1, 2), (2, 2, 2), (1, 1, 3), (2, 1, 3))
 
 
 def monomial_lists(coords, max_terms):
@@ -133,13 +135,18 @@ def test_boundary_coefficients_satisfy_the_first_variation_formula(shape, data):
 
 
 def test_the_formula_rejects_a_table_off_by_one_coefficient():
-    # the oracle has teeth: y^1 added to one coefficient breaks the formula
-    cfg = JetConfig(2, 1, 2)
+    # the oracle has teeth: y^1 added to one level-two coefficient breaks the
+    # formula, at k = 2 on the top level and at k = 3 one level below it
     x1, y1 = ("x", 1), ("y", 1)
     z11, z12 = ("z", 1, (1, 1)), ("z", 1, (1, 2))
-    lagrangian_terms = [({z11: 2}, 1), ({z12: 1, y1: 1}, 1), ({x1: 1, z11: 1}, 1)]
-    table = dict(derive(cfg, library_expr(lagrangian_terms)).boundary_symmetric.coefficients.table)
-    assert first_variation_defect(cfg, lagrangian_terms, table) == 0
-    key = (1, 2, (1,))
-    table[key] = table.get(key, Expr.zero()) + y_var(1)
-    assert first_variation_defect(cfg, lagrangian_terms, table) != 0
+    second_order = [({z11: 2}, 1), ({z12: 1, y1: 1}, 1), ({x1: 1, z11: 1}, 1)]
+    third_order = [({("z", 1, (1, 1, 2)): 2}, 1), ({("z", 1, (2, 2, 2)): 1, z11: 1}, 1)]
+    for k, lagrangian_terms in ((2, second_order), (3, second_order + third_order)):
+        cfg = JetConfig(2, 1, k)
+        derivation = derive(cfg, library_expr(lagrangian_terms))
+        table = dict(derivation.boundary_symmetric.coefficients.table)
+        assert first_variation_defect(cfg, lagrangian_terms, table) == 0
+        key = (1, 2, (1,))
+        assert key in table  # the level-two coefficient is one the solve wrote
+        table[key] = table[key] + y_var(1)
+        assert first_variation_defect(cfg, lagrangian_terms, table) != 0

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetforms.expressions import render_expr, render_rational, y_var, z_var
+from jetforms.expressions import render_expr, render_rational, x_var, y_var, z_var
 from jetforms.jets import JetConfig
 from jetforms.problem import (
     ProblemError,
@@ -71,9 +71,12 @@ def render_problem(spec: ProblemSpec) -> str:
 
 def problem_data(spec: ProblemSpec) -> dict:
     """The fields of a spec in a form ``==`` compares by value; a section
-    compares by its components."""
+    compares by its components, and the grid keyword's position, which
+    moves when a spec is rendered again, is left out."""
     sections = {name: section.components for name, section in spec.sections.items()}
-    return {**vars(spec), "sections": sections}
+    data = {**vars(spec), "sections": sections}
+    del data["grid_at"]
+    return data
 
 
 def test_minimal_problem():
@@ -276,6 +279,27 @@ MALFORMED = [
      "1:217: nesting deeper than 200 levels", ()),
     ("dims 1 1 1; L = " + "sum(i,1,1," * 201 + "y[1]" + ")" * 201 + ";", SYN,
      "1:2017: nesting deeper than 200 levels", ()),
+    # a power's degree, its base's times its exponent, is bounded at the exponent
+    ("dims 1 1 1; L = z[1;1]^10001;", SEM,
+     "1:24: power of degree 10001 exceeds 10000", ()),
+    ("dims 1 1 1; L = (x[1]*z[1;1])^5001;", SEM,
+     "1:31: power of degree 10002 exceeds 10000", ()),
+    # metric entries are expressions with a rational constant value
+    ("dims 1 1 1; metric g = diag(x[1]); L = y[1];", SEM,  # non-constant diag entry
+     "1:29: metric entries must be constant", ()),
+    ("dims 2 1 1; metric g = [[1, y[1]], [y[1], 1]]; L = y[1];", SEM,  # non-constant row entry
+     "1:29: metric entries must be constant", ()),
+    ("dims 1 1 1; metric g = diag(1/0); L = y[1];", SEM,  # entry divides by zero
+     "1:30: division by zero", ()),
+    ("dims 1 1 1; metric g = diag(1); metric h = diag(g[1 1]); L = y[1];", SEM,  # names a metric
+     "1:49: unknown metric 'g'", ()),
+    # a field term's coefficient is a product, with the checks of expressions
+    ("dims 1 1 1; L = y[1]; field F = x[1]/0*dx[1];", SEM,
+     "1:37: division by zero", ()),
+    ("dims 1 1 1; L = y[1]; field F = x[1]/y[1]*dx[1];", SEM,
+     "1:37: division is only allowed by constants", ()),
+    ("dims 1 1 1; L = y[1]; field F = x[1] dx[1];", SYN,  # product without *
+     "1:38: unexpected 'dx' (expected '*')", ("'*'",)),
 ]
 
 
@@ -311,6 +335,26 @@ def test_every_mutation_of_the_fixture_parses_or_gets_a_positioned_error(changes
     except ProblemError as err:
         assert 1 <= err.line <= text.count("\n") + 1 and err.column >= 1, str(err)
         assert str(err).startswith(f"{err.line}:{err.column}: ")
+
+
+def test_field_terms_and_metric_entries_are_expressions():
+    # a field term is a product, with * and /, times dx[i] or dy[a]; a
+    # metric entry is any expression whose value is a rational constant
+    spec = parse_problem(
+        "dims 2 1 1; metric g = diag(1, 2*3);"
+        "metric h = [[1/2, sum(i,1,2,i)/6], [1/2, -(1 - 2)^2]];"
+        "L = z[1;1]^2; field S = x[1]*dx[1] + 3/2*y[1]*dy[1] - x[2]/4*dx[2];"
+    )
+    assert spec.metrics == {
+        "g": ((1, 0), (0, 6)),
+        "h": ((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 2), -1)),
+    }
+    assert all(type(v) is Fraction for m in spec.metrics.values() for row in m for v in row)
+    field = spec.fields["S"]
+    assert field.base_components == (x_var(1), -x_var(2) / 4)
+    assert field.vertical_components == (Fraction(3, 2) * y_var(1),)
+    # the degree bound admits a power of degree 10000
+    assert parse_problem("dims 1 1 1; L = z[1;1]^10000;").lagrangian == z_var(1, (1,)) ** 10000
 
 
 def test_long_chains_parse_flat():

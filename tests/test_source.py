@@ -423,3 +423,27 @@ def test_code_line_counter_sums_the_modules_and_skips_docstrings(capsys):
     )
     assert tool.code_lines(terse) == tool.code_lines(wordy) == 3
     assert tool.code_lines('x = """a\nb"""\n') == 2
+
+
+def test_startup_probe_prints_one_row_per_module_the_command_imports(capsys):
+    # tools/startup.py reads -X importtime from fresh processes; this checks
+    # the shape of its table, not the times
+    path = SOURCE.parents[1] / "tools" / "startup.py"
+    spec = importlib.util.spec_from_file_location("startup", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.main(["verify", "--runs", "2"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["module", "self_ms", "cumulative_ms"]
+    table = {name: (float(s), float(c)) for name, s, c in (row.split() for row in rows)}
+    assert len(table) == len(rows)
+    assert {"jetforms", "jetforms.cli", "jetforms.problem", "jetforms.expressions"} <= set(table)
+    assert "argparse" in table  # standard library, imported by the CLI
+    assert "site" not in table  # imported before the command starts
+    assert all(
+        name.split(".")[0] in sys.stdlib_module_names or name.split(".")[0] == "jetforms"
+        for name in table
+    )
+    assert all(0 <= s <= c for s, c in table.values())
+    cumulative = [c for _, c in table.values()]
+    assert cumulative == sorted(cumulative, reverse=True)
