@@ -256,6 +256,10 @@ def cmd_evolve(spec: ProblemSpec, report: Report, args):
         t1 = args.t1
     lo, hi, count, _ = grid.axes[0]
     max_mode = max(2, count // 8)
+    try:  # its errors are the grid's: its shape, or a period out of float range
+        state = band_limited_state(grid, cfg.n, max_mode=max_mode, seed=args.seed)
+    except ValueError as exc:
+        raise ProblemError(str(exc), *spec.grid_at)
     # past xi_max |t1 - t0| = 1/sqrt(eps), with xi_max = 2 pi max_mode/(hi - lo),
     # cauchy_evolve's round-trip bound eps (1 + xi_max |t|)^2 passes 1
     span = (hi - lo) / (2 * math.pi * max_mode * math.sqrt(sys.float_info.epsilon))
@@ -264,10 +268,6 @@ def cmd_evolve(spec: ProblemSpec, report: Report, args):
             f"end time {t1:g}: |t1 - t0| exceeds {span:.3g}, past which no digit "
             f"of the evolved state survives (max mode {max_mode})", 1, 1
         )
-    try:  # its errors are the grid's: its shape, or a period out of float range
-        state = band_limited_state(grid, cfg.n, max_mode=max_mode, seed=args.seed)
-    except ValueError as exc:
-        raise ProblemError(str(exc), *spec.grid_at)
     state.t = t0
     if args.out:
         try:

@@ -20,15 +20,24 @@ rational constant, naming no metric, and a field term is a product of
 factors, joined by ``*`` and ``/`` as in expressions, times ``dx[i]`` or
 ``dy[a]`` (the product may be left out).  Numbers are written in ASCII
 digits.  Sums and products may be arbitrarily long; parentheses, sum bodies
-and unary signs nest at most 200 levels deep, and a power's degree is at
-most 10000.  Jet indices are canonicalized on parse.  Every syntax error
-carries a line/column position and the expected tokens; semantic errors
-(index ranges, order overflow, asymmetric metrics, duplicate declarations)
-point at the offending token.
+and unary signs nest at most 200 levels deep, a power's degree is at most
+10000, and no coefficient of a power may have more digits than the
+interpreter converts (``sys.get_int_max_str_digits``).  Jet indices are
+canonicalized on parse.
+
+The parser makes one pass over the tokens, and each grammar rule returns
+its value as a function rather than a tree; the values are evaluated once
+the whole file has parsed, so the statements may come in any order and a
+syntax error anywhere is reported before any error in a value.  Every syntax
+error carries a line/column position and the expected tokens; semantic
+errors (index ranges, order overflow, asymmetric metrics, duplicate
+declarations) point at the offending token.
 """
 from __future__ import annotations
 
 import math
+import re
+import sys
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
@@ -137,14 +146,20 @@ class ProblemSpec:
 
 # -- tokenizer ----------------------------------------------------------------
 
-_PUNCT = {";", ",", "=", "(", ")", "[", "]", "+", "-", "*", "/", "^"}
-# numbers are ASCII digits only: str.isdigit also accepts superscripts,
-# which int() rejects, and the digits of other scripts, which it reads
-_DIGITS = frozenset("0123456789")
+# One alternative per token, tried in order; blanks and comments match no
+# group.  Numbers are ASCII digits only: \d and str.isdigit also accept
+# superscripts, which int() rejects, and the digits of other scripts, which
+# it reads.  A number without a point or an exponent is an int; an exponent
+# needs a digit after its optional sign.  A name runs over \w (str.isalnum
+# or "_") and must start with a letter or "_".
+_TOKEN = re.compile(
+    r"(?P<newline>\n)|[ \t\r]+|#[^\n]*"
+    r"|(?P<number>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
+    r"|(?P<name>\w+)|(?P<punct>[;,=()\[\]+\-*/^])|(?P<other>.)"
+)
 # Parentheses, sum bodies and unary signs nest by recursion, in the parser
-# and in the elaboration; deeper input is a positioned error, not a
-# RecursionError.  Chains of +, -, * and / do not nest: they parse into one
-# flat node each.
+# and in the values it returns; deeper input is a positioned error, not a
+# RecursionError.  Chains of +, -, * and / do not nest: each is one loop.
 _MAX_NESTING = 200
 # A monomial holds one coordinate id per unit of degree, so a power's memory
 # grows with its degree: z[1;1]^1000000 took 46 MB, and ^999999999 would
@@ -152,7 +167,7 @@ _MAX_NESTING = 200
 _MAX_DEGREE = 10_000
 
 
-@dataclass(frozen=True)
+@dataclass  # not frozen: a frozen dataclass is four times slower to build
 class _Token:
     kind: str  # "name" | "int" | "float" | punctuation | "end"
     text: str
@@ -171,77 +186,48 @@ def _int_value(token: _Token) -> int:
         ) from None
 
 
-def _tokenize(text: str):
-    tokens = []
-    line, column = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            column = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            column += 1
-            continue
-        if ch == "#":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-            continue
-        start_col = column
-        if ch in _DIGITS or (ch == "." and text[i + 1 : i + 2] in _DIGITS):
-            j = i
-            seen_dot = seen_exp = False
-            while j < len(text):
-                c = text[j]
-                if c in _DIGITS:
-                    j += 1
-                elif c == "." and not seen_dot and not seen_exp:
-                    seen_dot = True
-                    j += 1
-                elif c in "eE" and not seen_exp:
-                    # an exponent needs a digit after its optional sign
-                    digit = j + 2 if text[j + 1 : j + 2] in ("+", "-") else j + 1
-                    if text[digit : digit + 1] not in _DIGITS:
-                        break
-                    seen_exp = True
-                    j = digit
-                else:
-                    break
-            chunk = text[i:j]
-            kind = "float" if (seen_dot or seen_exp) else "int"
-            tokens.append(_Token(kind, chunk, line, start_col))
-            column += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("name", text[i:j], line, start_col))
-            column += j - i
-            i = j
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token(ch, ch, line, start_col))
-            i += 1
-            column += 1
-            continue
-        raise ProblemSyntaxError(f"unexpected character {ch!r}", line, start_col)
-    tokens.append(_Token("end", "", line, column))
+def _tokenize(text: str) -> list:
+    tokens, line, line_start = [], 1, 0
+    for match in _TOKEN.finditer(text):
+        kind, chunk = match.lastgroup, match.group()
+        if kind == "newline":
+            line, line_start = line + 1, match.end()
+        elif kind:
+            column = match.start() - line_start + 1
+            if kind == "other" or kind == "name" and not (chunk[0].isalpha() or chunk[0] == "_"):
+                raise ProblemSyntaxError(f"unexpected character {chunk[0]!r}", line, column)
+            if kind == "number":
+                kind = "int" if chunk.isdigit() else "float"
+            tokens.append(_Token(chunk if kind == "punct" else kind, chunk, line, column))
+    tokens.append(_Token("end", "", line, len(text) - line_start + 1))
     return tokens
 
 
 # -- parser -------------------------------------------------------------------
 
 
+def _in_range(label: str, value: int, bound: int, token: _Token) -> int:
+    """``value`` when it lies in 1..bound; otherwise an error at ``token``."""
+    if not 1 <= value <= bound:
+        raise ProblemSemanticError(
+            f"{label} {value} out of range 1..{bound}", token.line, token.column
+        )
+    return value
+
+
 class _Parser:
+    """Each rule returns its value as a function: of the bound sum indices
+    for an expression (env -> Expr) and an index (env -> int), of nothing
+    for a declaration.  The functions run once the whole file has parsed,
+    with ``cfg`` and ``metrics`` set, so a syntax error anywhere comes
+    before any error in a value."""
+
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
+        self.cfg = None
+        self.metrics = {}
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -290,15 +276,8 @@ class _Parser:
     # -- statements ---------------------------------------------------------
 
     def parse_problem(self) -> ProblemSpec:
-        dims = None
-        metrics: dict = {}
-        lagrangian_ast = None
-        field_asts: dict = {}
-        skew_asts: dict = {}
-        section_asts: dict = {}
-        grid = None
-        evolve = None
-        grid_at = None
+        dims = lagrangian = grid = evolve = grid_at = None
+        metrics, fields, skew, sections = {}, {}, {}, {}
         declared = set()
 
         def declare(what: str):
@@ -327,12 +306,12 @@ class _Parser:
             elif word == "L":
                 declare("Lagrangian")
                 self.expect("=")
-                lagrangian_ast = self.parse_expr()
+                lagrangian = self.parse_expr()
             elif word == "field":
                 name = self.expect("name", "a field name").text
                 declare(f"field {name!r}")
                 self.expect("=")
-                field_asts[name] = (token, self.parse_vector_field())
+                fields[name] = self.parse_vector_field(name, token)
             elif word == "skewQ":
                 self.expect("[")
                 a, _ = self.expect_int("a field index")
@@ -342,12 +321,13 @@ class _Parser:
                 self.expect("]")
                 self.expect("=")
                 declare(f"skewQ[{a}; {i1} {i2}]")
-                skew_asts[(a, i1, i2)] = (token, self.parse_expr())
+                skew[(a, i1, i2)] = self.skew_value(a, i1, i2, token, self.parse_expr())
             elif word == "section":
                 name = self.expect("name", "a section name").text
                 declare(f"section {name!r}")
                 self.expect("=")
-                section_asts[name] = (token, self.parse_list("(", ")", self.parse_expr))
+                components = self.parse_list("(", ")", self.parse_expr)
+                sections[name] = self.section_value(name, token, components)
             elif word == "grid":
                 declare("grid declaration")
                 grid_at = (token.line, token.column)
@@ -355,7 +335,7 @@ class _Parser:
                 while self.peek().kind != ";":
                     lo = self.expect_number()
                     hi = self.expect_number()
-                    count, count_token = self.expect_int("a point count")
+                    count, _ = self.expect_int("a point count")
                     flag = self.expect("name", "'periodic' or 'open'")
                     if flag.text not in ("periodic", "open"):
                         raise ProblemSyntaxError(
@@ -393,10 +373,24 @@ class _Parser:
         end = self.peek()
         if dims is None:
             raise ProblemSemanticError("missing dims declaration", end.line, end.column)
-        if lagrangian_ast is None:
+        if lagrangian is None:
             raise ProblemSemanticError("missing Lagrangian", end.line, end.column)
-        return _Elaborator(dims, metrics).build(
-            lagrangian_ast, field_asts, skew_asts, section_asts, grid, evolve, grid_at
+        self.cfg = dims
+        # every entry is evaluated before any metric is registered, so an
+        # entry that names a metric names an unknown one
+        matrices = {name: (token, matrix()) for name, (token, matrix) in metrics.items()}
+        for name, (token, matrix) in matrices.items():
+            self.metrics[name] = _checked_metric(dims, name, matrix, token)
+        return ProblemSpec(
+            cfg=dims,
+            metrics=self.metrics,
+            lagrangian=lagrangian({}),
+            fields={name: value() for name, value in fields.items()},
+            skew={key: value() for key, value in skew.items()},
+            sections={name: value() for name, value in sections.items()},
+            grid=grid,
+            evolve=evolve,
+            grid_at=grid_at,
         )
 
     def parse_list(self, opening: str, closing: str, item, what: str | None = None):
@@ -410,28 +404,65 @@ class _Parser:
         return items
 
     def parse_matrix(self, at: _Token):
-        """Rows of (first token, expression) entries; ``diag`` fills the
-        entries off the diagonal with zero at its own token."""
+        """The matrix's rows of entries, each a rational constant; ``diag``
+        fills the entries off the diagonal with zero."""
         def entry():
-            return self.peek(), self.parse_expr()
+            token, value = self.peek(), self.parse_expr()
+            return lambda: _constant(value({}), "metric entries must be constant", token)
 
         token = self.peek()
         if token.kind == "name" and token.text == "diag":
             self.advance()
-            entries = self.parse_list("(", ")", entry)
-            zero = (token, ("num", Fraction(0)))
-            return [
-                [entries[i] if i == j else zero for j in range(len(entries))]
-                for i in range(len(entries))
-            ]
-        rows = self.parse_list(
-            "[", "]", lambda: self.parse_list("[", "]", entry), "'diag' or '['"
-        )
-        if any(len(row) != len(rows) for row in rows):
-            raise ProblemSemanticError("metric matrix is not square", at.line, at.column)
-        return rows
+            diagonal = self.parse_list("(", ")", entry)
+            # Fraction() is the zero off the diagonal
+            rows = [[d if i == j else Fraction for j in range(len(diagonal))]
+                    for i, d in enumerate(diagonal)]
+        else:
+            rows = self.parse_list(
+                "[", "]", lambda: self.parse_list("[", "]", entry), "'diag' or '['"
+            )
+            if any(len(row) != len(rows) for row in rows):
+                raise ProblemSemanticError("metric matrix is not square", at.line, at.column)
+        return lambda: tuple(tuple(value() for value in row) for row in rows)
 
-    # -- expressions (to AST) -------------------------------------------------
+    def skew_value(self, a: int, i1: int, i2: int, at: _Token, value):
+        """The value of ``skewQ[a; i1 i2] = value``, its indices checked."""
+        def entry():
+            cfg = self.cfg
+            _in_range("skewQ field index", a, cfg.n, at)
+            for idx in (i1, i2):
+                _in_range("skewQ base index", idx, cfg.m, at)
+            if cfg.k != 2:
+                raise ProblemSemanticError(
+                    "skewQ perturbations are defined for k = 2 problems", at.line, at.column
+                )
+            return value({})
+        return entry
+
+    def section_value(self, name: str, at: _Token, components: list):
+        """The section ``name``: one component per field, each in x alone."""
+        def section():
+            if len(components) != self.cfg.n:
+                raise ProblemSemanticError(
+                    f"section {name!r} has {len(components)} components; "
+                    f"expected {self.cfg.n}",
+                    at.line,
+                    at.column,
+                )
+            values = []
+            for component in components:
+                value = component({})
+                if any(c[0] != "x" for c in value.variables()):
+                    raise ProblemSemanticError(
+                        f"section {name!r} components must depend on x only",
+                        at.line,
+                        at.column,
+                    )
+                values.append(value)
+            return PolynomialSection(self.cfg, tuple(values))
+        return section
+
+    # -- expressions -----------------------------------------------------------
 
     def enter(self, token: _Token) -> None:
         """Open one nesting level at ``token``; the caller closes it."""
@@ -441,28 +472,49 @@ class _Parser:
             )
         self.depth += 1
 
+    # The values loop rather than call generators, so that one level of
+    # nesting in the input is one frame when they run.
+
     def parse_expr(self):
-        """Terms joined by + and - as one node ("add", terms), each term a
-        product; a chain of one is left bare."""
-        terms, negate = [], False
-        while True:
-            term = self.parse_product()
-            terms.append(("neg", term) if negate else term)
-            if self.peek().kind not in ("+", "-"):
-                return terms[0] if len(terms) == 1 else ("add", terms)
-            negate = self.advance().kind == "-"
+        """Terms joined by + and -, each a product; a chain of one is the
+        product's own value."""
+        terms = [(False, self.parse_product())]
+        while self.peek().kind in ("+", "-"):
+            terms.append((self.advance().kind == "-", self.parse_product()))
+        if len(terms) == 1:
+            return terms[0][1]
+
+        def total(env):
+            values = []
+            for negate, term in terms:
+                values.append(-term(env) if negate else term(env))
+            return Expr.sum(values)
+        return total
 
     def parse_product(self):
-        """Factors joined by * and / as one node ("product", first,
-        [(operator token, factor), ...]); a chain of one is left bare.  The
-        chain ends before ``* dx[i]`` or ``* dy[a]``, a field term's basis
-        vector: no factor is a name with one index, as a metric entry
-        takes two."""
+        """Factors joined by * and /; a chain of one is the factor's own
+        value.  The chain ends before ``* dx[i]`` or ``* dy[a]``, a field
+        term's basis vector: no factor is a name with one index, as a metric
+        entry takes two."""
         first, rest = self.parse_factor(), []
         while self.peek().kind in ("*", "/") and not self.basis_follows():
             op = self.advance()
             rest.append((op, self.parse_factor()))
-        return ("product", first, rest) if rest else first
+        if not rest:
+            return first
+
+        def product(env):
+            value = first(env)
+            for op, factor in rest:
+                if op.kind == "*":
+                    value = value * factor(env)
+                    continue
+                constant = _constant(factor(env), "division is only allowed by constants", op)
+                if constant == 0:
+                    raise ProblemSemanticError("division by zero", op.line, op.column)
+                value = value / constant
+            return value
+        return product
 
     def basis_follows(self) -> bool:
         """Whether the tokens after the next one open ``dx[i]`` or ``dy[a]``."""
@@ -476,18 +528,41 @@ class _Parser:
             self.enter(token)
             inner = self.parse_factor()
             self.depth -= 1
-            return inner if token.kind == "+" else ("neg", inner)
-        node = self.parse_atom()
-        if self.peek().kind == "^":
-            self.advance()
-            node = ("pow", node, *self.expect_int("a non-negative integer exponent"))
-        return node
+            return inner if token.kind == "+" else lambda env: -inner(env)
+        base = self.parse_atom()
+        if self.peek().kind != "^":
+            return base
+        self.advance()
+        exponent, at = self.expect_int("a non-negative integer exponent")
+
+        def power(env):
+            value = base(env)
+            degree = exponent * value.degree()
+            if degree > _MAX_DEGREE:
+                raise ProblemSemanticError(
+                    f"power of degree {degree} exceeds {_MAX_DEGREE}", at.line, at.column
+                )
+            # the largest numerator or denominator of the base's coefficients
+            # (of the coefficient itself, for a constant or a monomial) to
+            # the power may not pass the digits int() and str() convert, 0
+            # being no limit; from 2 up, any exponent above 4 * limit does
+            limit = sys.get_int_max_str_digits()
+            largest = max([1] + [max(abs(q.numerator), q.denominator) for _, q in value.terms()])
+            if limit and largest > 1 and (
+                exponent > 4 * limit or exponent * math.log10(largest) >= limit
+            ):
+                raise ProblemSemanticError(
+                    f"power exceeds {limit} digits", at.line, at.column
+                )
+            return value**exponent
+        return power
 
     def parse_atom(self):
         token = self.peek()
         if token.kind == "int":
             self.advance()
-            return ("num", Fraction(_int_value(token)))
+            value = Expr.constant(_int_value(token))
+            return lambda env: value
         if token.kind == "float":
             raise ProblemSyntaxError(
                 "decimal literals are not allowed in expressions; use rationals",
@@ -498,297 +573,162 @@ class _Parser:
         if token.kind == "(":
             self.advance()
             self.enter(token)
-            node = self.parse_expr()
+            value = self.parse_expr()
             self.depth -= 1
             self.expect(")")
-            return node
-        if token.kind == "name":
-            name = token.text
+            return value
+        if token.kind != "name":
+            raise ProblemSyntaxError(
+                f"unexpected {token.text!r}" if token.kind != "end" else "unexpected end of input",
+                token.line,
+                token.column,
+                expected=["a number", "'('", "'x'", "'y'", "'z'", "'sum'", "a metric name"],
+            )
+        name = token.text
+        self.advance()
+        if name == "sum":
+            self.expect("(")
+            var = self.expect("name", "an index variable").text
+            self.expect(",")
+            lo, _ = self.expect_int("a lower bound")
+            self.expect(",")
+            hi, _ = self.expect_int("an upper bound")
+            self.expect(",")
+            self.enter(token)
+            body = self.parse_expr()
+            self.depth -= 1
+            self.expect(")")
+
+            def total(env):
+                terms = []
+                for value in range(lo, hi + 1):
+                    terms.append(body({**env, var: value}))
+                return Expr.sum(terms)
+            return total
+        if name in ("x", "y"):
+            self.expect("[")
+            index = self.parse_index()
+            self.expect("]")
+
+            def coordinate(env):
+                bound = self.cfg.m if name == "x" else self.cfg.n
+                idx = _in_range(f"{name} index", index(env), bound, token)
+                return Expr.variable(base_coord(idx) if name == "x" else field_coord(idx))
+            return coordinate
+        if name == "z":
+            self.expect("[")
+            field_index = self.parse_index()
+            self.expect(";")
+            jet_indices = [self.parse_index()]
+            while self.peek().kind in ("int", "name"):
+                jet_indices.append(self.parse_index())
+            self.expect("]")
+
+            def jet(env):
+                cfg = self.cfg
+                a = _in_range("field index", field_index(env), cfg.n, token)
+                indices = [index(env) for index in jet_indices]
+                for idx in indices:
+                    _in_range("jet index", idx, cfg.m, token)
+                if len(indices) > cfg.k:
+                    raise ProblemSemanticError(
+                        f"jet order {len(indices)} > k = {cfg.k}", token.line, token.column
+                    )
+                return Expr.variable(jet_coord(a, indices))
+            return jet
+        if self.peek().kind == "[":
             self.advance()
-            if name == "sum":
-                self.expect("(")
-                var = self.expect("name", "an index variable")
-                self.expect(",")
-                lo, _ = self.expect_int("a lower bound")
-                self.expect(",")
-                hi, _ = self.expect_int("an upper bound")
-                self.expect(",")
-                self.enter(token)
-                body = self.parse_expr()
-                self.depth -= 1
-                self.expect(")")
-                return ("sum", var.text, lo, hi, body, var)
-            if name in ("x", "y"):
-                self.expect("[")
-                idx = self.parse_index()
-                self.expect("]")
-                return ("coord1", name, idx, token)
-            if name == "z":
-                self.expect("[")
-                a_idx = self.parse_index()
-                self.expect(";")
-                jets = [self.parse_index()]
-                while self.peek().kind in ("int", "name"):
-                    jets.append(self.parse_index())
-                self.expect("]")
-                return ("jet", a_idx, jets, token)
-            if self.peek().kind == "[":
-                self.advance()
-                i_idx = self.parse_index()
-                j_idx = self.parse_index()
-                self.expect("]")
-                return ("metric", name, i_idx, j_idx, token)
-            # bare identifier: a bound sum index used as a value
-            return ("index_value", name, token)
-        raise ProblemSyntaxError(
-            f"unexpected {token.text!r}" if token.kind != "end" else "unexpected end of input",
-            token.line,
-            token.column,
-            expected=["a number", "'('", "'x'", "'y'", "'z'", "'sum'", "a metric name"],
-        )
+            i_index, j_index = self.parse_index(), self.parse_index()
+            self.expect("]")
+
+            def entry(env):
+                matrix = self.metrics.get(name)
+                if matrix is None:
+                    raise ProblemSemanticError(
+                        f"unknown metric {name!r}", token.line, token.column
+                    )
+                i, j = i_index(env), j_index(env)
+                for idx in (i, j):
+                    _in_range("metric index", idx, len(matrix), token)
+                return Expr.constant(matrix[i - 1][j - 1])
+            return entry
+        # a bare identifier: a bound sum index used as a value
+        index = self.bound_index(token, "identifier")
+        return lambda env: Expr.constant(index(env))
 
     def parse_index(self):
-        token = self.peek()
+        token = self.advance()
         if token.kind == "int":
-            self.advance()
-            return ("int", _int_value(token), token)
+            value = _int_value(token)
+            return lambda env: value
         if token.kind == "name":
-            self.advance()
-            return ("name", token.text, token)
+            return self.bound_index(token, "index variable")
         raise ProblemSyntaxError(
             f"unexpected {token.text!r}", token.line, token.column,
             expected=["an index (integer or bound name)"],
         )
 
+    @staticmethod
+    def bound_index(token: _Token, what: str):
+        """The value a sum binds to the name ``token``; an error there when
+        no enclosing sum binds it."""
+        def index(env) -> int:
+            if token.text not in env:
+                raise ProblemSemanticError(
+                    f"unbound {what} {token.text!r}", token.line, token.column
+                )
+            return env[token.text]
+        return index
+
     # -- vector fields ---------------------------------------------------------
 
-    def parse_vector_field(self):
-        terms = [(1, self.parse_vector_term())]
-        while self.peek().kind in ("+", "-"):
+    def parse_vector_field(self, name: str, at: _Token):
+        """Terms joined by + and -: ``product * dx[i]``, ``product * dy[a]``
+        or a bare basis vector, whose product is 1."""
+        terms, sign = [], 1
+        while True:
+            coefficient = None
+            if self.peek().text not in ("dx", "dy"):
+                coefficient = self.parse_product()
+                self.expect("*", "'*'")
+            token = self.advance()
+            self.expect("[")
+            idx, _ = self.expect_int("an index")
+            self.expect("]")
+            terms.append((sign, coefficient, token, idx))
+            if self.peek().kind not in ("+", "-"):
+                break
             sign = 1 if self.advance().kind == "+" else -1
-            terms.append((sign, self.parse_vector_term()))
-        return terms
 
-    def parse_vector_term(self):
-        """``product * dx[i]``, ``product * dy[a]`` or a bare basis vector,
-        whose product is 1."""
-        coefficient = ("num", Fraction(1))
-        if self.peek().text not in ("dx", "dy"):
-            coefficient = self.parse_product()
-            self.expect("*", "'*'")
-        token = self.advance()
-        self.expect("[")
-        idx, _ = self.expect_int("an index")
-        self.expect("]")
-        return (coefficient, token.text, idx, token)
-
-
-# -- elaboration --------------------------------------------------------------
+        def field():
+            cfg = self.cfg
+            base, vertical = [Expr.zero()] * cfg.m, [Expr.zero()] * cfg.n
+            for sign, coefficient, token, idx in terms:
+                value = Expr.constant(sign) if coefficient is None else sign * coefficient({})
+                target = base if token.text == "dx" else vertical
+                _in_range(f"{token.text} index", idx, len(target), token)
+                target[idx - 1] = target[idx - 1] + value
+            try:
+                return ProjectableField(cfg, tuple(base), tuple(vertical))
+            except ValueError as exc:
+                raise ProblemSemanticError(f"field {name!r}: {exc}", at.line, at.column)
+        return field
 
 
-def _in_range(label: str, value: int, bound: int, token: _Token) -> int:
-    """``value`` when it lies in 1..bound; otherwise an error at ``token``."""
-    if not 1 <= value <= bound:
+def _checked_metric(cfg: JetConfig, name: str, matrix: tuple, at: _Token) -> tuple:
+    """``matrix`` when it is m x m or n x n, symmetric and invertible;
+    otherwise an error at ``at``."""
+    size = len(matrix)
+    if size not in (cfg.m, cfg.n):
+        sizes = " or ".join(f"{s}x{s}" for s in dict.fromkeys((cfg.m, cfg.n)))
         raise ProblemSemanticError(
-            f"{label} {value} out of range 1..{bound}", token.line, token.column
+            f"metric {name!r} is {size}x{size}; expected {sizes}", at.line, at.column
         )
-    return value
-
-
-class _Elaborator:
-    def __init__(self, cfg: JetConfig, metric_asts: dict):
-        self.cfg = cfg
-        self.metrics = {}
-        # every entry is evaluated before any metric is registered, so an
-        # entry that names a metric names an unknown one
-        def entry(at: _Token, node) -> Fraction:
-            return _constant(self.eval_expr(node, {}), "metric entries must be constant", at)
-
-        matrices = {
-            name: (token, tuple(tuple(entry(*e) for e in row) for row in rows))
-            for name, (token, rows) in metric_asts.items()
-        }
-        for name, (token, matrix) in matrices.items():
-            size = len(matrix)
-            if size not in (cfg.m, cfg.n):
-                sizes = " or ".join(f"{s}x{s}" for s in dict.fromkeys((cfg.m, cfg.n)))
-                raise ProblemSemanticError(
-                    f"metric {name!r} is {size}x{size}; expected {sizes}",
-                    token.line,
-                    token.column,
-                )
-            for i in range(size):
-                for j in range(size):
-                    if matrix[i][j] != matrix[j][i]:
-                        raise ProblemSemanticError(
-                            f"metric {name!r} is not symmetric",
-                            token.line,
-                            token.column,
-                        )
-            if _determinant(matrix) == 0:
-                raise ProblemSemanticError(
-                    f"metric {name!r} is singular", token.line, token.column
-                )
-            self.metrics[name] = matrix
-
-    def build(
-        self, lagrangian_ast, field_asts, skew_asts, section_asts, grid, evolve, grid_at
-    ):
-        cfg = self.cfg
-        lagrangian = self.eval_expr(lagrangian_ast, {})
-        fields = {}
-        for name, (token, terms) in field_asts.items():
-            fields[name] = self.eval_vector_field(name, token, terms)
-        skew = {}
-        for (a, i1, i2), (token, ast) in skew_asts.items():
-            _in_range("skewQ field index", a, cfg.n, token)
-            for idx in (i1, i2):
-                _in_range("skewQ base index", idx, cfg.m, token)
-            if cfg.k != 2:
-                raise ProblemSemanticError(
-                    "skewQ perturbations are defined for k = 2 problems",
-                    token.line,
-                    token.column,
-                )
-            skew[(a, i1, i2)] = self.eval_expr(ast, {})
-        sections = {}
-        for name, (token, comp_asts) in section_asts.items():
-            if len(comp_asts) != cfg.n:
-                raise ProblemSemanticError(
-                    f"section {name!r} has {len(comp_asts)} components; "
-                    f"expected {cfg.n}",
-                    token.line,
-                    token.column,
-                )
-            comps = []
-            for ast in comp_asts:
-                comp = self.eval_expr(ast, {})
-                if any(c[0] != "x" for c in comp.variables()):
-                    raise ProblemSemanticError(
-                        f"section {name!r} components must depend on x only",
-                        token.line,
-                        token.column,
-                    )
-                comps.append(comp)
-            sections[name] = PolynomialSection(cfg, tuple(comps))
-        return ProblemSpec(
-            cfg=cfg,
-            metrics=self.metrics,
-            lagrangian=lagrangian,
-            fields=fields,
-            skew=skew,
-            sections=sections,
-            grid=grid,
-            evolve=evolve,
-            grid_at=grid_at,
-        )
-
-    def eval_index(self, node, env) -> int:
-        kind = node[0]
-        if kind == "int":
-            return node[1]
-        name, token = node[1], node[2]
-        if name not in env:
-            raise ProblemSemanticError(
-                f"unbound index variable {name!r}", token.line, token.column
-            )
-        return env[name]
-
-    def eval_expr(self, node, env) -> Expr:
-        kind = node[0]
-        if kind == "num":
-            return Expr.constant(node[1])
-        # loops rather than generators, so that one level of nesting in the
-        # input is one frame here
-        if kind == "add":
-            terms = []
-            for term in node[1]:
-                terms.append(self.eval_expr(term, env))
-            return Expr.sum(terms)
-        if kind == "neg":
-            return -self.eval_expr(node[1], env)
-        if kind == "product":
-            value = self.eval_expr(node[1], env)
-            for op, factor_node in node[2]:
-                factor = self.eval_expr(factor_node, env)
-                if op.kind == "*":
-                    value = value * factor
-                    continue
-                constant = _constant(factor, "division is only allowed by constants", op)
-                if constant == 0:
-                    raise ProblemSemanticError("division by zero", op.line, op.column)
-                value = value / constant
-            return value
-        if kind == "pow":
-            _, base_node, exponent, token = node
-            base = self.eval_expr(base_node, env)
-            degree = exponent * base.degree()
-            if degree > _MAX_DEGREE:
-                raise ProblemSemanticError(
-                    f"power of degree {degree} exceeds {_MAX_DEGREE}", token.line, token.column
-                )
-            return base**exponent
-        if kind == "sum":
-            _, var, lo, hi, body, token = node
-            terms = []
-            for value in range(lo, hi + 1):
-                terms.append(self.eval_expr(body, {**env, var: value}))
-            return Expr.sum(terms)
-        if kind == "coord1":
-            _, name, idx_node, token = node
-            bound = self.cfg.m if name == "x" else self.cfg.n
-            idx = _in_range(f"{name} index", self.eval_index(idx_node, env), bound, token)
-            coord = base_coord(idx) if name == "x" else field_coord(idx)
-            return Expr.variable(coord)
-        if kind == "jet":
-            _, a_node, jet_nodes, token = node
-            a = _in_range("field index", self.eval_index(a_node, env), self.cfg.n, token)
-            indices = [self.eval_index(j, env) for j in jet_nodes]
-            for idx in indices:
-                _in_range("jet index", idx, self.cfg.m, token)
-            if len(indices) > self.cfg.k:
-                raise ProblemSemanticError(
-                    f"jet order {len(indices)} > k = {self.cfg.k}",
-                    token.line,
-                    token.column,
-                )
-            return Expr.variable(jet_coord(a, indices))
-        if kind == "metric":
-            _, name, i_node, j_node, token = node
-            matrix = self.metrics.get(name)
-            if matrix is None:
-                raise ProblemSemanticError(
-                    f"unknown metric {name!r}", token.line, token.column
-                )
-            i = self.eval_index(i_node, env)
-            j = self.eval_index(j_node, env)
-            for idx in (i, j):
-                _in_range("metric index", idx, len(matrix), token)
-            return Expr.constant(matrix[i - 1][j - 1])
-        if kind == "index_value":
-            _, name, token = node
-            if name not in env:
-                raise ProblemSemanticError(
-                    f"unbound identifier {name!r}", token.line, token.column
-                )
-            return Expr.constant(env[name])
-        raise AssertionError(f"unhandled AST node {kind!r}")
-
-    def eval_vector_field(self, name, at: _Token, terms) -> ProjectableField:
-        cfg = self.cfg
-        base = [Expr.zero() for _ in range(cfg.m)]
-        vertical = [Expr.zero() for _ in range(cfg.n)]
-        for sign, (coefficient, which, idx, token) in terms:
-            coeff = sign * self.eval_expr(coefficient, {})
-            target = base if which == "dx" else vertical
-            _in_range(f"{which} index", idx, len(target), token)
-            target[idx - 1] = target[idx - 1] + coeff
-        try:
-            return ProjectableField(cfg, tuple(base), tuple(vertical))
-        except ValueError as exc:
-            raise ProblemSemanticError(
-                f"field {name!r}: {exc}", at.line, at.column
-            )
+    if any(matrix[i][j] != matrix[j][i] for i in range(size) for j in range(size)):
+        raise ProblemSemanticError(f"metric {name!r} is not symmetric", at.line, at.column)
+    if _determinant(matrix) == 0:
+        raise ProblemSemanticError(f"metric {name!r} is singular", at.line, at.column)
+    return matrix
 
 
 def _constant(value: Expr, message: str, token: _Token) -> Fraction:

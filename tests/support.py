@@ -4,7 +4,7 @@ summed from them, the contact-ideal test built from them, the one-scan
 vertical contractions of a form and their holonomic reductions, a seeded
 random polynomial generator, generic sections with free coefficients, the
 wave example's Lagrangian built in Python, a reference ring, the determinant
-by minors, the Expr kernels the library replaced, and the prolongation,
+by minors, the problem tokenizer as a character loop, the Expr kernels the library replaced, and the prolongation,
 symmetry test, characteristic jets and currents by the total derivatives of
 the characteristic Q^a.
 
@@ -19,7 +19,8 @@ monomials, substitution through one table of images per coordinate, a
 section's substitution through the section's own table of images,
 products with one monomial by insertion, monomials over interned
 coordinate ids, the
-determinant by elimination); these stay as independent references.  The
+determinant by elimination, the problem tokenizer by one regular
+expression); these stay as independent references.  The
 kernels read an Expr only through ``terms()``, so they work on coordinate
 monomials whatever ids the library gives the coordinates.
 """
@@ -53,6 +54,7 @@ from jetforms.jets import (
     jet_coord,
     multiindices,
 )
+from jetforms.problem import ProblemSyntaxError, _Token
 from jetforms.prolongations import ProjectableField, prolong
 
 
@@ -420,6 +422,76 @@ def minors_determinant(matrix) -> Fraction:
         term = matrix[0][j] * minors_determinant(minor)
         total += term if j % 2 == 0 else -term
     return total
+
+
+_PUNCT = {";", ",", "=", "(", ")", "[", "]", "+", "-", "*", "/", "^"}
+_DIGITS = frozenset("0123456789")
+
+
+def reference_tokenize(text: str) -> list:
+    """The problem tokenizer as a loop over characters: the parser's
+    reference.  After a comment that ends the input with no newline, its end
+    token keeps the comment's first column."""
+    tokens = []
+    line, column = 1, 1
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            column = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            column += 1
+            continue
+        if ch == "#":
+            while i < len(text) and text[i] != "\n":
+                i += 1
+            continue
+        start_col = column
+        if ch in _DIGITS or (ch == "." and text[i + 1 : i + 2] in _DIGITS):
+            j = i
+            seen_dot = seen_exp = False
+            while j < len(text):
+                c = text[j]
+                if c in _DIGITS:
+                    j += 1
+                elif c == "." and not seen_dot and not seen_exp:
+                    seen_dot = True
+                    j += 1
+                elif c in "eE" and not seen_exp:
+                    # an exponent needs a digit after its optional sign
+                    digit = j + 2 if text[j + 1 : j + 2] in ("+", "-") else j + 1
+                    if text[digit : digit + 1] not in _DIGITS:
+                        break
+                    seen_exp = True
+                    j = digit
+                else:
+                    break
+            chunk = text[i:j]
+            kind = "float" if (seen_dot or seen_exp) else "int"
+            tokens.append(_Token(kind, chunk, line, start_col))
+            column += j - i
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(_Token("name", text[i:j], line, start_col))
+            column += j - i
+            i = j
+            continue
+        if ch in _PUNCT:
+            tokens.append(_Token(ch, ch, line, start_col))
+            i += 1
+            column += 1
+            continue
+        raise ProblemSyntaxError(f"unexpected character {ch!r}", line, start_col)
+    tokens.append(_Token("end", "", line, column))
+    return tokens
 
 
 def numerators(e: Expr) -> tuple:

@@ -474,6 +474,30 @@ def test_evolve_reports_a_grid_it_cannot_evolve_at_the_grid_keyword(
     }
 
 
+def test_evolve_checks_the_grid_before_the_end_time(tmp_path, monkeypatch, capsys):
+    # an end time past the digit limit of the first axis is no reason to
+    # reject a grid that no end time could evolve: the grid is reported first
+    import jetforms.cli as cli
+
+    problem = tmp_path / "open.jet"
+    problem.write_text(
+        open(WAVE).read().replace(
+            "grid 0 6.283185307179586 256 periodic;", "grid 0 1 64 open;"
+        )
+    )
+    message = "Cauchy evolution needs a 1-D periodic grid"
+    monkeypatch.setattr(cli, "derive", _fail_derive)
+    code, out, err = run(capsys, "evolve", str(problem), "--t1", "1e9")
+    assert code == 2
+    assert out == ""
+    assert err == f"{problem}:{GRID_LINE}:1: {message}\n"
+    code, out, _ = run(capsys, "evolve", str(problem), "--t1", "1e9", "--json")
+    assert code == 2
+    assert json.loads(out) == {
+        "error": message, "line": GRID_LINE, "column": 1, "expected": []
+    }
+
+
 def test_debug_log_reports_sizes_and_timings(caplog, capsys):
     with caplog.at_level(logging.DEBUG, logger="jetforms"):
         code, quiet_out, _ = run(capsys, "dedonder-form", WAVE)

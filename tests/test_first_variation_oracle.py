@@ -16,7 +16,19 @@ Functions of x^1..x^m, the variation is sympy's diff in e, E_a comes from
 euler_equations and D_i is diff in x^i.  The Lagrangian is built on both
 sides from the same drawn monomials; only the coefficients p cross over,
 through Expr.terms().
+
+For a strict symmetry Y of L the same formula, off shell, is Noether's
+identity
+
+    sum_i D_i J^i = -Q^a E_a ,   Q^a = Y^a - z^a_j Y^j ,
+
+with J^i the density of J = noether_current(Y, theta, None) along
+d/dx^i -| d_m x.  Only J crosses over, through Expr.terms(); L and the
+components of Y are data, read into sympy the same way, and Q^a, E_a and
+D_i are formed there.
 """
+import importlib.resources
+
 import pytest
 
 sympy = pytest.importorskip("sympy")
@@ -25,9 +37,21 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from sympy.calculus.euler import euler_equations  # noqa: E402
 
-from jetforms.dedonder import derive, perturbed_coefficients  # noqa: E402
+from jetforms.dedonder import (  # noqa: E402
+    derive,
+    perturbed_coefficients,
+    skew_pair_perturbation,
+)
 from jetforms.expressions import Expr, y_var  # noqa: E402
-from jetforms.jets import JetConfig, enumerate_coordinates, multiindices, splittings  # noqa: E402
+from jetforms.jets import (  # noqa: E402
+    JetConfig,
+    base_coord,
+    enumerate_coordinates,
+    multiindices,
+    splittings,
+)
+from jetforms.problem import parse_problem  # noqa: E402
+from jetforms.prolongations import ProjectableField, is_symmetry, noether_current  # noqa: E402
 
 ORACLE = settings(max_examples=4, derandomize=True, deadline=None)
 # at k = 3 the top-down solve runs two levels below the top; (2, 2, 3) and
@@ -66,6 +90,19 @@ class Jets:
             return fields[coord[1] - 1]
         return self.derivative(fields[coord[1] - 1], coord[2])
 
+    def crossed(self, e: Expr, fields):
+        """An Expr read on ``fields`` through its terms()."""
+        return self.polynomial([(dict(mono), c) for mono, c in e.terms()], fields)
+
+    def euler_lagrange(self, lagrangian) -> list:
+        """E_a of a sympy Lagrangian in the sections, by euler_equations."""
+        # sympy drops an equation that evaluates to True or False, as a
+        # constant or null Lagrangian's does; a free c_a * y_a term keeps each
+        markers = sympy.symbols(f"c1:{len(self.ys) + 1}")
+        marked = lagrangian + sum(c * y for c, y in zip(markers, self.ys))
+        equations = euler_equations(marked, self.ys, self.xs)
+        return [equation.lhs - c for equation, c in zip(equations, markers)]
+
     def polynomial(self, terms, fields):
         """sum c prod coord^power, with the coordinates read on ``fields``."""
         out = sympy.Integer(0)
@@ -82,21 +119,12 @@ def first_variation_defect(cfg: JetConfig, lagrangian_terms, table: dict):
     jets = Jets(cfg)
     varied = [y + jets.e * q for y, q in zip(jets.ys, jets.qs)]
     variation = sympy.diff(jets.polynomial(lagrangian_terms, varied), jets.e).subs(jets.e, 0)
-    # sympy drops an equation that evaluates to True or False, as a constant
-    # or null Lagrangian's does; a free c_a * y_a term keeps each one
-    markers = sympy.symbols(f"c1:{cfg.n + 1}")
-    marked = jets.polynomial(lagrangian_terms, jets.ys) + sum(
-        c * y for c, y in zip(markers, jets.ys)
-    )
-    equations = euler_equations(marked, jets.ys, jets.xs)
-    body = sum(
-        q * (equation.lhs - c) for q, equation, c in zip(jets.qs, equations, markers)
-    )
+    euler_lagrange = jets.euler_lagrange(jets.polynomial(lagrangian_terms, jets.ys))
+    body = sum(q * e for q, e in zip(jets.qs, euler_lagrange))
     flux = [sympy.Integer(0)] * cfg.m
     for (a, i1, tail), p in table.items():
         # the one crossing from the library: p through Expr.terms()
-        p_terms = [(dict(mono), c) for mono, c in p.terms()]
-        flux[i1 - 1] += jets.polynomial(p_terms, jets.ys) * jets.derivative(jets.qs[a - 1], tail)
+        flux[i1 - 1] += jets.crossed(p, jets.ys) * jets.derivative(jets.qs[a - 1], tail)
     boundary = sum(sympy.diff(f, x) for f, x in zip(flux, jets.xs))
     return sympy.expand(variation - body - boundary)
 
@@ -150,3 +178,63 @@ def test_the_formula_rejects_a_table_off_by_one_coefficient():
         assert key in table  # the level-two coefficient is one the solve wrote
         table[key] = table[key] + y_var(1)
         assert first_variation_defect(cfg, lagrangian_terms, table) != 0
+
+
+def noether_defect(Y: ProjectableField, theta):
+    """sum_i D_i J^i + Q^a E_a, expanded, for J = noether_current(Y, theta, None)."""
+    cfg = theta.cfg
+    jets = Jets(cfg)
+    current = noether_current(Y, theta, None)
+    divergence = sympy.Integer(0)
+    for i in range(1, cfg.m + 1):
+        # d/dx^i -| d_m x is (-1)^(i-1) times the wedge of the other dx^j
+        wedge = [base_coord(j) for j in range(1, cfg.m + 1) if j != i]
+        density = (-1) ** (i - 1) * jets.crossed(current.coefficient(wedge), jets.ys)
+        divergence += sympy.diff(density, jets.xs[i - 1])
+    base = [jets.crossed(comp, jets.ys) for comp in Y.base_components]
+    characteristic = [
+        jets.crossed(comp, jets.ys) - sum(sympy.diff(y, x) * b for x, b in zip(jets.xs, base))
+        for comp, y in zip(Y.vertical_components, jets.ys)
+    ]
+    euler_lagrange = jets.euler_lagrange(jets.crossed(theta.lagrangian, jets.ys))
+    return sympy.expand(divergence + sum(q * e for q, e in zip(characteristic, euler_lagrange)))
+
+
+def test_the_wave_currents_satisfy_noethers_identity():
+    # time and space translation and the Lorentz boost, whose base
+    # components are not constant, with the symmetric Theta and the skew one
+    # the fixture declares
+    fixture = importlib.resources.files("jetforms").joinpath("fixtures/fourth_order_wave.jet")
+    spec = parse_problem(fixture.read_text())
+    derivation = derive(spec.cfg, spec.lagrangian)
+    thetas = (
+        derivation.theta_symmetric,
+        derivation.theta_skew(skew_pair_perturbation(spec.cfg, spec.skew)),
+    )
+    assert sorted(spec.fields) == ["YL", "YS", "YT"]
+    for name, Y in spec.fields.items():
+        assert is_symmetry(Y, spec.lagrangian)[0], name
+        for theta in thetas:
+            assert noether_defect(Y, theta) == 0, name
+
+
+@st.composite
+def translation_problems(draw, shape):
+    """(Lagrangian in the jets z alone, field of constant components): each
+    translation in x and y is a strict symmetry of such a Lagrangian."""
+    cfg = JetConfig(*shape)
+    jets = [c for c in enumerate_coordinates(cfg, cfg.k) if c[0] == "z"]
+    lagrangian = library_expr(draw(monomial_lists(jets, 3)))
+    constants = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+    components = [Expr.constant(draw(constants)) for _ in range(cfg.m + cfg.n)]
+    field = ProjectableField(cfg, tuple(components[: cfg.m]), tuple(components[cfg.m :]))
+    return lagrangian, field
+
+
+@pytest.mark.parametrize("shape", SHAPES[:3], ids=lambda s: "".join(map(str, s)))
+@ORACLE
+@given(data=st.data())
+def test_translation_currents_satisfy_noethers_identity(shape, data):
+    lagrangian, Y = data.draw(translation_problems(shape))
+    assert is_symmetry(Y, lagrangian)[0]
+    assert noether_defect(Y, derive(Y.cfg, lagrangian).theta_symmetric) == 0

@@ -1,11 +1,12 @@
 import importlib.resources
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetforms.expressions import render_expr, render_rational, x_var, y_var, z_var
+from jetforms.expressions import Expr, render_expr, render_rational, x_var, y_var, z_var
 from jetforms.jets import JetConfig
 from jetforms.problem import (
     ProblemError,
@@ -13,9 +14,10 @@ from jetforms.problem import (
     ProblemSpec,
     ProblemSyntaxError,
     _determinant,
+    _tokenize,
     parse_problem,
 )
-from tests.support import minors_determinant
+from tests.support import minors_determinant, reference_tokenize
 
 MINIMAL = "dims 1 1 1; L = (1/2)*z[1;1]^2;"
 
@@ -300,6 +302,19 @@ MALFORMED = [
      "1:37: division is only allowed by constants", ()),
     ("dims 1 1 1; L = y[1]; field F = x[1] dx[1];", SYN,  # product without *
      "1:38: unexpected 'dx' (expected '*')", ("'*'",)),
+    # a power's coefficients are bounded by int()'s digit limit at the exponent
+    ("dims 1 1 1; L = 7^10000000*y[1];", SEM,  # 8.5 million digits
+     "1:19: power exceeds 4300 digits", ()),
+    ("dims 1 1 1; L = 7^6000*y[1];", SEM,  # 5071 digits, more than str() renders
+     "1:19: power exceeds 4300 digits", ()),
+    ("dims 1 1 1; L = (2/7*y[1])^6000;", SEM,  # a denominator, in a monomial
+     "1:28: power exceeds 4300 digits", ()),
+    # the end of input after a comment with no newline is the true end
+    ("dims 1 1 1; # note", SEM, "1:19: missing Lagrangian", ()),
+    # a sum's body is parsed whatever its range, so its syntax errors show
+    ("dims 1 1 1; L = sum(i,2,1, y[1] +);", SYN,
+     "1:34: unexpected ')' (expected a number or '(' or 'x' or 'y' or 'z' or 'sum' or "
+     "a metric name)", ATOM),
 ]
 
 
@@ -335,6 +350,69 @@ def test_every_mutation_of_the_fixture_parses_or_gets_a_positioned_error(changes
     except ProblemError as err:
         assert 1 <= err.line <= text.count("\n") + 1 and err.column >= 1, str(err)
         assert str(err).startswith(f"{err.line}:{err.column}: ")
+
+
+# FUZZ_ALPHABET and more of what the tokenizer must tell apart: letters,
+# digits and numerals of other scripts, a combining mark, symbols, the
+# carriage return, and whitespace the language does not take
+WIDE_ALPHABET = FUZZ_ALPHABET + (
+    "aZ_\u00aa\u00b5\u00c0\u0391\u03b1\u0416\u05d0\u0627\u4e09\u2160\u2468"
+    "\u0301\u0660\u0967\uff11\r\u00a0\u000b\u000c\u2028!\"$%&'<>?@\\`{|}~:\u00b7\u2212"
+)
+
+
+def tokens_or_rejection(tokenize, text):
+    """(kind, text, line, column) per token, or the rejection's message and
+    position."""
+    try:
+        return [(t.kind, t.text, t.line, t.column) for t in tokenize(text)]
+    except ProblemSyntaxError as err:
+        return (str(err), err.line, err.column)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(st.text(WIDE_ALPHABET, max_size=40))
+def test_the_tokenizer_matches_the_character_loop_it_replaced(text):
+    new = tokens_or_rejection(_tokenize, text)
+    old = tokens_or_rejection(reference_tokenize, text)
+    last_line = text.rsplit("\n", 1)[-1]
+    if isinstance(new, list) and "#" in last_line:
+        # the one difference: after a comment that ends the input with no
+        # newline, the end token sits at the true end, where the loop left
+        # it at the comment's first column
+        assert new.pop()[3] == len(last_line) + 1
+        assert old.pop()[3] == last_line.index("#") + 1
+    assert new == old
+
+
+def test_the_tokenizer_takes_names_and_numbers_as_the_character_loop_did():
+    # each character below U+3000 (Latin to the Indic scripts, superscripts,
+    # number forms, enclosed numerals) and of the fullwidth forms, alone and
+    # after a letter: str.isalpha starts a name, \w continues it, and only
+    # ASCII digits make numbers, as the ASCII ones after a digit show
+    codes = [*range(0x3000), *range(0xFF00, 0xFFF0)]
+    texts = [text for c in codes for text in (chr(c), "x" + chr(c))]
+    texts += ["1" + chr(c) + "1" for c in range(0x80)]
+    for text in texts:
+        if "#" not in text:  # a comment's end is in the property above
+            assert tokens_or_rejection(_tokenize, text) == tokens_or_rejection(
+                reference_tokenize, text
+            ), text
+
+
+def test_a_power_of_a_constant_below_the_digit_limit_parses():
+    spec = parse_problem("dims 1 1 1; L = 7^100*y[1] + (2/7)^1000*z[1;1];")
+    assert spec.lagrangian == 7**100 * y_var(1) + Fraction(2, 7) ** 1000 * z_var(1, (1,))
+    # 7^5000 has 4226 digits, within the default limit of 4300
+    assert parse_problem("dims 1 1 1; L = 7^5000;").lagrangian == Expr.constant(7**5000)
+    # a limit of 0 is no limit
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        spec = parse_problem("dims 1 1 1; L = 7^6000*y[1];")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert spec.lagrangian == 7**6000 * y_var(1)
 
 
 def test_field_terms_and_metric_entries_are_expressions():

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import importlib.util
 import os
 import pathlib
@@ -447,3 +448,25 @@ def test_startup_probe_prints_one_row_per_module_the_command_imports(capsys):
     assert all(0 <= s <= c for s, c in table.values())
     cumulative = [c for _, c in table.values()]
     assert cumulative == sorted(cumulative, reverse=True)
+
+
+def test_fixture_outputs_prints_one_fingerprint_per_run(monkeypatch, capsys):
+    # tools/fixture_outputs.py runs every command and demo in a fresh
+    # process; this checks the list of runs and the line of one of them
+    root = SOURCE.parents[1]
+    path = root / "tools" / "fixture_outputs.py"
+    spec = importlib.util.spec_from_file_location("fixture_outputs", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    runs = tool.runs(root)
+    names = [name for name, _ in runs]
+    demos = sorted((root / "demos").glob("*.py"))
+    # seven commands as text and --json, three sections, one seed, the demos
+    assert len(set(names)) == len(names) == 14 + 3 + 1 + len(demos) and demos
+    assert {"noether --json", "residual --section cubic", "evolve --seed 1"} <= set(names)
+    monkeypatch.setattr(tool, "runs", lambda checkout: [run for run in runs if run[0] == "verify"])
+    assert tool.main([str(root)]) == 0
+    name, code, out, err = capsys.readouterr().out.split()
+    assert (name, code) == ("verify", "0")
+    assert len(out) == 64 and int(out, 16) >= 0
+    assert err == hashlib.sha256(b"").hexdigest()
