@@ -13,18 +13,16 @@ Output is deterministic: identical inputs give byte-identical output.
 from __future__ import annotations
 
 import argparse
-import json
-import logging
 import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 
 from .dedonder import (
     STRUCTURAL_CHECKS,
     compare_boundary_forms,
     contact_presentation,
+    debug_logger,
     dedonder_residual,
     derive,
     skew_pair_perturbation,
@@ -36,19 +34,18 @@ from .jets import jet_coord
 from .problem import GridSpec, ProblemError, ProblemSpec, parse_problem
 from .prolongations import is_symmetry, noether_current
 
-log = logging.getLogger("jetforms")
-
 ENERGY_DRIFT_TOL = 1e-6
 ENERGY_AGREE_TOL = 1e-10
 
-@dataclass
+
 class Report:
     """Accumulates human-readable lines, machine records and check results."""
 
-    json_mode: bool
-    lines: list = field(default_factory=list)
-    data: dict = field(default_factory=dict)
-    checks: list = field(default_factory=list)
+    def __init__(self, json_mode: bool):
+        self.json_mode = json_mode
+        self.lines: list = []
+        self.data: dict = {}
+        self.checks: list = []
 
     def say(self, text: str):
         self.lines.append(text)
@@ -64,6 +61,8 @@ class Report:
 
     def emit(self):
         if self.json_mode:
+            import json
+
             payload = dict(self.data)
             if self.checks:
                 payload["checks"] = self.checks
@@ -385,9 +384,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     start = time.perf_counter()
-    # getLevelName maps a registered level name to its int, anything else to a str
-    level = logging.getLevelName(os.environ.get("JETFORMS_LOG", "WARNING").upper())
-    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING)
+    level_name = os.environ.get("JETFORMS_LOG")
+    if level_name:
+        import logging
+
+        # getLevelName maps a registered level name to its int, anything else to a str
+        level = logging.getLevelName(level_name.upper())
+        logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING)
     args = build_parser().parse_args(argv)
     try:
         with open(args.problem, encoding="utf-8") as handle:
@@ -410,12 +413,16 @@ def main(argv=None) -> int:
             "expected": list(exc.expected),
         }
         if args.json:
+            import json
+
             json.dump(record, sys.stdout, indent=2, sort_keys=True)
             sys.stdout.write("\n")
         else:
             print(f"{args.problem}:{exc}", file=sys.stderr)
         return 2
-    log.debug("%s took %.4f s", args.command, time.perf_counter() - start)
+    log = debug_logger()
+    if log is not None:
+        log.debug("%s took %.4f s", args.command, time.perf_counter() - start)
     report.emit()
     return 0 if report.ok else 1
 

@@ -72,8 +72,7 @@ operator) are references in the tests.
 """
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field
+import sys
 from time import perf_counter
 from typing import Mapping
 
@@ -98,8 +97,6 @@ from .jets import (
     splittings,
 )
 
-log = logging.getLogger("jetforms")
-
 
 def check_lagrangian(cfg: JetConfig, L: Expr) -> None:
     """Reject, naming it, a coordinate of L outside ``cfg`` or of jet order
@@ -113,7 +110,6 @@ def check_lagrangian(cfg: JetConfig, L: Expr) -> None:
             )
 
 
-@dataclass
 class PhiDecomposition:
     """Components of a source-semi-basic (m+1)-form in the contact-adapted basis.
 
@@ -122,16 +118,15 @@ class PhiDecomposition:
     The components are not mutated after construction: the symmetric
     solution of their boundary system is kept the first time it is solved.
     A decomposition made by :meth:`of_lagrangian` also keeps the Lagrangian
-    it is the gradient of, uncompared, so that :func:`dedonder_form` can
-    tell it from one built by hand without a second gradient.
+    it is the gradient of, so that :func:`dedonder_form` can tell it from
+    one built by hand without a second gradient.
     """
 
-    cfg: JetConfig
-    components: dict
-    _symmetric: BoundaryCoefficients | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _lagrangian: Expr | None = field(default=None, init=False, repr=False, compare=False)
+    def __init__(self, cfg: JetConfig, components: dict):
+        self.cfg = cfg
+        self.components = components
+        self._symmetric: BoundaryCoefficients | None = None
+        self._lagrangian: Expr | None = None
 
     @classmethod
     def of_lagrangian(cls, cfg: JetConfig, L: Expr) -> PhiDecomposition:
@@ -163,7 +158,6 @@ def phi_from_lagrangian(cfg: JetConfig, L: Expr):
     return decomposition.form(), decomposition
 
 
-@dataclass
 class BoundaryCoefficients:
     """Coefficients p^{i1,T}_a: first index free, tail canonical, level |T|+1 <= k.
 
@@ -174,12 +168,13 @@ class BoundaryCoefficients:
     values instead.
     """
 
-    cfg: JetConfig
-    table: dict  # (a, i1, tail) -> Expr
-    _divergences: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _sums: dict | None = field(default=None, init=False, repr=False, compare=False)
-    _volume: Expr | None = field(default=None, init=False, repr=False, compare=False)
-    _parts: tuple = field(default=(), init=False, repr=False, compare=False)
+    def __init__(self, cfg: JetConfig, table: dict):
+        self.cfg = cfg
+        self.table = table  # (a, i1, tail) -> Expr
+        self._divergences: dict = {}
+        self._sums: dict | None = None
+        self._volume: Expr | None = None
+        self._parts: tuple = ()
 
     def coefficient(self, a: int, i1: int, tail: tuple = ()) -> Expr:
         return self.table.get((a, i1, tuple(tail)), Expr.zero())
@@ -441,7 +436,6 @@ STRUCTURAL_CHECKS = (
 )
 
 
-@dataclass
 class BoundaryForm:
     """An assembled boundary form with its coefficients and provenance.
 
@@ -449,11 +443,18 @@ class BoundaryForm:
     system of its ``phi``; one built by hand is checked anew.
     """
 
-    cfg: JetConfig
-    form: DifferentialForm
-    coefficients: BoundaryCoefficients
-    phi: PhiDecomposition | None = None
-    _solves_phi: bool = field(default=False, init=False, repr=False, compare=False)
+    def __init__(
+        self,
+        cfg: JetConfig,
+        form: DifferentialForm,
+        coefficients: BoundaryCoefficients,
+        phi: PhiDecomposition | None = None,
+    ):
+        self.cfg = cfg
+        self.form = form
+        self.coefficients = coefficients
+        self.phi = phi
+        self._solves_phi = False
 
 
 def assemble_boundary_form(
@@ -518,19 +519,15 @@ def contact_presentation(xi: BoundaryForm) -> str:
     return " + ".join(pieces) if pieces else "0"
 
 
-@dataclass
 class DeDonderForm:
     """Theta = L d_m x + Xi on the order-(2k-1) jet space."""
 
-    cfg: JetConfig
-    lagrangian: Expr
-    boundary: BoundaryForm
-    form: DifferentialForm = field(init=False)
-
-    def __post_init__(self):
+    def __init__(self, cfg: JetConfig, lagrangian: Expr, boundary: BoundaryForm):
+        self.cfg = cfg
+        self.lagrangian = lagrangian
+        self.boundary = boundary
         self.form = (
-            DifferentialForm.from_scalar(self.lagrangian).wedge(volume_form(self.cfg))
-            + self.boundary.form
+            DifferentialForm.from_scalar(lagrangian).wedge(volume_form(cfg)) + boundary.form
         )
 
     def check_section(self, section: PolynomialSection) -> None:
@@ -562,15 +559,22 @@ def dedonder_form(cfg: JetConfig, L: Expr, xi: BoundaryForm) -> DeDonderForm:
     return DeDonderForm(cfg, L, xi)
 
 
-@dataclass
 class Derivation:
     """The objects one Lagrangian derives, each built and checked once."""
 
-    cfg: JetConfig
-    lagrangian: Expr
-    decomposition: PhiDecomposition
-    boundary_symmetric: BoundaryForm
-    theta_symmetric: DeDonderForm
+    def __init__(
+        self,
+        cfg: JetConfig,
+        lagrangian: Expr,
+        decomposition: PhiDecomposition,
+        boundary_symmetric: BoundaryForm,
+        theta_symmetric: DeDonderForm,
+    ):
+        self.cfg = cfg
+        self.lagrangian = lagrangian
+        self.decomposition = decomposition
+        self.boundary_symmetric = boundary_symmetric
+        self.theta_symmetric = theta_symmetric
 
     def euler_lagrange(self) -> list:
         """dL/dy^a as Phi_a - sum_i D_i p^i_a, read from the divergence
@@ -608,23 +612,39 @@ def derive(cfg: JetConfig, L: Expr) -> Derivation:
     t3 = perf_counter()
     theta = DeDonderForm(cfg, L, xi)  # Xi is of L's own Phi
     t4 = perf_counter()
-    log.debug(
-        "symmetric objects: %d coefficients, Xi %d wedge terms, Theta %d wedge terms",
-        len(coeffs.table), len(xi.form.terms()), len(theta.form.terms()),
-    )
-    log.debug(
-        "stage seconds: Phi %.4f, coefficients %.4f, Xi %.4f, Theta %.4f",
-        t1 - t0, t2 - t1, t3 - t2, t4 - t3,
-    )
+    log = debug_logger()
+    if log is not None:
+        log.debug(
+            "symmetric objects: %d coefficients, Xi %d wedge terms, Theta %d wedge terms",
+            len(coeffs.table), len(xi.form.terms()), len(theta.form.terms()),
+        )
+        log.debug(
+            "stage seconds: Phi %.4f, coefficients %.4f, Xi %.4f, Theta %.4f",
+            t1 - t0, t2 - t1, t3 - t2, t4 - t3,
+        )
     return Derivation(cfg, L, dec, xi, theta)
 
 
-@dataclass
+def debug_logger():
+    """The ``"jetforms"`` logger when it would emit a debug record, else None.
+
+    This imports no ``logging``: until some caller has imported it, no
+    handler or level exists, so no record could be emitted.  ``cli.main``
+    imports it when ``JETFORMS_LOG`` is set.
+    """
+    logging = sys.modules.get("logging")
+    if logging is None:
+        return None
+    log = logging.getLogger("jetforms")
+    return log if log.isEnabledFor(logging.DEBUG) else None
+
+
 class Condition3Report:
     """Outcome of the target-vertical pullback check, per probing field."""
 
-    ok: bool
-    failures: list  # (a, I, residual Expr)
+    def __init__(self, ok: bool, failures: list):
+        self.ok = ok
+        self.failures = failures  # (a, I, residual Expr)
 
 
 def verify_condition3(phi: PhiDecomposition, xi: BoundaryForm) -> Condition3Report:
@@ -703,15 +723,24 @@ def dedonder_residual(theta: DeDonderForm, section: PolynomialSection) -> dict:
     return residuals
 
 
-@dataclass
 class ComparisonReport:
     """Lemma-2 style comparison of two boundary forms of the same Phi."""
 
-    ok: bool
-    differences: dict  # (a, i1, tail) -> Expr
-    relation_failures: list  # (a, I, residual) from the homogeneous system
-    divergence_residuals: dict  # a -> Expr, must all be zero
-    pullback_failures: list  # (coordinate, nonzero reduced X -| d(Xi - Xi'))
+    def __init__(
+        self,
+        ok: bool,
+        differences: dict,
+        relation_failures: list,
+        divergence_residuals: dict,
+        pullback_failures: list,
+    ):
+        self.ok = ok
+        self.differences = differences  # (a, i1, tail) -> Expr
+        # (a, I, residual) from the homogeneous system
+        self.relation_failures = relation_failures
+        self.divergence_residuals = divergence_residuals  # a -> Expr, must all be zero
+        # (coordinate, nonzero reduced X -| d(Xi - Xi'))
+        self.pullback_failures = pullback_failures
 
 
 def compare_boundary_forms(xi: BoundaryForm, xi_prime: BoundaryForm) -> ComparisonReport:

@@ -20,27 +20,42 @@ index, so no caller canonicalizes an index or special-cases level zero.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Sequence
 
 Coordinate = tuple
 
 
-@dataclass(frozen=True)
 class JetConfig:
-    """Shape of the problem: m independent, n dependent variables, order k."""
+    """Shape of the problem: m independent, n dependent variables, order k.
 
-    m: int
-    n: int
-    k: int
+    Immutable, and equal and hashed by (m, n, k).
+    """
 
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"need at least one independent variable, got m={self.m}")
-        if self.n < 1:
-            raise ValueError(f"need at least one dependent variable, got n={self.n}")
-        if self.k < 1:
-            raise ValueError(f"Lagrangian order must be positive, got k={self.k}")
+    def __init__(self, m: int, n: int, k: int):
+        if m < 1:
+            raise ValueError(f"need at least one independent variable, got m={m}")
+        if n < 1:
+            raise ValueError(f"need at least one dependent variable, got n={n}")
+        if k < 1:
+            raise ValueError(f"Lagrangian order must be positive, got k={k}")
+        self.__dict__.update(m=m, n=n, k=k)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable JetConfig")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable JetConfig")
+
+    def __eq__(self, other):
+        if other.__class__ is not JetConfig:
+            return NotImplemented
+        return (self.m, self.n, self.k) == (other.m, other.n, other.k)
+
+    def __hash__(self):
+        return hash((self.m, self.n, self.k))
+
+    def __repr__(self):
+        return f"JetConfig(m={self.m}, n={self.n}, k={self.k})"
 
     @property
     def working_order(self) -> int:

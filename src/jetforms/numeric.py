@@ -29,7 +29,6 @@ zero.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from typing import Sequence
@@ -119,7 +118,6 @@ def _derivative(values: np.ndarray, axis: int, grid: GridSpec) -> np.ndarray:
     return np.moveaxis(out, -1, axis)
 
 
-@dataclass
 class SampledSection:
     """Grid samples of a section, with lazily computed jet arrays.
 
@@ -128,14 +126,13 @@ class SampledSection:
     canonical multi-index, so mixed partials are symmetric by construction.
     """
 
-    grid: GridSpec
-    values: list
-    jets: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        for arr in self.values:
-            if arr.shape != self.grid.shape:
+    def __init__(self, grid: GridSpec, values: list, jets: dict | None = None):
+        for arr in values:
+            if arr.shape != grid.shape:
                 raise ValueError("sample shape does not match the grid")
+        self.grid = grid
+        self.values = values
+        self.jets = {} if jets is None else jets
 
     @property
     def n(self) -> int:

@@ -21,9 +21,10 @@ factors, joined by ``*`` and ``/`` as in expressions, times ``dx[i]`` or
 ``dy[a]`` (the product may be left out).  Numbers are written in ASCII
 digits.  Sums and products may be arbitrarily long; parentheses, sum bodies
 and unary signs nest at most 200 levels deep, a power's degree is at most
-10000, and no coefficient of a power may have more digits than the
-interpreter converts (``sys.get_int_max_str_digits``).  Jet indices are
-canonicalized on parse.
+10000, and a ``sum`` evaluates its body at most 10000 times, its range
+times the ranges of the sums around it.  No coefficient of a power, nor of
+a declared value, may have more digits than the interpreter converts
+(``sys.get_int_max_str_digits``).  Jet indices are canonicalized on parse.
 
 The parser makes one pass over the tokens, and each grammar rule returns
 its value as a function rather than a tree; the values are evaluated once
@@ -38,7 +39,6 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
 from .expressions import Expr, PolynomialSection
@@ -68,7 +68,6 @@ class ProblemSemanticError(ProblemError):
     pass
 
 
-@dataclass(frozen=True)
 class GridSpec:
     """Uniform tensor grid; per axis (lower, upper, count, periodic).
 
@@ -78,16 +77,20 @@ class GridSpec:
     only when one of them is asked for, so parsing a problem loads none.
     """
 
-    axes: tuple
-
-    def __post_init__(self):
-        if not self.axes:
+    def __init__(self, axes: tuple):
+        if not axes:
             raise ValueError("grids need at least one axis")
-        for lo, hi, count, periodic in self.axes:
+        for lo, hi, count, periodic in axes:
             if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
                 raise ValueError(f"bad axis bounds ({lo}, {hi})")
             if count < 8:
                 raise ValueError(f"grids need at least 8 points per axis, got {count}")
+        self.axes = axes
+
+    def __eq__(self, other):
+        if other.__class__ is not GridSpec:
+            return NotImplemented
+        return self.axes == other.axes
 
     @property
     def ndim(self) -> int:
@@ -127,21 +130,32 @@ class GridSpec:
         return w
 
 
-@dataclass(eq=False)
 class ProblemSpec:
     """Parsed, validated problem data."""
 
-    cfg: JetConfig
-    metrics: dict  # name -> tuple of tuples of Fractions
-    lagrangian: Expr
-    fields: dict = dataclass_field(default_factory=dict)  # name -> ProjectableField
-    skew: dict = dataclass_field(default_factory=dict)  # (a, i1, i2) -> Expr
-    sections: dict = dataclass_field(default_factory=dict)  # name -> PolynomialSection
-    grid: GridSpec | None = None
-    evolve: tuple | None = None  # (t0, t1, steps)
-    # (line, column) of the grid keyword, where evolve reports a grid it
-    # cannot evolve
-    grid_at: tuple | None = None
+    def __init__(
+        self,
+        cfg: JetConfig,
+        metrics: dict,  # name -> tuple of tuples of Fractions
+        lagrangian: Expr,
+        fields: dict | None = None,  # name -> ProjectableField
+        skew: dict | None = None,  # (a, i1, i2) -> Expr
+        sections: dict | None = None,  # name -> PolynomialSection
+        grid: GridSpec | None = None,
+        evolve: tuple | None = None,  # (t0, t1, steps)
+        # (line, column) of the grid keyword, where evolve reports a grid it
+        # cannot evolve
+        grid_at: tuple | None = None,
+    ):
+        self.cfg = cfg
+        self.metrics = metrics
+        self.lagrangian = lagrangian
+        self.fields = {} if fields is None else fields
+        self.skew = {} if skew is None else skew
+        self.sections = {} if sections is None else sections
+        self.grid = grid
+        self.evolve = evolve
+        self.grid_at = grid_at
 
 
 # -- tokenizer ----------------------------------------------------------------
@@ -163,16 +177,20 @@ _TOKEN = re.compile(
 _MAX_NESTING = 200
 # A monomial holds one coordinate id per unit of degree, so a power's memory
 # grows with its degree: z[1;1]^1000000 took 46 MB, and ^999999999 would
-# take tens of GB.  A power of higher degree is a positioned error.
+# take tens of GB.  A power of higher degree is a positioned error.  A sum
+# keeps one value per evaluation of its body, and sum(i,1,200000, y[1]) took
+# 1 s to parse, so more evaluations than this are an error at the sum too.
 _MAX_DEGREE = 10_000
 
 
-@dataclass  # not frozen: a frozen dataclass is four times slower to build
 class _Token:
-    kind: str  # "name" | "int" | "float" | punctuation | "end"
-    text: str
-    line: int
-    column: int
+    __slots__ = ("kind", "text", "line", "column")
+
+    def __init__(self, kind: str, text: str, line: int, column: int):
+        self.kind = kind  # "name" | "int" | "float" | punctuation | "end"
+        self.text = text
+        self.line = line
+        self.column = column
 
 
 def _int_value(token: _Token) -> int:
@@ -226,6 +244,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
+        self.evaluations = 1  # of the body being parsed: the product of the sums' ranges
         self.cfg = None
         self.metrics = {}
 
@@ -276,7 +295,7 @@ class _Parser:
     # -- statements ---------------------------------------------------------
 
     def parse_problem(self) -> ProblemSpec:
-        dims = lagrangian = grid = evolve = grid_at = None
+        dims = lagrangian = lagrangian_at = grid = evolve = grid_at = None
         metrics, fields, skew, sections = {}, {}, {}, {}
         declared = set()
 
@@ -306,7 +325,7 @@ class _Parser:
             elif word == "L":
                 declare("Lagrangian")
                 self.expect("=")
-                lagrangian = self.parse_expr()
+                lagrangian, lagrangian_at = self.parse_expr(), token
             elif word == "field":
                 name = self.expect("name", "a field name").text
                 declare(f"field {name!r}")
@@ -384,7 +403,7 @@ class _Parser:
         return ProblemSpec(
             cfg=dims,
             metrics=self.metrics,
-            lagrangian=lagrangian({}),
+            lagrangian=_within_digits(lagrangian({}), lagrangian_at),
             fields={name: value() for name, value in fields.items()},
             skew={key: value() for key, value in skew.items()},
             sections={name: value() for name, value in sections.items()},
@@ -408,7 +427,9 @@ class _Parser:
         fills the entries off the diagonal with zero."""
         def entry():
             token, value = self.peek(), self.parse_expr()
-            return lambda: _constant(value({}), "metric entries must be constant", token)
+            return lambda: _constant(
+                _within_digits(value({}), at), "metric entries must be constant", token
+            )
 
         token = self.peek()
         if token.kind == "name" and token.text == "diag":
@@ -436,7 +457,7 @@ class _Parser:
                 raise ProblemSemanticError(
                     "skewQ perturbations are defined for k = 2 problems", at.line, at.column
                 )
-            return value({})
+            return _within_digits(value({}), at)
         return entry
 
     def section_value(self, name: str, at: _Token, components: list):
@@ -451,7 +472,7 @@ class _Parser:
                 )
             values = []
             for component in components:
-                value = component({})
+                value = _within_digits(component({}), at)
                 if any(c[0] != "x" for c in value.variables()):
                     raise ProblemSemanticError(
                         f"section {name!r} components must depend on x only",
@@ -547,7 +568,7 @@ class _Parser:
             # the power may not pass the digits int() and str() convert, 0
             # being no limit; from 2 up, any exponent above 4 * limit does
             limit = sys.get_int_max_str_digits()
-            largest = max([1] + [max(abs(q.numerator), q.denominator) for _, q in value.terms()])
+            largest = _largest_part(value)
             if limit and largest > 1 and (
                 exponent > 4 * limit or exponent * math.log10(largest) >= limit
             ):
@@ -594,9 +615,17 @@ class _Parser:
             self.expect(",")
             hi, _ = self.expect_int("an upper bound")
             self.expect(",")
+            outer = self.evaluations
+            self.evaluations = outer * max(0, hi - lo + 1)
+            if self.evaluations > _MAX_DEGREE:
+                raise ProblemSemanticError(
+                    f"sum evaluates its body {self.evaluations} times, more than {_MAX_DEGREE}",
+                    token.line, token.column,
+                )
             self.enter(token)
             body = self.parse_expr()
             self.depth -= 1
+            self.evaluations = outer
             self.expect(")")
 
             def total(env):
@@ -708,6 +737,8 @@ class _Parser:
                 target = base if token.text == "dx" else vertical
                 _in_range(f"{token.text} index", idx, len(target), token)
                 target[idx - 1] = target[idx - 1] + value
+            for value in (*base, *vertical):
+                _within_digits(value, at)
             try:
                 return ProjectableField(cfg, tuple(base), tuple(vertical))
             except ValueError as exc:
@@ -729,6 +760,26 @@ def _checked_metric(cfg: JetConfig, name: str, matrix: tuple, at: _Token) -> tup
     if _determinant(matrix) == 0:
         raise ProblemSemanticError(f"metric {name!r} is singular", at.line, at.column)
     return matrix
+
+
+def _largest_part(value: Expr) -> int:
+    """The largest numerator or denominator of the coefficients of
+    ``value``; 1 for zero."""
+    return max([1] + [max(abs(q.numerator), q.denominator) for _, q in value.terms()])
+
+
+def _within_digits(value: Expr, at: _Token) -> Expr:
+    """``value`` when no numerator or denominator of its coefficients has
+    more digits than the interpreter converts (``sys.get_int_max_str_digits``,
+    0 being no limit); otherwise an error at ``at``, where it is declared.
+    Powers are bounded where they are written, but a product or a sum of
+    them is bounded only here."""
+    limit = sys.get_int_max_str_digits()
+    largest = _largest_part(value)
+    # 10^limit has more than 3 * limit bits, so only a longer number is compared
+    if limit and largest.bit_length() > 3 * limit and largest >= 10**limit:
+        raise ProblemSemanticError(f"coefficient exceeds {limit} digits", at.line, at.column)
+    return value
 
 
 def _constant(value: Expr, message: str, token: _Token) -> Fraction:

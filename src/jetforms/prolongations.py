@@ -34,7 +34,6 @@ numerically lives in :mod:`jetforms.numeric`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from .dedonder import DeDonderForm, check_lagrangian
@@ -56,7 +55,6 @@ def _is_affine(e: Expr, allowed_tags: tuple) -> bool:
     return True
 
 
-@dataclass
 class ProjectableField:
     """Y^i(x) d/dx^i + Y^a(x,y) d/dy^a, polynomial components.
 
@@ -65,22 +63,27 @@ class ProjectableField:
     requires the affine subclass (see :func:`jetforms.numeric.flow_oracle`).
     """
 
-    cfg: JetConfig
-    base_components: tuple  # Y^i, Exprs in x
-    vertical_components: tuple  # Y^a, Exprs in (x, y)
-
-    def __post_init__(self):
-        cfg = self.cfg
-        if len(self.base_components) != cfg.m:
+    def __init__(self, cfg: JetConfig, base_components: tuple, vertical_components: tuple):
+        if len(base_components) != cfg.m:
             raise ValueError(f"expected {cfg.m} base components")
-        if len(self.vertical_components) != cfg.n:
+        if len(vertical_components) != cfg.n:
             raise ValueError(f"expected {cfg.n} vertical components")
-        for comp in self.base_components:
+        for comp in base_components:
             if any(c[0] != "x" for c in comp.variables()):
                 raise ValueError("base components must depend on x only")
-        for comp in self.vertical_components:
+        for comp in vertical_components:
             if any(c[0] not in ("x", "y") for c in comp.variables()):
                 raise ValueError("vertical components must depend on (x, y) only")
+        self.cfg = cfg
+        self.base_components = base_components  # Y^i, Exprs in x
+        self.vertical_components = vertical_components  # Y^a, Exprs in (x, y)
+
+    def __eq__(self, other):
+        if other.__class__ is not ProjectableField:
+            return NotImplemented
+        return (self.cfg, self.base_components, self.vertical_components) == (
+            other.cfg, other.base_components, other.vertical_components
+        )
 
     @property
     def is_vertical(self) -> bool:

@@ -14,20 +14,30 @@ YT, YS and YL: the time and space translations and the Lorentz boost.
 from __future__ import annotations
 
 import importlib.resources
-from dataclasses import dataclass
 
 from .dedonder import Derivation, derive
 from .problem import parse_problem
 from .prolongations import ProjectableField
 
 
-@dataclass
 class WaveProblem(Derivation):
     """The example's derived objects and its symmetry fields."""
 
-    time_translation: ProjectableField
-    space_translation: ProjectableField
-    lorentz_boost: ProjectableField
+    def __init__(
+        self,
+        cfg,
+        lagrangian,
+        decomposition,
+        boundary_symmetric,
+        theta_symmetric,
+        time_translation: ProjectableField,
+        space_translation: ProjectableField,
+        lorentz_boost: ProjectableField,
+    ):
+        super().__init__(cfg, lagrangian, decomposition, boundary_symmetric, theta_symmetric)
+        self.time_translation = time_translation
+        self.space_translation = space_translation
+        self.lorentz_boost = lorentz_boost
 
 
 def wave_problem() -> WaveProblem:

@@ -140,6 +140,21 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert payload["line"] == 1 and payload["column"] == 9
 
 
+def test_oversized_coefficients_and_sums_are_input_errors(tmp_path, capsys):
+    # a product of powers that each pass the digit bound, and a sum run more
+    # often than the bound allows, exit with code 2 and a position
+    problem = tmp_path / "big.jet"
+    for text, message in (
+        ("dims 1 1 1; L = 7^4000*7^4000*z[1;1]^2;", "1:13: coefficient exceeds 4300 digits"),
+        ("dims 1 1 1; L = sum(i,1,200000, y[1]);",
+         "1:17: sum evaluates its body 200000 times, more than 10000"),
+    ):
+        problem.write_text(text)
+        code, out, err = run(capsys, "euler-lagrange", str(problem))
+        assert (code, out) == (2, "")
+        assert err == f"{problem}:{message}\n"
+
+
 def test_long_sums_and_deep_nesting(tmp_path, capsys):
     # a 1000-term sum is one flat node, and nesting past the limit is an
     # input error with exit code 2, neither a traceback

@@ -27,6 +27,20 @@ def test_config_validation():
     assert JetConfig(2, 1, 3).expression_order == 6
 
 
+def test_config_is_an_immutable_value():
+    # equal and hashed by (m, n, k), printed in error messages as below
+    cfg = JetConfig(2, 1, 2)
+    assert cfg == JetConfig(m=2, n=1, k=2) and cfg != JetConfig(1, 2, 2)
+    assert cfg != (2, 1, 2)
+    assert len({cfg, JetConfig(*(2, 1, 2)), JetConfig(2, 1, 3)}) == 2
+    assert repr(cfg) == str(cfg) == "JetConfig(m=2, n=1, k=2)"
+    with pytest.raises(AttributeError):
+        cfg.k = 3
+    with pytest.raises(AttributeError):
+        del cfg.m
+    assert (cfg.m, cfg.n, cfg.k) == (2, 1, 2)
+
+
 def canonicalize(indices, m: int) -> tuple:
     """Sort a tuple of base indices into the canonical non-decreasing order."""
     for i in indices:

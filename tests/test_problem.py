@@ -309,6 +309,29 @@ MALFORMED = [
      "1:19: power exceeds 4300 digits", ()),
     ("dims 1 1 1; L = (2/7*y[1])^6000;", SEM,  # a denominator, in a monomial
      "1:28: power exceeds 4300 digits", ()),
+    # a declared value's coefficients are bounded at its declaration, where
+    # products and sums of powers that pass at their exponents are caught
+    ("dims 1 1 1; L = 7^4000*7^4000*z[1;1]^2;", SEM,  # a product: 6762 digits
+     "1:13: coefficient exceeds 4300 digits", ()),
+    ("dims 1 1 1; L = 10^4299*y[1] + 9*10^4299*y[1];", SEM,  # a sum: 10^4300
+     "1:13: coefficient exceeds 4300 digits", ()),
+    ("dims 1 1 1; L = y[1]/(7^3000*7^3000);", SEM,  # a denominator
+     "1:13: coefficient exceeds 4300 digits", ()),
+    ("dims 1 1 1; metric g = diag(7^3000*7^3000); L = y[1];", SEM,
+     "1:13: coefficient exceeds 4300 digits", ()),
+    ("dims 1 1 1; L = y[1]; field F = 7^3000*7^3000*dx[1];", SEM,
+     "1:23: coefficient exceeds 4300 digits", ()),
+    ("dims 1 1 1; L = y[1]; section s = (7^3000*x[1] + 7^3000*7^3000);", SEM,
+     "1:23: coefficient exceeds 4300 digits", ()),
+    ("dims 2 1 2; L = y[1]; skewQ[1; 1 2] = 7^3000*7^3000*y[1];", SEM,
+     "1:23: coefficient exceeds 4300 digits", ()),
+    # a sum evaluates its body at most 10000 times, counting the sums around it
+    ("dims 1 1 1; L = sum(i,1,200000, y[1]);", SEM,
+     "1:17: sum evaluates its body 200000 times, more than 10000", ()),
+    ("dims 1 1 1; L = sum(i,1,100, sum(j,1,101, y[1]));", SEM,
+     "1:30: sum evaluates its body 10100 times, more than 10000", ()),
+    ("dims 1 1 1; L = sum(i,1,1000000000, y[1]);", SEM,  # about an hour unbounded
+     "1:17: sum evaluates its body 1000000000 times, more than 10000", ()),
     # the end of input after a comment with no newline is the true end
     ("dims 1 1 1; # note", SEM, "1:19: missing Lagrangian", ()),
     # a sum's body is parsed whatever its range, so its syntax errors show
@@ -398,6 +421,31 @@ def test_the_tokenizer_takes_names_and_numbers_as_the_character_loop_did():
             assert tokens_or_rejection(_tokenize, text) == tokens_or_rejection(
                 reference_tokenize, text
             ), text
+
+
+def test_sums_within_the_evaluation_bound_parse():
+    # the bound counts evaluations of a body, the product of the nested
+    # ranges, so 100 by 100 passes and an empty range counts none
+    spec = parse_problem("dims 1 1 1; L = sum(i,1,100, sum(j,1,100, y[1]));")
+    assert spec.lagrangian == 10000 * y_var(1)
+    spec = parse_problem(
+        "dims 1 1 1; L = sum(i,1,10000, y[1]) + sum(i,2,1, sum(j,1,1000000000, y[1]));"
+    )
+    assert spec.lagrangian == 10000 * y_var(1)
+
+
+def test_declared_values_at_the_digit_limit_parse():
+    # 10^4300 - 1 has 4300 digits, the most str() converts by default; a
+    # limit of 0 is no limit
+    spec = parse_problem("dims 1 1 1; L = (10^4299*10 - 1)*y[1];")
+    assert spec.lagrangian == (10**4300 - 1) * y_var(1)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        spec = parse_problem("dims 1 1 1; L = 7^4000*7^4000*y[1];")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert spec.lagrangian == 7**8000 * y_var(1)
 
 
 def test_a_power_of_a_constant_below_the_digit_limit_parses():

@@ -136,14 +136,61 @@ def test_only_numeric_imports_numpy_or_scipy_at_module_level():
 
 def test_function_local_imports_are_only_the_deliberate_lazy_loads():
     # numpy, scipy and .numeric load inside functions so that importing the
-    # symbolic core stays light; every other import belongs at the top
+    # symbolic core stays light, and json and logging so that a command
+    # loads them only to write JSON or to log; every other import belongs at
+    # the top
+    lazy = ("numpy", "scipy", "json", "logging")
     hits = [
         f"{path.name}:{line} {module}"
         for path in sorted(SOURCE.glob("*.py"))
         for line, module in _lazy_imports(ast.parse(path.read_text()))
-        if module.split(".")[0] not in ("numpy", "scipy") and module != ".numeric"
+        if module.split(".")[0] not in lazy and module != ".numeric"
     ]
     assert not hits, f"function-local imports: {hits}"
+
+
+def test_a_command_loads_no_standard_library_module_it_does_not_run():
+    # each command is a fresh process, so every module it imports costs
+    # start-up: dataclasses (with inspect), logging and json took about 20
+    # ms of a 100 ms command.  A text command without JETFORMS_LOG runs none
+    # of them, so it loads none beyond what the bare interpreter loads
+    watched = ("dataclasses", "inspect", "logging", "json")
+    fixture = str(SOURCE / "fixtures" / "fourth_order_wave.jet")
+    env = {name: value for name, value in os.environ.items() if name != "JETFORMS_LOG"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SOURCE.parent), env.get("PYTHONPATH")])
+    )
+    show = f"\nprint(sorted(m for m in sys.modules if m in {watched!r}))"
+    command = (
+        "import contextlib, io, sys\n"
+        "import jetforms.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = jetforms.cli.main(['verify', {fixture!r}])\n"
+        "print(code)"
+    )
+    loaded = []
+    for statements in ("import sys", command):
+        result = subprocess.run(
+            [sys.executable, "-c", statements + show],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        loaded.append(result.stdout.splitlines())
+    bare, (code, after) = loaded[0][-1], loaded[1]
+    assert code == "0"
+    assert set(ast.literal_eval(after)) <= set(ast.literal_eval(bare))
+
+
+def test_no_library_module_uses_dataclasses():
+    # importing dataclasses (with inspect) costs a command 6-9 ms, and each
+    # class it decorates about 0.7 ms more; the classes write their own
+    # __init__
+    hits = [
+        f"{path.name}:{number}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        if "dataclass" in line
+    ]
+    assert not hits, f"dataclass in the library: {hits}"
 
 
 def _unused_imports(path) -> list:
@@ -426,7 +473,7 @@ def test_code_line_counter_sums_the_modules_and_skips_docstrings(capsys):
     assert tool.code_lines('x = """a\nb"""\n') == 2
 
 
-def test_startup_probe_prints_one_row_per_module_the_command_imports(capsys):
+def test_startup_probe_prints_one_row_per_module_the_command_imports(capsys, monkeypatch):
     # tools/startup.py reads -X importtime from fresh processes; this checks
     # the shape of its table, not the times
     path = SOURCE.parents[1] / "tools" / "startup.py"
@@ -434,7 +481,7 @@ def test_startup_probe_prints_one_row_per_module_the_command_imports(capsys):
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     assert tool.main(["verify", "--runs", "2"]) == 0
-    header, *rows = capsys.readouterr().out.splitlines()
+    header, *rows, total = capsys.readouterr().out.splitlines()
     assert header.split() == ["module", "self_ms", "cumulative_ms"]
     table = {name: (float(s), float(c)) for name, s, c in (row.split() for row in rows)}
     assert len(table) == len(rows)
@@ -448,6 +495,27 @@ def test_startup_probe_prints_one_row_per_module_the_command_imports(capsys):
     assert all(0 <= s <= c for s, c in table.values())
     cumulative = [c for _, c in table.values()]
     assert cumulative == sorted(cumulative, reverse=True)
+    # the total row sums one run's self times; each row is the best of the
+    # runs, so the rows sum to no more than the total, up to their rounding
+    words = total.split()
+    assert words[:3] == ["total", "verify:", "jetforms"] and words[5:7] == ["standard", "library"]
+    package, stdlib = float(words[3]), float(words[7])
+    ours = [s for name, (s, _) in table.items() if name.split(".")[0] == "jetforms"]
+    rounding = 0.005 * len(table)
+    assert sum(ours) <= package + rounding
+    assert sum(s for s, _ in table.values()) - sum(ours) <= stdlib + rounding
+    # several commands give one table each, and "all" names the eight
+    # commands of a benchmark pass; a label sets the command's options
+    calls = []
+    monkeypatch.setattr(tool, "best_times", lambda argv, runs: calls.append(argv) or ({}, (1, 2)))
+    assert tool.main(["all", "residual"]) == 0
+    out = capsys.readouterr().out
+    assert [line.split(":")[0] for line in out.splitlines() if line.startswith("total")] == [
+        f"total {label}" for label in (*tool.FIXTURE_COMMANDS, "residual")
+    ]
+    fixture = str(tool.FIXTURE)
+    assert calls[5] == ["residual", fixture, "--section", "sol"]
+    assert calls[-1] == ["residual", fixture]
 
 
 def test_fixture_outputs_prints_one_fingerprint_per_run(monkeypatch, capsys):

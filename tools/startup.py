@@ -1,16 +1,22 @@
-"""Import times of one ``jetforms`` command, from ``python -X importtime``.
+"""Import times of ``jetforms`` commands, from ``python -X importtime``.
 
-    python tools/startup.py [COMMAND] [--runs N]
+    python tools/startup.py [COMMAND ...] [--runs N]
 
-runs the command (default ``verify``) on the bundled fourth-order wave
+runs each command (default ``verify``) on the bundled fourth-order wave
 fixture N times (default 15), each in a fresh interpreter, one after
 another, the way the ``jetforms`` console script does: import
-``jetforms.cli`` and call ``main``.  It prints one row per
-module the command imports that is part of ``jetforms`` or of the standard
-library, with the best (smallest) self and cumulative import time over the
-runs in milliseconds, largest cumulative time first.  Modules the
-interpreter imports before the command starts, such as ``site`` and what it
-loads, are left out.
+``jetforms.cli`` and call ``main``.  A command is a CLI command name or one
+of the labels of ``FIXTURE_COMMANDS``, the eight commands of a pass of the
+``cli_fixture`` benchmark; ``all`` stands for those eight.
+
+Per command it prints one row per module the command imports that is part
+of ``jetforms`` or of the standard library, with the best (smallest) self
+and cumulative import time over the runs in milliseconds, largest
+cumulative time first, and then one total row: the summed self time of the
+``jetforms`` modules and of the standard-library ones, each the best of the
+runs.  The total rows of two checkouts compare line by line.  Modules the
+interpreter imports before the command starts, such as ``site`` and what
+it loads, are left out.
 """
 from __future__ import annotations
 
@@ -22,18 +28,36 @@ import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 FIXTURE = ROOT / "src" / "jetforms" / "fixtures" / "fourth_order_wave.jet"
+# label -> command and options after the problem file; evolve prints its
+# CSV rather than writing it under --out
+FIXTURE_COMMANDS = {
+    "euler-lagrange": ["euler-lagrange"],
+    "boundary-form": ["boundary-form", "--json"],
+    "dedonder-form": ["dedonder-form", "--json"],
+    "verify": ["verify"],
+    "noether": ["noether"],
+    "residual-sol": ["residual", "--section", "sol"],
+    "residual-bump": ["residual", "--section", "bump"],
+    "evolve": ["evolve"],
+}
 # written to stderr just before the command's first import, so that the
 # interpreter's own start-up imports are told apart from the command's
 _MARK = "-- jetforms command starts"
 
 
-def import_times(command: str) -> dict:
+def command_argv(label: str) -> list:
+    """The CLI arguments of a label of FIXTURE_COMMANDS or a command name."""
+    command, *options = FIXTURE_COMMANDS.get(label, [label])
+    return [command, str(FIXTURE), *options]
+
+
+def import_times(argv: list) -> dict:
     """{module: (self us, cumulative us)} of one fresh run of the command."""
     code = (
         "import sys\n"
         f"sys.stderr.write({_MARK!r} + '\\n')\n"
         "from jetforms.cli import main\n"
-        f"sys.exit(main([{command!r}, {str(FIXTURE)!r}]))\n"
+        f"sys.exit(main({argv!r}))\n"
     )
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
@@ -55,31 +79,50 @@ def import_times(command: str) -> dict:
     return times
 
 
-def best_times(command: str, runs: int) -> dict:
-    """{module: (self ms, cumulative ms)}, each the minimum over the runs,
-    for the ``jetforms`` and standard-library modules the command imports."""
+def best_times(argv: list, runs: int) -> tuple:
+    """({module: (self ms, cumulative ms)}, (jetforms ms, standard library ms)),
+    each the minimum over the runs, for the ``jetforms`` and standard-library
+    modules the command imports; the totals sum the self times of one run."""
     best: dict = {}
+    totals = []
     for _ in range(runs):
-        for name, (self_us, cumulative_us) in import_times(command).items():
+        package = stdlib = 0
+        for name, (self_us, cumulative_us) in import_times(argv).items():
             top = name.split(".")[0]
-            if top != "jetforms" and top not in sys.stdlib_module_names:
+            if top == "jetforms":
+                package += self_us
+            elif top in sys.stdlib_module_names:
+                stdlib += self_us
+            else:
                 continue
             old_self, old_cumulative = best.get(name, (self_us, cumulative_us))
             best[name] = (min(old_self, self_us), min(old_cumulative, cumulative_us))
-    return {name: (s / 1000, c / 1000) for name, (s, c) in best.items()}
+        totals.append((package, stdlib))
+    table = {name: (s / 1000, c / 1000) for name, (s, c) in best.items()}
+    return table, tuple(min(column) / 1000 for column in zip(*totals))
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("command", nargs="?", default="verify")
+    parser.add_argument("commands", nargs="*", default=["verify"],
+                        help="command names or labels, or 'all'")
     parser.add_argument("--runs", type=int, default=15, help="fresh processes")
     args = parser.parse_args(argv)
     if args.runs < 1:
         parser.error("--runs must be at least 1")
-    best = best_times(args.command, args.runs)
-    print(f"{'module':32} {'self_ms':>9} {'cumulative_ms':>14}")
-    for name, (self_ms, cumulative_ms) in sorted(best.items(), key=lambda kv: -kv[1][1]):
-        print(f"{name:32} {self_ms:9.2f} {cumulative_ms:14.2f}")
+    labels = [
+        label for command in args.commands
+        for label in (FIXTURE_COMMANDS if command == "all" else [command])
+    ]
+    for number, label in enumerate(labels):
+        best, (package_ms, stdlib_ms) = best_times(command_argv(label), args.runs)
+        if number:
+            print()
+        print(f"{'module':32} {'self_ms':>9} {'cumulative_ms':>14}")
+        for name, (self_ms, cumulative_ms) in sorted(best.items(), key=lambda kv: -kv[1][1]):
+            print(f"{name:32} {self_ms:9.2f} {cumulative_ms:14.2f}")
+        print(f"total {label}: jetforms {package_ms:.2f} ms, "
+              f"standard library {stdlib_ms:.2f} ms")
     return 0
 
 
