@@ -84,6 +84,7 @@ property the test-suite pins down.
 """
 from __future__ import annotations
 
+import sys
 from bisect import bisect_right
 from fractions import Fraction
 from math import gcd, lcm
@@ -693,8 +694,24 @@ def render_coordinate(coord) -> str:
     return f"c[{coord[1]}]"
 
 
+class DigitLimitError(ValueError):
+    """A coefficient has more digits than the interpreter converts to text."""
+
+
+def exceeds_digit_limit(value: int) -> bool:
+    """Whether ``value`` has more digits than the interpreter converts
+    (``sys.get_int_max_str_digits``, 0 being no limit)."""
+    limit = sys.get_int_max_str_digits()
+    # 10^limit has more than 3 * limit bits, so only a longer number is compared
+    return bool(limit) and value.bit_length() > 3 * limit and abs(value) >= 10**limit
+
+
 def render_rational(q) -> str:
-    """An int or Fraction as the problem DSL writes it: "n" or "n/d"."""
+    """An int or Fraction as the problem DSL writes it: "n" or "n/d"; a
+    :class:`DigitLimitError` when either part has too many digits."""
+    if exceeds_digit_limit(q.numerator) or exceeds_digit_limit(q.denominator):
+        limit = sys.get_int_max_str_digits()
+        raise DigitLimitError(f"a coefficient of more than {limit} digits")
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 

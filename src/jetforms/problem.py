@@ -21,10 +21,12 @@ factors, joined by ``*`` and ``/`` as in expressions, times ``dx[i]`` or
 ``dy[a]`` (the product may be left out).  Numbers are written in ASCII
 digits.  Sums and products may be arbitrarily long; parentheses, sum bodies
 and unary signs nest at most 200 levels deep, a power's degree is at most
-10000, and a ``sum`` evaluates its body at most 10000 times, its range
-times the ranges of the sums around it.  No coefficient of a power, nor of
-a declared value, may have more digits than the interpreter converts
-(``sys.get_int_max_str_digits``).  Jet indices are canonicalized on parse.
+10000, so is C(e + t - 1, t - 1), the most terms that a power e of a base
+of t terms can have, and a ``sum`` evaluates its body at most 10000 times,
+its range times the ranges of the sums around it.  No coefficient of a
+power, nor of a declared value, may have more digits than the interpreter
+converts (``sys.get_int_max_str_digits``).  Jet indices are canonicalized
+on parse.
 
 The parser makes one pass over the tokens, and each grammar rule returns
 its value as a function rather than a tree; the values are evaluated once
@@ -41,7 +43,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .expressions import Expr, PolynomialSection
+from .expressions import Expr, PolynomialSection, exceeds_digit_limit
 from .jets import JetConfig, base_coord, field_coord, jet_coord
 from .prolongations import ProjectableField
 
@@ -146,6 +148,9 @@ class ProblemSpec:
         # (line, column) of the grid keyword, where evolve reports a grid it
         # cannot evolve
         grid_at: tuple | None = None,
+        # (line, column) of the Lagrangian's keyword, where a command reports
+        # a derived coefficient too long to write
+        lagrangian_at: tuple | None = None,
     ):
         self.cfg = cfg
         self.metrics = metrics
@@ -156,6 +161,7 @@ class ProblemSpec:
         self.grid = grid
         self.evolve = evolve
         self.grid_at = grid_at
+        self.lagrangian_at = lagrangian_at
 
 
 # -- tokenizer ----------------------------------------------------------------
@@ -180,6 +186,8 @@ _MAX_NESTING = 200
 # take tens of GB.  A power of higher degree is a positioned error.  A sum
 # keeps one value per evaluation of its body, and sum(i,1,200000, y[1]) took
 # 1 s to parse, so more evaluations than this are an error at the sum too.
+# A power of many terms grows in terms rather than degree: an 8-term base to
+# the 10 has 19448 terms and took 0.5 s, so its term bound is this one too.
 _MAX_DEGREE = 10_000
 
 
@@ -404,6 +412,7 @@ class _Parser:
             cfg=dims,
             metrics=self.metrics,
             lagrangian=_within_digits(lagrangian({}), lagrangian_at),
+            lagrangian_at=(lagrangian_at.line, lagrangian_at.column),
             fields={name: value() for name, value in fields.items()},
             skew={key: value() for key, value in skew.items()},
             sections={name: value() for name, value in sections.items()},
@@ -562,6 +571,16 @@ class _Parser:
             if degree > _MAX_DEGREE:
                 raise ProblemSemanticError(
                     f"power of degree {degree} exceeds {_MAX_DEGREE}", at.line, at.column
+                )
+            # a power of t terms has at most C(e + t - 1, t - 1) terms, the
+            # monomials of degree e in t variables, and that bound is kept
+            terms = len(value.terms())
+            if terms > 1 and math.comb(
+                exponent + terms - 1, min(exponent, terms - 1)
+            ) > _MAX_DEGREE:
+                raise ProblemSemanticError(
+                    f"power of {terms} terms to the {exponent} may have more than "
+                    f"{_MAX_DEGREE} terms", at.line, at.column
                 )
             # the largest numerator or denominator of the base's coefficients
             # (of the coefficient itself, for a constant or a monomial) to
@@ -774,10 +793,8 @@ def _within_digits(value: Expr, at: _Token) -> Expr:
     0 being no limit); otherwise an error at ``at``, where it is declared.
     Powers are bounded where they are written, but a product or a sum of
     them is bounded only here."""
-    limit = sys.get_int_max_str_digits()
-    largest = _largest_part(value)
-    # 10^limit has more than 3 * limit bits, so only a longer number is compared
-    if limit and largest.bit_length() > 3 * limit and largest >= 10**limit:
+    if exceeds_digit_limit(_largest_part(value)):
+        limit = sys.get_int_max_str_digits()
         raise ProblemSemanticError(f"coefficient exceeds {limit} digits", at.line, at.column)
     return value
 

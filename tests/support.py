@@ -6,7 +6,8 @@ random polynomial generator, generic sections with free coefficients, the
 wave example's Lagrangian built in Python, a reference ring, the determinant
 by minors, the problem tokenizer as a character loop, the Expr kernels the library replaced, and the prolongation,
 symmetry test, characteristic jets and currents by the total derivatives of
-the characteristic Q^a.
+the characteristic Q^a, and the Cauchy step and slice energy as they were
+before each spectral operation ran once.
 
 The library reaches the same statements by other routes (prolongation by
 the recursive formula, the symmetry test through E d_m x in one scan of L,
@@ -20,7 +21,8 @@ section's substitution through the section's own table of images,
 products with one monomial by insertion, monomials over interned
 coordinate ids, the
 determinant by elimination, the problem tokenizer by one regular
-expression); these stay as independent references.  The
+expression, the Cauchy step into preallocated buffers and the slice energy
+from per-grid weights); these stay as independent references.  The
 kernels read an Expr only through ``terms()``, so they work on coordinate
 monomials whatever ids the library gives the coordinates.
 """
@@ -29,6 +31,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import gcd
+
+import numpy as np
 
 from jetforms.dedonder import DeDonderForm, check_lagrangian
 from jetforms.expressions import (
@@ -54,6 +58,7 @@ from jetforms.jets import (
     jet_coord,
     multiindices,
 )
+from jetforms.numeric import CauchyState, _derivative_symbol, _time_scales, _wavenumbers
 from jetforms.problem import ProblemSyntaxError, _Token
 from jetforms.prolongations import ProjectableField, prolong
 
@@ -589,3 +594,51 @@ def reference_noether_current(
     return DifferentialForm.sum(cfg.m - 1, (
         base_contraction(cfg, i) * Expr.sum(terms) for i, terms in enumerate(densities, 1)
     ))
+
+
+# -- the Cauchy step and the slice energy the library replaced ----------------
+
+
+def reference_cauchy_evolve(state, t_target: float):
+    """``cauchy_evolve`` as it was before it wrote into preallocated buffers:
+    the time scales and wavenumbers recomputed per call, and a temporary for
+    every operation."""
+    dt = t_target - state.t
+    if dt == 0.0:
+        return state
+    taylor = [1.0, dt, dt**2 / 2.0, dt**3 / 6.0]  # a huge dt raises OverflowError
+    lo, hi, count, _ = state.grid.axes[0]
+    tau = _wavenumbers(count, hi - lo)[1:] * dt
+    u0, u1, u2, u3 = np.moveaxis(state.spectrum[:, :, 1:], 1, 0)
+    c, s = np.cos(tau), np.sin(tau)
+    A, B = u0, -(u1 + u3) / 2.0
+    C, D = (3.0 * u1 + u3) / 2.0, (u0 + u2) / 2.0
+    Bt, Dt = B * tau, D * tau
+    out = np.empty_like(state.spectrum)
+    out[:, 0, 1:] = (A + Bt) * c + (C + Dt) * s
+    out[:, 1, 1:] = (B + C + Dt) * c + (D - A - Bt) * s
+    out[:, 2, 1:] = (2.0 * D - A - Bt) * c - (2.0 * B + C + Dt) * s
+    out[:, 3, 1:] = (-3.0 * B - C - Dt) * c + (A - 3.0 * D + Bt) * s
+    # zero mode: u_i <- sum over j >= i of taylor[j - i] u_j
+    shift = [[taylor[j - i] if j >= i else 0.0 for i in range(4)] for j in range(4)]
+    out[:, :, 0] = state.spectrum[:, :, 0] @ np.array(shift)
+    return CauchyState._from_spectrum(state.modes, out, t_target)
+
+
+def reference_energy(energy, state) -> float:
+    """``EnergyFunctional.__call__`` as it was before the per-grid weights:
+    every (field, row) spectrum scaled, and xi^S formed per entry and call."""
+    lo, hi, count, _ = state.grid.axes[0]
+    # products of the stored u_r = v_r / xi^r would overflow on wide domains
+    rows = state.spectrum * _time_scales(state.grid)
+    xi = _derivative_symbol(count, hi - lo).imag  # 0 in the Nyquist mode
+    per_mode = np.zeros(count // 2 + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (a, r, b, r2, total_s, part), coeff in energy.entries.items():
+            pair = np.conj(rows[a - 1, r]) * rows[b - 1, r2]
+            per_mode += float(coeff) * xi**total_s * getattr(pair, part)
+        per_mode[1 : (count + 1) // 2] *= 2.0  # all but the zero and Nyquist modes
+        total = float(per_mode.sum())
+    if not np.isfinite(total):
+        raise ValueError(f"a period of {hi - lo:g} puts xi^S outside the float range")
+    return total * (hi - lo) / count**2

@@ -155,6 +155,32 @@ def test_oversized_coefficients_and_sums_are_input_errors(tmp_path, capsys):
         assert err == f"{problem}:{message}\n"
 
 
+@pytest.mark.parametrize("command", ["euler-lagrange", "boundary-form", "dedonder-form"])
+def test_a_derived_coefficient_past_the_digit_limit_is_an_input_error(
+    command, tmp_path, capsys
+):
+    # 9*10^4299 has 4300 digits and parses; dL/dz doubles it to 4301, which
+    # the command cannot write: an error at the Lagrangian, not a traceback
+    problem = tmp_path / "big.jet"
+    problem.write_text("dims 1 1 1;\nL = 9*10^4299*z[1;1]^2;\n")
+    message = f"the {command} output has a coefficient of more than 4300 digits"
+    code, out, err = run(capsys, command, str(problem))
+    assert (code, out) == (2, "")
+    assert err == f"{problem}:2:1: {message}\n"
+    code, out, _ = run(capsys, command, str(problem), "--json")
+    assert code == 2
+    assert json.loads(out) == {"error": message, "line": 2, "column": 1, "expected": []}
+    # the limit is the interpreter's: without one, the command writes it
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        code, out, _ = run(capsys, command, str(problem))
+        doubled = str(18 * 10**4299)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 0 and doubled in out
+
+
 def test_long_sums_and_deep_nesting(tmp_path, capsys):
     # a 1000-term sum is one flat node, and nesting past the limit is an
     # input error with exit code 2, neither a traceback
@@ -347,8 +373,71 @@ def test_benchmark_tracer_spans_the_energy_functional(monkeypatch, capsys):
     names = [name for name, *_ in tracer.spans]
     assert names.count("numeric.EnergyFunctional") == 2
     states = sum(line[:1].isdigit() for line in out.splitlines())  # CSV rows
-    assert names.count("numeric.energy_call") == 2 * states > 0
+    # the tracer's wrapper carries the tables, so evolve still sees that they
+    # agree and evaluates one energy per state
+    assert names.count("numeric.energy_call") == states > 0
     assert jetforms.GridSpec is jetforms.numeric.GridSpec is jetforms.problem.GridSpec
+
+
+def _counted_energies(monkeypatch, skew_factor=None):
+    """Rebind cli.EnergyFunctional, as benchmarks/tracing.py does, to count
+    the calls of each functional made; with ``skew_factor`` the second one,
+    the skew functional, gets a table of its own and scales the energy."""
+    import jetforms.cli as cli
+
+    real = cli.EnergyFunctional
+    made = []
+
+    class Counted:
+        def __init__(self, theta):
+            self.energy = real(theta)
+            self.entries = dict(self.energy.entries)
+            self.skew = bool(made) and skew_factor is not None
+            if self.skew:
+                self.entries["stub"] = 1
+            self.calls = 0
+            made.append(self)
+
+        def __call__(self, state):
+            self.calls += 1
+            value = self.energy(state)
+            return value * skew_factor if self.skew else value
+
+    monkeypatch.setattr(cli, "EnergyFunctional", Counted)
+    return made
+
+
+def _csv_rows(out: str) -> list:
+    lines = [line for line in out.splitlines() if line[:1].isdigit()]
+    return [[float(v) for v in line.split(",")] for line in lines]
+
+
+def test_evolve_evaluates_one_energy_per_state_when_the_tables_agree(monkeypatch, capsys):
+    made = _counted_energies(monkeypatch)
+    code, out, _ = run(capsys, "evolve", WAVE, "--seed", "1", "--grid-n", "64")
+    assert code == 0
+    rows = _csv_rows(out)
+    symmetric, skew = made
+    assert symmetric.calls == len(rows) == 9
+    assert skew.calls == 0
+    assert all(e_skew == e_sym for _, e_sym, e_skew, _ in rows)
+    gap = "max relative symmetric-vs-skew gap 0.000e+00"
+    assert f"boundary-form-independence: PASS ({gap})" in out
+
+
+def test_evolve_evaluates_both_energies_when_the_tables_differ(monkeypatch, capsys):
+    made = _counted_energies(monkeypatch, skew_factor=1.5)
+    code, out, _ = run(capsys, "evolve", WAVE, "--seed", "1", "--grid-n", "64")
+    assert code == 1
+    rows = _csv_rows(out)
+    symmetric, skew = made
+    assert symmetric.calls == skew.calls == len(rows) == 9
+    assert all(e_skew == 1.5 * e_sym for _, e_sym, e_skew, _ in rows)
+    gap = max(abs(e_sym - e_skew) for _, e_sym, e_skew, _ in rows) / abs(rows[0][1])
+    assert f"{gap:.3e}" == "5.000e-01"
+    line = f"boundary-form-independence: FAIL (max relative symmetric-vs-skew gap {gap:.3e})"
+    assert line in out.splitlines()
+    assert "energy-drift: PASS" in out
 
 
 @pytest.mark.parametrize("seed", ["0", "1", "3", "106"])

@@ -27,6 +27,8 @@ from jetforms.numeric import (
 from jetforms.prolongations import ProjectableField, noether_current
 from jetforms.wave import wave_problem
 
+from tests.support import reference_cauchy_evolve, reference_energy
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -232,6 +234,58 @@ def test_cauchy_step_and_energy_take_no_fft(monkeypatch):
     evolved = cauchy_evolve(state, 0.7)
     for theta in (wp.theta_symmetric, wp.theta_skew()):
         assert EnergyFunctional(theta)(evolved) != 0.0
+
+
+def _assert_matches_the_replaced_evaluation(energies, state, ref):
+    assert np.array_equal(state.spectrum, ref.spectrum)
+    assert state.t == ref.t
+    for energy in energies:
+        assert energy(state) == reference_energy(energy, ref)
+
+
+@pytest.mark.parametrize("count", [256, 4096, 16384])
+def test_cauchy_step_and_energy_equal_the_evaluation_they_replaced(count):
+    # the step into preallocated buffers and the energy from per-grid
+    # weights do the same float operations as the references, so every bit
+    # agrees: on the fixture's grid (256 points, 8 steps to t = 1) and at
+    # the benchmark's sizes, with max_mode N/8 as evolve draws it
+    wp = wave_problem()
+    energies = [EnergyFunctional(wp.theta_symmetric), EnergyFunctional(wp.theta_skew())]
+    grid = periodic_grid(count)
+    state = ref = band_limited_state(grid, wp.cfg.n, count // 8, seed=count)
+    for step in range(9):
+        state, ref = cauchy_evolve(state, step / 8), reference_cauchy_evolve(ref, step / 8)
+        _assert_matches_the_replaced_evaluation(energies, state, ref)
+    # back and forth: the round trip of the scaled-bound test
+    for t in (-0.3, 1.0, 0.0):
+        state, ref = cauchy_evolve(state, t), reference_cauchy_evolve(ref, t)
+        _assert_matches_the_replaced_evaluation(energies, state, ref)
+    # every mode populated, the Nyquist mode included, through the constructor
+    data = np.random.default_rng(count).normal(size=(wp.cfg.n, 4, count))
+    state = ref = CauchyState(grid, data)
+    _assert_matches_the_replaced_evaluation(energies, state, ref)
+    for t in (0.37, -1.0, 0.0):
+        state, ref = cauchy_evolve(state, t), reference_cauchy_evolve(ref, t)
+        _assert_matches_the_replaced_evaluation(energies, state, ref)
+    # a functional's weights belong to one grid: another grid gets its own
+    other = band_limited_state(periodic_grid(64), wp.cfg.n, 8, seed=1)
+    _assert_matches_the_replaced_evaluation(energies, other, other)
+    _assert_matches_the_replaced_evaluation(energies, state, ref)
+
+
+def test_energy_beyond_the_float_range_raises_as_the_replaced_evaluation():
+    # xi^3 stays finite on a period of 1e-100, so the state is built, but
+    # xi^4 overflows: both evaluations raise the same error
+    wp = wave_problem()
+    grid = GridSpec(((0.0, 1e-100, 64, True),))
+    state = CauchyState(grid, np.random.default_rng(5).normal(size=(wp.cfg.n, 4, 64)))
+    energy = EnergyFunctional(wp.theta_symmetric)
+    message = "a period of 1e-100 puts xi^S outside the float range"
+    with pytest.raises(ValueError) as new:
+        energy(state)
+    with pytest.raises(ValueError) as old:
+        reference_energy(energy, state)
+    assert str(new.value) == str(old.value) == message
 
 
 def _scaled_roundtrip(count, seed, t):

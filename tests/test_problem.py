@@ -1,4 +1,5 @@
 import importlib.resources
+import math
 import sys
 from fractions import Fraction
 
@@ -73,11 +74,11 @@ def render_problem(spec: ProblemSpec) -> str:
 
 def problem_data(spec: ProblemSpec) -> dict:
     """The fields of a spec in a form ``==`` compares by value; a section
-    compares by its components, and the grid keyword's position, which
-    moves when a spec is rendered again, is left out."""
+    compares by its components, and the positions of the grid and Lagrangian
+    keywords, which move when a spec is rendered again, are left out."""
     sections = {name: section.components for name, section in spec.sections.items()}
     data = {**vars(spec), "sections": sections}
-    del data["grid_at"]
+    del data["grid_at"], data["lagrangian_at"]
     return data
 
 
@@ -134,6 +135,9 @@ KEYWORDS = (
 )
 
 # (source, error class, str(error) with its line:column prefix, expected tokens)
+# the eight coordinates of dims 2 2 1, summed
+EIGHT_TERMS = "(x[1]+x[2]+y[1]+y[2]+z[1;1]+z[1;2]+z[2;1]+z[2;2])"
+
 MALFORMED = [
     ("dims 0 1 1; L = y[1];", SEM,  # bad m
      "1:1: need at least one independent variable, got m=0", ()),
@@ -286,6 +290,15 @@ MALFORMED = [
      "1:24: power of degree 10001 exceeds 10000", ()),
     ("dims 1 1 1; L = (x[1]*z[1;1])^5001;", SEM,
      "1:31: power of degree 10002 exceeds 10000", ()),
+    # and so is C(e + t - 1, t - 1), the most terms a power e of t terms has
+    ("dims 2 2 1; L = " + EIGHT_TERMS + "^10;", SEM,  # 19448 terms, 0.5 s unbounded
+     "1:67: power of 8 terms to the 10 may have more than 10000 terms", ()),
+    ("dims 2 2 1; L = " + EIGHT_TERMS + "^9;", SEM,  # C(16, 7) = 11440
+     "1:67: power of 8 terms to the 9 may have more than 10000 terms", ()),
+    ("dims 2 2 1; L = " + EIGHT_TERMS + "^20;", SEM,  # 888030 terms
+     "1:67: power of 8 terms to the 20 may have more than 10000 terms", ()),
+    ("dims 2 2 1; L = (" + EIGHT_TERMS + "^2)^4;", SEM,  # the base's 36 terms count
+     "1:71: power of 36 terms to the 4 may have more than 10000 terms", ()),
     # metric entries are expressions with a rational constant value
     ("dims 1 1 1; metric g = diag(x[1]); L = y[1];", SEM,  # non-constant diag entry
      "1:29: metric entries must be constant", ()),
@@ -432,6 +445,20 @@ def test_sums_within_the_evaluation_bound_parse():
         "dims 1 1 1; L = sum(i,1,10000, y[1]) + sum(i,2,1, sum(j,1,1000000000, y[1]));"
     )
     assert spec.lagrangian == 10000 * y_var(1)
+
+
+def test_powers_within_the_term_bound_parse():
+    # C(8 + 7, 7) = 6435 terms pass where the ninth power's 11440 do not,
+    # and a base of 36 terms cubed counts C(38, 3) = 8436
+    spec = parse_problem("dims 2 2 1; L = " + EIGHT_TERMS + "^8;")
+    assert len(spec.lagrangian.terms()) == math.comb(15, 7) == 6435
+    spec = parse_problem("dims 2 2 1; L = (" + EIGHT_TERMS + "^2)^3;")
+    assert len(spec.lagrangian.terms()) == math.comb(13, 7)
+    assert spec.lagrangian == parse_problem("dims 2 2 1; L = " + EIGHT_TERMS + "^6;").lagrangian
+    # a power of one term, and the power 0 of any base, have one term
+    spec = parse_problem("dims 1 1 1; L = (2*y[1])^10000;")
+    assert spec.lagrangian == 2**10000 * y_var(1) ** 10000
+    assert parse_problem("dims 2 2 1; L = " + EIGHT_TERMS + "^0;").lagrangian == Expr.one()
 
 
 def test_declared_values_at_the_digit_limit_parse():

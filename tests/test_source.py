@@ -529,9 +529,11 @@ def test_fixture_outputs_prints_one_fingerprint_per_run(monkeypatch, capsys):
     runs = tool.runs(root)
     names = [name for name, _ in runs]
     demos = sorted((root / "demos").glob("*.py"))
-    # seven commands as text and --json, three sections, one seed, the demos
-    assert len(set(names)) == len(names) == 14 + 3 + 1 + len(demos) and demos
-    assert {"noether --json", "residual --section cubic", "evolve --seed 1"} <= set(names)
+    # seven commands as text and --json, three sections, one seed on two
+    # grid sizes, the demos
+    assert len(set(names)) == len(names) == 14 + 3 + 2 + len(demos) and demos
+    assert {"noether --json", "residual --section cubic", "evolve --seed 1",
+            "evolve --grid-n 16384 --seed 1"} <= set(names)
     monkeypatch.setattr(tool, "runs", lambda checkout: [run for run in runs if run[0] == "verify"])
     assert tool.main([str(root)]) == 0
     name, code, out, err = capsys.readouterr().out.split()

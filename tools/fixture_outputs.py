@@ -4,12 +4,13 @@
 
 runs each command of the ``jetforms`` CLI on the fourth-order wave fixture,
 as text and as ``--json``, then ``residual --section`` for each of the
-fixture's sections, ``evolve --seed 1`` and every script under ``demos/``.
-Each run is a fresh interpreter under ``PYTHONHASHSEED=0``, started in
-CHECKOUT (default: the checkout holding this script) on the package source
-there.  It prints one line per run: its name, its exit code and the sha256
-of its stdout and of its stderr.  The lines of two checkouts compare with
-``diff``.
+fixture's sections, ``evolve --seed 1`` on the fixture's grid and on the
+16384 points that the ``evolve_16k`` benchmark times, and every script
+under ``demos/``.  Each run is a fresh interpreter under
+``PYTHONHASHSEED=0``, started in CHECKOUT (default: the checkout holding
+this script) on the package source there.  It prints one line per run: its
+name, its exit code and the sha256 of its stdout and of its stderr.  The
+lines of two checkouts compare with ``diff``.
 """
 from __future__ import annotations
 
@@ -39,6 +40,9 @@ def runs(checkout: pathlib.Path) -> list:
         found.append((f"residual --section {section}",
                       ["residual", FIXTURE, "--section", section]))
     found.append(("evolve --seed 1", ["evolve", FIXTURE, "--seed", "1"]))
+    # the size the evolve_16k benchmark times, its CSV printed
+    found.append(("evolve --grid-n 16384 --seed 1",
+                  ["evolve", FIXTURE, "--grid-n", "16384", "--seed", "1"]))
     cli = [(name, [sys.executable, "-c", _CLI, *argv]) for name, argv in found]
     demos = sorted((checkout / "demos").glob("*.py"))
     return cli + [(f"demos/{path.name}", [sys.executable, f"demos/{path.name}"]) for path in demos]
