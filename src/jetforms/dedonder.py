@@ -27,15 +27,24 @@ vanishing splitting sums, and their level-one divergences agree identically
 independence of the chosen boundary form).
 
 Each divergence sum_j D_j p^{j,I}_a is computed once, by the table that
-carries it (:meth:`BoundaryCoefficients.divergence`): the top-down solve
-fills it, and the splitting checks, :meth:`Derivation.euler_lagrange`, the
-De Donder residual and the comparison of two boundary forms read it back.
-The system is linear in (Phi, top-level data), so a skew solution is the
-symmetric table, kept once solved, plus the solve of its top-level data
-alone with Phi = 0, and the divergences add the same way.  So do the
-splitting sums S^a_I and Xi's d_m x coefficient below: each table computes
-them once, and the skew table adds those of its two parts, so the skew
-boundary form computes only the values of the small top-level solve.
+carries it (:meth:`BoundaryCoefficients.divergence`), as one sum of total
+derivatives: the top-down solve fills it, and the splitting checks,
+:meth:`Derivation.euler_lagrange`, the De Donder residual and the
+comparison of two boundary forms read it back.
+
+A coefficient table is a sum of parts, and a plain table is its own single
+part.  The system is linear in (Phi, top-level data), so a skew solution is
+the symmetric table, kept once solved, plus the solve of its top-level data
+alone with Phi = 0: the skew table keeps those two as its parts, and its
+divergences add theirs.  So do the splitting sums S^a_I and Xi's d_m x
+coefficient below: each table computes them once, and the skew table adds
+those of its parts, so the skew boundary form computes only the values of
+the small top-level solve.  Its checks read the parts too.  Assembly's
+splitting check marks a table it verified against a Phi; a sum table with
+one part so marked checks only the other part, against Phi = 0, whose
+residuals are the whole table's.  Two tables compared cancel the parts they
+share before any Expr is subtracted, so the symmetric table against the
+skew one reads the homogeneous solve, negated.
 
 Since dx^i ^ (d/dx^{i1} -| d_m x) = delta^i_{i1} d_m x, Xi has one dz^a_T
 term per coefficient and one d_m x coefficient, -sum z^a_I S^a_I, with
@@ -75,6 +84,7 @@ from __future__ import annotations
 import sys
 from time import perf_counter
 from typing import Mapping
+from weakref import ref
 
 from .expressions import (
     Expr,
@@ -82,6 +92,7 @@ from .expressions import (
     render_expr,
     substitute_section,
     sum_by_key,
+    sum_of_total_derivatives,
     total_derivative,
     z_var,
 )
@@ -163,9 +174,12 @@ class BoundaryCoefficients:
 
     The table is not mutated after construction: :meth:`divergence`,
     :meth:`splitting_sums` and :meth:`volume_coefficient` memoize what they
-    read from it.  A table that is the sum of solved tables
-    (:func:`perturbed_coefficients`) keeps them as its parts and sums their
-    values instead.
+    read from it.  Every table is a sum of parts (:meth:`parts`): a plain
+    table is its own single part, and the sum of solved tables that
+    :func:`perturbed_coefficients` makes keeps them as its parts and sums
+    their values instead.  Only assembly's splitting check marks a table as
+    solving the system of a Phi, so that a sum with that table as a part
+    checks only its other part.
     """
 
     def __init__(self, cfg: JetConfig, table: dict):
@@ -175,9 +189,16 @@ class BoundaryCoefficients:
         self._sums: dict | None = None
         self._volume: Expr | None = None
         self._parts: tuple = ()
+        # the Phi assembly verified the table against, held weakly: a Phi
+        # keeps its symmetric table
+        self._solves: ref | None = None
 
     def coefficient(self, a: int, i1: int, tail: tuple = ()) -> Expr:
         return self.table.get((a, i1, tuple(tail)), Expr.zero())
+
+    def parts(self) -> tuple:
+        """The tables this one is the sum of; ``(self,)`` for a plain table."""
+        return self._parts or (self,)
 
     def divergence(self, a: int, I: tuple) -> Expr:
         """sum_j D_j p^{j,I}_a, computed once per (a, I).
@@ -189,16 +210,15 @@ class BoundaryCoefficients:
         value = self._divergences.get((a, I))
         if value is None:
             if self._parts:
-                terms = (part.divergence(a, I) for part in self._parts)
+                value = Expr.sum(part.divergence(a, I) for part in self._parts)
             else:
                 cfg, table = self.cfg, self.table
                 limit = cfg.working_order if I else cfg.expression_order
-                terms = (
-                    total_derivative(table[(a, j, I)], j, cfg, limit)
-                    for j in range(1, cfg.m + 1)
-                    if (a, j, I) in table
+                value = sum_of_total_derivatives(
+                    [(table[(a, j, I)], j, 1) for j in range(1, cfg.m + 1) if (a, j, I) in table],
+                    cfg, limit,
                 )
-            value = self._divergences[(a, I)] = Expr.sum(terms)
+            self._divergences[(a, I)] = value
         return value
 
     def splitting_sums(self) -> dict:
@@ -229,6 +249,16 @@ class BoundaryCoefficients:
                     -Expr.variable(c) * total for c, total in self.splitting_sums().items()
                 )
         return self._volume
+
+
+def _sum_of_tables(cfg: JetConfig, parts: tuple) -> BoundaryCoefficients:
+    """The table whose coefficients are those of ``parts`` added, keeping
+    them as its parts."""
+    coeffs = BoundaryCoefficients(
+        cfg, sum_by_key(item for part in parts for item in part.table.items())
+    )
+    coeffs._parts = parts
+    return coeffs
 
 
 def _check_key(cfg: JetConfig, key: tuple) -> None:
@@ -330,6 +360,23 @@ def _check_splitting_system(dec: PhiDecomposition, coeffs: BoundaryCoefficients)
     return failures
 
 
+def _unverified_residuals(dec: PhiDecomposition, coeffs: BoundaryCoefficients) -> list:
+    """The residuals of the splitting system of ``dec`` on ``coeffs``, as
+    :func:`_check_splitting_system` gives them, checking only what no
+    earlier check verified.
+
+    The system is linear, so when exactly one part of the table was checked
+    against this very ``dec`` the table solves it iff the other part solves
+    the system with Phi = 0, and the residuals of the two are equal.  Any
+    other table is checked in full.
+    """
+    parts = coeffs.parts()
+    rest = [part for part in parts if not (part._solves and part._solves() is dec)]
+    if len(rest) == len(parts) - 1 and len(rest) <= 1:
+        return _check_splitting_system(PhiDecomposition(dec.cfg, {}), rest[0]) if rest else []
+    return _check_splitting_system(dec, coeffs)
+
+
 def perturbed_coefficients(
     dec: PhiDecomposition, top_delta: Mapping
 ) -> BoundaryCoefficients:
@@ -370,15 +417,10 @@ def perturbed_coefficients(
                     f"perturbation violates the top-level relation at a={a}, "
                     f"I={I}: splitting sum is {render_expr(total)}, not 0"
                 )
-    parts = (
+    return _sum_of_tables(cfg, (
         symmetric_boundary_coefficients(dec),
         _solve_top_down(PhiDecomposition(cfg, {}), top_delta),
-    )
-    coeffs = BoundaryCoefficients(
-        cfg, sum_by_key(item for part in parts for item in part.table.items())
-    )
-    coeffs._parts = parts
-    return coeffs
+    ))
 
 
 def skew_pair_perturbation(cfg: JetConfig, skew: Mapping) -> dict:
@@ -479,7 +521,8 @@ def assemble_boundary_form(
     :func:`verify_condition3` then reads without a recompute.
     """
     cfg = coeffs.cfg
-    coeffs.splitting_sums()  # rejects a key out of range before Xi is written
+    for part in coeffs.parts():  # every key is a part's key
+        part.splitting_sums()  # rejects a key out of range before Xi is written
     dx = [base_coord(i) for i in range(1, cfg.m + 1)]
     terms = {}
     for (a, i1, tail), value in coeffs.table.items():
@@ -491,13 +534,14 @@ def assemble_boundary_form(
         terms[tuple(dx)] = volume
     xi = DifferentialForm(cfg.m, terms)
     if phi is not None:
-        failures = _check_splitting_system(phi, coeffs)
+        failures = _unverified_residuals(phi, coeffs)
         if failures:
             a, I, residual = failures[0]
             raise AssertionError(
                 f"coefficients do not solve the boundary system at a={a}, I={I}: "
                 f"{render_expr(residual)}"
             )
+        coeffs._solves = ref(phi)
     boundary = BoundaryForm(cfg, xi, coeffs, phi)
     boundary._solves_phi = phi is not None
     return boundary
@@ -685,14 +729,18 @@ def lagrange_derivative(cfg: JetConfig, L: Expr) -> list:
     No boundary coefficients are solved; :meth:`Derivation.euler_lagrange`
     gives the same list as Phi_a - sum_i D_i p^i_a from a derivation.
     """
-    signed = []
+    order = cfg.expression_order
+    plain = {a: Expr.zero() for a in range(1, cfg.n + 1)}
+    outer: dict = {a: [] for a in plain}  # a -> (D_{I[:-1]} dL/dz^a_I, I[-1], sign)
     for c, term in PhiDecomposition.of_lagrangian(cfg, L).components.items():
-        I = c[2] if c[0] == "z" else ()
-        for i in I:
-            term = total_derivative(term, i, cfg, max_order=cfg.expression_order)
-        signed.append((c[1], -term if len(I) % 2 else term))
-    by_field = sum_by_key(signed)
-    return [by_field.get(a, Expr.zero()) for a in range(1, cfg.n + 1)]
+        if c[0] == "y":
+            plain[c[1]] = term
+            continue
+        I = c[2]
+        for i in I[:-1]:
+            term = total_derivative(term, i, cfg, max_order=order)
+        outer[c[1]].append((term, I[-1], -1 if len(I) % 2 else 1))
+    return [plain[a] + sum_of_total_derivatives(outer[a], cfg, order) for a in plain]
 
 
 def dedonder_residual(theta: DeDonderForm, section: PolynomialSection) -> dict:
@@ -753,20 +801,42 @@ def compare_boundary_forms(xi: BoundaryForm, xi_prime: BoundaryForm) -> Comparis
     module's identity with Phi = 0 the last check reads the first two: the
     reduction is -sum_i D_i Q^i_a d_m x for X = d/dy^a and -r^a_I d_m x for
     X = d/dz^a_I.
+
+    The parts the two tables share cancel first.  When one part is left, Q
+    is that part, or its negation when it is p''s, and the checks read the
+    values it keeps; otherwise Q is the difference of the two whole tables.
     """
     if xi.phi is None or xi_prime.phi is None:
         raise ValueError("both forms must be boundary forms of a Phi")
     if xi.phi.components != xi_prime.phi.components:
         raise ValueError("the two boundary forms belong to different Phi")
     cfg = xi.cfg
-    differences = sum_by_key([
-        *xi.coefficients.table.items(),
-        *((key, -p) for key, p in xi_prime.coefficients.table.items()),
-    ])
-    q = BoundaryCoefficients(cfg, differences)
-    zero_dec = PhiDecomposition(cfg, {})
-    relation_failures = _check_splitting_system(zero_dec, q)
-    divergence_residuals = {a: q.divergence(a, ()) for a in range(1, cfg.n + 1)}
+    left, right = list(xi.coefficients.parts()), []
+    for part in xi_prime.coefficients.parts():
+        if part in left:  # a table equals only itself
+            left.remove(part)
+        else:
+            right.append(part)
+    # Q is the one part left over, negated when it is p''s, or else the
+    # difference of the two whole tables
+    negated = not left and len(right) == 1
+    if len(left) + len(right) > 1:
+        q = BoundaryCoefficients(cfg, sum_by_key([
+            *xi.coefficients.table.items(),
+            *((key, -p) for key, p in xi_prime.coefficients.table.items()),
+        ]))
+    else:
+        q = (left or right or [BoundaryCoefficients(cfg, {})])[0]
+
+    def signed(e: Expr) -> Expr:
+        return -e if negated else e
+
+    differences = {key: signed(p) for key, p in q.table.items()}
+    relation_failures = [
+        (a, I, signed(residual))
+        for a, I, residual in _check_splitting_system(PhiDecomposition(cfg, {}), q)
+    ]
+    divergence_residuals = {a: signed(q.divergence(a, ())) for a in range(1, cfg.n + 1)}
     volume = volume_form(cfg)
     # the pullback failures are exactly the failures of the first two checks,
     # in coordinate order: the y^a before the z^a_I, which come in that order

@@ -18,7 +18,8 @@ and a product is a sort of ints, in the spirit of the packed monomials of
 computer-algebra kernels (M. Monagan and R. Pearce, "POLY: a new polynomial
 data structure for Maple 17", 2014).  The kernels walk a monomial one id
 occurrence at a time, so exponents appear only at the edges: in
-``_monomial_of``, ``terms()`` and ``**``.  The ids never leave this module:
+``_monomial_of``, ``terms()`` and ``**``, which forms each term of a power
+once, by the multinomial theorem.  The ids never leave this module:
 ``Expr(terms)``, ``Expr.monomial``, ``Expr.variable``, ``partial``,
 ``substitute`` and ``times_lifts`` take coordinate tuples, and ``terms()``,
 ``variables()`` and ``gradient()`` give coordinate tuples back.  An exponent
@@ -62,10 +63,17 @@ respect to a single canonical coordinate and the total derivative
 which differentiates along the i-th base direction treating jet coordinates
 as holonomic.  Both follow the product rule one occurrence at a time:
 removing any one copy of c from c^e*r leaves the same rest, so the e
-occurrences each add the numerator into one sum.  ``total_derivative``
-walks each monomial once: it lowers the x^i factor, and lifts each y/z
-factor in place, dropping one copy of its id and inserting the lift's id,
-read from the shared lift table, into the rest of the monomial.  A lift
+occurrences each add the numerator into one sum.  One D_i loop walks each
+monomial once and adds +-D_i e straight into its caller's store of
+numerators: it lowers the x^i factor, and lifts each y/z factor in place,
+writing the lift's id, read from the shared lift table, where it keeps the
+monomial sorted (the image of a lone id is the lift alone).  The sign and
+the scale to the store's denominator are folded into each numerator once.
+``total_derivative`` runs that loop into a fresh store, and
+``sum_of_total_derivatives`` runs it once per (e, i, sign) triple into one
+store over the lcm of their denominators, so a divergence sum_j D_j p^j or
+the last D of each term of an Euler operator lands in its sum with no
+intermediate Expr.  Every direction is checked before any work, and a lift
 beyond the jet-order bound raises the ``ValueError`` of the first such
 coordinate in coordinate order.  ``Expr.derivation`` applies a vector
 field, sum_c Y^c d/dc, plus a multiple of the identity in one walk of each
@@ -200,15 +208,6 @@ def _reduced(num: dict, den: int) -> "Expr":
                 den //= g
                 num = {mono: n // g for mono, n in num.items()}
     return _expr(num, den)
-
-
-def _insert(mono: Monomial, cid: int) -> Monomial:
-    """mono times the coordinate ``cid``, kept sorted: appended after a last
-    id no larger than it, else placed by bisection."""
-    if not mono or mono[-1] <= cid:
-        return mono + (cid,)
-    pos = bisect_right(mono, cid)
-    return mono[:pos] + (cid,) + mono[pos:]
 
 
 def _add_into(store: dict, num: dict, scale: int = 1) -> None:
@@ -523,18 +522,52 @@ class Expr:
         return self._scaled(-d, -n) if n < 0 else self._scaled(d, n)
 
     def __pow__(self, exponent: int) -> "Expr":
+        """self^e by the multinomial theorem: (sum_j n_j m_j)^e / d^e has one
+        term (e! / prod_j k_j!) prod_j n_j^k_j m_j^k_j per composition k of e
+        over the t terms, formed once, with no intermediate power.
+
+        The compositions come in reverse lexicographic order.  Each is the
+        saved one at the last slot j < t-1 that it decrements, c_j = (k_1,
+        ..., k_j, R, 0, ..., 0), with one unit moved from slot j to j+1, so
+        its coefficient is c_j's times k_j n_{j+1} over (R+1) n_j: one
+        multiplication and one exact division.
+        """
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponents must be non-negative integers")
-        result = Expr.one()
-        square = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * square
-            e >>= 1
-            if e:
-                square = square * square
-        return result
+        terms = list(self._num.items())
+        if not terms:
+            return Expr.one() if exponent == 0 else Expr.zero()
+        last = len(terms) - 1
+        monos = [list(mono) for mono, _ in terms]
+        nums = [n for _, n in terms]
+        k = [exponent] + [0] * last
+        coeff = nums[0] ** exponent
+        saved = [coeff] * len(terms)  # slot j -> the coefficient of c_j
+        store: dict = {}
+        get = store.get
+        while True:
+            ids = []
+            for mono, count in zip(monos, k):
+                if count:
+                    ids += mono * count
+            ids.sort()
+            mono = tuple(ids)
+            acc = get(mono, 0) + coeff
+            if acc:
+                store[mono] = acc
+            else:
+                del store[mono]
+            j = last - 1  # the last slot before the final one that holds a unit
+            while j >= 0 and not k[j]:
+                j -= 1
+            if j < 0:
+                return _reduced(store, self._den**exponent)
+            rest = k[last]  # the slots between j and the last are empty
+            coeff = saved[j] * (k[j] * nums[j + 1]) // ((rest + 1) * nums[j])
+            k[j] -= 1
+            k[last] = 0
+            k[j + 1] = rest + 1
+            saved[j] = saved[j + 1] = coeff
 
     def __eq__(self, other) -> bool:
         other = _as_expr(other)
@@ -756,31 +789,76 @@ def total_derivative(
     working order 2k-1.  Internal callers (Lagrange derivatives) may raise it
     to the expression order 2k.
     """
-    if not 1 <= i <= cfg.m:
-        raise ValueError(f"base index {i} out of range 1..{cfg.m}")
-    limit = cfg.working_order if max_order is None else max_order
-    lifts, orders = _LIFTS.setdefault(i, {}), _ORDERS
-    # every image keeps e's denominator, so the sum is over numerators
+    limit = _derivative_limit((i,), cfg, max_order)
     store: dict = {}
+    _add_total_derivative(store, e, i, limit, 1)
+    return _reduced(store, e._den)
+
+
+def sum_of_total_derivatives(
+    terms: Sequence, cfg: JetConfig, max_order: int | None = None
+) -> Expr:
+    """sum sign * D_i e over the (e, i, sign) triples of ``terms``, for
+    sign = +-1, added into one sum of numerators over the lcm of the
+    denominators; ``max_order`` as for :func:`total_derivative`.  Every i is
+    checked before any derivative is taken, and an e whose D_i goes beyond
+    the bound raises the error :func:`total_derivative` raises on it."""
+    limit = _derivative_limit([i for _, i, _ in terms], cfg, max_order)
+    den = lcm(*(e._den for e, _, _ in terms))
+    store: dict = {}
+    for e, i, sign in terms:
+        _add_total_derivative(store, e, i, limit, sign * (den // e._den))
+    return _reduced(store, den)
+
+
+def _derivative_limit(directions, cfg: JetConfig, max_order: int | None) -> int:
+    """The jet-order bound of D_i, each i in ``directions`` checked to be a
+    base index of ``cfg``."""
+    for i in directions:
+        if not 1 <= i <= cfg.m:
+            raise ValueError(f"base index {i} out of range 1..{cfg.m}")
+    return cfg.working_order if max_order is None else max_order
+
+
+def _add_total_derivative(store: dict, e: Expr, i: int, limit: int, scale: int) -> None:
+    """Add ``scale`` times the numerators of D_i e into ``store`` in place.
+
+    Each occurrence of an id in a monomial adds the numerator once: x^i is
+    dropped, and a y/z id is replaced by its lift, which goes where it
+    keeps the monomial sorted; the lift of a lone id is the image itself.
+    """
+    lifts, orders = _LIFTS.setdefault(i, {}), _ORDERS
     get = store.get
     for mono, n in e._num.items():
+        n *= scale
         for pos, c in enumerate(mono):
             lifted = lifts.get(c)
             if lifted is None:
                 lifted = _lift(c, i)
             if lifted == _CONSTANT:
                 continue
-            image = mono[:pos] + mono[pos + 1 :]
-            if lifted != _LOWER:
+            if lifted == _LOWER:
+                image = mono[:pos] + mono[pos + 1 :]
+            else:
                 if orders[lifted] > limit:
                     _raise_order_bound(e, i, limit)
-                image = _insert(image, lifted)
+                if len(mono) == 1:
+                    image = (lifted,)
+                elif mono[-1] <= lifted:
+                    image = mono[:pos] + mono[pos + 1 :] + (lifted,)
+                else:
+                    # the lift goes after the ids no larger than it, and c is
+                    # left out on whichever side of it c lies
+                    at = bisect_right(mono, lifted)
+                    if at <= pos:
+                        image = mono[:at] + (lifted,) + mono[at:pos] + mono[pos + 1 :]
+                    else:
+                        image = mono[:pos] + mono[pos + 1 : at] + (lifted,) + mono[at:]
             acc = get(image, 0) + n
             if acc:
                 store[image] = acc
             else:
                 del store[image]
-    return _reduced(store, e._den)
 
 
 def _raise_order_bound(e: Expr, i: int, limit: int):

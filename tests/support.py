@@ -6,8 +6,9 @@ random polynomial generator, generic sections with free coefficients, the
 wave example's Lagrangian built in Python, a reference ring, the determinant
 by minors, the problem tokenizer as a character loop, the Expr kernels the library replaced, and the prolongation,
 symmetry test, characteristic jets and currents by the total derivatives of
-the characteristic Q^a, and the Cauchy step and slice energy as they were
-before each spectral operation ran once.
+the characteristic Q^a, the Cauchy step and slice energy as they were
+before each spectral operation ran once, powers by repeated multiplication,
+and the comparison of two boundary forms by their full tables' difference.
 
 The library reaches the same statements by other routes (prolongation by
 the recursive formula, the symmetry test through E d_m x in one scan of L,
@@ -21,10 +22,11 @@ section's substitution through the section's own table of images,
 products with one monomial by insertion, monomials over interned
 coordinate ids, the
 determinant by elimination, the problem tokenizer by one regular
-expression, the Cauchy step into preallocated buffers and the slice energy
-from per-grid weights); these stay as independent references.  The
-kernels read an Expr only through ``terms()``, so they work on coordinate
-monomials whatever ids the library gives the coordinates.
+expression, the Cauchy step into preallocated buffers, the slice energy
+from per-grid weights, powers by the multinomial theorem and the comparison
+through the parts the two tables share); these stay as independent
+references.  The kernels read an Expr only through ``terms()``, so they work
+on coordinate monomials whatever ids the library gives the coordinates.
 """
 from __future__ import annotations
 
@@ -34,11 +36,19 @@ from math import gcd
 
 import numpy as np
 
-from jetforms.dedonder import DeDonderForm, check_lagrangian
+from jetforms.dedonder import (
+    BoundaryCoefficients,
+    ComparisonReport,
+    DeDonderForm,
+    PhiDecomposition,
+    _check_splitting_system,
+    check_lagrangian,
+)
 from jetforms.expressions import (
     Expr,
     PolynomialSection,
     substitute_section,
+    sum_by_key,
     total_derivative,
     z_var,
 )
@@ -55,6 +65,7 @@ from jetforms.jets import (
     base_coord,
     coordinate_sort_key,
     enumerate_coordinates,
+    field_coord,
     jet_coord,
     multiindices,
 )
@@ -382,6 +393,14 @@ def two_pass_total_derivative(
     return Expr.sum(terms)
 
 
+def repeated_power(base: Expr, exponent: int) -> Expr:
+    """base^exponent by repeated multiplication with the generic product."""
+    out = Expr.one()
+    for _ in range(exponent):
+        out = generic_product(out, base)
+    return out
+
+
 def per_monomial_substitute(e: Expr, replacements: dict) -> Expr:
     """Expr.substitute as one image Expr per monomial, every power raised
     anew, by the generic product."""
@@ -514,6 +533,28 @@ def assert_canonical(e: Expr) -> None:
     assert all(type(n) is int and n != 0 for n in num), num
     assert gcd(den, *num) == 1, (den, num)
     assert num or den == 1, den
+
+
+def reference_compare_boundary_forms(xi, xi_prime) -> ComparisonReport:
+    """compare_boundary_forms by the difference of the two full tables, the
+    checks run on a fresh table of it."""
+    cfg = xi.cfg
+    differences = sum_by_key([
+        *xi.coefficients.table.items(),
+        *((key, -p) for key, p in xi_prime.coefficients.table.items()),
+    ])
+    q = BoundaryCoefficients(cfg, differences)
+    relation_failures = _check_splitting_system(PhiDecomposition(cfg, {}), q)
+    divergence_residuals = {a: q.divergence(a, ()) for a in range(1, cfg.n + 1)}
+    volume = volume_form(cfg)
+    pullback_failures = [
+        (field_coord(a), volume * -residual)
+        for a, residual in divergence_residuals.items() if not residual.is_zero
+    ] + [(jet_coord(a, I), volume * -residual) for a, I, residual in relation_failures]
+    return ComparisonReport(
+        not pullback_failures, differences, relation_failures, divergence_residuals,
+        pullback_failures,
+    )
 
 
 # -- the prolongation routes the library replaced ----------------------------

@@ -549,6 +549,30 @@ def test_evolve_rejects_energy_beyond_the_float_range(tmp_path, capsys):
     }
 
 
+def test_evolve_rejects_an_energy_coefficient_beyond_the_float_range(tmp_path, capsys):
+    # 10^400 in front of L parses and derives exactly, but the energy tables'
+    # coefficients have no float: an error at the Lagrangian, not a traceback
+    fixture = open(WAVE).read()
+    lagrangian_line = 1 + fixture.split("\n").index(
+        next(line for line in fixture.split("\n") if line.startswith("L = "))
+    )
+    problem = tmp_path / "huge.jet"
+    message = "the slice energy has a coefficient beyond the float range"
+    problem.write_text(fixture.replace("L = sum", "L = 10^400*sum"))
+    code, out, err = run(capsys, "evolve", str(problem))
+    assert (code, out) == (2, "")
+    assert err == f"{problem}:{lagrangian_line}:1: {message}\n"
+    code, out, _ = run(capsys, "evolve", str(problem), "--json")
+    assert code == 2
+    assert json.loads(out) == {
+        "error": message, "line": lagrangian_line, "column": 1, "expected": []
+    }
+    # within the float range the same Lagrangian evolves
+    problem.write_text(fixture.replace("L = sum", "L = 10^100*sum"))
+    code, out, _ = run(capsys, "evolve", str(problem))
+    assert code == 0 and "energy-drift: PASS" in out
+
+
 @pytest.mark.parametrize(
     "grid", ["0 1 64 open", "0 6.283185307179586 64 periodic 0 1 64 periodic"]
 )

@@ -27,6 +27,7 @@ from jetforms.dedonder import (
 from jetforms.expressions import (
     Expr,
     PolynomialSection,
+    render_expr,
     substitute_section,
     total_derivative,
     x_var,
@@ -57,6 +58,7 @@ from tests.support import (
     coeff_symbol,
     contact_form,
     random_expr,
+    reference_compare_boundary_forms,
     vertical_contractions,
 )
 
@@ -193,7 +195,8 @@ def test_divergence_table_matches_a_fresh_divergence():
 def test_comparison_reads_the_divergences_of_the_difference():
     # on solved, perturbed and corrupted tables, in both orders, the report's
     # divergence trace and homogeneous residuals are those of a fresh table
-    # Q = p - p'
+    # Q = p - p', and every field equals that of the full tables' difference,
+    # whichever parts the two tables share
     rng = random.Random(41)
     for cfg, delta in (
         (JetConfig(2, 2, 2), dedonder.default_skew_perturbation(JetConfig(2, 2, 2))),
@@ -209,8 +212,15 @@ def test_comparison_reads_the_divergences_of_the_difference():
         key = sorted(corrupted)[rng.randrange(len(corrupted))]
         corrupted[key] = corrupted[key] + y_var(1) * z_var(1, (1,))
         bad = BoundaryForm(cfg, xi.form, BoundaryCoefficients(cfg, corrupted), dec)
-        for first, second in ((xi, alt), (alt, xi), (xi, bad), (bad, alt), (xi, xi)):
+        doubled = assemble_boundary_form(
+            perturbed_coefficients(dec, {key: 2 * p for key, p in delta.items()}), dec)
+        for first, second in ((xi, alt), (alt, xi), (xi, bad), (bad, alt), (xi, xi),
+                              (alt, doubled), (alt, alt)):
             report = compare_boundary_forms(first, second)
+            expected = reference_compare_boundary_forms(first, second)
+            for field in ("ok", "differences", "relation_failures", "divergence_residuals",
+                          "pullback_failures"):
+                assert getattr(report, field) == getattr(expected, field), field
             q = BoundaryCoefficients(cfg, report.differences)
             assert report.divergence_residuals == {
                 a: fresh_divergence(q, a, ()) for a in range(1, cfg.n + 1)
@@ -220,14 +230,26 @@ def test_comparison_reads_the_divergences_of_the_difference():
             assert report.ok == (first is not bad and second is not bad)
 
 
-def test_checks_on_a_solved_table_compute_no_total_derivative(monkeypatch):
-    calls = []
+def count_total_derivatives(monkeypatch, calls: list) -> None:
+    """Record in ``calls`` every D_i that dedonder applies, one entry per
+    (e, i) whether it is taken alone or as a term of a sum."""
+    summed = dedonder.sum_of_total_derivatives
 
-    def counting(*args):
-        calls.append(args)
-        return total_derivative(*args)
+    def counting(e, i, *rest, **options):
+        calls.append((e, i))
+        return total_derivative(e, i, *rest, **options)
+
+    def counting_sum(terms, *rest, **options):
+        calls.extend((e, i) for e, i, _ in terms)
+        return summed(terms, *rest, **options)
 
     monkeypatch.setattr(dedonder, "total_derivative", counting)
+    monkeypatch.setattr(dedonder, "sum_of_total_derivatives", counting_sum)
+
+
+def test_checks_on_a_solved_table_compute_no_total_derivative(monkeypatch):
+    calls = []
+    count_total_derivatives(monkeypatch, calls)
     rng = random.Random(37)
     cfg = JetConfig(2, 2, 2)
     L = random_expr(rng, cfg, cfg.k, degree=2, terms=6)
@@ -242,6 +264,80 @@ def test_checks_on_a_solved_table_compute_no_total_derivative(monkeypatch):
     calls.clear()
     assemble_boundary_form(coeffs, derivation.decomposition)
     assert calls == []
+
+
+def record_splitting_checks(monkeypatch, checks: list) -> None:
+    """Record in ``checks`` the (phi, coeffs) of every splitting check."""
+    check = dedonder._check_splitting_system
+
+    def counted(phi, coeffs):
+        checks.append((phi, coeffs))
+        return check(phi, coeffs)
+
+    monkeypatch.setattr(dedonder, "_check_splitting_system", counted)
+
+
+def test_assembly_checks_only_the_part_no_earlier_check_verified(monkeypatch):
+    # once assembly has verified the symmetric table against this Phi, a sum
+    # table holding it checks only its skew part, against Phi = 0; a tampered
+    # skew part fails there at the (a, I), and with the residual, of the full
+    # check
+    cfg = JetConfig(2, 2, 2)
+    _, dec = phi_from_lagrangian(cfg, random_expr(random.Random(61), cfg, cfg.k, terms=6))
+    symmetric = symmetric_boundary_coefficients(dec)
+    full_check = dedonder._check_splitting_system
+    checks = []
+    record_splitting_checks(monkeypatch, checks)
+    assemble_boundary_form(symmetric, dec)
+    assert checks == [(dec, symmetric)]
+    coeffs = perturbed_coefficients(dec, dedonder.default_skew_perturbation(cfg))
+    parts = coeffs.parts()
+    assert parts[0] is symmetric and symmetric.parts() == (symmetric,)
+    checks.clear()
+    assemble_boundary_form(coeffs, dec)
+    assert len(checks) == 1
+    phi, checked = checks[0]
+    assert checked is parts[1] and phi.components == {}
+    for key in sorted(parts[1].table):
+        table = dict(parts[1].table)
+        table[key] = table[key] + y_var(1) * z_var(2, (1,))
+        tampered = dedonder._sum_of_tables(cfg, (symmetric, BoundaryCoefficients(cfg, table)))
+        a, I, residual = full_check(dec, tampered)[0]
+        with pytest.raises(AssertionError) as caught:
+            assemble_boundary_form(tampered, dec)
+        assert str(caught.value) == (
+            f"coefficients do not solve the boundary system at a={a}, I={I}: "
+            f"{render_expr(residual)}"
+        )
+
+
+def test_a_sum_table_whose_symmetric_part_was_never_assembled_is_checked_in_full(
+    monkeypatch,
+):
+    # perturbed_coefficients solves the symmetric table without assembling
+    # it, and a table assembled against another, equal Phi is not this
+    # Phi's: both sum tables are checked whole against Phi
+    cfg = JetConfig(2, 2, 2)
+    L = random_expr(random.Random(67), cfg, cfg.k, terms=6)
+    _, dec = phi_from_lagrangian(cfg, L)
+    delta = dedonder.default_skew_perturbation(cfg)
+    checks = []
+    record_splitting_checks(monkeypatch, checks)
+    coeffs = perturbed_coefficients(dec, delta)
+    assemble_boundary_form(coeffs, dec)
+    assert checks == [(dec, coeffs)]
+    _, equal_dec = phi_from_lagrangian(cfg, L)
+    assemble_boundary_form(coeffs.parts()[0], equal_dec)
+    checks.clear()
+    coeffs = perturbed_coefficients(dec, delta)
+    assemble_boundary_form(coeffs, dec)
+    assert checks == [(dec, coeffs)]
+    # a part verified against Phi twice over is no solution of Phi
+    symmetric = coeffs.parts()[0]
+    assemble_boundary_form(symmetric, dec)
+    twice = dedonder._sum_of_tables(cfg, (symmetric, symmetric))
+    with pytest.raises(AssertionError, match="do not solve the boundary system"):
+        assemble_boundary_form(twice, dec)
 
 
 def test_k1_reduction_is_poincare_cartan():
@@ -826,10 +922,6 @@ def test_perturbed_coefficients_add_the_homogeneous_solve_to_the_symmetric_table
         symmetric.divergence(a, I)
     differentiated = []
 
-    def counting(*args):
-        differentiated.append(args)
-        return total_derivative(*args)
-
     def derivatives_of(solve):
         differentiated.clear()
         coeffs = solve()
@@ -837,7 +929,7 @@ def test_perturbed_coefficients_add_the_homogeneous_solve_to_the_symmetric_table
             coeffs.divergence(a, I)
         return coeffs, len(differentiated)
 
-    monkeypatch.setattr(dedonder, "total_derivative", counting)
+    count_total_derivatives(monkeypatch, differentiated)
     perturbed, count = derivatives_of(lambda: perturbed_coefficients(dec, delta))
     _, homogeneous = derivatives_of(
         lambda: dedonder._solve_top_down(PhiDecomposition(cfg, {}), delta))

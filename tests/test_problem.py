@@ -1,6 +1,7 @@
 import importlib.resources
 import math
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -459,6 +460,28 @@ def test_powers_within_the_term_bound_parse():
     spec = parse_problem("dims 1 1 1; L = (2*y[1])^10000;")
     assert spec.lagrangian == 2**10000 * y_var(1) ** 10000
     assert parse_problem("dims 2 2 1; L = " + EIGHT_TERMS + "^0;").lagrangian == Expr.one()
+
+
+@pytest.mark.parametrize("base,exponent", [
+    ("x[1]+1", 500), ("x[1]+1", 1000), ("x[1]+1", 2000),
+    ("x[1]+y[1]+1", 100), ("x[1]+y[1]+1", 139),
+])
+def test_dense_powers_parse_in_a_fraction_of_a_second(base, exponent):
+    # by the multinomial theorem each term is formed once, with no dense
+    # intermediate power to square
+    start = time.perf_counter()
+    L = parse_problem(f"dims 1 1 1; L = ({base})^{exponent};").lagrangian
+    assert time.perf_counter() - start < 0.5
+    factors = base.count("+")  # the variables of the base, besides the 1
+    assert len(L.terms()) == math.comb(exponent + factors, factors)
+    a = exponent // 3
+    b = a if factors == 2 else 0
+    powers = {("x", 1): a, ("y", 1): b} if b else {("x", 1): a}
+    multinomial = math.factorial(exponent) // (
+        math.factorial(a) * math.factorial(b) * math.factorial(exponent - a - b))
+    assert L.partial(("x", 1)).constant_term() == exponent
+    assert Expr.monomial(powers, multinomial) == Expr(
+        [(mono, c) for mono, c in L.terms() if dict(mono) == powers])
 
 
 def test_declared_values_at_the_digit_limit_parse():

@@ -56,6 +56,7 @@ from jetforms.expressions import (  # noqa: E402
     PolynomialSection,
     render_expr,
     substitute_section,
+    sum_of_total_derivatives,
     total_derivative,
 )
 from jetforms.forms import DifferentialForm, holonomic_reduce, volume_form  # noqa: E402
@@ -91,6 +92,7 @@ from tests.support import (  # noqa: E402
     reference_prolong,
     reference_substitute_section,
     reference_total_derivative,
+    repeated_power,
     two_pass_total_derivative,
 )
 
@@ -294,6 +296,67 @@ def test_total_derivative_matches_the_two_pass_kernel(a, i, max_order):
         assert_canonical(total_derivative(a, i, CFG, max_order))
 
 
+# bases whose terms are powers of one coordinate, such as x + x^2, so that
+# distinct compositions of the exponent meet in one monomial
+colliding_bases = st.builds(
+    lambda coord, terms: Expr.sum(Expr.monomial({coord: e}, c) for e, c in terms),
+    st.sampled_from(KERNEL_COORDS), st.lists(st.tuples(st.integers(0, 3), rationals), max_size=4),
+)
+
+
+@PROPERTY
+@given(st.one_of(kernel_operands, colliding_bases), st.integers(0, 6))
+def test_power_matches_repeated_multiplication(base, exponent):
+    got = base**exponent
+    expected = repeated_power(base, exponent)
+    assert got == expected
+    assert list(got.terms()) == list(expected.terms())
+    assert_canonical(got)
+
+
+def signed_two_pass_sum(terms, cfg, max_order):
+    """sum sign * D_i e by the two-pass kernel, one triple after another."""
+    return Expr.sum(sign * two_pass_total_derivative(e, i, cfg, max_order) for e, i, sign in terms)
+
+
+# operands below the top jet order, whose D_i meets no bound, besides the
+# kernel operands
+derivative_operands = st.one_of(
+    st.lists(st.tuples(
+        st.dictionaries(st.sampled_from([c for c in KERNEL_COORDS if len(c) < 3 or len(c[2]) < 3]),
+                        st.integers(1, 6), max_size=3),
+        rationals,
+    ), max_size=4).map(lambda terms: Expr.sum(Expr.monomial(p, c) for p, c in terms)),
+    kernel_operands,
+)
+
+
+@settings(PROPERTY, max_examples=80)
+@given(st.lists(st.tuples(derivative_operands, st.integers(1, 2), st.sampled_from((1, -1))),
+                max_size=4),
+       st.sampled_from((None, 3, 4)))
+def test_sum_of_total_derivatives_matches_the_two_pass_kernel(terms, max_order):
+    # rational coefficients over several denominators, ids repeated up to
+    # six times, x^i lowered, constants and coefficient symbols dropped, and
+    # the order-bound error of the first triple that meets it
+    got = outcome(sum_of_total_derivatives, terms, CFG, max_order)
+    assert got == outcome(signed_two_pass_sum, terms, CFG, max_order)
+    if not got.startswith("ValueError"):
+        assert_canonical(sum_of_total_derivatives(terms, CFG, max_order))
+
+
+def test_sum_of_total_derivatives_checks_every_direction_first():
+    # the first triple would meet the order bound; the direction of the second
+    # is out of range, and that is the error, raised before any derivative
+    top = Expr.variable(jet_coord(1, (1, 1, 1)))
+    for i in (0, 3):
+        with pytest.raises(ValueError, match=rf"base index {i} out of range 1\.\.2"):
+            sum_of_total_derivatives([(top, 1, 1), (top, i, -1)], CFG)
+    with pytest.raises(ValueError, match="jet order 4 beyond the allowed order 3"):
+        sum_of_total_derivatives([(top, 1, 1), (top, 2, -1)], CFG)
+    assert sum_of_total_derivatives([], CFG) == Expr.zero()
+
+
 @PROPERTY
 @given(kernel_operands)
 def test_partial_and_gradient_match_the_reference_ring(a):
@@ -389,9 +452,13 @@ def test_terms_come_in_coordinate_order_whatever_the_ids(a, b, i, max_order):
     assert_terms_in_coordinate_order(a * b)
     assert_terms_in_coordinate_order(total_derivative(a, i, CFG, 4))
     assert_terms_in_coordinate_order(a.substitute({REVERSED[-1]: b, REVERSED[1]: b}))
-    # an order-bound error names the first coordinate in coordinate order
+    # an order-bound error names the first coordinate in coordinate order,
+    # alone and inside a sum
     got = outcome(total_derivative, a, i, CFG, max_order)
     assert got == outcome(two_pass_total_derivative, a, i, CFG, max_order)
+    terms = [(b, 3 - i, 1), (a, i, -1)]
+    got = outcome(sum_of_total_derivatives, terms, CFG, max_order)
+    assert got == outcome(signed_two_pass_sum, terms, CFG, max_order)
     gradient = a.gradient()
     keys = [coordinate_sort_key(c) for c in gradient]
     assert keys == sorted(keys)
