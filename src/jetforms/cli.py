@@ -304,9 +304,11 @@ def cmd_evolve(spec: ProblemSpec, report: Report, args):
             state = cauchy_evolve(state, t)
         except (OverflowError, ValueError):
             raise ProblemError(f"evolving to t = {t:g} leaves the float range", 1, 1)
-        try:  # a period that puts the energy out of float range
+        try:  # a period, or a coefficient, that puts the energy out of float range
             e_sym = energy_sym(state)
             rows.append((t, e_sym, e_sym if one_table else energy_skew(state)))
+        except OverflowError as exc:
+            raise ProblemError(str(exc), *spec.lagrangian_at)
         except ValueError as exc:
             raise ProblemError(str(exc), *spec.grid_at)
     e0 = rows[0][1]

@@ -381,6 +381,16 @@ class Expr:
             for factors, n in ordered
         ]
 
+    def term_count(self) -> int:
+        """The number of terms, without the sort of ``terms()``."""
+        return len(self._num)
+
+    def largest_part(self) -> int:
+        """The largest numerator or denominator of the coefficients in
+        lowest terms, 1 for zero, without the sort of ``terms()``."""
+        den = self._den
+        return max([1] + [max(abs(n), den) // gcd(n, den) for n in self._num.values()])
+
     def _ids(self) -> set:
         return set().union(*self._num)
 

@@ -8,14 +8,17 @@ Everything here exists to corroborate the symbolic machinery:
   an exact-integration path for polynomial fixtures (the identities under
   test hold to roundoff there, quadrature error would only obscure them);
 * the Cauchy evolution of the fourth-order wave example, advanced exactly
-  for all spatial Fourier modes at once by the closed-form propagator of the
-  mode equation, so conservation checks see no time-stepping error at all;
-  the state is carried as its scaled spectrum d_t^j y^ / xi^j, a step takes
-  no FFT, and the slice energy reads that spectrum mode by mode (Parseval).
-  Each spectral operation runs once: a grid's wavenumbers, xi^j scales and
-  energy weights are computed once and travel with the state or the
-  functional, a step writes into buffers allocated once per step, and one
-  energy table serves every boundary form;
+  mode by mode by the closed-form propagator of the mode equation, so
+  conservation checks see no time-stepping error at all; the state is
+  carried as its scaled spectrum d_t^j y^ / xi^j, a step takes no FFT, and
+  the slice energy reads that spectrum mode by mode (Parseval).  A state
+  knows its band, the modes below which all of its data lies: the
+  propagator keeps a zero mode zero, so a step and the energy read only
+  the band and a band-limited state costs in proportion to its band, not
+  to its grid.  Each spectral operation runs once: a grid's wavenumbers,
+  xi^j scales and energy weights are computed once and travel with the
+  state or the functional, a step writes into buffers allocated once per
+  step, and one energy table serves every boundary form;
 * a finite-difference functional-derivative oracle for Lagrange derivatives;
 * a flow oracle for prolongations.  The supported symmetry-field class keeps
   flows closed-form: base components affine in x, vertical components affine
@@ -345,6 +348,11 @@ class CauchyState:
     (n, 4, N) through one forward FFT and starts at t = 0; ``data`` is the
     physical view, one inverse FFT.  The grid's constants (``modes``) are
     computed once and handed from state to evolved state.
+
+    The state also carries its band b: every mode at index b or above is
+    exactly zero, so only ``spectrum[:, :, :b]`` is checked, stepped and
+    summed.  A state built from physical rows has the full band N // 2 + 1;
+    ``band_limited_state`` gives max_mode + 1, and a step passes the band on.
     """
 
     def __init__(self, grid: GridSpec, data):
@@ -354,18 +362,22 @@ class CauchyState:
         if data.shape[2] != grid.shape[0]:
             raise ValueError("state data does not match the grid")
         modes = _GridModes(grid)
-        self._set(modes, np.fft.rfft(data, axis=2) / modes.scales, 0.0)
+        spectrum = np.fft.rfft(data, axis=2) / modes.scales
+        self._set(modes, spectrum, 0.0, spectrum.shape[2])
 
     @classmethod
-    def _from_spectrum(cls, modes: "_GridModes", spectrum: np.ndarray, t: float):
+    def _from_spectrum(cls, modes: "_GridModes", spectrum: np.ndarray, t: float, band: int):
         state = cls.__new__(cls)
-        state._set(modes, spectrum, t)
+        state._set(modes, spectrum, t, band)
         return state
 
-    def _set(self, modes: "_GridModes", spectrum: np.ndarray, t: float):
-        if not np.isfinite(spectrum.view(float)).all():  # both parts of every mode
+    def _set(self, modes: "_GridModes", spectrum: np.ndarray, t: float, band: int):
+        # both parts of every mode in the band; the rest are zeros that
+        # band_limited_state or a step wrote
+        if not np.isfinite(spectrum[:, :, :band].view(float)).all():
             raise ValueError("state data contains non-finite values")
         self.grid, self.modes, self.spectrum, self.t = modes.grid, modes, spectrum, t
+        self._band = band
 
     @property
     def data(self) -> np.ndarray:
@@ -401,7 +413,7 @@ class _GridModes:
 
 
 def cauchy_evolve(state: CauchyState, t_target: float) -> CauchyState:
-    """Advance the fourth-order wave system exactly, all Fourier modes at once.
+    """Advance the fourth-order wave system exactly, every mode of the band at once.
 
     Per spatial mode xi != 0 the system is (d_t^2 + xi^2)^2 y = 0, whose
     solutions are y = (A + B tau) cos tau + (C + D tau) sin tau with
@@ -416,22 +428,26 @@ def cauchy_evolve(state: CauchyState, t_target: float) -> CauchyState:
     O(eps (1 + xi_max |dt|)^2) |u|.  The xi = 0 mode advances by the exact
     cubic Taylor polynomial in dt.
 
-    The wavenumbers come with the state, computed once per grid.  Every
-    array operation writes into the new spectrum's rows or into five
-    buffers allocated once per step.  They are the float operations of the
-    expressions in the comments below, in the same order, a halving written
-    as a product with 0.5, so no temporary is allocated and the result is
-    the same to the bit.
+    The propagator maps a zero mode to zero, so only the modes 1..b-1 of the
+    state's band b are advanced; the new spectrum starts as zeros, its
+    modes from b on stay so, and the evolved state keeps the band.  The
+    wavenumbers come with the state, computed once per grid.  Every array
+    operation writes into the new spectrum's rows or into five buffers
+    allocated once per step, all b - 1 modes wide.  They are the float
+    operations of the expressions in the comments below, in the same order,
+    a halving written as a product with 0.5, so no temporary is allocated
+    and the result is the same to the bit.
     """
     dt = t_target - state.t
     if dt == 0.0:
         return state
     taylor = [1.0, dt, dt**2 / 2.0, dt**3 / 6.0]  # a huge dt raises OverflowError
-    tau = state.modes.xi * dt
+    band = state._band
+    tau = state.modes.xi[: band - 1] * dt
     c, s = np.cos(tau), np.sin(tau)
-    u0, u1, u2, u3 = np.moveaxis(state.spectrum[:, :, 1:], 1, 0)
-    out = np.empty_like(state.spectrum)
-    v0, v1, v2, v3 = np.moveaxis(out[:, :, 1:], 1, 0)
+    u0, u1, u2, u3 = np.moveaxis(state.spectrum[:, :, 1:band], 1, 0)
+    out = np.zeros_like(state.spectrum)
+    v0, v1, v2, v3 = np.moveaxis(out[:, :, 1:band], 1, 0)
     # five allocations: one block of the five was faster but raised the
     # evolve_16k benchmark's peak RSS by 0.7 MB more
     B, C, D, Bt, Dt = (np.empty_like(u0) for _ in range(5))
@@ -483,7 +499,7 @@ def cauchy_evolve(state: CauchyState, t_target: float) -> CauchyState:
     # zero mode: u_i <- sum over j >= i of taylor[j - i] u_j
     shift = [[taylor[j - i] if j >= i else 0.0 for i in range(4)] for j in range(4)]
     out[:, :, 0] = state.spectrum[:, :, 0] @ np.array(shift)
-    return CauchyState._from_spectrum(state.modes, out, t_target)
+    return CauchyState._from_spectrum(state.modes, out, t_target, band)
 
 
 class EnergyFunctional:
@@ -498,9 +514,13 @@ class EnergyFunctional:
     modes and 2 elsewhere.  ``entries`` maps (a, r, b, r', S = s + s', part_e)
     to the exact c_e, which absorbs the phase i^(s' - s); an exact
     x-derivative cancels inside it, so all boundary forms give one table,
-    and ``evolve`` evaluates that one table once per state.  A call scales
-    only the (field, row) spectra the table reads; the weights c_e xi^S are
-    formed on a grid's first call and kept for its later ones.
+    and ``evolve`` evaluates that one table once per state.  A call scales,
+    pairs and weights only the (field, row) spectra the table reads, and of
+    those only the modes of the state's band; the weights c_e xi^S are
+    formed and checked in every mode on a grid's first call and kept for
+    its later ones.  An xi^S past the float range is the grid's fault
+    (ValueError); a finite xi^S whose weight is not, or a sum of finite
+    weighted terms that is not, is the coefficients' (OverflowError).
     """
 
     def __init__(self, theta: DeDonderForm):
@@ -536,28 +556,49 @@ class EnergyFunctional:
                        for (a, r, b, r2, S, part), c in self.entries.items()]
         self._weights_of = self._weights = None
 
+    def _weights_on(self, modes: _GridModes) -> list:
+        """c_e xi^S per entry in every mode of the grid, xi = 0 in the
+        Nyquist mode; a value past the float range in any mode raises, as
+        the band of a call may leave that mode out."""
+        lo, hi, _, _ = modes.grid.axes[0]
+        with np.errstate(over="ignore"):
+            powers = {S: modes.symbol_xi**S for *_, S, _ in self._terms}
+            if not all(np.isfinite(power).all() for power in powers.values()):
+                raise ValueError(f"a period of {hi - lo:g} puts xi^S outside the float range")
+            weights = [float(c) * powers[S] for *_, S, c in self._terms]
+        for (*_, S, c), weight in zip(self._terms, weights):
+            if not np.isfinite(weight).all():
+                raise OverflowError(
+                    f"the slice-energy weight {float(c):g}*xi^{S} of a period of "
+                    f"{hi - lo:g} passes the float range"
+                )
+        return weights
+
     def __call__(self, state: CauchyState) -> float:
         lo, hi, count, _ = state.grid.axes[0]
-        modes = state.modes
+        modes, band = state.modes, state._band
+        if self._weights_of is not modes:
+            self._weights = self._weights_on(modes)
+            self._weights_of = modes
         # products of the stored u_r = v_r / xi^r would overflow on wide domains
-        rows = {key: state.spectrum[key] * modes.scales[key[1]]
+        rows = {key: state.spectrum[key][:band] * modes.scales[key[1], :band]
                 for left, right, *_ in self._terms for key in (left, right)}
-        pair = np.empty(count // 2 + 1, dtype=complex)
-        term = np.empty(count // 2 + 1)
+        pair = np.empty(band, dtype=complex)
+        term = np.empty(band)
+        # full length with zeros past the band: the pairwise sum of a
+        # shorter array would round differently
         per_mode = np.zeros(count // 2 + 1)
+        head = per_mode[:band]
         with np.errstate(over="ignore", invalid="ignore"):
-            if self._weights_of is not modes:  # xi = 0 in the Nyquist mode
-                self._weights = [float(c) * modes.symbol_xi**S for *_, S, c in self._terms]
-                self._weights_of = modes
             for (left, right, part, *_), weight in zip(self._terms, self._weights):
                 np.conjugate(rows[left], out=pair)
                 pair *= rows[right]
-                np.multiply(weight, getattr(pair, part), out=term)
-                per_mode += term
-            per_mode[1 : (count + 1) // 2] *= 2.0  # all but the zero and Nyquist modes
+                np.multiply(weight[:band], getattr(pair, part), out=term)
+                head += term
+            head[1 : (count + 1) // 2] *= 2.0  # all but the zero and Nyquist modes
             total = float(per_mode.sum())
-        if not np.isfinite(total):
-            raise ValueError(f"a period of {hi - lo:g} puts xi^S outside the float range")
+        if not np.isfinite(total):  # finite weights: a product with the data overflowed
+            raise OverflowError(f"the slice energy at t = {state.t:g} passes the float range")
         return total * (hi - lo) / count**2
 
 
@@ -569,7 +610,9 @@ def band_limited_state(
     Each field and stored time derivative is sum_k a_c cos(k b x) +
     a_s sin(k b x) with b = 2 pi / length and normal amplitudes a / max_mode,
     drawn in (field, row, mode, cos/sin) order; the state stores the
-    matching spectrum, scaled, without a transform.
+    matching spectrum, scaled, without a transform, and its band
+    max_mode + 1, so a step and the energy read the first max_mode + 1
+    modes only.
     """
     count = grid.shape[0]
     if 2 * max_mode >= count:
@@ -586,7 +629,7 @@ def band_limited_state(
     spectrum[:, :, 1 : max_mode + 1] = (
         (amps[..., 0] - 1j * amps[..., 1]) * (count / 2.0) * phase
     ) / modes.scales[:, 1 : max_mode + 1]
-    return CauchyState._from_spectrum(modes, spectrum, 0.0)
+    return CauchyState._from_spectrum(modes, spectrum, 0.0, max_mode + 1)
 
 
 # -- functional-derivative oracle ---------------------------------------------

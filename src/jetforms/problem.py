@@ -22,11 +22,13 @@ factors, joined by ``*`` and ``/`` as in expressions, times ``dx[i]`` or
 digits.  Sums and products may be arbitrarily long; parentheses, sum bodies
 and unary signs nest at most 200 levels deep, a power's degree is at most
 10000, so is C(e + t - 1, t - 1), the most terms that a power e of a base
-of t terms can have, and a ``sum`` evaluates its body at most 10000 times,
-its range times the ranges of the sums around it.  No coefficient of a
-power, nor of a declared value, may have more digits than the interpreter
-converts (``sys.get_int_max_str_digits``).  Jet indices are canonicalized
-on parse.
+of t terms can have, and that count times the power's degree is at most
+5000000.  A product ``a*b`` forms at most 1000000 pairs of terms, and its
+pairs times its degree are at most 5000000.  A ``sum`` evaluates its body
+at most 10000 times, its range times the ranges of the sums around it.
+No coefficient of a power, nor of a declared value, may have more digits
+than the interpreter converts (``sys.get_int_max_str_digits``).  Jet
+indices are canonicalized on parse.
 
 The parser makes one pass over the tokens, and each grammar rule returns
 its value as a function rather than a tree; the values are evaluated once
@@ -189,6 +191,17 @@ _MAX_NESTING = 200
 # A power of many terms grows in terms rather than degree: an 8-term base to
 # the 10 has 19448 terms and took 0.5 s, so its term bound is this one too.
 _MAX_DEGREE = 10_000
+# A product forms one monomial per pair of its factors' terms, about 4 us a
+# pair at degree 120: (x[1]+y[1]+1)^60*(x[1]+y[1]+2)^60 forms 1891^2 pairs and
+# took 14.5 s.  A product of more pairs is an error at its operator; 959310
+# pairs at degree 5, into 517446 distinct terms, take about 1 s.
+_MAX_PAIRS = 1_000_000
+# A monomial holds one coordinate factor per unit of degree, so what a power
+# or a product writes is its terms times its degree: (x[1]+1)^9999, within
+# the term bound, writes 10^8 and took 4 s, and a product of 10^6 pairs at
+# degree 2000 would write 2*10^9.  A power, or a product, that may write
+# more is an error at its exponent or operator; (x[1]+1)^2000 writes 4*10^6.
+_MAX_FACTORS = 5_000_000
 
 
 class _Token:
@@ -537,7 +550,9 @@ class _Parser:
             value = first(env)
             for op, factor in rest:
                 if op.kind == "*":
-                    value = value * factor(env)
+                    other = factor(env)
+                    _check_product(value, other, op)
+                    value = value * other
                     continue
                 constant = _constant(factor(env), "division is only allowed by constants", op)
                 if constant == 0:
@@ -573,21 +588,26 @@ class _Parser:
                     f"power of degree {degree} exceeds {_MAX_DEGREE}", at.line, at.column
                 )
             # a power of t terms has at most C(e + t - 1, t - 1) terms, the
-            # monomials of degree e in t variables, and that bound is kept
-            terms = len(value.terms())
-            if terms > 1 and math.comb(
-                exponent + terms - 1, min(exponent, terms - 1)
-            ) > _MAX_DEGREE:
+            # monomials of degree e in t variables, and that bound is kept,
+            # as is that bound times the degree
+            terms = value.term_count()
+            most = math.comb(exponent + terms - 1, min(exponent, terms - 1)) if terms else 1
+            if most > _MAX_DEGREE:
                 raise ProblemSemanticError(
                     f"power of {terms} terms to the {exponent} may have more than "
                     f"{_MAX_DEGREE} terms", at.line, at.column
+                )
+            if most * degree > _MAX_FACTORS:
+                raise ProblemSemanticError(
+                    f"power of {terms} terms to the {exponent} may hold more than "
+                    f"{_MAX_FACTORS} coordinate factors in all", at.line, at.column
                 )
             # the largest numerator or denominator of the base's coefficients
             # (of the coefficient itself, for a constant or a monomial) to
             # the power may not pass the digits int() and str() convert, 0
             # being no limit; from 2 up, any exponent above 4 * limit does
             limit = sys.get_int_max_str_digits()
-            largest = _largest_part(value)
+            largest = value.largest_part()
             if limit and largest > 1 and (
                 exponent > 4 * limit or exponent * math.log10(largest) >= limit
             ):
@@ -781,10 +801,22 @@ def _checked_metric(cfg: JetConfig, name: str, matrix: tuple, at: _Token) -> tup
     return matrix
 
 
-def _largest_part(value: Expr) -> int:
-    """The largest numerator or denominator of the coefficients of
-    ``value``; 1 for zero."""
-    return max([1] + [max(abs(q.numerator), q.denominator) for _, q in value.terms()])
+def _check_product(a: Expr, b: Expr, at: _Token) -> None:
+    """An error at the operator ``at`` when ``a * b`` would form more than
+    ``_MAX_PAIRS`` pairs of terms, or pairs times degree past
+    ``_MAX_FACTORS``."""
+    p, q = a.term_count(), b.term_count()
+    if p * q > _MAX_PAIRS:
+        raise ProblemSemanticError(
+            f"product of {p} and {q} terms forms more than {_MAX_PAIRS} pairs of terms",
+            at.line, at.column,
+        )
+    degree = a.degree() + b.degree()
+    if p * q * degree > _MAX_FACTORS:
+        raise ProblemSemanticError(
+            f"product of {p} and {q} terms of degree {degree} may hold more than "
+            f"{_MAX_FACTORS} coordinate factors in all", at.line, at.column,
+        )
 
 
 def _within_digits(value: Expr, at: _Token) -> Expr:
@@ -793,7 +825,7 @@ def _within_digits(value: Expr, at: _Token) -> Expr:
     0 being no limit); otherwise an error at ``at``, where it is declared.
     Powers are bounded where they are written, but a product or a sum of
     them is bounded only here."""
-    if exceeds_digit_limit(_largest_part(value)):
+    if exceeds_digit_limit(value.largest_part()):
         limit = sys.get_int_max_str_digits()
         raise ProblemSemanticError(f"coefficient exceeds {limit} digits", at.line, at.column)
     return value

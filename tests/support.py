@@ -641,9 +641,10 @@ def reference_noether_current(
 
 
 def reference_cauchy_evolve(state, t_target: float):
-    """``cauchy_evolve`` as it was before it wrote into preallocated buffers:
-    the time scales and wavenumbers recomputed per call, and a temporary for
-    every operation."""
+    """``cauchy_evolve`` as it was before it wrote into preallocated buffers
+    and kept a band: the time scales and wavenumbers recomputed per call, a
+    temporary for every operation, and every mode advanced, so the result
+    has the full band."""
     dt = t_target - state.t
     if dt == 0.0:
         return state
@@ -663,12 +664,13 @@ def reference_cauchy_evolve(state, t_target: float):
     # zero mode: u_i <- sum over j >= i of taylor[j - i] u_j
     shift = [[taylor[j - i] if j >= i else 0.0 for i in range(4)] for j in range(4)]
     out[:, :, 0] = state.spectrum[:, :, 0] @ np.array(shift)
-    return CauchyState._from_spectrum(state.modes, out, t_target)
+    return CauchyState._from_spectrum(state.modes, out, t_target, out.shape[2])
 
 
 def reference_energy(energy, state) -> float:
-    """``EnergyFunctional.__call__`` as it was before the per-grid weights:
-    every (field, row) spectrum scaled, and xi^S formed per entry and call."""
+    """``EnergyFunctional.__call__`` as it was before the per-grid weights
+    and the band: every (field, row) spectrum scaled in every mode, and xi^S
+    formed per entry and call."""
     lo, hi, count, _ = state.grid.axes[0]
     # products of the stored u_r = v_r / xi^r would overflow on wide domains
     rows = state.spectrum * _time_scales(state.grid)

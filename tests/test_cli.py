@@ -574,6 +574,42 @@ def test_evolve_rejects_an_energy_coefficient_beyond_the_float_range(tmp_path, c
 
 
 @pytest.mark.parametrize(
+    "old,new,at_lagrangian,message",
+    [
+        # xi^4 is finite at the fixture's period, c xi^4 is not
+        ("L = sum", "L = 10^300*sum", True,
+         "the slice-energy weight 1e+300*xi^4 of a period of 6.28319 passes the float range"),
+        # every weight is finite, their sum over a state is not
+        ("L = sum", "L = 10^298*sum", True,
+         "the slice energy at t = 0.875 passes the float range"),
+        # xi^4 itself is past the float range
+        ("grid 0 6.283185307179586 256 periodic;\nevolve 0 1 8;",
+         "grid 0 1e-80 256 periodic;\nevolve 0 1e-90 8;", False,
+         "a period of 1e-80 puts xi^S outside the float range"),
+    ],
+)
+def test_evolve_tells_a_coefficient_from_a_period_beyond_the_float_range(
+    old, new, at_lagrangian, message, tmp_path, capsys
+):
+    # the energy weights c xi^S are formed once per grid: a power xi^S out of
+    # range is the grid's fault, a weight or an energy out of range while
+    # xi^S is not is the Lagrangian's
+    fixture = open(WAVE).read()
+    assert old in fixture
+    line = 1 + fixture.split("\n").index(
+        next(text for text in fixture.split("\n") if text.startswith("L = "))
+    ) if at_lagrangian else GRID_LINE
+    problem = tmp_path / "range.jet"
+    problem.write_text(fixture.replace(old, new))
+    code, out, err = run(capsys, "evolve", str(problem))
+    assert (code, out) == (2, "")
+    assert err == f"{problem}:{line}:1: {message}\n"
+    code, out, _ = run(capsys, "evolve", str(problem), "--json")
+    assert code == 2
+    assert json.loads(out) == {"error": message, "line": line, "column": 1, "expected": []}
+
+
+@pytest.mark.parametrize(
     "grid", ["0 1 64 open", "0 6.283185307179586 64 periodic 0 1 64 periodic"]
 )
 def test_evolve_reports_a_grid_it_cannot_evolve_at_the_grid_keyword(

@@ -288,6 +288,52 @@ def test_energy_beyond_the_float_range_raises_as_the_replaced_evaluation():
     assert str(new.value) == str(old.value) == message
 
 
+def test_a_state_from_physical_data_keeps_the_full_band():
+    # data with every mode populated, the Nyquist mode included: no mode is
+    # known to be zero, so every step and energy reads all N // 2 + 1
+    wp = wave_problem()
+    energy = EnergyFunctional(wp.theta_symmetric)
+    grid = periodic_grid(64)
+    data = np.random.default_rng(9).normal(size=(wp.cfg.n, 4, 64))
+    state = ref = CauchyState(grid, data)
+    assert state._band == 33
+    for t in (0.6, -2.0):
+        state, ref = cauchy_evolve(state, t), reference_cauchy_evolve(ref, t)
+        assert state._band == 33
+        assert np.array_equal(state.spectrum, ref.spectrum)
+        assert np.all(state.spectrum[:, :, 32] != 0)
+        assert energy(state) == reference_energy(energy, ref)
+
+
+def test_a_non_finite_mode_inside_the_band_raises():
+    state = band_limited_state(periodic_grid(64), 2, 8, seed=4)
+    state.spectrum[1, 2, 8] = complex(0.0, np.nan)  # the band's last mode
+    with pytest.raises(ValueError, match="non-finite"):
+        cauchy_evolve(state, 0.5)
+
+
+def test_a_weight_past_the_float_range_outside_the_band_still_raises():
+    # on a period of 1e-74, xi^4 passes the float range only in modes far
+    # above a band of two, whose energy alone is finite; the weights are
+    # checked in every mode, so the call raises as the full sum would
+    wp = wave_problem()
+    state = band_limited_state(GridSpec(((0.0, 1e-74, 1024, True),)), wp.cfg.n, 1, seed=0)
+    energy = EnergyFunctional(wp.theta_symmetric)
+    message = "a period of 1e-74 puts xi^S outside the float range"
+    for _ in range(2):  # a failed check keeps no weights
+        with pytest.raises(ValueError) as raised:
+            energy(state)
+        assert str(raised.value) == message
+    # a finite xi^S whose weight c xi^4 passes the range is the coefficient's
+    huge = derive(wp.cfg, wp.lagrangian * 10**300)
+    state = band_limited_state(periodic_grid(1024), wp.cfg.n, 1, seed=0)
+    with pytest.raises(OverflowError) as raised:
+        EnergyFunctional(huge.theta_symmetric)(state)
+    assert str(raised.value) == (
+        "the slice-energy weight 1e+300*xi^4 of a period of 6.28319 passes the float range"
+    )
+
+
 def _scaled_roundtrip(count, seed, t):
     grid = periodic_grid(count)
     max_mode = count // 8

@@ -1,4 +1,5 @@
 import importlib.resources
+import itertools
 import math
 import sys
 import time
@@ -138,6 +139,20 @@ KEYWORDS = (
 # (source, error class, str(error) with its line:column prefix, expected tokens)
 # the eight coordinates of dims 2 2 1, summed
 EIGHT_TERMS = "(x[1]+x[2]+y[1]+y[2]+z[1;1]+z[1;2]+z[2;1]+z[2;2])"
+
+
+def _linear(count):
+    """The sum of the first ``count`` of the 63 coordinates of dims 3 3 3."""
+    names = [f"{v}[{i}]" for v in "xy" for i in (1, 2, 3)] + [
+        f"z[{a};{' '.join(map(str, I))}]"
+        for order in (1, 2, 3) for a in (1, 2, 3)
+        for I in itertools.combinations_with_replacement((1, 2, 3), order)
+    ]
+    return "(" + "+".join(names[:count]) + ")"
+
+
+# 990 terms of degree 2 times 1140 of degree 3, 1128600 pairs
+PAIRS_PAST_THE_BOUND = f"dims 3 3 3; L = {_linear(44)}^2*{_linear(18)}^3;"
 
 MALFORMED = [
     ("dims 0 1 1; L = y[1];", SEM,  # bad m
@@ -300,6 +315,26 @@ MALFORMED = [
      "1:67: power of 8 terms to the 20 may have more than 10000 terms", ()),
     ("dims 2 2 1; L = (" + EIGHT_TERMS + "^2)^4;", SEM,  # the base's 36 terms count
      "1:71: power of 36 terms to the 4 may have more than 10000 terms", ()),
+    # and so is that bound times the degree, the coordinate factors it holds
+    ("dims 1 1 1; L = (x[1]+1)^2236;", SEM,  # 2237 * 2236 factors
+     "1:26: power of 2 terms to the 2236 may hold more than 5000000 coordinate factors "
+     "in all", ()),
+    ("dims 1 1 1; L = (x[1]+1)^9999;", SEM,  # within the term bound, took 4 s
+     "1:26: power of 2 terms to the 9999 may hold more than 5000000 coordinate factors "
+     "in all", ()),
+    # a product forms one monomial per pair of terms, each of up to the sum
+    # of the factors' degrees in coordinate factors: both are bounded at the *
+    ("dims 1 1 1; L = (x[1]+y[1]+1)^60*(x[1]+y[1]+2)^60*z[1;1]^2;", SEM,  # took 17 s
+     "1:33: product of 1891 and 1891 terms forms more than 1000000 pairs of terms", ()),
+    (PAIRS_PAST_THE_BOUND, SEM,
+     f"1:{PAIRS_PAST_THE_BOUND.index('*') + 1}: product of 990 and 1140 terms forms "
+     "more than 1000000 pairs of terms", ()),
+    ("dims 2 1 1; L = (x[1]+1)^135*(x[2]+1)^136;", SEM,  # 136 * 137 * 271 factors
+     "1:29: product of 136 and 137 terms of degree 271 may hold more than 5000000 "
+     "coordinate factors in all", ()),
+    ("dims 1 1 1; L = (x[1]+y[1]+1)^30*(x[1]+y[1]+2)^30;", SEM,
+     "1:33: product of 496 and 496 terms of degree 60 may hold more than 5000000 "
+     "coordinate factors in all", ()),
     # metric entries are expressions with a rational constant value
     ("dims 1 1 1; metric g = diag(x[1]); L = y[1];", SEM,  # non-constant diag entry
      "1:29: metric entries must be constant", ()),
@@ -482,6 +517,24 @@ def test_dense_powers_parse_in_a_fraction_of_a_second(base, exponent):
     assert L.partial(("x", 1)).constant_term() == exponent
     assert Expr.monomial(powers, multinomial) == Expr(
         [(mono, c) for mono, c in L.terms() if dict(mono) == powers])
+
+
+@pytest.mark.parametrize("source,terms,degree", [
+    # the power's last exponent within its bound: 2236 * 2235 coordinate factors
+    ("dims 1 1 1; L = (x[1]+1)^2235;", 2236, 2235),
+    # a product within the factor bound, 136^2 pairs at degree 270
+    ("dims 2 1 1; L = (x[1]+1)^135*(x[2]+1)^135;", 136**2, 270),
+    # 990 * 969 = 959310 pairs at degree 5, within both of a product's bounds,
+    # about 1 s: the worst accepted product.  Its terms are the monomials of
+    # degree 5 in 44 coordinates with at least 3 factors among the first 17
+    (f"dims 3 3 3; L = {_linear(44)}^2*{_linear(17)}^3;",
+     sum(math.comb(16 + j, j) * math.comb(26 + 5 - j, 5 - j) for j in (3, 4, 5)), 5),
+])
+def test_powers_and_products_at_their_bounds_parse_within_seconds(source, terms, degree):
+    start = time.perf_counter()
+    L = parse_problem(source).lagrangian
+    assert time.perf_counter() - start < 5.0
+    assert (L.term_count(), L.degree()) == (terms, degree)
 
 
 def test_declared_values_at_the_digit_limit_parse():

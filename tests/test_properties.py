@@ -13,8 +13,9 @@ Lagrange derivative against Phi_a - sum_i D_i p^i_a on the symmetric and the
 skew table, the skew table's splitting sums and d_m x coefficient against a
 fresh computation, substitution through a section against the
 replacement map it replaced, and the structural checks of Xi on every
-table whose keys pass the key check.  These are the guards the library no
-longer runs on itself.
+table whose keys pass the key check, and a band-limited Cauchy state's
+steps and slice energies against the full-spectrum references.  These are
+the guards the library no longer runs on itself.
 
 The strategies draw small polynomials with rational coefficients over the
 jet coordinates of (m, n, k) = (2, 1, 2), forms over their differentials,
@@ -415,6 +416,10 @@ def test_terms_round_trip_through_the_dict_constructor(u):
     assert Expr(dict(a.terms())) == a
     for _, c in a.terms():
         assert type(c) is int or (type(c) is Fraction and c.denominator > 1)
+    # the parser's bounds read these without sorting the terms
+    assert a.term_count() == len(a.terms())
+    assert a.largest_part() == max(
+        [1] + [max(abs(Fraction(c).numerator), Fraction(c).denominator) for _, c in a.terms()])
 
 
 # a field index and coefficient symbols that only the next property uses,
@@ -846,3 +851,49 @@ def test_prolongation_matches_the_characteristic_reference(problem):
     assert flag == ref_flag and residual == ref_residual
     for section in (sigma, None):
         assert noether_current(Y, theta, section) == reference_noether_current(Y, theta, section)
+
+
+# -- the band of a Cauchy state ---------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _wave_energies():
+    from jetforms.numeric import EnergyFunctional
+    from jetforms.wave import wave_problem
+
+    wp = wave_problem()
+    return EnergyFunctional(wp.theta_symmetric), EnergyFunctional(wp.theta_skew())
+
+
+@settings(PROPERTY, max_examples=30)
+@given(
+    st.sampled_from((16, 17, 64, 101, 256)),
+    st.sampled_from(((0.0, 6.283185307179586), (-1.3, 2.8), (0.5, 0.87))),
+    st.integers(2, 3),
+    st.data(),
+)
+def test_a_band_limited_state_steps_and_weighs_as_the_full_spectrum_references(
+    count, axis, n, data
+):
+    # a step and the energy read only the modes below the state's band, the
+    # references every mode: bit for bit the same spectra and energies, and
+    # the modes past the band stay exactly zero, whatever the steps' signs
+    import numpy as np
+
+    from jetforms.numeric import GridSpec, band_limited_state, cauchy_evolve
+    from tests.support import reference_cauchy_evolve, reference_energy
+
+    max_mode = data.draw(st.integers(1, (count - 1) // 2), label="max_mode")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    times = data.draw(
+        st.lists(st.floats(-4.0, 4.0, allow_nan=False), min_size=1, max_size=4), label="times"
+    )
+    grid = GridSpec(((axis[0], axis[1], count, True),))
+    state = ref = band_limited_state(grid, n, max_mode, seed)
+    for t in [0.0, *times]:
+        state, ref = cauchy_evolve(state, t), reference_cauchy_evolve(ref, t)
+        assert np.array_equal(state.spectrum, ref.spectrum)
+        assert state.t == ref.t == t
+        assert not state.spectrum[:, :, max_mode + 1 :].any()
+        for energy in _wave_energies():
+            assert energy(state) == reference_energy(energy, ref)

@@ -530,10 +530,11 @@ def test_fixture_outputs_prints_one_fingerprint_per_run(monkeypatch, capsys):
     names = [name for name, _ in runs]
     demos = sorted((root / "demos").glob("*.py"))
     # seven commands as text and --json, three sections, one seed on two
-    # grid sizes, the demos
-    assert len(set(names)) == len(names) == 14 + 3 + 2 + len(demos) and demos
+    # grid sizes, two seeds at 4096 points, a negative step, the demos
+    assert len(set(names)) == len(names) == 14 + 3 + 2 + 3 + len(demos) and demos
     assert {"noether --json", "residual --section cubic", "evolve --seed 1",
-            "evolve --grid-n 16384 --seed 1"} <= set(names)
+            "evolve --grid-n 16384 --seed 1", "evolve --grid-n 4096 --seed 0",
+            "evolve --grid-n 4096 --seed 2", "evolve --t1 -1"} <= set(names)
     monkeypatch.setattr(tool, "runs", lambda checkout: [run for run in runs if run[0] == "verify"])
     assert tool.main([str(root)]) == 0
     name, code, out, err = capsys.readouterr().out.split()

@@ -5,7 +5,8 @@
 runs each command of the ``jetforms`` CLI on the fourth-order wave fixture,
 as text and as ``--json``, then ``residual --section`` for each of the
 fixture's sections, ``evolve --seed 1`` on the fixture's grid and on the
-16384 points that the ``evolve_16k`` benchmark times, and every script
+16384 points that the ``evolve_16k`` benchmark times, ``evolve`` on 4096
+points at seeds 0 and 2 and back in time to ``--t1 -1``, and every script
 under ``demos/``.  Each run is a fresh interpreter under
 ``PYTHONHASHSEED=0``, started in CHECKOUT (default: the checkout holding
 this script) on the package source there.  It prints one line per run: its
@@ -43,6 +44,11 @@ def runs(checkout: pathlib.Path) -> list:
     # the size the evolve_16k benchmark times, its CSV printed
     found.append(("evolve --grid-n 16384 --seed 1",
                   ["evolve", FIXTURE, "--grid-n", "16384", "--seed", "1"]))
+    # more band-limited states, and a negative step
+    for seed in ("0", "2"):
+        found.append((f"evolve --grid-n 4096 --seed {seed}",
+                      ["evolve", FIXTURE, "--grid-n", "4096", "--seed", seed]))
+    found.append(("evolve --t1 -1", ["evolve", FIXTURE, "--t1", "-1"]))
     cli = [(name, [sys.executable, "-c", _CLI, *argv]) for name, argv in found]
     demos = sorted((checkout / "demos").glob("*.py"))
     return cli + [(f"demos/{path.name}", [sys.executable, f"demos/{path.name}"]) for path in demos]
