@@ -6,9 +6,9 @@ fibration with m independent and n dependent variables:
 * the symmetric boundary-form coefficients and the assembled boundary form,
 * the De Donder form and its equivalence with the Euler-Lagrange equations,
 * prolongations of projectable vector fields and Noether currents,
-* numeric cross-checks in :mod:`jetforms.numeric`: quadrature of
-  pulled-back forms, a spectral solver for the fourth-order wave example,
-  and finite-difference and flow oracles.
+* numeric cross-checks in :mod:`jetforms.numeric`: a spectral solver for
+  the fourth-order wave example with its slice energy, and a flow oracle
+  for prolongations.
 
 Everything symbolic is exact (rational arithmetic, canonical polynomial
 forms); numeric routines exist to corroborate the symbolic results, never to
@@ -17,8 +17,10 @@ with ``jetforms.numeric``.
 
 The library holds what the commands, demos and benchmarks call.  References
 that only tests use (the Cartan-formula Lie derivative, the contact-ideal
-check, the problem renderer, random polynomials, generic sections) live with
-the tests.
+check, the problem renderer, random polynomials, generic sections,
+substitution by an arbitrary map, quadrature, sampled sections, the
+force-decomposition integrals and the functional-derivative oracle) live
+with the tests.
 """
 from .jets import (
     JetConfig,

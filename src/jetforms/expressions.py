@@ -20,8 +20,8 @@ data structure for Maple 17", 2014).  The kernels walk a monomial one id
 occurrence at a time, so exponents appear only at the edges: in
 ``_monomial_of``, ``terms()`` and ``**``, which forms each term of a power
 once, by the multinomial theorem.  The ids never leave this module:
-``Expr(terms)``, ``Expr.monomial``, ``Expr.variable``, ``partial``,
-``substitute`` and ``times_lifts`` take coordinate tuples, and ``terms()``,
+``Expr(terms)``, ``Expr.monomial``, ``Expr.variable``, ``partial`` and
+``times_lifts`` take coordinate tuples, and ``terms()``,
 ``variables()`` and ``gradient()`` give coordinate tuples back.  An exponent
 given to ``Expr(terms)`` or ``Expr.monomial`` must be a non-negative int.
 ``terms()`` owns the canonical order of an Expr: each run of one id becomes
@@ -79,16 +79,14 @@ coordinate in coordinate order.  ``Expr.derivation`` applies a vector
 field, sum_c Y^c d/dc, plus a multiple of the identity in one walk of each
 monomial: every occurrence of a coordinate in the field adds the rest of
 the monomial times the field's entry straight into one sum, with no partial
-derivative and no product Expr in between.  ``Expr.substitute`` and
-``substitute_section`` run one substitution loop, which adds every
-numerator times the product of the images of its ids, one factor per
-occurrence, into one accumulator; a monomial stops at its first id whose
-image is zero.  The images differ only in where they come from:
-``Expr.substitute`` keys a table of images by id for one call, and
-``substitute_section`` reads the table the section keeps, one image per
-coordinate, which every substitution through it shares.  Their interplay
-with polynomial sections (substitution commutes with D_i) is the keystone
-property the test-suite pins down.
+derivative and no product Expr in between.  ``substitute_section`` runs
+the substitution loop, which adds every numerator times the product of the
+images of its ids, one factor per occurrence, into one accumulator; a
+monomial stops at its first id whose image is zero.  It reads the table of
+images the section keeps, one image per coordinate, which every
+substitution through the section shares.  Its interplay with polynomial
+sections (substitution commutes with D_i) is the keystone property the
+test-suite pins down.
 """
 from __future__ import annotations
 
@@ -666,18 +664,6 @@ class Expr:
                 term = term * values[coord] ** exp
             total = total + term
         return total
-
-    def substitute(self, replacements: Mapping[tuple, "Expr"]) -> "Expr":
-        """Replace coordinates by expressions (exact, simultaneous).
-
-        One table for the call maps each id to its image, the replacement or
-        else the coordinate itself, and every monomial adds its numerator
-        times the product of the images of its ids; a monomial stops at its
-        first id whose image is zero.
-        """
-        # a coordinate never seen occurs in no monomial
-        images = {_IDS[c]: repl for c, repl in replacements.items() if c in _IDS}
-        return _substituted(self, images, lambda cid: _expr({(cid,): 1}, 1))
 
 
 _ONE = Expr.one()

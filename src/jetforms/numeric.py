@@ -1,12 +1,7 @@
-"""Numeric side: sampled sections, quadrature, the wave evolution, oracles.
+"""Numeric side: the wave evolution, its slice energy and the flow oracle.
 
 Everything here exists to corroborate the symbolic machinery:
 
-* sampled sections with spectral (periodic) or fourth-order finite-difference
-  jets, and quadrature of Lagrangians and pulled-back forms;
-* the decomposition of a force functional into body and boundary terms, with
-  an exact-integration path for polynomial fixtures (the identities under
-  test hold to roundoff there, quadrature error would only obscure them);
 * the Cauchy evolution of the fourth-order wave example, advanced exactly
   mode by mode by the closed-form propagator of the mode equation, so
   conservation checks see no time-stepping error at all; the state is
@@ -19,13 +14,16 @@ Everything here exists to corroborate the symbolic machinery:
   xi^j scales and energy weights are computed once and travel with the
   state or the functional, a step writes into buffers allocated once per
   step, and one energy table serves every boundary form;
-* a finite-difference functional-derivative oracle for Lagrange derivatives;
 * a flow oracle for prolongations.  The supported symmetry-field class keeps
   flows closed-form: base components affine in x, vertical components affine
   in (x, y) jointly.  That covers translations, the Lorentz generator,
   scalings and linear internal mixings, and lets the oracle evaluate
   e^{tY}* sigma exactly (up to the float matrix exponential) so only the
   t-derivative is finite-differenced.
+
+Quadrature, sampled sections with finite-difference jets, the
+force-decomposition integrals and the functional-derivative oracle serve
+only the tests, and live with them.
 
 This is the one module that imports numpy (and, inside the flow oracle,
 scipy); the symbolic core and the package import load neither.
@@ -36,46 +34,17 @@ zero.
 """
 from __future__ import annotations
 
-from fractions import Fraction
+import sys
 from itertools import product
 from typing import Sequence
 
 import numpy as np
 
-from .dedonder import (
-    BoundaryForm,
-    DeDonderForm,
-    PhiDecomposition,
-)
-from .expressions import Expr, PolynomialSection, render_expr, substitute_section
-from .jets import JetConfig, base_coord, field_coord, jet_coord, multiindices
+from .dedonder import DeDonderForm
+from .expressions import Expr, PolynomialSection, render_expr
+from .jets import base_coord, field_coord, jet_coord, multiindices
 from .problem import GridSpec
-from .prolongations import ProjectableField, characteristic_jets, noether_current
-
-
-def quadrature(values: np.ndarray, grid: GridSpec) -> float:
-    """Trapezoid rule; exact-weight (flat) trapezoid on periodic axes."""
-    acc = np.asarray(values, dtype=float)
-    for axis in range(grid.ndim - 1, -1, -1):
-        w = grid.quadrature_weights(axis)
-        acc = np.tensordot(acc, w, axes=([axis], [0]))
-    return float(acc)
-
-
-def evaluate_on_grid(e: Expr, values: dict, shape: tuple) -> np.ndarray:
-    """Float evaluation of an expression on coordinate arrays.
-
-    Monomials are summed in the canonical order of ``terms()``, so the float
-    result does not depend on how the expression was built (and hence not on
-    the interpreter's hash seed).
-    """
-    total = np.zeros(shape)
-    for mono, coeff in e.terms():
-        term = np.full(shape, float(coeff))
-        for coord, exp in mono:
-            term = term * np.asarray(values[coord], dtype=float) ** exp
-        total += term
-    return total
+from .prolongations import ProjectableField, noether_current
 
 
 def _wavenumbers(count: int, length: float) -> np.ndarray:
@@ -89,251 +58,6 @@ def _derivative_symbol(count: int, length: float) -> np.ndarray:
     if count % 2 == 0:
         freqs[-1] = 0.0
     return 1j * freqs
-
-
-def _spectral_derivative(values: np.ndarray, axis: int, length: float) -> np.ndarray:
-    n = values.shape[axis]
-    symbol = _derivative_symbol(n, length)
-    shape = [1] * values.ndim
-    shape[axis] = symbol.size
-    spectrum = np.fft.rfft(values, axis=axis) * symbol.reshape(shape)
-    return np.fft.irfft(spectrum, n=n, axis=axis)
-
-
-def _fd_matrix(n: int, h: float) -> np.ndarray:
-    """Dense fourth-order first-derivative matrix with one-sided edge rows."""
-    if n < 5:
-        raise ValueError("fourth-order stencils need at least 5 points")
-    D = np.zeros((n, n))
-    c = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
-    for i in range(2, n - 2):
-        D[i, i - 2 : i + 3] = c
-    D[0, :5] = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
-    D[1, :5] = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
-    D[n - 2, n - 5 :] = -np.array([-3.0, -10.0, 18.0, -6.0, 1.0])[::-1] / 12.0
-    D[n - 1, n - 5 :] = -np.array([-25.0, 48.0, -36.0, 16.0, -3.0])[::-1] / 12.0
-    return D / h
-
-
-def _derivative(values: np.ndarray, axis: int, grid: GridSpec) -> np.ndarray:
-    lo, hi, count, periodic = grid.axes[axis]
-    if periodic:
-        return _spectral_derivative(values, axis, hi - lo)
-    D = _fd_matrix(count, grid.spacing(axis))
-    moved = np.moveaxis(values, axis, -1)
-    out = moved @ D.T
-    return np.moveaxis(out, -1, axis)
-
-
-class SampledSection:
-    """Grid samples of a section, with lazily computed jet arrays.
-
-    Jet arrays are produced by this module's own differentiation (spectral on
-    periodic axes, fourth-order finite differences otherwise) and stored per
-    canonical multi-index, so mixed partials are symmetric by construction.
-    """
-
-    def __init__(self, grid: GridSpec, values: list, jets: dict | None = None):
-        for arr in values:
-            if arr.shape != grid.shape:
-                raise ValueError("sample shape does not match the grid")
-        self.grid = grid
-        self.values = values
-        self.jets = {} if jets is None else jets
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
-    def jet(self, a: int, indices: tuple) -> np.ndarray:
-        indices = tuple(sorted(indices))
-        if not indices:
-            return self.values[a - 1]
-        key = (a, indices)
-        cached = self.jets.get(key)
-        if cached is None:
-            lower = self.jet(a, indices[:-1])
-            cached = _derivative(lower, indices[-1] - 1, self.grid)
-            self.jets[key] = cached
-        return cached
-
-    def coordinate_arrays(self, cfg: JetConfig, order: int) -> dict:
-        """Coordinate -> array mapping for evaluating expressions on the grid."""
-        meshes = self.grid.meshes()
-        values = {base_coord(i + 1): meshes[i] for i in range(self.grid.ndim)}
-        for a in range(1, self.n + 1):
-            for level in range(order + 1):
-                for I in multiindices(cfg.m, level):
-                    values[jet_coord(a, I)] = self.jet(a, I)
-        return values
-
-
-def sample_section(section: PolynomialSection, grid: GridSpec) -> SampledSection:
-    """Evaluate a (fully determined) polynomial section on a grid."""
-    if grid.ndim != section.cfg.m:
-        raise ValueError("grid dimension does not match the configuration")
-    meshes = grid.meshes()
-    values = {base_coord(i + 1): meshes[i] for i in range(grid.ndim)}
-    arrays = []
-    for comp in section.components:
-        if any(c[0] == "c" for c in comp.variables()):
-            raise ValueError("cannot sample a section with free coefficients")
-        arrays.append(evaluate_on_grid(comp, values, grid.shape))
-    return SampledSection(grid, arrays)
-
-
-def integrate_action(cfg: JetConfig, L: Expr, section: SampledSection) -> float:
-    """Quadrature of the action integrand L(j^k sigma) over the section's grid."""
-    values = section.coordinate_arrays(cfg, cfg.k)
-    return quadrature(evaluate_on_grid(L, values, section.grid.shape), section.grid)
-
-
-# -- decomposition of force functionals ---------------------------------------
-
-
-def _exact_antiderivative(e: Expr, coord) -> Expr:
-    def raised(mono, coeff) -> Expr:
-        powers = dict(mono)
-        exp = powers.get(coord, 0)
-        powers[coord] = exp + 1
-        return Expr.monomial(powers, Fraction(coeff, exp + 1))
-
-    return Expr.sum(raised(mono, coeff) for mono, coeff in e.terms())
-
-
-def _exact_integral_1d(e: Expr, coord, lo: Fraction, hi: Fraction) -> Expr:
-    anti = _exact_antiderivative(e, coord)
-    upper = anti.substitute({coord: Expr.constant(hi)})
-    lower = anti.substitute({coord: Expr.constant(lo)})
-    return upper - lower
-
-
-def _exact_box_integral(e: Expr, grid: GridSpec) -> Fraction:
-    out = e
-    for axis in range(grid.ndim):
-        lo, hi, _, _ = grid.axes[axis]
-        out = _exact_integral_1d(
-            out, base_coord(axis + 1), Fraction(lo), Fraction(hi)
-        )
-    value = out.constant_term()
-    if out != Expr.constant(value):
-        raise AssertionError("integral left free variables behind")
-    return Fraction(value)
-
-
-def decomposition_terms(
-    dec: PhiDecomposition,
-    xi: BoundaryForm,
-    Y,
-    section,
-    region: GridSpec,
-    method: str = "exact",
-):
-    """Body/boundary decomposition of the force functional on a box.
-
-    Returns ``(total, body, boundary)`` with
-
-        total    = integral over K of j^k sigma*(Y^k -| Phi),
-        body     = integral over K of [j sigma*(Phi_a) - P^i_{a,i}] Y^a d_m x,
-        boundary = integral over the boundary of K of j sigma*(Y^{2k-1} -| Xi),
-
-    and total = body + boundary (Stokes).  ``Y`` must be a vertical
-    projectable field, so Q = Y: the total integrand is sum_{|I|<=k} Phi^I_a
-    D_I Y^a and the boundary one the Noether current of 0 d_m x + Xi.  With
-    ``method="exact"`` (polynomial sections only) the integrands are
-    integrated exactly and the identity holds to roundoff;
-    ``method="trapezoid"`` samples a :class:`SampledSection` on the region
-    grid and is limited by quadrature accuracy.
-    """
-    if not isinstance(Y, ProjectableField) or not Y.is_vertical:
-        raise ValueError("the decomposition requires a vertical projectable field")
-    cfg = dec.cfg
-    if cfg.m not in (1, 2):
-        raise ValueError("boundary integrals are implemented for m in {1, 2}")
-    total_expr = Expr.sum(
-        dec.component(a, I) * value
-        for (a, I), value in characteristic_jets(Y, cfg.k).items()
-    )
-    # Y^i = 0, so the Lagrangian drops out: Y -| Xi reduces like Y -| (0 d_m x + Xi)
-    theta = DeDonderForm(cfg, Expr.zero(), xi)
-    if method == "exact":
-        if not isinstance(section, PolynomialSection):
-            raise ValueError("exact integration needs a PolynomialSection")
-        body_expr = Expr.sum(
-            (dec.component(a) - xi.coefficients.divergence(a, ()))
-            * Y.vertical_components[a - 1]
-            for a in range(1, cfg.n + 1)
-        )
-        total = float(_exact_box_integral(substitute_section(total_expr, section), region))
-        body = float(_exact_box_integral(substitute_section(body_expr, section), region))
-        pulled = noether_current(Y, theta, section)
-        boundary = float(_exact_boundary_integral(pulled, region))
-        return total, body, boundary
-    if method != "trapezoid":
-        raise ValueError(f"unknown method {method!r}")
-    if isinstance(section, SampledSection):
-        if section.grid.axes != region.axes:
-            raise ValueError("the sampled section does not live on the region grid")
-        sampled = section
-    else:
-        sampled = sample_section(section, region)
-    # jets stop at the working order 2k-1; the divergence of the level-one
-    # coefficients (an order-2k object) is taken on the grid instead
-    arrays = sampled.coordinate_arrays(cfg, cfg.working_order)
-    total = quadrature(evaluate_on_grid(total_expr, arrays, region.shape), region)
-    body_vals = np.zeros(region.shape)
-    for a in range(1, cfg.n + 1):
-        density = evaluate_on_grid(dec.component(a), arrays, region.shape)
-        for i in range(1, cfg.m + 1):
-            p_i = evaluate_on_grid(
-                xi.coefficients.coefficient(a, i), arrays, region.shape
-            )
-            density = density - _derivative(p_i, i - 1, region)
-        body_vals += density * evaluate_on_grid(
-            Y.vertical_components[a - 1], arrays, region.shape
-        )
-    body = quadrature(body_vals, region)
-    boundary = _sampled_boundary_integral(noether_current(Y, theta, None), arrays, region)
-    return total, body, boundary
-
-
-def _exact_boundary_integral(current, region: GridSpec) -> Fraction:
-    """Integral of a pulled-back (m-1)-form over the oriented box boundary."""
-    if current.degree == 0:
-        lo, hi, _, _ = region.axes[0]
-        g = current.coefficient(())
-        upper = g.substitute({base_coord(1): Expr.constant(Fraction(hi))})
-        lower = g.substitute({base_coord(1): Expr.constant(Fraction(lo))})
-        return Fraction((upper - lower).constant_term())
-    (lo1, hi1, _, _), (lo2, hi2, _, _) = region.axes[0], region.axes[1]
-    lo1, hi1, lo2, hi2 = map(Fraction, (lo1, hi1, lo2, hi2))
-    x1, x2 = base_coord(1), base_coord(2)
-    g1, g2 = current.coefficient((x1,)), current.coefficient((x2,))
-    total = Fraction(0)
-    # counterclockwise: bottom (+dx1), right (+dx2), top (-dx1), left (-dx2)
-    bottom = _exact_integral_1d(g1.substitute({x2: Expr.constant(lo2)}), x1, lo1, hi1)
-    top = _exact_integral_1d(g1.substitute({x2: Expr.constant(hi2)}), x1, lo1, hi1)
-    right = _exact_integral_1d(g2.substitute({x1: Expr.constant(hi1)}), x2, lo2, hi2)
-    left = _exact_integral_1d(g2.substitute({x1: Expr.constant(lo1)}), x2, lo2, hi2)
-    for piece, sign in ((bottom, 1), (right, 1), (top, -1), (left, -1)):
-        total += sign * Fraction(piece.constant_term())
-    return total
-
-
-def _sampled_boundary_integral(current, arrays: dict, region: GridSpec) -> float:
-    cfg_m = region.ndim
-    if cfg_m == 1:
-        values = evaluate_on_grid(current.coefficient(()), arrays, region.shape)
-        return float(values[-1] - values[0])
-    g1 = evaluate_on_grid(current.coefficient((base_coord(1),)), arrays, region.shape)
-    g2 = evaluate_on_grid(current.coefficient((base_coord(2),)), arrays, region.shape)
-    w1 = region.quadrature_weights(0)
-    w2 = region.quadrature_weights(1)
-    bottom = float(np.dot(g1[:, 0], w1))
-    top = float(np.dot(g1[:, -1], w1))
-    right = float(np.dot(g2[-1, :], w2))
-    left = float(np.dot(g2[0, :], w2))
-    return bottom + right - top - left
 
 
 # -- the fourth-order wave Cauchy problem -------------------------------------
@@ -518,9 +242,10 @@ class EnergyFunctional:
     pairs and weights only the (field, row) spectra the table reads, and of
     those only the modes of the state's band; the weights c_e xi^S are
     formed and checked in every mode on a grid's first call and kept for
-    its later ones.  An xi^S past the float range is the grid's fault
+    its later ones.  A c_e past the float range is the coefficients' fault
+    (OverflowError), checked first; then an xi^S past it is the grid's
     (ValueError); a finite xi^S whose weight is not, or a sum of finite
-    weighted terms that is not, is the coefficients' (OverflowError).
+    weighted terms that is not, is again the coefficients' (OverflowError).
     """
 
     def __init__(self, theta: DeDonderForm):
@@ -560,6 +285,8 @@ class EnergyFunctional:
         """c_e xi^S per entry in every mode of the grid, xi = 0 in the
         Nyquist mode; a value past the float range in any mode raises, as
         the band of a call may leave that mode out."""
+        if any(abs(c) > sys.float_info.max for *_, c in self._terms):
+            raise OverflowError("the slice energy has a coefficient beyond the float range")
         lo, hi, _, _ = modes.grid.axes[0]
         with np.errstate(over="ignore"):
             powers = {S: modes.symbol_xi**S for *_, S, _ in self._terms}
@@ -630,56 +357,6 @@ def band_limited_state(
         (amps[..., 0] - 1j * amps[..., 1]) * (count / 2.0) * phase
     ) / modes.scales[:, 1 : max_mode + 1]
     return CauchyState._from_spectrum(modes, spectrum, 0.0, max_mode + 1)
-
-
-# -- functional-derivative oracle ---------------------------------------------
-
-
-def _bump(grid: GridSpec, center: Sequence[float], width: float) -> np.ndarray:
-    meshes = grid.meshes()
-    r2 = np.zeros(grid.shape)
-    for axis in range(grid.ndim):
-        lo, hi, _, periodic = grid.axes[axis]
-        delta = meshes[axis] - center[axis]
-        if periodic:
-            length = hi - lo
-            delta = (delta + length / 2.0) % length - length / 2.0
-        r2 = r2 + delta**2
-    return np.exp(-r2 / (2.0 * width**2))
-
-
-def functional_derivative_oracle(
-    cfg: JetConfig,
-    L: Expr,
-    section: SampledSection,
-    a: int,
-    center: Sequence[float],
-    eps: float = 1e-3,
-    width: float = 0.05,
-) -> float:
-    """Central difference of the action under a localized bump of field a.
-
-    Returns (A(s + eps phi) - A(s - eps phi)) / (2 eps integral(phi)), which
-    converges to the Lagrange derivative at the bump center as the width and
-    spacing shrink; the bump (and its order-k stencil footprint) must stay
-    inside the region.
-    """
-    grid = section.grid
-    phi = _bump(grid, center, width)
-    for axis in range(grid.ndim):
-        lo, hi, count, periodic = grid.axes[axis]
-        if not periodic:
-            margin = (cfg.k + 2) * grid.spacing(axis) + 3.0 * width
-            if center[axis] - margin < lo or center[axis] + margin > hi:
-                raise ValueError("bump too close to the region boundary")
-    mass = quadrature(phi, grid)
-
-    def action(sign: float) -> float:
-        shifted = list(section.values)
-        shifted[a - 1] = shifted[a - 1] + sign * eps * phi
-        return integrate_action(cfg, L, SampledSection(grid, shifted))
-
-    return (action(1.0) - action(-1.0)) / (2.0 * eps * mass)
 
 
 # -- prolongation flow oracle -------------------------------------------------

@@ -76,9 +76,9 @@ class GridSpec:
     """Uniform tensor grid; per axis (lower, upper, count, periodic).
 
     Periodic axes exclude the right endpoint (count cells of width
-    (upper-lower)/count); non-periodic axes include both endpoints.  Points,
-    meshes and quadrature weights are numpy arrays, and numpy is imported
-    only when one of them is asked for, so parsing a problem loads none.
+    (upper-lower)/count); non-periodic axes include both endpoints.  Points
+    are numpy arrays, and numpy is imported only when they are asked for, so
+    parsing a problem loads none.
     """
 
     def __init__(self, axes: tuple):
@@ -115,23 +115,6 @@ class GridSpec:
         if periodic:
             return lo + self.spacing(axis) * np.arange(count)
         return np.linspace(lo, hi, count)
-
-    def meshes(self) -> list:
-        import numpy as np
-
-        grids = np.meshgrid(*(self.points(i) for i in range(self.ndim)), indexing="ij")
-        return list(grids)
-
-    def quadrature_weights(self, axis: int):
-        import numpy as np
-
-        lo, hi, count, periodic = self.axes[axis]
-        h = self.spacing(axis)
-        if periodic:
-            return np.full(count, h)
-        w = np.full(count, h)
-        w[0] = w[-1] = h / 2
-        return w
 
 
 class ProblemSpec:

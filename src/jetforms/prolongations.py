@@ -86,10 +86,6 @@ class ProjectableField:
         )
 
     @property
-    def is_vertical(self) -> bool:
-        return all(c.is_zero for c in self.base_components)
-
-    @property
     def is_affine(self) -> bool:
         return all(
             _is_affine(c, ("x",)) for c in self.base_components

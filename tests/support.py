@@ -8,7 +8,11 @@ by minors, the problem tokenizer as a character loop, the Expr kernels the libra
 symmetry test, characteristic jets and currents by the total derivatives of
 the characteristic Q^a, the Cauchy step and slice energy as they were
 before each spectral operation ran once, powers by repeated multiplication,
-and the comparison of two boundary forms by their full tables' difference.
+the comparison of two boundary forms by their full tables' difference, and
+the substitution of an arbitrary coordinate map, which runs the library's
+substitution loop with a table of images made for the call (for the
+property tests of that loop; the other tests set coordinates to rational
+numbers through the public ``terms()``, by ``at_rationals``).
 
 The library reaches the same statements by other routes (prolongation by
 the recursive formula, the symmetry test through E d_m x in one scan of L,
@@ -45,8 +49,11 @@ from jetforms.dedonder import (
     check_lagrangian,
 )
 from jetforms.expressions import (
+    _IDS,
     Expr,
     PolynomialSection,
+    _expr,
+    _substituted,
     substitute_section,
     sum_by_key,
     total_derivative,
@@ -401,8 +408,37 @@ def repeated_power(base: Expr, exponent: int) -> Expr:
     return out
 
 
+def at_rationals(e: Expr, values: dict) -> Expr:
+    """e with some coordinates set to rational numbers, through the public
+    ``terms()`` and ``Expr.monomial``: each monomial's coefficient times
+    value^exp for every coordinate set, the other coordinates kept."""
+
+    def term(mono, coeff) -> Expr:
+        powers = {}
+        for coord, exp in mono:
+            if coord in values:
+                coeff *= Fraction(values[coord]) ** exp
+            else:
+                powers[coord] = exp
+        return Expr.monomial(powers, coeff)
+
+    return Expr.sum(term(mono, coeff) for mono, coeff in e.terms())
+
+
+def substitute(e: Expr, replacements: dict) -> Expr:
+    """Replace coordinates by expressions (exact, simultaneous), through the
+    library's substitution loop: one table for the call maps each id to its
+    image, the replacement or else the coordinate itself."""
+    # the library calls this loop only through substitute_section, whose
+    # images come from a section; the property tests of the loop itself need
+    # arbitrary images, so this reads the interned ids and the private loop.
+    # A coordinate never seen occurs in no monomial
+    images = {_IDS[c]: repl for c, repl in replacements.items() if c in _IDS}
+    return _substituted(e, images, lambda cid: _expr({(cid,): 1}, 1))
+
+
 def per_monomial_substitute(e: Expr, replacements: dict) -> Expr:
-    """Expr.substitute as one image Expr per monomial, every power raised
+    """substitute as one image Expr per monomial, every power raised
     anew, by the generic product."""
 
     def power(factor: Expr, exp: int) -> Expr:
@@ -426,12 +462,12 @@ def per_monomial_substitute(e: Expr, replacements: dict) -> Expr:
 def reference_substitute_section(e: Expr, section: PolynomialSection) -> Expr:
     """substitute_section as one replacement map per call: every y/z
     coordinate of ``e`` mapped to the section's value, every power raised
-    anew by Expr.substitute."""
+    anew by substitute."""
     replacements = {}
     for coord in e.variables():
         if coord[0] in ("y", "z"):
             replacements[coord] = section.coordinate_value(coord)
-    return e.substitute(replacements)
+    return substitute(e, replacements)
 
 
 def minors_determinant(matrix) -> Fraction:

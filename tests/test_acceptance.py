@@ -37,16 +37,14 @@ from jetforms.numeric import (
     CauchyState,
     EnergyFunctional,
     GridSpec,
-    SampledSection,
     band_limited_state,
     cauchy_evolve,
-    decomposition_terms,
     flow_oracle,
-    functional_derivative_oracle,
 )
 from jetforms.problem import ProblemError, parse_problem
 from jetforms.prolongations import ProjectableField, prolong
 from jetforms.wave import wave_problem
+from tests.oracles import SampledSection, decomposition_terms, functional_derivative_oracle
 from tests.support import contact_form, contact_forms, preserves_contact_ideal, random_expr
 
 WAVE_PATH = str(

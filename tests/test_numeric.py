@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -16,17 +17,20 @@ from jetforms.numeric import (
     _time_scales,
     band_limited_state,
     cauchy_evolve,
-    decomposition_terms,
-    evaluate_on_grid,
-    functional_derivative_oracle,
-    integrate_action,
-    quadrature,
-    sample_section,
-    SampledSection,
 )
 from jetforms.prolongations import ProjectableField, noether_current
 from jetforms.wave import wave_problem
 
+from tests.oracles import (
+    SampledSection,
+    decomposition_terms,
+    evaluate_on_grid,
+    functional_derivative_oracle,
+    integrate_action,
+    meshes,
+    quadrature,
+    sample_section,
+)
 from tests.support import reference_cauchy_evolve, reference_energy
 
 TWO_PI = 2.0 * math.pi
@@ -86,7 +90,7 @@ def test_integrate_action_wave_slice():
     # independent analytic value is 0
     wp = wave_problem()
     grid = GridSpec(((0.0, 1.0, 24, False), (0.0, TWO_PI, 64, True)))
-    t_mesh, x_mesh = grid.meshes()
+    t_mesh, x_mesh = meshes(grid)
     data = np.sin(x_mesh - t_mesh)
     section = SampledSection(grid, [data, data])
     assert abs(integrate_action(wp.cfg, wp.lagrangian, section)) <= 1e-6
@@ -332,6 +336,25 @@ def test_a_weight_past_the_float_range_outside_the_band_still_raises():
     assert str(raised.value) == (
         "the slice-energy weight 1e+300*xi^4 of a period of 6.28319 passes the float range"
     )
+
+
+def test_an_energy_coefficient_beyond_the_float_range_raises():
+    # 10^400 in front of L derives exactly, but its table's coefficients
+    # have no float: the call names them, not float(), before any weight
+    # or the grid's xi^S is formed, and keeps no weights
+    wp = wave_problem()
+    huge = derive(wp.cfg, wp.lagrangian * 10**400)
+    energy = EnergyFunctional(huge.theta_symmetric)
+    assert max(abs(c) for c in energy.entries.values()) > sys.float_info.max
+    state = band_limited_state(periodic_grid(64), wp.cfg.n, 8, seed=0)
+    for _ in range(2):
+        with pytest.raises(OverflowError) as raised:
+            energy(state)
+        assert str(raised.value) == "the slice energy has a coefficient beyond the float range"
+    # the coefficient is blamed before a period out of range
+    short = CauchyState(GridSpec(((0.0, 1e-100, 64, True),)), np.zeros((wp.cfg.n, 4, 64)))
+    with pytest.raises(OverflowError, match="coefficient beyond the float range"):
+        energy(short)
 
 
 def _scaled_roundtrip(count, seed, t):
@@ -584,8 +607,21 @@ def test_state_coordinate_arrays_guard():
             EnergyFunctional(theta)
 
 
+def _sine_jets_at(e: Expr, k: int, phase: float, x0: float) -> float:
+    """e at x0 on the section y = sin(k x + phase) of one field over one
+    base coordinate: each jet coordinate of order l reads
+    k^l sin(k x0 + phase + l pi/2)."""
+    values = {}
+    for coord in e.variables():
+        order = len(coord[2]) if coord[0] == "z" else 0
+        values[coord] = k**order * math.sin(k * x0 + phase + order * math.pi / 2)
+    return float(evaluate_on_grid(e, values, ()))
+
+
 def test_functional_derivative_oracle_matches_lagrange_derivative():
     # calibrated: width 0.03 and eps 1e-3 at N = 512 give ~5e-4 agreement
+    from jetforms.dedonder import lagrange_derivative
+
     cfg = JetConfig(1, 1, 1)
     L = z_var(1, (1,)) ** 2 / 2
     grid = periodic_grid(512)
@@ -594,7 +630,9 @@ def test_functional_derivative_oracle_matches_lagrange_derivative():
     value = functional_derivative_oracle(
         cfg, L, section, 1, (math.pi / 2,), eps=1e-3, width=0.03
     )
-    assert abs(value - math.sin(math.pi / 2)) <= 1e-3
+    expected = _sine_jets_at(lagrange_derivative(cfg, L)[0], 1, 0.0, math.pi / 2)
+    assert abs(value - expected) <= 1e-3
+    assert abs(expected - math.sin(math.pi / 2)) <= 1e-12  # -y'' = sin
     # zero Lagrangian
     assert functional_derivative_oracle(cfg, Expr.zero(), section, 1, (1.0,)) == 0.0
 
@@ -617,12 +655,14 @@ def test_functional_derivative_oracle_random_fixtures():
         got = functional_derivative_oracle(
             cfg, L, section, 1, (x0,), eps=1e-3, width=0.02
         )
-        expected = (k * k + 2.0) * math.sin(k * x0 + phase)
+        expected = _sine_jets_at(delta, k, phase, x0)
         assert abs(got - expected) <= 2e-3 * max(1.0, abs(expected)), (
             trial,
             got,
             expected,
         )
+        by_hand = (k * k + 2.0) * math.sin(k * x0 + phase)
+        assert abs(expected - by_hand) <= 1e-12 * max(1.0, abs(by_hand)), (trial, delta)
 
 
 def test_functional_derivative_oracle_wave_fixture():

@@ -57,8 +57,8 @@ def _run_fresh(statements: str) -> tuple:
 
 def test_import_does_not_load_scipy():
     # the symbolic core is exact and imports neither numpy nor scipy; both
-    # load only with jetforms.numeric (evolve and the numeric oracles), and
-    # scipy only once the prolongation flow oracle runs
+    # load only with jetforms.numeric (evolve and the prolongation flow
+    # oracle), and scipy only once the flow oracle runs
     assert _run_fresh("import jetforms, jetforms.dedonder") == ([], "[]")
 
 
@@ -268,10 +268,6 @@ def _referenced_names(tree, skip=None) -> set:
     return found
 
 
-# numeric oracles the paper's cross-checks name; only tests call them
-ORACLE_ONLY_NAMES = {"decomposition_terms", "functional_derivative_oracle"}
-
-
 def test_every_public_library_name_has_a_caller_outside_the_tests():
     # __init__ re-exports, so it counts as no caller; a name only tests call
     # belongs in the tests, as a reference or a helper.  Methods and
@@ -297,7 +293,7 @@ def test_every_public_library_name_has_a_caller_outside_the_tests():
     for stem, tree in modules.items():
         elsewhere = outside.union(*(names for other, names in by_module.items() if other != stem))
         for label, name, node in _public_definitions(tree):
-            if name in ORACLE_ONLY_NAMES or name in elsewhere:
+            if name in elsewhere:
                 continue
             if name not in _referenced_names(tree, skip=node):
                 hits.append(f"{stem}.{label}")
@@ -354,7 +350,6 @@ def test_every_option_of_a_public_library_function_is_set_outside_the_tests():
         for node in ast.parse(path.read_text()).body
         if isinstance(node, ast.FunctionDef)
         and not node.name.startswith("_")
-        and node.name not in ORACLE_ONLY_NAMES
         for position, name in _optional_parameters(node)
         if not any(_sets(call, position, name) for call in calls if call[0] == node.name)
     ]
@@ -448,13 +443,18 @@ def test_only_expressions_reads_the_storage_of_an_expr():
     assert not hits, f"Expr storage read outside expressions.py: {hits}"
 
 
+def _load_tool(name):
+    path = SOURCE.parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
 def test_code_line_counter_sums_the_modules_and_skips_docstrings(capsys):
     # tools/code_lines.py counts lines that hold code: a docstring-only edit
     # changes no count, and the total row is the sum of the module rows
-    path = SOURCE.parents[1] / "tools" / "code_lines.py"
-    spec = importlib.util.spec_from_file_location("code_lines", path)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    tool = _load_tool("code_lines")
     counts = tool.count()
     assert "dedonder.py" in counts
     assert tool.main([]) == 0
@@ -476,10 +476,7 @@ def test_code_line_counter_sums_the_modules_and_skips_docstrings(capsys):
 def test_startup_probe_prints_one_row_per_module_the_command_imports(capsys, monkeypatch):
     # tools/startup.py reads -X importtime from fresh processes; this checks
     # the shape of its table, not the times
-    path = SOURCE.parents[1] / "tools" / "startup.py"
-    spec = importlib.util.spec_from_file_location("startup", path)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    tool = _load_tool("startup")
     assert tool.main(["verify", "--runs", "2"]) == 0
     header, *rows, total = capsys.readouterr().out.splitlines()
     assert header.split() == ["module", "self_ms", "cumulative_ms"]
@@ -522,10 +519,7 @@ def test_fixture_outputs_prints_one_fingerprint_per_run(monkeypatch, capsys):
     # tools/fixture_outputs.py runs every command and demo in a fresh
     # process; this checks the list of runs and the line of one of them
     root = SOURCE.parents[1]
-    path = root / "tools" / "fixture_outputs.py"
-    spec = importlib.util.spec_from_file_location("fixture_outputs", path)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    tool = _load_tool("fixture_outputs")
     runs = tool.runs(root)
     names = [name for name, _ in runs]
     demos = sorted((root / "demos").glob("*.py"))
@@ -541,3 +535,44 @@ def test_fixture_outputs_prints_one_fingerprint_per_run(monkeypatch, capsys):
     assert (name, code) == ("verify", "0")
     assert len(out) == 64 and int(out, 16) >= 0
     assert err == hashlib.sha256(b"").hexdigest()
+
+
+def test_every_mutant_row_fits_the_tree():
+    # tools/mutants.py plants each row's fault in a copy of the tree; a row
+    # whose old text moved or whose test file is gone must be updated with
+    # the change that moved it.  No mutant runs here
+    tool = _load_tool("mutants")
+    names = [row[0] for row in tool.MUTANTS]
+    assert len(names) == len(set(names)) >= 20
+    root = SOURCE.parents[1]
+    assert [name for name, *_ in tool.MUTANTS if tool.stale(root, (name, *_))] == []
+    for name, path, old, new, tests in tool.MUTANTS:
+        assert old != new and tests, name
+        assert all(test.startswith("tests/test_") for test in tests), name
+
+
+def test_mutant_outcomes_follow_the_exit_code_of_the_tests(tmp_path, monkeypatch):
+    # the outcome of one row, with pytest replaced by a given exit code; the
+    # mutated file is put back whatever the outcome
+    tool = _load_tool("mutants")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_a.py").write_text("")
+    target = tmp_path / "a.py"
+    target.write_text("x = 1\n")
+    row = ("flip", "a.py", "x = 1", "x = 2", ("tests/test_a.py::test_x",))
+    seen = []
+    for code, outcome in ((1, "killed"), (2, "killed"), (0, "survived"), (4, "error 4")):
+        def fake(copy, tests, code=code):
+            seen.append((target.read_text(), tests))
+            return code
+
+        monkeypatch.setattr(tool, "run_tests", fake)
+        assert tool.check(tmp_path, row) == outcome
+        assert target.read_text() == "x = 1\n"
+    assert seen == [("x = 2\n", ("tests/test_a.py::test_x",))] * 4
+    # a row that no longer fits runs no tests
+    for stale in (("flip", "a.py", "x = 3", "x = 2", ("tests/test_a.py",)),
+                  ("flip", "a.py", "x = 1", "x = 2", ("tests/test_b.py",)),
+                  ("flip", "b.py", "x = 1", "x = 2", ("tests/test_a.py",))):
+        assert tool.check(tmp_path, stale) == "stale"
+    assert len(seen) == 4

@@ -1,0 +1,190 @@
+"""Mutation checks: plant one known fault at a time and see a test catch it.
+
+    python tools/mutants.py
+
+Each row of ``MUTANTS`` names a mutant, a file of the checkout, an exact text
+that must occur in that file once, its replacement, and the tests expected
+to fail on it: test files, or pytest node ids ``file::test``.  The tool
+copies the checkout (without ``.git`` and caches) to a temporary directory
+and, for each row in turn, applies the one replacement there, runs
+``python -m pytest -x -q`` on the row's tests against the copy's ``src``,
+and puts the file back.  It prints one line per mutant: its name, its
+outcome and the seconds its tests took.  The outcome is ``killed`` (the
+tests failed), ``survived`` (they passed: they are blind to the fault),
+``stale`` (the old text does not occur exactly once, or a named test file
+is missing: the row must follow the code) or ``error N`` (pytest exited
+with code N, say for a node id that does not exist).  Nothing is written
+into the checkout.  The exit code is 0 when every mutant is killed, else 1.
+"""
+from __future__ import annotations
+
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SKIP = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", ".benchmarks")
+
+PROLONGATIONS = "src/jetforms/prolongations.py"
+DEDONDER = "src/jetforms/dedonder.py"
+EXPRESSIONS = "src/jetforms/expressions.py"
+NUMERIC = "src/jetforms/numeric.py"
+PROBLEM = "src/jetforms/problem.py"
+TEST_NUMERIC = "tests/test_numeric.py"
+
+# (name, file, old text, new text, tests expected to kill the mutant)
+MUTANTS = [
+    # the symbolic core
+    ("prolongation-correction-sign", PROLONGATIONS,
+     "shifts[j] = [(i, -part) for", "shifts[j] = [(i, part) for",
+     ("tests/test_prolongations.py",)),
+    ("noether-drops-the-lagrangian-term", PROLONGATIONS,
+     "densities = [[Y.base_components[i] * lagrangian] for",
+     "densities = [[] for",
+     ("tests/test_prolongations.py",)),
+    ("top-delta-after-the-lower-levels", DEDONDER,
+     "        if level == cfg.k:\n"
+     "            for key, delta in top_delta.items():\n"
+     "                current[key] = current.get(key, Expr.zero()) + delta\n"
+     "            current = {key: value for key, value in current.items() if not value.is_zero}\n",
+     "",
+     ("tests/test_dedonder.py",)),
+    ("dz-term-sign", DEDONDER,
+     "terms[wedge] = value if (i1 + cfg.m) % 2 == 0 else -value",
+     "terms[wedge] = -value if (i1 + cfg.m) % 2 == 0 else value",
+     ("tests/test_dedonder.py",)),
+    ("check-key-without-level-bound", DEDONDER,
+     "    if len(tail) >= cfg.k:\n        raise ValueError(f\"coefficient key {key} has level",
+     "    if False:\n        raise ValueError(f\"coefficient key {key} has level",
+     ("tests/test_dedonder.py::test_coefficient_keys_out_of_range_are_rejected",)),
+    ("terms-in-insertion-order", EXPRESSIONS,
+     "        ordered = sorted(\n            (sorted([(keys[c]",
+     "        ordered = list(\n            (sorted([(keys[c]",
+     ("tests/test_expressions.py",)),
+    ("content-reduction-skipped", EXPRESSIONS,
+     "            g = gcd(den, *num.values())\n            if g != 1:",
+     "            g = gcd(den, *num.values())\n            if False:",
+     ("tests/test_expressions.py",)),
+    # the Cauchy step, the slice energy and the band
+    ("cauchy-row-1-reordered", NUMERIC,
+     "    np.add(B, C, out=v1)\n    v1 += Dt\n",
+     "    np.add(C, Dt, out=v1)\n    v1 += B\n",
+     (TEST_NUMERIC,)),
+    ("band-too-narrow-in-band-limited-state", NUMERIC,
+     "return CauchyState._from_spectrum(modes, spectrum, 0.0, max_mode + 1)",
+     "return CauchyState._from_spectrum(modes, spectrum, 0.0, max_mode)",
+     (TEST_NUMERIC,)),
+    ("band-too-narrow-in-the-step", NUMERIC,
+     "    band = state._band\n    tau",
+     "    band = state._band - 1\n    tau",
+     (TEST_NUMERIC,)),
+    ("band-too-narrow-in-the-energy", NUMERIC,
+     "modes, band = state.modes, state._band",
+     "modes, band = state.modes, state._band - 1",
+     (TEST_NUMERIC,)),
+    ("band-too-narrow-in-the-finiteness-check", NUMERIC,
+     "spectrum[:, :, :band].view(float)",
+     "spectrum[:, :, :band - 1].view(float)",
+     (TEST_NUMERIC,)),
+    ("energy-coefficient-check-dropped", NUMERIC,
+     "if any(abs(c) > sys.float_info.max for *_, c in self._terms):",
+     "if False:",
+     (TEST_NUMERIC,)),
+    ("energy-xi-power-check-dropped", NUMERIC,
+     "if not all(np.isfinite(power).all() for power in powers.values()):",
+     "if False:",
+     (TEST_NUMERIC,)),
+    ("energy-weight-check-dropped", NUMERIC,
+     "if not np.isfinite(weight).all():",
+     "if False:",
+     (TEST_NUMERIC,)),
+    # the parser's bounds on the work of reading a problem
+    ("product-pair-bound-dropped", PROBLEM,
+     "if p * q > _MAX_PAIRS:", "if False:",
+     ("tests/test_problem.py",)),
+    ("product-factor-bound-dropped", PROBLEM,
+     "if p * q * degree > _MAX_FACTORS:", "if False:",
+     ("tests/test_problem.py",)),
+    ("power-factor-bound-dropped", PROBLEM,
+     "if most * degree > _MAX_FACTORS:", "if False:",
+     ("tests/test_problem.py",)),
+    # faults that the numeric oracles of the tests catch: the Noether current
+    # against the force decomposition's quadratures, and the Lagrange
+    # derivative against the functional-derivative oracle
+    ("noether-boundary-term-negated", PROLONGATIONS,
+     "densities[i - 1].append(pull(p) * dq)",
+     "densities[i - 1].append(-pull(p) * dq)",
+     (f"{TEST_NUMERIC}::test_decomposition_identity_and_invariance",)),
+    ("lagrange-derivative-level-signs-flipped", DEDONDER,
+     "outer[c[1]].append((term, I[-1], -1 if len(I) % 2 else 1))",
+     "outer[c[1]].append((term, I[-1], 1 if len(I) % 2 else -1))",
+     (f"{TEST_NUMERIC}::test_functional_derivative_oracle_matches_lagrange_derivative",
+      f"{TEST_NUMERIC}::test_functional_derivative_oracle_random_fixtures")),
+    # caught through the oracles' own use of terms(): evaluate_on_grid reads
+    # the Lagrangian's coefficients there, so the action the oracle varies
+    # is off by the halved coefficient
+    ("terms-halves-a-fractional-coefficient", EXPRESSIONS,
+     "n if den == 1 else _rational(n, den))",
+     "n if den == 1 else _rational(n, 2 * den))",
+     (f"{TEST_NUMERIC}::test_functional_derivative_oracle_matches_lagrange_derivative",
+      "tests/test_acceptance.py::test_criterion_4_k1_reduction_and_oracle")),
+]
+
+
+def stale(root: pathlib.Path, row) -> bool:
+    """Whether the row no longer fits the tree under ``root``."""
+    _, path, old, _, tests = row
+    target = root / path
+    if not target.is_file() or target.read_text().count(old) != 1:
+        return True
+    return not all((root / test.split("::")[0]).is_file() for test in tests)
+
+
+def run_tests(copy: pathlib.Path, tests) -> int:
+    """pytest's exit code on ``tests`` in the copy, on the copy's package."""
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(
+        command, cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
+    ).returncode
+
+
+def check(copy: pathlib.Path, row) -> str:
+    """Apply the row's mutant to the copy, run its tests, put the file back."""
+    _, path, old, new, tests = row
+    if stale(copy, row):
+        return "stale"
+    target = copy / path
+    source = target.read_text()
+    target.write_text(source.replace(old, new))
+    try:
+        code = run_tests(copy, tests)
+    finally:
+        target.write_text(source)
+    # 1: a test failed; 2: collection failed, as when the mutant breaks an import
+    if code in (1, 2):
+        return "killed"
+    return "survived" if code == 0 else f"error {code}"
+
+
+def main() -> int:
+    width = max(len(row[0]) for row in MUTANTS)
+    outcomes = []
+    with tempfile.TemporaryDirectory() as scratch:
+        copy = pathlib.Path(scratch) / "tree"
+        shutil.copytree(ROOT, copy, ignore=SKIP)
+        for row in MUTANTS:
+            start = time.perf_counter()
+            outcome = check(copy, row)
+            outcomes.append(outcome)
+            print(f"{row[0]:<{width}}  {outcome:<8}  {time.perf_counter() - start:5.1f}s",
+                  flush=True)
+    return 0 if all(outcome == "killed" for outcome in outcomes) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
