@@ -7,13 +7,16 @@ Everything here exists to corroborate the symbolic machinery:
   conservation checks see no time-stepping error at all; the state is
   carried as its scaled spectrum d_t^j y^ / xi^j, a step takes no FFT, and
   the slice energy reads that spectrum mode by mode (Parseval).  A state
-  knows its band, the modes below which all of its data lies: the
-  propagator keeps a zero mode zero, so a step and the energy read only
-  the band and a band-limited state costs in proportion to its band, not
-  to its grid.  Each spectral operation runs once: a grid's wavenumbers,
-  xi^j scales and energy weights are computed once and travel with the
-  state or the functional, a step writes into buffers allocated once per
-  step, and one energy table serves every boundary form;
+  stores only its band, the modes below which all of its data lies, and
+  the stored width is the band: the propagator keeps a zero mode zero, so
+  a step and the energy read and write only the band, and a band-limited
+  state costs in proportion to its band, not to its grid.  The full
+  spectrum is zero-padded on read.  Each spectral operation runs once: a
+  grid's wavenumbers, xi^j scales and energy weights are computed once and
+  travel with the state or the functional, the rotation xi dt with its
+  cosine and sine is formed once per step size, a step writes into buffers
+  allocated once per step, an energy call scales each row it reads once,
+  and one energy table serves every boundary form;
 * a flow oracle for prolongations.  The supported symmetry-field class keeps
   flows closed-form: base components affine in x, vertical components affine
   in (x, y) jointly.  That covers translations, the Lorentz generator,
@@ -66,17 +69,17 @@ def _derivative_symbol(count: int, length: float) -> np.ndarray:
 class CauchyState:
     """Cauchy data (y, y_t, y_tt, y_ttt) per field on a periodic spatial grid.
 
-    Stored only as the scaled spectrum u_j = rfft(d_t^j y) / xi^j, shape
-    (n, 4, N // 2 + 1), with xi = 1 in the zero mode; a step and the slice
-    energy read it without a transform.  The constructor takes physical rows
-    (n, 4, N) through one forward FFT and starts at t = 0; ``data`` is the
-    physical view, one inverse FFT.  The grid's constants (``modes``) are
-    computed once and handed from state to evolved state.
-
-    The state also carries its band b: every mode at index b or above is
-    exactly zero, so only ``spectrum[:, :, :b]`` is checked, stepped and
-    summed.  A state built from physical rows has the full band N // 2 + 1;
-    ``band_limited_state`` gives max_mode + 1, and a step passes the band on.
+    Stored only as the scaled spectrum u_j = rfft(d_t^j y) / xi^j, with
+    xi = 1 in the zero mode, and of that only its band: the first b modes,
+    shape (n, 4, b), every mode from b on being exactly zero.  A step and the
+    slice energy read the stored band without a transform.  The constructor
+    takes physical rows (n, 4, N) through one forward FFT, keeps the whole
+    rfft, so its band is N // 2 + 1, and starts at t = 0;
+    ``band_limited_state`` stores max_mode + 1 modes, and a step keeps the
+    band.  ``spectrum`` is the full (n, 4, N // 2 + 1) spectrum, a copy
+    zero-padded on each read; ``data`` is the physical view, one inverse FFT
+    that pads the band itself.  The grid's constants (``modes``) are computed
+    once and handed from state to evolved state.
     """
 
     def __init__(self, grid: GridSpec, data):
@@ -86,26 +89,33 @@ class CauchyState:
         if data.shape[2] != grid.shape[0]:
             raise ValueError("state data does not match the grid")
         modes = _GridModes(grid)
-        spectrum = np.fft.rfft(data, axis=2) / modes.scales
-        self._set(modes, spectrum, 0.0, spectrum.shape[2])
+        self._set(modes, np.fft.rfft(data, axis=2) / modes.scales, 0.0)
 
     @classmethod
-    def _from_spectrum(cls, modes: "_GridModes", spectrum: np.ndarray, t: float, band: int):
+    def _from_spectrum(cls, modes: "_GridModes", u: np.ndarray, t: float):
         state = cls.__new__(cls)
-        state._set(modes, spectrum, t, band)
+        state._set(modes, u, t)
         return state
 
-    def _set(self, modes: "_GridModes", spectrum: np.ndarray, t: float, band: int):
-        # both parts of every mode in the band; the rest are zeros that
-        # band_limited_state or a step wrote
-        if not np.isfinite(spectrum[:, :, :band].view(float)).all():
+    def _set(self, modes: "_GridModes", u: np.ndarray, t: float):
+        if not np.isfinite(u.view(float)).all():  # both parts of every stored mode
             raise ValueError("state data contains non-finite values")
-        self.grid, self.modes, self.spectrum, self.t = modes.grid, modes, spectrum, t
-        self._band = band
+        self.grid, self.modes, self._u, self.t = modes.grid, modes, u, t
+
+    @property
+    def _band(self) -> int:
+        return self._u.shape[2]
+
+    @property
+    def spectrum(self) -> np.ndarray:
+        n, _, band = self._u.shape
+        spectrum = np.zeros((n, 4, self.grid.shape[0] // 2 + 1), dtype=complex)
+        spectrum[:, :, :band] = self._u
+        return spectrum
 
     @property
     def data(self) -> np.ndarray:
-        scaled = self.spectrum * self.modes.scales
+        scaled = self._u * self.modes.scales[:, : self._band]
         return np.fft.irfft(scaled, n=self.grid.shape[0], axis=2)
 
 
@@ -126,7 +136,9 @@ def _time_scales(grid: GridSpec) -> np.ndarray:
 class _GridModes:
     """The constants of a 1-D periodic grid that a step and the slice energy
     read: the xi^j time scales, the wavenumbers xi != 0 that the propagator
-    multiplies by dt, and xi of the derivative symbol, 0 in the Nyquist mode."""
+    multiplies by dt, and xi of the derivative symbol, 0 in the Nyquist mode.
+    It also keeps the rotation of the last step, (dt, band, tau, cos tau,
+    sin tau), which a step of the same float dt and band reuses."""
 
     def __init__(self, grid: GridSpec):
         self.grid = grid
@@ -134,6 +146,14 @@ class _GridModes:
         lo, hi, count, _ = grid.axes[0]
         self.xi = _wavenumbers(count, hi - lo)[1:]
         self.symbol_xi = _derivative_symbol(count, hi - lo).imag
+        self._rotation = (None, None)
+
+    def rotation(self, dt: float, band: int) -> tuple:
+        """tau = xi dt, cos tau and sin tau in the modes 1..band-1."""
+        if self._rotation[:2] != (dt, band):
+            tau = self.xi[: band - 1] * dt
+            self._rotation = (dt, band, tau, np.cos(tau), np.sin(tau))
+        return self._rotation[2:]
 
 
 def cauchy_evolve(state: CauchyState, t_target: float) -> CauchyState:
@@ -152,11 +172,13 @@ def cauchy_evolve(state: CauchyState, t_target: float) -> CauchyState:
     O(eps (1 + xi_max |dt|)^2) |u|.  The xi = 0 mode advances by the exact
     cubic Taylor polynomial in dt.
 
-    The propagator maps a zero mode to zero, so only the modes 1..b-1 of the
-    state's band b are advanced; the new spectrum starts as zeros, its
-    modes from b on stay so, and the evolved state keeps the band.  The
-    wavenumbers come with the state, computed once per grid.  Every array
-    operation writes into the new spectrum's rows or into five buffers
+    The propagator maps a zero mode to zero, so a step reads and writes only
+    the stored band b of the state, and the evolved state keeps it: the
+    zero mode through the Taylor shift, the modes 1..b-1 through the
+    propagator.  The wavenumbers come with the state, computed once per
+    grid, and tau = xi dt with its cosine and sine once per step size:
+    consecutive steps of one float dt share them.  Every other array
+    operation writes into the new band's rows or into five buffers
     allocated once per step, all b - 1 modes wide.  They are the float
     operations of the expressions in the comments below, in the same order,
     a halving written as a product with 0.5, so no temporary is allocated
@@ -167,10 +189,9 @@ def cauchy_evolve(state: CauchyState, t_target: float) -> CauchyState:
         return state
     taylor = [1.0, dt, dt**2 / 2.0, dt**3 / 6.0]  # a huge dt raises OverflowError
     band = state._band
-    tau = state.modes.xi[: band - 1] * dt
-    c, s = np.cos(tau), np.sin(tau)
-    u0, u1, u2, u3 = np.moveaxis(state.spectrum[:, :, 1:band], 1, 0)
-    out = np.zeros_like(state.spectrum)
+    tau, c, s = state.modes.rotation(dt, band)
+    u0, u1, u2, u3 = np.moveaxis(state._u[:, :, 1:band], 1, 0)
+    out = np.empty_like(state._u)
     v0, v1, v2, v3 = np.moveaxis(out[:, :, 1:band], 1, 0)
     # five allocations: one block of the five was faster but raised the
     # evolve_16k benchmark's peak RSS by 0.7 MB more
@@ -222,8 +243,8 @@ def cauchy_evolve(state: CauchyState, t_target: float) -> CauchyState:
     np.add(B, v3, out=v3)
     # zero mode: u_i <- sum over j >= i of taylor[j - i] u_j
     shift = [[taylor[j - i] if j >= i else 0.0 for i in range(4)] for j in range(4)]
-    out[:, :, 0] = state.spectrum[:, :, 0] @ np.array(shift)
-    return CauchyState._from_spectrum(state.modes, out, t_target, band)
+    out[:, :, 0] = state._u[:, :, 0] @ np.array(shift)
+    return CauchyState._from_spectrum(state.modes, out, t_target)
 
 
 class EnergyFunctional:
@@ -238,14 +259,15 @@ class EnergyFunctional:
     modes and 2 elsewhere.  ``entries`` maps (a, r, b, r', S = s + s', part_e)
     to the exact c_e, which absorbs the phase i^(s' - s); an exact
     x-derivative cancels inside it, so all boundary forms give one table,
-    and ``evolve`` evaluates that one table once per state.  A call scales,
-    pairs and weights only the (field, row) spectra the table reads, and of
-    those only the modes of the state's band; the weights c_e xi^S are
-    formed and checked in every mode on a grid's first call and kept for
-    its later ones.  A c_e past the float range is the coefficients' fault
-    (OverflowError), checked first; then an xi^S past it is the grid's
-    (ValueError); a finite xi^S whose weight is not, or a sum of finite
-    weighted terms that is not, is again the coefficients' (OverflowError).
+    and ``evolve`` evaluates that one table once per state.  A call scales
+    each distinct (field, row) spectrum the table reads once, in the modes
+    of the state's stored band, then pairs and weights them; the weights
+    c_e xi^S are formed and checked in every mode on a grid's first call
+    and kept for its later ones.  A c_e past the float range is the
+    coefficients' fault (OverflowError), checked first; then an xi^S past
+    it is the grid's (ValueError); a finite xi^S whose weight is not, or a
+    sum of finite weighted terms that is not, is again the coefficients'
+    (OverflowError).
     """
 
     def __init__(self, theta: DeDonderForm):
@@ -279,6 +301,7 @@ class EnergyFunctional:
         # the weights c_e xi^S are evaluated once per grid
         self._terms = [((a - 1, r), (b - 1, r2), part, S, c)
                        for (a, r, b, r2, S, part), c in self.entries.items()]
+        self._rows = list(dict.fromkeys(key for term in self._terms for key in term[:2]))
         self._weights_of = self._weights = None
 
     def _weights_on(self, modes: _GridModes) -> list:
@@ -308,8 +331,7 @@ class EnergyFunctional:
             self._weights = self._weights_on(modes)
             self._weights_of = modes
         # products of the stored u_r = v_r / xi^r would overflow on wide domains
-        rows = {key: state.spectrum[key][:band] * modes.scales[key[1], :band]
-                for left, right, *_ in self._terms for key in (left, right)}
+        rows = {key: state._u[key] * modes.scales[key[1], :band] for key in self._rows}
         pair = np.empty(band, dtype=complex)
         term = np.empty(band)
         # full length with zeros past the band: the pairwise sum of a
@@ -337,8 +359,8 @@ def band_limited_state(
     Each field and stored time derivative is sum_k a_c cos(k b x) +
     a_s sin(k b x) with b = 2 pi / length and normal amplitudes a / max_mode,
     drawn in (field, row, mode, cos/sin) order; the state stores the
-    matching spectrum, scaled, without a transform, and its band
-    max_mode + 1, so a step and the energy read the first max_mode + 1
+    matching spectrum, scaled, without a transform, in its band of
+    max_mode + 1 modes, mode 0 a zero, so a step and the energy read those
     modes only.
     """
     count = grid.shape[0]
@@ -352,11 +374,11 @@ def band_limited_state(
     lo, hi, _, _ = grid.axes[0]
     k = np.arange(1, max_mode + 1)
     phase = np.exp(1j * k * (2.0 * np.pi / (hi - lo)) * lo)
-    spectrum = np.zeros((n, 4, count // 2 + 1), dtype=complex)
-    spectrum[:, :, 1 : max_mode + 1] = (
+    u = np.zeros((n, 4, max_mode + 1), dtype=complex)
+    u[:, :, 1:] = (
         (amps[..., 0] - 1j * amps[..., 1]) * (count / 2.0) * phase
     ) / modes.scales[:, 1 : max_mode + 1]
-    return CauchyState._from_spectrum(modes, spectrum, 0.0, max_mode + 1)
+    return CauchyState._from_spectrum(modes, u, 0.0)
 
 
 # -- prolongation flow oracle -------------------------------------------------

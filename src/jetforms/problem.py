@@ -250,7 +250,7 @@ class _Parser:
         self.depth = 0
         self.evaluations = 1  # of the body being parsed: the product of the sums' ranges
         self.cfg = None
-        self.metrics = {}
+        self.metrics = {}  # name -> rows of constant Exprs, set once checked
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -402,11 +402,13 @@ class _Parser:
         # every entry is evaluated before any metric is registered, so an
         # entry that names a metric names an unknown one
         matrices = {name: (token, matrix()) for name, (token, matrix) in metrics.items()}
-        for name, (token, matrix) in matrices.items():
-            self.metrics[name] = _checked_metric(dims, name, matrix, token)
+        checked = {name: _checked_metric(dims, name, matrix, token)
+                   for name, (token, matrix) in matrices.items()}
+        self.metrics = {name: tuple(tuple(map(Expr.constant, row)) for row in matrix)
+                        for name, matrix in checked.items()}
         return ProblemSpec(
             cfg=dims,
-            metrics=self.metrics,
+            metrics=checked,
             lagrangian=_within_digits(lagrangian({}), lagrangian_at),
             lagrangian_at=(lagrangian_at.line, lagrangian_at.column),
             fields={name: value() for name, value in fields.items()},
@@ -701,7 +703,7 @@ class _Parser:
                 i, j = i_index(env), j_index(env)
                 for idx in (i, j):
                     _in_range("metric index", idx, len(matrix), token)
-                return Expr.constant(matrix[i - 1][j - 1])
+                return matrix[i - 1][j - 1]
             return entry
         # a bare identifier: a bound sum index used as a value
         index = self.bound_index(token, "identifier")

@@ -700,7 +700,7 @@ def reference_cauchy_evolve(state, t_target: float):
     # zero mode: u_i <- sum over j >= i of taylor[j - i] u_j
     shift = [[taylor[j - i] if j >= i else 0.0 for i in range(4)] for j in range(4)]
     out[:, :, 0] = state.spectrum[:, :, 0] @ np.array(shift)
-    return CauchyState._from_spectrum(state.modes, out, t_target, out.shape[2])
+    return CauchyState._from_spectrum(state.modes, out, t_target)
 
 
 def reference_energy(energy, state) -> float:

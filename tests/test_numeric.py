@@ -311,9 +311,24 @@ def test_a_state_from_physical_data_keeps_the_full_band():
 
 def test_a_non_finite_mode_inside_the_band_raises():
     state = band_limited_state(periodic_grid(64), 2, 8, seed=4)
-    state.spectrum[1, 2, 8] = complex(0.0, np.nan)  # the band's last mode
+    state._u[1, 2, 8] = complex(0.0, np.nan)  # the stored band's last mode
     with pytest.raises(ValueError, match="non-finite"):
         cauchy_evolve(state, 0.5)
+
+
+def test_writing_into_the_spectrum_leaves_the_state_unchanged():
+    # .spectrum is a zero-padded copy of the stored band, made on each read
+    wp = wave_problem()
+    energy = EnergyFunctional(wp.theta_symmetric)
+    state = band_limited_state(periodic_grid(64), wp.cfg.n, 8, seed=4)
+    spectrum, data, before = state.spectrum, state.data, energy(state)
+    written = state.spectrum
+    written[:] = complex(np.nan, np.nan)
+    assert np.array_equal(state.spectrum, spectrum)
+    assert np.array_equal(state.data, data)
+    assert energy(state) == before
+    assert np.array_equal(cauchy_evolve(state, 0.5).spectrum,
+                          reference_cauchy_evolve(state, 0.5).spectrum)
 
 
 def test_a_weight_past_the_float_range_outside_the_band_still_raises():

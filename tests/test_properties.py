@@ -876,12 +876,16 @@ def _wave_energies():
 def test_a_band_limited_state_steps_and_weighs_as_the_full_spectrum_references(
     count, axis, n, data
 ):
-    # a step and the energy read only the modes below the state's band, the
-    # references every mode: bit for bit the same spectra and energies, and
-    # the modes past the band stay exactly zero, whatever the steps' signs
+    # a state stores only its band and a step and the energy read only that,
+    # the references every mode: bit for bit the same spectra and energies,
+    # and the modes past the band read exactly zero, whatever the steps'
+    # signs.  Then steps of sizes k/16, exact in floats, go through at least
+    # two step sizes and back to the first, the last one twice in a row
     import numpy as np
 
-    from jetforms.numeric import GridSpec, band_limited_state, cauchy_evolve
+    from jetforms.numeric import (
+        CauchyState, GridSpec, _time_scales, band_limited_state, cauchy_evolve,
+    )
     from tests.support import reference_cauchy_evolve, reference_energy
 
     max_mode = data.draw(st.integers(1, (count - 1) // 2), label="max_mode")
@@ -889,12 +893,27 @@ def test_a_band_limited_state_steps_and_weighs_as_the_full_spectrum_references(
     times = data.draw(
         st.lists(st.floats(-4.0, 4.0, allow_nan=False), min_size=1, max_size=4), label="times"
     )
+    sizes = data.draw(st.lists(
+        st.integers(-64, 64).filter(bool), min_size=2, max_size=3, unique=True
+    ), label="step sizes in 1/16")
+    times = [*times, 0.0]
+    for size in [*sizes, sizes[0], sizes[0]]:
+        times.append(times[-1] + size / 16)
     grid = GridSpec(((axis[0], axis[1], count, True),))
     state = ref = band_limited_state(grid, n, max_mode, seed)
     for t in [0.0, *times]:
         state, ref = cauchy_evolve(state, t), reference_cauchy_evolve(ref, t)
         assert np.array_equal(state.spectrum, ref.spectrum)
         assert state.t == ref.t == t
+        assert state._u.shape == (n, 4, max_mode + 1)
+        assert state.spectrum.shape == (n, 4, count // 2 + 1)
         assert not state.spectrum[:, :, max_mode + 1 :].any()
+        padded = np.fft.irfft(state.spectrum * _time_scales(grid), n=count, axis=2)
+        assert np.array_equal(state.data, padded)
         for energy in _wave_energies():
             assert energy(state) == reference_energy(energy, ref)
+    # the full band on the same grid constants, one more step of the last size
+    full = CauchyState._from_spectrum(state.modes, state.spectrum, state.t)
+    t = state.t + sizes[0] / 16
+    assert np.array_equal(cauchy_evolve(full, t).spectrum,
+                          reference_cauchy_evolve(ref, t).spectrum)

@@ -504,15 +504,40 @@ def test_startup_probe_prints_one_row_per_module_the_command_imports(capsys, mon
     # several commands give one table each, and "all" names the eight
     # commands of a benchmark pass; a label sets the command's options
     calls = []
-    monkeypatch.setattr(tool, "best_times", lambda argv, runs: calls.append(argv) or ({}, (1, 2)))
+    monkeypatch.setattr(tool, "best_times",
+                        lambda argv, runs, checkout: calls.append(argv) or ({}, (1, 2)))
     assert tool.main(["all", "residual"]) == 0
     out = capsys.readouterr().out
     assert [line.split(":")[0] for line in out.splitlines() if line.startswith("total")] == [
         f"total {label}" for label in (*tool.FIXTURE_COMMANDS, "residual")
     ]
-    fixture = str(tool.FIXTURE)
+    fixture = str(tool.ROOT / tool.FIXTURE)
     assert calls[5] == ["residual", fixture, "--section", "sol"]
     assert calls[-1] == ["residual", fixture]
+
+
+def test_startup_probe_runs_the_checkout_it_is_given(tmp_path, monkeypatch, capsys):
+    # --checkout points both the package source and the fixture at another
+    # checkout, so one copy of the tool measures two trees
+    tool = _load_tool("startup")
+    fixture = tmp_path / tool.FIXTURE
+    fixture.parent.mkdir(parents=True)
+    fixture.write_text("")
+    launched = []
+
+    def run(command, env, **kwargs):
+        launched.append((command, env))
+        return subprocess.CompletedProcess(command, 0, None, "-- jetforms command starts\n")
+
+    monkeypatch.setattr(tool.subprocess, "run", run)
+    assert tool.main(["residual", "--runs", "1", "--checkout", str(tmp_path)]) == 0
+    (command, env), = launched
+    assert f"main({['residual', str(fixture)]!r})" in command[-1]
+    assert env["PYTHONPATH"].split(os.pathsep)[0] == str(tmp_path / "src")
+    # a directory without the fixture is refused before anything runs
+    with pytest.raises(SystemExit):
+        tool.main(["verify", "--checkout", str(tmp_path / "src")])
+    assert len(launched) == 1 and "holds no" in capsys.readouterr().err
 
 
 def test_fixture_outputs_prints_one_fingerprint_per_run(monkeypatch, capsys):

@@ -35,6 +35,8 @@ EXPRESSIONS = "src/jetforms/expressions.py"
 NUMERIC = "src/jetforms/numeric.py"
 PROBLEM = "src/jetforms/problem.py"
 TEST_NUMERIC = "tests/test_numeric.py"
+BAND_PROPERTY = ("tests/test_properties.py::"
+                 "test_a_band_limited_state_steps_and_weighs_as_the_full_spectrum_references")
 
 # (name, file, old text, new text, tests expected to kill the mutant)
 MUTANTS = [
@@ -69,14 +71,14 @@ MUTANTS = [
      "            g = gcd(den, *num.values())\n            if g != 1:",
      "            g = gcd(den, *num.values())\n            if False:",
      ("tests/test_expressions.py",)),
-    # the Cauchy step, the slice energy and the band
+    # the Cauchy step, the slice energy, the stored band and the rotation
     ("cauchy-row-1-reordered", NUMERIC,
      "    np.add(B, C, out=v1)\n    v1 += Dt\n",
      "    np.add(C, Dt, out=v1)\n    v1 += B\n",
      (TEST_NUMERIC,)),
     ("band-too-narrow-in-band-limited-state", NUMERIC,
-     "return CauchyState._from_spectrum(modes, spectrum, 0.0, max_mode + 1)",
-     "return CauchyState._from_spectrum(modes, spectrum, 0.0, max_mode)",
+     "u = np.zeros((n, 4, max_mode + 1), dtype=complex)",
+     "u = np.zeros((n, 4, max_mode), dtype=complex)",
      (TEST_NUMERIC,)),
     ("band-too-narrow-in-the-step", NUMERIC,
      "    band = state._band\n    tau",
@@ -87,8 +89,22 @@ MUTANTS = [
      "modes, band = state.modes, state._band - 1",
      (TEST_NUMERIC,)),
     ("band-too-narrow-in-the-finiteness-check", NUMERIC,
-     "spectrum[:, :, :band].view(float)",
-     "spectrum[:, :, :band - 1].view(float)",
+     "if not np.isfinite(u.view(float)).all():",
+     "if not np.isfinite(u[:, :, :-1].view(float)).all():",
+     (TEST_NUMERIC,)),
+    ("rotation-reused-when-dt-differs", NUMERIC,
+     "if self._rotation[:2] != (dt, band):",
+     "if self._rotation[1] != band:",
+     (BAND_PROPERTY,)),
+    ("rotation-reused-when-the-band-differs", NUMERIC,
+     "if self._rotation[:2] != (dt, band):",
+     "if self._rotation[0] != dt:",
+     (BAND_PROPERTY,)),
+    # the row of a field's first (field, row) key serves all its rows, as a
+    # cache keyed by field alone would
+    ("energy-row-keyed-by-field-alone", NUMERIC,
+     "state._u[key] * modes.scales[key[1], :band]",
+     "state._u[key[0], 0] * modes.scales[0, :band]",
      (TEST_NUMERIC,)),
     ("energy-coefficient-check-dropped", NUMERIC,
      "if any(abs(c) > sys.float_info.max for *_, c in self._terms):",

@@ -1,13 +1,16 @@
 """Import times of ``jetforms`` commands, from ``python -X importtime``.
 
-    python tools/startup.py [COMMAND ...] [--runs N]
+    python tools/startup.py [COMMAND ...] [--runs N] [--checkout DIR]
 
 runs each command (default ``verify``) on the bundled fourth-order wave
 fixture N times (default 15), each in a fresh interpreter, one after
 another, the way the ``jetforms`` console script does: import
-``jetforms.cli`` and call ``main``.  A command is a CLI command name or one
-of the labels of ``FIXTURE_COMMANDS``, the eight commands of a pass of the
-``cli_fixture`` benchmark; ``all`` stands for those eight.
+``jetforms.cli`` and call ``main``.  The package source and the fixture
+are those of the checkout DIR (default: the checkout holding this
+script), so one copy of the script measures any checkout.  A command is a
+CLI command name or one of the labels of ``FIXTURE_COMMANDS``, the eight
+commands of a pass of the ``cli_fixture`` benchmark; ``all`` stands for
+those eight.
 
 Per command it prints one row per module the command imports that is part
 of ``jetforms`` or of the standard library, with the best (smallest) self
@@ -27,7 +30,7 @@ import subprocess
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-FIXTURE = ROOT / "src" / "jetforms" / "fixtures" / "fourth_order_wave.jet"
+FIXTURE = pathlib.Path("src", "jetforms", "fixtures", "fourth_order_wave.jet")  # in a checkout
 # label -> command and options after the problem file; evolve prints its
 # CSV rather than writing it under --out
 FIXTURE_COMMANDS = {
@@ -45,21 +48,23 @@ FIXTURE_COMMANDS = {
 _MARK = "-- jetforms command starts"
 
 
-def command_argv(label: str) -> list:
-    """The CLI arguments of a label of FIXTURE_COMMANDS or a command name."""
+def command_argv(label: str, checkout: pathlib.Path) -> list:
+    """The CLI arguments of a label of FIXTURE_COMMANDS or a command name,
+    on the checkout's fixture."""
     command, *options = FIXTURE_COMMANDS.get(label, [label])
-    return [command, str(FIXTURE), *options]
+    return [command, str(checkout / FIXTURE), *options]
 
 
-def import_times(argv: list) -> dict:
-    """{module: (self us, cumulative us)} of one fresh run of the command."""
+def import_times(argv: list, checkout: pathlib.Path) -> dict:
+    """{module: (self us, cumulative us)} of one fresh run of the command
+    on the checkout's package source."""
     code = (
         "import sys\n"
         f"sys.stderr.write({_MARK!r} + '\\n')\n"
         "from jetforms.cli import main\n"
         f"sys.exit(main({argv!r}))\n"
     )
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    path = os.pathsep.join(filter(None, [str(checkout / "src"), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", "-c", code],
@@ -79,7 +84,7 @@ def import_times(argv: list) -> dict:
     return times
 
 
-def best_times(argv: list, runs: int) -> tuple:
+def best_times(argv: list, runs: int, checkout: pathlib.Path) -> tuple:
     """({module: (self ms, cumulative ms)}, (jetforms ms, standard library ms)),
     each the minimum over the runs, for the ``jetforms`` and standard-library
     modules the command imports; the totals sum the self times of one run."""
@@ -87,7 +92,7 @@ def best_times(argv: list, runs: int) -> tuple:
     totals = []
     for _ in range(runs):
         package = stdlib = 0
-        for name, (self_us, cumulative_us) in import_times(argv).items():
+        for name, (self_us, cumulative_us) in import_times(argv, checkout).items():
             top = name.split(".")[0]
             if top == "jetforms":
                 package += self_us
@@ -107,15 +112,21 @@ def main(argv=None) -> int:
     parser.add_argument("commands", nargs="*", default=["verify"],
                         help="command names or labels, or 'all'")
     parser.add_argument("--runs", type=int, default=15, help="fresh processes")
+    parser.add_argument("--checkout", type=pathlib.Path, default=ROOT,
+                        help="the checkout to measure (default: the one holding this script)")
     args = parser.parse_args(argv)
     if args.runs < 1:
         parser.error("--runs must be at least 1")
+    checkout = args.checkout.resolve()
+    if not (checkout / FIXTURE).is_file():
+        parser.error(f"{checkout} holds no {FIXTURE}")
     labels = [
         label for command in args.commands
         for label in (FIXTURE_COMMANDS if command == "all" else [command])
     ]
     for number, label in enumerate(labels):
-        best, (package_ms, stdlib_ms) = best_times(command_argv(label), args.runs)
+        best, (package_ms, stdlib_ms) = best_times(command_argv(label, checkout), args.runs,
+                                                   checkout)
         if number:
             print()
         print(f"{'module':32} {'self_ms':>9} {'cumulative_ms':>14}")
