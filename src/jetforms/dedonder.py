@@ -92,8 +92,8 @@ from .expressions import (
     render_expr,
     substitute_section,
     sum_by_key,
+    sum_of_products,
     sum_of_total_derivatives,
-    total_derivative,
     z_var,
 )
 from .forms import DifferentialForm, is_semibasic, volume_form
@@ -214,10 +214,9 @@ class BoundaryCoefficients:
             else:
                 cfg, table = self.cfg, self.table
                 limit = cfg.working_order if I else cfg.expression_order
-                value = sum_of_total_derivatives(
-                    [(table[(a, j, I)], j, 1) for j in range(1, cfg.m + 1) if (a, j, I) in table],
-                    cfg, limit,
-                )
+                value = sum_of_total_derivatives([
+                    (table[(a, j, I)], (j,), 1) for j in range(1, cfg.m + 1) if (a, j, I) in table
+                ], cfg, limit)
             self._divergences[(a, I)] = value
         return value
 
@@ -240,13 +239,15 @@ class BoundaryCoefficients:
 
     def volume_coefficient(self) -> Expr:
         """-sum_{a,I} z^a_I S^a_I, the d_m x coefficient of the boundary form
-        assembled from this table; computed once."""
+        assembled from this table; computed once, as one
+        :func:`sum_of_products` in which each z^a_I goes into the monomials
+        of its S^a_I by insertion, with the sign -1."""
         if self._volume is None:
             if self._parts:
                 self._volume = Expr.sum(part.volume_coefficient() for part in self._parts)
             else:
-                self._volume = Expr.sum(
-                    -Expr.variable(c) * total for c, total in self.splitting_sums().items()
+                self._volume = sum_of_products(
+                    (Expr.variable(c), total, -1) for c, total in self.splitting_sums().items()
                 )
         return self._volume
 
@@ -725,22 +726,18 @@ def lagrange_derivative(cfg: JetConfig, L: Expr) -> list:
 
         dL/dy^a = sum_{l=0..k} (-1)^l sum_{canonical |I|=l} D_I [dL/dz^a_I].
 
-    L's check and its partials are those of :meth:`PhiDecomposition.of_lagrangian`.
+    Each field is one :func:`sum_of_total_derivatives` over its partials, the
+    whole I of each at once (I = () for dL/dy^a), so no D_{I[:-1]} of a
+    partial is formed as an Expr.  L's check and its partials are those of
+    :meth:`PhiDecomposition.of_lagrangian`.
     No boundary coefficients are solved; :meth:`Derivation.euler_lagrange`
     gives the same list as Phi_a - sum_i D_i p^i_a from a derivation.
     """
-    order = cfg.expression_order
-    plain = {a: Expr.zero() for a in range(1, cfg.n + 1)}
-    outer: dict = {a: [] for a in plain}  # a -> (D_{I[:-1]} dL/dz^a_I, I[-1], sign)
-    for c, term in PhiDecomposition.of_lagrangian(cfg, L).components.items():
-        if c[0] == "y":
-            plain[c[1]] = term
-            continue
-        I = c[2]
-        for i in I[:-1]:
-            term = total_derivative(term, i, cfg, max_order=order)
-        outer[c[1]].append((term, I[-1], -1 if len(I) % 2 else 1))
-    return [plain[a] + sum_of_total_derivatives(outer[a], cfg, order) for a in plain]
+    terms: dict = {a: [] for a in range(1, cfg.n + 1)}  # a -> (dL/dz^a_I, I, (-1)^|I|)
+    for c, partial in PhiDecomposition.of_lagrangian(cfg, L).components.items():
+        I = c[2] if c[0] == "z" else ()
+        terms[c[1]].append((partial, I, -1 if len(I) % 2 else 1))
+    return [sum_of_total_derivatives(terms[a], cfg, cfg.expression_order) for a in terms]
 
 
 def dedonder_residual(theta: DeDonderForm, section: PolynomialSection) -> dict:

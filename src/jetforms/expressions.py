@@ -8,8 +8,8 @@ sections).
 
 Every coordinate is interned once: a module-level registry gives it a small
 int id the first time it is seen, and per-id tables hold the coordinate, its
-jet order and its ``coordinate_sort_key``.  One lift table, shared by D_i and
-holonomic reduction, holds per base direction i and id the id of the D_i
+jet order and its ``coordinate_sort_key``.  One lift table, which every
+D_i and D_I reads, holds per base direction i and id the id of the D_i
 lift (x^i and the constants, other x and ``("c", name)``, are marked
 instead).  A monomial is one flat tuple of ids, sorted ascending, with each
 id repeated by its exponent: x1^2*z is ``(i, i, j)`` and ``()`` is the
@@ -20,10 +20,11 @@ data structure for Maple 17", 2014).  The kernels walk a monomial one id
 occurrence at a time, so exponents appear only at the edges: in
 ``_monomial_of``, ``terms()`` and ``**``, which forms each term of a power
 once, by the multinomial theorem.  The ids never leave this module:
-``Expr(terms)``, ``Expr.monomial``, ``Expr.variable``, ``partial`` and
-``times_lifts`` take coordinate tuples, and ``terms()``,
-``variables()`` and ``gradient()`` give coordinate tuples back.  An exponent
-given to ``Expr(terms)`` or ``Expr.monomial`` must be a non-negative int.
+``Expr(terms)``, ``Expr.monomial``, ``Expr.variable`` and ``partial`` take
+coordinate tuples, and ``terms()``, ``variables()`` and ``gradient()`` give
+coordinate tuples back; holonomic reduction names each lift z^a_{I+i} as a
+coordinate too.  An exponent given to ``Expr(terms)`` or ``Expr.monomial``
+must be a non-negative int.
 ``terms()`` owns the canonical order of an Expr: each run of one id becomes
 one (coordinate, exponent) factor, the factors of each monomial in
 ``coordinate_sort_key`` order, and the monomials sorted by the (key,
@@ -46,14 +47,18 @@ rationals: ints where integral, ``Fraction`` otherwise.
 Every sum (``+``, ``-``, ``Expr.sum`` and the sums of forms) goes through one
 accumulator, which adds integer multiples of numerators into one dict in
 place and brings them to a common denominator only when a new denominator
-arrives.  Multiplying by one monomial and a sign has its own kernel: it
-merges the ids into each sorted monomial and keeps the denominator, since it
-changes no numerator's content.  A single id, as in every product by one
-coordinate and every lift, goes after a last id no larger than it, or else
-where ``bisect_right`` places it.  ``*`` routes every product with a factor
-+-1 times one monomial to that kernel, and a factor +-1 gives the other
-factor itself or its negation, so such products share their Exprs instead
-of copying them.
+arrives.  Every product goes through one product kernel, which adds the
+numerators of a * b straight into a store: ``*`` runs it into a fresh
+store, and ``sum_of_products`` runs it once per (a, b, sign) triple into
+one store over the lcm of the products' denominators, so a sum of products
+such as the d_m x coefficient -sum z^a_I S^a_I of a boundary form, or a
+holonomic reduction's coefficients times their lifts, lands in its sum
+with no product Expr.  A factor that is one monomial goes into each monomial of the other:
+a single id, as in every product by one coordinate and every lift, goes
+after a last id no larger than it, or else where ``bisect_right`` places
+it, and several ids by a sort; any other pair takes the double loop.  In
+``*`` a factor +-1 gives the other factor itself or its negation, so such
+products share their Exprs instead of copying them.
 
 The two derivations that matter are the formal partial derivative with
 respect to a single canonical coordinate and the total derivative
@@ -69,17 +74,24 @@ numerators: it lowers the x^i factor, and lifts each y/z factor in place,
 writing the lift's id, read from the shared lift table, where it keeps the
 monomial sorted (the image of a lone id is the lift alone).  The sign and
 the scale to the store's denominator are folded into each numerator once.
-``total_derivative`` runs that loop into a fresh store, and
-``sum_of_total_derivatives`` runs it once per (e, i, sign) triple into one
-store over the lcm of their denominators, so a divergence sum_j D_j p^j or
-the last D of each term of an Euler operator lands in its sum with no
-intermediate Expr.  Every direction is checked before any work, and a lift
-beyond the jet-order bound raises the ``ValueError`` of the first such
-coordinate in coordinate order.  ``Expr.derivation`` applies a vector
+``total_derivative`` runs that loop into a fresh store.
+``sum_of_total_derivatives`` takes D_I for a tuple I of directions, once
+per (e, I, sign) triple, into one store over the lcm of their
+denominators, so a divergence sum_j D_j p^j, or a whole Euler operator
+sum_I (-1)^|I| D_I dL/dz^a_I, lands in its sum with no intermediate Expr.
+D_I walks each monomial once: a lone id goes up the lift table once per
+direction and is stored once, and a longer monomial distributes the
+directions over its occurrences by the Leibniz rule, one direction after
+another through small stores of its own images, adding only the final
+images into the sum.  Every direction is checked before any work.  A lift
+beyond the jet-order bound raises the ``ValueError`` that the chain of
+single D_i would raise, for the first such coordinate in coordinate order;
+only then is that chain replayed.  ``Expr.derivation`` applies a vector
 field, sum_c Y^c d/dc, plus a multiple of the identity in one walk of each
 monomial: every occurrence of a coordinate in the field adds the rest of
 the monomial times the field's entry straight into one sum, with no partial
-derivative and no product Expr in between.  ``substitute_section`` runs
+derivative and no product Expr in between; an entry's term of one id is
+inserted where it keeps the rest sorted.  ``substitute_section`` runs
 the substitution loop, which adds every numerator times the product of the
 images of its ids, one factor per occurrence, into one accumulator; a
 monomial stops at its first id whose image is zero.  It reads the table of
@@ -93,8 +105,9 @@ from __future__ import annotations
 import sys
 from bisect import bisect_right
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
-from typing import Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 from .jets import (
     JetConfig,
@@ -462,57 +475,18 @@ class Expr:
             return _expr({mono: n * p for mono, n in self._num.items()}, den // g)
         return _reduced({mono: n * p for mono, n in self._num.items()}, den * q)
 
-    def _times_monomial(self, ids: Monomial, sign: int) -> "Expr":
-        """The monomial kernel: self * sign * the monomial ``ids``, for
-        sign = +-1.
-
-        Each monomial gains the ids by a sort; a single id, as in every
-        product by one coordinate and every lift, is inserted inline.
-        Distinct monomials stay distinct and no numerator changes its
-        magnitude, so the result needs neither accumulation nor a content
-        reduction.
-        """
-        if not ids:
-            return self if sign == 1 else -self
-        out = {}
-        if len(ids) != 1:
-            for mono, n in self._num.items():
-                out[tuple(sorted(mono + ids))] = n if sign == 1 else -n
-            return _expr(out, self._den)
-        cid, = ids
-        for mono, n in self._num.items():
-            if not mono or mono[-1] <= cid:
-                mono = mono + ids
-            else:
-                pos = bisect_right(mono, cid)
-                mono = mono[:pos] + ids + mono[pos:]
-            out[mono] = n if sign == 1 else -n
-        return _expr(out, self._den)
-
     def __mul__(self, other) -> "Expr":
         if other.__class__ is Expr:
             if not self._num or not other._num:
                 return Expr.zero()
-            # the monomial route: a factor +-1 * c^e goes to the kernel above,
-            # and a factor +-1 gives the other factor itself or its negation
+            # a factor +-1 gives the other factor itself or its negation
             for unit, rest in ((other, self), (self, other)):
-                if len(unit._num) == 1 and unit._den == 1:
-                    (mono, sign), = unit._num.items()
+                if unit._den == 1 and len(unit._num) == 1:
+                    sign = unit._num.get(())
                     if sign == 1 or sign == -1:
-                        if not mono:
-                            return rest if sign == 1 else -rest
-                        return rest._times_monomial(mono, sign)
+                        return rest if sign == 1 else -rest
             store: dict = {}
-            get = store.get
-            other_items = other._num.items()
-            for mono_a, n_a in self._num.items():
-                for mono_b, n_b in other_items:
-                    mono = tuple(sorted(mono_a + mono_b))
-                    acc = get(mono, 0) + n_a * n_b
-                    if acc:
-                        store[mono] = acc
-                    else:
-                        del store[mono]
+            _add_product(store, self, other, 1)
             return _reduced(store, self._den * other._den)
         if isinstance(other, (int, Fraction)):
             n, d = _split(other)
@@ -606,20 +580,21 @@ class Expr:
         Each occurrence of a coordinate c of the field in a monomial adds
         the rest of the monomial times each term of field[c] straight into
         one sum of numerators over the common denominator of the field and
-        the weight, and so does the whole monomial times each term of the
-        weight; no partial derivative and no product Expr is built.
+        the weight, and the product kernel adds weight * self into the same
+        sum; no partial derivative and no product Expr is built.  A term of
+        field[c] with one id goes where it keeps the rest sorted, as the
+        product kernel inserts it; any other term joins by a sort.
         """
-        # id -> numerators of field[c], and None -> those of the weight, all
-        # over one denominator; a coordinate never seen occurs in no monomial
+        # id -> the terms of field[c], each as (its id if it has one id, else
+        # None, monomial, numerator), over the common denominator of the
+        # field and the weight; a coordinate never seen occurs in no monomial
         parts = [(_IDS[c], v) for c, v in field.items() if v._num and c in _IDS]
-        if weight._num:
-            parts.append((None, weight))
-        common = lcm(1, *(v._den for _, v in parts))
+        common = lcm(weight._den, *(v._den for _, v in parts))
         images = {
-            cid: [(mono, n * (common // v._den)) for mono, n in v._num.items()]
+            cid: [(mono[0] if len(mono) == 1 else None, mono, n * (common // v._den))
+                  for mono, n in v._num.items()]
             for cid, v in parts
         }
-        scaled = images.pop(None, ())
         store: dict = {}
         get = store.get
         for mono, n in self._num.items():
@@ -628,20 +603,21 @@ class Expr:
                 if image is None:
                     continue
                 rest = mono[:pos] + mono[pos + 1 :]
-                for fmono, fn in image:
-                    key = tuple(sorted(rest + fmono))
+                for fid, fmono, fn in image:
+                    if fid is None:
+                        key = tuple(sorted(rest + fmono))
+                    elif not rest or rest[-1] <= fid:
+                        key = rest + fmono
+                    else:
+                        at = bisect_right(rest, fid)
+                        key = rest[:at] + fmono + rest[at:]
                     acc = get(key, 0) + n * fn
                     if acc:
                         store[key] = acc
                     else:
                         del store[key]
-            for fmono, fn in scaled:
-                key = tuple(sorted(mono + fmono))
-                acc = get(key, 0) + n * fn
-                if acc:
-                    store[key] = acc
-                else:
-                    del store[key]
+        if weight._num:
+            _add_product(store, self, weight, common // weight._den)
         return _reduced(store, self._den * common)
 
     def partial(self, coord) -> "Expr":
@@ -776,34 +752,51 @@ def render_expr(e: Expr) -> str:
 # -- total derivative --------------------------------------------------------
 
 
+class _BeyondBound(Exception):
+    """A lift went beyond the jet-order bound; the caller raises the error."""
+
+
 def total_derivative(
     e: Expr, i: int, cfg: JetConfig, max_order: int | None = None
 ) -> Expr:
     """The holonomic total derivative ``D_i e``.
 
     ``max_order`` bounds the jet order of the result; by default it is the
-    working order 2k-1.  Internal callers (Lagrange derivatives) may raise it
-    to the expression order 2k.
+    working order 2k-1.  A caller may raise it to the expression order 2k,
+    where Lagrange derivatives live.
     """
     limit = _derivative_limit((i,), cfg, max_order)
     store: dict = {}
-    _add_total_derivative(store, e, i, limit, 1)
+    try:
+        _add_derivative(store, e._num, i, limit, 1)
+    except _BeyondBound:
+        raise _order_bound_error(e, i, limit) from None
     return _reduced(store, e._den)
 
 
 def sum_of_total_derivatives(
     terms: Sequence, cfg: JetConfig, max_order: int | None = None
 ) -> Expr:
-    """sum sign * D_i e over the (e, i, sign) triples of ``terms``, for
-    sign = +-1, added into one sum of numerators over the lcm of the
-    denominators; ``max_order`` as for :func:`total_derivative`.  Every i is
-    checked before any derivative is taken, and an e whose D_i goes beyond
-    the bound raises the error :func:`total_derivative` raises on it."""
-    limit = _derivative_limit([i for _, i, _ in terms], cfg, max_order)
+    """sum sign * D_I e over the (e, I, sign) triples of ``terms``, I a tuple
+    of directions and sign = +-1, added into one sum of numerators over the
+    lcm of the denominators; ``max_order`` as for :func:`total_derivative`.
+    Every direction is checked before any derivative is taken.  A lift
+    beyond the bound raises the error of the chain D_{I[-1]} ... D_{I[0]} e
+    of :func:`total_derivative` calls, which is replayed to find it."""
+    limit = _derivative_limit([i for _, I, _ in terms for i in I], cfg, max_order)
     den = lcm(*(e._den for e, _, _ in terms))
     store: dict = {}
-    for e, i, sign in terms:
-        _add_total_derivative(store, e, i, limit, sign * (den // e._den))
+    try:
+        for e, I, sign in terms:
+            _add_total_derivatives(store, e._num, I, limit, sign * (den // e._den))
+    except _BeyondBound:
+        # D_i raises the top jet order of the y/z coordinates by exactly one,
+        # so the chain meets a lift beyond the bound too, and raises its own
+        # first error
+        def step(e, i):
+            return total_derivative(e, i, cfg, limit)
+
+        return Expr.sum(sign * reduce(step, I, e) for e, I, sign in terms)
     return _reduced(store, den)
 
 
@@ -816,8 +809,52 @@ def _derivative_limit(directions, cfg: JetConfig, max_order: int | None) -> int:
     return cfg.working_order if max_order is None else max_order
 
 
-def _add_total_derivative(store: dict, e: Expr, i: int, limit: int, scale: int) -> None:
-    """Add ``scale`` times the numerators of D_i e into ``store`` in place.
+def _add_total_derivatives(store: dict, num: dict, I: tuple, limit: int, scale: int) -> None:
+    """Add ``scale`` times D_I of the numerators ``num`` into ``store`` in
+    place, raising ``_BeyondBound`` at a lift beyond ``limit``.
+
+    A lone id goes up the lift table once per direction and is stored once;
+    x^i lowered is a constant, which a further direction sends to zero.  A
+    longer monomial takes every direction but the last by the Leibniz rule
+    into a small store of its own images, and the last into ``store``.
+    """
+    if len(I) < 2:
+        if I:
+            _add_derivative(store, num, I[0], limit, scale)
+        else:
+            _add_into(store, num, scale)
+        return
+    rows = [(i, _LIFTS.setdefault(i, {})) for i in I]
+    orders, get = _ORDERS, store.get
+    for mono, n in num.items():
+        if len(mono) != 1:
+            images = {mono: n}
+            for i in I[:-1]:
+                images, previous = {}, images
+                _add_derivative(images, previous, i, limit, 1)
+            _add_derivative(store, images, I[-1], limit, scale)
+            continue
+        c = mono[0]
+        for i, row in rows:
+            lifted = row.get(c)
+            if lifted is None:
+                lifted = _lift(c, i)
+            if lifted < 0:
+                break
+            if orders[lifted] > limit:
+                raise _BeyondBound
+            c = lifted
+        else:
+            acc = get((c,), 0) + n * scale
+            if acc:
+                store[(c,)] = acc
+            else:
+                del store[(c,)]
+
+
+def _add_derivative(store: dict, num: dict, i: int, limit: int, scale: int) -> None:
+    """Add ``scale`` times D_i of the numerators ``num`` into ``store`` in
+    place, raising ``_BeyondBound`` at a lift beyond ``limit``.
 
     Each occurrence of an id in a monomial adds the numerator once: x^i is
     dropped, and a y/z id is replaced by its lift, which goes where it
@@ -825,7 +862,7 @@ def _add_total_derivative(store: dict, e: Expr, i: int, limit: int, scale: int) 
     """
     lifts, orders = _LIFTS.setdefault(i, {}), _ORDERS
     get = store.get
-    for mono, n in e._num.items():
+    for mono, n in num.items():
         n *= scale
         for pos, c in enumerate(mono):
             lifted = lifts.get(c)
@@ -837,7 +874,7 @@ def _add_total_derivative(store: dict, e: Expr, i: int, limit: int, scale: int) 
                 image = mono[:pos] + mono[pos + 1 :]
             else:
                 if orders[lifted] > limit:
-                    _raise_order_bound(e, i, limit)
+                    raise _BeyondBound
                 if len(mono) == 1:
                     image = (lifted,)
                 elif mono[-1] <= lifted:
@@ -857,29 +894,69 @@ def _add_total_derivative(store: dict, e: Expr, i: int, limit: int, scale: int) 
                 del store[image]
 
 
-def _raise_order_bound(e: Expr, i: int, limit: int):
+def _order_bound_error(e: Expr, i: int, limit: int) -> ValueError:
     """The jet-order error of D_i e, for the first coordinate in coordinate
     order whose lift goes beyond ``limit``."""
     for c in sorted(e._ids(), key=_KEYS.__getitem__):
         lifted = _lift(c, i)
         if lifted >= 0 and _ORDERS[lifted] > limit:
-            raise ValueError(
+            return ValueError(
                 f"total derivative would need jet order {_ORDERS[lifted]} "
                 f"beyond the allowed order {limit}"
             )
 
 
-def times_lifts(e: Expr, coords: Sequence, directions: Sequence[int], sign: int) -> Expr:
-    """``sign * e`` times the D_i lift of each y/z coordinate in ``coords``,
-    z^a_I -> z^a_{I+i} with i the matching entry of ``directions``, for
-    sign = +-1; the lifts are read from the lift table D_i reads."""
-    ids = []
-    for coord, i in zip(coords, directions):
-        lifted = _lift(_id(coord), i)
-        if lifted < 0:
-            raise ValueError(f"{render_coordinate(coord)} has no holonomic lift")
-        ids.append(lifted)
-    return e._times_monomial(tuple(ids), sign)
+def sum_of_products(terms) -> Expr:
+    """sum sign * a * b over the (a, b, sign) triples of Exprs a, b and
+    sign = +-1, added into one sum of numerators over the lcm of the
+    products' denominators."""
+    terms = list(terms)
+    den = lcm(*(a._den * b._den for a, b, _ in terms))
+    store: dict = {}
+    for a, b, sign in terms:
+        if a._num and b._num:
+            _add_product(store, a, b, sign * (den // (a._den * b._den)))
+    return _reduced(store, den)
+
+
+def _add_product(store: dict, a: Expr, b: Expr, scale: int) -> None:
+    """Add ``scale`` times the numerators of a * b into ``store`` in place.
+
+    A factor that is one monomial goes into each monomial of the other: a
+    single id after a last id no larger than it, or else where
+    ``bisect_right`` places it, and several ids by a sort.  Any other pair
+    takes the double loop.
+    """
+    if len(a._num) == 1:
+        a, b = b, a
+    get = store.get
+    if len(b._num) != 1:
+        for mono_a, n_a in a._num.items():
+            n_a *= scale
+            for mono_b, n_b in b._num.items():
+                mono = tuple(sorted(mono_a + mono_b))
+                acc = get(mono, 0) + n_a * n_b
+                if acc:
+                    store[mono] = acc
+                else:
+                    del store[mono]
+        return
+    (ids, n_b), = b._num.items()
+    n_b *= scale
+    cid = ids[0] if len(ids) == 1 else None
+    for mono, n in a._num.items():
+        if cid is None:
+            mono = tuple(sorted(mono + ids)) if ids else mono
+        elif not mono or mono[-1] <= cid:
+            mono = mono + ids
+        else:
+            pos = bisect_right(mono, cid)
+            mono = mono[:pos] + ids + mono[pos:]
+        acc = get(mono, 0) + n * n_b
+        if acc:
+            store[mono] = acc
+        else:
+            del store[mono]
 
 
 # -- polynomial sections -----------------------------------------------------

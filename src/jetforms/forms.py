@@ -21,11 +21,14 @@ rewrites dy^a -> z^a_(i) dx^i and dz^a_I -> z^a_{I+i} dx^i, which is exactly
 what pulling back along the jet extension of an arbitrary section does to the
 form part.  It is a map per term: each dy/dz factor takes one of the base
 directions the term's dx factors leave free, injectively, and the sign is the
-parity of that choice.  ``expressions.times_lifts`` multiplies the
-coefficient by the lifts, read from the lift table ``total_derivative`` reads
-too, so the interned coordinate ids stay inside ``jetforms.expressions``.  A
-form pulls back to zero along every section iff its reduction is the zero
-form, because jets of polynomial sections realize every combination of
+parity of that choice.  Each choice names its lifts as coordinates,
+z^a_{I+i} = ``jet_coord(a, I + (i,))``, in one monomial, and the terms
+landing on one dx wedge are summed by one ``expressions.sum_of_products``
+of their (coefficient, lifts, sign) triples: each lift goes into the
+coefficient's monomials as it is added, with no product Expr per term, and
+the interned coordinate ids stay inside ``jetforms.expressions``.  A form
+pulls back to zero along every section iff its reduction is the zero form,
+because jets of polynomial sections realize every combination of
 coordinate values.
 
 The "for every source-vertical X" conditions on boundary and De Donder forms
@@ -38,8 +41,11 @@ from itertools import combinations, permutations
 from typing import Mapping, Sequence
 
 from .expressions import Expr, PolynomialSection, render_coordinate, render_expr
-from .expressions import substitute_section, sum_by_key, times_lifts
-from .jets import JetConfig, base_coord, coordinate_order, coordinate_sort_key
+from .expressions import substitute_section, sum_by_key, sum_of_products
+from .jets import JetConfig, base_coord, coordinate_order, coordinate_sort_key, jet_coord
+
+
+_ONE = Expr.one()
 
 
 def _merge_wedges(wedge_a: tuple, wedge_b: tuple):
@@ -242,28 +248,31 @@ def holonomic_reduce(form: DifferentialForm, cfg: JetConfig) -> DifferentialForm
     every section sigma.  Each term maps directly, as the module docstring
     describes: a factor dy^a or dz^a_I in direction i becomes z^a_{I+i} dx^i.
     """
-
-    def pairs():
-        for wedge_key, coeff in form.terms():
-            fixed = tuple(b[1] for b in wedge_key if b[0] == "x")
-            # the canonical order puts every dx factor first
-            vertical = wedge_key[len(fixed) :]
-            top = max((coordinate_order(b) + 1 for b in vertical), default=0)
-            if top > cfg.expression_order:
-                raise ValueError(
-                    f"holonomic reduction needs jet order {top} "
-                    f"beyond the allowed order {cfg.expression_order}"
-                )
-            free = [i for i in range(1, cfg.m + 1) if i not in fixed]
-            for choice in permutations(free, len(vertical)):
-                order = fixed + choice
-                inversions = sum(u > v for u, v in combinations(order, 2))
-                sign = -1 if inversions % 2 else 1
-                yield tuple(base_coord(i) for i in sorted(order)), times_lifts(
-                    coeff, vertical, choice, sign
-                )
-
-    return DifferentialForm(form.degree, sum_by_key(pairs()))
+    groups: dict = {}  # output wedge -> (coefficient, lifts, sign) triples
+    for wedge_key, coeff in form.terms():
+        fixed = tuple(b[1] for b in wedge_key if b[0] == "x")
+        # the canonical order puts every dx factor first
+        vertical = wedge_key[len(fixed) :]
+        top = max((coordinate_order(b) + 1 for b in vertical), default=0)
+        if top > cfg.expression_order:
+            raise ValueError(
+                f"holonomic reduction needs jet order {top} "
+                f"beyond the allowed order {cfg.expression_order}"
+            )
+        free = [i for i in range(1, cfg.m + 1) if i not in fixed]
+        for choice in permutations(free, len(vertical)):
+            order = fixed + choice
+            inversions = sum(u > v for u, v in combinations(order, 2))
+            lifts = _ONE
+            for b, i in zip(vertical, choice):
+                if b[0] not in ("y", "z"):
+                    raise ValueError(f"{render_coordinate(b)} has no holonomic lift")
+                indices = b[2] if b[0] == "z" else ()
+                lifts = lifts * Expr.variable(jet_coord(b[1], indices + (i,)))
+            groups.setdefault(tuple(base_coord(i) for i in sorted(order)), []).append(
+                (coeff, lifts, -1 if inversions % 2 else 1))
+    reduced = ((wedge, sum_of_products(terms)) for wedge, terms in groups.items())
+    return DifferentialForm(form.degree, {wedge: e for wedge, e in reduced if not e.is_zero})
 
 
 def holonomic_pullback(

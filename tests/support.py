@@ -3,34 +3,38 @@ basis one-forms dc, the contact forms of a jet space, the boundary form
 summed from them, the contact-ideal test built from them, the one-scan
 vertical contractions of a form and their holonomic reductions, a seeded
 random polynomial generator, generic sections with free coefficients, the
-wave example's Lagrangian built in Python, a reference ring, the determinant
-by minors, the problem tokenizer as a character loop, the Expr kernels the library replaced, and the prolongation,
-symmetry test, characteristic jets and currents by the total derivatives of
-the characteristic Q^a, the Cauchy step and slice energy as they were
-before each spectral operation ran once, powers by repeated multiplication,
-the comparison of two boundary forms by their full tables' difference, and
-the substitution of an arbitrary coordinate map, which runs the library's
-substitution loop with a table of images made for the call (for the
-property tests of that loop; the other tests set coordinates to rational
-numbers through the public ``terms()``, by ``at_rationals``).
+wave example's Lagrangian built in Python, a reference ring, the
+determinant by minors, the problem tokenizer as a character loop, the Expr
+kernels the library replaced, holonomic reduction with one product Expr
+per term and choice of directions (``times_lifts``), the Euler operator
+with D_{I[:-1]} of each partial formed by a chain of total derivatives,
+and the prolongation, symmetry test, characteristic jets and currents by
+the total derivatives of the characteristic Q^a, the Cauchy step and slice
+energy as they were before each spectral operation ran once, powers by
+repeated multiplication, the comparison of two boundary forms by their
+full tables' difference, and the substitution of an arbitrary coordinate
+map, which runs the library's substitution loop with a table of images
+made for the call (for the property tests of that loop; the other tests
+set coordinates to rational numbers through the public ``terms()``, by
+``at_rationals``).
 
 The library reaches the same statements by other routes (prolongation by
 the recursive formula, the symmetry test through E d_m x in one scan of L,
 the characteristic jets and currents read off the prolonged components, the
 boundary-form conditions through the splitting system of the coefficients,
 the boundary form written from its coefficient table, the wave example
-read from its fixture,
-integer numerators over one denominator, D_i in one pass over the
-monomials, substitution through one table of images per coordinate, a
+read from its fixture, integer numerators over one denominator, D_i in one
+pass over the monomials, D_I of each partial and the sums of products in
+one store, substitution through one table of images per coordinate, a
 section's substitution through the section's own table of images,
 products with one monomial by insertion, monomials over interned
-coordinate ids, the
-determinant by elimination, the problem tokenizer by one regular
-expression, the Cauchy step into preallocated buffers, the slice energy
-from per-grid weights, powers by the multinomial theorem and the comparison
-through the parts the two tables share); these stay as independent
-references.  The kernels read an Expr only through ``terms()``, so they work
-on coordinate monomials whatever ids the library gives the coordinates.
+coordinate ids, the determinant by elimination, the problem tokenizer by
+one regular expression, the Cauchy step into preallocated buffers, the
+slice energy from per-grid weights, powers by the multinomial theorem and
+the comparison through the parts the two tables share); these stay as
+independent references.  The kernels read an Expr only through
+``terms()``, so they work on coordinate monomials whatever ids the library
+gives the coordinates.
 """
 from __future__ import annotations
 
@@ -54,8 +58,10 @@ from jetforms.expressions import (
     PolynomialSection,
     _expr,
     _substituted,
+    render_coordinate,
     substitute_section,
     sum_by_key,
+    sum_of_total_derivatives,
     total_derivative,
     z_var,
 )
@@ -70,6 +76,7 @@ from jetforms.forms import (
 from jetforms.jets import (
     JetConfig,
     base_coord,
+    coordinate_order,
     coordinate_sort_key,
     enumerate_coordinates,
     field_coord,
@@ -398,6 +405,65 @@ def two_pass_total_derivative(
             lifted = jet_coord(coord[1], tuple(sorted(I + (i,))))
             terms.append(generic_product(partial, Expr.variable(lifted)))
     return Expr.sum(terms)
+
+
+def times_lifts(e: Expr, coords, directions, sign: int) -> Expr:
+    """``sign * e`` times the D_i lift of each y/z coordinate in ``coords``,
+    z^a_I -> z^a_{I+i} with i the matching entry of ``directions``, for
+    sign = +-1, one product per lift: the per-term product that holonomic
+    reduction formed before it summed each wedge's terms in one store."""
+    out = e if sign == 1 else -e
+    for coord, i in zip(coords, directions):
+        if coord[0] not in ("y", "z"):
+            raise ValueError(f"{render_coordinate(coord)} has no holonomic lift")
+        indices = coord[2] if coord[0] == "z" else ()
+        out = out * Expr.variable(jet_coord(coord[1], indices + (i,)))
+    return out
+
+
+def per_term_holonomic_reduce(form: DifferentialForm, cfg: JetConfig) -> DifferentialForm:
+    """holonomic_reduce as one Expr per term and choice of directions, each
+    the coefficient times its lifts by :func:`times_lifts`, summed by wedge
+    through ``sum_by_key``."""
+
+    def pairs():
+        for wedge_key, coeff in form.terms():
+            fixed = tuple(b[1] for b in wedge_key if b[0] == "x")
+            vertical = wedge_key[len(fixed) :]
+            top = max((coordinate_order(b) + 1 for b in vertical), default=0)
+            if top > cfg.expression_order:
+                raise ValueError(
+                    f"holonomic reduction needs jet order {top} "
+                    f"beyond the allowed order {cfg.expression_order}"
+                )
+            free = [i for i in range(1, cfg.m + 1) if i not in fixed]
+            for choice in itertools.permutations(free, len(vertical)):
+                order = fixed + choice
+                inversions = sum(u > v for u, v in itertools.combinations(order, 2))
+                sign = -1 if inversions % 2 else 1
+                yield tuple(base_coord(i) for i in sorted(order)), times_lifts(
+                    coeff, vertical, choice, sign
+                )
+
+    return DifferentialForm(form.degree, sum_by_key(pairs()))
+
+
+def chain_lagrange_derivative(cfg: JetConfig, L: Expr) -> list:
+    """lagrange_derivative with D_{I[:-1]} of each partial formed as an Expr
+    by a chain of ``total_derivative`` calls, the last D of each term summed
+    by ``sum_of_total_derivatives``, and dL/dy^a added on after."""
+    order = cfg.expression_order
+    plain = {a: Expr.zero() for a in range(1, cfg.n + 1)}
+    outer: dict = {a: [] for a in plain}
+    for c, term in PhiDecomposition.of_lagrangian(cfg, L).components.items():
+        if c[0] == "y":
+            plain[c[1]] = term
+            continue
+        I = c[2]
+        for i in I[:-1]:
+            term = total_derivative(term, i, cfg, max_order=order)
+        outer[c[1]].append((term, (I[-1],), -1 if len(I) % 2 else 1))
+    return [plain[a] + sum_of_total_derivatives(outer[a], cfg, order) for a in plain]
 
 
 def repeated_power(base: Expr, exponent: int) -> Expr:

@@ -51,12 +51,14 @@ from jetforms.jets import (
     field_coord,
     jet_coord,
     multiindices,
+    splittings,
 )
 from jetforms.wave import wave_problem
 from tests.support import (
     basis_form,
     coeff_symbol,
     contact_form,
+    per_term_holonomic_reduce,
     random_expr,
     reference_compare_boundary_forms,
     vertical_contractions,
@@ -231,20 +233,44 @@ def test_comparison_reads_the_divergences_of_the_difference():
 
 
 def count_total_derivatives(monkeypatch, calls: list) -> None:
-    """Record in ``calls`` every D_i that dedonder applies, one entry per
-    (e, i) whether it is taken alone or as a term of a sum."""
+    """Record in ``calls`` every D_i that dedonder applies, all of them as
+    terms of sum_of_total_derivatives: one entry per (e, direction), where a
+    term D_I e adds one entry per direction of I."""
     summed = dedonder.sum_of_total_derivatives
-
-    def counting(e, i, *rest, **options):
-        calls.append((e, i))
-        return total_derivative(e, i, *rest, **options)
+    assert not hasattr(dedonder, "total_derivative")
 
     def counting_sum(terms, *rest, **options):
-        calls.extend((e, i) for e, i, _ in terms)
+        calls.extend((e, i) for e, I, _ in terms for i in I)
         return summed(terms, *rest, **options)
 
-    monkeypatch.setattr(dedonder, "total_derivative", counting)
     monkeypatch.setattr(dedonder, "sum_of_total_derivatives", counting_sum)
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 2), (3, 2, 2), (2, 2, 3), (3, 2, 3)],
+                         ids=lambda shape: "-".join(map(str, shape)))
+def test_holonomic_reduce_of_xi_matches_the_per_term_lifts(shape):
+    # Xi reduces to zero, its dz terms and d_m x coefficient cancelling in
+    # one store; Theta reduces to L d_m x; a contraction of dTheta keeps
+    # terms on several dx wedges
+    rng = random.Random(sum(shape))
+    cfg = JetConfig(*shape)
+    L = random_expr(rng, cfg, cfg.k, degree=2, terms=6) * Fraction(1, 3)
+    derivation = derive(cfg, L)
+    theta = derivation.theta_symmetric
+    # +q and -q on the first two splittings of each top-level index
+    delta: dict = {}
+    for a in range(1, cfg.n + 1):
+        for I in multiindices(cfg.m, cfg.k):
+            parts = splittings(I)
+            if len(parts) > 1:
+                delta[(a, *parts[0])] = z_var(a, (1,)) * len(I)
+                delta[(a, *parts[1])] = -z_var(a, (1,)) * len(I)
+    skew = derivation.skew_boundary(delta)
+    contracted = interior_product(basis_vector(jet_coord(1, (1,))), theta.form.d())
+    for form in (theta.boundary.form, skew.form, theta.form, contracted):
+        assert holonomic_reduce(form, cfg) == per_term_holonomic_reduce(form, cfg)
+    assert holonomic_reduce(theta.boundary.form, cfg).is_zero
+    assert holonomic_reduce(theta.form, cfg) == volume_form(cfg) * L
 
 
 def test_checks_on_a_solved_table_compute_no_total_derivative(monkeypatch):

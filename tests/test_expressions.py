@@ -10,7 +10,8 @@ from jetforms.expressions import (
     PolynomialSection,
     render_expr,
     substitute_section,
-    times_lifts,
+    sum_of_products,
+    sum_of_total_derivatives,
     total_derivative,
     x_var,
     y_var,
@@ -31,6 +32,7 @@ from tests.support import (
     numerators,
     per_monomial_substitute,
     random_expr,
+    times_lifts,
 )
 
 
@@ -341,6 +343,10 @@ def test_monomial_kernel_matches_the_generic_product():
 
 
 def test_times_lifts_multiplies_by_the_holonomic_lifts():
+    # the per-term reference of holonomic reduction against the generic
+    # product, and sum_of_products of the coefficient, the lifts as one
+    # monomial and the sign, the triple holonomic_reduce hands it, against
+    # both
     rng = random.Random(23)
     cfg = JetConfig(3, 2, 2)
     vertical = [c for c in enumerate_coordinates(cfg, 1) if c[0] != "x"]
@@ -350,22 +356,74 @@ def test_times_lifts_multiplies_by_the_holonomic_lifts():
         directions = [rng.randint(1, cfg.m) for _ in coords]
         sign = rng.choice((1, -1))
         expected = generic_product(e, Expr.constant(sign))
+        lifts = []
         for coord, i in zip(coords, directions):
             indices = coord[2] if coord[0] == "z" else ()
-            lift = jet_coord(coord[1], tuple(sorted(indices + (i,))))
-            expected = generic_product(expected, Expr.variable(lift))
-        got = times_lifts(e, coords, directions, sign)
-        assert got == expected
-        assert list(got.terms()) == list(expected.terms())
+            lifts.append((jet_coord(coord[1], tuple(sorted(indices + (i,)))), 1))
+            expected = generic_product(expected, Expr.variable(lifts[-1][0]))
+        for got in (times_lifts(e, coords, directions, sign),
+                    sum_of_products([(e, Expr([(lifts, 1)]), sign)])):
+            assert got == expected
+            assert list(got.terms()) == list(expected.terms())
     for constant in (base_coord(1), ("c", "k")):
         with pytest.raises(ValueError, match="has no holonomic lift"):
             times_lifts(Expr.one(), [constant], [1], 1)
 
 
-def test_times_lifts_with_no_lifts_shares_the_expr():
-    # holonomic reduction multiplies every dx-only coefficient by no lifts
+def test_a_product_by_plus_or_minus_one_keeps_the_terms():
+    # holonomic reduction hands every dx-only coefficient to sum_of_products
+    # times 1 and a sign; here also times -1, on either side of the pair
     e = x_var(1) * z_var(1, (2,)) + Fraction(1, 3)
-    assert times_lifts(e, (), (), 1) is e
-    negated = times_lifts(e, (), (), -1)
-    assert negated == -e
-    assert list(negated.terms()) == list((-e).terms())
+    for unit, sign, expected in ((Expr.one(), 1, e), (Expr.one(), -1, -e), (-Expr.one(), 1, -e)):
+        for a, b in ((e, unit), (unit, e)):
+            got = sum_of_products([(a, b, sign)])
+            assert got == expected
+            assert list(got.terms()) == list(expected.terms())
+            assert_canonical(got)
+
+
+def test_sum_of_products_examples():
+    # -1 times a coordinate, a monomial of two ids times a constant plus x,
+    # a pair of two terms each with the sign -1, and the denominators 2 and
+    # 3 over their lcm
+    z1, z2, x1 = z_var(1, (1,)), z_var(1, (2,)), x_var(1)
+    terms = [(-z2, z1 * x1 + z2 / 2, 1), (z1 * z2, Fraction(1, 3) + x1, 1),
+             (z1 + x1, z1 - x1, -1), (Expr.zero(), z1, 1)]
+    got = sum_of_products(terms)
+    expected = Expr.sum(generic_product(a, b) * sign for a, b, sign in terms)
+    assert got == expected
+    assert list(got.terms()) == list(expected.terms())
+    assert_canonical(got)
+    assert sum_of_products([]) == Expr.zero()
+
+
+def test_derivation_inserts_one_id_images_in_order():
+    # each coordinate of the monomials is sent to another of them, so that
+    # images land before, between and after the ids of the rest
+    coords = [base_coord(1), field_coord(1), jet_coord(1, (1,)), jet_coord(1, (1, 2))]
+    e = Expr.monomial({c: 1 for c in coords}, 3) - Expr.monomial({coords[0]: 2, coords[2]: 1})
+    for shift in (1, 2, 3):
+        field = {c: Expr.variable(coords[(k + shift) % 4]) * (k + 1)
+                 for k, c in enumerate(coords)}
+        got = e.derivation(field, Expr.zero())
+        expected = Expr.sum(generic_product(field[c], part) for c, part in e.gradient().items())
+        assert got == expected
+        assert list(got.terms()) == list(expected.terms())
+        assert_canonical(got)
+
+
+def test_a_multi_index_derivative_is_the_chain_of_single_ones():
+    # lone ids up the lift table, x^i lowered then sent to zero, and longer
+    # monomials by the Leibniz rule, against total_derivative one direction
+    # after another
+    cfg = JetConfig(2, 1, 3)
+    z1 = z_var(1, (1,))
+    assert sum_of_total_derivatives([(z1, (1, 2), 1)], cfg) == z_var(1, (1, 1, 2))
+    for e in (z1 * 5, x_var(1) ** 2, x_var(1) * y_var(1) * z1 / 3, y_var(1) ** 2 - z_var(1, (2,)),
+              Expr.variable(("c", "k")) * z1 + 1):
+        for I in ((1,), (2, 1), (2, 1, 1)):
+            chain = e
+            for i in I:
+                chain = total_derivative(chain, i, cfg, cfg.expression_order)
+            got = sum_of_total_derivatives([(e, I, -1)], cfg, cfg.expression_order)
+            assert got == -chain, (e, I)

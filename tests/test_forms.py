@@ -235,6 +235,15 @@ def test_holonomic_reduce_rejects_order_overflow():
     )
 
 
+def test_holonomic_reduce_rejects_a_factor_with_no_lift():
+    # a coefficient symbol is a constant of every D_i, so dc has no holonomic
+    # relation; the wedge is built by hand, as d never writes one
+    cfg = JetConfig(2, 1, 2)
+    form = DifferentialForm(2, {(base_coord(1), ("c", "k")): z_var(1, (1,))})
+    with pytest.raises(ValueError, match=r"c\[k\] has no holonomic lift"):
+        holonomic_reduce(form, cfg)
+
+
 def test_form_sum_equals_left_fold_of_add():
     rng = random.Random(4)
     cfg = JetConfig(2, 2, 1)

@@ -1,7 +1,11 @@
 """Property tests of the exact core: the Expr ring against the reference
 Fraction-dict ring, its canonical form, the product, D_i and substitution
-kernels against the ones they replaced, the derivation along a field
-against the gradient of the reference ring, d, Cartan's formula, the
+kernels against the ones they replaced, D_I against the chain of single
+D_i, the sum of products against the sum of the products, holonomic
+reduction against one product per term, the Lagrange derivative against
+the chain of total derivatives, the derivation along a field against the
+gradient of the reference ring and, for images of one id, against the
+route of the reference symmetry test, d, Cartan's formula, the
 prolongation commutator, the recursive prolongation, the characteristic
 jets, the symmetry residual and the currents against their routes through
 the total derivatives of Q^a, the coefficient identity that condition 3, the De
@@ -11,7 +15,8 @@ coefficient table against the contact-form reference and its pullback
 against zero, the skew solve by linearity against a fresh solve, and the
 Lagrange derivative against Phi_a - sum_i D_i p^i_a on the symmetric and the
 skew table, the skew table's splitting sums and d_m x coefficient against a
-fresh computation, substitution through a section against the
+fresh computation, the d_m x coefficient against one product per splitting
+sum, substitution through a section against the
 replacement map it replaced, and the structural checks of Xi on every
 table whose keys pass the key check, and a band-limited Cauchy state's
 steps and slice energies against the full-spectrum references.  These are
@@ -57,6 +62,7 @@ from jetforms.expressions import (  # noqa: E402
     PolynomialSection,
     render_expr,
     substitute_section,
+    sum_of_products,
     sum_of_total_derivatives,
     total_derivative,
 )
@@ -82,10 +88,12 @@ from tests.support import (  # noqa: E402
     ReferenceExpr,
     assert_canonical,
     basis_form,
+    chain_lagrange_derivative,
     contact_boundary_form,
     generic_product,
     lie_derivative,
     per_monomial_substitute,
+    per_term_holonomic_reduce,
     reduced_vertical_contractions,
     reference_characteristic_jets,
     reference_is_symmetry,
@@ -317,8 +325,23 @@ def test_power_matches_repeated_multiplication(base, exponent):
 
 
 def signed_two_pass_sum(terms, cfg, max_order):
-    """sum sign * D_i e by the two-pass kernel, one triple after another."""
-    return Expr.sum(sign * two_pass_total_derivative(e, i, cfg, max_order) for e, i, sign in terms)
+    """sum sign * D_i e by the two-pass kernel over (e, (i,), sign), one
+    triple after another."""
+    return Expr.sum(
+        sign * two_pass_total_derivative(e, i, cfg, max_order) for e, (i,), sign in terms
+    )
+
+
+def chain_of_single_derivatives(terms, cfg, max_order):
+    """sum sign * D_I e as the chain of total_derivative calls, one direction
+    of I after another, one triple after another."""
+
+    def chain(e, I):
+        for i in I:
+            e = total_derivative(e, i, cfg, max_order)
+        return e
+
+    return Expr.sum(sign * chain(e, I) for e, I, sign in terms)
 
 
 # operands below the top jet order, whose D_i meets no bound, besides the
@@ -334,7 +357,8 @@ derivative_operands = st.one_of(
 
 
 @settings(PROPERTY, max_examples=80)
-@given(st.lists(st.tuples(derivative_operands, st.integers(1, 2), st.sampled_from((1, -1))),
+@given(st.lists(st.tuples(derivative_operands, st.tuples(st.integers(1, 2)),
+                          st.sampled_from((1, -1))),
                 max_size=4),
        st.sampled_from((None, 3, 4)))
 def test_sum_of_total_derivatives_matches_the_two_pass_kernel(terms, max_order):
@@ -348,15 +372,63 @@ def test_sum_of_total_derivatives_matches_the_two_pass_kernel(terms, max_order):
 
 
 def test_sum_of_total_derivatives_checks_every_direction_first():
-    # the first triple would meet the order bound; the direction of the second
+    # the first triple would meet the order bound; a direction of the second
     # is out of range, and that is the error, raised before any derivative
     top = Expr.variable(jet_coord(1, (1, 1, 1)))
     for i in (0, 3):
-        with pytest.raises(ValueError, match=rf"base index {i} out of range 1\.\.2"):
-            sum_of_total_derivatives([(top, 1, 1), (top, i, -1)], CFG)
+        for I in ((i,), (1, i), (2, 1, i)):
+            with pytest.raises(ValueError, match=rf"base index {i} out of range 1\.\.2"):
+                sum_of_total_derivatives([(top, (1,), 1), (top, I, -1)], CFG)
     with pytest.raises(ValueError, match="jet order 4 beyond the allowed order 3"):
-        sum_of_total_derivatives([(top, 1, 1), (top, 2, -1)], CFG)
+        sum_of_total_derivatives([(top, (1,), 1), (top, (2,), -1)], CFG)
     assert sum_of_total_derivatives([], CFG) == Expr.zero()
+
+
+# Exprs of degree 0 to 3: x factors, coefficient symbols, y and z up to the
+# working order, a coordinate listed twice adding its exponents, and
+# coefficients over several denominators
+chain_operands = st.lists(
+    st.tuples(st.lists(st.sampled_from(KERNEL_COORDS), max_size=3), rationals), max_size=4
+).map(lambda terms: Expr([([(c, 1) for c in coords], q) for coords, q in terms]))
+
+
+@settings(PROPERTY, max_examples=80)
+@given(st.lists(st.tuples(chain_operands, st.lists(st.integers(1, 2), min_size=1, max_size=3)
+                          .map(tuple), st.sampled_from((1, -1))),
+                max_size=4),
+       st.sampled_from((None, 4, 6)))
+def test_sum_of_total_derivatives_takes_a_multi_index_as_the_chain_of_single_ones(terms,
+                                                                                  max_order):
+    # one-id monomials up the lift table, longer ones by the Leibniz rule,
+    # x^i lowered and then sent to zero, and the chain's error where a lift
+    # passes the bound
+    got = outcome(sum_of_total_derivatives, terms, CFG, max_order)
+    assert got == outcome(chain_of_single_derivatives, terms, CFG, max_order)
+    if not got.startswith("ValueError"):
+        assert_canonical(sum_of_total_derivatives(terms, CFG, max_order))
+        # the empty multi-index is the identity
+        empty = [(e, (), sign) for e, _, sign in terms]
+        assert sum_of_total_derivatives(empty, CFG) == Expr.sum(sign * e for e, _, sign in empty)
+
+
+# factors for the product kernel: the kernel operands, zero and other
+# constants over several denominators, and +-1 times one monomial
+product_factors = st.one_of(
+    kernel_operands,
+    st.builds(Expr.constant, rationals),
+    st.builds(Expr.monomial, kernel_monomials, st.sampled_from((1, -1))),
+)
+
+
+@PROPERTY
+@given(st.lists(st.tuples(product_factors, product_factors, st.sampled_from((1, -1))),
+                max_size=4))
+def test_sum_of_products_matches_the_sum_of_the_products(terms):
+    got = sum_of_products(terms)
+    expected = Expr.sum(generic_product(a, b) * sign for a, b, sign in terms)
+    assert got == expected == Expr.sum(a * b * sign for a, b, sign in terms)
+    assert list(got.terms()) == list(expected.terms())
+    assert_canonical(got)
 
 
 @PROPERTY
@@ -407,6 +479,33 @@ def test_derivation_matches_the_gradient_of_the_reference_ring(u, field, weight)
                            (a.derivation(values, Expr.zero()), expected - rw * ra)):
         assert render_expr(got) == render_expr(reference)
         assert_canonical(got)
+
+
+# images of one id, rational multiples of one coordinate, as the prolonged
+# components of a field affine in x and y are, and constants
+one_id_images = st.one_of(
+    st.builds(lambda c, q: Expr.monomial({c: 1}, q), st.sampled_from(KERNEL_COORDS), rationals),
+    st.builds(Expr.constant, rationals),
+)
+
+
+@PROPERTY
+@given(kernel_operands,
+       st.dictionaries(st.sampled_from(FIELD_COORDS),
+                       st.lists(one_id_images, max_size=2).map(Expr.sum), max_size=4),
+       one_id_images)
+def test_derivation_along_one_id_images_matches_the_route_of_the_reference_symmetry_test(
+        a, field, weight):
+    # reference_is_symmetry's route: every entry times its partial, plus the
+    # weight times the expression, by the generic product
+    got = a.derivation(field, weight)
+    expected = Expr.sum(
+        [generic_product(field[c], part) for c, part in a.gradient().items() if c in field]
+        + [generic_product(a, weight)]
+    )
+    assert got == expected
+    assert list(got.terms()) == list(expected.terms())
+    assert_canonical(got)
 
 
 @PROPERTY
@@ -462,7 +561,7 @@ def test_terms_come_in_coordinate_order_whatever_the_ids(a, b, i, max_order):
     # alone and inside a sum
     got = outcome(total_derivative, a, i, CFG, max_order)
     assert got == outcome(two_pass_total_derivative, a, i, CFG, max_order)
-    terms = [(b, 3 - i, 1), (a, i, -1)]
+    terms = [(b, (3 - i,), 1), (a, (i,), -1)]
     got = outcome(sum_of_total_derivatives, terms, CFG, max_order)
     assert got == outcome(signed_two_pass_sum, terms, CFG, max_order)
     gradient = a.gradient()
@@ -506,6 +605,20 @@ def coordinate_lie_derivative(X, form):
 @given(fields, st.integers(0, 2).flatmap(forms))
 def test_cartan_formula(X, alpha):
     assert lie_derivative(X, alpha) == coordinate_lie_derivative(X, alpha)
+
+
+@PROPERTY
+@given(st.integers(0, CFG.m).flatmap(forms))
+def test_holonomic_reduce_matches_the_per_term_lifts(form):
+    # each wedge's terms summed through one sum_of_products against one Expr
+    # per term and choice of directions, coefficients over several
+    # denominators
+    got = holonomic_reduce(form, CFG)
+    expected = per_term_holonomic_reduce(form, CFG)
+    assert got.degree == expected.degree == form.degree
+    assert dict(got.terms()) == dict(expected.terms())
+    for _, coeff in got.terms():
+        assert_canonical(coeff)
 
 
 @PROPERTY
@@ -800,6 +913,38 @@ def test_perturbed_splitting_sums_and_volume_coefficient_equal_a_fresh_computati
 
 
 # prolongation shapes up to 2k - 1 = 3 and m = 3
+@st.composite
+def lagrangians(draw):
+    """(cfg, L) at a perturbation shape: x, y, z up to order k and a
+    coefficient symbol, degree up to 6 and coefficients over several
+    denominators."""
+    cfg = JetConfig(*draw(st.sampled_from(PERTURBATION_SHAPES)))
+    return cfg, draw(polynomials(enumerate_coordinates(cfg, cfg.k) + [("c", "s")]))
+
+
+@PROPERTY
+@given(lagrangians())
+def test_lagrange_derivative_matches_the_chain_of_total_derivatives(problem):
+    cfg, lagrangian = problem
+    got = lagrange_derivative(cfg, lagrangian)
+    assert got == chain_lagrange_derivative(cfg, lagrangian)
+    for delta in got:
+        assert_canonical(delta)
+
+
+@PROPERTY
+@given(perturbations())
+def test_volume_coefficient_is_minus_z_times_the_splitting_sums(problem):
+    # the product kernel against one product Expr per splitting sum
+    _, dec, delta = problem
+    for coeffs in (symmetric_boundary_coefficients(dec), perturbed_coefficients(dec, delta)):
+        expected = Expr.sum(
+            generic_product(-Expr.variable(c), total)
+            for c, total in coeffs.splitting_sums().items()
+        )
+        assert coeffs.volume_coefficient() == expected
+
+
 FIELD_SHAPES = ((1, 1, 1), (2, 1, 1), (3, 1, 1), (1, 2, 2), (2, 1, 2), (1, 1, 2), (2, 2, 1))
 
 

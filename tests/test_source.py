@@ -398,7 +398,7 @@ def test_no_library_module_imports_a_private_name_of_another():
 
 # the storage of an Expr and the kernels and tables keyed by interned ids,
 # a section's table of images and the method that fills it included
-EXPR_STORAGE_NAMES = {"_num", "_den", "_times_monomial", "_id", "_lift", "_images", "_image"}
+EXPR_STORAGE_NAMES = {"_num", "_den", "_add_product", "_id", "_lift", "_images", "_image"}
 
 
 def _storage_reads(tree):
@@ -420,8 +420,9 @@ def _storage_reads(tree):
 def test_only_expressions_reads_the_storage_of_an_expr():
     # an Expr's monomials are keyed by interned coordinate ids; every other
     # module reads coordinate tuples through terms(), variables() and
-    # gradient() and multiplies by lifts through times_lifts, so the id
-    # layout cannot leak into what it computes
+    # gradient(), and names a lift as the coordinate jet_coord(a, I + (i,))
+    # that holonomic reduction hands to sum_of_products, so the id layout
+    # cannot leak into what it computes
     root = SOURCE.parents[1]
     paths = [
         path
@@ -514,6 +515,42 @@ def test_startup_probe_prints_one_row_per_module_the_command_imports(capsys, mon
     fixture = str(tool.ROOT / tool.FIXTURE)
     assert calls[5] == ["residual", fixture, "--section", "sol"]
     assert calls[-1] == ["residual", fixture]
+
+
+# the API calls of one rung of benchmarks/symbolic_ladder.py
+LADDER_CALLS = {
+    "dedonder." + name for name in (
+        "phi_from_lagrangian", "symmetric_boundary_coefficients", "assemble_boundary_form",
+        "dedonder_form", "lagrange_derivative", "perturbed_coefficients", "verify_condition3",
+        "dedonder_residual", "compare_boundary_forms", "double_vertical_contraction_vanishes")
+} | {"forms.is_semibasic", "forms.holonomic_reduce"} | {
+    "prolongations." + name for name in ("prolong", "is_symmetry", "noether_current")
+}
+
+
+def test_ladder_ab_prints_a_row_for_every_api_call(capsys):
+    # one alternated pass per side, this checkout against itself; this
+    # checks the shape of the table, not the times
+    tool = _load_tool("ladder_ab")
+    root = SOURCE.parents[1]
+    folders = [root / name for name in ("src", "benchmarks", "tools")]
+    before = sorted(path for folder in folders for path in folder.rglob("*"))
+    modules, path, package = set(sys.modules), list(sys.path), sys.modules.get("jetforms")
+    assert tool.main([str(root), str(root), "--passes", "1", "--seed", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "passes 1, seed 2"
+    assert lines[1].startswith("A ") and lines[2].startswith("B ")
+    assert lines[3].startswith("B/A pass ratio: median ")
+    assert lines[4].split() == ["call", "A", "ms", "B", "ms", "B/A"]
+    rows = {name: (float(a), float(b), float(ratio)) for name, a, b, ratio in
+            (line.split() for line in lines[5:])}
+    assert set(rows) == LADDER_CALLS and len(rows) == len(lines) - 5
+    # the copies leave no package behind, and nothing is written into the checkout
+    assert not {name for name in set(sys.modules) - modules if name.startswith("jetforms")}
+    assert sys.path == path and sys.modules.get("jetforms") is package
+    assert sorted(path for folder in folders for path in folder.rglob("*")) == before
+    with pytest.raises(SystemExit):
+        tool.main([str(root), str(root / "tools")])
 
 
 def test_startup_probe_runs_the_checkout_it_is_given(tmp_path, monkeypatch, capsys):

@@ -35,7 +35,15 @@ EXPRESSIONS = "src/jetforms/expressions.py"
 NUMERIC = "src/jetforms/numeric.py"
 PROBLEM = "src/jetforms/problem.py"
 TEST_NUMERIC = "tests/test_numeric.py"
-BAND_PROPERTY = ("tests/test_properties.py::"
+PROPERTIES = "tests/test_properties.py"
+MULTI_INDEX = (f"{PROPERTIES}::"
+               "test_sum_of_total_derivatives_takes_a_multi_index_as_the_chain_of_single_ones")
+EXAMPLE_MULTI_INDEX = ("tests/test_expressions.py::"
+                       "test_a_multi_index_derivative_is_the_chain_of_single_ones")
+ONE_ID_DERIVATION = (f"{PROPERTIES}::"
+                     "test_derivation_along_one_id_images_matches_the_route_of_the_reference_"
+                     "symmetry_test")
+BAND_PROPERTY = (f"{PROPERTIES}::"
                  "test_a_band_limited_state_steps_and_weighs_as_the_full_spectrum_references")
 
 # (name, file, old text, new text, tests expected to kill the mutant)
@@ -67,6 +75,33 @@ MUTANTS = [
      "        ordered = sorted(\n            (sorted([(keys[c]",
      "        ordered = list(\n            (sorted([(keys[c]",
      ("tests/test_expressions.py",)),
+    # D_I in one walk and the product kernel
+    ("one-id-path-lifts-one-direction-too-few", EXPRESSIONS,
+     "        for i, row in rows:\n",
+     "        for i, row in rows[1:]:\n",
+     (EXAMPLE_MULTI_INDEX, MULTI_INDEX,
+      f"{PROPERTIES}::test_lagrange_derivative_matches_the_chain_of_total_derivatives")),
+    ("leibniz-path-drops-an-occurrence", EXPRESSIONS,
+     "images = {mono: n}",
+     "images = {mono[1:]: n}",
+     (EXAMPLE_MULTI_INDEX, MULTI_INDEX)),
+    ("product-kernel-drops-a-factor-sign", EXPRESSIONS,
+     "acc = get(mono, 0) + n * n_b",
+     "acc = get(mono, 0) + n * abs(n_b)",
+     ("tests/test_expressions.py::test_sum_of_products_examples",
+      f"{PROPERTIES}::test_sum_of_products_matches_the_sum_of_the_products",
+      f"{PROPERTIES}::test_volume_coefficient_is_minus_z_times_the_splitting_sums")),
+    ("product-kernel-drops-the-lcm-scale", EXPRESSIONS,
+     "_add_product(store, a, b, sign * (den // (a._den * b._den)))",
+     "_add_product(store, a, b, sign)",
+     ("tests/test_expressions.py::test_sum_of_products_examples",
+      f"{PROPERTIES}::test_sum_of_products_matches_the_sum_of_the_products",
+      f"{PROPERTIES}::test_holonomic_reduce_matches_the_per_term_lifts")),
+    ("derivation-inserts-one-slot-off", EXPRESSIONS,
+     "at = bisect_right(rest, fid)",
+     "at = bisect_right(rest, fid) - 1",
+     ("tests/test_expressions.py::test_derivation_inserts_one_id_images_in_order",
+      ONE_ID_DERIVATION)),
     ("content-reduction-skipped", EXPRESSIONS,
      "            g = gcd(den, *num.values())\n            if g != 1:",
      "            g = gcd(den, *num.values())\n            if False:",
@@ -135,9 +170,11 @@ MUTANTS = [
      "densities[i - 1].append(pull(p) * dq)",
      "densities[i - 1].append(-pull(p) * dq)",
      (f"{TEST_NUMERIC}::test_decomposition_identity_and_invariance",)),
+    # every level l >= 1 of the Euler operator with the sign (-1)^(l+1);
+    # dL/dy^a keeps its sign
     ("lagrange-derivative-level-signs-flipped", DEDONDER,
-     "outer[c[1]].append((term, I[-1], -1 if len(I) % 2 else 1))",
-     "outer[c[1]].append((term, I[-1], 1 if len(I) % 2 else -1))",
+     "terms[c[1]].append((partial, I, -1 if len(I) % 2 else 1))",
+     "terms[c[1]].append((partial, I, (1 if len(I) % 2 else -1) if I else 1))",
      (f"{TEST_NUMERIC}::test_functional_derivative_oracle_matches_lagrange_derivative",
       f"{TEST_NUMERIC}::test_functional_derivative_oracle_random_fixtures")),
     # caught through the oracles' own use of terms(): evaluate_on_grid reads
