@@ -8,8 +8,9 @@ evolve, residual.  Exit codes: 0 all checks passed, 1 a check failed,
 2 parse or semantic error in the input (the problem file or an option such
 as --grid-n), or a derived coefficient with more digits than the
 interpreter converts to text.  Set JETFORMS_LOG=debug to log, on stderr,
-the sizes and stage timings of the symmetric construction and the
-command's wall time.
+the parse's seconds, sum-body evaluations and leaf evaluations, the sizes
+and stage timings of the symmetric construction and the command's wall
+time.
 Output is deterministic: identical inputs give byte-identical output.
 """
 from __future__ import annotations
@@ -410,8 +411,13 @@ def main(argv=None) -> int:
         print(f"error: {args.problem}: not UTF-8 text: {exc}", file=sys.stderr)
         return 2
     report = Report(json_mode=args.json)
+    log = debug_logger()
     try:
-        spec = parse_problem(text)
+        counts, parse_start = {}, time.perf_counter()
+        spec = parse_problem(text, counts)
+        if log is not None:
+            log.debug("parse took %.4f s: %d sum-body evaluations, %d leaf evaluations",
+                      time.perf_counter() - parse_start, counts["sum_bodies"], counts["leaves"])
         try:
             HANDLERS[args.command](spec, report, args)
         except DigitLimitError as exc:  # raised where a derived value is rendered
@@ -431,7 +437,6 @@ def main(argv=None) -> int:
         else:
             print(f"{args.problem}:{exc}", file=sys.stderr)
         return 2
-    log = debug_logger()
     if log is not None:
         log.debug("%s took %.4f s", args.command, time.perf_counter() - start)
     report.emit()

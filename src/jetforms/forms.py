@@ -249,6 +249,10 @@ def holonomic_reduce(form: DifferentialForm, cfg: JetConfig) -> DifferentialForm
     describes: a factor dy^a or dz^a_I in direction i becomes z^a_{I+i} dx^i.
     """
     groups: dict = {}  # output wedge -> (coefficient, lifts, sign) triples
+    # dx indices -> (directions, output wedge, sign) per choice of directions;
+    # a term's lifts are its own, as no (coordinate, direction) pair comes
+    # twice in Xi or in the contractions of dTheta
+    choices_of: dict = {}
     for wedge_key, coeff in form.terms():
         fixed = tuple(b[1] for b in wedge_key if b[0] == "x")
         # the canonical order puts every dx factor first
@@ -259,18 +263,22 @@ def holonomic_reduce(form: DifferentialForm, cfg: JetConfig) -> DifferentialForm
                 f"holonomic reduction needs jet order {top} "
                 f"beyond the allowed order {cfg.expression_order}"
             )
-        free = [i for i in range(1, cfg.m + 1) if i not in fixed]
-        for choice in permutations(free, len(vertical)):
-            order = fixed + choice
-            inversions = sum(u > v for u, v in combinations(order, 2))
+        choices = choices_of.get(fixed)
+        if choices is None:  # every term has the form's degree
+            free = [i for i in range(1, cfg.m + 1) if i not in fixed]
+            choices = choices_of[fixed] = [
+                (choice, tuple(base_coord(i) for i in sorted(fixed + choice)),
+                 -1 if sum(u > v for u, v in combinations(fixed + choice, 2)) % 2 else 1)
+                for choice in permutations(free, len(vertical))
+            ]
+        for choice, wedge, sign in choices:
             lifts = _ONE
             for b, i in zip(vertical, choice):
                 if b[0] not in ("y", "z"):
                     raise ValueError(f"{render_coordinate(b)} has no holonomic lift")
                 indices = b[2] if b[0] == "z" else ()
                 lifts = lifts * Expr.variable(jet_coord(b[1], indices + (i,)))
-            groups.setdefault(tuple(base_coord(i) for i in sorted(order)), []).append(
-                (coeff, lifts, -1 if inversions % 2 else 1))
+            groups.setdefault(wedge, []).append((coeff, lifts, sign))
     reduced = ((wedge, sum_of_products(terms)) for wedge, terms in groups.items())
     return DifferentialForm(form.degree, {wedge: e for wedge, e in reduced if not e.is_zero})
 

@@ -4,9 +4,11 @@ summed from them, the contact-ideal test built from them, the one-scan
 vertical contractions of a form and their holonomic reductions, a seeded
 random polynomial generator, generic sections with free coefficients, the
 wave example's Lagrangian built in Python, a reference ring, the
-determinant by minors, the problem tokenizer as a character loop, the Expr
-kernels the library replaced, holonomic reduction with one product Expr
-per term and choice of directions (``times_lifts``), the Euler operator
+determinant by minors, the problem tokenizer as a character loop, the
+problem parser's expression values with no memo of leaves and one sum per
+sum level, the Expr kernels the library replaced, holonomic reduction with
+one product Expr per term and choice of directions (``times_lifts``), the
+Euler operator
 with D_{I[:-1]} of each partial formed by a chain of total derivatives,
 and the prolongation, symmetry test, characteristic jets and currents by
 the total derivatives of the characteristic Q^a, the Cauchy step and slice
@@ -29,8 +31,10 @@ one store, substitution through one table of images per coordinate, a
 section's substitution through the section's own table of images,
 products with one monomial by insertion, monomials over interned
 coordinate ids, the determinant by elimination, the problem tokenizer by
-one regular expression, the Cauchy step into preallocated buffers, the
-slice energy from per-grid weights, powers by the multinomial theorem and
+one regular expression, the parser's leaves evaluated once per binding
+with nested sums added into one sum, the Cauchy step into preallocated
+buffers, the slice energy from per-grid weights, powers by the multinomial
+theorem and
 the comparison through the parts the two tables share); these stay as
 independent references.  The kernels read an Expr only through
 ``terms()``, so they work on coordinate monomials whatever ids the library
@@ -84,7 +88,17 @@ from jetforms.jets import (
     multiindices,
 )
 from jetforms.numeric import CauchyState, _derivative_symbol, _time_scales, _wavenumbers
-from jetforms.problem import ProblemSyntaxError, _Token
+from jetforms.problem import (
+    ProblemSemanticError,
+    ProblemSyntaxError,
+    _check_product,
+    _constant,
+    _in_range,
+    _int_value,
+    _MAX_DEGREE,
+    _Parser,
+    _Token,
+)
 from jetforms.prolongations import ProjectableField, prolong
 
 
@@ -618,6 +632,158 @@ def reference_tokenize(text: str) -> list:
         raise ProblemSyntaxError(f"unexpected character {ch!r}", line, start_col)
     tokens.append(_Token("end", "", line, column))
     return tokens
+
+
+class ReferenceParser(_Parser):
+    """The problem parser with its expression values as they were before
+    each leaf kept its value per parse, a zero product skipped its later
+    multiplications and nested sums added into one sum: every sum builds
+    its own ``Expr.sum`` over a copy of the bindings, and every leaf checks
+    its indices and builds its value on each evaluation.  The statements,
+    the syntax and the checks outside expressions are the library's."""
+
+    def parse_product(self):
+        first, rest = self.parse_factor(), []
+        while self.peek().kind in ("*", "/") and not self.basis_follows():
+            op = self.advance()
+            rest.append((op, self.parse_factor()))
+        if not rest:
+            return first
+
+        def product(env):
+            value = first(env)
+            for op, factor in rest:
+                if op.kind == "*":
+                    other = factor(env)
+                    _check_product(value, other, op)
+                    value = value * other
+                    continue
+                constant = _constant(factor(env), "division is only allowed by constants", op)
+                if constant == 0:
+                    raise ProblemSemanticError("division by zero", op.line, op.column)
+                value = value / constant
+            return value
+        return product
+
+    def parse_atom(self):
+        token = self.peek()
+        if token.kind == "int":
+            self.advance()
+            value = Expr.constant(_int_value(token))
+            return lambda env: value
+        if token.kind == "float":
+            raise ProblemSyntaxError(
+                "decimal literals are not allowed in expressions; use rationals",
+                token.line, token.column, expected=["an integer"],
+            )
+        if token.kind == "(":
+            self.advance()
+            self.enter(token)
+            value = self.parse_expr()
+            self.depth -= 1
+            self.expect(")")
+            return value
+        if token.kind != "name":
+            raise ProblemSyntaxError(
+                f"unexpected {token.text!r}" if token.kind != "end" else "unexpected end of input",
+                token.line, token.column,
+                expected=["a number", "'('", "'x'", "'y'", "'z'", "'sum'", "a metric name"],
+            )
+        name = token.text
+        self.advance()
+        if name == "sum":
+            self.expect("(")
+            var = self.expect("name", "an index variable").text
+            self.expect(",")
+            lo, _ = self.expect_int("a lower bound")
+            self.expect(",")
+            hi, _ = self.expect_int("an upper bound")
+            self.expect(",")
+            outer = self.evaluations
+            self.evaluations = outer * max(0, hi - lo + 1)
+            if self.evaluations > _MAX_DEGREE:
+                raise ProblemSemanticError(
+                    f"sum evaluates its body {self.evaluations} times, more than {_MAX_DEGREE}",
+                    token.line, token.column,
+                )
+            self.enter(token)
+            body = self.parse_expr()
+            self.depth -= 1
+            self.evaluations = outer
+            self.expect(")")
+
+            def total(env):
+                terms = []
+                for value in range(lo, hi + 1):
+                    terms.append(body({**env, var: value}))
+                return Expr.sum(terms)
+            return total
+        if name in ("x", "y"):
+            self.expect("[")
+            index = self.parse_index()
+            self.expect("]")
+
+            def coordinate(env):
+                bound = self.cfg.m if name == "x" else self.cfg.n
+                idx = _in_range(f"{name} index", index(env), bound, token)
+                return Expr.variable(base_coord(idx) if name == "x" else field_coord(idx))
+            return coordinate
+        if name == "z":
+            self.expect("[")
+            field_index = self.parse_index()
+            self.expect(";")
+            jet_indices = [self.parse_index()]
+            while self.peek().kind in ("int", "name"):
+                jet_indices.append(self.parse_index())
+            self.expect("]")
+
+            def jet(env):
+                cfg = self.cfg
+                a = _in_range("field index", field_index(env), cfg.n, token)
+                indices = [index(env) for index in jet_indices]
+                for idx in indices:
+                    _in_range("jet index", idx, cfg.m, token)
+                if len(indices) > cfg.k:
+                    raise ProblemSemanticError(
+                        f"jet order {len(indices)} > k = {cfg.k}", token.line, token.column
+                    )
+                return Expr.variable(jet_coord(a, indices))
+            return jet
+        if self.peek().kind == "[":
+            self.advance()
+            i_index, j_index = self.parse_index(), self.parse_index()
+            self.expect("]")
+
+            def entry(env):
+                matrix = self.metrics.get(name)
+                if matrix is None:
+                    raise ProblemSemanticError(
+                        f"unknown metric {name!r}", token.line, token.column
+                    )
+                i, j = i_index(env), j_index(env)
+                for idx in (i, j):
+                    _in_range("metric index", idx, len(matrix), token)
+                return matrix[i - 1][j - 1]
+            return entry
+        index = self.bound_index(token, "identifier")
+        return lambda env: Expr.constant(index(env))
+
+    def parse_index(self):
+        token = self.advance()
+        if token.kind == "int":
+            value = _int_value(token)
+            return lambda env: value
+        if token.kind == "name":
+            return self.bound_index(token, "index variable")
+        raise ProblemSyntaxError(
+            f"unexpected {token.text!r}", token.line, token.column,
+            expected=["an index (integer or bound name)"],
+        )
+
+
+def reference_parse_problem(text: str):
+    """``parse_problem`` through :class:`ReferenceParser`."""
+    return ReferenceParser(text).parse_problem()
 
 
 def numerators(e: Expr) -> tuple:

@@ -20,7 +20,7 @@ from jetforms.problem import (
     _tokenize,
     parse_problem,
 )
-from tests.support import minors_determinant, reference_tokenize
+from tests.support import minors_determinant, reference_parse_problem, reference_tokenize
 
 MINIMAL = "dims 1 1 1; L = (1/2)*z[1;1]^2;"
 
@@ -422,6 +422,124 @@ def test_every_mutation_of_the_fixture_parses_or_gets_a_positioned_error(changes
     except ProblemError as err:
         assert 1 <= err.line <= text.count("\n") + 1 and err.column >= 1, str(err)
         assert str(err).startswith(f"{err.line}:{err.column}: ")
+    # and the reference evaluator gives the same spec or the same error
+    assert outcome(parse_problem, text) == outcome(reference_parse_problem, text), text
+
+
+def outcome(parse, text):
+    """The spec's data, or the error's class, message, position and
+    expected tokens."""
+    try:
+        return problem_data(parse(text))
+    except ProblemError as err:
+        return type(err), str(err), err.expected
+
+
+def test_the_fixture_evaluates_each_leaf_once_per_binding():
+    # L's six nested sums run their body 64 times and read its five leaves
+    # 320 times, but the leaves take 28 distinct values
+    head = wave_text().split("\nfield")[0]
+    counts = {}
+    spec = parse_problem(head, counts)
+    assert counts == {"sum_bodies": 64, "leaves": 4 + 4 + 4 + 8 + 8}
+    assert problem_data(spec) == problem_data(reference_parse_problem(head))
+
+
+# (source, str(error) or None where it parses): sum indices shadowed and
+# bound again, factors after a zero, which keep their errors, and nesting
+SUM_AND_ZERO_CASES = [
+    # the inner i shadows the outer one and gives it back, for x[i] after it
+    ("dims 2 1 2; L = sum(i,1,2, sum(i,1,2, z[1; i i])*x[i]);", None),
+    ("dims 2 1 2; L = sum(i,1,2, x[i]*sum(i,2,2, y[1]*i)*i);", None),
+    ("dims 2 1 2; L = sum(i,1,2, y[1]*x[i]) + sum(i,2,2, x[i]^2) + sum(i,1,0, x[i]);", None),
+    ("dims 2 1 2; L = sum(i,1,2, sum(j,1,2, sum(i,2,2, z[1; i j])*x[i]*x[j]));", None),
+    # a sum's index is unbound after it, and so is a name no sum binds
+    ("dims 2 1 2; L = sum(i,1,2, x[i]) + x[i];", "1:38: unbound index variable 'i'"),
+    ("dims 2 1 2; L = sum(i,1,2, x[i]) + i;", "1:36: unbound identifier 'i'"),
+    # a leaf's checks keep their order when an index is unbound
+    ("dims 2 2 2; L = sum(i,1,2, z[9; i q]);", "1:28: field index 9 out of range 1..2"),
+    ("dims 2 2 2; L = sum(i,1,2, z[1; i q]);", "1:35: unbound index variable 'q'"),
+    ("dims 2 2 2; L = sum(i,1,2, h[i q]);", "1:28: unknown metric 'h'"),
+    ("dims 2 2 2; metric g = diag(1, -1); L = sum(i,1,2, g[q 9]);",
+     "1:54: unbound index variable 'q'"),
+    ("dims 2 2 2; metric g = diag(1, g[1 1]); L = y[1];", "1:32: unknown metric 'g'"),
+    # a leaf out of range on its third binding, after two that stored values
+    ("dims 2 2 2; L = sum(i,1,3, z[1; i]);", "1:28: jet index 3 out of range 1..2"),
+    # every factor after a zero is evaluated, for its errors
+    ("dims 2 2 2; L = 0*z[1; 9];", "1:19: jet index 9 out of range 1..2"),
+    ("dims 2 2 2; L = 0*y[1]*z[1; 9];", "1:24: jet index 9 out of range 1..2"),
+    ("dims 2 2 2; L = 0*y[1]*h[1 1];", "1:24: unknown metric 'h'"),
+    ("dims 2 2 2; L = 0*y[1]*z[1; q];", "1:29: unbound index variable 'q'"),
+    ("dims 2 2 2; L = 0*y[1]*q;", "1:24: unbound identifier 'q'"),
+    ("dims 2 2 2; L = 0*x[1]/0;", "1:23: division by zero"),
+    ("dims 2 2 2; L = 0*x[1]/y[1];", "1:23: division is only allowed by constants"),
+    ("dims 2 2 2; L = sum(i,1,2, (i-1)*x[1]*z[i; 1 1 1]);", "1:39: jet order 3 > k = 2"),
+    ("dims 2 2 2; L = 0*x[1]*(y[1] + 1)^3/7 + (x[1]-x[1])*z[2; 1 2];", None),
+    # 200 nested sums add into one sum, of one name or of 200
+    ("dims 1 1 1; L = " + "sum(i,1,1, " * 200 + "y[1]" + ")" * 200 + ";", None),
+    ("dims 1 1 1; L = " + "".join(f"sum(i{d},1,1, " for d in range(200)) + "i7*y[1]"
+     + ")" * 200 + ";", None),
+    ("dims 1 1 1; L = " + "sum(i,1,1, " * 199 + "sum(i,1,2, i*y[1])" + ")" * 199 + ";",
+     None),
+]
+
+
+@pytest.mark.parametrize("source,error", SUM_AND_ZERO_CASES)
+def test_sums_zero_products_and_leaves_evaluate_as_the_reference(source, error):
+    found = outcome(parse_problem, source)
+    assert found == outcome(reference_parse_problem, source)
+    if error is None:
+        assert isinstance(found, dict), found
+    else:
+        assert found[1] == error
+
+
+def test_nested_sums_take_their_values_and_bounds_as_before():
+    deep = "dims 1 1 1; L = " + "sum(i,1,1, " * 199 + "sum(i,1,2, i*y[1])" + ")" * 199 + ";"
+    assert parse_problem(deep).lagrangian == 3 * y_var(1)
+    spec = parse_problem("dims 2 1 2; L = sum(i,1,2, sum(i,1,2, z[1; i i])*x[i]);")
+    both = z_var(1, (1, 1)) + z_var(1, (2, 2))
+    assert spec.lagrangian == both * x_var(1) + both * x_var(2)
+
+
+# mostly in range and bound by a sum around them, sometimes not
+INDICES = st.sampled_from(["1", "2", "i", "j"] * 4 + ["0", "3", "k"])
+LEAVES = st.one_of(
+    st.sampled_from(["0", "1", "2", "i", "j"]),
+    st.builds("x[{}]".format, INDICES),
+    st.builds("y[{}]".format, INDICES),
+    st.builds(lambda a, jets: f"z[{a}; {' '.join(jets)}]", INDICES,
+              st.lists(INDICES, min_size=1, max_size=3)),
+    st.builds(lambda g, i, j: f"{g}[{i} {j}]", st.sampled_from(["g", "h"]), INDICES, INDICES),
+)
+
+
+def _compound(inner):
+    return st.one_of(
+        st.builds(lambda var, lo, hi, body: f"sum({var},{lo},{hi}, {body})",
+                  st.sampled_from(["i", "j"] * 4 + ["k"]), st.integers(1, 2), st.integers(0, 2),
+                  inner),
+        st.builds("{}*{}".format, inner, inner),
+        st.builds("{}/{}".format, inner, st.sampled_from(["0", "2", "x[1]", "(1-1)", "i"])),
+        st.builds("{} + {}".format, inner, inner),
+        st.builds("{} - {}".format, inner, inner),
+        st.builds("-{}".format, inner),
+        st.builds("({})^{}".format, inner, st.integers(0, 3)),
+    )
+
+
+EXPRESSIONS = st.recursive(LEAVES, _compound, max_leaves=10)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(EXPRESSIONS, EXPRESSIONS)
+def test_expressions_evaluate_as_the_reference_evaluator(lagrangian, skew):
+    # random sums, products, leaves and unbound or out-of-range indices, in
+    # L and in a skew value, each inside two sums that bind i and j, give
+    # the reference's spec or its error
+    text = (f"dims 2 2 2; metric g = diag(1, -1); L = sum(i,1,2, sum(j,2,2, {lagrangian}));\n"
+            f"skewQ[1; 1 2] = sum(j,1,2, sum(i,2,2, {skew}));")
+    assert outcome(parse_problem, text) == outcome(reference_parse_problem, text)
 
 
 # FUZZ_ALPHABET and more of what the tokenizer must tell apart: letters,

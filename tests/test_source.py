@@ -553,6 +553,31 @@ def test_ladder_ab_prints_a_row_for_every_api_call(capsys):
         tool.main([str(root), str(root / "tools")])
 
 
+def test_evolve_ab_prints_a_row_for_every_stage(capsys):
+    # one alternated run per side, this checkout against itself, on a small
+    # grid; this checks the shape of the table, not the times
+    tool = _load_tool("evolve_ab")
+    root = SOURCE.parents[1]
+    folders = [root / name for name in ("src", "benchmarks", "tools")]
+    before = sorted(path for folder in folders for path in folder.rglob("*"))
+    modules, path, package = set(sys.modules), list(sys.path), sys.modules.get("jetforms")
+    assert tool.main([str(root), str(root), "--runs", "1", "--grid-n", "64", "--seed", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "runs 1, grid-n 64, seed 3"
+    assert lines[1].startswith("A ") and lines[2].startswith("B ")
+    assert lines[3].startswith("B/A run ratio: median ")
+    assert lines[4].split() == ["stage", "A", "ms", "B", "ms", "B/A"]
+    rows = {name: (float(a), float(b)) for name, a, b, _ in (line.split() for line in lines[5:])}
+    assert list(rows) == [stage.replace(" ", "_") for stage in tool.STAGES]
+    assert all(a > 0 and b > 0 for name, (a, b) in rows.items() if name != "rest")
+    # the copies leave no package behind, and nothing is written into the checkout
+    assert not {name for name in set(sys.modules) - modules if name.startswith("jetforms")}
+    assert sys.path == path and sys.modules.get("jetforms") is package
+    assert sorted(path for folder in folders for path in folder.rglob("*")) == before
+    with pytest.raises(SystemExit):
+        tool.main([str(root), str(root / "tools")])
+
+
 def test_startup_probe_runs_the_checkout_it_is_given(tmp_path, monkeypatch, capsys):
     # --checkout points both the package source and the fixture at another
     # checkout, so one copy of the tool measures two trees

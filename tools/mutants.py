@@ -163,6 +163,19 @@ MUTANTS = [
     ("power-factor-bound-dropped", PROBLEM,
      "if most * degree > _MAX_FACTORS:", "if False:",
      ("tests/test_problem.py",)),
+    # the parser's evaluation: a leaf's memo keyed without its last jet
+    # index, and a zero product that stops before its later factors' errors
+    ("parse-leaf-memo-drops-an-index", PROBLEM,
+     "return self.leaf(jet, names)", "return self.leaf(jet, names[:-1])",
+     ("tests/test_problem.py::test_wave_fixture_parses",)),
+    ("parse-zero-product-skips-later-factors", PROBLEM,
+     "                    other = factor(env)\n"
+     "                    if value.is_zero:  # and stays zero; the factor ran for its errors\n"
+     "                        continue\n",
+     "                    if value.is_zero:\n"
+     "                        break\n"
+     "                    other = factor(env)\n",
+     ("tests/test_problem.py::test_sums_zero_products_and_leaves_evaluate_as_the_reference",)),
     # faults that the numeric oracles of the tests catch: the Noether current
     # against the force decomposition's quadratures, and the Lagrange
     # derivative against the functional-derivative oracle
