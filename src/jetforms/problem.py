@@ -38,14 +38,12 @@ error carries a line/column position and the expected tokens; semantic
 errors (index ranges, order overflow, asymmetric metrics, duplicate
 declarations) point at the offending token.
 
-Evaluation does each piece of work once.  A leaf (``x[i]``, ``y[a]``,
-``z[...]`` or a metric entry) keeps its value for the parse, keyed by the
-values the sums bind to the index names it reads, so the body of the
-fixture's six-fold contraction, run 64 times, computes 28 leaf values
-for its 320 leaf reads.  A product whose value is zero still evaluates each later
-factor, so that its errors are raised where they always were, but
-multiplies no more.  Nested sums add their bodies' values into one sum,
-over one copy of the bindings.
+A leaf (``x[i]``, ``y[a]``, ``z[...]`` or a metric entry) is evaluated once
+per parse for each tuple of the values that the sums bind to the index names
+it reads: the body of the fixture's six-fold contraction, run 64 times,
+computes 28 leaf values for its 320 leaf reads.  A product whose value is
+zero still evaluates each later factor, so that its errors are raised where
+they always were, but multiplies no more.
 """
 from __future__ import annotations
 
@@ -161,18 +159,16 @@ class ProblemSpec:
 
 # -- tokenizer ----------------------------------------------------------------
 
-# One match per token or newline, after the blanks and the comment before
-# it; the blanks and the comment are possessive, and the empty alternative
-# ends the text, so that a run of blanks is scanned once.  Numbers are
-# ASCII digits only: \d and str.isdigit also accept superscripts, which
-# int() rejects, and the digits of other scripts, which it reads.  A number
-# without a point or an exponent is an int; an exponent needs a digit after
-# its optional sign.  A name runs over \w (str.isalnum or "_") and must
-# start with a letter or "_".
+# One alternative per token, tried in order; blanks and comments match no
+# group.  Numbers are ASCII digits only: \d and str.isdigit also accept
+# superscripts, which int() rejects, and the digits of other scripts, which
+# it reads.  A number without a point or an exponent is an int; an exponent
+# needs a digit after its optional sign.  A name runs over \w (str.isalnum
+# or "_") and must start with a letter or "_".
 _TOKEN = re.compile(
-    r"[ \t\r]*+(?:#[^\n]*+)?(?:(?P<punct>[;,=()\[\]+\-*/^])"
+    r"(?P<newline>\n)|[ \t\r]+|#[^\n]*"
     r"|(?P<number>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
-    r"|(?P<name>\w+)|(?P<newline>\n)|(?P<other>.)|\Z)"
+    r"|(?P<name>\w+)|(?P<punct>[;,=()\[\]+\-*/^])|(?P<other>.)"
 )
 # Parentheses, sum bodies and unary signs nest by recursion, in the parser
 # and in the values it returns; deeper input is a positioned error, not a
@@ -223,11 +219,11 @@ def _int_value(token: _Token) -> int:
 def _tokenize(text: str) -> list:
     tokens, line, line_start = [], 1, 0
     for match in _TOKEN.finditer(text):
-        kind = match.lastgroup
+        kind, chunk = match.lastgroup, match.group()
         if kind == "newline":
             line, line_start = line + 1, match.end()
         elif kind:
-            chunk, column = match[kind], match.start(kind) - line_start + 1
+            column = match.start() - line_start + 1
             if kind == "other" or kind == "name" and not (chunk[0].isalpha() or chunk[0] == "_"):
                 raise ProblemSyntaxError(f"unexpected character {chunk[0]!r}", line, column)
             if kind == "number":
@@ -275,8 +271,7 @@ class _Parser:
         return token
 
     def expect(self, kind: str, what: str | None = None) -> _Token:
-        """The next token, of ``kind`` (never "end"), consumed."""
-        token = self.tokens[self.pos]
+        token = self.peek()
         if token.kind != kind:
             shown = repr(token.text) if token.kind != "end" else "end of input"
             raise ProblemSyntaxError(
@@ -285,8 +280,7 @@ class _Parser:
                 token.column,
                 expected=[what or kind],
             )
-        self.pos += 1
-        return token
+        return self.advance()
 
     def expect_int(self, what: str = "an integer") -> tuple:
         token = self.expect("int", what)
@@ -669,21 +663,12 @@ class _Parser:
             self.evaluations = outer
             self.expect(")")
 
-            add = getattr(body, "add_terms", None) or (lambda env, terms: terms.append(body(env)))
-
-            def add_terms(env, terms):
-                for value in range(lo, hi + 1):
-                    env[var] = value
-                    add(env, terms)
-
             def total(env):
-                # one copy of the bindings serves this sum and the sums
-                # nested in it, which add their terms to its list
                 terms = []
-                add_terms({**env}, terms)
+                for value in range(lo, hi + 1):
+                    terms.append(body({**env, var: value}))
                 self.bodies += len(terms)
                 return Expr.sum(terms)
-            total.add_terms = add_terms
             return total
         names = []  # the index names the leaf reads, its memo key
         if name in ("x", "y"):

