@@ -423,17 +423,11 @@ def main(argv=None) -> int:
         except DigitLimitError as exc:  # raised where a derived value is rendered
             raise ProblemError(f"the {args.command} output has {exc}", *spec.lagrangian_at)
     except ProblemError as exc:
-        record = {
-            "error": exc.message,
-            "line": exc.line,
-            "column": exc.column,
-            "expected": list(exc.expected),
-        }
         if args.json:
-            import json
-
-            json.dump(record, sys.stdout, indent=2, sort_keys=True)
-            sys.stdout.write("\n")
+            report = Report(json_mode=True)
+            report.data = {"error": exc.message, "line": exc.line, "column": exc.column,
+                           "expected": list(exc.expected)}
+            report.emit()
         else:
             print(f"{args.problem}:{exc}", file=sys.stderr)
         return 2

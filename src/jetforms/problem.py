@@ -33,7 +33,9 @@ indices are canonicalized on parse.
 The parser makes one pass over the tokens, and each grammar rule returns
 its value as a function rather than a tree; the values are evaluated once
 the whole file has parsed, so the statements may come in any order and a
-syntax error anywhere is reported before any error in a value.  Every syntax
+syntax error anywhere is reported before any error in a value, such as an
+integer with more digits than the interpreter converts in an expression, an
+index, an exponent or a sum bound, or a sum past its bound.  Every syntax
 error carries a line/column position and the expected tokens; semantic
 errors (index ranges, order overflow, asymmetric metrics, duplicate
 declarations) point at the offending token.
@@ -214,6 +216,17 @@ def _int_value(token: _Token) -> int:
         raise ProblemSemanticError(
             f"integer of {len(token.text)} digits is too long", token.line, token.column
         ) from None
+
+
+def _literal(token: _Token, convert=int):
+    """The value function of an int token: ``convert`` of its value, found
+    here, once.  A token too long to convert raises its error where the
+    value is evaluated, after every syntax error."""
+    try:
+        value = convert(int(token.text))
+    except ValueError:
+        return lambda env: _int_value(token)
+    return lambda env: value
 
 
 def _tokenize(text: str) -> list:
@@ -574,10 +587,11 @@ class _Parser:
         if self.peek().kind != "^":
             return base
         self.advance()
-        exponent, at = self.expect_int("a non-negative integer exponent")
+        at = self.expect("int", "a non-negative integer exponent")
+        exponent_of = _literal(at)
 
         def power(env):
-            value = base(env)
+            value, exponent = base(env), exponent_of(env)
             degree = exponent * value.degree()
             if degree > _MAX_DEGREE:
                 raise ProblemSemanticError(
@@ -617,8 +631,7 @@ class _Parser:
         token = self.peek()
         if token.kind == "int":
             self.advance()
-            value = Expr.constant(_int_value(token))
-            return lambda env: value
+            return _literal(token, Expr.constant)
         if token.kind == "float":
             raise ProblemSyntaxError(
                 "decimal literals are not allowed in expressions; use rationals",
@@ -646,17 +659,19 @@ class _Parser:
             self.expect("(")
             var = self.expect("name", "an index variable").text
             self.expect(",")
-            lo, _ = self.expect_int("a lower bound")
+            lo_at = self.expect("int", "a lower bound")
             self.expect(",")
-            hi, _ = self.expect_int("an upper bound")
+            hi_at = self.expect("int", "an upper bound")
             self.expect(",")
-            outer = self.evaluations
-            self.evaluations = outer * max(0, hi - lo + 1)
-            if self.evaluations > _MAX_DEGREE:
-                raise ProblemSemanticError(
-                    f"sum evaluates its body {self.evaluations} times, more than {_MAX_DEGREE}",
-                    token.line, token.column,
-                )
+            outer, error = self.evaluations, None
+            try:  # a bound too long, or a count past the bound, raises where the sum runs
+                lo, hi = _int_value(lo_at), _int_value(hi_at)
+                self.evaluations = outer * max(0, hi - lo + 1)
+                if self.evaluations > _MAX_DEGREE:
+                    raise ProblemSemanticError(f"sum evaluates its body {self.evaluations} times, "
+                                               f"more than {_MAX_DEGREE}", token.line, token.column)
+            except ProblemSemanticError as exc:
+                error = exc
             self.enter(token)
             body = self.parse_expr()
             self.depth -= 1
@@ -664,6 +679,8 @@ class _Parser:
             self.expect(")")
 
             def total(env):
+                if error is not None:
+                    raise error
                 terms = []
                 for value in range(lo, hi + 1):
                     terms.append(body({**env, var: value}))
@@ -744,8 +761,7 @@ class _Parser:
         """An index's value function; a name is also added to ``names``."""
         token = self.advance()
         if token.kind == "int":
-            value = _int_value(token)
-            return lambda env: value
+            return _literal(token)
         if token.kind == "name":
             names.append(token.text)
             return self.bound_index(token, "index variable")

@@ -639,8 +639,11 @@ class ReferenceParser(_Parser):
     each leaf kept its value per parse, a zero product skipped its later
     multiplications and nested sums added into one sum: every sum builds
     its own ``Expr.sum`` over a copy of the bindings, and every leaf checks
-    its indices and builds its value on each evaluation.  The statements,
-    the syntax and the checks outside expressions are the library's."""
+    its indices and builds its value on each evaluation.  An integer
+    literal is converted, and a sum's count of body evaluations checked,
+    each time the value is evaluated, so their errors come after every
+    syntax error.  The statements, the syntax and the checks outside
+    expressions are the library's."""
 
     def parse_product(self):
         first, rest = self.parse_factor(), []
@@ -669,8 +672,7 @@ class ReferenceParser(_Parser):
         token = self.peek()
         if token.kind == "int":
             self.advance()
-            value = Expr.constant(_int_value(token))
-            return lambda env: value
+            return lambda env: Expr.constant(_int_value(token))
         if token.kind == "float":
             raise ProblemSyntaxError(
                 "decimal literals are not allowed in expressions; use rationals",
@@ -695,17 +697,16 @@ class ReferenceParser(_Parser):
             self.expect("(")
             var = self.expect("name", "an index variable").text
             self.expect(",")
-            lo, _ = self.expect_int("a lower bound")
+            lo_at = self.expect("int", "a lower bound")
             self.expect(",")
-            hi, _ = self.expect_int("an upper bound")
+            hi_at = self.expect("int", "an upper bound")
             self.expect(",")
-            outer = self.evaluations
-            self.evaluations = outer * max(0, hi - lo + 1)
-            if self.evaluations > _MAX_DEGREE:
-                raise ProblemSemanticError(
-                    f"sum evaluates its body {self.evaluations} times, more than {_MAX_DEGREE}",
-                    token.line, token.column,
-                )
+            outer = count = self.evaluations
+            try:  # a bound too long to convert raises its error where the sum runs
+                count = outer * max(0, int(hi_at.text) - int(lo_at.text) + 1)
+            except ValueError:
+                pass
+            self.evaluations = count
             self.enter(token)
             body = self.parse_expr()
             self.depth -= 1
@@ -713,6 +714,12 @@ class ReferenceParser(_Parser):
             self.expect(")")
 
             def total(env):
+                lo, hi = _int_value(lo_at), _int_value(hi_at)
+                if count > _MAX_DEGREE:
+                    raise ProblemSemanticError(
+                        f"sum evaluates its body {count} times, more than {_MAX_DEGREE}",
+                        token.line, token.column,
+                    )
                 terms = []
                 for value in range(lo, hi + 1):
                     terms.append(body({**env, var: value}))
@@ -771,8 +778,7 @@ class ReferenceParser(_Parser):
     def parse_index(self):
         token = self.advance()
         if token.kind == "int":
-            value = _int_value(token)
-            return lambda env: value
+            return lambda env: _int_value(token)
         if token.kind == "name":
             return self.bound_index(token, "index variable")
         raise ProblemSyntaxError(

@@ -503,6 +503,34 @@ def test_nested_sums_take_their_values_and_bounds_as_before():
     assert spec.lagrangian == both * x_var(1) + both * x_var(2)
 
 
+LONG = "7" * 5000  # more digits than int() converts
+BOGUS = ("2:1: unexpected 'bogus' (expected 'dims' or 'metric' or 'L' or 'field' or "
+         "'skewQ' or 'section' or 'grid' or 'evolve')")
+
+
+# (L, its error): an integer too long to convert, as a constant, an index,
+# an exponent or a sum bound, and a sum past its bound are errors in values
+@pytest.mark.parametrize("lagrangian,error", [
+    pytest.param(f"{LONG}*y[1]", "1:17: integer of 5000 digits is too long", id="constant"),
+    pytest.param("sum(i,1,20000, y[1])",
+                 "1:17: sum evaluates its body 20000 times, more than 10000", id="sum-count"),
+    pytest.param(f"z[1; {LONG}]", "1:22: integer of 5000 digits is too long", id="index"),
+    pytest.param(f"y[1]^{LONG}", "1:22: integer of 5000 digits is too long", id="exponent"),
+    pytest.param(f"sum(i,{LONG},1, y[1])", "1:23: integer of 5000 digits is too long",
+                 id="lower-bound"),
+    pytest.param(f"sum(i,1,{LONG}, y[1])", "1:25: integer of 5000 digits is too long",
+                 id="upper-bound"),
+    pytest.param(f"sum(i,1,2, sum(j,1,{LONG}, y[1]))",
+                 "1:36: integer of 5000 digits is too long", id="inner-bound"),
+])
+def test_a_syntax_error_after_a_too_long_integer_or_a_long_sum_comes_first(lagrangian, error):
+    source = f"dims 1 1 1; L = {lagrangian};"
+    for parse in (parse_problem, reference_parse_problem):
+        assert outcome(parse, source) == (ProblemSemanticError, error, ())
+        found = outcome(parse, source + "\nbogus;")
+        assert found[:2] == (ProblemSyntaxError, BOGUS)
+
+
 # mostly in range and bound by a sum around them, sometimes not
 INDICES = st.sampled_from(["1", "2", "i", "j"] * 4 + ["0", "3", "k"])
 LEAVES = st.one_of(

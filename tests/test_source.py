@@ -3,6 +3,7 @@ import hashlib
 import importlib.util
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 
@@ -528,54 +529,80 @@ LADDER_CALLS = {
 }
 
 
-def test_ladder_ab_prints_a_row_for_every_api_call(capsys):
-    # one alternated pass per side, this checkout against itself; this
-    # checks the shape of the table, not the times
-    tool = _load_tool("ladder_ab")
+# (workload, options, header line, row label) of tools/ab.py: one alternated
+# run per side, evolve on a small grid
+AB_RUNS = [
+    ("ladder", ["--runs", "1", "--seed", "2"], "runs 1, seed 2", "call"),
+    ("evolve", ["--runs", "1", "--grid-n", "64", "--seed", "3"], "runs 1, grid-n 64, seed 3",
+     "stage"),
+]
+
+
+@pytest.mark.parametrize("workload,options,header,label", AB_RUNS,
+                         ids=[run[0] for run in AB_RUNS])
+def test_ab_prints_a_row_for_every_call_or_stage(workload, options, header, label, capsys):
+    # this checkout against itself; this checks the shape of the table, not
+    # the times
+    tool = _load_tool("ab")
     root = SOURCE.parents[1]
     folders = [root / name for name in ("src", "benchmarks", "tools")]
     before = sorted(path for folder in folders for path in folder.rglob("*"))
     modules, path, package = set(sys.modules), list(sys.path), sys.modules.get("jetforms")
-    assert tool.main([str(root), str(root), "--passes", "1", "--seed", "2"]) == 0
+    assert tool.main([workload, str(root), str(root), *options]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "passes 1, seed 2"
-    assert lines[1].startswith("A ") and lines[2].startswith("B ")
-    assert lines[3].startswith("B/A pass ratio: median ")
-    assert lines[4].split() == ["call", "A", "ms", "B", "ms", "B/A"]
-    rows = {name: (float(a), float(b), float(ratio)) for name, a, b, ratio in
-            (line.split() for line in lines[5:])}
-    assert set(rows) == LADDER_CALLS and len(rows) == len(lines) - 5
-    # the copies leave no package behind, and nothing is written into the checkout
-    assert not {name for name in set(sys.modules) - modules if name.startswith("jetforms")}
-    assert sys.path == path and sys.modules.get("jetforms") is package
-    assert sorted(path for folder in folders for path in folder.rglob("*")) == before
-    with pytest.raises(SystemExit):
-        tool.main([str(root), str(root / "tools")])
-
-
-def test_evolve_ab_prints_a_row_for_every_stage(capsys):
-    # one alternated run per side, this checkout against itself, on a small
-    # grid; this checks the shape of the table, not the times
-    tool = _load_tool("evolve_ab")
-    root = SOURCE.parents[1]
-    folders = [root / name for name in ("src", "benchmarks", "tools")]
-    before = sorted(path for folder in folders for path in folder.rglob("*"))
-    modules, path, package = set(sys.modules), list(sys.path), sys.modules.get("jetforms")
-    assert tool.main([str(root), str(root), "--runs", "1", "--grid-n", "64", "--seed", "3"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "runs 1, grid-n 64, seed 3"
+    assert lines[0] == header
     assert lines[1].startswith("A ") and lines[2].startswith("B ")
     assert lines[3].startswith("B/A run ratio: median ")
-    assert lines[4].split() == ["stage", "A", "ms", "B", "ms", "B/A"]
-    rows = {name: (float(a), float(b)) for name, a, b, _ in (line.split() for line in lines[5:])}
-    assert list(rows) == [stage.replace(" ", "_") for stage in tool.STAGES]
-    assert all(a > 0 and b > 0 for name, (a, b) in rows.items() if name != "rest")
+    assert lines[4].split() == [label, "A", "ms", "B", "ms", "B/A"]
+    rows = {name: (float(a), float(b), float(ratio)) for name, a, b, ratio in
+            (line.split() for line in lines[5:])}
+    assert len(rows) == len(lines) - 5
+    if workload == "ladder":
+        assert set(rows) == LADDER_CALLS
+    else:
+        assert list(rows) == [stage.replace(" ", "_") for stage in tool.Evolve.ROWS]
+        assert all(a > 0 and b > 0 for name, (a, b, _) in rows.items() if name != "rest")
     # the copies leave no package behind, and nothing is written into the checkout
     assert not {name for name in set(sys.modules) - modules if name.startswith("jetforms")}
     assert sys.path == path and sys.modules.get("jetforms") is package
     assert sorted(path for folder in folders for path in folder.rglob("*")) == before
     with pytest.raises(SystemExit):
-        tool.main([str(root), str(root / "tools")])
+        tool.main([workload, str(root), str(root / "tools")])
+
+
+DIFFERS = "the warm-up of B differs from A's warm-up"
+# (workload, options, module, text, its replacement, error): one planted fault
+# that changes an output the tool compares and no check of the benchmark
+# sees, or one that a check of the benchmark sees
+AB_FAULTS = [
+    ("ladder", ["--seed", "2"], "dedonder.py",  # every level's sign flipped
+     "terms[c[1]].append((partial, I, -1 if len(I) % 2 else 1))",
+     "terms[c[1]].append((partial, I, 1 if len(I) % 2 else -1))", DIFFERS),
+    ("evolve", ["--grid-n", "64"], "cli.py",  # the symmetric energy to 15 digits
+     "{e_sym:.17g},{e_skew:.17g}", "{e_sym:.15g},{e_skew:.17g}", DIFFERS),
+    ("ladder", ["--seed", "2"], "dedonder.py",  # every boundary form refused
+     "            return False\n    return True", "            return False\n    return False",
+     "rung 2-2-2: boundary form fails the double_vertical check"),
+]
+
+
+@pytest.mark.parametrize("workload,options,module,old,new,error", AB_FAULTS,
+                         ids=["ladder-signs", "evolve-digits", "ladder-check"])
+def test_ab_stops_when_b_computes_another_output(workload, options, module, old, new, error,
+                                                  tmp_path, capsys):
+    tool = _load_tool("ab")
+    root = SOURCE.parents[1]
+    copy = tmp_path / "src" / "jetforms"
+    shutil.copytree(SOURCE, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    source = (copy / module).read_text()
+    assert source.count(old) == 1
+    (copy / module).write_text(source.replace(old, new))
+    modules, package = set(sys.modules), sys.modules.get("jetforms")
+    with pytest.raises(SystemExit, match=error):
+        tool.main([workload, str(root), str(tmp_path), "--runs", "1", *options])
+    assert not capsys.readouterr().out
+    assert not {name for name in set(sys.modules) - modules if name.startswith("jetforms")}
+    assert sys.modules.get("jetforms") is package
 
 
 def test_startup_probe_runs_the_checkout_it_is_given(tmp_path, monkeypatch, capsys):

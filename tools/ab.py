@@ -1,0 +1,230 @@
+"""Compare two checkouts on one workload, in one process.
+
+    python tools/ab.py {ladder,evolve} A B [--runs N] [--seed S] [--grid-n N]
+
+copies the ``src/jetforms`` of each checkout A and B into a temporary
+directory as the packages ``jetforms_a`` and ``jetforms_b`` (the package
+imports itself only by relative imports, so a copy runs under any name) and
+loads the workload from each copy:
+
+``ladder``  the rungs of ``benchmarks/symbolic_ladder.py``, ``make_rungs(api,
+            S)`` (default seed 5) with the names its ``load_api`` binds while
+            the copy stands in for ``jetforms``.  A run is ``run_rung`` over
+            the rungs; each API call is timed on its own, as a row.
+``evolve``  ``cli.main`` on ``evolve FIXTURE --grid-n N --seed S --out DIR``,
+            with FIXTURE the copy's bundled fixture, N default 16384 (the size
+            the ``evolve_16k`` benchmark times), S default 0 and DIR a
+            temporary directory.  The rows are the calls ``cmd_evolve`` makes
+            through names rebound in each copy: ``parse`` (``parse_problem``),
+            ``seeding`` (``band_limited_state``), ``derive``, ``energy tables``
+            (the two energy functionals), ``steps`` (``cauchy_evolve``) and
+            ``energy calls``; ``rest`` is the run less those.
+
+After one warm-up run per side it times N alternated runs (option
+``--runs``, default 40), A first on even runs and B first on odd ones.  It
+stops with an error when a run's output differs from A's warm-up (for
+``ladder`` the rendered Lagrange derivatives, for ``evolve`` the exit code,
+stdout and CSV) or, for ``ladder``, when a rung fails the benchmark's own
+``problems_of`` against ``benchmarks/expected_sizes.json``.  Outputs are
+checked outside the timed span.
+
+It prints each side's median run time, the median and quartiles of the
+paired ratio B/A of the run times, and one row per call or stage: its median
+milliseconds per run on each side and the median of its paired ratios (below
+1, B is faster).  A shared machine's CPU speed drifts within minutes and
+fresh processes differ in heap layout; alternated runs in one process share
+both.  Pin the process to one CPU with ``taskset -c 0`` for steadier
+figures.  The ladder module is read from the checkout that holds this
+script, and nothing is written into either checkout.
+"""
+from __future__ import annotations
+
+import argparse
+import contextlib
+import importlib
+import io
+import json
+import pathlib
+import shutil
+import statistics
+import sys
+import tempfile
+from time import perf_counter
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SIDES = ("a", "b")
+FIXTURE = pathlib.Path("fixtures") / "fourth_order_wave.jet"
+
+
+class Ladder:
+    """The symbolic ladder's rungs and API from one copy."""
+
+    SEED, ROW, ROWS, OPTIONS = 5, "call", (), ("seed",)
+
+    def __init__(self, package: str, scratch: pathlib.Path, args):
+        self.ladder = importlib.import_module("symbolic_ladder")
+        for module in ("dedonder", "expressions", "forms", "jets", "prolongations"):
+            importlib.import_module(f"{package}.{module}")
+        sys.modules["jetforms"] = sys.modules[package]  # compare() puts it back
+        self.api = self.ladder.load_api()
+        self.rungs = self.ladder.make_rungs(self.api, args.seed)
+        self.expected = json.loads(self.ladder.SIZES_FILE.read_text())
+
+    def run(self) -> tuple:
+        """(rendered Lagrange derivatives, seconds, {call: seconds}) of a pass."""
+        calls: dict = {}
+
+        def call(fn, *args):
+            start = perf_counter()
+            out = fn(*args)
+            key = f"{fn.__module__.rsplit('.', 1)[-1]}.{fn.__name__}"
+            calls[key] = calls.get(key, 0.0) + perf_counter() - start
+            return out
+
+        start = perf_counter()
+        outputs = [self.ladder.run_rung(self.api, rung, call)[1] for rung in self.rungs]
+        seconds = perf_counter() - start
+        for rung, out in zip(self.rungs, outputs):
+            problems = self.ladder.problems_of(rung, out, self.expected[rung.label], {})
+            if problems:
+                raise SystemExit(f"rung {rung.label}: {problems[0]}")
+        return [list(map(repr, out["build"]["el"])) for out in outputs], seconds, calls
+
+
+class Evolve:
+    """The ``evolve`` command from one copy, its stage calls timed."""
+
+    SEED, ROW, OPTIONS = 0, "stage", ("grid_n", "seed")
+    ROWS = ("parse", "seeding", "derive", "energy tables", "steps", "energy calls", "rest")
+
+    def __init__(self, package: str, scratch: pathlib.Path, args):
+        self.csv = scratch / "out" / "conservation.csv"
+        self.argv = ["evolve", str(scratch / package / FIXTURE), "--grid-n", str(args.grid_n),
+                     "--seed", str(args.seed), "--out", str(self.csv.parent)]
+        self.cli = importlib.import_module(f"{package}.cli")
+        numeric = importlib.import_module(f"{package}.numeric")
+        for module, attr, stage in ((self.cli, "parse_problem", "parse"),
+                                    (self.cli, "derive", "derive"),
+                                    (numeric, "band_limited_state", "seeding"),
+                                    (numeric, "cauchy_evolve", "steps")):
+            setattr(module, attr, self.timed(stage, getattr(module, attr)))
+        build = self.timed("energy tables", self.cli.EnergyFunctional)
+
+        def energy_functional(theta):
+            energy = build(theta)
+            call = self.timed("energy calls", energy)
+            call.entries = energy.entries  # cmd_evolve compares the two tables
+            return call
+        self.cli.EnergyFunctional = energy_functional
+
+    def timed(self, stage: str, fn):
+        def call(*args, **kwargs):
+            start = perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                self.stages[stage] = self.stages.get(stage, 0.0) + perf_counter() - start
+        return call
+
+    def run(self) -> tuple:
+        """((exit code, stdout, CSV), seconds, {stage: seconds}) of one command."""
+        self.stages = {}
+        self.csv.unlink(missing_ok=True)  # so that no run reads another's
+        stdout = io.StringIO()
+        start = perf_counter()
+        with contextlib.redirect_stdout(stdout):
+            code = self.cli.main(self.argv)
+        seconds = perf_counter() - start
+        if not self.csv.is_file():
+            raise SystemExit(f"evolve exited with code {code} and wrote no CSV")
+        self.stages["rest"] = seconds - sum(self.stages.values())
+        return (code, stdout.getvalue(), self.csv.read_text()), seconds, self.stages
+
+
+WORKLOADS = {"ladder": Ladder, "evolve": Evolve}
+
+
+def quartiles(values: list) -> tuple:
+    """(q1, median, q3); a single value is all three."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def compare(workload, checkouts: list, args) -> None:
+    saved = sys.dont_write_bytecode, list(sys.path), sys.modules.get("jetforms")
+    sys.dont_write_bytecode = True  # nothing lands in either checkout
+    samples = {side: [] for side in SIDES}
+    with tempfile.TemporaryDirectory() as scratch:
+        scratch = pathlib.Path(scratch)
+        sys.path[:0] = [str(scratch), str(ROOT / "benchmarks")]
+        try:
+            sides = {}
+            for side, checkout in zip(SIDES, checkouts):
+                shutil.copytree(pathlib.Path(checkout) / "src" / "jetforms",
+                                scratch / f"jetforms_{side}",
+                                ignore=shutil.ignore_patterns("__pycache__"))
+                sides[side] = workload(f"jetforms_{side}", scratch, args)
+            first = sides["a"].run()[0]  # A's warm-up
+            order = [("b", "the warm-up")] + [
+                (side, f"run {index}") for index in range(args.runs)
+                for side in (SIDES if index % 2 == 0 else SIDES[::-1])]
+            for side, name in order:
+                output, seconds, rows = sides[side].run()
+                if output != first:
+                    raise SystemExit(f"{name} of {side.upper()} differs from A's warm-up")
+                if name.startswith("run"):
+                    samples[side].append((seconds, rows))
+        finally:
+            sys.dont_write_bytecode, sys.path[:], package = saved
+            sys.modules.pop("jetforms", None)
+            if package is not None:
+                sys.modules["jetforms"] = package
+            for name in [name for name in sys.modules if name.split(".")[0] in
+                         {f"jetforms_{side}" for side in SIDES}]:
+                del sys.modules[name]
+    a, b = samples["a"], samples["b"]
+    ratio = quartiles([tb / ta for (ta, _), (tb, _) in zip(a, b)])
+    print(", ".join(f"{option.replace('_', '-')} {getattr(args, option)}"
+                    for option in ("runs", *workload.OPTIONS)))
+    for side, checkout in zip(SIDES, checkouts):
+        median = statistics.median(seconds for seconds, _ in samples[side])
+        print(f"{side.upper()} {checkout}: run median {1e3 * median:.2f} ms")
+    print(f"B/A run ratio: median {ratio[1]:.3f} (q1 {ratio[0]:.3f}, q3 {ratio[2]:.3f})")
+    names = workload.ROWS or sorted(
+        set().union(*(rows for _, rows in a + b)),
+        key=lambda name: -statistics.median(rows.get(name, 0.0) for _, rows in a))
+    width = max(map(len, names))
+    print(f"{workload.ROW:<{width}}  {'A ms':>8}  {'B ms':>8}  {'B/A':>6}")
+    for name in names:
+        ms = [1e3 * statistics.median(rows.get(name, 0.0) for _, rows in side)
+              for side in (a, b)]
+        ratios = [rb.get(name, 0.0) / ra[name] for (_, ra), (_, rb) in zip(a, b)
+                  if ra.get(name, 0.0) > 0]
+        median = f"{statistics.median(ratios):6.3f}" if ratios else "     -"
+        print(f"{name.replace(' ', '_'):<{width}}  {ms[0]:8.3f}  {ms[1]:8.3f}  {median}")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("workload", choices=WORKLOADS)
+    parser.add_argument("checkouts", nargs=2, metavar="CHECKOUT")
+    parser.add_argument("--runs", type=int, default=40)
+    parser.add_argument("--seed", type=int, help="default 5 for ladder, 0 for evolve")
+    parser.add_argument("--grid-n", type=int, default=16384, help="evolve's grid size")
+    args = parser.parse_args(argv)
+    if args.runs < 1:
+        parser.error("--runs must be at least 1")
+    for checkout in args.checkouts:
+        if not (pathlib.Path(checkout) / "src" / "jetforms" / FIXTURE).is_file():
+            parser.error(f"{checkout} is not a jetforms checkout")
+    workload = WORKLOADS[args.workload]
+    if args.seed is None:
+        args.seed = workload.SEED
+    compare(workload, args.checkouts, args)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

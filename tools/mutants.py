@@ -176,6 +176,10 @@ MUTANTS = [
      "                        break\n"
      "                    other = factor(env)\n",
      ("tests/test_problem.py::test_sums_zero_products_and_leaves_evaluate_as_the_reference",)),
+    # the A/B tool's check that B computes what A computes
+    ("ab-drops-the-output-comparison", "tools/ab.py",
+     "if output != first:", "if False:",
+     ("tests/test_source.py::test_ab_stops_when_b_computes_another_output",)),
     # faults that the numeric oracles of the tests catch: the Noether current
     # against the force decomposition's quadratures, and the Lagrange
     # derivative against the functional-derivative oracle
