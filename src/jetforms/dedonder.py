@@ -39,7 +39,8 @@ alone with Phi = 0: the skew table keeps those two as its parts, and its
 divergences add theirs.  So do the splitting sums S^a_I and Xi's d_m x
 coefficient below: each table computes them once, and the skew table adds
 those of its parts, so the skew boundary form computes only the values of
-the small top-level solve.  Its checks read the parts too.  Assembly's
+the small top-level solve.  Its checks read the parts too, and it adds the
+parts' coefficients into one table only when that is read.  Assembly's
 splitting check marks a table it verified against a Phi; a sum table with
 one part so marked checks only the other part, against Phi = 0, whose
 residuals are the whole table's.  Two tables compared cancel the parts they
@@ -48,13 +49,19 @@ skew one reads the homogeneous solve, negated.
 
 Since dx^i ^ (d/dx^{i1} -| d_m x) = delta^i_{i1} d_m x, Xi has one dz^a_T
 term per coefficient and one d_m x coefficient, -sum z^a_I S^a_I, with
-S^a_I the splitting sum of the system at (a, I).  Assembly writes Xi that
-way, in one pass that also gives the residuals of the system, so Xi pulls
-back to zero along every section by construction.
+S^a_I the splitting sum of the system at (a, I), so Xi pulls back to zero
+along every section by construction.  Assembly forms the splitting sums,
+which give the residuals of the system, and Xi is written that way from
+the table on the first read of its form.
 
-The De Donder form is Theta = L d_m x + Xi; a section is critical for the
-action iff the pullbacks of X -| dTheta vanish for all X tangent to
-source-map fibres.
+The De Donder form is Theta = L d_m x + Xi, also written on the first read
+of its form; a section is critical for the action iff the pullbacks of
+X -| dTheta vanish for all X tangent to source-map fibres.
+
+Condition 3, the De Donder residual, the comparison of two boundary forms,
+Noether currents and the energy tables read the coefficient table, not the
+coordinate forms, so a form is written only where it is printed or where
+:data:`STRUCTURAL_CHECKS` and the pullback of Xi are evaluated.
 
 Condition 3, the De Donder residual and the comparison of two boundary
 forms read one coefficient identity and never form dXi.  Let Xi be
@@ -82,6 +89,7 @@ operator) are references in the tests.
 from __future__ import annotations
 
 import sys
+from functools import cached_property
 from time import perf_counter
 from typing import Mapping
 from weakref import ref
@@ -177,14 +185,16 @@ class BoundaryCoefficients:
     read from it.  Every table is a sum of parts (:meth:`parts`): a plain
     table is its own single part, and the sum of solved tables that
     :func:`perturbed_coefficients` makes keeps them as its parts and sums
-    their values instead.  Only assembly's splitting check marks a table as
-    solving the system of a Phi, so that a sum with that table as a part
-    checks only its other part.
+    their values instead; it forms its own :attr:`table` only when that is
+    read.  Only assembly's splitting check marks a table as solving the
+    system of a Phi, so that a sum with that table as a part checks only
+    its other part.
     """
 
-    def __init__(self, cfg: JetConfig, table: dict):
+    def __init__(self, cfg: JetConfig, table: dict | None):
         self.cfg = cfg
-        self.table = table  # (a, i1, tail) -> Expr
+        if table is not None:
+            self.table = table
         self._divergences: dict = {}
         self._sums: dict | None = None
         self._volume: Expr | None = None
@@ -192,6 +202,12 @@ class BoundaryCoefficients:
         # the Phi assembly verified the table against, held weakly: a Phi
         # keeps its symmetric table
         self._solves: ref | None = None
+
+    @cached_property
+    def table(self) -> dict:
+        """(a, i1, tail) -> Expr; a sum table adds its parts' tables on the
+        first read."""
+        return sum_by_key(item for part in self._parts for item in part.table.items())
 
     def coefficient(self, a: int, i1: int, tail: tuple = ()) -> Expr:
         return self.table.get((a, i1, tuple(tail)), Expr.zero())
@@ -224,17 +240,25 @@ class BoundaryCoefficients:
         """z^a_I -> S^a_I, the sum of p^{i1,T}_a over the splittings (i1, T)
         of I, wherever it is nonzero; computed once.  Every key of the table
         must be one splitting of one I: a key out of range raises a
-        ``ValueError`` naming it."""
+        ``ValueError`` naming it.  A sum table adds its parts' sums, each
+        part checking its own keys; a plain table scales a value that every
+        splitting of I holds by their count instead of adding its copies."""
         if self._sums is None:
-            for key in self.table:
-                _check_key(self.cfg, key)
             if self._parts:
-                items = (item for part in self._parts for item in part.splitting_sums().items())
-            else:
-                items = (
-                    (jet_coord(a, (*tail, i1)), p) for (a, i1, tail), p in self.table.items()
+                self._sums = sum_by_key(
+                    item for part in self._parts for item in part.splitting_sums().items()
                 )
-            self._sums = sum_by_key(items)
+            else:
+                groups: dict = {}  # z^a_I -> the values on its splittings
+                for key, p in self.table.items():
+                    _check_key(self.cfg, key)
+                    a, i1, tail = key
+                    groups.setdefault(jet_coord(a, (*tail, i1)), []).append(p)
+                totals = (
+                    (c, ps[0] * len(ps) if all(p is ps[0] for p in ps) else Expr.sum(ps))
+                    for c, ps in groups.items()
+                )
+                self._sums = {c: total for c, total in totals if not total.is_zero}
         return self._sums
 
     def volume_coefficient(self) -> Expr:
@@ -254,10 +278,8 @@ class BoundaryCoefficients:
 
 def _sum_of_tables(cfg: JetConfig, parts: tuple) -> BoundaryCoefficients:
     """The table whose coefficients are those of ``parts`` added, keeping
-    them as its parts."""
-    coeffs = BoundaryCoefficients(
-        cfg, sum_by_key(item for part in parts for item in part.table.items())
-    )
+    them as its parts; the added values are formed when its table is read."""
+    coeffs = BoundaryCoefficients(cfg, None)
     coeffs._parts = parts
     return coeffs
 
@@ -315,12 +337,16 @@ def _solve_top_down(dec: PhiDecomposition, top_delta: Mapping) -> BoundaryCoeffi
             for key, delta in top_delta.items():
                 current[key] = current.get(key, Expr.zero()) + delta
             current = {key: value for key, value in current.items() if not value.is_zero}
-        for (a, _, tail), value in current.items():
-            expected = cfg.expression_order - (len(tail) + 1)
-            if value.jet_order() > expected:
-                raise AssertionError(
-                    f"coefficient order {value.jet_order()} exceeds bound {expected}"
-                )
+        expected = cfg.expression_order - level
+        checked = None
+        for value in current.values():
+            # the splittings of one (a, I) follow each other and hold one share
+            if value is not checked:
+                if value.jet_order() > expected:
+                    raise AssertionError(
+                        f"coefficient order {value.jet_order()} exceeds bound {expected}"
+                    )
+                checked = value
         # the next level reads only this one, so the table is complete
         # wherever the solve reads it
         coeffs.table.update(current)
@@ -394,7 +420,8 @@ def perturbed_coefficients(
     untouched share their Expr with the symmetric table, and each divergence,
     splitting sum and the d_m x coefficient of Xi is the sum of the two
     tables' values, so neither D_i nor a splitting sum runs again on a
-    symmetric coefficient.
+    symmetric coefficient.  The summed coefficients are formed only when the
+    table is read.
     """
     cfg = dec.cfg
     for key, value in top_delta.items():
@@ -483,21 +510,46 @@ class BoundaryForm:
     """An assembled boundary form with its coefficients and provenance.
 
     Only :func:`assemble_boundary_form` marks a boundary form as solving the
-    system of its ``phi``; one built by hand is checked anew.
+    system of its ``phi``; one built by hand is checked anew.  A ``form``
+    given is kept; without one, :attr:`form` is written from the
+    coefficients on its first read.  Either way ``form`` may be assigned.
     """
 
     def __init__(
         self,
         cfg: JetConfig,
-        form: DifferentialForm,
+        form: DifferentialForm | None,
         coefficients: BoundaryCoefficients,
         phi: PhiDecomposition | None = None,
     ):
         self.cfg = cfg
-        self.form = form
+        if form is not None:
+            self.form = form
         self.coefficients = coefficients
         self.phi = phi
         self._solves_phi = False
+
+    @cached_property
+    def form(self) -> DifferentialForm:
+        """Xi written straight from the coefficient table, then kept.
+
+        With d_m x^- the wedge of every dx^i except dx^{i1}, each coefficient
+        is one term (-1)^(i1+m) p^{i1,T}_a d_m x^- ^ dz^a_T, and dx^i ^
+        (d/dx^{i1} -| d_m x) = delta^i_{i1} d_m x collects the contact parts
+        into one d_m x coefficient, -sum_{a,I} z^a_I S^a_I
+        (:meth:`BoundaryCoefficients.volume_coefficient`).
+        """
+        cfg, coeffs = self.cfg, self.coefficients
+        dx = [base_coord(i) for i in range(1, cfg.m + 1)]
+        terms = {}
+        for (a, i1, tail), value in coeffs.table.items():
+            if not value.is_zero:
+                wedge = (*dx[: i1 - 1], *dx[i1:], jet_coord(a, tail))
+                terms[wedge] = value if (i1 + cfg.m) % 2 == 0 else -value
+        volume = coeffs.volume_coefficient()
+        if not volume.is_zero:
+            terms[tuple(dx)] = volume
+        return DifferentialForm(cfg.m, terms)
 
 
 def assemble_boundary_form(
@@ -505,35 +557,20 @@ def assemble_boundary_form(
 ) -> BoundaryForm:
     """Assemble Xi = sum p^{i1,T}_a theta^a_T ^ (d/dx^{i1} -| d_m x).
 
-    Xi is written straight from the coefficient table.  With d_m x^- the
-    wedge of every dx^i except dx^{i1}, each coefficient is one term
-    (-1)^(i1+m) p^{i1,T}_a d_m x^- ^ dz^a_T, and dx^i ^ (d/dx^{i1} -| d_m x)
-    = delta^i_{i1} d_m x collects the contact parts into one d_m x
-    coefficient, -sum_{a,I} z^a_I S^a_I, with S^a_I the splitting sum of the
-    system.  That one pass over the splitting sums also gives the residuals
-    of the system when ``phi`` is supplied.  A key out of range raises a
-    ``ValueError`` that names it.
+    Assembly runs the checks and leaves the writing of Xi to the first read
+    of :attr:`BoundaryForm.form`.  Each part's splitting sums are formed
+    here, and a key out of range raises a ``ValueError`` that names it.
 
     Every key within range writes one dz^a_T factor with |T| <= k-1, so Xi
     meets :data:`STRUCTURAL_CHECKS` and pulls back to zero by construction;
     the ``verify`` command evaluates both and reduces the pullback.  When
     ``phi`` is supplied, the defining coefficient system is checked exactly
-    and the result is marked as a boundary form of that Phi, which
-    :func:`verify_condition3` then reads without a recompute.
+    on the splitting sums, its first failure raised as an
+    ``AssertionError``, and the result is marked as a boundary form of that
+    Phi, which :func:`verify_condition3` then reads without a recompute.
     """
-    cfg = coeffs.cfg
     for part in coeffs.parts():  # every key is a part's key
-        part.splitting_sums()  # rejects a key out of range before Xi is written
-    dx = [base_coord(i) for i in range(1, cfg.m + 1)]
-    terms = {}
-    for (a, i1, tail), value in coeffs.table.items():
-        if not value.is_zero:
-            wedge = (*dx[: i1 - 1], *dx[i1:], jet_coord(a, tail))
-            terms[wedge] = value if (i1 + cfg.m) % 2 == 0 else -value
-    volume = coeffs.volume_coefficient()
-    if not volume.is_zero:
-        terms[tuple(dx)] = volume
-    xi = DifferentialForm(cfg.m, terms)
+        part.splitting_sums()  # rejects a key out of range
     if phi is not None:
         failures = _unverified_residuals(phi, coeffs)
         if failures:
@@ -543,7 +580,7 @@ def assemble_boundary_form(
                 f"{render_expr(residual)}"
             )
         coeffs._solves = ref(phi)
-    boundary = BoundaryForm(cfg, xi, coeffs, phi)
+    boundary = BoundaryForm(coeffs.cfg, None, coeffs, phi)
     boundary._solves_phi = phi is not None
     return boundary
 
@@ -565,15 +602,19 @@ def contact_presentation(xi: BoundaryForm) -> str:
 
 
 class DeDonderForm:
-    """Theta = L d_m x + Xi on the order-(2k-1) jet space."""
+    """Theta = L d_m x + Xi on the order-(2k-1) jet space; its :attr:`form`
+    is written on the first read."""
 
     def __init__(self, cfg: JetConfig, lagrangian: Expr, boundary: BoundaryForm):
         self.cfg = cfg
         self.lagrangian = lagrangian
         self.boundary = boundary
-        self.form = (
-            DifferentialForm.from_scalar(lagrangian).wedge(volume_form(cfg)) + boundary.form
-        )
+
+    @cached_property
+    def form(self) -> DifferentialForm:
+        """L d_m x + Xi, then kept."""
+        volume = volume_form(self.cfg)
+        return DifferentialForm.from_scalar(self.lagrangian).wedge(volume) + self.boundary.form
 
     def check_section(self, section: PolynomialSection) -> None:
         """Reject, naming its (m, n), a section of another configuration."""
@@ -644,9 +685,12 @@ class Derivation:
 def derive(cfg: JetConfig, L: Expr) -> Derivation:
     """Phi, the symmetric coefficients, Xi and Theta of L, in that order.
 
-    Phi is kept as its components, with no form built.  Each stage's checks
-    run once (those of L, the solve and assembly); sizes and seconds per
-    stage are logged at debug level.
+    Phi is kept as its components, with no form built, and the forms of Xi
+    and Theta are written when first read.  Each stage's checks run once
+    (those of L, the solve and assembly); sizes and seconds per stage are
+    logged at debug level.  The term counts logged read the two forms, so
+    they are written there, after the stages timed; the stage seconds of Xi
+    and Theta hold assembly's checks and no writing of a form.
     """
     t0 = perf_counter()
     dec = PhiDecomposition.of_lagrangian(cfg, L)

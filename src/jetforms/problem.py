@@ -35,7 +35,11 @@ its value as a function rather than a tree; the values are evaluated once
 the whole file has parsed, so the statements may come in any order and a
 syntax error anywhere is reported before any error in a value, such as an
 integer with more digits than the interpreter converts in an expression, an
-index, an exponent or a sum bound, or a sum past its bound.  Every syntax
+index, an exponent, a sum bound or a declaration (but for a ``skewQ``
+index), or a sum past its bound.  The values of the declarations
+(``dims``, a metric's shape, ``grid`` and ``evolve``) are checked first,
+in the order they are given, then the file is checked for its ``dims`` and
+``L``, then the expressions are evaluated.  Every syntax
 error carries a line/column position and the expected tokens; semantic
 errors (index ranges, order overflow, asymmetric metrics, duplicate
 declarations) point at the offending token.
@@ -229,6 +233,17 @@ def _literal(token: _Token, convert=int):
     return lambda env: value
 
 
+def _declared(make, at: _Token):
+    """``make`` as a declaration's value function: a ``ValueError`` it raises
+    is an error at ``at``."""
+    def value():
+        try:
+            return make()
+        except ValueError as exc:
+            raise ProblemSemanticError(str(exc), at.line, at.column) from None
+    return value
+
+
 def _tokenize(text: str) -> list:
     tokens, line, line_start = [], 1, 0
     for match in _TOKEN.finditer(text):
@@ -295,11 +310,12 @@ class _Parser:
             )
         return self.advance()
 
-    def expect_int(self, what: str = "an integer") -> tuple:
-        token = self.expect("int", what)
-        return _int_value(token), token
+    def expect_int(self, what: str = "an integer") -> int:
+        return _int_value(self.expect("int", what))
 
-    def expect_number(self) -> float:
+    def expect_number(self):
+        """A signed number's value function; a number that is not finite
+        raises its error at its token where the value is evaluated."""
         sign = 1.0
         if self.peek().kind == "-":
             self.advance()
@@ -312,18 +328,23 @@ class _Parser:
             )
         self.advance()
         value = float(token.text)
-        if not math.isfinite(value):
+        if math.isfinite(value):
+            return lambda: sign * value
+
+        def not_finite():
             raise ProblemSemanticError(
                 f"number {token.text} is not finite", token.line, token.column
             )
-        return sign * value
+        return not_finite
 
     # -- statements ---------------------------------------------------------
 
     def parse_problem(self) -> ProblemSpec:
-        dims = lagrangian = lagrangian_at = grid = evolve = grid_at = None
+        lagrangian = lagrangian_at = grid_at = None
         metrics, fields, skew, sections = {}, {}, {}, {}
         declared = set()
+        # the value functions of dims, metric, grid and evolve, in source order
+        declarations = {}
 
         def declare(what: str):
             # each declaration names itself once; a repeat points at its keyword
@@ -336,18 +357,13 @@ class _Parser:
             word = token.text
             if word == "dims":
                 declare("dims declaration")
-                m, _ = self.expect_int("m")
-                n, _ = self.expect_int("n")
-                k, _ = self.expect_int("k")
-                try:
-                    dims = JetConfig(m, n, k)
-                except ValueError as exc:
-                    raise ProblemSemanticError(str(exc), token.line, token.column)
+                declarations["dims"] = self.parse_dims(token)
             elif word == "metric":
                 name = self.expect("name", "a metric name").text
                 declare(f"metric {name!r}")
                 self.expect("=")
-                metrics[name] = (token, self.parse_matrix(token))
+                metrics[name] = token
+                declarations[f"metric {name}"] = self.parse_matrix(token)
             elif word == "L":
                 declare("Lagrangian")
                 self.expect("=")
@@ -359,10 +375,10 @@ class _Parser:
                 fields[name] = self.parse_vector_field(name, token)
             elif word == "skewQ":
                 self.expect("[")
-                a, _ = self.expect_int("a field index")
+                a = self.expect_int("a field index")
                 self.expect(";")
-                i1, _ = self.expect_int("a base index")
-                i2, _ = self.expect_int("a base index")
+                i1 = self.expect_int("a base index")
+                i2 = self.expect_int("a base index")
                 self.expect("]")
                 self.expect("=")
                 declare(f"skewQ[{a}; {i1} {i2}]")
@@ -376,36 +392,10 @@ class _Parser:
             elif word == "grid":
                 declare("grid declaration")
                 grid_at = (token.line, token.column)
-                axes = []
-                while self.peek().kind != ";":
-                    lo = self.expect_number()
-                    hi = self.expect_number()
-                    count, _ = self.expect_int("a point count")
-                    flag = self.expect("name", "'periodic' or 'open'")
-                    if flag.text not in ("periodic", "open"):
-                        raise ProblemSyntaxError(
-                            f"unexpected {flag.text!r}", flag.line, flag.column,
-                            expected=["'periodic'", "'open'"],
-                        )
-                    axes.append((lo, hi, count, flag.text == "periodic"))
-                try:
-                    grid = GridSpec(tuple(axes))
-                except ValueError as exc:
-                    raise ProblemSemanticError(
-                        str(exc), token.line, token.column
-                    )
+                declarations["grid"] = self.parse_grid(token)
             elif word == "evolve":
                 declare("evolve declaration")
-                t0 = self.expect_number()
-                t1 = self.expect_number()
-                steps, steps_token = self.expect_int("a step count")
-                if steps < 1:
-                    raise ProblemSemanticError(
-                        "step count must be positive",
-                        steps_token.line,
-                        steps_token.column,
-                    )
-                evolve = (t0, t1, steps)
+                declarations["evolve"] = self.parse_evolve()
             else:
                 raise ProblemSyntaxError(
                     f"unexpected {word!r}", token.line, token.column,
@@ -415,6 +405,10 @@ class _Parser:
                     ],
                 )
             self.expect(";")
+        # a declaration's value errors come after every syntax error and
+        # before the file is checked for what it lacks
+        values = {what: value() for what, value in declarations.items()}
+        dims, grid, evolve = (values.get(what) for what in ("dims", "grid", "evolve"))
         end = self.peek()
         if dims is None:
             raise ProblemSemanticError("missing dims declaration", end.line, end.column)
@@ -423,7 +417,7 @@ class _Parser:
         self.cfg = dims
         # every entry is evaluated before any metric is registered, so an
         # entry that names a metric names an unknown one
-        matrices = {name: (token, matrix()) for name, (token, matrix) in metrics.items()}
+        matrices = {name: (token, values[f"metric {name}"]()) for name, token in metrics.items()}
         checked = {name: _checked_metric(dims, name, matrix, token)
                    for name, (token, matrix) in matrices.items()}
         self.metrics = {name: tuple(tuple(map(Expr.constant, row)) for row in matrix)
@@ -451,9 +445,48 @@ class _Parser:
         self.expect(closing)
         return items
 
+    def parse_dims(self, at: _Token):
+        """``m n k`` as the value function of the configuration."""
+        m, n, k = (_literal(self.expect("int", name)) for name in ("m", "n", "k"))
+        return _declared(lambda: JetConfig(m(None), n(None), k(None)), at)
+
+    def parse_grid(self, at: _Token):
+        """The axes ``lo hi count periodic|open ...`` as the value function of
+        the grid."""
+        axes = []
+        while self.peek().kind != ";":
+            lo, hi = self.expect_number(), self.expect_number()
+            count = _literal(self.expect("int", "a point count"))
+            flag = self.expect("name", "'periodic' or 'open'")
+            if flag.text not in ("periodic", "open"):
+                raise ProblemSyntaxError(
+                    f"unexpected {flag.text!r}", flag.line, flag.column,
+                    expected=["'periodic'", "'open'"],
+                )
+            axes.append((lo, hi, count, flag.text == "periodic"))
+        return _declared(lambda: GridSpec(tuple(
+            (low(), high(), points(None), periodic) for low, high, points, periodic in axes
+        )), at)
+
+    def parse_evolve(self):
+        """``t0 t1 steps`` as the value function of (t0, t1, steps)."""
+        t0, t1 = self.expect_number(), self.expect_number()
+        steps_at = self.expect("int", "a step count")
+        steps = _literal(steps_at)
+
+        def evolve():
+            value = (t0(), t1(), steps(None))
+            if value[2] < 1:
+                raise ProblemSemanticError(
+                    "step count must be positive", steps_at.line, steps_at.column
+                )
+            return value
+        return evolve
+
     def parse_matrix(self, at: _Token):
-        """The matrix's rows of entries, each a rational constant; ``diag``
-        fills the entries off the diagonal with zero."""
+        """A function that checks that the matrix is square and returns the
+        value function of its rows of entries, each a rational constant;
+        ``diag`` fills the entries off the diagonal with zero."""
         def entry():
             token, value = self.peek(), self.parse_expr()
             return lambda: _constant(
@@ -471,9 +504,15 @@ class _Parser:
             rows = self.parse_list(
                 "[", "]", lambda: self.parse_list("[", "]", entry), "'diag' or '['"
             )
+
+        def matrix():
+            return tuple(tuple(value() for value in row) for row in rows)
+
+        def shape():
             if any(len(row) != len(rows) for row in rows):
                 raise ProblemSemanticError("metric matrix is not square", at.line, at.column)
-        return lambda: tuple(tuple(value() for value in row) for row in rows)
+            return matrix
+        return shape
 
     def skew_value(self, a: int, i1: int, i2: int, at: _Token, value):
         """The value of ``skewQ[a; i1 i2] = value``, its indices checked."""
@@ -795,9 +834,9 @@ class _Parser:
                 self.expect("*", "'*'")
             token = self.advance()
             self.expect("[")
-            idx, _ = self.expect_int("an index")
+            index = _literal(self.expect("int", "an index"))
             self.expect("]")
-            terms.append((sign, coefficient, token, idx))
+            terms.append((sign, coefficient, token, index))
             if self.peek().kind not in ("+", "-"):
                 break
             sign = 1 if self.advance().kind == "+" else -1
@@ -805,10 +844,10 @@ class _Parser:
         def field():
             cfg = self.cfg
             base, vertical = [Expr.zero()] * cfg.m, [Expr.zero()] * cfg.n
-            for sign, coefficient, token, idx in terms:
+            for sign, coefficient, token, index in terms:
                 value = Expr.constant(sign) if coefficient is None else sign * coefficient({})
                 target = base if token.text == "dx" else vertical
-                _in_range(f"{token.text} index", idx, len(target), token)
+                idx = _in_range(f"{token.text} index", index(None), len(target), token)
                 target[idx - 1] = target[idx - 1] + value
             for value in (*base, *vertical):
                 _within_digits(value, at)

@@ -14,11 +14,12 @@ and the prolongation, symmetry test, characteristic jets and currents by
 the total derivatives of the characteristic Q^a, the Cauchy step and slice
 energy as they were before each spectral operation ran once, powers by
 repeated multiplication, the comparison of two boundary forms by their
-full tables' difference, and the substitution of an arbitrary coordinate
-map, which runs the library's substitution loop with a table of images
-made for the call (for the property tests of that loop; the other tests
-set coordinates to rational numbers through the public ``terms()``, by
-``at_rationals``).
+full tables' difference, the summed coefficient table and the forms of Xi
+and Theta written out at once from it, and the substitution of an
+arbitrary coordinate map, which runs the library's substitution loop with
+a table of images made for the call (for the property tests of that loop;
+the other tests set coordinates to rational numbers through the public
+``terms()``, by ``at_rationals``).
 
 The library reaches the same statements by other routes (prolongation by
 the recursive formula, the symmetry test through E d_m x in one scan of L,
@@ -34,9 +35,9 @@ coordinate ids, the determinant by elimination, the problem tokenizer by
 one regular expression, the parser's leaves evaluated once per binding
 with nested sums added into one sum, the Cauchy step into preallocated
 buffers, the slice energy from per-grid weights, powers by the multinomial
-theorem and
-the comparison through the parts the two tables share); these stay as
-independent references.  The kernels read an Expr only through
+theorem, the comparison through the parts the two tables share, and the
+summed table and the forms of Xi and Theta formed when first read); these
+stay as independent references.  The kernels read an Expr only through
 ``terms()``, so they work on coordinate monomials whatever ids the library
 gives the coordinates.
 """
@@ -829,6 +830,38 @@ def reference_compare_boundary_forms(xi, xi_prime) -> ComparisonReport:
         not pullback_failures, differences, relation_failures, divergence_residuals,
         pullback_failures,
     )
+
+
+def summed_table(coeffs: BoundaryCoefficients) -> dict:
+    """The coefficients of ``coeffs``, its parts' values added key by key;
+    zero sums dropped."""
+    table: dict = {}
+    for part in coeffs.parts():
+        for key, p in part.table.items():
+            table[key] = table.get(key, Expr.zero()) + p
+    return {key: p for key, p in table.items() if not p.is_zero}
+
+
+def eager_boundary_form(coeffs: BoundaryCoefficients) -> DifferentialForm:
+    """Xi written at once from the summed table: one term
+    (-1)^(i1+m) p^{i1,T}_a d_m x^- ^ dz^a_T per coefficient and the d_m x
+    coefficient -sum z^a_I S^a_I, its splitting sums added key by key."""
+    cfg, table = coeffs.cfg, summed_table(coeffs)
+    dx = [base_coord(i) for i in range(1, cfg.m + 1)]
+    terms, sums = {}, {}
+    for (a, i1, tail), p in table.items():
+        terms[(*dx[: i1 - 1], *dx[i1:], jet_coord(a, tail))] = p if (i1 + cfg.m) % 2 == 0 else -p
+        c = jet_coord(a, (*tail, i1))
+        sums[c] = sums.get(c, Expr.zero()) + p
+    volume = -Expr.sum(Expr.variable(c) * total for c, total in sums.items())
+    if not volume.is_zero:
+        terms[tuple(dx)] = volume
+    return DifferentialForm(cfg.m, terms)
+
+
+def eager_dedonder_form(L: Expr, coeffs: BoundaryCoefficients) -> DifferentialForm:
+    """Theta = L d_m x + Xi, with Xi from :func:`eager_boundary_form`."""
+    return volume_form(coeffs.cfg) * L + eager_boundary_form(coeffs)
 
 
 # -- the prolongation routes the library replaced ----------------------------

@@ -58,9 +58,12 @@ from tests.support import (
     basis_form,
     coeff_symbol,
     contact_form,
+    eager_boundary_form,
+    eager_dedonder_form,
     per_term_holonomic_reduce,
     random_expr,
     reference_compare_boundary_forms,
+    summed_table,
     vertical_contractions,
 )
 
@@ -1030,3 +1033,113 @@ def test_phi_and_assembly_take_no_exterior_derivative_and_reduce_nothing(monkeyp
     skew = {(a, i1, i2): sign * y_var(a) for a in (1, 2) for i1, i2, sign in ((1, 2, 1), (2, 1, -1))}
     assemble_boundary_form(perturbed_coefficients(dec, skew_pair_perturbation(cfg, skew)), dec)
     assert verify_condition3(dec, xi).ok
+
+
+# -- the forms of Xi and Theta and a sum's table, formed when first read -------
+
+
+def ladder_problem(shape: tuple, seed: int):
+    """(cfg, L, delta) shaped as the symbolic ladder's rungs: a seeded
+    coefficient on every product of two jet coordinates z^a_I with
+    1 <= |I| <= k, and +q and -q on two splittings of each top-level index."""
+    rng = random.Random(seed)
+    cfg = JetConfig(*shape)
+    coords = [Expr.variable(jet_coord(a, I)) for a in range(1, cfg.n + 1)
+              for level in range(1, cfg.k + 1) for I in multiindices(cfg.m, level)]
+    L = Expr.sum(u * v * rng.randint(1, 2**30 - 1)
+                 for at, u in enumerate(coords) for v in coords[at:])
+    delta = {}
+    for a in range(1, cfg.n + 1):
+        for I in multiindices(cfg.m, cfg.k):
+            parts = splittings(I)
+            if len(parts) < 2:
+                continue
+            q = z_var(rng.randint(1, cfg.n), (rng.randint(1, cfg.m),)) * rng.randint(1, 9)
+            for (i1, tail), sign in zip(parts, (1, -1)):
+                delta[(a, i1, tail)] = delta.get((a, i1, tail), Expr.zero()) + sign * q
+    return cfg, L, delta
+
+
+def build_like_the_ladder(cfg: JetConfig, L: Expr, delta: dict):
+    """Phi, the symmetric Xi, its Theta and the skew Xi, as the ladder's
+    build stage makes them."""
+    _, dec = phi_from_lagrangian(cfg, L)
+    xi = assemble_boundary_form(symmetric_boundary_coefficients(dec), dec)
+    alt = assemble_boundary_form(perturbed_coefficients(dec, delta), dec)
+    return dec, xi, dedonder_form(cfg, L, xi), alt
+
+
+def assert_equal_to_the_eager_reference(L: Expr, boundaries):
+    for xi in boundaries:
+        coeffs = xi.coefficients
+        assert coeffs.table == summed_table(coeffs)
+        assert xi.form == eager_boundary_form(coeffs)
+        assert DeDonderForm(xi.cfg, L, xi).form == eager_dedonder_form(L, coeffs)
+
+
+def test_the_fixtures_forms_and_summed_table_equal_the_eager_reference():
+    wp = wave_problem()
+    alt = wp.skew_boundary()
+    assert len(alt.coefficients.parts()) == 2
+    assert_equal_to_the_eager_reference(wp.lagrangian, (wp.boundary_symmetric, alt))
+    assert wp.theta_symmetric.form == eager_dedonder_form(
+        wp.lagrangian, wp.boundary_symmetric.coefficients
+    )
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 2), (3, 2, 2), (2, 2, 3)])
+def test_ladder_shaped_forms_and_summed_tables_equal_the_eager_reference(shape):
+    for seed in (0, 1):
+        cfg, L, delta = ladder_problem(shape, seed)
+        dec, xi, theta, alt = build_like_the_ladder(cfg, L, delta)
+        assert_equal_to_the_eager_reference(L, (xi, alt))
+        assert theta.form == eager_dedonder_form(L, xi.coefficients)
+
+
+def test_a_build_like_the_ladders_writes_no_form_and_sums_no_table():
+    # the checks read the parts' tables and splitting sums, never a form,
+    # the summed table or a d_m x coefficient
+    cfg, L, delta = ladder_problem((2, 2, 2), 0)
+    dec, xi, theta, alt = build_like_the_ladder(cfg, L, delta)
+    assert compare_boundary_forms(xi, alt).ok
+    assert verify_condition3(dec, xi).ok and verify_condition3(dec, alt).ok
+    assert not any("form" in vars(built) for built in (xi, theta, alt))
+    assert "table" not in vars(alt.coefficients)
+    assert all(part._volume is None for part in alt.coefficients.parts())
+    # reading Theta writes the symmetric Xi, and the skew Xi stays unwritten
+    assert theta.form == eager_dedonder_form(L, xi.coefficients)
+    assert "form" in vars(xi) and xi.coefficients._volume is not None
+    assert "form" not in vars(alt) and "table" not in vars(alt.coefficients)
+
+
+def test_assembly_itself_rejects_a_key_out_of_range_and_a_failing_system():
+    cfg = JetConfig(2, 1, 2)
+    _, dec = phi_from_lagrangian(cfg, random_expr(random.Random(71), cfg, cfg.k, terms=6))
+    symmetric = symmetric_boundary_coefficients(dec)
+    out_of_range = BoundaryCoefficients(cfg, {(1, 3, (1,)): Expr.one()})
+    for coeffs in (
+        BoundaryCoefficients(cfg, {**symmetric.table, (1, 3, (1,)): Expr.one()}),
+        dedonder._sum_of_tables(cfg, (symmetric, out_of_range)),
+    ):
+        for phi in (dec, None):
+            with pytest.raises(ValueError, match=re.escape("key (1, 3, (1,)) is out of range")):
+                assemble_boundary_form(coeffs, phi)
+    key, value = next(iter(symmetric.table.items()))
+    wrong = BoundaryCoefficients(cfg, {**symmetric.table, key: value + Expr.one()})
+    with pytest.raises(AssertionError, match="do not solve the boundary system"):
+        assemble_boundary_form(wrong, dec)
+
+
+def test_an_assigned_form_overrides_the_one_written_on_first_read():
+    wp = wave_problem()
+    xi, theta, zero = wp.boundary_symmetric, wp.theta_symmetric, DifferentialForm.zero(wp.cfg.m)
+    assert not xi.form.is_zero
+    xi.form = zero
+    assert xi.form is zero
+    # Theta, first read after the assignment, adds the assigned Xi
+    assert theta.form == volume_form(wp.cfg) * wp.lagrangian
+    theta.form = zero
+    assert theta.form is zero
+    # a form given to the constructor is kept
+    given = eager_boundary_form(xi.coefficients)
+    assert BoundaryForm(wp.cfg, given, xi.coefficients, wp.decomposition).form is given

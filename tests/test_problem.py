@@ -531,6 +531,36 @@ def test_a_syntax_error_after_a_too_long_integer_or_a_long_sum_comes_first(lagra
         assert found[:2] == (ProblemSyntaxError, BOGUS)
 
 
+# (a text, its error): the values of dims, metric, grid, evolve and a
+# field's basis index are checked once every statement has parsed
+@pytest.mark.parametrize("text,error", [
+    pytest.param("evolve 0 1e999 4;", "1:10: number 1e999 is not finite", id="infinite-time"),
+    pytest.param("evolve 0 1 0;", "1:12: step count must be positive", id="no-steps"),
+    pytest.param("grid 0 1 1 periodic;", "1:1: grids need at least 8 points per axis, got 1",
+                 id="few-points"),
+    pytest.param("grid 1 0 16 periodic;", "1:1: bad axis bounds (1.0, 0.0)", id="axis-bounds"),
+    pytest.param("metric g = [[1, 0]];", "1:1: metric matrix is not square", id="not-square"),
+    pytest.param("dims 0 2 2;", "1:1: need at least one independent variable, got m=0",
+                 id="no-base"),
+    pytest.param(f"dims 1 {LONG} 1;", "1:8: integer of 5000 digits is too long",
+                 id="long-dims"),
+    pytest.param(f"dims 1 1 1; L = y[1]; field F = dx[{LONG}];",
+                 "1:36: integer of 5000 digits is too long", id="long-field-index"),
+])
+def test_a_syntax_error_after_a_bad_declaration_comes_first(text, error):
+    for parse in (parse_problem, reference_parse_problem):
+        assert outcome(parse, text) == (ProblemSemanticError, error, ())
+        found = outcome(parse, text + "\nbogus;")
+        assert found[:2] == (ProblemSyntaxError, BOGUS)
+
+
+def test_the_first_bad_declaration_in_the_file_is_reported():
+    for text, error in (("evolve 0 1 0; dims 0 1 1;", "1:12: step count must be positive"),
+                        ("dims 0 1 1; evolve 0 1 0;", "1:1: need at least one independent "
+                                                      "variable, got m=0")):
+        assert outcome(parse_problem, text)[:2] == (ProblemSemanticError, error)
+
+
 # mostly in range and bound by a sum around them, sometimes not
 INDICES = st.sampled_from(["1", "2", "i", "j"] * 4 + ["0", "3", "k"])
 LEAVES = st.one_of(

@@ -43,6 +43,8 @@ EXAMPLE_MULTI_INDEX = ("tests/test_expressions.py::"
 ONE_ID_DERIVATION = (f"{PROPERTIES}::"
                      "test_derivation_along_one_id_images_matches_the_route_of_the_reference_"
                      "symmetry_test")
+LAZY_REFERENCE = ("tests/test_dedonder.py::"
+                  "test_ladder_shaped_forms_and_summed_tables_equal_the_eager_reference")
 BAND_PROPERTY = (f"{PROPERTIES}::"
                  "test_a_band_limited_state_steps_and_weighs_as_the_full_spectrum_references")
 
@@ -71,6 +73,19 @@ MUTANTS = [
      "    if len(tail) >= cfg.k:\n        raise ValueError(f\"coefficient key {key} has level",
      "    if False:\n        raise ValueError(f\"coefficient key {key} has level",
      ("tests/test_dedonder.py::test_coefficient_keys_out_of_range_are_rejected",)),
+    # Xi, Theta and a sum's table as written on their first read
+    ("lazy-xi-drops-the-volume-term", DEDONDER,
+     "        if not volume.is_zero:\n            terms[tuple(dx)] = volume\n",
+     "",
+     (LAZY_REFERENCE,)),
+    ("lazy-theta-drops-the-lagrangian-term", DEDONDER,
+     "return DifferentialForm.from_scalar(self.lagrangian).wedge(volume) + self.boundary.form",
+     "return self.boundary.form",
+     (LAZY_REFERENCE,)),
+    ("summed-table-drops-a-part", DEDONDER,
+     "for part in self._parts for item in part.table.items())",
+     "for part in self._parts[1:] for item in part.table.items())",
+     (LAZY_REFERENCE,)),
     ("terms-in-insertion-order", EXPRESSIONS,
      "        ordered = sorted(\n            (sorted([(keys[c]",
      "        ordered = list(\n            (sorted([(keys[c]",
