@@ -28,9 +28,12 @@ independence of the chosen boundary form).
 
 Each divergence sum_j D_j p^{j,I}_a is computed once, by the table that
 carries it (:meth:`BoundaryCoefficients.divergence`), as one sum of total
-derivatives: the top-down solve fills it, and the splitting checks,
-:meth:`Derivation.euler_lagrange`, the De Donder residual and the
-comparison of two boundary forms read it back.
+derivatives, and then kept.  The top-down solve fills those of |I| >= 1,
+which the splitting checks read back.  The level-one divergence
+sum_j D_j p^j_a (I = ()) enters no level of the system: it is computed on
+its first read, by :meth:`Derivation.euler_lagrange` or the De Donder
+residual, and the comparison of two boundary forms computes it for their
+difference.
 
 A coefficient table is a sum of parts, and a plain table is its own single
 part.  The system is linear in (Phi, top-level data), so a skew solution is
@@ -663,8 +666,10 @@ class Derivation:
         self.theta_symmetric = theta_symmetric
 
     def euler_lagrange(self) -> list:
-        """dL/dy^a as Phi_a - sum_i D_i p^i_a, read from the divergence
-        table of the symmetric coefficients; the tests hold it equal to
+        """dL/dy^a as Phi_a - sum_i D_i p^i_a, with the level-one divergences
+        of the symmetric coefficients: the top-down solve does not fill them,
+        so the first read, here or by :func:`dedonder_residual`, computes
+        them and the table keeps them.  The tests hold it equal to
         :func:`lagrange_derivative`."""
         return _body_densities(self.decomposition, self.boundary_symmetric.coefficients)
 

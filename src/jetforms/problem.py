@@ -33,15 +33,16 @@ indices are canonicalized on parse.
 The parser makes one pass over the tokens, and each grammar rule returns
 its value as a function rather than a tree; the values are evaluated once
 the whole file has parsed, so the statements may come in any order and a
-syntax error anywhere is reported before any error in a value, such as an
-integer with more digits than the interpreter converts in an expression, an
-index, an exponent, a sum bound or a declaration (but for a ``skewQ``
-index), or a sum past its bound.  The values of the declarations
-(``dims``, a metric's shape, ``grid`` and ``evolve``) are checked first,
-in the order they are given, then the file is checked for its ``dims`` and
-``L``, then the expressions are evaluated.  Every syntax
-error carries a line/column position and the expected tokens; semantic
-errors (index ranges, order overflow, asymmetric metrics, duplicate
+syntax error anywhere is reported before any error in a value.  That pass
+converts no number and checks no bound: a literal is converted only where
+its value is evaluated, so an integer with more digits than the interpreter
+converts, in an expression, an index, an exponent, a sum bound, a ``skewQ``
+index or a declaration, is an error in a value, as is a sum past its bound.
+The values of the declarations (``dims``, a metric's shape, ``grid`` and
+``evolve``) are checked first, in the order they are given, then the file
+is checked for its ``dims`` and ``L``, then the expressions are evaluated.
+Every syntax error carries a line/column position and the expected tokens;
+semantic errors (index ranges, order overflow, asymmetric metrics, duplicate
 declarations) point at the offending token.
 
 A leaf (``x[i]``, ``y[a]``, ``z[...]`` or a metric entry) is evaluated once
@@ -116,7 +117,7 @@ class GridSpec:
 
     @property
     def shape(self) -> tuple:
-        return tuple(int(count) for _, _, count, _ in self.axes)
+        return tuple(count for _, _, count, _ in self.axes)
 
     def spacing(self, axis: int) -> float:
         lo, hi, count, periodic = self.axes[axis]
@@ -211,36 +212,22 @@ class _Token:
         self.column = column
 
 
-def _int_value(token: _Token) -> int:
-    """The value of an int token; one with more digits than the interpreter
-    converts (``sys.get_int_max_str_digits``) is an error at the token."""
-    try:
-        return int(token.text)
-    except ValueError:
-        raise ProblemSemanticError(
-            f"integer of {len(token.text)} digits is too long", token.line, token.column
-        ) from None
-
-
 def _literal(token: _Token, convert=int):
-    """The value function of an int token: ``convert`` of its value, found
-    here, once.  A token too long to convert raises its error where the
-    value is evaluated, after every syntax error."""
-    try:
-        value = convert(int(token.text))
-    except ValueError:
-        return lambda env: _int_value(token)
-    return lambda env: value
+    """The value function of an int token: ``convert`` of its value,
+    converted where it is first evaluated and then kept.  A token with more
+    digits than the interpreter converts (``sys.get_int_max_str_digits``)
+    raises an error at the token there, after every syntax error."""
+    kept = []
 
-
-def _declared(make, at: _Token):
-    """``make`` as a declaration's value function: a ``ValueError`` it raises
-    is an error at ``at``."""
-    def value():
-        try:
-            return make()
-        except ValueError as exc:
-            raise ProblemSemanticError(str(exc), at.line, at.column) from None
+    def value(env):
+        if not kept:
+            try:
+                kept.append(convert(int(token.text)))
+            except ValueError:
+                raise ProblemSemanticError(
+                    f"integer of {len(token.text)} digits is too long", token.line, token.column
+                ) from None
+        return kept[0]
     return value
 
 
@@ -278,13 +265,16 @@ class _Parser:
     for an expression (env -> Expr) and an index (env -> int), of nothing
     for a declaration.  The functions run once the whole file has parsed,
     with ``cfg`` and ``metrics`` set, so a syntax error anywhere comes
-    before any error in a value."""
+    before any error in a value: literals are converted, and sums counted
+    against their bound, only where they are evaluated."""
 
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
-        self.evaluations = 1  # of the body being parsed: the product of the sums' ranges
+        # the evaluations of the running sum's body: its range times the
+        # ranges of the sums around it
+        self.running = 1
         self.cfg = None
         self.metrics = {}  # name -> rows of constant Exprs, set once checked
         self.bodies = self.leaves = 0  # sum bodies evaluated, leaf values computed
@@ -310,9 +300,6 @@ class _Parser:
             )
         return self.advance()
 
-    def expect_int(self, what: str = "an integer") -> int:
-        return _int_value(self.expect("int", what))
-
     def expect_number(self):
         """A signed number's value function; a number that is not finite
         raises its error at its token where the value is evaluated."""
@@ -327,23 +314,24 @@ class _Parser:
                 expected=["a number"],
             )
         self.advance()
-        value = float(token.text)
-        if math.isfinite(value):
-            return lambda: sign * value
 
-        def not_finite():
-            raise ProblemSemanticError(
-                f"number {token.text} is not finite", token.line, token.column
-            )
-        return not_finite
+        def number():
+            value = float(token.text)
+            if not math.isfinite(value):
+                raise ProblemSemanticError(
+                    f"number {token.text} is not finite", token.line, token.column
+                )
+            return sign * value
+        return number
 
     # -- statements ---------------------------------------------------------
 
     def parse_problem(self) -> ProblemSpec:
         lagrangian = lagrangian_at = grid_at = None
-        metrics, fields, skew, sections = {}, {}, {}, {}
+        metrics, fields, sections, skew = {}, {}, {}, []
         declared = set()
-        # the value functions of dims, metric, grid and evolve, in source order
+        # the value functions of dims, metric, grid and evolve, in source
+        # order, with their keywords
         declarations = {}
 
         def declare(what: str):
@@ -357,13 +345,13 @@ class _Parser:
             word = token.text
             if word == "dims":
                 declare("dims declaration")
-                declarations["dims"] = self.parse_dims(token)
+                declarations["dims"] = self.parse_dims(), token
             elif word == "metric":
                 name = self.expect("name", "a metric name").text
                 declare(f"metric {name!r}")
                 self.expect("=")
                 metrics[name] = token
-                declarations[f"metric {name}"] = self.parse_matrix(token)
+                declarations[f"metric {name}"] = self.parse_matrix(token), token
             elif word == "L":
                 declare("Lagrangian")
                 self.expect("=")
@@ -375,14 +363,15 @@ class _Parser:
                 fields[name] = self.parse_vector_field(name, token)
             elif word == "skewQ":
                 self.expect("[")
-                a = self.expect_int("a field index")
+                indices = [self.expect("int", "a field index")]
                 self.expect(";")
-                i1 = self.expect_int("a base index")
-                i2 = self.expect_int("a base index")
+                indices += [self.expect("int", "a base index") for _ in range(2)]
                 self.expect("]")
                 self.expect("=")
+                # named by their digits, so that 01 and 1 name one index
+                a, i1, i2 = (index.text.lstrip("0") or "0" for index in indices)
                 declare(f"skewQ[{a}; {i1} {i2}]")
-                skew[(a, i1, i2)] = self.skew_value(a, i1, i2, token, self.parse_expr())
+                skew.append(self.skew_value(indices, token, self.parse_expr()))
             elif word == "section":
                 name = self.expect("name", "a section name").text
                 declare(f"section {name!r}")
@@ -392,10 +381,10 @@ class _Parser:
             elif word == "grid":
                 declare("grid declaration")
                 grid_at = (token.line, token.column)
-                declarations["grid"] = self.parse_grid(token)
+                declarations["grid"] = self.parse_grid(), token
             elif word == "evolve":
                 declare("evolve declaration")
-                declarations["evolve"] = self.parse_evolve()
+                declarations["evolve"] = self.parse_evolve(), token
             else:
                 raise ProblemSyntaxError(
                     f"unexpected {word!r}", token.line, token.column,
@@ -406,8 +395,14 @@ class _Parser:
                 )
             self.expect(";")
         # a declaration's value errors come after every syntax error and
-        # before the file is checked for what it lacks
-        values = {what: value() for what, value in declarations.items()}
+        # before the file is checked for what it lacks; a ValueError is an
+        # error at the statement's keyword
+        values = {}
+        for what, (value, at) in declarations.items():
+            try:
+                values[what] = value()
+            except ValueError as exc:
+                raise ProblemSemanticError(str(exc), at.line, at.column) from None
         dims, grid, evolve = (values.get(what) for what in ("dims", "grid", "evolve"))
         end = self.peek()
         if dims is None:
@@ -428,7 +423,7 @@ class _Parser:
             lagrangian=_within_digits(lagrangian({}), lagrangian_at),
             lagrangian_at=(lagrangian_at.line, lagrangian_at.column),
             fields={name: value() for name, value in fields.items()},
-            skew={key: value() for key, value in skew.items()},
+            skew=dict(entry() for entry in skew),
             sections={name: value() for name, value in sections.items()},
             grid=grid,
             evolve=evolve,
@@ -445,12 +440,12 @@ class _Parser:
         self.expect(closing)
         return items
 
-    def parse_dims(self, at: _Token):
+    def parse_dims(self):
         """``m n k`` as the value function of the configuration."""
         m, n, k = (_literal(self.expect("int", name)) for name in ("m", "n", "k"))
-        return _declared(lambda: JetConfig(m(None), n(None), k(None)), at)
+        return lambda: JetConfig(m(None), n(None), k(None))
 
-    def parse_grid(self, at: _Token):
+    def parse_grid(self):
         """The axes ``lo hi count periodic|open ...`` as the value function of
         the grid."""
         axes = []
@@ -464,9 +459,9 @@ class _Parser:
                     expected=["'periodic'", "'open'"],
                 )
             axes.append((lo, hi, count, flag.text == "periodic"))
-        return _declared(lambda: GridSpec(tuple(
+        return lambda: GridSpec(tuple(
             (low(), high(), points(None), periodic) for low, high, points, periodic in axes
-        )), at)
+        ))
 
     def parse_evolve(self):
         """``t0 t1 steps`` as the value function of (t0, t1, steps)."""
@@ -510,14 +505,18 @@ class _Parser:
 
         def shape():
             if any(len(row) != len(rows) for row in rows):
-                raise ProblemSemanticError("metric matrix is not square", at.line, at.column)
+                raise ValueError("metric matrix is not square")
             return matrix
         return shape
 
-    def skew_value(self, a: int, i1: int, i2: int, at: _Token, value):
-        """The value of ``skewQ[a; i1 i2] = value``, its indices checked."""
+    def skew_value(self, indices: list, at: _Token, value):
+        """The key ``(a, i1, i2)`` and the value of ``skewQ[a; i1 i2] =
+        value``, the index tokens ``indices`` checked."""
+        literals = [_literal(index) for index in indices]
+
         def entry():
             cfg = self.cfg
+            a, i1, i2 = key = tuple(literal(None) for literal in literals)
             _in_range("skewQ field index", a, cfg.n, at)
             for idx in (i1, i2):
                 _in_range("skewQ base index", idx, cfg.m, at)
@@ -525,7 +524,7 @@ class _Parser:
                 raise ProblemSemanticError(
                     "skewQ perturbations are defined for k = 2 problems", at.line, at.column
                 )
-            return _within_digits(value({}), at)
+            return key, _within_digits(value({}), at)
         return entry
 
     def section_value(self, name: str, at: _Token, components: list):
@@ -698,31 +697,27 @@ class _Parser:
             self.expect("(")
             var = self.expect("name", "an index variable").text
             self.expect(",")
-            lo_at = self.expect("int", "a lower bound")
+            lo = _literal(self.expect("int", "a lower bound"))
             self.expect(",")
-            hi_at = self.expect("int", "an upper bound")
+            hi = _literal(self.expect("int", "an upper bound"))
             self.expect(",")
-            outer, error = self.evaluations, None
-            try:  # a bound too long, or a count past the bound, raises where the sum runs
-                lo, hi = _int_value(lo_at), _int_value(hi_at)
-                self.evaluations = outer * max(0, hi - lo + 1)
-                if self.evaluations > _MAX_DEGREE:
-                    raise ProblemSemanticError(f"sum evaluates its body {self.evaluations} times, "
-                                               f"more than {_MAX_DEGREE}", token.line, token.column)
-            except ProblemSemanticError as exc:
-                error = exc
             self.enter(token)
             body = self.parse_expr()
             self.depth -= 1
-            self.evaluations = outer
             self.expect(")")
 
             def total(env):
-                if error is not None:
-                    raise error
+                first, last, outer = lo(env), hi(env), self.running
+                self.running = count = outer * max(0, last - first + 1)
+                if count > _MAX_DEGREE:
+                    raise ProblemSemanticError(
+                        f"sum evaluates its body {count} times, more than {_MAX_DEGREE}",
+                        token.line, token.column,
+                    )
                 terms = []
-                for value in range(lo, hi + 1):
+                for value in range(first, last + 1):
                     terms.append(body({**env, var: value}))
+                self.running = outer
                 self.bodies += len(terms)
                 return Expr.sum(terms)
             return total

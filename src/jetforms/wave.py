@@ -17,35 +17,19 @@ import importlib.resources
 
 from .dedonder import Derivation, derive
 from .problem import parse_problem
-from .prolongations import ProjectableField
 
 
 class WaveProblem(Derivation):
     """The example's derived objects and its symmetry fields."""
 
-    def __init__(
-        self,
-        cfg,
-        lagrangian,
-        decomposition,
-        boundary_symmetric,
-        theta_symmetric,
-        time_translation: ProjectableField,
-        space_translation: ProjectableField,
-        lorentz_boost: ProjectableField,
-    ):
-        super().__init__(cfg, lagrangian, decomposition, boundary_symmetric, theta_symmetric)
-        self.time_translation = time_translation
-        self.space_translation = space_translation
-        self.lorentz_boost = lorentz_boost
+    def __init__(self, derivation: Derivation, fields: dict):
+        super().__init__(**vars(derivation))
+        self.time_translation = fields["YT"]
+        self.space_translation = fields["YS"]
+        self.lorentz_boost = fields["YL"]
 
 
 def wave_problem() -> WaveProblem:
     fixture = importlib.resources.files("jetforms").joinpath("fixtures/fourth_order_wave.jet")
     spec = parse_problem(fixture.read_text())
-    return WaveProblem(
-        **vars(derive(spec.cfg, spec.lagrangian)),
-        time_translation=spec.fields["YT"],
-        space_translation=spec.fields["YS"],
-        lorentz_boost=spec.fields["YL"],
-    )
+    return WaveProblem(derive(spec.cfg, spec.lagrangian), spec.fields)

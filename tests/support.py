@@ -95,7 +95,6 @@ from jetforms.problem import (
     _check_product,
     _constant,
     _in_range,
-    _int_value,
     _MAX_DEGREE,
     _Parser,
     _Token,
@@ -635,16 +634,33 @@ def reference_tokenize(text: str) -> list:
     return tokens
 
 
+def _converted(token: _Token) -> int:
+    """The value of an int token; one with more digits than the interpreter
+    converts is an error at the token."""
+    try:
+        return int(token.text)
+    except ValueError:
+        raise ProblemSemanticError(
+            f"integer of {len(token.text)} digits is too long", token.line, token.column
+        ) from None
+
+
 class ReferenceParser(_Parser):
     """The problem parser with its expression values as they were before
     each leaf kept its value per parse, a zero product skipped its later
     multiplications and nested sums added into one sum: every sum builds
     its own ``Expr.sum`` over a copy of the bindings, and every leaf checks
     its indices and builds its value on each evaluation.  An integer
-    literal is converted, and a sum's count of body evaluations checked,
-    each time the value is evaluated, so their errors come after every
+    literal is converted by its own converter each time its value is
+    evaluated.  A sum's count of body evaluations is the product of the
+    ranges of the sums around it in the text, found while parsing, and is
+    checked where the sum is evaluated; so both errors come after every
     syntax error.  The statements, the syntax and the checks outside
     expressions are the library's."""
+
+    def __init__(self, text: str):
+        super().__init__(text)
+        self.nesting = 1  # the body evaluations of the sum being parsed
 
     def parse_product(self):
         first, rest = self.parse_factor(), []
@@ -673,7 +689,7 @@ class ReferenceParser(_Parser):
         token = self.peek()
         if token.kind == "int":
             self.advance()
-            return lambda env: Expr.constant(_int_value(token))
+            return lambda env: Expr.constant(_converted(token))
         if token.kind == "float":
             raise ProblemSyntaxError(
                 "decimal literals are not allowed in expressions; use rationals",
@@ -702,20 +718,20 @@ class ReferenceParser(_Parser):
             self.expect(",")
             hi_at = self.expect("int", "an upper bound")
             self.expect(",")
-            outer = count = self.evaluations
+            outer = count = self.nesting
             try:  # a bound too long to convert raises its error where the sum runs
                 count = outer * max(0, int(hi_at.text) - int(lo_at.text) + 1)
             except ValueError:
                 pass
-            self.evaluations = count
+            self.nesting = count
             self.enter(token)
             body = self.parse_expr()
             self.depth -= 1
-            self.evaluations = outer
+            self.nesting = outer
             self.expect(")")
 
             def total(env):
-                lo, hi = _int_value(lo_at), _int_value(hi_at)
+                lo, hi = _converted(lo_at), _converted(hi_at)
                 if count > _MAX_DEGREE:
                     raise ProblemSemanticError(
                         f"sum evaluates its body {count} times, more than {_MAX_DEGREE}",
@@ -779,7 +795,7 @@ class ReferenceParser(_Parser):
     def parse_index(self):
         token = self.advance()
         if token.kind == "int":
-            return lambda env: _int_value(token)
+            return lambda env: _converted(token)
         if token.kind == "name":
             return self.bound_index(token, "index variable")
         raise ProblemSyntaxError(

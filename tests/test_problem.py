@@ -249,6 +249,9 @@ MALFORMED = [
      "1:43: duplicate section 's'", ()),
     ("dims 2 1 2; L = y[1]; skewQ[1; 1 2] = y[1]; skewQ[1; 1 2] = y[1];", SEM,  # duplicate skewQ
      "1:45: duplicate skewQ[1; 1 2]", ()),
+    # an index is named by its digits, a leading zero left out
+    ("dims 2 1 2; L = y[1]; skewQ[1; 01 2] = y[1]; skewQ[1; 1 2] = y[1];", SEM,
+     "1:46: duplicate skewQ[1; 1 2]", ()),
     ("dims 1 1 1; L = y[1]; grid 0 1 16 periodic; grid 0 1 16 periodic;", SEM,  # duplicate grid
      "1:45: duplicate grid declaration", ()),
     ("dims 1 1 1; L = y[1]; evolve 0 1 4; evolve 0 1 4;", SEM,  # duplicate evolve
@@ -508,23 +511,34 @@ BOGUS = ("2:1: unexpected 'bogus' (expected 'dims' or 'metric' or 'L' or 'field'
          "'skewQ' or 'section' or 'grid' or 'evolve')")
 
 
-# (L, its error): an integer too long to convert, as a constant, an index,
-# an exponent or a sum bound, and a sum past its bound are errors in values
-@pytest.mark.parametrize("lagrangian,error", [
-    pytest.param(f"{LONG}*y[1]", "1:17: integer of 5000 digits is too long", id="constant"),
-    pytest.param("sum(i,1,20000, y[1])",
+def _lagrangian(value: str) -> str:
+    return f"dims 1 1 1; L = {value};"
+
+
+# (a text, its error): an integer too long to convert, as a constant, an
+# index, an exponent, a sum bound or a skewQ index, and a sum past its bound
+# are errors in values
+@pytest.mark.parametrize("source,error", [
+    pytest.param(_lagrangian(f"{LONG}*y[1]"), "1:17: integer of 5000 digits is too long",
+                 id="constant"),
+    pytest.param(_lagrangian("sum(i,1,20000, y[1])"),
                  "1:17: sum evaluates its body 20000 times, more than 10000", id="sum-count"),
-    pytest.param(f"z[1; {LONG}]", "1:22: integer of 5000 digits is too long", id="index"),
-    pytest.param(f"y[1]^{LONG}", "1:22: integer of 5000 digits is too long", id="exponent"),
-    pytest.param(f"sum(i,{LONG},1, y[1])", "1:23: integer of 5000 digits is too long",
-                 id="lower-bound"),
-    pytest.param(f"sum(i,1,{LONG}, y[1])", "1:25: integer of 5000 digits is too long",
-                 id="upper-bound"),
-    pytest.param(f"sum(i,1,2, sum(j,1,{LONG}, y[1]))",
+    pytest.param(_lagrangian(f"z[1; {LONG}]"), "1:22: integer of 5000 digits is too long",
+                 id="index"),
+    pytest.param(_lagrangian(f"y[1]^{LONG}"), "1:22: integer of 5000 digits is too long",
+                 id="exponent"),
+    pytest.param(_lagrangian(f"sum(i,{LONG},1, y[1])"),
+                 "1:23: integer of 5000 digits is too long", id="lower-bound"),
+    pytest.param(_lagrangian(f"sum(i,1,{LONG}, y[1])"),
+                 "1:25: integer of 5000 digits is too long", id="upper-bound"),
+    pytest.param(_lagrangian(f"sum(i,1,2, sum(j,1,{LONG}, y[1]))"),
                  "1:36: integer of 5000 digits is too long", id="inner-bound"),
+    pytest.param(f"dims 2 1 2; L = y[1]; skewQ[{LONG}; 1 2] = y[1];",
+                 "1:29: integer of 5000 digits is too long", id="skew-field-index"),
+    pytest.param(f"dims 2 1 2; L = y[1]; skewQ[1; 1 {LONG}] = y[1];",
+                 "1:34: integer of 5000 digits is too long", id="skew-base-index"),
 ])
-def test_a_syntax_error_after_a_too_long_integer_or_a_long_sum_comes_first(lagrangian, error):
-    source = f"dims 1 1 1; L = {lagrangian};"
+def test_a_syntax_error_after_a_too_long_integer_or_a_long_sum_comes_first(source, error):
     for parse in (parse_problem, reference_parse_problem):
         assert outcome(parse, source) == (ProblemSemanticError, error, ())
         found = outcome(parse, source + "\nbogus;")

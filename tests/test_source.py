@@ -445,6 +445,31 @@ def test_only_expressions_reads_the_storage_of_an_expr():
     assert not hits, f"Expr storage read outside expressions.py: {hits}"
 
 
+def _int_calls(tree) -> list:
+    """The calls of ``int`` in ``tree``."""
+    return [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "int"
+    ]
+
+
+def test_the_parser_converts_an_int_token_only_in_its_literal():
+    # an int token's value, and its error when it has too many digits, come
+    # from one value function, so the syntax pass converts nothing and no
+    # value error can come before a syntax error later in the file
+    assert len(_int_calls(ast.parse("int(a)\nfloat(b)\nf(int)\nint(int(c))"))) == 3
+    tree = ast.parse((SOURCE / "problem.py").read_text())
+    functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    inside = _int_calls(functions["_literal"])
+    assert inside  # the scan does see the conversion where it lives
+    outside = [node.lineno for node in _int_calls(tree) if node not in inside]
+    assert not outside, f"int() called outside _literal in problem.py: {outside}"
+    parser = next(node for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == "_Parser")
+    assert "expect_int" not in {node.name for node in parser.body
+                                if isinstance(node, ast.FunctionDef)}
+
+
 def _load_tool(name):
     path = SOURCE.parents[1] / "tools" / f"{name}.py"
     spec = importlib.util.spec_from_file_location(name, path)

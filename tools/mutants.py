@@ -178,6 +178,15 @@ MUTANTS = [
     ("power-factor-bound-dropped", PROBLEM,
      "if most * degree > _MAX_FACTORS:", "if False:",
      ("tests/test_problem.py",)),
+    # a sum's bound, checked where it runs against the running product of
+    # its range and the ranges of the sums around it
+    ("sum-evaluation-bound-dropped", PROBLEM,
+     "if count > _MAX_DEGREE:", "if False:",
+     ("tests/test_problem.py",)),
+    ("sum-bound-ignores-the-sums-around-it", PROBLEM,
+     "self.running = count = outer * max(0, last - first + 1)",
+     "count = max(0, last - first + 1)",
+     ("tests/test_problem.py",)),
     # the parser's evaluation: a leaf's memo keyed without its last jet
     # index, and a zero product that stops before its later factors' errors
     ("parse-leaf-memo-drops-an-index", PROBLEM,
