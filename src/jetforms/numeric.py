@@ -12,11 +12,16 @@ Everything here exists to corroborate the symbolic machinery:
   a step and the energy read and write only the band, and a band-limited
   state costs in proportion to its band, not to its grid.  The full
   spectrum is zero-padded on read.  Each spectral operation runs once: a
-  grid's wavenumbers, xi^j scales and energy weights are computed once and
-  travel with the state or the functional, the rotation xi dt with its
-  cosine and sine is formed once per step size, a step writes into buffers
-  allocated once per step, an energy call scales each row it reads once,
-  and one energy table serves every boundary form;
+  grid's wavenumbers, xi^j scales and energy powers xi^S are computed once
+  and travel with the state or the functional, the rotation xi dt with its
+  cosine and sine is formed once per step size, the energy weights once per
+  band, a step writes into five scratch buffers allocated once per grid and
+  band, an energy call scales each row it reads once, and one energy table
+  serves every boundary form.  So each array that a step or an energy call
+  reads from one call to the next is allocated once per ``evolve`` command:
+  a step allocates only the state it returns, an energy call only its
+  band-length rows and its sum.  Every power is taken on the full grid, as
+  numpy's pow of a shorter array can differ in the last bit;
 * a flow oracle for prolongations.  The supported symmetry-field class keeps
   flows closed-form: base components affine in x, vertical components affine
   in (x, y) jointly.  That covers translations, the Lorentz generator,
@@ -138,7 +143,8 @@ class _GridModes:
     read: the xi^j time scales, the wavenumbers xi != 0 that the propagator
     multiplies by dt, and xi of the derivative symbol, 0 in the Nyquist mode.
     It also keeps the rotation of the last step, (dt, band, tau, cos tau,
-    sin tau), which a step of the same float dt and band reuses."""
+    sin tau), which a step of the same float dt and band reuses, and the
+    five scratch buffers of a step, one set per shape of a band's rows."""
 
     def __init__(self, grid: GridSpec):
         self.grid = grid
@@ -147,13 +153,15 @@ class _GridModes:
         self.xi = _wavenumbers(count, hi - lo)[1:]
         self.symbol_xi = _derivative_symbol(count, hi - lo).imag
         self._rotation = (None, None)
+        self.scratch: dict = {}
 
     def rotation(self, dt: float, band: int) -> tuple:
         """tau = xi dt, cos tau and sin tau in the modes 1..band-1."""
-        if self._rotation[:2] != (dt, band):
+        rotation = self._rotation  # read once: a concurrent step may replace it
+        if rotation[:2] != (dt, band):
             tau = self.xi[: band - 1] * dt
-            self._rotation = (dt, band, tau, np.cos(tau), np.sin(tau))
-        return self._rotation[2:]
+            rotation = self._rotation = (dt, band, tau, np.cos(tau), np.sin(tau))
+        return rotation[2:]
 
 
 def cauchy_evolve(state: CauchyState, t_target: float) -> CauchyState:
@@ -178,24 +186,32 @@ def cauchy_evolve(state: CauchyState, t_target: float) -> CauchyState:
     propagator.  The wavenumbers come with the state, computed once per
     grid, and tau = xi dt with its cosine and sine once per step size:
     consecutive steps of one float dt share them.  Every other array
-    operation writes into the new band's rows or into five buffers
-    allocated once per step, all b - 1 modes wide.  They are the float
-    operations of the expressions in the comments below, in the same order,
-    a halving written as a product with 0.5, so no temporary is allocated
-    and the result is the same to the bit.
+    operation writes into the new band's rows or into five scratch buffers,
+    all b - 1 modes wide, allocated on the grid's first step of that band
+    and reused by its later ones.  A step takes the set off the grid's
+    modes and hands it back at its end, so two concurrent steps never share
+    one.  The new state's band is allocated on every step, as callers keep
+    states.  The operations are the float operations of the expressions in
+    the comments below, in the same order, a halving written as a product
+    with 0.5, so no temporary is allocated and the result is the same to
+    the bit.
     """
     dt = t_target - state.t
     if dt == 0.0:
         return state
     taylor = [1.0, dt, dt**2 / 2.0, dt**3 / 6.0]  # a huge dt raises OverflowError
-    band = state._band
-    tau, c, s = state.modes.rotation(dt, band)
+    band, modes = state._band, state.modes
+    tau, c, s = modes.rotation(dt, band)
     u0, u1, u2, u3 = np.moveaxis(state._u[:, :, 1:band], 1, 0)
     out = np.empty_like(state._u)
     v0, v1, v2, v3 = np.moveaxis(out[:, :, 1:band], 1, 0)
-    # five allocations: one block of the five was faster but raised the
+    # five buffers: one block of the five was faster but raised the
     # evolve_16k benchmark's peak RSS by 0.7 MB more
-    B, C, D, Bt, Dt = (np.empty_like(u0) for _ in range(5))
+    shape = u0.shape
+    scratch = modes.scratch.pop(shape, None)
+    if scratch is None:
+        scratch = tuple(np.empty_like(u0) for _ in range(5))
+    B, C, D, Bt, Dt = scratch
     w = v3  # scratch until row 3, which is written last
     # A = u0, B = -(u1 + u3) / 2, C = (3 u1 + u3) / 2, D = (u0 + u2) / 2
     np.add(u1, u3, out=B)
@@ -244,7 +260,8 @@ def cauchy_evolve(state: CauchyState, t_target: float) -> CauchyState:
     # zero mode: u_i <- sum over j >= i of taylor[j - i] u_j
     shift = [[taylor[j - i] if j >= i else 0.0 for i in range(4)] for j in range(4)]
     out[:, :, 0] = state._u[:, :, 0] @ np.array(shift)
-    return CauchyState._from_spectrum(state.modes, out, t_target)
+    modes.scratch[shape] = scratch
+    return CauchyState._from_spectrum(modes, out, t_target)
 
 
 class EnergyFunctional:
@@ -261,9 +278,11 @@ class EnergyFunctional:
     x-derivative cancels inside it, so all boundary forms give one table,
     and ``evolve`` evaluates that one table once per state.  A call scales
     each distinct (field, row) spectrum the table reads once, in the modes
-    of the state's stored band, then pairs and weights them; the weights
-    c_e xi^S are formed and checked in every mode on a grid's first call
-    and kept for its later ones.  A c_e past the float range is the
+    of the state's stored band, then pairs and weights them.  The powers
+    xi^S, one per distinct S, are formed and checked in every mode on a
+    grid's first call and kept for its later ones; the weights c_e xi^S
+    are kept only in the modes of the band, formed from those powers on the
+    first call of a grid and band.  A c_e past the float range is the
     coefficients' fault (OverflowError), checked first; then an xi^S past
     it is the grid's (ValueError); a finite xi^S whose weight is not, or a
     sum of finite weighted terms that is not, is again the coefficients'
@@ -298,38 +317,55 @@ class EnergyFunctional:
             entries[key] = entries.get(key, 0) + sign * coeff
         self.entries = {key: c for key, c in sorted(entries.items()) if c != 0}
         # per entry the (field, row) spectra it pairs, its part, S and c_e;
-        # the weights c_e xi^S are evaluated once per grid
+        # the powers xi^S are evaluated once per grid, the weights c_e xi^S
+        # once per grid and band
         self._terms = [((a - 1, r), (b - 1, r2), part, S, c)
                        for (a, r, b, r2, S, part), c in self.entries.items()]
         self._rows = list(dict.fromkeys(key for term in self._terms for key in term[:2]))
-        self._weights_of = self._weights = None
+        # (key, value) pairs, each read and replaced whole
+        self._powers = self._weights = (None, None)
 
-    def _weights_on(self, modes: _GridModes) -> list:
-        """c_e xi^S per entry in every mode of the grid, xi = 0 in the
-        Nyquist mode; a value past the float range in any mode raises, as
-        the band of a call may leave that mode out."""
+    def _powers_on(self, modes: _GridModes) -> dict:
+        """xi^S per distinct S of the table in every mode of the grid, xi = 0
+        in the Nyquist mode; a power or weight c_e xi^S past the float range
+        in any mode raises, as the band of a call may leave that mode out.
+        A weight is checked through its largest mode, c_e max|xi^S|: a
+        product of floats rounds monotonically, so it passes the range if
+        and only if the weight does in some mode."""
         if any(abs(c) > sys.float_info.max for *_, c in self._terms):
             raise OverflowError("the slice energy has a coefficient beyond the float range")
         lo, hi, _, _ = modes.grid.axes[0]
+        exponents = dict.fromkeys(S for *_, S, _ in self._terms)
         with np.errstate(over="ignore"):
-            powers = {S: modes.symbol_xi**S for *_, S, _ in self._terms}
-            if not all(np.isfinite(power).all() for power in powers.values()):
-                raise ValueError(f"a period of {hi - lo:g} puts xi^S outside the float range")
-            weights = [float(c) * powers[S] for *_, S, c in self._terms]
-        for (*_, S, c), weight in zip(self._terms, weights):
-            if not np.isfinite(weight).all():
+            powers = {S: modes.symbol_xi**S for S in exponents}
+        if not all(np.isfinite(power).all() for power in powers.values()):
+            raise ValueError(f"a period of {hi - lo:g} puts xi^S outside the float range")
+        peaks = {S: float(max(power.max(), -power.min())) for S, power in powers.items()}
+        for *_, S, c in self._terms:
+            if not np.isfinite(float(c) * peaks[S]):
                 raise OverflowError(
                     f"the slice-energy weight {float(c):g}*xi^{S} of a period of "
                     f"{hi - lo:g} passes the float range"
                 )
-        return weights
+        return powers
+
+    def _weights_on(self, modes: _GridModes, band: int) -> list:
+        """c_e xi^S per entry in the modes 0..band-1, each the product of
+        c_e with the full grid's power cut to the band: numpy's pow of the
+        band alone may differ from it in the last bit."""
+        of, powers = self._powers
+        if of is not modes:
+            powers = self._powers_on(modes)
+            self._powers = (modes, powers)
+        return [float(c) * powers[S][:band] for *_, S, c in self._terms]
 
     def __call__(self, state: CauchyState) -> float:
         lo, hi, count, _ = state.grid.axes[0]
         modes, band = state.modes, state._band
-        if self._weights_of is not modes:
-            self._weights = self._weights_on(modes)
-            self._weights_of = modes
+        of, weights = self._weights
+        if of != (modes, band):
+            weights = self._weights_on(modes, band)
+            self._weights = ((modes, band), weights)
         # products of the stored u_r = v_r / xi^r would overflow on wide domains
         rows = {key: state._u[key] * modes.scales[key[1], :band] for key in self._rows}
         pair = np.empty(band, dtype=complex)
@@ -339,10 +375,10 @@ class EnergyFunctional:
         per_mode = np.zeros(count // 2 + 1)
         head = per_mode[:band]
         with np.errstate(over="ignore", invalid="ignore"):
-            for (left, right, part, *_), weight in zip(self._terms, self._weights):
+            for (left, right, part, *_), weight in zip(self._terms, weights):
                 np.conjugate(rows[left], out=pair)
                 pair *= rows[right]
-                np.multiply(weight[:band], getattr(pair, part), out=term)
+                np.multiply(weight, getattr(pair, part), out=term)
                 head += term
             head[1 : (count + 1) // 2] *= 2.0  # all but the zero and Nyquist modes
             total = float(per_mode.sum())
@@ -361,7 +397,11 @@ def band_limited_state(
     drawn in (field, row, mode, cos/sin) order; the state stores the
     matching spectrum, scaled, without a transform, in its band of
     max_mode + 1 modes, mode 0 a zero, so a step and the energy read those
-    modes only.
+    modes only.  The spectrum (a - i b) (N / 2) e^{i k b lo} / xi^j is
+    formed in the array of the draws, read as complex a + i b and
+    conjugated in place, which gives a - i b to the bit (but for the sign
+    of a draw of exactly zero); each later factor is one in-place
+    operation, the division writing into the band.
     """
     count = grid.shape[0]
     if 2 * max_mode >= count:
@@ -370,14 +410,17 @@ def band_limited_state(
         )
     modes = _GridModes(grid)
     rng = np.random.default_rng(seed)
-    amps = rng.normal(size=(n, 4, max_mode, 2)) / max_mode
+    amps = rng.normal(size=(n, 4, max_mode, 2))
+    amps /= max_mode
     lo, hi, _, _ = grid.axes[0]
     k = np.arange(1, max_mode + 1)
     phase = np.exp(1j * k * (2.0 * np.pi / (hi - lo)) * lo)
     u = np.zeros((n, 4, max_mode + 1), dtype=complex)
-    u[:, :, 1:] = (
-        (amps[..., 0] - 1j * amps[..., 1]) * (count / 2.0) * phase
-    ) / modes.scales[:, 1 : max_mode + 1]
+    z = amps.view(complex)[..., 0]
+    np.conjugate(z, out=z)
+    z *= count / 2.0
+    z *= phase
+    np.divide(z, modes.scales[:, 1 : max_mode + 1], out=u[:, :, 1:])
     return CauchyState._from_spectrum(modes, u, 0.0)
 
 

@@ -12,7 +12,8 @@ Euler operator
 with D_{I[:-1]} of each partial formed by a chain of total derivatives,
 and the prolongation, symmetry test, characteristic jets and currents by
 the total derivatives of the characteristic Q^a, the Cauchy step and slice
-energy as they were before each spectral operation ran once, powers by
+energy as they were before each spectral operation ran once, the seeded
+band-limited spectrum as one expression of temporaries, powers by
 repeated multiplication, the comparison of two boundary forms by their
 full tables' difference, the summed coefficient table and the forms of Xi
 and Theta written out at once from it, and the substitution of an
@@ -33,8 +34,9 @@ section's substitution through the section's own table of images,
 products with one monomial by insertion, monomials over interned
 coordinate ids, the determinant by elimination, the problem tokenizer by
 one regular expression, the parser's leaves evaluated once per binding
-with nested sums added into one sum, the Cauchy step into preallocated
-buffers, the slice energy from per-grid weights, powers by the multinomial
+with nested sums added into one sum, the Cauchy step into scratch buffers
+kept per grid and band, the slice energy from band-length weights, the
+seeded spectrum formed in place in the array of its draws, powers by the multinomial
 theorem, the comparison through the parts the two tables share, and the
 summed table and the forms of Xi and Theta formed when first read); these
 stay as independent references.  The kernels read an Expr only through
@@ -88,7 +90,13 @@ from jetforms.jets import (
     jet_coord,
     multiindices,
 )
-from jetforms.numeric import CauchyState, _derivative_symbol, _time_scales, _wavenumbers
+from jetforms.numeric import (
+    CauchyState,
+    _derivative_symbol,
+    _GridModes,
+    _time_scales,
+    _wavenumbers,
+)
 from jetforms.problem import (
     ProblemSemanticError,
     ProblemSyntaxError,
@@ -988,6 +996,23 @@ def reference_cauchy_evolve(state, t_target: float):
     shift = [[taylor[j - i] if j >= i else 0.0 for i in range(4)] for j in range(4)]
     out[:, :, 0] = state.spectrum[:, :, 0] @ np.array(shift)
     return CauchyState._from_spectrum(state.modes, out, t_target)
+
+
+def reference_band_limited_state(grid, n: int, max_mode: int, seed: int):
+    """``band_limited_state`` as it was before it formed the spectrum in the
+    array of its draws: (a - i b) (N / 2) e^{i k b lo} / xi^j as one
+    expression, each operation into a new temporary."""
+    count = grid.shape[0]
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=(n, 4, max_mode, 2)) / max_mode
+    lo, hi, _, _ = grid.axes[0]
+    k = np.arange(1, max_mode + 1)
+    phase = np.exp(1j * k * (2.0 * np.pi / (hi - lo)) * lo)
+    u = np.zeros((n, 4, max_mode + 1), dtype=complex)
+    u[:, :, 1:] = (
+        (amps[..., 0] - 1j * amps[..., 1]) * (count / 2.0) * phase
+    ) / _time_scales(grid)[:, 1 : max_mode + 1]
+    return CauchyState._from_spectrum(_GridModes(grid), u, 0.0)
 
 
 def reference_energy(energy, state) -> float:

@@ -2,6 +2,8 @@ import math
 import random
 import re
 import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +33,11 @@ from tests.oracles import (
     quadrature,
     sample_section,
 )
-from tests.support import reference_cauchy_evolve, reference_energy
+from tests.support import (
+    reference_band_limited_state,
+    reference_cauchy_evolve,
+    reference_energy,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -277,6 +283,92 @@ def test_cauchy_step_and_energy_equal_the_evaluation_they_replaced(count):
     _assert_matches_the_replaced_evaluation(energies, state, ref)
 
 
+def _bits(values: np.ndarray) -> np.ndarray:
+    return values.view(np.uint64)
+
+
+def test_states_of_two_bands_on_one_grid_step_in_alternation_as_the_references():
+    # a step keeps its scratch per grid and band, and the energy its weights
+    # per grid and band: a band-limited state and the full band of the same
+    # spectrum, on one grid's constants, take turns, so each step and call
+    # meets the other band's scratch, rotation and weights.  Every step and
+    # energy is the references' to the bit; the padding past the narrow
+    # band is compared by value, as the references' zeros there carry signs
+    wp = wave_problem()
+    energies = [EnergyFunctional(wp.theta_symmetric), EnergyFunctional(wp.theta_skew())]
+    narrow = band_limited_state(periodic_grid(256), wp.cfg.n, 32, seed=6)
+    wide = CauchyState._from_spectrum(narrow.modes, narrow.spectrum, narrow.t)
+    states, refs = [narrow, wide], [narrow, wide]
+    for t in (0.125, 0.25, 0.375, -0.5, -0.375, 1.0):
+        for i, band in enumerate((33, 129)):
+            states[i] = cauchy_evolve(states[i], t)
+            refs[i] = reference_cauchy_evolve(refs[i], t)
+            state, ref = states[i], refs[i]
+            assert state._band == band and state.modes is narrow.modes
+            assert np.array_equal(_bits(state._u), _bits(ref.spectrum[:, :, :band]))
+            assert np.array_equal(state.spectrum, ref.spectrum)
+            for energy in energies:
+                assert energy(state) == reference_energy(energy, ref)
+
+
+def test_a_warm_step_allocates_only_the_state_it_returns():
+    # at the benchmark's size, a second step of the same size on the same
+    # grid and band reuses the first one's scratch and rotation: numpy
+    # reports its allocations to tracemalloc, and the step's peak is its
+    # output, the finiteness check's mask of it (one byte per float) and at
+    # most one numpy buffer that casts a float operand to complex; the five
+    # scratch buffers, 5/4 of the output, no longer fit
+    state = band_limited_state(periodic_grid(16384), 2, 2048, seed=3)
+    state = cauchy_evolve(state, 0.125)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = cauchy_evolve(state, 0.25)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert out._u.nbytes == 262272
+    slack = out._u.nbytes // 8 + np.getbufsize() * 16 + 4096
+    assert peak <= out._u.nbytes + slack, (peak, out._u.nbytes)
+
+
+def test_concurrent_steps_on_one_grid_never_share_a_scratch_set():
+    # a step takes its scratch off the grid's modes and hands it back at its
+    # end.  Six threads step states of one grid and band at once, each by its
+    # own dt, so they also replace the grid's rotation under each other;
+    # numpy lets go of the interpreter lock inside its loops, so steps
+    # interleave, and each state ends as it does alone
+    base = band_limited_state(periodic_grid(4096), 2, 512, seed=8)
+    starts = [CauchyState._from_spectrum(base.modes, base._u * (k + 1), 0.0)
+              for k in range(6)]
+
+    def walk(index):
+        state = starts[index]
+        for j in range(1, 25):
+            state = cauchy_evolve(state, j * (index + 1) / 16)
+        return state._u
+
+    alone = [walk(index) for index in range(len(starts))]
+    together = [None] * len(starts)
+
+    def run(index):
+        together[index] = walk(index)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(starts))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for mine, ref in zip(together, alone):
+        assert mine is not None and np.array_equal(_bits(mine), _bits(ref))
+
+
 def test_energy_beyond_the_float_range_raises_as_the_replaced_evaluation():
     # xi^3 stays finite on a period of 1e-100, so the state is built, but
     # xi^4 overflows: both evaluations raise the same error
@@ -479,6 +571,19 @@ def test_band_limited_state_matches_mode_loop(count, lo):
         expected = _band_limited_loop(grid, 2, max_mode, seed=11)
         assert state.t == 0.0
         assert np.max(np.abs(state.data - expected)) <= 1e-13, max_mode
+
+
+@pytest.mark.parametrize("count", [64, 256, 4096, 16384])
+def test_band_limited_state_equals_the_expression_it_replaced_bit_for_bit(count):
+    # the spectrum formed in place in the array of the draws, a - i b as
+    # the conjugate of a + i b, has every bit of the one-expression formula
+    for n, lo, seed in ((1, 0.0, 0), (2, -1.3, 7), (3, 2.5, 2**40 + 1)):
+        grid = GridSpec(((lo, lo + 4.1, count, True),))
+        for max_mode in (1, count // 8, count // 2 - 1):
+            state = band_limited_state(grid, n, max_mode, seed)
+            ref = reference_band_limited_state(grid, n, max_mode, seed)
+            assert state._u.shape == ref._u.shape == (n, 4, max_mode + 1)
+            assert np.array_equal(_bits(state._u), _bits(ref._u)), (n, lo, seed, max_mode)
 
 
 def test_band_limited_state_rejects_nyquist_modes():

@@ -3,6 +3,7 @@ import hashlib
 import importlib.util
 import os
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -578,10 +579,13 @@ def test_ab_prints_a_row_for_every_call_or_stage(workload, options, header, labe
     assert lines[0] == header
     assert lines[1].startswith("A ") and lines[2].startswith("B ")
     assert lines[3].startswith("B/A run ratio: median ")
-    assert lines[4].split() == [label, "A", "ms", "B", "ms", "B/A"]
+    # each side's median count of minor page faults per run
+    assert re.fullmatch(r"page faults per run: A median \d+(\.5)?, B median \d+(\.5)?",
+                        lines[4]), lines[4]
+    assert lines[5].split() == [label, "A", "ms", "B", "ms", "B/A"]
     rows = {name: (float(a), float(b), float(ratio)) for name, a, b, ratio in
-            (line.split() for line in lines[5:])}
-    assert len(rows) == len(lines) - 5
+            (line.split() for line in lines[6:])}
+    assert len(rows) == len(lines) - 6
     if workload == "ladder":
         assert set(rows) == LADDER_CALLS
     else:

@@ -29,12 +29,17 @@ stdout and CSV) or, for ``ladder``, when a rung fails the benchmark's own
 checked outside the timed span.
 
 It prints each side's median run time, the median and quartiles of the
-paired ratio B/A of the run times, and one row per call or stage: its median
-milliseconds per run on each side and the median of its paired ratios (below
-1, B is faster).  A shared machine's CPU speed drifts within minutes and
-fresh processes differ in heap layout; alternated runs in one process share
-both.  Pin the process to one CPU with ``taskset -c 0`` for steadier
-figures.  The ladder module is read from the checkout that holds this
+paired ratio B/A of the run times, each side's median count of minor page
+faults per run (from ``resource.getrusage``'s ``ru_minflt``), and one row
+per call or stage: its median milliseconds per run on each side and the
+median of its paired ratios (below 1, B is faster).  A shared machine's CPU
+speed drifts within minutes and fresh processes differ in heap layout;
+alternated runs in one process share both.  Pin the process to one CPU with
+``taskset -c 0`` for steadier figures.  Because both sides share one heap,
+what one side frees the other's next run may reuse, or the allocator may
+hand back to the kernel first: a change in what a run allocates, and its
+page faults, must be confirmed with alternated ``benchmarks/run.py`` runs,
+one process each.  The ladder module is read from the checkout that holds this
 script, and nothing is written into either checkout.
 """
 from __future__ import annotations
@@ -45,6 +50,7 @@ import importlib
 import io
 import json
 import pathlib
+import resource
 import shutil
 import statistics
 import sys
@@ -171,11 +177,13 @@ def compare(workload, checkouts: list, args) -> None:
                 (side, f"run {index}") for index in range(args.runs)
                 for side in (SIDES if index % 2 == 0 else SIDES[::-1])]
             for side, name in order:
+                faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
                 output, seconds, rows = sides[side].run()
+                faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
                 if output != first:
                     raise SystemExit(f"{name} of {side.upper()} differs from A's warm-up")
                 if name.startswith("run"):
-                    samples[side].append((seconds, rows))
+                    samples[side].append((seconds, rows, faults))
         finally:
             sys.dont_write_bytecode, sys.path[:], package = saved
             sys.modules.pop("jetforms", None)
@@ -185,22 +193,24 @@ def compare(workload, checkouts: list, args) -> None:
                          {f"jetforms_{side}" for side in SIDES}]:
                 del sys.modules[name]
     a, b = samples["a"], samples["b"]
-    ratio = quartiles([tb / ta for (ta, _), (tb, _) in zip(a, b)])
+    ratio = quartiles([tb / ta for (ta, *_), (tb, *_) in zip(a, b)])
     print(", ".join(f"{option.replace('_', '-')} {getattr(args, option)}"
                     for option in ("runs", *workload.OPTIONS)))
     for side, checkout in zip(SIDES, checkouts):
-        median = statistics.median(seconds for seconds, _ in samples[side])
+        median = statistics.median(seconds for seconds, *_ in samples[side])
         print(f"{side.upper()} {checkout}: run median {1e3 * median:.2f} ms")
     print(f"B/A run ratio: median {ratio[1]:.3f} (q1 {ratio[0]:.3f}, q3 {ratio[2]:.3f})")
+    faults = [statistics.median(faults for *_, faults in side) for side in (a, b)]
+    print(f"page faults per run: A median {faults[0]:g}, B median {faults[1]:g}")
     names = workload.ROWS or sorted(
-        set().union(*(rows for _, rows in a + b)),
-        key=lambda name: -statistics.median(rows.get(name, 0.0) for _, rows in a))
+        set().union(*(rows for _, rows, _ in a + b)),
+        key=lambda name: -statistics.median(rows.get(name, 0.0) for _, rows, _ in a))
     width = max(map(len, names))
     print(f"{workload.ROW:<{width}}  {'A ms':>8}  {'B ms':>8}  {'B/A':>6}")
     for name in names:
-        ms = [1e3 * statistics.median(rows.get(name, 0.0) for _, rows in side)
+        ms = [1e3 * statistics.median(rows.get(name, 0.0) for _, rows, _ in side)
               for side in (a, b)]
-        ratios = [rb.get(name, 0.0) / ra[name] for (_, ra), (_, rb) in zip(a, b)
+        ratios = [rb.get(name, 0.0) / ra[name] for (_, ra, _), (_, rb, _) in zip(a, b)
                   if ra.get(name, 0.0) > 0]
         median = f"{statistics.median(ratios):6.3f}" if ratios else "     -"
         print(f"{name.replace(' ', '_'):<{width}}  {ms[0]:8.3f}  {ms[1]:8.3f}  {median}")
