@@ -14,7 +14,6 @@ from jetforms import (
     perturbed_coefficients,
     render_expr,
     render_form,
-    skew_pair_perturbation,
     symmetric_boundary_coefficients,
     verify_condition3,
     y_var,
@@ -59,9 +58,10 @@ report = verify_condition3(dec, xi)
 print("\nAll target-vertical pullbacks vanish:", report.ok)
 
 # Any other boundary form of the same Phi differs by skew data whose
-# splitting sums vanish.  The decomposition into body and boundary terms
-# cannot see the difference.
-delta = skew_pair_perturbation(cfg, {(1, 1, 2): y_var(1), (1, 2, 1): -y_var(1)})
+# splitting sums vanish: here Q^{12}_1 = -Q^{21}_1 = y, each keyed
+# (a, i1, T) as the top-level coefficient p^{i1,T}_1 it shifts.  The
+# decomposition into body and boundary terms cannot see the difference.
+delta = {(1, 1, (2,)): y_var(1), (1, 2, (1,)): -y_var(1)}
 xi_alt = assemble_boundary_form(perturbed_coefficients(dec, delta), dec)
 comparison = compare_boundary_forms(xi, xi_alt)
 print("\nSkew-perturbed form: all invariance checks pass:", comparison.ok)

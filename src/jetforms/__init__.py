@@ -68,7 +68,6 @@ from .dedonder import (
     lagrange_derivative,
     perturbed_coefficients,
     phi_from_lagrangian,
-    skew_pair_perturbation,
     symmetric_boundary_coefficients,
     verify_condition3,
 )

@@ -28,7 +28,6 @@ from .dedonder import (
     debug_logger,
     dedonder_residual,
     derive,
-    skew_pair_perturbation,
     verify_condition3,
 )
 from .expressions import DigitLimitError, Expr, render_expr, render_rational
@@ -124,13 +123,10 @@ def cmd_boundary_form(spec: ProblemSpec, report: Report, args):
 
 def cmd_dedonder_form(spec: ProblemSpec, report: Report, args):
     theta = derive(spec.cfg, spec.lagrangian).theta_symmetric
-    report.say(f"Theta = {render_form(theta.form)}")
-    report.data["dedonder_form"] = render_form(theta.form)
+    rendered = render_form(theta.form)
+    report.say(f"Theta = {rendered}")
+    report.data["dedonder_form"] = rendered
     report.data["lagrangian"] = render_expr(spec.lagrangian)
-
-
-def _declared_skew_delta(spec: ProblemSpec):
-    return skew_pair_perturbation(spec.cfg, spec.skew) if spec.skew else None
 
 
 def cmd_verify(spec: ProblemSpec, report: Report, args):
@@ -150,7 +146,7 @@ def cmd_verify(spec: ProblemSpec, report: Report, args):
     report.check("boundary-form-target-vertical-pullback", condition3.ok, detail)
     if spec.skew:
         try:
-            alt = derivation.skew_boundary(_declared_skew_delta(spec))
+            alt = derivation.skew_boundary(spec.skew)
         except ValueError as exc:
             report.check("skew-structure", False, str(exc))
             return
@@ -284,7 +280,7 @@ def cmd_evolve(spec: ProblemSpec, report: Report, args):
                 "z_tttt - 2 z_ttxx + z_xxxx only"
             )
         energy_sym = EnergyFunctional(derivation.theta_symmetric)
-        energy_skew = EnergyFunctional(derivation.theta_skew(_declared_skew_delta(spec)))
+        energy_skew = EnergyFunctional(derivation.theta_skew(spec.skew or None))
     except ValueError as exc:
         report.check("evolve-system-supported", False, str(exc))
         return

@@ -454,33 +454,20 @@ def perturbed_coefficients(
     ))
 
 
-def skew_pair_perturbation(cfg: JetConfig, skew: Mapping) -> dict:
-    """Top-level perturbation from skew data Q^{i1 i2}_a (k = 2 family).
-
-    ``skew`` maps (a, i1, i2) to Exprs;  Q^{i1 i2}_a = -Q^{i2 i1}_a and zero
-    diagonal are exactly the homogeneous top-level relations for k = 2.
-    """
-    if cfg.k != 2:
-        raise ValueError("skew index pairs parameterize perturbations only for k=2")
-    return {
-        (a, i1, (i2,)): value
-        for (a, i1, i2), value in skew.items()
-        if not value.is_zero
-    }
-
-
 def default_skew_perturbation(cfg: JetConfig) -> dict:
-    """Q^{12}_a = -Q^{21}_a = z^a_2 for every field, when k = 2 and m >= 2.
+    """Q^{12}_a = -Q^{21}_a = z^a_2 for every field, when k = 2 and m >= 2,
+    as the top-level data of :func:`perturbed_coefficients`: keys
+    (a, 1, (2,)) and (a, 2, (1,)).
 
     It is the simplest jet-dependent member of the skew family.
     """
     if cfg.k != 2 or cfg.m < 2:
         raise ValueError("the default skew perturbation needs k = 2 and m >= 2")
-    skew = {}
+    delta = {}
     for a in range(1, cfg.n + 1):
-        skew[(a, 1, 2)] = z_var(a, (2,))
-        skew[(a, 2, 1)] = -z_var(a, (2,))
-    return skew_pair_perturbation(cfg, skew)
+        delta[(a, 1, (2,))] = z_var(a, (2,))
+        delta[(a, 2, (1,))] = -z_var(a, (2,))
+    return delta
 
 
 def double_vertical_contraction_vanishes(form: DifferentialForm, cfg: JetConfig) -> bool:

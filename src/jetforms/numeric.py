@@ -278,15 +278,14 @@ class EnergyFunctional:
     x-derivative cancels inside it, so all boundary forms give one table,
     and ``evolve`` evaluates that one table once per state.  A call scales
     each distinct (field, row) spectrum the table reads once, in the modes
-    of the state's stored band, then pairs and weights them.  The powers
-    xi^S, one per distinct S, are formed and checked in every mode on a
-    grid's first call and kept for its later ones; the weights c_e xi^S
-    are kept only in the modes of the band, formed from those powers on the
-    first call of a grid and band.  A c_e past the float range is the
-    coefficients' fault (OverflowError), checked first; then an xi^S past
-    it is the grid's (ValueError); a finite xi^S whose weight is not, or a
-    sum of finite weighted terms that is not, is again the coefficients'
-    (OverflowError).
+    of the state's stored band, then pairs and weights them.  The weights
+    c_e xi^S are formed on the first call of a grid and band and kept, in
+    the modes of the band only; each power xi^S, one per distinct S, is
+    formed and checked in every mode of the grid and then cut to the band.
+    A c_e past the float range is the coefficients' fault (OverflowError),
+    checked first; then an xi^S past it is the grid's (ValueError); a
+    finite xi^S whose weight is not, or a sum of finite weighted terms that
+    is not, is again the coefficients' (OverflowError).
     """
 
     def __init__(self, theta: DeDonderForm):
@@ -317,18 +316,19 @@ class EnergyFunctional:
             entries[key] = entries.get(key, 0) + sign * coeff
         self.entries = {key: c for key, c in sorted(entries.items()) if c != 0}
         # per entry the (field, row) spectra it pairs, its part, S and c_e;
-        # the powers xi^S are evaluated once per grid, the weights c_e xi^S
-        # once per grid and band
+        # the weights c_e xi^S are evaluated once per grid and band
         self._terms = [((a - 1, r), (b - 1, r2), part, S, c)
                        for (a, r, b, r2, S, part), c in self.entries.items()]
         self._rows = list(dict.fromkeys(key for term in self._terms for key in term[:2]))
-        # (key, value) pairs, each read and replaced whole
-        self._powers = self._weights = (None, None)
+        # a (key, value) pair, read and replaced whole
+        self._weights = (None, None)
 
-    def _powers_on(self, modes: _GridModes) -> dict:
-        """xi^S per distinct S of the table in every mode of the grid, xi = 0
-        in the Nyquist mode; a power or weight c_e xi^S past the float range
-        in any mode raises, as the band of a call may leave that mode out.
+    def _weights_on(self, modes: _GridModes, band: int) -> list:
+        """c_e xi^S per entry in the modes 0..band-1, each the product of
+        c_e with the power xi^S taken in every mode of the grid, xi = 0 in
+        the Nyquist mode, and cut to the band: numpy's pow of the band alone
+        may differ from it in the last bit.  A power or weight past the
+        float range in any mode raises, as the band may leave that mode out.
         A weight is checked through its largest mode, c_e max|xi^S|: a
         product of floats rounds monotonically, so it passes the range if
         and only if the weight does in some mode."""
@@ -347,16 +347,6 @@ class EnergyFunctional:
                     f"the slice-energy weight {float(c):g}*xi^{S} of a period of "
                     f"{hi - lo:g} passes the float range"
                 )
-        return powers
-
-    def _weights_on(self, modes: _GridModes, band: int) -> list:
-        """c_e xi^S per entry in the modes 0..band-1, each the product of
-        c_e with the full grid's power cut to the band: numpy's pow of the
-        band alone may differ from it in the last bit."""
-        of, powers = self._powers
-        if of is not modes:
-            powers = self._powers_on(modes)
-            self._powers = (modes, powers)
         return [float(c) * powers[S][:band] for *_, S, c in self._terms]
 
     def __call__(self, state: CauchyState) -> float:

@@ -28,7 +28,11 @@ pairs times its degree are at most 5000000.  A ``sum`` evaluates its body
 at most 10000 times, its range times the ranges of the sums around it.
 No coefficient of a power, nor of a declared value, may have more digits
 than the interpreter converts (``sys.get_int_max_str_digits``).  Jet
-indices are canonicalized on parse.
+indices are canonicalized on parse.  ``skewQ[a; i1 i2] = Q`` declares the
+top-level datum Q^{i1 i2}_a of an alternative boundary form of a k = 2
+problem; the parsed problem keeps it under the key ``(a, i1, (i2,))``, the
+one that :func:`jetforms.dedonder.perturbed_coefficients` takes, which
+checks its top-level relations.
 
 The parser makes one pass over the tokens, and each grammar rule returns
 its value as a function rather than a tree; the values are evaluated once
@@ -140,24 +144,26 @@ class ProblemSpec:
         cfg: JetConfig,
         metrics: dict,  # name -> tuple of tuples of Fractions
         lagrangian: Expr,
-        fields: dict | None = None,  # name -> ProjectableField
-        skew: dict | None = None,  # (a, i1, i2) -> Expr
-        sections: dict | None = None,  # name -> PolynomialSection
-        grid: GridSpec | None = None,
-        evolve: tuple | None = None,  # (t0, t1, steps)
+        fields: dict,  # name -> ProjectableField
+        # (a, i1, (i2,)) -> Expr: skewQ[a; i1 i2] keyed as the top-level data
+        # that perturbed_coefficients takes
+        skew: dict,
+        sections: dict,  # name -> PolynomialSection
+        grid: GridSpec | None,
+        evolve: tuple | None,  # (t0, t1, steps)
         # (line, column) of the grid keyword, where evolve reports a grid it
         # cannot evolve
-        grid_at: tuple | None = None,
+        grid_at: tuple | None,
         # (line, column) of the Lagrangian's keyword, where a command reports
         # a derived coefficient too long to write
-        lagrangian_at: tuple | None = None,
+        lagrangian_at: tuple,
     ):
         self.cfg = cfg
         self.metrics = metrics
         self.lagrangian = lagrangian
-        self.fields = {} if fields is None else fields
-        self.skew = {} if skew is None else skew
-        self.sections = {} if sections is None else sections
+        self.fields = fields
+        self.skew = skew
+        self.sections = sections
         self.grid = grid
         self.evolve = evolve
         self.grid_at = grid_at
@@ -510,13 +516,13 @@ class _Parser:
         return shape
 
     def skew_value(self, indices: list, at: _Token, value):
-        """The key ``(a, i1, i2)`` and the value of ``skewQ[a; i1 i2] =
-        value``, the index tokens ``indices`` checked."""
+        """The top-level key ``(a, i1, (i2,))`` and the value of ``skewQ[a;
+        i1 i2] = value``, the index tokens ``indices`` checked."""
         literals = [_literal(index) for index in indices]
 
         def entry():
             cfg = self.cfg
-            a, i1, i2 = key = tuple(literal(None) for literal in literals)
+            a, i1, i2 = (literal(None) for literal in literals)
             _in_range("skewQ field index", a, cfg.n, at)
             for idx in (i1, i2):
                 _in_range("skewQ base index", idx, cfg.m, at)
@@ -524,7 +530,7 @@ class _Parser:
                 raise ProblemSemanticError(
                     "skewQ perturbations are defined for k = 2 problems", at.line, at.column
                 )
-            return key, _within_digits(value({}), at)
+            return (a, i1, (i2,)), _within_digits(value({}), at)
         return entry
 
     def section_value(self, name: str, at: _Token, components: list):

@@ -20,7 +20,6 @@ from jetforms.dedonder import (
     lagrange_derivative,
     perturbed_coefficients,
     phi_from_lagrangian,
-    skew_pair_perturbation,
     symmetric_boundary_coefficients,
     verify_condition3,
 )
@@ -808,7 +807,7 @@ def test_divergence_trace_hand_checkable_instance():
     cfg = JetConfig(2, 1, 2)
     L = z_var(1, (1, 1)) ** 2 + z_var(1, (2, 2)) ** 2
     _, dec = phi_from_lagrangian(cfg, L)
-    delta = skew_pair_perturbation(cfg, {(1, 1, 2): y_var(1), (1, 2, 1): -y_var(1)})
+    delta = {(1, 1, (2,)): y_var(1), (1, 2, (1,)): -y_var(1)}
     sym = symmetric_boundary_coefficients(dec)
     alt = perturbed_coefficients(dec, delta)
     q1 = alt.coefficient(1, 1) - sym.coefficient(1, 1)
@@ -835,10 +834,7 @@ def test_invalid_skew_rejected():
     with pytest.raises(ValueError, match="jet order"):
         perturbed_coefficients(
             wp.decomposition,
-            skew_pair_perturbation(
-                wp.cfg,
-                {(1, 1, 2): z_var(1, (1, 1, 2)), (1, 2, 1): -z_var(1, (1, 1, 2))},
-            ),
+            {(1, 1, (2,)): z_var(1, (1, 1, 2)), (1, 2, (1,)): -z_var(1, (1, 1, 2))},
         )
 
 
@@ -871,11 +867,9 @@ def test_divergence_trace_random_skew_family():
         skew = {}
         for a in range(1, cfg.n + 1):
             q = random_expr(rng, cfg, 2, degree=1, terms=3)
-            skew[(a, 1, 2)] = q
-            skew[(a, 2, 1)] = -q
-        alt = assemble_boundary_form(
-            perturbed_coefficients(dec, skew_pair_perturbation(cfg, skew)), dec
-        )
+            skew[(a, 1, (2,))] = q
+            skew[(a, 2, (1,))] = -q
+        alt = assemble_boundary_form(perturbed_coefficients(dec, skew), dec)
         assert compare_boundary_forms(xi, alt).ok
 
 
@@ -1030,8 +1024,9 @@ def test_phi_and_assembly_take_no_exterior_derivative_and_reduce_nothing(monkeyp
     phi, dec = phi_from_lagrangian(cfg, L)
     assert phi == dec.form()
     xi = assemble_boundary_form(symmetric_boundary_coefficients(dec), dec)
-    skew = {(a, i1, i2): sign * y_var(a) for a in (1, 2) for i1, i2, sign in ((1, 2, 1), (2, 1, -1))}
-    assemble_boundary_form(perturbed_coefficients(dec, skew_pair_perturbation(cfg, skew)), dec)
+    skew = {(a, i1, (i2,)): sign * y_var(a)
+            for a in (1, 2) for i1, i2, sign in ((1, 2, 1), (2, 1, -1))}
+    assemble_boundary_form(perturbed_coefficients(dec, skew), dec)
     assert verify_condition3(dec, xi).ok
 
 

@@ -8,8 +8,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from jetforms.dedonder import derive, skew_pair_perturbation
-from jetforms.expressions import Expr, PolynomialSection, x_var, y_var, z_var
+from jetforms.cli import _squared_wave_pattern
+from jetforms.dedonder import derive, lagrange_derivative
+from jetforms.expressions import Expr, PolynomialSection, render_expr, x_var, y_var, z_var
 from jetforms.jets import JetConfig, base_coord, field_coord, jet_coord, multiindices
 from jetforms.numeric import (
     CauchyState,
@@ -625,8 +626,36 @@ def test_energy_conservation_and_boundary_form_independence():
     # other skew data gives the same table, such as z[1;1], whose exact
     # derivative leaves the real |v_1|^2 under an odd phase
     for q in (z_var(1, (1,)), z_var(1, (1, 1))):
-        delta = skew_pair_perturbation(wp.cfg, {(1, 1, 2): q, (1, 2, 1): -q})
+        delta = {(1, 1, (2,)): q, (1, 2, (1,)): -q}
         assert EnergyFunctional(wp.theta_skew(delta)).entries == e_sym.entries
+
+
+def test_a_null_lagrangian_puts_cross_field_odd_phase_terms_that_cancel_in_the_table():
+    # L + D_x(y^1 z^2_t) has the fixture's Lagrange derivatives, so evolve
+    # accepts it, yet its time density holds two cross-field terms under an
+    # odd phase: the table's "imag" and cross-field entries must sum them,
+    # and the two cancel there, leaving the fixture's table
+    wp = wave_problem()
+    null = z_var(1, (2,)) * z_var(2, (1,)) + y_var(1) * z_var(2, (1, 2))
+    derivation = derive(wp.cfg, wp.lagrangian + null)
+    assert derivation.euler_lagrange() == lagrange_derivative(wp.cfg, wp.lagrangian)
+    assert _squared_wave_pattern(wp.cfg, derivation.euler_lagrange())
+    y_t = ProjectableField(wp.cfg, (Expr.one(), Expr.zero()), (Expr.zero(),) * wp.cfg.n)
+    density = noether_current(y_t, derivation.theta_symmetric, None).coefficient(
+        (base_coord(2),)
+    )
+    cross_odd = []
+    for mono, coeff in density.terms():
+        (a, s), (b, s2) = sorted(
+            (c[1], c[2].count(2) if c[0] == "z" else 0)
+            for c, exp in mono if c[0] != "x" for _ in range(exp)
+        )
+        if a != b and (s2 - s) % 2:
+            cross_odd.append(render_expr(Expr({mono: coeff})))
+    assert sorted(cross_odd) == ["1/2*y[1]*z[2;1 2]", "1/2*z[1;2]*z[2;1]"]
+    energy = EnergyFunctional(derivation.theta_symmetric)
+    assert energy.entries == EnergyFunctional(wp.theta_symmetric).entries
+    assert all(a == b and part == "real" for a, _, b, _, _, part in energy.entries)
 
 
 def test_energy_integral_examples():

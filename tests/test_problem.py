@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jetforms.dedonder import derive, perturbed_coefficients
 from jetforms.expressions import Expr, render_expr, render_rational, x_var, y_var, z_var
 from jetforms.jets import JetConfig
 from jetforms.problem import (
@@ -53,10 +54,8 @@ def render_problem(spec: ProblemSpec) -> str:
             if not comp.is_zero:
                 chunks.append(f"({render_expr(comp)})*dy[{a}]")
         lines.append(f"field {name} = {' + '.join(chunks) if chunks else '0*dx[1]'};")
-    for (a, i1, i2) in sorted(spec.skew):
-        lines.append(
-            f"skewQ[{a}; {i1} {i2}] = {render_expr(spec.skew[(a, i1, i2)])};"
-        )
+    for (a, i1, (i2,)), value in sorted(spec.skew.items()):
+        lines.append(f"skewQ[{a}; {i1} {i2}] = {render_expr(value)};")
     for name in sorted(spec.sections):
         comps = ", ".join(
             render_expr(comp) for comp in spec.sections[name].components
@@ -101,6 +100,38 @@ def test_wave_fixture_parses():
     assert sorted(spec.fields) == ["YL", "YS", "YT"]
     assert len(spec.skew) == 4
     assert spec.grid is not None and spec.evolve == (0.0, 1.0, 8)
+
+
+def test_the_fixtures_skew_data_is_the_top_level_data_the_solver_takes():
+    # skewQ[a; i1 i2] is keyed (a, i1, (i2,)), the top-level key of
+    # perturbed_coefficients, which takes the parsed data as it is
+    spec = parse_problem(wave_text())
+    q1, q2 = z_var(1, (2,)), z_var(2, (2,))
+    assert spec.skew == {
+        (1, 1, (2,)): q1, (1, 2, (1,)): -q1, (2, 1, (2,)): q2, (2, 2, (1,)): -q2,
+    }
+    derivation = derive(spec.cfg, spec.lagrangian)
+    symmetric = derivation.boundary_symmetric.coefficients
+    alt = perturbed_coefficients(derivation.decomposition, spec.skew)
+    shifts = {key: alt.coefficient(*key) - symmetric.coefficient(*key) for key in spec.skew}
+    assert shifts == spec.skew
+
+
+def test_a_zero_skew_value_is_kept_and_gives_the_table_of_the_line_left_out():
+    # a zero reaches the solve, whose top-level filter drops it: no part of
+    # the skew table stores it
+    derivation = derive(JetConfig(2, 1, 2), z_var(1, (1, 1)) ** 2)
+    base = "dims 2 1 2; L = z[1;1 1]^2;\n"
+    pair = "skewQ[1; 1 2] = y[1]; skewQ[1; 2 1] = -y[1];\n"
+    zeros = "skewQ[1; 1 1] = 0; skewQ[1; 2 2] = 0*z[1; 2];\n"
+    for without in (base, base + pair):
+        spec = parse_problem(without + zeros)
+        assert spec.skew[(1, 1, (1,))].is_zero and spec.skew[(1, 2, (2,))].is_zero
+        coefficients = derivation.skew_boundary(spec.skew).coefficients
+        assert not any(value.is_zero for part in coefficients.parts()
+                       for value in part.table.values())
+        left_out = derivation.skew_boundary(parse_problem(without).skew).coefficients
+        assert coefficients.table == left_out.table
 
 
 def test_jet_indices_canonicalized_on_parse():

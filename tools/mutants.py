@@ -212,6 +212,19 @@ MUTANTS = [
      "                        break\n"
      "                    other = factor(env)\n",
      ("tests/test_problem.py::test_sums_zero_products_and_leaves_evaluate_as_the_reference",)),
+    # the parser's skewQ key is the solver's top-level key: swapping i1 and
+    # i2 negates the declared data, whose signed differences the golden
+    # verify output holds; a declared zero reaches the solve, whose
+    # top-level filter must drop it
+    ("skew-key-swaps-its-base-indices", PROBLEM,
+     "return (a, i1, (i2,)), _within_digits(value({}), at)",
+     "return (a, i2, (i1,)), _within_digits(value({}), at)",
+     ("tests/test_cli.py::test_golden_outputs[wave_verify.json]",)),
+    ("top-level-filter-keeps-zeros", DEDONDER,
+     "            current = {key: value for key, value in current.items() if not value.is_zero}\n",
+     "",
+     ("tests/test_problem.py::"
+      "test_a_zero_skew_value_is_kept_and_gives_the_table_of_the_line_left_out",)),
     # the A/B tool's check that B computes what A computes
     ("ab-drops-the-output-comparison", "tools/ab.py",
      "if output != first:", "if False:",
