@@ -24,7 +24,6 @@ import time
 from .dedonder import (
     STRUCTURAL_CHECKS,
     compare_boundary_forms,
-    contact_presentation,
     debug_logger,
     dedonder_residual,
     derive,
@@ -107,13 +106,15 @@ def cmd_euler_lagrange(spec: ProblemSpec, report: Report, args):
 
 def cmd_boundary_form(spec: ProblemSpec, report: Report, args):
     xi = derive(spec.cfg, spec.lagrangian).boundary_symmetric
-    coeffs = xi.coefficients
-    rendered = {}
-    for (a, i1, tail) in sorted(coeffs.table):
+    rendered, pieces = {}, []
+    for (a, i1, tail), p in sorted(xi.coefficients.table.items()):  # keys are distinct
         key = _coefficient_key(a, i1, tail)
-        rendered[key] = render_expr(coeffs.coefficient(a, i1, tail))
-        report.say(f"{key} = {rendered[key]}")
-    contact, coordinate = contact_presentation(xi), render_form(xi.form)
+        value = rendered[key] = render_expr(p)
+        report.say(f"{key} = {value}")
+        # Xi in the contact basis: p^{i1,T}_a theta^a_T ^ (d/dx^{i1} -| d_m x)
+        theta = f"theta[{a};{' '.join(map(str, tail))}]" if tail else f"theta[{a}]"
+        pieces.append(f"({value}) {theta}^w[{i1}]")
+    contact, coordinate = " + ".join(pieces) or "0", render_form(xi.form)
     report.say(f"Xi = {contact}")
     report.say(f"Xi (coordinate basis) = {coordinate}")
     report.data["coefficients"] = rendered

@@ -38,17 +38,18 @@ difference.
 A coefficient table is a sum of parts, and a plain table is its own single
 part.  The system is linear in (Phi, top-level data), so a skew solution is
 the symmetric table, kept once solved, plus the solve of its top-level data
-alone with Phi = 0: the skew table keeps those two as its parts, and its
-divergences add theirs.  So do the splitting sums S^a_I and Xi's d_m x
-coefficient below: each table computes them once, and the skew table adds
-those of its parts, so the skew boundary form computes only the values of
-the small top-level solve.  Its checks read the parts too, and it adds the
-parts' coefficients into one table only when that is read.  Assembly's
-splitting check marks a table it verified against a Phi; a sum table with
-one part so marked checks only the other part, against Phi = 0, whose
-residuals are the whole table's.  Two tables compared cancel the parts they
-share before any Expr is subtracted, so the symmetric table against the
-skew one reads the homogeneous solve, negated.
+alone with Phi = 0: the skew table keeps those two as its parts and adds
+their coefficients into one table only when that is read.  Its checks read
+the parts, so the skew boundary form computes only the values of the small
+top-level solve; its divergences, the splitting sums S^a_I and Xi's d_m x
+coefficient below are, as for every table, computed once from its own
+coefficients.  Assembly's splitting check marks the table it verified
+against a Phi, the one record of that fact: a later check of that table
+against that very Phi reads the mark, and a sum table with one part so
+marked checks only the other part, against Phi = 0, whose residuals are the
+whole table's.  Two tables compared cancel the parts they share before any
+Expr is subtracted, so the symmetric table against the skew one reads the
+homogeneous solve, negated.
 
 Since dx^i ^ (d/dx^{i1} -| d_m x) = delta^i_{i1} d_m x, Xi has one dz^a_T
 term per coefficient and one d_m x coefficient, -sum z^a_I S^a_I, with
@@ -187,11 +188,11 @@ class BoundaryCoefficients:
     :meth:`splitting_sums` and :meth:`volume_coefficient` memoize what they
     read from it.  Every table is a sum of parts (:meth:`parts`): a plain
     table is its own single part, and the sum of solved tables that
-    :func:`perturbed_coefficients` makes keeps them as its parts and sums
-    their values instead; it forms its own :attr:`table` only when that is
-    read.  Only assembly's splitting check marks a table as solving the
-    system of a Phi, so that a sum with that table as a part checks only
-    its other part.
+    :func:`perturbed_coefficients` makes keeps them as its parts and forms
+    its own :attr:`table` only when that is read, by its memos among
+    others.  Only assembly's splitting check marks a table as solving the
+    system of a Phi (``_solves``): a later check against that Phi reads the
+    mark, and a sum with that table as a part checks only its other part.
     """
 
     def __init__(self, cfg: JetConfig, table: dict | None):
@@ -228,40 +229,30 @@ class BoundaryCoefficients:
         """
         value = self._divergences.get((a, I))
         if value is None:
-            if self._parts:
-                value = Expr.sum(part.divergence(a, I) for part in self._parts)
-            else:
-                cfg, table = self.cfg, self.table
-                limit = cfg.working_order if I else cfg.expression_order
-                value = sum_of_total_derivatives([
-                    (table[(a, j, I)], (j,), 1) for j in range(1, cfg.m + 1) if (a, j, I) in table
-                ], cfg, limit)
-            self._divergences[(a, I)] = value
+            cfg, table = self.cfg, self.table
+            limit = cfg.working_order if I else cfg.expression_order
+            value = self._divergences[(a, I)] = sum_of_total_derivatives([
+                (table[(a, j, I)], (j,), 1) for j in range(1, cfg.m + 1) if (a, j, I) in table
+            ], cfg, limit)
         return value
 
     def splitting_sums(self) -> dict:
         """z^a_I -> S^a_I, the sum of p^{i1,T}_a over the splittings (i1, T)
         of I, wherever it is nonzero; computed once.  Every key of the table
         must be one splitting of one I: a key out of range raises a
-        ``ValueError`` naming it.  A sum table adds its parts' sums, each
-        part checking its own keys; a plain table scales a value that every
-        splitting of I holds by their count instead of adding its copies."""
+        ``ValueError`` naming it.  A value that every splitting of I holds is
+        scaled by their count instead of added to its copies."""
         if self._sums is None:
-            if self._parts:
-                self._sums = sum_by_key(
-                    item for part in self._parts for item in part.splitting_sums().items()
-                )
-            else:
-                groups: dict = {}  # z^a_I -> the values on its splittings
-                for key, p in self.table.items():
-                    _check_key(self.cfg, key)
-                    a, i1, tail = key
-                    groups.setdefault(jet_coord(a, (*tail, i1)), []).append(p)
-                totals = (
-                    (c, ps[0] * len(ps) if all(p is ps[0] for p in ps) else Expr.sum(ps))
-                    for c, ps in groups.items()
-                )
-                self._sums = {c: total for c, total in totals if not total.is_zero}
+            groups: dict = {}  # z^a_I -> the values on its splittings
+            for key, p in self.table.items():
+                _check_key(self.cfg, key)
+                a, i1, tail = key
+                groups.setdefault(jet_coord(a, (*tail, i1)), []).append(p)
+            totals = (
+                (c, ps[0] * len(ps) if all(p is ps[0] for p in ps) else Expr.sum(ps))
+                for c, ps in groups.items()
+            )
+            self._sums = {c: total for c, total in totals if not total.is_zero}
         return self._sums
 
     def volume_coefficient(self) -> Expr:
@@ -270,12 +261,9 @@ class BoundaryCoefficients:
         :func:`sum_of_products` in which each z^a_I goes into the monomials
         of its S^a_I by insertion, with the sign -1."""
         if self._volume is None:
-            if self._parts:
-                self._volume = Expr.sum(part.volume_coefficient() for part in self._parts)
-            else:
-                self._volume = sum_of_products(
-                    (Expr.variable(c), total, -1) for c, total in self.splitting_sums().items()
-                )
+            self._volume = sum_of_products(
+                (Expr.variable(c), total, -1) for c, total in self.splitting_sums().items()
+            )
         return self._volume
 
 
@@ -395,15 +383,21 @@ def _unverified_residuals(dec: PhiDecomposition, coeffs: BoundaryCoefficients) -
     :func:`_check_splitting_system` gives them, checking only what no
     earlier check verified.
 
-    The system is linear, so when exactly one part of the table was checked
-    against this very ``dec`` the table solves it iff the other part solves
-    the system with Phi = 0, and the residuals of the two are equal.  Any
-    other table is checked in full.
+    A table that assembly verified against this very ``dec`` has none.  The
+    system is linear, so when exactly one of two parts of the table was so
+    verified the table solves it iff the other part solves the system with
+    Phi = 0, and the residuals of the two are equal.  Any other table is
+    checked in full.
     """
+    def verified(table: BoundaryCoefficients) -> bool:
+        return table._solves is not None and table._solves() is dec
+
+    if verified(coeffs):
+        return []
     parts = coeffs.parts()
-    rest = [part for part in parts if not (part._solves and part._solves() is dec)]
-    if len(rest) == len(parts) - 1 and len(rest) <= 1:
-        return _check_splitting_system(PhiDecomposition(dec.cfg, {}), rest[0]) if rest else []
+    rest = [part for part in parts if not verified(part)]
+    if len(rest) == 1 == len(parts) - 1:
+        return _check_splitting_system(PhiDecomposition(dec.cfg, {}), rest[0])
     return _check_splitting_system(dec, coeffs)
 
 
@@ -419,12 +413,13 @@ def perturbed_coefficients(
 
     The system is linear in (Phi, top_delta), so the solution is the
     symmetric one of ``dec`` (solved once per decomposition) plus the
-    top-down solve of ``top_delta`` with Phi = 0.  Keys that solve leaves
-    untouched share their Expr with the symmetric table, and each divergence,
-    splitting sum and the d_m x coefficient of Xi is the sum of the two
-    tables' values, so neither D_i nor a splitting sum runs again on a
-    symmetric coefficient.  The summed coefficients are formed only when the
-    table is read.
+    top-down solve of ``top_delta`` with Phi = 0, kept as the two parts of
+    the result.  Keys that solve leaves untouched share their Expr with the
+    symmetric table.  Assembly and :func:`compare_boundary_forms` read the
+    parts, so neither D_i nor a splitting sum runs again on a symmetric
+    coefficient there; the summed coefficients are formed only when the
+    table is read, and a divergence, splitting sum or d_m x coefficient of
+    the result is computed from them.
     """
     cfg = dec.cfg
     for key, value in top_delta.items():
@@ -497,27 +492,19 @@ STRUCTURAL_CHECKS = (
 
 
 class BoundaryForm:
-    """An assembled boundary form with its coefficients and provenance.
+    """A boundary form: its coefficients and the Phi it was built against.
 
-    Only :func:`assemble_boundary_form` marks a boundary form as solving the
-    system of its ``phi``; one built by hand is checked anew.  A ``form``
-    given is kept; without one, :attr:`form` is written from the
-    coefficients on its first read.  Either way ``form`` may be assigned.
+    Whether the coefficients solve the system of a Phi is a fact of the
+    table, marked by :func:`assemble_boundary_form`, so a form built by hand
+    on a table assembly verified against this very Phi is not checked again.
+    :attr:`form` is written from the coefficients on its first read and may
+    be assigned.
     """
 
-    def __init__(
-        self,
-        cfg: JetConfig,
-        form: DifferentialForm | None,
-        coefficients: BoundaryCoefficients,
-        phi: PhiDecomposition | None = None,
-    ):
-        self.cfg = cfg
-        if form is not None:
-            self.form = form
+    def __init__(self, coefficients: BoundaryCoefficients, phi: PhiDecomposition | None = None):
+        self.cfg = coefficients.cfg
         self.coefficients = coefficients
         self.phi = phi
-        self._solves_phi = False
 
     @cached_property
     def form(self) -> DifferentialForm:
@@ -555,9 +542,10 @@ def assemble_boundary_form(
     meets :data:`STRUCTURAL_CHECKS` and pulls back to zero by construction;
     the ``verify`` command evaluates both and reduces the pullback.  When
     ``phi`` is supplied, the defining coefficient system is checked exactly
-    on the splitting sums, its first failure raised as an
-    ``AssertionError``, and the result is marked as a boundary form of that
-    Phi, which :func:`verify_condition3` then reads without a recompute.
+    on the splitting sums, only where :func:`_unverified_residuals` finds no
+    earlier check, its first failure raised as an ``AssertionError``, and
+    the table is marked as solving the system of that Phi, which
+    :func:`verify_condition3` then reads without a recompute.
     """
     for part in coeffs.parts():  # every key is a part's key
         part.splitting_sums()  # rejects a key out of range
@@ -570,25 +558,7 @@ def assemble_boundary_form(
                 f"{render_expr(residual)}"
             )
         coeffs._solves = ref(phi)
-    boundary = BoundaryForm(coeffs.cfg, None, coeffs, phi)
-    boundary._solves_phi = phi is not None
-    return boundary
-
-
-def contact_presentation(xi: BoundaryForm) -> str:
-    """Render Xi in the contact basis: sum of p * theta^a_T ^ (d/dx^i -| d_m x).
-
-    The stored form is expanded over the coordinate basis (that makes d, the
-    wedge and contractions mechanical); this is the presentation-layer view
-    matching the defining structure of boundary forms.
-    """
-    pieces = []
-    for (a, i1, tail), value in sorted(xi.coefficients.table.items()):
-        theta = f"theta[{a}]" if not tail else (
-            f"theta[{a};{' '.join(map(str, tail))}]"
-        )
-        pieces.append(f"({render_expr(value)}) {theta}^w[{i1}]")
-    return " + ".join(pieces) if pieces else "0"
+    return BoundaryForm(coeffs, phi)
 
 
 class DeDonderForm:
@@ -736,13 +706,12 @@ def verify_condition3(phi: PhiDecomposition, xi: BoundaryForm) -> Condition3Repo
     system of ``phi`` on ``xi.coefficients``, and zero for |I| > k.  The jets
     of sections take every value, so the check fails exactly where the
     system does: each failure is (a, I, -r^a_I), in coordinate order
-    (|I|, a, I).  A boundary form that assembly checked against this very
-    ``phi`` passes without a recompute.
+    (|I|, a, I).  A table that assembly checked against this very ``phi``
+    passes without a recompute, and of a sum table with one part so checked
+    only the other part is checked (:func:`_unverified_residuals`).
     """
-    if xi._solves_phi and phi is xi.phi:
-        return Condition3Report(True, [])
     failures = [
-        (a, I, -residual) for a, I, residual in _check_splitting_system(phi, xi.coefficients)
+        (a, I, -residual) for a, I, residual in _unverified_residuals(phi, xi.coefficients)
     ]
     return Condition3Report(not failures, failures)
 

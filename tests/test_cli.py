@@ -128,6 +128,18 @@ def test_integral_fractions_render_as_integers(tmp_path, capsys):
     assert "/1*" not in out
 
 
+@pytest.mark.parametrize("lagrangian,contact", [
+    ("1/2*z[1;1]^2", "(z[1;1]) theta[1]^w[1]"),  # one coefficient, p[1; 1] = z[1;1]
+    ("y[1]^2", "0"),  # no z in L: the table is empty
+], ids=["one-coefficient", "empty-table"])
+def test_boundary_form_prints_xi_in_the_contact_basis(lagrangian, contact, tmp_path, capsys):
+    problem = tmp_path / "contact.jet"
+    problem.write_text(f"dims 1 1 1;\nL = {lagrangian};\n")
+    code, out, _ = run(capsys, "boundary-form", str(problem))
+    assert code == 0
+    assert f"\nXi = {contact}\n" in f"\n{out}"
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     problem = tmp_path / "broken.jet"
     problem.write_text("dims 1 1; L = y[1];")

@@ -215,7 +215,7 @@ def test_comparison_reads_the_divergences_of_the_difference():
         corrupted = dict(xi.coefficients.table)
         key = sorted(corrupted)[rng.randrange(len(corrupted))]
         corrupted[key] = corrupted[key] + y_var(1) * z_var(1, (1,))
-        bad = BoundaryForm(cfg, xi.form, BoundaryCoefficients(cfg, corrupted), dec)
+        bad = BoundaryForm(BoundaryCoefficients(cfg, corrupted), dec)
         doubled = assemble_boundary_form(
             perturbed_coefficients(dec, {key: 2 * p for key, p in delta.items()}), dec)
         for first, second in ((xi, alt), (alt, xi), (xi, bad), (bad, alt), (xi, xi),
@@ -573,7 +573,7 @@ def test_dedonder_residual_rejects_a_section_or_theta_of_another_configuration()
     with pytest.raises(ValueError, match=re.escape("(m, n) = (2, 3)")):
         dedonder_residual(wp.theta_symmetric, wider)
     xi = wp.boundary_symmetric
-    no_phi = DeDonderForm(wp.cfg, wp.lagrangian, BoundaryForm(wp.cfg, xi.form, xi.coefficients))
+    no_phi = DeDonderForm(wp.cfg, wp.lagrangian, BoundaryForm(xi.coefficients))
     with pytest.raises(ValueError, match="Phi"):
         dedonder_residual(no_phi, PolynomialSection(wp.cfg, (x1, x2)))
 
@@ -646,15 +646,6 @@ def test_dedonder_form_pullback_equals_lagrangian_pullback():
         assert holonomic_reduce(theta.form, theta.cfg) == lagrangian_form
         pulled = holonomic_pullback(theta.form, section)
         assert pulled.coefficient(vol) == substitute_section(theta.lagrangian, section)
-
-
-def test_contact_presentation():
-    from jetforms.dedonder import contact_presentation
-
-    cfg = JetConfig(1, 1, 1)
-    L = z_var(1, (1,)) ** 2 / 2
-    xi = derive(cfg, L).boundary_symmetric
-    assert contact_presentation(xi) == "(z[1;1]) theta[1]^w[1]"
 
 
 def test_dedonder_form_requires_provenance():
@@ -874,9 +865,9 @@ def test_divergence_trace_random_skew_family():
 
 
 def test_condition3_reads_the_check_of_assembly(monkeypatch):
-    # a boundary form assembled against a Phi passes condition 3 for that
-    # Phi with no recompute; a hand-built one, or another Phi, is checked
-    # anew, and a corrupted table fails
+    # a table assembled against a Phi passes condition 3 for that Phi with
+    # no recompute, in the assembled form or in one built by hand around
+    # it; another, equal Phi is checked anew, and a corrupted table fails
     wp = wave_problem()
     dec, xi = wp.decomposition, wp.boundary_symmetric
     checks = []
@@ -892,13 +883,13 @@ def test_condition3_reads_the_check_of_assembly(monkeypatch):
     assert len(checks) == 1  # the assembly of the skew form, not condition 3
     _, equal_dec = phi_from_lagrangian(wp.cfg, wp.lagrangian)
     assert verify_condition3(equal_dec, xi).ok and len(checks) == 2
-    assert verify_condition3(dec, BoundaryForm(wp.cfg, xi.form, xi.coefficients, dec)).ok
-    assert len(checks) == 3
+    assert verify_condition3(dec, BoundaryForm(xi.coefficients)).ok
+    assert len(checks) == 2
     corrupted = dict(xi.coefficients.table)
     corrupted[(1, 1, (1,))] = corrupted[(1, 1, (1,))] + y_var(1)
-    bad = BoundaryForm(wp.cfg, xi.form, BoundaryCoefficients(wp.cfg, corrupted), dec)
+    bad = BoundaryForm(BoundaryCoefficients(wp.cfg, corrupted), dec)
     report = verify_condition3(dec, bad)
-    assert len(checks) == 4
+    assert len(checks) == 3
     assert not report.ok
     assert [(a, I) for a, I, _ in report.failures] == [(1, (1,)), (1, (1, 1))]
 
@@ -931,8 +922,9 @@ def test_a_tail_that_is_not_canonical_is_rejected():
 
 def test_perturbed_coefficients_add_the_homogeneous_solve_to_the_symmetric_table(monkeypatch):
     # the skew solve is the symmetric table plus the solve of delta alone:
-    # untouched keys share their Expr, it differentiates only what the solve
-    # of delta alone does, and the result equals a fresh solve
+    # untouched keys share their Expr, its part beside the symmetric table
+    # differentiates only what the solve of delta alone does, and the result
+    # equals a fresh solve
     cfg = JetConfig(3, 1, 2)
     L = random_expr(random.Random(53), cfg, cfg.k, degree=2, terms=6)
     _, dec = phi_from_lagrangian(cfg, L)
@@ -946,10 +938,12 @@ def test_perturbed_coefficients_add_the_homogeneous_solve_to_the_symmetric_table
     differentiated = []
 
     def derivatives_of(solve):
+        # the D_i of the solve and of its last part's divergences: the
+        # perturbed table's is the solve of delta alone
         differentiated.clear()
         coeffs = solve()
         for a, I in indices:
-            coeffs.divergence(a, I)
+            coeffs.parts()[-1].divergence(a, I)
         return coeffs, len(differentiated)
 
     count_total_derivatives(monkeypatch, differentiated)
@@ -1135,6 +1129,3 @@ def test_an_assigned_form_overrides_the_one_written_on_first_read():
     assert theta.form == volume_form(wp.cfg) * wp.lagrangian
     theta.form = zero
     assert theta.form is zero
-    # a form given to the constructor is kept
-    given = eager_boundary_form(xi.coefficients)
-    assert BoundaryForm(wp.cfg, given, xi.coefficients, wp.decomposition).form is given

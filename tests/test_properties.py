@@ -750,7 +750,7 @@ def test_vertical_contractions_of_phi_plus_dxi_follow_the_coefficient_identity(p
     # the comparison against the symmetric boundary form reads the same
     # identity with Phi = 0 on the difference of the coefficients
     xi_symmetric = assemble_boundary_form(symmetric, dec)
-    comparison = compare_boundary_forms(xi_symmetric, BoundaryForm(cfg, xi.form, coeffs, dec))
+    comparison = compare_boundary_forms(xi_symmetric, BoundaryForm(coeffs, dec))
     expected = reduced_vertical_contractions((xi_symmetric.form - xi.form).d(), cfg)
     assert [c for c, _ in comparison.pullback_failures] == list(expected)
     assert dict(comparison.pullback_failures) == expected
@@ -903,11 +903,16 @@ def test_perturbed_coefficients_equal_a_fresh_solve(problem):
 @PROPERTY
 @given(perturbations())
 def test_perturbed_splitting_sums_and_volume_coefficient_equal_a_fresh_computation(problem):
-    # the summed table adds its parts' splitting sums and d_m x coefficients;
-    # the same table without parts computes them from its own coefficients
+    # the summed table's divergences, splitting sums and d_m x coefficient
+    # are those of the same table without parts, the empty index included
     _, dec, delta = problem
+    cfg = dec.cfg
     perturbed = perturbed_coefficients(dec, delta)
-    fresh = BoundaryCoefficients(dec.cfg, dict(perturbed.table))
+    fresh = BoundaryCoefficients(cfg, dict(perturbed.table))
+    for a in range(1, cfg.n + 1):
+        for level in range(cfg.k):
+            for I in multiindices(cfg.m, level):
+                assert perturbed.divergence(a, I) == fresh.divergence(a, I), (a, I)
     assert perturbed.splitting_sums() == fresh.splitting_sums()
     assert perturbed.volume_coefficient() == fresh.volume_coefficient()
 

@@ -680,6 +680,38 @@ def test_fixture_outputs_prints_one_fingerprint_per_run(monkeypatch, capsys):
     assert err == hashlib.sha256(b"").hexdigest()
 
 
+def test_traffic_lists_the_executable_lines_no_run_reaches(monkeypatch, capsys):
+    # tools/traffic.py line-traces every run in one process; on one command
+    # a raise of check_lagrangian is listed as never run, with its function,
+    # and a line of derive, which every command runs, is not
+    root = SOURCE.parents[1]
+    tool = _load_tool("traffic")
+    runs = tool.runs(root)
+    names = [name for name, _ in runs]
+    demos = sorted((root / "demos").glob("*.py"))
+    # seven commands as text and --json, two evolve runs, the demos, the ladder
+    assert len(set(names)) == len(names) == 14 + 2 + len(demos) + 1 and demos
+    monkeypatch.setattr(tool, "runs",
+                        lambda checkout: [run for run in runs if run[0] == "euler-lagrange"])
+    assert tool.main([str(root)]) == 0
+    report = capsys.readouterr().out.split("\n")
+    at = next(n for n, line in enumerate(report) if line.startswith("dedonder.py: "))
+    missed = {}
+    for row in report[at + 1:]:
+        if not row.startswith("  "):
+            break
+        span, function = row.split()
+        first, _, last = span.partition("-")
+        missed.update(dict.fromkeys(range(int(first), int(last or first) + 1), function))
+    source = (SOURCE / "dedonder.py").read_text().split("\n")
+    never = 2 + next(n for n, line in enumerate(source) if "len(coord[2]) > cfg.k" in line)
+    always = 1 + source.index("    dec = PhiDecomposition.of_lagrangian(cfg, L)")
+    assert source[never - 1] == "            raise ValueError("
+    assert missed[never] == "check_lagrangian"
+    assert always not in missed
+    assert tool.executable_lines(SOURCE / "dedonder.py")[always] == "derive"
+
+
 def test_every_mutant_row_fits_the_tree():
     # tools/mutants.py plants each row's fault in a copy of the tree; a row
     # whose old text moved or whose test file is gone must be updated with

@@ -45,6 +45,7 @@ ONE_ID_DERIVATION = (f"{PROPERTIES}::"
                      "symmetry_test")
 LAZY_REFERENCE = ("tests/test_dedonder.py::"
                   "test_ladder_shaped_forms_and_summed_tables_equal_the_eager_reference")
+CONDITION3 = "tests/test_dedonder.py::test_condition3_reads_the_check_of_assembly"
 BAND_PROPERTY = (f"{PROPERTIES}::"
                  "test_a_band_limited_state_steps_and_weighs_as_the_full_spectrum_references")
 
@@ -73,6 +74,16 @@ MUTANTS = [
      "    if len(tail) >= cfg.k:\n        raise ValueError(f\"coefficient key {key} has level",
      "    if False:\n        raise ValueError(f\"coefficient key {key} has level",
      ("tests/test_dedonder.py::test_coefficient_keys_out_of_range_are_rejected",)),
+    # the one mark of a table verified against a Phi: read for that very
+    # Phi only, and condition 3 still checks a table that carries none
+    ("verified-mark-ignores-the-phi", DEDONDER,
+     "return table._solves is not None and table._solves() is dec",
+     "return table._solves is not None",
+     (CONDITION3,)),
+    ("condition3-skips-every-table", DEDONDER,
+     "for a, I, residual in _unverified_residuals(phi, xi.coefficients)",
+     "for a, I, residual in []",
+     (CONDITION3,)),
     # Xi, Theta and a sum's table as written on their first read
     ("lazy-xi-drops-the-volume-term", DEDONDER,
      "        if not volume.is_zero:\n            terms[tuple(dx)] = volume\n",
