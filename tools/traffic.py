@@ -5,7 +5,8 @@
 line-traces with ``sys.settrace``, in one process, these runs of the package
 of CHECKOUT (default: the checkout holding this script):
 
-* each command of the CLI on the bundled fixture, as text and as ``--json``;
+* each command of the CLI (``cli.HANDLERS``) on the bundled fixture, as text
+  and as ``--json``;
 * ``evolve`` on the fixture at ``--grid-n 4096``, and back in time to
   ``--t1 -1``;
 * every script under ``demos/``;
@@ -34,17 +35,9 @@ from functools import partial
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 FIXTURE = pathlib.Path("src/jetforms/fixtures/fourth_order_wave.jet")
-COMMANDS = (
-    "euler-lagrange", "boundary-form", "dedonder-form", "verify", "noether", "residual",
-    "evolve",
-)
 LADDER_SEED = 5
 # code objects that run as part of the body around them
 _COMPREHENSIONS = {"<listcomp>", "<dictcomp>", "<setcomp>", "<genexpr>"}
-
-
-def _cli(argv: list) -> None:
-    importlib.import_module("jetforms.cli").main(argv)
 
 
 def _ladder(checkout: pathlib.Path) -> None:
@@ -60,11 +53,12 @@ def _ladder(checkout: pathlib.Path) -> None:
 
 def runs(checkout: pathlib.Path) -> list:
     """(name, callable) per run, in the order they are traced."""
+    package_folder(checkout)
+    cli = importlib.import_module("jetforms.cli")
     fixture = str(checkout / FIXTURE)
-    found = [(" ".join((command, *flags)), partial(_cli, [command, fixture, *flags]))
-             for command in COMMANDS for flags in ((), ("--json",))]
-    for flags in (("--grid-n", "4096"), ("--t1", "-1")):
-        found.append((" ".join(("evolve", *flags)), partial(_cli, ["evolve", fixture, *flags])))
+    argvs = [[command, *flags] for command in cli.HANDLERS for flags in ((), ("--json",))]
+    argvs += [["evolve", "--grid-n", "4096"], ["evolve", "--t1", "-1"]]
+    found = [(" ".join(argv), partial(cli.main, [argv[0], fixture, *argv[1:]])) for argv in argvs]
     for path in sorted((checkout / "demos").glob("*.py")):
         found.append((f"demos/{path.name}", partial(runpy.run_path, str(path), run_name="__main__")))
     found.append(("ladder", partial(_ladder, checkout)))
