@@ -250,7 +250,7 @@ def _partials(num: dict) -> dict:
     return {c: parts[c] for c in sorted(parts, key=_KEYS.__getitem__)}
 
 
-class _Accumulator:
+class Accumulator:
     """A running sum of Exprs: numerators added into one dict in place, over
     the lcm of the denominators seen so far."""
 
@@ -262,28 +262,65 @@ class _Accumulator:
         if first is not None:
             self.add(first)
 
+    def _over(self, d: int) -> int:
+        """Bring the store to a denominator that ``d`` divides; the factor
+        that takes a numerator over ``d`` to it."""
+        den, store = self.den, self.num
+        if d == den:
+            return 1
+        if not store:
+            self.den = d
+            return 1
+        if den % d == 0:
+            return den // d
+        common = lcm(den, d)
+        up = common // den
+        for mono in store:
+            store[mono] *= up
+        self.den = common
+        return common // d
+
     def add(self, e: "Expr", scale: int = 1) -> None:
         """Add ``scale`` times ``e``, for an integer ``scale``."""
         items = e._num
         if not items:
             return
-        store, d = self.num, e._den
-        if not store:
+        if not self.num:
             self.num = dict(items) if scale == 1 else {m: n * scale for m, n in items.items()}
-            self.den = d
+            self.den = e._den
             return
-        den = self.den
-        if d != den:
-            if den % d == 0:
-                scale *= den // d
+        _add_into(self.num, items, scale * self._over(e._den))
+
+    def add_product(self, factors: list, scale: int) -> None:
+        """Add ``scale`` times the product of ``factors``, each an int, a
+        Fraction or an Expr of at most one term, as one monomial with its
+        coefficient: no product Expr is formed."""
+        n, d, ids = scale, 1, ()
+        for f in factors:
+            if f.__class__ is Expr:
+                if not f._num:
+                    return
+                (mono, c), = f._num.items()
+                ids += mono
+                n *= c
+                d *= f._den
+            elif f.__class__ is int:
+                n *= f
             else:
-                common = lcm(den, d)
-                up = common // den
-                for mono in store:
-                    store[mono] *= up
-                self.den = common
-                scale *= common // d
-        _add_into(store, items, scale)
+                n *= f.numerator
+                d *= f.denominator
+        if not n:
+            return
+        if d != 1:
+            g = gcd(n, d)
+            n, d = n // g, d // g
+        n *= self._over(d)
+        store, mono = self.num, tuple(sorted(ids))
+        acc = store.get(mono, 0) + n
+        if acc:
+            store[mono] = acc
+        else:
+            del store[mono]
 
     def result(self) -> "Expr":
         return _reduced(self.num, self.den)
@@ -302,7 +339,7 @@ def sum_by_key(pairs) -> dict:
             out[key] = e
             continue
         if acc.__class__ is Expr:
-            out[key] = acc = _Accumulator(acc)
+            out[key] = acc = Accumulator(acc)
         acc.add(e)
     sums = ((key, acc if acc.__class__ is Expr else acc.result()) for key, acc in out.items())
     return {key: e for key, e in sums if e._num}
@@ -424,7 +461,7 @@ class Expr:
     @staticmethod
     def sum(exprs) -> "Expr":
         """The sum of an iterable of Exprs, accumulated in one dict."""
-        acc = _Accumulator()
+        acc = Accumulator()
         for e in exprs:
             acc.add(e)
         return acc.result()
@@ -437,7 +474,7 @@ class Expr:
             return other
         if not other._num:
             return self
-        acc = _Accumulator(self)
+        acc = Accumulator(self)
         acc.add(other)
         return acc.result()
 
@@ -450,7 +487,7 @@ class Expr:
         other = _as_expr(other)
         if other is NotImplemented:
             return NotImplemented
-        acc = _Accumulator(self)
+        acc = Accumulator(self)
         acc.add(other, -1)
         return acc.result()
 
@@ -650,7 +687,7 @@ def _substituted(e: Expr, images: dict, image_of) -> Expr:
     times the product of the images of its ids, one factor per occurrence,
     into one sum, stopping at its first id whose image is zero.  ``images``
     maps an id to its image, and ``image_of(id)`` fills it on first use."""
-    acc = _Accumulator()
+    acc = Accumulator()
     for mono, n in e._num.items():
         term = _ONE
         for c in mono:

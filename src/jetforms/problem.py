@@ -64,7 +64,7 @@ import sys
 from fractions import Fraction
 from operator import itemgetter
 
-from .expressions import Expr, PolynomialSection, exceeds_digit_limit
+from .expressions import Accumulator, Expr, PolynomialSection, exceeds_digit_limit
 from .jets import JetConfig, base_coord, field_coord, jet_coord
 from .prolongations import ProjectableField
 
@@ -172,16 +172,17 @@ class ProblemSpec:
 
 # -- tokenizer ----------------------------------------------------------------
 
-# One alternative per token, tried in order; blanks and comments match no
-# group.  Numbers are ASCII digits only: \d and str.isdigit also accept
-# superscripts, which int() rejects, and the digits of other scripts, which
-# it reads.  A number without a point or an exponent is an int; an exponent
-# needs a digit after its optional sign.  A name runs over \w (str.isalnum
-# or "_") and must start with a letter or "_".
+# One match per token, with the blanks and comments before it; a match of
+# blanks alone ends the text.  Numbers are ASCII digits only: \d and
+# str.isdigit also accept superscripts, which int() rejects, and the digits
+# of other scripts, which it reads.  A number without a point or an exponent
+# is an int; an exponent needs a digit after its optional sign.  A name runs
+# over \w (str.isalnum or "_") and must start with a letter or "_".
 _TOKEN = re.compile(
-    r"(?P<newline>\n)|[ \t\r]+|#[^\n]*"
+    r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*"
+    r"(?:(?P<punct>[;,=()\[\]+\-*/^])"
     r"|(?P<number>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
-    r"|(?P<name>\w+)|(?P<punct>[;,=()\[\]+\-*/^])|(?P<other>.)"
+    r"|(?P<name>\w+)|(?P<other>.))?"
 )
 # Parentheses, sum bodies and unary signs nest by recursion, in the parser
 # and in the values it returns; deeper input is a positioned error, not a
@@ -206,77 +207,97 @@ _MAX_PAIRS = 1_000_000
 # degree 2000 would write 2*10^9.  A power, or a product, that may write
 # more is an error at its exponent or operator; (x[1]+1)^2000 writes 4*10^6.
 _MAX_FACTORS = 5_000_000
+# A product of monomials forms one pair a factor and, each factor of degree
+# at most _MAX_DEGREE, reaches neither bound in this many factors: one so
+# long is formed one factor at a time, its bounds checked at each operator
+_MONOMIAL_FACTORS = _MAX_FACTORS // _MAX_DEGREE
+# The kinds of a factor's value function: an int (a literal or a bound sum
+# index), an Expr of at most one term (a leaf, or a power of a leaf or an
+# int), any Expr, or a sum that adds itself into an accumulator (a sum(...)
+# or a chain of + and -)
+_INT, _LEAF, _EXPR, _SUM = "int", "leaf", "expr", "sum"
 
 
-class _Token:
-    __slots__ = ("kind", "text", "line", "column")
-
-    def __init__(self, kind: str, text: str, line: int, column: int):
-        self.kind = kind  # "name" | "int" | "float" | punctuation | "end"
-        self.text = text
-        self.line = line
-        self.column = column
+def _position(text: str, offset: int) -> tuple:
+    """The 1-based (line, column) of the character at ``offset``."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-def _literal(token: _Token, convert=int):
-    """The value function of an int token: ``convert`` of its value,
-    converted where it is first evaluated and then kept.  A token with more
-    digits than the interpreter converts (``sys.get_int_max_str_digits``)
-    raises an error at the token there, after every syntax error."""
-    kept = []
-
-    def value(env):
-        if not kept:
-            try:
-                kept.append(convert(int(token.text)))
-            except ValueError:
-                raise ProblemSemanticError(
-                    f"integer of {len(token.text)} digits is too long", token.line, token.column
-                ) from None
-        return kept[0]
-    return value
-
-
-def _tokenize(text: str) -> list:
-    tokens, line, line_start = [], 1, 0
+def _tokenize(text: str) -> tuple:
+    """The tokens of ``text`` in flat form, three lists: their kinds ("name",
+    "int", "float" or the punctuation character, and "end" last), their
+    texts and their offsets, which :func:`_position` turns into a line and
+    a column where an error is raised."""
+    kinds, texts, offsets = [], [], []
     for match in _TOKEN.finditer(text):
-        kind, chunk = match.lastgroup, match.group()
-        if kind == "newline":
-            line, line_start = line + 1, match.end()
-        elif kind:
-            column = match.start() - line_start + 1
-            if kind == "other" or kind == "name" and not (chunk[0].isalpha() or chunk[0] == "_"):
-                raise ProblemSyntaxError(f"unexpected character {chunk[0]!r}", line, column)
-            if kind == "number":
-                kind = "int" if chunk.isdigit() else "float"
-            tokens.append(_Token(chunk if kind == "punct" else kind, chunk, line, column))
-    tokens.append(_Token("end", "", line, len(text) - line_start + 1))
-    return tokens
+        kind = match.lastgroup
+        if kind is None:
+            continue
+        chunk = match[kind]
+        if kind == "punct":
+            kind = chunk
+        elif kind == "number":
+            kind = "int" if chunk.isdigit() else "float"
+        elif kind == "other" or not (chunk[0].isalpha() or chunk[0] == "_"):
+            raise ProblemSyntaxError(f"unexpected character {chunk[0]!r}",
+                                     *_position(text, match.end() - len(chunk)))
+        kinds.append(kind)
+        texts.append(chunk)
+        offsets.append(match.end() - len(chunk))
+    kinds.append("end")
+    texts.append("")
+    offsets.append(len(text))
+    return kinds, texts, offsets
+
+
+def _literal(parser, i: int) -> int:
+    """The value of the int token ``i``, converted where it is evaluated.  A
+    token with more digits than the interpreter converts
+    (``sys.get_int_max_str_digits``) is an error at the token there, after
+    every syntax error."""
+    text = parser.texts[i]
+    try:
+        return int(text)
+    except ValueError:
+        raise ProblemSemanticError(
+            f"integer of {len(text)} digits is too long", *parser.at(i)
+        ) from None
+
+
+_BASIS = ("dx", "dy")
 
 
 # -- parser -------------------------------------------------------------------
 
 
-def _in_range(label: str, value: int, bound: int, token: _Token) -> int:
-    """``value`` when it lies in 1..bound; otherwise an error at ``token``."""
-    if not 1 <= value <= bound:
-        raise ProblemSemanticError(
-            f"{label} {value} out of range 1..{bound}", token.line, token.column
-        )
-    return value
-
-
 class _Parser:
-    """Each rule returns its value as a function: of the bound sum indices
-    for an expression (env -> Expr) and an index (env -> int), of nothing
-    for a declaration.  The functions run once the whole file has parsed,
-    with ``cfg`` and ``metrics`` set, so a syntax error anywhere comes
-    before any error in a value: literals are converted, and sums counted
-    against their bound, only where they are evaluated."""
+    """The parser reads the flat token lists by index: each rule takes the
+    index of its first token and returns the index after its last.  A rule
+    returns its value as a function: of the bound sum indices for an
+    expression, of nothing for a declaration.  The functions run once the
+    whole file has parsed, with ``cfg`` and ``metrics`` set, so a syntax
+    error anywhere comes before any error in a value: literals are
+    converted, and sums counted against their bound, only where they are
+    evaluated.  A token's position is its offset until an error needs its
+    line and column.
+
+    An expression is a node (kind, function): a ``_SUM`` adds its value
+    times a scale of +-1 into an accumulator (env, acc, scale -> None), an
+    ``_EXPR`` returns its value (env -> Expr).  The bindings are one dict,
+    which a sum sets and restores in place.  So the terms of a chain of +
+    and - and the bodies of nested sums add into the one accumulator that a
+    statement's value, or a factor that needs a value of its own, hands
+    down.  A product of ints, leaves and their powers (``/`` by ints only)
+    adds into it as one monomial with its coefficient; any other product is
+    formed factor by factor."""
 
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
+        self.text = text
+        self.kinds, self.texts, self.offsets = _tokenize(text)
+        self.end = len(self.texts) - 1
+        # "end" three more times, so that a look four tokens ahead of one
+        # before the end needs no bound
+        self.kinds += ["end"] * 3
         self.depth = 0
         # the evaluations of the running sum's body: its range times the
         # ranges of the sums around it
@@ -285,121 +306,110 @@ class _Parser:
         self.metrics = {}  # name -> rows of constant Exprs, set once checked
         self.bodies = self.leaves = 0  # sum bodies evaluated, leaf values computed
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def at(self, i: int) -> tuple:
+        """The (line, column) of token ``i``, for an error there."""
+        return _position(self.text, self.offsets[i])
 
-    def advance(self) -> _Token:
-        token = self.tokens[self.pos]
-        if token.kind != "end":
-            self.pos += 1
-        return token
+    def fail(self, i: int, *expected, end: str = "end of input"):
+        """A syntax error at token ``i``, which is not what ``expected``
+        names; the end of the text is shown as ``end``."""
+        shown = repr(self.texts[i]) if self.kinds[i] != "end" else end
+        raise ProblemSyntaxError(f"unexpected {shown}", *self.at(i), expected=expected)
 
-    def expect(self, kind: str, what: str | None = None) -> _Token:
-        token = self.peek()
-        if token.kind != kind:
-            shown = repr(token.text) if token.kind != "end" else "end of input"
-            raise ProblemSyntaxError(
-                f"unexpected {shown}",
-                token.line,
-                token.column,
-                expected=[what or kind],
-            )
-        return self.advance()
+    def need(self, i: int, *steps: str) -> int:
+        """The index after the run of tokens ``steps`` from token ``i``, each
+        step a kind or "kind:what an error there expects"; a syntax error at
+        the first token out of the run."""
+        for step in steps:
+            kind, _, what = step.partition(":")
+            if self.kinds[i] != kind:
+                self.fail(i, what or kind)
+            i += 1
+        return i
 
-    def expect_number(self):
-        """A signed number's value function; a number that is not finite
-        raises its error at its token where the value is evaluated."""
-        sign = 1.0
-        if self.peek().kind == "-":
-            self.advance()
-            sign = -1.0
-        token = self.peek()
-        if token.kind not in ("int", "float"):
-            raise ProblemSyntaxError(
-                f"unexpected {token.text!r}", token.line, token.column,
-                expected=["a number"],
-            )
-        self.advance()
+    def parse_number(self, i: int) -> tuple:
+        """A signed number's value function and the index after it; a number
+        that is not finite raises its error at its token where the value is
+        evaluated."""
+        sign = -1.0 if self.kinds[i] == "-" else 1.0
+        i += sign < 0
+        if self.kinds[i] not in ("int", "float"):
+            self.fail(i, "a number", end="''")
+        text, at = self.texts[i], i
 
         def number():
-            value = float(token.text)
+            value = float(text)
             if not math.isfinite(value):
-                raise ProblemSemanticError(
-                    f"number {token.text} is not finite", token.line, token.column
-                )
+                raise ProblemSemanticError(f"number {text} is not finite", *self.at(at))
             return sign * value
-        return number
+        return number, i + 1
 
     # -- statements ---------------------------------------------------------
 
     def parse_problem(self) -> ProblemSpec:
+        kinds, texts = self.kinds, self.texts
         lagrangian = lagrangian_at = grid_at = None
         metrics, fields, sections, skew = {}, {}, {}, []
         declared = set()
         # the value functions of dims, metric, grid and evolve, in source
         # order, with their keywords
         declarations = {}
+        declared_by = {"dims": self.parse_dims, "grid": self.parse_grid,
+                       "evolve": self.parse_evolve}
 
         def declare(what: str):
             # each declaration names itself once; a repeat points at its keyword
             if what in declared:
-                raise ProblemSemanticError(f"duplicate {what}", token.line, token.column)
+                raise ProblemSemanticError(f"duplicate {what}", *self.at(start))
             declared.add(what)
 
-        while self.peek().kind != "end":
-            token = self.expect("name", "a statement keyword")
-            word = token.text
-            if word == "dims":
-                declare("dims declaration")
-                declarations["dims"] = self.parse_dims(), token
+        def named(what: str) -> str:
+            # the name after the keyword, declared once as ``what name``
+            if kinds[start + 1] != "name":
+                self.fail(start + 1, f"a {what} name")
+            declare(f"{what} {texts[start + 1]!r}")
+            return texts[start + 1]
+
+        i = 0
+        while kinds[i] != "end":
+            start, word = i, texts[i]
+            if kinds[i] != "name":
+                self.fail(i, "a statement keyword")
+            if word in declared_by:
+                declare(f"{word} declaration")
+                grid_at = self.at(start) if word == "grid" else grid_at
+                value, i = declared_by[word](i + 1)
+                declarations[word] = value, start
             elif word == "metric":
-                name = self.expect("name", "a metric name").text
-                declare(f"metric {name!r}")
-                self.expect("=")
-                metrics[name] = token
-                declarations[f"metric {name}"] = self.parse_matrix(token), token
+                name = named("metric")
+                metrics[name] = start
+                matrix, i = self.parse_matrix(self.need(i + 2, "="), start)
+                declarations[f"metric {name}"] = matrix, start
             elif word == "L":
                 declare("Lagrangian")
-                self.expect("=")
-                lagrangian, lagrangian_at = self.parse_expr(), token
+                lagrangian, i = self.parse_expr(self.need(i + 1, "="))
+                lagrangian_at = start
             elif word == "field":
-                name = self.expect("name", "a field name").text
-                declare(f"field {name!r}")
-                self.expect("=")
-                fields[name] = self.parse_vector_field(name, token)
+                name = named("field")
+                fields[name], i = self.parse_vector_field(self.need(i + 2, "="), name, start)
             elif word == "skewQ":
-                self.expect("[")
-                indices = [self.expect("int", "a field index")]
-                self.expect(";")
-                indices += [self.expect("int", "a base index") for _ in range(2)]
-                self.expect("]")
-                self.expect("=")
+                i = self.need(i + 1, "[", "int:a field index", ";", "int:a base index",
+                              "int:a base index", "]", "=")
+                indices = (i - 6, i - 4, i - 3)
                 # named by their digits, so that 01 and 1 name one index
-                a, i1, i2 = (index.text.lstrip("0") or "0" for index in indices)
+                a, i1, i2 = (texts[j].lstrip("0") or "0" for j in indices)
                 declare(f"skewQ[{a}; {i1} {i2}]")
-                skew.append(self.skew_value(indices, token, self.parse_expr()))
+                value, i = self.parse_expr(i)
+                skew.append(self.skew_value(indices, start, value))
             elif word == "section":
-                name = self.expect("name", "a section name").text
-                declare(f"section {name!r}")
-                self.expect("=")
-                components = self.parse_list("(", ")", self.parse_expr)
-                sections[name] = self.section_value(name, token, components)
-            elif word == "grid":
-                declare("grid declaration")
-                grid_at = (token.line, token.column)
-                declarations["grid"] = self.parse_grid(), token
-            elif word == "evolve":
-                declare("evolve declaration")
-                declarations["evolve"] = self.parse_evolve(), token
+                name = named("section")
+                components, i = self.parse_list(self.need(i + 2, "="), "(", ")",
+                                                self.parse_expr)
+                sections[name] = self.section_value(name, start, components)
             else:
-                raise ProblemSyntaxError(
-                    f"unexpected {word!r}", token.line, token.column,
-                    expected=[
-                        "'dims'", "'metric'", "'L'", "'field'", "'skewQ'",
-                        "'section'", "'grid'", "'evolve'",
-                    ],
-                )
-            self.expect(";")
+                self.fail(i, "'dims'", "'metric'", "'L'", "'field'", "'skewQ'", "'section'",
+                          "'grid'", "'evolve'")
+            i = self.need(i, ";")
         # a declaration's value errors come after every syntax error and
         # before the file is checked for what it lacks; a ValueError is an
         # error at the statement's keyword
@@ -408,26 +418,25 @@ class _Parser:
             try:
                 values[what] = value()
             except ValueError as exc:
-                raise ProblemSemanticError(str(exc), at.line, at.column) from None
+                raise ProblemSemanticError(str(exc), *self.at(at)) from None
         dims, grid, evolve = (values.get(what) for what in ("dims", "grid", "evolve"))
-        end = self.peek()
         if dims is None:
-            raise ProblemSemanticError("missing dims declaration", end.line, end.column)
+            raise ProblemSemanticError("missing dims declaration", *self.at(self.end))
         if lagrangian is None:
-            raise ProblemSemanticError("missing Lagrangian", end.line, end.column)
+            raise ProblemSemanticError("missing Lagrangian", *self.at(self.end))
         self.cfg = dims
         # every entry is evaluated before any metric is registered, so an
         # entry that names a metric names an unknown one
-        matrices = {name: (token, values[f"metric {name}"]()) for name, token in metrics.items()}
-        checked = {name: _checked_metric(dims, name, matrix, token)
-                   for name, (token, matrix) in matrices.items()}
+        matrices = {name: (at, values[f"metric {name}"]()) for name, at in metrics.items()}
+        checked = {name: self.checked_metric(name, matrix, at)
+                   for name, (at, matrix) in matrices.items()}
         self.metrics = {name: tuple(tuple(map(Expr.constant, row)) for row in matrix)
                         for name, matrix in checked.items()}
         return ProblemSpec(
             cfg=dims,
             metrics=checked,
-            lagrangian=_within_digits(lagrangian({}), lagrangian_at),
-            lagrangian_at=(lagrangian_at.line, lagrangian_at.column),
+            lagrangian=self.within_digits(self.evaluate(lagrangian), lagrangian_at),
+            lagrangian_at=self.at(lagrangian_at),
             fields={name: value() for name, value in fields.items()},
             skew=dict(entry() for entry in skew),
             sections={name: value() for name, value in sections.items()},
@@ -436,74 +445,68 @@ class _Parser:
             grid_at=grid_at,
         )
 
-    def parse_list(self, opening: str, closing: str, item, what: str | None = None):
-        """``opening item, item, ... closing`` as the list of its items."""
-        self.expect(opening, what)
-        items = [item()]
-        while self.peek().kind == ",":
-            self.advance()
-            items.append(item())
-        self.expect(closing)
-        return items
+    def parse_list(self, i: int, opening: str, closing: str, item, what: str | None = None):
+        """``opening item, item, ... closing`` from token ``i``: the list of
+        its items and the index after it."""
+        value, i = item(self.need(i, f"{opening}:{what or opening}"))
+        items = [value]
+        while self.kinds[i] == ",":
+            value, i = item(i + 1)
+            items.append(value)
+        return items, self.need(i, closing)
 
-    def parse_dims(self):
+    def parse_dims(self, i: int) -> tuple:
         """``m n k`` as the value function of the configuration."""
-        m, n, k = (_literal(self.expect("int", name)) for name in ("m", "n", "k"))
-        return lambda: JetConfig(m(None), n(None), k(None))
+        i = self.need(i, "int:m", "int:n", "int:k")
+        return lambda: JetConfig(*(_literal(self, j) for j in range(i - 3, i))), i
 
-    def parse_grid(self):
+    def parse_grid(self, i: int) -> tuple:
         """The axes ``lo hi count periodic|open ...`` as the value function of
         the grid."""
         axes = []
-        while self.peek().kind != ";":
-            lo, hi = self.expect_number(), self.expect_number()
-            count = _literal(self.expect("int", "a point count"))
-            flag = self.expect("name", "'periodic' or 'open'")
-            if flag.text not in ("periodic", "open"):
-                raise ProblemSyntaxError(
-                    f"unexpected {flag.text!r}", flag.line, flag.column,
-                    expected=["'periodic'", "'open'"],
-                )
-            axes.append((lo, hi, count, flag.text == "periodic"))
+        while self.kinds[i] != ";":
+            lo, i = self.parse_number(i)
+            hi, i = self.parse_number(i)
+            i = self.need(i, "int:a point count", "name:'periodic' or 'open'")
+            if self.texts[i - 1] not in ("periodic", "open"):
+                self.fail(i - 1, "'periodic'", "'open'")
+            axes.append((lo, hi, i - 2, self.texts[i - 1] == "periodic"))
         return lambda: GridSpec(tuple(
-            (low(), high(), points(None), periodic) for low, high, points, periodic in axes
-        ))
+            (low(), high(), _literal(self, points), periodic)
+            for low, high, points, periodic in axes
+        )), i
 
-    def parse_evolve(self):
+    def parse_evolve(self, i: int) -> tuple:
         """``t0 t1 steps`` as the value function of (t0, t1, steps)."""
-        t0, t1 = self.expect_number(), self.expect_number()
-        steps_at = self.expect("int", "a step count")
-        steps = _literal(steps_at)
+        t0, i = self.parse_number(i)
+        t1, i = self.parse_number(i)
+        steps = self.need(i, "int:a step count") - 1
 
         def evolve():
-            value = (t0(), t1(), steps(None))
+            value = (t0(), t1(), _literal(self, steps))
             if value[2] < 1:
-                raise ProblemSemanticError(
-                    "step count must be positive", steps_at.line, steps_at.column
-                )
+                raise ProblemSemanticError("step count must be positive", *self.at(steps))
             return value
-        return evolve
+        return evolve, steps + 1
 
-    def parse_matrix(self, at: _Token):
+    def parse_matrix(self, i: int, at: int) -> tuple:
         """A function that checks that the matrix is square and returns the
         value function of its rows of entries, each a rational constant;
         ``diag`` fills the entries off the diagonal with zero."""
-        def entry():
-            token, value = self.peek(), self.parse_expr()
-            return lambda: _constant(
-                _within_digits(value({}), at), "metric entries must be constant", token
-            )
+        def entry(j):
+            value, k = self.parse_expr(j)
+            return lambda: self.constant(
+                self.within_digits(self.evaluate(value), at), "metric entries must be constant", j
+            ), k
 
-        token = self.peek()
-        if token.kind == "name" and token.text == "diag":
-            self.advance()
-            diagonal = self.parse_list("(", ")", entry)
+        if self.kinds[i] == "name" and self.texts[i] == "diag":
+            diagonal, i = self.parse_list(i + 1, "(", ")", entry)
             # Fraction() is the zero off the diagonal
-            rows = [[d if i == j else Fraction for j in range(len(diagonal))]
-                    for i, d in enumerate(diagonal)]
+            rows = [[d if r == c else Fraction for c in range(len(diagonal))]
+                    for r, d in enumerate(diagonal)]
         else:
-            rows = self.parse_list(
-                "[", "]", lambda: self.parse_list("[", "]", entry), "'diag' or '['"
+            rows, i = self.parse_list(
+                i, "[", "]", lambda j: self.parse_list(j, "[", "]", entry), "'diag' or '['"
             )
 
         def matrix():
@@ -513,44 +516,39 @@ class _Parser:
             if any(len(row) != len(rows) for row in rows):
                 raise ValueError("metric matrix is not square")
             return matrix
-        return shape
+        return shape, i
 
-    def skew_value(self, indices: list, at: _Token, value):
+    def skew_value(self, indices: tuple, at: int, value: tuple):
         """The top-level key ``(a, i1, (i2,))`` and the value of ``skewQ[a;
         i1 i2] = value``, the index tokens ``indices`` checked."""
-        literals = [_literal(index) for index in indices]
-
         def entry():
             cfg = self.cfg
-            a, i1, i2 = (literal(None) for literal in literals)
-            _in_range("skewQ field index", a, cfg.n, at)
+            a, i1, i2 = (_literal(self, index) for index in indices)
+            self.in_range("skewQ field index", a, cfg.n, at)
             for idx in (i1, i2):
-                _in_range("skewQ base index", idx, cfg.m, at)
+                self.in_range("skewQ base index", idx, cfg.m, at)
             if cfg.k != 2:
                 raise ProblemSemanticError(
-                    "skewQ perturbations are defined for k = 2 problems", at.line, at.column
+                    "skewQ perturbations are defined for k = 2 problems", *self.at(at)
                 )
-            return (a, i1, (i2,)), _within_digits(value({}), at)
+            return (a, i1, (i2,)), self.within_digits(self.evaluate(value), at)
         return entry
 
-    def section_value(self, name: str, at: _Token, components: list):
+    def section_value(self, name: str, at: int, components: list):
         """The section ``name``: one component per field, each in x alone."""
         def section():
             if len(components) != self.cfg.n:
                 raise ProblemSemanticError(
                     f"section {name!r} has {len(components)} components; "
                     f"expected {self.cfg.n}",
-                    at.line,
-                    at.column,
+                    *self.at(at),
                 )
             values = []
             for component in components:
-                value = _within_digits(component({}), at)
+                value = self.within_digits(self.evaluate(component), at)
                 if any(c[0] != "x" for c in value.variables()):
                     raise ProblemSemanticError(
-                        f"section {name!r} components must depend on x only",
-                        at.line,
-                        at.column,
+                        f"section {name!r} components must depend on x only", *self.at(at)
                     )
                 values.append(value)
             return PolynomialSection(self.cfg, tuple(values))
@@ -558,88 +556,145 @@ class _Parser:
 
     # -- expressions -----------------------------------------------------------
 
-    def enter(self, token: _Token) -> None:
-        """Open one nesting level at ``token``; the caller closes it."""
+    def enter(self, i: int) -> None:
+        """Open one nesting level at token ``i``; the caller closes it."""
         if self.depth == _MAX_NESTING:
-            raise ProblemSyntaxError(
-                f"nesting deeper than {_MAX_NESTING} levels", token.line, token.column
-            )
+            raise ProblemSyntaxError(f"nesting deeper than {_MAX_NESTING} levels", *self.at(i))
         self.depth += 1
+
+    def evaluate(self, node: tuple, scale: int = 1, env=None) -> Expr:
+        """The value of the expression ``node``, times ``scale``, under the
+        bindings ``env`` (none by default)."""
+        kind, value = node
+        if kind == _EXPR:
+            return value(env or {}) * scale
+        acc = Accumulator()
+        value(env or {}, acc, scale)
+        return acc.result()
 
     # The values loop rather than call generators, so that one level of
     # nesting in the input is one frame when they run.
 
-    def parse_expr(self):
+    def parse_expr(self, i: int) -> tuple:
         """Terms joined by + and -, each a product; a chain of one is the
-        product's own value."""
-        terms = [(False, self.parse_product())]
-        while self.peek().kind in ("+", "-"):
-            terms.append((self.advance().kind == "-", self.parse_product()))
+        product's own node."""
+        kinds = self.kinds
+        node, i = self.parse_product(i)
+        terms = [(1, *node)]
+        while kinds[i] == "+" or kinds[i] == "-":
+            sign = -1 if kinds[i] == "-" else 1
+            node, i = self.parse_product(i + 1)
+            terms.append((sign, *node))
         if len(terms) == 1:
-            return terms[0][1]
+            return node, i
 
-        def total(env):
-            values = []
-            for negate, term in terms:
-                values.append(-term(env) if negate else term(env))
-            return Expr.sum(values)
-        return total
+        def total(env, acc, scale):
+            for sign, kind, term in terms:
+                if kind == _SUM:
+                    term(env, acc, sign * scale)
+                else:
+                    acc.add(term(env), sign * scale)
+        return (_SUM, total), i
 
-    def parse_product(self):
-        """Factors joined by * and /; a chain of one is the factor's own
-        value.  The chain ends before ``* dx[i]`` or ``* dy[a]``, a field
-        term's basis vector: no factor is a name with one index, as a metric
-        entry takes two."""
-        first, rest = self.parse_factor(), []
-        while self.peek().kind in ("*", "/") and not self.basis_follows():
-            op = self.advance()
-            rest.append((op, self.parse_factor()))
-        if not rest:
-            return first
+    def parse_product(self, i: int) -> tuple:
+        """Factors joined by * and /, each an atom or a power of one under
+        unary signs, each sign a nesting level.  The chain ends before ``*
+        dx[i]`` or ``* dy[a]``, a field term's basis vector: no factor is a
+        name with one index, as a metric entry takes two."""
+        kinds, texts = self.kinds, self.texts
+        factors, monomial, op = [], True, None
+        while True:
+            sign, opened = 1, 0
+            while kinds[i] == "+" or kinds[i] == "-":
+                self.enter(i)
+                sign, opened, i = (-sign if kinds[i] == "-" else sign), opened + 1, i + 1
+            kind, value, i = self.parse_atom(i)
+            if kinds[i] == "^":
+                if kinds[i + 1] != "int":
+                    self.fail(i + 1, "a non-negative integer exponent")
+                value = self.power(self.value_of(1, kind, value), i + 1)
+                kind, i = (_LEAF if kind == _INT or kind == _LEAF else _EXPR), i + 2
+            self.depth -= opened
+            factors.append((op, sign, kind, value))
+            monomial = monomial and (
+                kind == _INT or kind == _LEAF and (op is None or texts[op] == "*"))
+            if (kinds[i] != "*" and kinds[i] != "/"
+                    or texts[i + 1] in _BASIS and kinds[i + 4] == "]"):
+                break
+            op, i = i, i + 1
+        if len(factors) == 1:
+            if kind != _SUM:
+                return (_EXPR, self.value_of(sign, kind, value)), i
+            return (_SUM, value if sign == 1 else
+                    lambda env, acc, scale: value(env, acc, -scale)), i
+        if monomial and len(factors) <= _MONOMIAL_FACTORS:
+            signs = math.prod(sign for _, sign, _, _ in factors)
+            values = [self.divisor(value, op) if op and texts[op] == "/" else value
+                      for op, _, _, value in factors]
+
+            def term(env, acc, scale):
+                acc.add_product([value(env) for value in values], signs * scale)
+            return (_SUM, term), i
+        return (_EXPR, self.product_value(factors)), i
+
+    def divisor(self, value, op: int):
+        """The reciprocal of the int ``value``, a division at ``op``."""
+        def reciprocal(env):
+            q = value(env)
+            if not q:
+                raise ProblemSemanticError("division by zero", *self.at(op))
+            return Fraction(1, q)
+        return reciprocal
+
+    def product_value(self, factors: list):
+        """The value function (env -> Expr) of a product of factors, formed
+        one by one, a sum's value in an accumulator of its own.  A product
+        whose value is zero evaluates each later factor, for its errors,
+        but multiplies no more."""
+        factors = [(op, sign, value) if kind == _SUM else (op, 0, self.value_of(sign, kind, value))
+                   for op, sign, kind, value in factors]
 
         def product(env):
-            value = first(env)
-            for op, factor in rest:
-                if op.kind == "*":
+            value = None
+            for op, sign, factor in factors:
+                if sign:
+                    acc = Accumulator()
+                    factor(env, acc, sign)
+                    other = acc.result()
+                else:
                     other = factor(env)
+                if op is None:
+                    value = other
+                elif self.kinds[op] == "*":
                     if value.is_zero:  # and stays zero; the factor ran for its errors
                         continue
-                    _check_product(value, other, op)
+                    self.check_product(value, other, op)
                     value = value * other
-                    continue
-                constant = _constant(factor(env), "division is only allowed by constants", op)
-                if constant == 0:
-                    raise ProblemSemanticError("division by zero", op.line, op.column)
-                value = value / constant
+                else:
+                    constant = self.constant(other, "division is only allowed by constants", op)
+                    if constant == 0:
+                        raise ProblemSemanticError("division by zero", *self.at(op))
+                    value = value / constant
             return value
         return product
 
-    def basis_follows(self) -> bool:
-        """Whether the tokens after the next one open ``dx[i]`` or ``dy[a]``."""
-        ahead = self.tokens[self.pos + 1 : self.pos + 5]
-        return len(ahead) == 4 and ahead[0].text in ("dx", "dy") and ahead[3].kind == "]"
+    def value_of(self, sign: int, kind: str, value):
+        """The value function (env -> Expr) of a factor of the given sign and
+        kind."""
+        if kind == _INT:
+            return lambda env: Expr.constant(sign * value(env))
+        if kind == _SUM:
+            return lambda env: self.evaluate((_SUM, value), sign, env)
+        return value if sign == 1 else lambda env: -value(env)
 
-    def parse_factor(self):
-        token = self.peek()
-        if token.kind in ("+", "-"):
-            self.advance()
-            self.enter(token)
-            inner = self.parse_factor()
-            self.depth -= 1
-            return inner if token.kind == "+" else lambda env: -inner(env)
-        base = self.parse_atom()
-        if self.peek().kind != "^":
-            return base
-        self.advance()
-        at = self.expect("int", "a non-negative integer exponent")
-        exponent_of = _literal(at)
-
+    def power(self, base, at: int):
+        """The value function of ``base`` to the int token ``at``."""
         def power(env):
-            value, exponent = base(env), exponent_of(env)
+            value, exponent = base(env), _literal(self, at)
             degree = exponent * value.degree()
             if degree > _MAX_DEGREE:
                 raise ProblemSemanticError(
-                    f"power of degree {degree} exceeds {_MAX_DEGREE}", at.line, at.column
+                    f"power of degree {degree} exceeds {_MAX_DEGREE}", *self.at(at)
                 )
             # a power of t terms has at most C(e + t - 1, t - 1) terms, the
             # monomials of degree e in t variables, and that bound is kept,
@@ -649,12 +704,12 @@ class _Parser:
             if most > _MAX_DEGREE:
                 raise ProblemSemanticError(
                     f"power of {terms} terms to the {exponent} may have more than "
-                    f"{_MAX_DEGREE} terms", at.line, at.column
+                    f"{_MAX_DEGREE} terms", *self.at(at)
                 )
             if most * degree > _MAX_FACTORS:
                 raise ProblemSemanticError(
                     f"power of {terms} terms to the {exponent} may hold more than "
-                    f"{_MAX_FACTORS} coordinate factors in all", at.line, at.column
+                    f"{_MAX_FACTORS} coordinate factors in all", *self.at(at)
                 )
             # the largest numerator or denominator of the base's coefficients
             # (of the coefficient itself, for a constant or a monomial) to
@@ -665,119 +720,126 @@ class _Parser:
             if limit and largest > 1 and (
                 exponent > 4 * limit or exponent * math.log10(largest) >= limit
             ):
-                raise ProblemSemanticError(
-                    f"power exceeds {limit} digits", at.line, at.column
-                )
+                raise ProblemSemanticError(f"power exceeds {limit} digits", *self.at(at))
             return value**exponent
         return power
 
-    def parse_atom(self):
-        token = self.peek()
-        if token.kind == "int":
-            self.advance()
-            return _literal(token, Expr.constant)
-        if token.kind == "float":
+    def parse_atom(self, i: int) -> tuple:
+        """(kind, value function, index after) of an atom."""
+        kinds = self.kinds
+        kind = kinds[i]
+        if kind == "int":
+            return _INT, lambda env: _literal(self, i), i + 1
+        if kind == "float":
             raise ProblemSyntaxError(
                 "decimal literals are not allowed in expressions; use rationals",
-                token.line,
-                token.column,
-                expected=["an integer"],
+                *self.at(i), expected=["an integer"],
             )
-        if token.kind == "(":
-            self.advance()
-            self.enter(token)
-            value = self.parse_expr()
+        if kind == "(":
+            self.enter(i)
+            (kind, value), j = self.parse_expr(i + 1)
             self.depth -= 1
-            self.expect(")")
-            return value
-        if token.kind != "name":
-            raise ProblemSyntaxError(
-                f"unexpected {token.text!r}" if token.kind != "end" else "unexpected end of input",
-                token.line,
-                token.column,
-                expected=["a number", "'('", "'x'", "'y'", "'z'", "'sum'", "a metric name"],
-            )
-        name = token.text
-        self.advance()
-        if name == "sum":
-            self.expect("(")
-            var = self.expect("name", "an index variable").text
-            self.expect(",")
-            lo = _literal(self.expect("int", "a lower bound"))
-            self.expect(",")
-            hi = _literal(self.expect("int", "an upper bound"))
-            self.expect(",")
-            self.enter(token)
-            body = self.parse_expr()
+            return kind, value, self.need(j, ")")
+        if kind != "name":
+            self.fail(i, "a number", "'('", "'x'", "'y'", "'z'", "'sum'", "a metric name")
+        name = self.texts[i]
+        if name == "sum":  # its body adds into the accumulator once per value of var
+            j = self.need(i + 1, "(", "name:an index variable", ",", "int:a lower bound", ",",
+                          "int:an upper bound", ",")
+            var = self.texts[i + 2]
+            self.enter(i)
+            (kind, body), j = self.parse_expr(j)
             self.depth -= 1
-            self.expect(")")
+            j = self.need(j, ")")
 
-            def total(env):
-                first, last, outer = lo(env), hi(env), self.running
+            def total(env, acc, scale):
+                first, last, outer = _literal(self, i + 4), _literal(self, i + 6), self.running
                 self.running = count = outer * max(0, last - first + 1)
                 if count > _MAX_DEGREE:
                     raise ProblemSemanticError(
                         f"sum evaluates its body {count} times, more than {_MAX_DEGREE}",
-                        token.line, token.column,
+                        *self.at(i),
                     )
-                terms = []
-                for value in range(first, last + 1):
-                    terms.append(body({**env, var: value}))
+                bound = env.get(var)
+                if kind == _SUM:
+                    for env[var] in range(first, last + 1):
+                        body(env, acc, scale)
+                else:
+                    for env[var] in range(first, last + 1):
+                        acc.add(body(env), scale)
+                if bound is None:
+                    env.pop(var, None)
+                else:
+                    env[var] = bound
                 self.running = outer
-                self.bodies += len(terms)
-                return Expr.sum(terms)
-            return total
+                self.bodies += count // outer
+            return _SUM, total, j
+        if name not in ("x", "y", "z") and kinds[i + 1] != "[":
+            # a bare identifier: a bound sum index used as a value
+            return _INT, lambda env: self.index(i, env, "identifier"), i + 1
+        if kinds[i + 1] != "[":
+            self.fail(i + 1, "[")
         names = []  # the index names the leaf reads, its memo key
-        if name in ("x", "y"):
-            self.expect("[")
-            index = self.parse_index(names)
-            self.expect("]")
-
-            def coordinate(env):
-                bound = self.cfg.m if name == "x" else self.cfg.n
-                idx = _in_range(f"{name} index", index(env), bound, token)
-                return Expr.variable(base_coord(idx) if name == "x" else field_coord(idx))
-            return self.leaf(coordinate, names)
+        j = self.indices(i + 2, 1 if name in ("x", "y", "z") else 2, names)
         if name == "z":
-            self.expect("[")
-            field_index = self.parse_index(names)
-            self.expect(";")
-            jet_indices = [self.parse_index(names)]
-            while self.peek().kind in ("int", "name"):
-                jet_indices.append(self.parse_index(names))
-            self.expect("]")
-
-            def jet(env):
+            if kinds[j] != ";":
+                self.fail(j, ";")
+            first, j = j + 1, self.indices(j + 1, 0, names)
+        if kinds[j] != "]":
+            self.fail(j, "]")
+        if name == "z":
+            def value(env):
                 cfg = self.cfg
-                a = _in_range("field index", field_index(env), cfg.n, token)
-                indices = [index(env) for index in jet_indices]
+                a = self.in_range("field index", self.index(i + 2, env), cfg.n, i)
+                indices = [self.index(ref, env) for ref in range(first, j)]
                 for idx in indices:
-                    _in_range("jet index", idx, cfg.m, token)
+                    self.in_range("jet index", idx, cfg.m, i)
                 if len(indices) > cfg.k:
                     raise ProblemSemanticError(
-                        f"jet order {len(indices)} > k = {cfg.k}", token.line, token.column
+                        f"jet order {len(indices)} > k = {cfg.k}", *self.at(i)
                     )
                 return Expr.variable(jet_coord(a, indices))
-            return self.leaf(jet, names)
-        if self.peek().kind == "[":
-            self.advance()
-            i_index, j_index = self.parse_index(names), self.parse_index(names)
-            self.expect("]")
-
-            def entry(env):
+        elif name == "x" or name == "y":
+            def value(env):
+                bound = self.cfg.m if name == "x" else self.cfg.n
+                idx = self.in_range(f"{name} index", self.index(i + 2, env), bound, i)
+                return Expr.variable(base_coord(idx) if name == "x" else field_coord(idx))
+        else:
+            def value(env):
                 matrix = self.metrics.get(name)
                 if matrix is None:
-                    raise ProblemSemanticError(
-                        f"unknown metric {name!r}", token.line, token.column
-                    )
-                i, j = i_index(env), j_index(env)
-                for idx in (i, j):
-                    _in_range("metric index", idx, len(matrix), token)
-                return matrix[i - 1][j - 1]
-            return self.leaf(entry, names)
-        # a bare identifier: a bound sum index used as a value
-        index = self.bound_index(token, "identifier")
-        return lambda env: Expr.constant(index(env))
+                    raise ProblemSemanticError(f"unknown metric {name!r}", *self.at(i))
+                r, c = self.index(i + 2, env), self.index(i + 3, env)
+                for idx in (r, c):
+                    self.in_range("metric index", idx, len(matrix), i)
+                return matrix[r - 1][c - 1]
+        return _LEAF, self.leaf(value, names), j + 1
+
+    def indices(self, i: int, count: int, names: list) -> int:
+        """The index after the ``count`` index tokens from token ``i``, or
+        after all of them, at least one, when ``count`` is 0; each an int or
+        a name, which is added to ``names``."""
+        kinds, j = self.kinds, i
+        while (kinds[j] == "int" or kinds[j] == "name") and j - i != (count or -1):
+            if kinds[j] == "name":
+                names.append(self.texts[j])
+            j += 1
+        if j == i or j - i < count:
+            self.fail(j, "an index (integer or bound name)", end="''")
+        return j
+
+    def index(self, i: int, env, what: str = "index variable") -> int:
+        """The value of the index token ``i``: an int's, or the one a sum
+        binds to the name, with an error there when no enclosing sum binds
+        it."""
+        if self.kinds[i] == "int":
+            return _literal(self, i)
+        try:
+            return env[self.texts[i]]
+        except KeyError:
+            raise ProblemSemanticError(
+                f"unbound {what} {self.texts[i]!r}", *self.at(i)
+            ) from None
 
     def leaf(self, value, names: list):
         """``value``, evaluated once in this parse per tuple of the values
@@ -797,143 +859,125 @@ class _Parser:
             return found
         return leaf_value
 
-    def parse_index(self, names: list):
-        """An index's value function; a name is also added to ``names``."""
-        token = self.advance()
-        if token.kind == "int":
-            return _literal(token)
-        if token.kind == "name":
-            names.append(token.text)
-            return self.bound_index(token, "index variable")
-        raise ProblemSyntaxError(
-            f"unexpected {token.text!r}", token.line, token.column,
-            expected=["an index (integer or bound name)"],
-        )
-
-    @staticmethod
-    def bound_index(token: _Token, what: str):
-        """The value a sum binds to the name ``token``; an error there when
-        no enclosing sum binds it."""
-        def index(env) -> int:
-            if token.text not in env:
-                raise ProblemSemanticError(
-                    f"unbound {what} {token.text!r}", token.line, token.column
-                )
-            return env[token.text]
-        return index
-
     # -- vector fields ---------------------------------------------------------
 
-    def parse_vector_field(self, name: str, at: _Token):
+    def parse_vector_field(self, i: int, name: str, at: int) -> tuple:
         """Terms joined by + and -: ``product * dx[i]``, ``product * dy[a]``
         or a bare basis vector, whose product is 1."""
+        kinds, texts = self.kinds, self.texts
         terms, sign = [], 1
         while True:
             coefficient = None
-            if self.peek().text not in ("dx", "dy"):
-                coefficient = self.parse_product()
-                self.expect("*", "'*'")
-            token = self.advance()
-            self.expect("[")
-            index = _literal(self.expect("int", "an index"))
-            self.expect("]")
-            terms.append((sign, coefficient, token, index))
-            if self.peek().kind not in ("+", "-"):
+            if texts[i] not in _BASIS:
+                coefficient, i = self.parse_product(i)
+                i = self.need(i, "*:'*'")
+            # a product ends only before a basis vector, which this is
+            terms.append((sign, coefficient, i))
+            i = self.need(i + 1, "[", "int:an index", "]")
+            if kinds[i] != "+" and kinds[i] != "-":
                 break
-            sign = 1 if self.advance().kind == "+" else -1
+            sign, i = (1 if kinds[i] == "+" else -1), i + 1
 
         def field():
             cfg = self.cfg
             base, vertical = [Expr.zero()] * cfg.m, [Expr.zero()] * cfg.n
-            for sign, coefficient, token, index in terms:
-                value = Expr.constant(sign) if coefficient is None else sign * coefficient({})
-                target = base if token.text == "dx" else vertical
-                idx = _in_range(f"{token.text} index", index(None), len(target), token)
+            for sign, coefficient, basis in terms:
+                value = (Expr.constant(sign) if coefficient is None
+                         else self.evaluate(coefficient, sign))
+                target = base if texts[basis] == "dx" else vertical
+                idx = self.in_range(f"{texts[basis]} index", _literal(self, basis + 2),
+                                    len(target), basis)
                 target[idx - 1] = target[idx - 1] + value
             for value in (*base, *vertical):
-                _within_digits(value, at)
+                self.within_digits(value, at)
             try:
                 return ProjectableField(cfg, tuple(base), tuple(vertical))
             except ValueError as exc:
-                raise ProblemSemanticError(f"field {name!r}: {exc}", at.line, at.column)
-        return field
+                raise ProblemSemanticError(f"field {name!r}: {exc}", *self.at(at))
+        return field, i
 
+    # -- checks, each an error at a token ---------------------------------------
 
-def _checked_metric(cfg: JetConfig, name: str, matrix: tuple, at: _Token) -> tuple:
-    """``matrix`` when it is m x m or n x n, symmetric and invertible;
-    otherwise an error at ``at``."""
-    size = len(matrix)
-    if size not in (cfg.m, cfg.n):
-        sizes = " or ".join(f"{s}x{s}" for s in dict.fromkeys((cfg.m, cfg.n)))
-        raise ProblemSemanticError(
-            f"metric {name!r} is {size}x{size}; expected {sizes}", at.line, at.column
-        )
-    if any(matrix[i][j] != matrix[j][i] for i in range(size) for j in range(size)):
-        raise ProblemSemanticError(f"metric {name!r} is not symmetric", at.line, at.column)
-    if _determinant(matrix) == 0:
-        raise ProblemSemanticError(f"metric {name!r} is singular", at.line, at.column)
-    return matrix
+    def in_range(self, label: str, value: int, bound: int, i: int) -> int:
+        """``value`` when it lies in 1..bound; otherwise an error at token ``i``."""
+        if not 1 <= value <= bound:
+            raise ProblemSemanticError(f"{label} {value} out of range 1..{bound}", *self.at(i))
+        return value
 
+    def checked_metric(self, name: str, matrix: tuple, at: int) -> tuple:
+        """``matrix`` when it is m x m or n x n, symmetric and invertible;
+        otherwise an error at token ``at``."""
+        cfg, size = self.cfg, len(matrix)
+        if size not in (cfg.m, cfg.n):
+            sizes = " or ".join(f"{s}x{s}" for s in dict.fromkeys((cfg.m, cfg.n)))
+            raise ProblemSemanticError(
+                f"metric {name!r} is {size}x{size}; expected {sizes}", *self.at(at)
+            )
+        if any(matrix[i][j] != matrix[j][i] for i in range(size) for j in range(i)):
+            raise ProblemSemanticError(f"metric {name!r} is not symmetric", *self.at(at))
+        if _determinant(matrix) == 0:
+            raise ProblemSemanticError(f"metric {name!r} is singular", *self.at(at))
+        return matrix
 
-def _check_product(a: Expr, b: Expr, at: _Token) -> None:
-    """An error at the operator ``at`` when ``a * b`` would form more than
-    ``_MAX_PAIRS`` pairs of terms, or pairs times degree past
-    ``_MAX_FACTORS``."""
-    p, q = a.term_count(), b.term_count()
-    if p * q > _MAX_PAIRS:
-        raise ProblemSemanticError(
-            f"product of {p} and {q} terms forms more than {_MAX_PAIRS} pairs of terms",
-            at.line, at.column,
-        )
-    degree = a.degree() + b.degree()
-    if p * q * degree > _MAX_FACTORS:
-        raise ProblemSemanticError(
-            f"product of {p} and {q} terms of degree {degree} may hold more than "
-            f"{_MAX_FACTORS} coordinate factors in all", at.line, at.column,
-        )
+    def check_product(self, a: Expr, b: Expr, op: int) -> None:
+        """An error at the operator ``op`` when ``a * b`` would form more
+        than ``_MAX_PAIRS`` pairs of terms, or pairs times degree past
+        ``_MAX_FACTORS``."""
+        p, q = a.term_count(), b.term_count()
+        if p * q > _MAX_PAIRS:
+            raise ProblemSemanticError(
+                f"product of {p} and {q} terms forms more than {_MAX_PAIRS} pairs of terms",
+                *self.at(op),
+            )
+        degree = a.degree() + b.degree()
+        if p * q * degree > _MAX_FACTORS:
+            raise ProblemSemanticError(
+                f"product of {p} and {q} terms of degree {degree} may hold more than "
+                f"{_MAX_FACTORS} coordinate factors in all", *self.at(op),
+            )
 
+    def within_digits(self, value: Expr, at: int) -> Expr:
+        """``value`` when no numerator or denominator of its coefficients has
+        more digits than the interpreter converts (``sys.get_int_max_str_digits``,
+        0 being no limit); otherwise an error at token ``at``, where it is
+        declared.  Powers are bounded where they are written, but a product
+        or a sum of them is bounded only here."""
+        if exceeds_digit_limit(value.largest_part()):
+            limit = sys.get_int_max_str_digits()
+            raise ProblemSemanticError(f"coefficient exceeds {limit} digits", *self.at(at))
+        return value
 
-def _within_digits(value: Expr, at: _Token) -> Expr:
-    """``value`` when no numerator or denominator of its coefficients has
-    more digits than the interpreter converts (``sys.get_int_max_str_digits``,
-    0 being no limit); otherwise an error at ``at``, where it is declared.
-    Powers are bounded where they are written, but a product or a sum of
-    them is bounded only here."""
-    if exceeds_digit_limit(value.largest_part()):
-        limit = sys.get_int_max_str_digits()
-        raise ProblemSemanticError(f"coefficient exceeds {limit} digits", at.line, at.column)
-    return value
-
-
-def _constant(value: Expr, message: str, token: _Token) -> Fraction:
-    """The rational value of a constant; any other value is an error at
-    ``token``."""
-    constant = value.constant_term()
-    if value != Expr.constant(constant):
-        raise ProblemSemanticError(message, token.line, token.column)
-    return Fraction(constant)
+    def constant(self, value: Expr, message: str, i: int) -> Fraction:
+        """The rational value of a constant; any other value is an error at
+        token ``i``."""
+        if value.degree():
+            raise ProblemSemanticError(message, *self.at(i))
+        return Fraction(value.constant_term())
 
 
 def _determinant(matrix) -> Fraction:
-    """Exact determinant by Gaussian elimination: O(size^3) Fraction steps."""
-    rows = [[Fraction(v) for v in row] for row in matrix]
-    size = len(rows)
-    det = Fraction(1)
-    for col in range(size):
+    """Exact determinant by fraction-free (Bareiss) elimination of the rows,
+    each scaled to integers by the lcm of its denominators: O(size^3)
+    integer steps, each division exact."""
+    scale, rows = 1, []
+    for row in matrix:
+        common = math.lcm(*(v.denominator for v in row))
+        scale *= common
+        rows.append([v.numerator * (common // v.denominator) for v in row])
+    size, sign, previous = len(rows), 1, 1
+    for col in range(size - 1):
         pivot = next((r for r in range(col, size) if rows[r][col]), None)
         if pivot is None:
             return Fraction(0)
         if pivot != col:
             rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
+            sign = -sign
         head = rows[col]
-        det *= head[col]
         for row in rows[col + 1 :]:
-            factor = row[col] / head[col]
-            if factor:
-                for j in range(col + 1, size):
-                    row[j] -= factor * head[j]
-    return det
+            for j in range(col + 1, size):
+                row[j] = (row[j] * head[col] - row[col] * head[j]) // previous
+        previous = head[col]
+    return Fraction(sign * rows[-1][-1], scale)
 
 
 def parse_problem(text: str, counts: dict | None = None) -> ProblemSpec:

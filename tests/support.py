@@ -100,12 +100,8 @@ from jetforms.numeric import (
 from jetforms.problem import (
     ProblemSemanticError,
     ProblemSyntaxError,
-    _check_product,
-    _constant,
-    _in_range,
     _MAX_DEGREE,
     _Parser,
-    _Token,
 )
 from jetforms.prolongations import ProjectableField, prolong
 
@@ -578,8 +574,9 @@ _DIGITS = frozenset("0123456789")
 
 def reference_tokenize(text: str) -> list:
     """The problem tokenizer as a loop over characters: the parser's
-    reference.  After a comment that ends the input with no newline, its end
-    token keeps the comment's first column."""
+    reference, with (kind, text, line, column) per token, each position
+    counted as the loop goes.  After a comment that ends the input with no
+    newline, its end token keeps the comment's first column."""
     tokens = []
     line, column = 1, 1
     i = 0
@@ -620,7 +617,7 @@ def reference_tokenize(text: str) -> list:
                     break
             chunk = text[i:j]
             kind = "float" if (seen_dot or seen_exp) else "int"
-            tokens.append(_Token(kind, chunk, line, start_col))
+            tokens.append((kind, chunk, line, start_col))
             column += j - i
             i = j
             continue
@@ -628,186 +625,226 @@ def reference_tokenize(text: str) -> list:
             j = i
             while j < len(text) and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            tokens.append(_Token("name", text[i:j], line, start_col))
+            tokens.append(("name", text[i:j], line, start_col))
             column += j - i
             i = j
             continue
         if ch in _PUNCT:
-            tokens.append(_Token(ch, ch, line, start_col))
+            tokens.append((ch, ch, line, start_col))
             i += 1
             column += 1
             continue
         raise ProblemSyntaxError(f"unexpected character {ch!r}", line, start_col)
-    tokens.append(_Token("end", "", line, column))
+    tokens.append(("end", "", line, column))
     return tokens
 
 
-def _converted(token: _Token) -> int:
-    """The value of an int token; one with more digits than the interpreter
-    converts is an error at the token."""
+def _converted(parser, i: int) -> int:
+    """The value of the int token ``i``; one with more digits than the
+    interpreter converts is an error at the token."""
+    text = parser.texts[i]
     try:
-        return int(token.text)
+        return int(text)
     except ValueError:
         raise ProblemSemanticError(
-            f"integer of {len(token.text)} digits is too long", token.line, token.column
+            f"integer of {len(text)} digits is too long", *parser.at(i)
         ) from None
 
 
 class ReferenceParser(_Parser):
     """The problem parser with its expression values as they were before
     each leaf kept its value per parse, a zero product skipped its later
-    multiplications and nested sums added into one sum: every sum builds
-    its own ``Expr.sum`` over a copy of the bindings, and every leaf checks
-    its indices and builds its value on each evaluation.  An integer
-    literal is converted by its own converter each time its value is
-    evaluated.  A sum's count of body evaluations is the product of the
-    ranges of the sums around it in the text, found while parsing, and is
-    checked where the sum is evaluated; so both errors come after every
-    syntax error.  The statements, the syntax and the checks outside
-    expressions are the library's."""
+    multiplications and sums added into one accumulator: every chain of +
+    and - and every sum builds its own ``Expr.sum``, a sum over a copy of
+    the bindings, every product multiplies its factors' Exprs one by one,
+    and every leaf checks its indices and builds its value on each
+    evaluation.  An integer literal is converted by its own converter each
+    time its value is evaluated.  A sum's count of body evaluations is the
+    product of the ranges of the sums around it in the text, found while
+    parsing, and is checked where the sum is evaluated; so both errors come
+    after every syntax error.  The expression rules are its own, on the
+    library's token lists; the statements, the bound on nesting, the power
+    and the checks outside expressions are the library's."""
 
     def __init__(self, text: str):
         super().__init__(text)
         self.nesting = 1  # the body evaluations of the sum being parsed
 
-    def parse_product(self):
-        first, rest = self.parse_factor(), []
-        while self.peek().kind in ("*", "/") and not self.basis_follows():
-            op = self.advance()
-            rest.append((op, self.parse_factor()))
+    def evaluate(self, value, scale=1, env=None):
+        return scale * value({} if env is None else env)
+
+    def basis_follows(self, i: int) -> bool:
+        """Whether the tokens after token ``i`` open ``dx[i]`` or ``dy[a]``."""
+        ahead = self.texts[i + 1 : i + 5]
+        return len(ahead) == 4 and ahead[0] in ("dx", "dy") and ahead[3] == "]"
+
+    def parse_expr(self, i):
+        value, i = self.parse_product(i)
+        terms = [(False, value)]
+        while self.kinds[i] in ("+", "-"):
+            negate = self.kinds[i] == "-"
+            value, i = self.parse_product(i + 1)
+            terms.append((negate, value))
+        if len(terms) == 1:
+            return terms[0][1], i
+
+        def total(env):
+            return Expr.sum([-term(env) if negate else term(env) for negate, term in terms])
+        return total, i
+
+    def parse_product(self, i):
+        first, i = self.parse_factor(i)
+        rest = []
+        while self.kinds[i] in ("*", "/") and not self.basis_follows(i):
+            op = i
+            factor, i = self.parse_factor(i + 1)
+            rest.append((op, factor))
         if not rest:
-            return first
+            return first, i
 
         def product(env):
             value = first(env)
             for op, factor in rest:
-                if op.kind == "*":
+                if self.texts[op] == "*":
                     other = factor(env)
-                    _check_product(value, other, op)
+                    self.check_product(value, other, op)
                     value = value * other
                     continue
-                constant = _constant(factor(env), "division is only allowed by constants", op)
+                constant = self.constant(factor(env), "division is only allowed by constants", op)
                 if constant == 0:
-                    raise ProblemSemanticError("division by zero", op.line, op.column)
+                    raise ProblemSemanticError("division by zero", *self.at(op))
                 value = value / constant
             return value
-        return product
+        return product, i
 
-    def parse_atom(self):
-        token = self.peek()
-        if token.kind == "int":
-            self.advance()
-            return lambda env: Expr.constant(_converted(token))
-        if token.kind == "float":
+    def parse_factor(self, i):
+        if self.kinds[i] in ("+", "-"):
+            self.enter(i)
+            inner, j = self.parse_factor(i + 1)
+            self.depth -= 1
+            return (inner if self.kinds[i] == "+" else lambda env: -inner(env)), j
+        base, i = self.parse_atom(i)
+        if self.kinds[i] != "^":
+            return base, i
+        if self.kinds[i + 1] != "int":
+            self.fail(i + 1, "a non-negative integer exponent")
+        return self.power(base, i + 1), i + 2
+
+    def parse_atom(self, i):
+        kind = self.kinds[i]
+        if kind == "int":
+            return (lambda env: Expr.constant(_converted(self, i))), i + 1
+        if kind == "float":
             raise ProblemSyntaxError(
                 "decimal literals are not allowed in expressions; use rationals",
-                token.line, token.column, expected=["an integer"],
+                *self.at(i), expected=["an integer"],
             )
-        if token.kind == "(":
-            self.advance()
-            self.enter(token)
-            value = self.parse_expr()
+        if kind == "(":
+            self.enter(i)
+            value, j = self.parse_expr(i + 1)
             self.depth -= 1
-            self.expect(")")
-            return value
-        if token.kind != "name":
-            raise ProblemSyntaxError(
-                f"unexpected {token.text!r}" if token.kind != "end" else "unexpected end of input",
-                token.line, token.column,
-                expected=["a number", "'('", "'x'", "'y'", "'z'", "'sum'", "a metric name"],
-            )
-        name = token.text
-        self.advance()
+            if self.kinds[j] != ")":
+                self.fail(j, ")")
+            return value, j + 1
+        if kind != "name":
+            self.fail(i, "a number", "'('", "'x'", "'y'", "'z'", "'sum'", "a metric name")
+        name = self.texts[i]
         if name == "sum":
-            self.expect("(")
-            var = self.expect("name", "an index variable").text
-            self.expect(",")
-            lo_at = self.expect("int", "a lower bound")
-            self.expect(",")
-            hi_at = self.expect("int", "an upper bound")
-            self.expect(",")
+            head = (("(", "("), ("name", "an index variable"), (",", ","),
+                    ("int", "a lower bound"), (",", ","), ("int", "an upper bound"), (",", ","))
+            for j, (want, what) in enumerate(head, start=i + 1):
+                if self.kinds[j] != want:
+                    self.fail(j, what)
+            j = i + 1 + len(head)
+            var, lo_at, hi_at = self.texts[i + 2], i + 4, i + 6
             outer = count = self.nesting
             try:  # a bound too long to convert raises its error where the sum runs
-                count = outer * max(0, int(hi_at.text) - int(lo_at.text) + 1)
+                count = outer * max(0, int(self.texts[hi_at]) - int(self.texts[lo_at]) + 1)
             except ValueError:
                 pass
             self.nesting = count
-            self.enter(token)
-            body = self.parse_expr()
+            self.enter(i)
+            body, j = self.parse_expr(j)
             self.depth -= 1
             self.nesting = outer
-            self.expect(")")
+            if self.kinds[j] != ")":
+                self.fail(j, ")")
 
             def total(env):
-                lo, hi = _converted(lo_at), _converted(hi_at)
+                lo, hi = _converted(self, lo_at), _converted(self, hi_at)
                 if count > _MAX_DEGREE:
                     raise ProblemSemanticError(
                         f"sum evaluates its body {count} times, more than {_MAX_DEGREE}",
-                        token.line, token.column,
+                        *self.at(i),
                     )
                 terms = []
                 for value in range(lo, hi + 1):
                     terms.append(body({**env, var: value}))
                 return Expr.sum(terms)
-            return total
+            return total, j + 1
         if name in ("x", "y"):
-            self.expect("[")
-            index = self.parse_index()
-            self.expect("]")
+            if self.kinds[i + 1] != "[":
+                self.fail(i + 1, "[")
+            index, j = self.parse_index(i + 2)
+            if self.kinds[j] != "]":
+                self.fail(j, "]")
 
             def coordinate(env):
                 bound = self.cfg.m if name == "x" else self.cfg.n
-                idx = _in_range(f"{name} index", index(env), bound, token)
+                idx = self.in_range(f"{name} index", index(env), bound, i)
                 return Expr.variable(base_coord(idx) if name == "x" else field_coord(idx))
-            return coordinate
+            return coordinate, j + 1
         if name == "z":
-            self.expect("[")
-            field_index = self.parse_index()
-            self.expect(";")
-            jet_indices = [self.parse_index()]
-            while self.peek().kind in ("int", "name"):
-                jet_indices.append(self.parse_index())
-            self.expect("]")
+            if self.kinds[i + 1] != "[":
+                self.fail(i + 1, "[")
+            field_index, j = self.parse_index(i + 2)
+            if self.kinds[j] != ";":
+                self.fail(j, ";")
+            index, j = self.parse_index(j + 1)
+            jet_indices = [index]
+            while self.kinds[j] in ("int", "name"):
+                index, j = self.parse_index(j)
+                jet_indices.append(index)
+            if self.kinds[j] != "]":
+                self.fail(j, "]")
 
             def jet(env):
                 cfg = self.cfg
-                a = _in_range("field index", field_index(env), cfg.n, token)
+                a = self.in_range("field index", field_index(env), cfg.n, i)
                 indices = [index(env) for index in jet_indices]
                 for idx in indices:
-                    _in_range("jet index", idx, cfg.m, token)
+                    self.in_range("jet index", idx, cfg.m, i)
                 if len(indices) > cfg.k:
                     raise ProblemSemanticError(
-                        f"jet order {len(indices)} > k = {cfg.k}", token.line, token.column
+                        f"jet order {len(indices)} > k = {cfg.k}", *self.at(i)
                     )
                 return Expr.variable(jet_coord(a, indices))
-            return jet
-        if self.peek().kind == "[":
-            self.advance()
-            i_index, j_index = self.parse_index(), self.parse_index()
-            self.expect("]")
+            return jet, j + 1
+        if self.kinds[i + 1] == "[":
+            i_index, j = self.parse_index(i + 2)
+            j_index, j = self.parse_index(j)
+            if self.kinds[j] != "]":
+                self.fail(j, "]")
 
             def entry(env):
                 matrix = self.metrics.get(name)
                 if matrix is None:
-                    raise ProblemSemanticError(
-                        f"unknown metric {name!r}", token.line, token.column
-                    )
-                i, j = i_index(env), j_index(env)
-                for idx in (i, j):
-                    _in_range("metric index", idx, len(matrix), token)
-                return matrix[i - 1][j - 1]
-            return entry
-        index = self.bound_index(token, "identifier")
-        return lambda env: Expr.constant(index(env))
+                    raise ProblemSemanticError(f"unknown metric {name!r}", *self.at(i))
+                r, c = i_index(env), j_index(env)
+                for idx in (r, c):
+                    self.in_range("metric index", idx, len(matrix), i)
+                return matrix[r - 1][c - 1]
+            return entry, j + 1
+        return (lambda env: Expr.constant(self.index(i, env, "identifier"))), i + 1
 
-    def parse_index(self):
-        token = self.advance()
-        if token.kind == "int":
-            return lambda env: _converted(token)
-        if token.kind == "name":
-            return self.bound_index(token, "index variable")
+    def parse_index(self, i, names=None):
+        kind = self.kinds[i]
+        if kind == "int":
+            return (lambda env: _converted(self, i)), i + 1
+        if kind == "name":
+            return (lambda env: self.index(i, env)), i + 1
         raise ProblemSyntaxError(
-            f"unexpected {token.text!r}", token.line, token.column,
+            f"unexpected {self.texts[i]!r}", *self.at(i),
             expected=["an index (integer or bound name)"],
         )
 

@@ -1,6 +1,9 @@
 import importlib.resources
+import importlib.util
 import itertools
 import math
+import pathlib
+import random
 import sys
 import time
 from fractions import Fraction
@@ -18,6 +21,7 @@ from jetforms.problem import (
     ProblemSpec,
     ProblemSyntaxError,
     _determinant,
+    _position,
     _tokenize,
     parse_problem,
 )
@@ -510,6 +514,24 @@ SUM_AND_ZERO_CASES = [
     ("dims 2 2 2; L = 0*x[1]/y[1];", "1:23: division is only allowed by constants"),
     ("dims 2 2 2; L = sum(i,1,2, (i-1)*x[1]*z[i; 1 1 1]);", "1:39: jet order 3 > k = 2"),
     ("dims 2 2 2; L = 0*x[1]*(y[1] + 1)^3/7 + (x[1]-x[1])*z[2; 1 2];", None),
+    # products of ints and leaves, each added as one monomial: minus terms,
+    # unary signs, rational factors and zero constants, alone and in nested
+    # sums, and terms that cancel
+    ("dims 2 2 2; L = -3/7*z[1; 1]*z[2; 1 2];", None),
+    ("dims 2 2 2; L = x[1] - 3/7*z[1; 1]*z[2; 1 2] - -2*y[1]*y[2] + x[1]/-2*y[1];", None),
+    ("dims 2 2 2; L = 1/2*x[1] + 1/3*x[2] - 5/6*y[1]*2/3 - 3/7*z[1; 1]*z[2; 1 2]"
+     " + 3/7*z[2; 2 1]*z[1; 1];", None),
+    ("dims 2 2 2; L = sum(i,1,2, sum(j,1,2, 0*z[1; i j] - i/3*j*x[i]*y[1] + 5/j*z[2; i]"
+     " - 0/3*y[1]*x[j]));", None),
+    ("dims 2 2 2; L = sum(i,1,2, sum(j,1,2, 0*x[i]*z[1; i j] - (i-j)*0*y[1])) - 0*x[1];",
+     None),
+    ("dims 2 2 2; L = sum(i,1,2, z[1; i] - 1*z[1; i]*1) + sum(i,1,2, -(-1)*z[1; i]*-1);",
+     None),
+    ("dims 2 2 2; metric g = diag(1, -1);"
+     " L = sum(i,1,2, sum(j,1,2, -g[i j]*z[1; i]*z[1; j]/2 - -1/3*g[j i]*0));", None),
+    ("dims 2 2 2; L = sum(i,0,1, 0*x[1]/i);", "1:34: division by zero"),
+    ("dims 2 2 2; L = sum(i,1,2, -3/7*z[1; 1]*z[2; i 3]);",
+     "1:41: jet index 3 out of range 1..2"),
     # 200 nested sums add into one sum, of one name or of 200
     ("dims 1 1 1; L = " + "sum(i,1,1, " * 200 + "y[1]" + ")" * 200 + ";", None),
     ("dims 1 1 1; L = " + "".join(f"sum(i{d},1,1, " for d in range(200)) + "i7*y[1]"
@@ -527,6 +549,31 @@ def test_sums_zero_products_and_leaves_evaluate_as_the_reference(source, error):
         assert isinstance(found, dict), found
     else:
         assert found[1] == error
+
+
+def _ab_tool():
+    path = pathlib.Path(__file__).resolve().parents[1] / "tools" / "ab.py"
+    spec = importlib.util.spec_from_file_location("ab", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 2), (3, 2, 2), (2, 2, 3)],
+                         ids=lambda shape: "-".join(map(str, shape)))
+def test_ladder_files_parse_to_the_ladders_lagrangian(shape, monkeypatch):
+    # the ladder files of tools/ab.py's parse mode: a rung's Lagrangian, one
+    # term c*z[a; I]*z[b; J] each, parses back to the rung's Lagrangian, as
+    # the reference evaluator parses it
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "benchmarks"))
+    ladder = importlib.import_module("symbolic_ladder")
+    rung = ladder.make_rung(ladder.load_api(), shape, random.Random(5))
+    text = _ab_tool().ladder_problem(rung, render_expr)
+    assert text.count("*z[") == 2 * rung.lagrangian.term_count()
+    spec = parse_problem(text)
+    assert spec.lagrangian == rung.lagrangian
+    assert problem_data(spec) == problem_data(reference_parse_problem(text))
+    assert spec.sections["sol"].components == rung.solution.components
 
 
 def test_nested_sums_take_their_values_and_bounds_as_before():
@@ -655,11 +702,19 @@ WIDE_ALPHABET = FUZZ_ALPHABET + (
 )
 
 
+def positioned_tokens(text):
+    """(kind, text, line, column) per token of ``_tokenize``, each position
+    from the token's offset by ``_position``, as the parser's errors take it."""
+    kinds, texts, offsets = _tokenize(text)
+    return [(kind, chunk, *_position(text, offset))
+            for kind, chunk, offset in zip(kinds, texts, offsets, strict=True)]
+
+
 def tokens_or_rejection(tokenize, text):
     """(kind, text, line, column) per token, or the rejection's message and
     position."""
     try:
-        return [(t.kind, t.text, t.line, t.column) for t in tokenize(text)]
+        return tokenize(text)
     except ProblemSyntaxError as err:
         return (str(err), err.line, err.column)
 
@@ -667,7 +722,7 @@ def tokens_or_rejection(tokenize, text):
 @settings(max_examples=400, derandomize=True, deadline=None)
 @given(st.text(WIDE_ALPHABET, max_size=40))
 def test_the_tokenizer_matches_the_character_loop_it_replaced(text):
-    new = tokens_or_rejection(_tokenize, text)
+    new = tokens_or_rejection(positioned_tokens, text)
     old = tokens_or_rejection(reference_tokenize, text)
     last_line = text.rsplit("\n", 1)[-1]
     if isinstance(new, list) and "#" in last_line:
@@ -689,7 +744,7 @@ def test_the_tokenizer_takes_names_and_numbers_as_the_character_loop_did():
     texts += ["1" + chr(c) + "1" for c in range(0x80)]
     for text in texts:
         if "#" not in text:  # a comment's end is in the property above
-            assert tokens_or_rejection(_tokenize, text) == tokens_or_rejection(
+            assert tokens_or_rejection(positioned_tokens, text) == tokens_or_rejection(
                 reference_tokenize, text
             ), text
 
@@ -906,8 +961,8 @@ def test_long_runs_of_blanks_and_comments_tokenize_in_linear_time():
     # takes tens of seconds on 200000 of them; one scan takes milliseconds
     text = "dims 1 1 1;\nL = y[1];" + " \t" * 100000 + "\n" + "# " + "x " * 100000 + " " * 200000
     start = time.perf_counter()
-    tokens = _tokenize(text)
+    kinds, texts, offsets = _tokenize(text)
     assert time.perf_counter() - start < 1.0
-    assert [t.text for t in tokens] == ["dims", "1", "1", "1", ";", "L", "=", "y", "[", "1", "]", ";", ""]
-    assert (tokens[-1].line, tokens[-1].column) == (3, 400003)
+    assert texts == ["dims", "1", "1", "1", ";", "L", "=", "y", "[", "1", "]", ";", ""]
+    assert _position(text, offsets[-1]) == (3, 400003)
     assert parse_problem(text).cfg == JetConfig(1, 1, 1)

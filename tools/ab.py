@@ -1,6 +1,7 @@
 """Compare two checkouts on one workload, in one process.
 
-    python tools/ab.py {ladder,evolve} A B [--runs N] [--seed S] [--grid-n N]
+    python tools/ab.py {ladder,evolve,parse} A B [--runs N] [--seed S] [--grid-n N]
+                       [--shape M,N,K]
 
 copies the ``src/jetforms`` of each checkout A and B into a temporary
 directory as the packages ``jetforms_a`` and ``jetforms_b`` (the package
@@ -19,12 +20,22 @@ loads the workload from each copy:
             ``seeding`` (``band_limited_state``), ``derive``, ``energy tables``
             (the two energy functionals), ``steps`` (``cauchy_evolve``) and
             ``energy calls``; ``rest`` is the run less those.
+``parse``   ``parse_problem`` on the copy's bundled fixture and on a ladder
+            file: the Lagrangian of ``make_rung(api, (M, N, K), Random(S))``
+            of the ladder module (default shape 3,3,3 and seed 5), one term
+            ``c*z[a; I]*z[b; J]`` per line, with ``field YT = dx[1];`` and
+            the rung's affine solution as a section.  A run is the two
+            parses; per file the rows are ``tokenize`` (the copy's
+            ``_tokenize``), ``parse`` (``parse_problem``) and ``peak_kb``,
+            the peak that ``tracemalloc`` traces in one more, untimed,
+            parse, in KB rather than ms.
 
 After one warm-up run per side it times N alternated runs (option
 ``--runs``, default 40), A first on even runs and B first on odd ones.  It
 stops with an error when a run's output differs from A's warm-up (for
 ``ladder`` the rendered Lagrange derivatives, for ``evolve`` the exit code,
-stdout and CSV) or, for ``ladder``, when a rung fails the benchmark's own
+stdout and CSV, for ``parse`` the two parsed problems, their expressions
+rendered) or, for ``ladder``, when a rung fails the benchmark's own
 ``problems_of`` against ``benchmarks/expected_sizes.json``.  Outputs are
 checked outside the timed span.
 
@@ -52,9 +63,11 @@ import json
 import pathlib
 import resource
 import shutil
+import random
 import statistics
 import sys
 import tempfile
+import tracemalloc
 from time import perf_counter
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -147,7 +160,73 @@ class Evolve:
         return (code, stdout.getvalue(), self.csv.read_text()), seconds, self.stages
 
 
-WORKLOADS = {"ladder": Ladder, "evolve": Evolve}
+def ladder_problem(rung, render_expr) -> str:
+    """The rung's Lagrangian as a problem file, one term ``c*z[a; I]*z[b;
+    J]`` per line, with ``field YT = dx[1];`` and the rung's affine solution
+    as the section ``sol``."""
+    cfg, terms = rung.cfg, []
+    for monomial, coefficient in rung.lagrangian.terms():
+        leaves = [f"z[{a}; {' '.join(map(str, I))}]"
+                  for (_, a, I), exponent in monomial for _ in range(exponent)]
+        terms.append("*".join([str(coefficient), *leaves]))
+    components = ", ".join(map(render_expr, rung.solution.components))
+    return (f"dims {cfg.m} {cfg.n} {cfg.k};\nL = " + "\n  + ".join(terms) + ";\n"
+            f"field YT = dx[1];\nsection sol = ({components});\n")
+
+
+class Parse:
+    """``parse_problem`` from one copy on the fixture and a ladder file."""
+
+    SEED, ROW, OPTIONS = 5, "stage", ("shape", "seed")
+    ROWS = tuple(f"{source} {row}" for source in ("fixture", "ladder")
+                 for row in ("tokenize", "parse", "peak_kb"))
+
+    def __init__(self, package: str, scratch: pathlib.Path, args):
+        self.problem = importlib.import_module(f"{package}.problem")
+        self.render = importlib.import_module(f"{package}.expressions").render_expr
+        ladder = importlib.import_module("symbolic_ladder")
+        for module in ("dedonder", "expressions", "forms", "jets", "prolongations"):
+            importlib.import_module(f"{package}.{module}")
+        sys.modules["jetforms"] = sys.modules[package]  # compare() puts it back
+        shape = tuple(int(size) for size in args.shape.split(","))
+        rung = ladder.make_rung(ladder.load_api(), shape, random.Random(args.seed))
+        self.texts = {"fixture": (scratch / package / FIXTURE).read_text(),
+                      "ladder": ladder_problem(rung, self.render)}
+
+    def data(self, spec) -> tuple:
+        """The parsed problem as plain data, its expressions rendered."""
+        render = self.render
+        return (
+            (spec.cfg.m, spec.cfg.n, spec.cfg.k), spec.metrics, render(spec.lagrangian),
+            {name: [render(c) for c in (*field.base_components, *field.vertical_components)]
+             for name, field in spec.fields.items()},
+            {key: render(value) for key, value in spec.skew.items()},
+            {name: [render(c) for c in section.components]
+             for name, section in spec.sections.items()},
+            spec.grid and spec.grid.axes, spec.evolve, spec.grid_at, spec.lagrangian_at,
+        )
+
+    def run(self) -> tuple:
+        """(the parsed problems, seconds, {row: seconds or bytes}) of both parses."""
+        rows, outputs = {}, []
+        for source, text in self.texts.items():
+            start = perf_counter()
+            self.problem._tokenize(text)
+            rows[f"{source} tokenize"] = perf_counter() - start
+            start = perf_counter()
+            spec = self.problem.parse_problem(text)
+            rows[f"{source} parse"] = perf_counter() - start
+            tracemalloc.start()
+            try:
+                self.problem.parse_problem(text)
+                rows[f"{source} peak_kb"] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            outputs.append(self.data(spec))
+        return outputs, rows["fixture parse"] + rows["ladder parse"], rows
+
+
+WORKLOADS = {"ladder": Ladder, "evolve": Evolve, "parse": Parse}
 
 
 def quartiles(values: list) -> tuple:
@@ -208,7 +287,8 @@ def compare(workload, checkouts: list, args) -> None:
     width = max(map(len, names))
     print(f"{workload.ROW:<{width}}  {'A ms':>8}  {'B ms':>8}  {'B/A':>6}")
     for name in names:
-        ms = [1e3 * statistics.median(rows.get(name, 0.0) for _, rows, _ in side)
+        scale = 1e-3 if name.endswith("peak_kb") else 1e3  # bytes to KB, seconds to ms
+        ms = [scale * statistics.median(rows.get(name, 0.0) for _, rows, _ in side)
               for side in (a, b)]
         ratios = [rb.get(name, 0.0) / ra[name] for (_, ra, _), (_, rb, _) in zip(a, b)
                   if ra.get(name, 0.0) > 0]
@@ -221,8 +301,9 @@ def main(argv=None) -> int:
     parser.add_argument("workload", choices=WORKLOADS)
     parser.add_argument("checkouts", nargs=2, metavar="CHECKOUT")
     parser.add_argument("--runs", type=int, default=40)
-    parser.add_argument("--seed", type=int, help="default 5 for ladder, 0 for evolve")
+    parser.add_argument("--seed", type=int, help="default 5 for ladder and parse, 0 for evolve")
     parser.add_argument("--grid-n", type=int, default=16384, help="evolve's grid size")
+    parser.add_argument("--shape", default="3,3,3", help="parse's ladder rung, M,N,K")
     args = parser.parse_args(argv)
     if args.runs < 1:
         parser.error("--runs must be at least 1")

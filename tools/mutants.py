@@ -213,23 +213,36 @@ MUTANTS = [
     # the parser's evaluation: a leaf's memo keyed without its last jet
     # index, and a zero product that stops before its later factors' errors
     ("parse-leaf-memo-drops-an-index", PROBLEM,
-     "return self.leaf(jet, names)", "return self.leaf(jet, names[:-1])",
+     "self.leaf(value, names)", "self.leaf(value, names[:-1])",
      ("tests/test_problem.py::test_wave_fixture_parses",)),
     ("parse-zero-product-skips-later-factors", PROBLEM,
-     "                    other = factor(env)\n"
-     "                    if value.is_zero:  # and stays zero; the factor ran for its errors\n"
-     "                        continue\n",
-     "                    if value.is_zero:\n"
-     "                        break\n"
-     "                    other = factor(env)\n",
+     "            for op, sign, factor in factors:\n",
+     "            for op, sign, factor in factors:\n"
+     "                if value is not None and value.is_zero:\n"
+     "                    break\n",
      ("tests/test_problem.py::test_sums_zero_products_and_leaves_evaluate_as_the_reference",)),
+    # the parse's route of one accumulator: a - term of a chain added with
+    # +, a product of ints and leaves formed as one monomial without its
+    # ints, and a token's column counted from the line start before its own
+    ("parse-chain-adds-a-minus-term", PROBLEM,
+     "                    term(env, acc, sign * scale)\n",
+     "                    term(env, acc, scale)\n",
+     ("tests/test_problem.py::test_sums_zero_products_and_leaves_evaluate_as_the_reference",)),
+    ("parse-monomial-drops-its-ints", PROBLEM,
+     "for op, _, _, value in factors]",
+     "for op, _, kind, value in factors if kind != _INT]",
+     ("tests/test_problem.py::test_ladder_files_parse_to_the_ladders_lagrangian",)),
+    ("parse-column-from-the-line-before", PROBLEM,
+     'offset - text.rfind("\\n", 0, offset)',
+     'offset - text.rfind("\\n", 0, offset - 1)',
+     ("tests/test_problem.py::test_the_tokenizer_matches_the_character_loop_it_replaced",)),
     # the parser's skewQ key is the solver's top-level key: swapping i1 and
     # i2 negates the declared data, whose signed differences the golden
     # verify output holds; a declared zero reaches the solve, whose
     # top-level filter must drop it
     ("skew-key-swaps-its-base-indices", PROBLEM,
-     "return (a, i1, (i2,)), _within_digits(value({}), at)",
-     "return (a, i2, (i1,)), _within_digits(value({}), at)",
+     "return (a, i1, (i2,)), self.within_digits",
+     "return (a, i2, (i1,)), self.within_digits",
      ("tests/test_cli.py::test_golden_outputs[wave_verify.json]",)),
     ("top-level-filter-keeps-zeros", DEDONDER,
      "            current = {key: value for key, value in current.items() if not value.is_zero}\n",
