@@ -20,6 +20,7 @@ import math
 import os
 import sys
 import time
+from functools import cache
 
 from .dedonder import (
     STRUCTURAL_CHECKS,
@@ -95,10 +96,7 @@ def cmd_euler_lagrange(spec: ProblemSpec, report: Report, args):
         lead = _leading_coefficient(delta)
         if lead not in (0, 1):
             normalized[str(a)] = render_expr(delta / lead)
-            report.say(
-                f"deltaL/dy[{a}] = ({render_rational(lead)}) * "
-                f"({normalized[str(a)]})"
-            )
+            report.say(f"deltaL/dy[{a}] = ({render_rational(lead)}) * ({normalized[str(a)]})")
     report.data["euler_lagrange"] = rendered
     if normalized:
         report.data["euler_lagrange_normalized"] = normalized
@@ -372,6 +370,7 @@ HANDLERS = {
 }
 
 
+@cache  # one parser per process: parse_args leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jetforms",

@@ -321,9 +321,10 @@ class _Parser:
         step a kind or "kind:what an error there expects"; a syntax error at
         the first token out of the run."""
         for step in steps:
-            kind, _, what = step.partition(":")
-            if self.kinds[i] != kind:
-                self.fail(i, what or kind)
+            if self.kinds[i] != step:
+                kind, _, what = step.partition(":")
+                if self.kinds[i] != kind:
+                    self.fail(i, what or kind)
             i += 1
         return i
 
@@ -602,7 +603,7 @@ class _Parser:
         dx[i]`` or ``* dy[a]``, a field term's basis vector: no factor is a
         name with one index, as a metric entry takes two."""
         kinds, texts = self.kinds, self.texts
-        factors, monomial, op = [], True, None
+        factors, op = [], None
         while True:
             sign, opened = 1, 0
             while kinds[i] == "+" or kinds[i] == "-":
@@ -616,8 +617,6 @@ class _Parser:
                 kind, i = (_LEAF if kind == _INT or kind == _LEAF else _EXPR), i + 2
             self.depth -= opened
             factors.append((op, sign, kind, value))
-            monomial = monomial and (
-                kind == _INT or kind == _LEAF and (op is None or texts[op] == "*"))
             if (kinds[i] != "*" and kinds[i] != "/"
                     or texts[i + 1] in _BASIS and kinds[i + 4] == "]"):
                 break
@@ -627,7 +626,9 @@ class _Parser:
                 return (_EXPR, self.value_of(sign, kind, value)), i
             return (_SUM, value if sign == 1 else
                     lambda env, acc, scale: value(env, acc, -scale)), i
-        if monomial and len(factors) <= _MONOMIAL_FACTORS:
+        if len(factors) <= _MONOMIAL_FACTORS and all(
+                kind == _INT or kind == _LEAF and (op is None or texts[op] == "*")
+                for op, _, kind, _ in factors):
             signs = math.prod(sign for _, sign, _, _ in factors)
             values = [self.divisor(value, op) if op and texts[op] == "/" else value
                       for op, _, _, value in factors]
@@ -752,9 +753,14 @@ class _Parser:
             self.depth -= 1
             j = self.need(j, ")")
 
+            bounds = []  # the range and its length, converted where first evaluated
+
             def total(env, acc, scale):
-                first, last, outer = _literal(self, i + 4), _literal(self, i + 6), self.running
-                self.running = count = outer * max(0, last - first + 1)
+                if not bounds:
+                    first, last = _literal(self, i + 4), _literal(self, i + 6)
+                    bounds.extend((range(first, last + 1), max(0, last - first + 1)))
+                (values, times), outer = bounds, self.running
+                self.running = count = outer * times
                 if count > _MAX_DEGREE:
                     raise ProblemSemanticError(
                         f"sum evaluates its body {count} times, more than {_MAX_DEGREE}",
@@ -762,17 +768,17 @@ class _Parser:
                     )
                 bound = env.get(var)
                 if kind == _SUM:
-                    for env[var] in range(first, last + 1):
+                    for env[var] in values:
                         body(env, acc, scale)
                 else:
-                    for env[var] in range(first, last + 1):
+                    for env[var] in values:
                         acc.add(body(env), scale)
                 if bound is None:
                     env.pop(var, None)
                 else:
                     env[var] = bound
                 self.running = outer
-                self.bodies += count // outer
+                self.bodies += times
             return _SUM, total, j
         if name not in ("x", "y", "z") and kinds[i + 1] != "[":
             # a bare identifier: a bound sum index used as a value

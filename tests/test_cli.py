@@ -24,6 +24,26 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def test_main_takes_each_argv_alike_on_later_calls_in_one_process(capsys):
+    # the argument parser is built once per process; a valid command and an
+    # invalid one, each run twice, print the same and exit with the same code
+    outcomes = []
+    for _ in range(2):
+        for argv in (["verify", WAVE], ["verify", WAVE, "--no-such-option"], ["bogus", WAVE]):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            outcomes.append((code, *capsys.readouterr()))
+    assert outcomes[:3] == outcomes[3:]
+    assert [code for code, _, _ in outcomes[:3]] == [0, 2, 2]
+    assert "PASS" in outcomes[0][1] and not outcomes[0][2]
+    for _, out, err in outcomes[1:3]:
+        assert not out and err.startswith("usage: jetforms ")
+    assert "unrecognized arguments: --no-such-option" in outcomes[1][2]
+    assert "invalid choice: 'bogus'" in outcomes[2][2]
+
+
 def test_euler_lagrange_text(capsys):
     code, out, _ = run(capsys, "euler-lagrange", WAVE)
     assert code == 0

@@ -561,6 +561,8 @@ AB_RUNS = [
     ("ladder", ["--runs", "1", "--seed", "2"], "runs 1, seed 2", "call"),
     ("evolve", ["--runs", "1", "--grid-n", "64", "--seed", "3"], "runs 1, grid-n 64, seed 3",
      "stage"),
+    ("parse", ["--runs", "1", "--shape", "2,2,2", "--seed", "3"], "runs 1, shape 2,2,2, seed 3",
+     "stage"),
 ]
 
 
@@ -588,9 +590,15 @@ def test_ab_prints_a_row_for_every_call_or_stage(workload, options, header, labe
     assert len(rows) == len(lines) - 6
     if workload == "ladder":
         assert set(rows) == LADDER_CALLS
-    else:
+    elif workload == "evolve":
         assert list(rows) == [stage.replace(" ", "_") for stage in tool.Evolve.ROWS]
         assert all(a > 0 and b > 0 for name, (a, b, _) in rows.items() if name != "rest")
+    else:
+        # tokenize and parse per file, in ms, and the traced peak in KB
+        assert list(rows) == [f"{source}_{row}" for source in ("fixture", "ladder")
+                              for row in ("tokenize", "parse", "peak_kb")]
+        assert all(a > 0 and b > 0 for a, b, _ in rows.values())
+        assert rows["ladder_peak_kb"][0] > rows["fixture_peak_kb"][0] > 1
     # the copies leave no package behind, and nothing is written into the checkout
     assert not {name for name in set(sys.modules) - modules if name.startswith("jetforms")}
     assert sys.path == path and sys.modules.get("jetforms") is package
@@ -612,11 +620,13 @@ AB_FAULTS = [
     ("ladder", ["--seed", "2"], "dedonder.py",  # every boundary form refused
      "            return False\n    return True", "            return False\n    return False",
      "rung 2-2-2: boundary form fails the double_vertical check"),
+    ("parse", ["--shape", "2,2,2"], "problem.py",  # every - of a chain read as +
+     'sign = -1 if kinds[i] == "-" else 1', "sign = 1", DIFFERS),
 ]
 
 
 @pytest.mark.parametrize("workload,options,module,old,new,error", AB_FAULTS,
-                         ids=["ladder-signs", "evolve-digits", "ladder-check"])
+                         ids=["ladder-signs", "evolve-digits", "ladder-check", "parse-signs"])
 def test_ab_stops_when_b_computes_another_output(workload, options, module, old, new, error,
                                                   tmp_path, capsys):
     tool = _load_tool("ab")

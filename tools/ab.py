@@ -307,6 +307,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.runs < 1:
         parser.error("--runs must be at least 1")
+    if not all(size.isdigit() for size in args.shape.split(",")) or args.shape.count(",") != 2:
+        parser.error("--shape takes M,N,K")
     for checkout in args.checkouts:
         if not (pathlib.Path(checkout) / "src" / "jetforms" / FIXTURE).is_file():
             parser.error(f"{checkout} is not a jetforms checkout")

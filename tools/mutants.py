@@ -207,8 +207,8 @@ MUTANTS = [
      "if count > _MAX_DEGREE:", "if False:",
      ("tests/test_problem.py",)),
     ("sum-bound-ignores-the-sums-around-it", PROBLEM,
-     "self.running = count = outer * max(0, last - first + 1)",
-     "count = max(0, last - first + 1)",
+     "self.running = count = outer * times",
+     "count = times",
      ("tests/test_problem.py",)),
     # the parser's evaluation: a leaf's memo keyed without its last jet
     # index, and a zero product that stops before its later factors' errors
