@@ -34,24 +34,34 @@ problem; the parsed problem keeps it under the key ``(a, i1, (i2,))``, the
 one that :func:`jetforms.dedonder.perturbed_coefficients` takes, which
 checks its top-level relations.
 
-The parser makes one pass over the tokens, and each grammar rule returns
-its value as a function rather than a tree; the values are evaluated once
-the whole file has parsed, so the statements may come in any order and a
-syntax error anywhere is reported before any error in a value.  That pass
-converts no number and checks no bound: a literal is converted only where
-its value is evaluated, so an integer with more digits than the interpreter
-converts, in an expression, an index, an exponent, a sum bound, a ``skewQ``
-index or a declaration, is an error in a value, as is a sum past its bound.
-The values of the declarations (``dims``, a metric's shape, ``grid`` and
-``evolve``) are checked first, in the order they are given, then the file
-is checked for its ``dims`` and ``L``, then the expressions are evaluated.
-Every syntax error carries a line/column position and the expected tokens;
-semantic errors (index ranges, order overflow, asymmetric metrics, duplicate
-declarations) point at the offending token.
+The tokenizer makes one regular-expression scan and keeps the tokens flat,
+in three lists: their kinds, their texts and their offsets.  A line and a
+column are found from an offset only where an error is raised.  The parser
+makes one pass over those lists, reading them by index, and each grammar
+rule returns its value as a function rather than a tree; the values are
+evaluated once the whole file has parsed, so the statements may come in any
+order and a syntax error anywhere is reported before any error in a value.
+That pass converts no number and checks no bound: a literal is converted
+only where its value is evaluated, so an integer with more digits than the
+interpreter converts, in an expression, an index, an exponent, a sum bound,
+a ``skewQ`` index or a declaration, is an error in a value, as is a sum past
+its bound.  The values of the declarations (``dims``, a metric's shape,
+``grid`` and ``evolve``) are checked first, in the order they are given,
+then the file is checked for its ``dims`` and ``L``, then the expressions
+are evaluated.  Every syntax error carries a line/column position and the
+expected tokens; semantic errors (index ranges, order overflow, asymmetric
+metrics, duplicate declarations) point at the offending token.
 
-A leaf (``x[i]``, ``y[a]``, ``z[...]`` or a metric entry) is evaluated once
-per parse for each tuple of the values that the sums bind to the index names
-it reads: the body of the fixture's six-fold contraction, run 64 times,
+A sum's value is added, not formed: the terms of a chain of ``+`` and
+``-`` and the bodies of ``sum(...)`` add into one accumulator, which a
+statement's value, or a factor that needs a value of its own, hands down
+through nested sums.  A sum binds its index in one dict of bindings, set and
+restored in place.  A term that is a product of integers, leaves and their
+powers, divided by integers only, is added as one monomial with its
+coefficient; any other product is formed factor by factor.  A leaf
+(``x[i]``, ``y[a]``, ``z[...]`` or a metric entry) is evaluated once per
+parse for each tuple of the values that the sums bind to the index names it
+reads: the body of the fixture's six-fold contraction, run 64 times,
 computes 28 leaf values for its 320 leaf reads.  A product whose value is
 zero still evaluates each later factor, so that its errors are raised where
 they always were, but multiplies no more.
@@ -211,11 +221,11 @@ _MAX_FACTORS = 5_000_000
 # at most _MAX_DEGREE, reaches neither bound in this many factors: one so
 # long is formed one factor at a time, its bounds checked at each operator
 _MONOMIAL_FACTORS = _MAX_FACTORS // _MAX_DEGREE
-# The kinds of a factor's value function: an int (a literal or a bound sum
-# index), an Expr of at most one term (a leaf, or a power of a leaf or an
-# int), any Expr, or a sum that adds itself into an accumulator (a sum(...)
-# or a chain of + and -)
-_INT, _LEAF, _EXPR, _SUM = "int", "leaf", "expr", "sum"
+# The kinds of a factor: a function of an int (a literal or a bound sum
+# index), a leaf (see _Parser.values), a function of an Expr of at most one
+# term (a power of a leaf or an int) or of any Expr, or a sum that adds
+# itself into an accumulator (a sum(...) or a chain of + and -)
+_INT, _LEAF, _TERM, _EXPR, _SUM = "int", "leaf", "term", "expr", "sum"
 
 
 def _position(text: str, offset: int) -> tuple:
@@ -259,9 +269,7 @@ def _literal(parser, i: int) -> int:
     try:
         return int(text)
     except ValueError:
-        raise ProblemSemanticError(
-            f"integer of {len(text)} digits is too long", *parser.at(i)
-        ) from None
+        raise parser.error(i, f"integer of {len(text)} digits is too long") from None
 
 
 _BASIS = ("dx", "dy")
@@ -310,6 +318,10 @@ class _Parser:
         """The (line, column) of token ``i``, for an error there."""
         return _position(self.text, self.offsets[i])
 
+    def error(self, i: int, message: str) -> ProblemSemanticError:
+        """An error in a value, at token ``i``."""
+        return ProblemSemanticError(message, *self.at(i))
+
     def fail(self, i: int, *expected, end: str = "end of input"):
         """A syntax error at token ``i``, which is not what ``expected``
         names; the end of the text is shown as ``end``."""
@@ -341,7 +353,7 @@ class _Parser:
         def number():
             value = float(text)
             if not math.isfinite(value):
-                raise ProblemSemanticError(f"number {text} is not finite", *self.at(at))
+                raise self.error(at, f"number {text} is not finite")
             return sign * value
         return number, i + 1
 
@@ -361,7 +373,7 @@ class _Parser:
         def declare(what: str):
             # each declaration names itself once; a repeat points at its keyword
             if what in declared:
-                raise ProblemSemanticError(f"duplicate {what}", *self.at(start))
+                raise self.error(start, f"duplicate {what}")
             declared.add(what)
 
         def named(what: str) -> str:
@@ -419,12 +431,12 @@ class _Parser:
             try:
                 values[what] = value()
             except ValueError as exc:
-                raise ProblemSemanticError(str(exc), *self.at(at)) from None
+                raise self.error(at, str(exc)) from None
         dims, grid, evolve = (values.get(what) for what in ("dims", "grid", "evolve"))
         if dims is None:
-            raise ProblemSemanticError("missing dims declaration", *self.at(self.end))
+            raise self.error(self.end, "missing dims declaration")
         if lagrangian is None:
-            raise ProblemSemanticError("missing Lagrangian", *self.at(self.end))
+            raise self.error(self.end, "missing Lagrangian")
         self.cfg = dims
         # every entry is evaluated before any metric is registered, so an
         # entry that names a metric names an unknown one
@@ -486,7 +498,7 @@ class _Parser:
         def evolve():
             value = (t0(), t1(), _literal(self, steps))
             if value[2] < 1:
-                raise ProblemSemanticError("step count must be positive", *self.at(steps))
+                raise self.error(steps, "step count must be positive")
             return value
         return evolve, steps + 1
 
@@ -529,9 +541,7 @@ class _Parser:
             for idx in (i1, i2):
                 self.in_range("skewQ base index", idx, cfg.m, at)
             if cfg.k != 2:
-                raise ProblemSemanticError(
-                    "skewQ perturbations are defined for k = 2 problems", *self.at(at)
-                )
+                raise self.error(at, "skewQ perturbations are defined for k = 2 problems")
             return (a, i1, (i2,)), self.within_digits(self.evaluate(value), at)
         return entry
 
@@ -539,18 +549,13 @@ class _Parser:
         """The section ``name``: one component per field, each in x alone."""
         def section():
             if len(components) != self.cfg.n:
-                raise ProblemSemanticError(
-                    f"section {name!r} has {len(components)} components; "
-                    f"expected {self.cfg.n}",
-                    *self.at(at),
-                )
+                raise self.error(at, f"section {name!r} has {len(components)} components; "
+                                     f"expected {self.cfg.n}")
             values = []
             for component in components:
                 value = self.within_digits(self.evaluate(component), at)
                 if any(c[0] != "x" for c in value.variables()):
-                    raise ProblemSemanticError(
-                        f"section {name!r} components must depend on x only", *self.at(at)
-                    )
+                    raise self.error(at, f"section {name!r} components must depend on x only")
                 values.append(value)
             return PolynomialSection(self.cfg, tuple(values))
         return section
@@ -614,7 +619,7 @@ class _Parser:
                 if kinds[i + 1] != "int":
                     self.fail(i + 1, "a non-negative integer exponent")
                 value = self.power(self.value_of(1, kind, value), i + 1)
-                kind, i = (_LEAF if kind == _INT or kind == _LEAF else _EXPR), i + 2
+                kind, i = (_TERM if kind == _INT or kind == _LEAF else _EXPR), i + 2
             self.depth -= opened
             factors.append((op, sign, kind, value))
             if (kinds[i] != "*" and kinds[i] != "/"
@@ -627,14 +632,15 @@ class _Parser:
             return (_SUM, value if sign == 1 else
                     lambda env, acc, scale: value(env, acc, -scale)), i
         if len(factors) <= _MONOMIAL_FACTORS and all(
-                kind == _INT or kind == _LEAF and (op is None or texts[op] == "*")
+                kind == _INT or kind in (_LEAF, _TERM) and (op is None or texts[op] == "*")
                 for op, _, kind, _ in factors):
             signs = math.prod(sign for _, sign, _, _ in factors)
-            values = [self.divisor(value, op) if op and texts[op] == "/" else value
-                      for op, _, _, value in factors]
+            parts = [value if kind == _LEAF else
+                     (None, None, self.divisor(value, op) if op and texts[op] == "/" else value)
+                     for op, _, kind, value in factors]
 
             def term(env, acc, scale):
-                acc.add_product([value(env) for value in values], signs * scale)
+                acc.add_product(self.values(parts, env), signs * scale)
             return (_SUM, term), i
         return (_EXPR, self.product_value(factors)), i
 
@@ -643,7 +649,7 @@ class _Parser:
         def reciprocal(env):
             q = value(env)
             if not q:
-                raise ProblemSemanticError("division by zero", *self.at(op))
+                raise self.error(op, "division by zero")
             return Fraction(1, q)
         return reciprocal
 
@@ -674,7 +680,7 @@ class _Parser:
                 else:
                     constant = self.constant(other, "division is only allowed by constants", op)
                     if constant == 0:
-                        raise ProblemSemanticError("division by zero", *self.at(op))
+                        raise self.error(op, "division by zero")
                     value = value / constant
             return value
         return product
@@ -686,6 +692,9 @@ class _Parser:
             return lambda env: Expr.constant(sign * value(env))
         if kind == _SUM:
             return lambda env: self.evaluate((_SUM, value), sign, env)
+        if kind == _LEAF:
+            leaf = (value,)
+            return lambda env: self.values(leaf, env)[0] * sign
         return value if sign == 1 else lambda env: -value(env)
 
     def power(self, base, at: int):
@@ -694,24 +703,18 @@ class _Parser:
             value, exponent = base(env), _literal(self, at)
             degree = exponent * value.degree()
             if degree > _MAX_DEGREE:
-                raise ProblemSemanticError(
-                    f"power of degree {degree} exceeds {_MAX_DEGREE}", *self.at(at)
-                )
+                raise self.error(at, f"power of degree {degree} exceeds {_MAX_DEGREE}")
             # a power of t terms has at most C(e + t - 1, t - 1) terms, the
             # monomials of degree e in t variables, and that bound is kept,
             # as is that bound times the degree
             terms = value.term_count()
             most = math.comb(exponent + terms - 1, min(exponent, terms - 1)) if terms else 1
             if most > _MAX_DEGREE:
-                raise ProblemSemanticError(
-                    f"power of {terms} terms to the {exponent} may have more than "
-                    f"{_MAX_DEGREE} terms", *self.at(at)
-                )
+                raise self.error(at, f"power of {terms} terms to the {exponent} may have more "
+                                     f"than {_MAX_DEGREE} terms")
             if most * degree > _MAX_FACTORS:
-                raise ProblemSemanticError(
-                    f"power of {terms} terms to the {exponent} may hold more than "
-                    f"{_MAX_FACTORS} coordinate factors in all", *self.at(at)
-                )
+                raise self.error(at, f"power of {terms} terms to the {exponent} may hold more "
+                                     f"than {_MAX_FACTORS} coordinate factors in all")
             # the largest numerator or denominator of the base's coefficients
             # (of the coefficient itself, for a constant or a monomial) to
             # the power may not pass the digits int() and str() convert, 0
@@ -721,7 +724,7 @@ class _Parser:
             if limit and largest > 1 and (
                 exponent > 4 * limit or exponent * math.log10(largest) >= limit
             ):
-                raise ProblemSemanticError(f"power exceeds {limit} digits", *self.at(at))
+                raise self.error(at, f"power exceeds {limit} digits")
             return value**exponent
         return power
 
@@ -762,10 +765,8 @@ class _Parser:
                 (values, times), outer = bounds, self.running
                 self.running = count = outer * times
                 if count > _MAX_DEGREE:
-                    raise ProblemSemanticError(
-                        f"sum evaluates its body {count} times, more than {_MAX_DEGREE}",
-                        *self.at(i),
-                    )
+                    raise self.error(
+                        i, f"sum evaluates its body {count} times, more than {_MAX_DEGREE}")
                 bound = env.get(var)
                 if kind == _SUM:
                     for env[var] in values:
@@ -801,9 +802,7 @@ class _Parser:
                 for idx in indices:
                     self.in_range("jet index", idx, cfg.m, i)
                 if len(indices) > cfg.k:
-                    raise ProblemSemanticError(
-                        f"jet order {len(indices)} > k = {cfg.k}", *self.at(i)
-                    )
+                    raise self.error(i, f"jet order {len(indices)} > k = {cfg.k}")
                 return Expr.variable(jet_coord(a, indices))
         elif name == "x" or name == "y":
             def value(env):
@@ -814,12 +813,12 @@ class _Parser:
             def value(env):
                 matrix = self.metrics.get(name)
                 if matrix is None:
-                    raise ProblemSemanticError(f"unknown metric {name!r}", *self.at(i))
+                    raise self.error(i, f"unknown metric {name!r}")
                 r, c = self.index(i + 2, env), self.index(i + 3, env)
                 for idx in (r, c):
                     self.in_range("metric index", idx, len(matrix), i)
                 return matrix[r - 1][c - 1]
-        return _LEAF, self.leaf(value, names), j + 1
+        return _LEAF, ({}, itemgetter(*names) if names else lambda env: (), value), j + 1
 
     def indices(self, i: int, count: int, names: list) -> int:
         """The index after the ``count`` index tokens from token ``i``, or
@@ -843,27 +842,31 @@ class _Parser:
         try:
             return env[self.texts[i]]
         except KeyError:
-            raise ProblemSemanticError(
-                f"unbound {what} {self.texts[i]!r}", *self.at(i)
-            ) from None
+            raise self.error(i, f"unbound {what} {self.texts[i]!r}") from None
 
-    def leaf(self, value, names: list):
-        """``value``, evaluated once in this parse per tuple of the values
-        that the sums bind to ``names``; a failed check stores nothing, and
-        an unbound name makes ``value`` raise its errors in their order."""
-        memo, key = {}, itemgetter(*names) if names else lambda env: ()
-
-        def leaf_value(env):
+    def values(self, factors, env) -> list:
+        """The values of ``factors`` in order, each a function as (None,
+        None, function) or a leaf (memo, key, function): a leaf's function
+        runs once in this parse per tuple of the values that the sums bind to
+        the names it reads, its key of ``env``; a failed check stores
+        nothing, and an unbound name makes the function raise its errors in
+        their order."""
+        values = []
+        for memo, key, value in factors:
+            if memo is None:
+                values.append(value(env))
+                continue
             try:
                 index = key(env)
             except KeyError:
-                return value(env)
+                values.append(value(env))
+                continue
             found = memo.get(index)
             if found is None:
                 found = memo[index] = value(env)
                 self.leaves += 1
-            return found
-        return leaf_value
+            values.append(found)
+        return values
 
     # -- vector fields ---------------------------------------------------------
 
@@ -899,7 +902,7 @@ class _Parser:
             try:
                 return ProjectableField(cfg, tuple(base), tuple(vertical))
             except ValueError as exc:
-                raise ProblemSemanticError(f"field {name!r}: {exc}", *self.at(at))
+                raise self.error(at, f"field {name!r}: {exc}")
         return field, i
 
     # -- checks, each an error at a token ---------------------------------------
@@ -907,7 +910,7 @@ class _Parser:
     def in_range(self, label: str, value: int, bound: int, i: int) -> int:
         """``value`` when it lies in 1..bound; otherwise an error at token ``i``."""
         if not 1 <= value <= bound:
-            raise ProblemSemanticError(f"{label} {value} out of range 1..{bound}", *self.at(i))
+            raise self.error(i, f"{label} {value} out of range 1..{bound}")
         return value
 
     def checked_metric(self, name: str, matrix: tuple, at: int) -> tuple:
@@ -916,13 +919,11 @@ class _Parser:
         cfg, size = self.cfg, len(matrix)
         if size not in (cfg.m, cfg.n):
             sizes = " or ".join(f"{s}x{s}" for s in dict.fromkeys((cfg.m, cfg.n)))
-            raise ProblemSemanticError(
-                f"metric {name!r} is {size}x{size}; expected {sizes}", *self.at(at)
-            )
+            raise self.error(at, f"metric {name!r} is {size}x{size}; expected {sizes}")
         if any(matrix[i][j] != matrix[j][i] for i in range(size) for j in range(i)):
-            raise ProblemSemanticError(f"metric {name!r} is not symmetric", *self.at(at))
+            raise self.error(at, f"metric {name!r} is not symmetric")
         if _determinant(matrix) == 0:
-            raise ProblemSemanticError(f"metric {name!r} is singular", *self.at(at))
+            raise self.error(at, f"metric {name!r} is singular")
         return matrix
 
     def check_product(self, a: Expr, b: Expr, op: int) -> None:
@@ -931,16 +932,12 @@ class _Parser:
         ``_MAX_FACTORS``."""
         p, q = a.term_count(), b.term_count()
         if p * q > _MAX_PAIRS:
-            raise ProblemSemanticError(
-                f"product of {p} and {q} terms forms more than {_MAX_PAIRS} pairs of terms",
-                *self.at(op),
-            )
+            raise self.error(
+                op, f"product of {p} and {q} terms forms more than {_MAX_PAIRS} pairs of terms")
         degree = a.degree() + b.degree()
         if p * q * degree > _MAX_FACTORS:
-            raise ProblemSemanticError(
-                f"product of {p} and {q} terms of degree {degree} may hold more than "
-                f"{_MAX_FACTORS} coordinate factors in all", *self.at(op),
-            )
+            raise self.error(op, f"product of {p} and {q} terms of degree {degree} may hold "
+                                 f"more than {_MAX_FACTORS} coordinate factors in all")
 
     def within_digits(self, value: Expr, at: int) -> Expr:
         """``value`` when no numerator or denominator of its coefficients has
@@ -950,14 +947,14 @@ class _Parser:
         or a sum of them is bounded only here."""
         if exceeds_digit_limit(value.largest_part()):
             limit = sys.get_int_max_str_digits()
-            raise ProblemSemanticError(f"coefficient exceeds {limit} digits", *self.at(at))
+            raise self.error(at, f"coefficient exceeds {limit} digits")
         return value
 
     def constant(self, value: Expr, message: str, i: int) -> Fraction:
         """The rational value of a constant; any other value is an error at
         token ``i``."""
         if value.degree():
-            raise ProblemSemanticError(message, *self.at(i))
+            raise self.error(i, message)
         return Fraction(value.constant_term())
 
 

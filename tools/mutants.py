@@ -213,7 +213,7 @@ MUTANTS = [
     # the parser's evaluation: a leaf's memo keyed without its last jet
     # index, and a zero product that stops before its later factors' errors
     ("parse-leaf-memo-drops-an-index", PROBLEM,
-     "self.leaf(value, names)", "self.leaf(value, names[:-1])",
+     "itemgetter(*names) if names else", "itemgetter(*names[:-1]) if names[1:] else",
      ("tests/test_problem.py::test_wave_fixture_parses",)),
     ("parse-zero-product-skips-later-factors", PROBLEM,
      "            for op, sign, factor in factors:\n",
@@ -229,7 +229,7 @@ MUTANTS = [
      "                    term(env, acc, scale)\n",
      ("tests/test_problem.py::test_sums_zero_products_and_leaves_evaluate_as_the_reference",)),
     ("parse-monomial-drops-its-ints", PROBLEM,
-     "for op, _, _, value in factors]",
+     "for op, _, kind, value in factors]",
      "for op, _, kind, value in factors if kind != _INT]",
      ("tests/test_problem.py::test_ladder_files_parse_to_the_ladders_lagrangian",)),
     ("parse-column-from-the-line-before", PROBLEM,
