@@ -747,7 +747,10 @@ class _Parser:
         if kind != "name":
             self.fail(i, "a number", "'('", "'x'", "'y'", "'z'", "'sum'", "a metric name")
         name = self.texts[i]
-        if name == "sum":  # its body adds into the accumulator once per value of var
+        # a sum is parsed here, not in a rule of its own, so that each level
+        # of nesting in the input is three frames in the parser; its body
+        # adds into the accumulator once per value of var
+        if name == "sum":
             j = self.need(i + 1, "(", "name:an index variable", ",", "int:a lower bound", ",",
                           "int:an upper bound", ",")
             var = self.texts[i + 2]
