@@ -266,8 +266,6 @@ class Accumulator:
         """Bring the store to a denominator that ``d`` divides; the factor
         that takes a numerator over ``d`` to it."""
         den, store = self.den, self.num
-        if d == den:
-            return 1
         if not store:
             self.den = d
             return 1
@@ -304,16 +302,11 @@ class Accumulator:
                 ids += mono
                 n *= c
                 d *= f._den
-            elif f.__class__ is int:
-                n *= f
             else:
                 n *= f.numerator
                 d *= f.denominator
         if not n:
             return
-        if d != 1:
-            g = gcd(n, d)
-            n, d = n // g, d // g
         n *= self._over(d)
         store, mono = self.num, tuple(sorted(ids))
         acc = store.get(mono, 0) + n
