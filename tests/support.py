@@ -837,7 +837,7 @@ class ReferenceParser(_Parser):
             return entry, j + 1
         return (lambda env: Expr.constant(self.index(i, env, "identifier"))), i + 1
 
-    def parse_index(self, i, names=None):
+    def parse_index(self, i):
         kind = self.kinds[i]
         if kind == "int":
             return (lambda env: _converted(self, i)), i + 1

@@ -61,9 +61,9 @@ import importlib
 import io
 import json
 import pathlib
+import random
 import resource
 import shutil
-import random
 import statistics
 import sys
 import tempfile
