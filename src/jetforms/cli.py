@@ -96,7 +96,10 @@ def cmd_euler_lagrange(spec: ProblemSpec, report: Report, args):
         lead = _leading_coefficient(delta)
         if lead not in (0, 1):
             normalized[str(a)] = render_expr(delta / lead)
-            report.say(f"deltaL/dy[{a}] = ({render_rational(lead)}) * ({normalized[str(a)]})")
+            report.say(
+                f"deltaL/dy[{a}] = ({render_rational(lead)}) * "
+                f"({normalized[str(a)]})"
+            )
     report.data["euler_lagrange"] = rendered
     if normalized:
         report.data["euler_lagrange_normalized"] = normalized

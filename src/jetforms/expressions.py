@@ -430,8 +430,6 @@ class Expr:
         """The largest numerator or denominator of the coefficients in
         lowest terms, 1 for zero, without the sort of ``terms()``."""
         den = self._den
-        if den == 1:  # the numerators are in lowest terms
-            return max(map(abs, self._num.values()), default=1)
         return max([1] + [max(abs(n), den) // gcd(n, den) for n in self._num.values()])
 
     def _ids(self) -> set:
@@ -551,9 +549,6 @@ class Expr:
         terms = list(self._num.items())
         if not terms:
             return Expr.one() if exponent == 0 else Expr.zero()
-        if len(terms) == 1:  # one term, whose powers stay in lowest terms
-            (mono, n), = terms
-            return _expr({tuple(sorted(mono * exponent)): n**exponent}, self._den**exponent)
         last = len(terms) - 1
         monos = [list(mono) for mono, _ in terms]
         nums = [n for _, n in terms]

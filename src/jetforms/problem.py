@@ -56,15 +56,15 @@ A sum's value is added, not formed: the terms of a chain of ``+`` and
 ``-`` and the bodies of ``sum(...)`` add into one accumulator, which a
 statement's value, or a factor that needs a value of its own, hands down
 through nested sums.  A sum binds its index in one dict of bindings, set and
-restored in place.  A term that is a product of integers, leaves and their
-powers, divided by integers only, is added as one monomial with its
-coefficient; any other product is formed factor by factor.  A leaf
-(``x[i]``, ``y[a]``, ``z[...]`` or a metric entry) is evaluated once per
-parse for each tuple of the values that the sums bind to the index names it
-reads: the body of the fixture's six-fold contraction, run 64 times,
-computes 28 leaf values for its 320 leaf reads.  A product whose value is
-zero still evaluates each later factor, so that its errors are raised where
-they always were, but multiplies no more.
+restored in place.  A term that is a product of integers, bound indices,
+leaves and their powers is added as one monomial with its coefficient; a
+product with a factor in parentheses or a ``sum`` is formed factor by
+factor.  A leaf (``x[i]``, ``y[a]``, ``z[...]`` or a metric entry) is
+evaluated once per parse for each tuple of the values that the sums bind to
+the index names it reads: the body of the fixture's six-fold contraction,
+run 64 times, computes 28 leaf values for its 320 leaf reads.  A product
+whose value is zero still evaluates each later factor, so that its errors
+are raised where they always were, but multiplies no more.
 """
 from __future__ import annotations
 
@@ -72,6 +72,7 @@ import math
 import re
 import sys
 from fractions import Fraction
+from functools import partial
 from operator import itemgetter
 
 from .expressions import Accumulator, Expr, PolynomialSection, exceeds_digit_limit
@@ -221,11 +222,6 @@ _MAX_FACTORS = 5_000_000
 # at most _MAX_DEGREE, reaches neither bound in this many factors: one so
 # long is formed one factor at a time, its bounds checked at each operator
 _MONOMIAL_FACTORS = _MAX_FACTORS // _MAX_DEGREE
-# The kinds of a factor: a function of an int (a literal or a bound sum
-# index), a leaf (see _Parser.values), a function of an Expr of at most one
-# term (a power of a leaf or an int) or of any Expr, or a sum that adds
-# itself into an accumulator (a sum(...) or a chain of + and -)
-_INT, _LEAF, _TERM, _EXPR, _SUM = "int", "leaf", "term", "expr", "sum"
 
 
 def _position(text: str, offset: int) -> tuple:
@@ -260,6 +256,11 @@ def _tokenize(text: str) -> tuple:
     return kinds, texts, offsets
 
 
+def _added(value):
+    """The node that adds the Expr ``value(env)`` into an accumulator."""
+    return lambda env, acc, scale: acc.add(value(env), scale)
+
+
 def _literal(parser, i: int) -> int:
     """The value of the int token ``i``, converted where it is evaluated.  A
     token with more digits than the interpreter converts
@@ -289,15 +290,16 @@ class _Parser:
     evaluated.  A token's position is its offset until an error needs its
     line and column.
 
-    An expression is a node (kind, function): a ``_SUM`` adds its value
-    times a scale of +-1 into an accumulator (env, acc, scale -> None), an
-    ``_EXPR`` returns its value (env -> Expr).  The bindings are one dict,
-    which a sum sets and restores in place.  So the terms of a chain of +
-    and - and the bodies of nested sums add into the one accumulator that a
-    statement's value, or a factor that needs a value of its own, hands
-    down.  A product of ints, leaves and their powers (``/`` by ints only)
-    adds into it as one monomial with its coefficient; any other product is
-    formed factor by factor."""
+    An expression is a node, a function (env, acc, scale) that adds its
+    value times a scale of +-1 into an accumulator.  The bindings ``env``
+    are one dict, which a sum sets and restores in place.  So the terms of
+    a chain of + and - and the bodies of nested sums add into the one
+    accumulator that a statement's value, or a factor that needs a value of
+    its own, hands down.  A factor of a product is a node or an item of
+    :meth:`values`, whose value is an int or an Expr of at most one term: a
+    leaf, an integer, a bound index or a power of an item.  A product of
+    items adds into the accumulator as one monomial with its coefficient;
+    any other product is formed factor by factor."""
 
     def __init__(self, text: str):
         self.text = text
@@ -568,39 +570,34 @@ class _Parser:
             raise ProblemSyntaxError(f"nesting deeper than {_MAX_NESTING} levels", *self.at(i))
         self.depth += 1
 
-    def evaluate(self, node: tuple, scale: int = 1, env=None) -> Expr:
+    def evaluate(self, node, scale: int = 1, env=None) -> Expr:
         """The value of the expression ``node``, times ``scale``, under the
         bindings ``env`` (none by default)."""
-        kind, value = node
-        if kind == _EXPR:
-            return value(env or {}) * scale
         acc = Accumulator()
-        value(env or {}, acc, scale)
+        node({} if env is None else env, acc, scale)
         return acc.result()
 
     # The values loop rather than call generators, so that one level of
-    # nesting in the input is one frame when they run.
+    # nesting in the input is at most three frames when they run, as it is
+    # in the parser.
 
     def parse_expr(self, i: int) -> tuple:
         """Terms joined by + and -, each a product; a chain of one is the
         product's own node."""
         kinds = self.kinds
         node, i = self.parse_product(i)
-        terms = [(1, *node)]
+        terms = [(1, node)]
         while kinds[i] == "+" or kinds[i] == "-":
             sign = -1 if kinds[i] == "-" else 1
             node, i = self.parse_product(i + 1)
-            terms.append((sign, *node))
+            terms.append((sign, node))
         if len(terms) == 1:
             return node, i
 
         def total(env, acc, scale):
-            for sign, kind, term in terms:
-                if kind == _SUM:
-                    term(env, acc, sign * scale)
-                else:
-                    acc.add(term(env), sign * scale)
-        return (_SUM, total), i
+            for sign, term in terms:
+                term(env, acc, sign * scale)
+        return total, i
 
     def parse_product(self, i: int) -> tuple:
         """Factors joined by * and /, each an atom or a power of one under
@@ -614,62 +611,56 @@ class _Parser:
             while kinds[i] == "+" or kinds[i] == "-":
                 self.enter(i)
                 sign, opened, i = (-sign if kinds[i] == "-" else sign), opened + 1, i + 1
-            kind, value, i = self.parse_atom(i)
+            factor, i = self.parse_atom(i)
             if kinds[i] == "^":
                 if kinds[i + 1] != "int":
                     self.fail(i + 1, "a non-negative integer exponent")
-                value = self.power(self.value_of(1, kind, value), i + 1)
-                kind, i = (_TERM if kind == _INT or kind == _LEAF else _EXPR), i + 2
+                power = self.power(self.value_of(factor), i + 1)
+                factor = (None, None, power) if factor.__class__ is tuple else _added(power)
+                i += 2
             self.depth -= opened
-            factors.append((op, sign, kind, value))
+            factors.append((op, sign, factor))
             if (kinds[i] != "*" and kinds[i] != "/"
                     or texts[i + 1] in _BASIS and kinds[i + 4] == "]"):
                 break
             op, i = i, i + 1
-        if len(factors) == 1:
-            if kind != _SUM:
-                return (_EXPR, self.value_of(sign, kind, value)), i
-            return (_SUM, value if sign == 1 else
-                    lambda env, acc, scale: value(env, acc, -scale)), i
+        signs = math.prod(sign for _, sign, _ in factors)
         if len(factors) <= _MONOMIAL_FACTORS and all(
-                kind == _INT or kind in (_LEAF, _TERM) and (op is None or texts[op] == "*")
-                for op, _, kind, _ in factors):
-            signs = math.prod(sign for _, sign, _, _ in factors)
-            parts = [value if kind == _LEAF else
-                     (None, None, self.divisor(value, op) if op and texts[op] == "/" else value)
-                     for op, _, kind, value in factors]
+                factor.__class__ is tuple for _, _, factor in factors):
+            items = [self.divisor(factor, op) if op and texts[op] == "/" else factor
+                     for op, _, factor in factors]
 
             def term(env, acc, scale):
-                acc.add_product(self.values(parts, env), signs * scale)
-            return (_SUM, term), i
-        return (_EXPR, self.product_value(factors)), i
+                acc.add_product(self.values(items, env), signs * scale)
+            return term, i
+        if len(factors) == 1:  # a node under its signs
+            return (factor if signs == 1 else lambda env, acc, scale: factor(env, acc, -scale)), i
+        return self.product_node(factors), i
 
-    def divisor(self, value, op: int):
-        """The reciprocal of the int ``value``, a division at ``op``."""
-        def reciprocal(env):
-            q = value(env)
-            if not q:
-                raise self.error(op, "division by zero")
-            return Fraction(1, q)
-        return reciprocal
+    def divisor(self, item: tuple, op: int) -> tuple:
+        """The item of the reciprocal of ``item``, a division at ``op``."""
+        item = (item,)
+        return None, None, lambda env: self.reciprocal(self.values(item, env)[0], op)
 
-    def product_value(self, factors: list):
-        """The value function (env -> Expr) of a product of factors, formed
-        one by one, a sum's value in an accumulator of its own.  A product
-        whose value is zero evaluates each later factor, for its errors,
-        but multiplies no more."""
-        factors = [(op, sign, value) if kind == _SUM else (op, 0, self.value_of(sign, kind, value))
-                   for op, sign, kind, value in factors]
+    def reciprocal(self, value, op: int) -> Fraction:
+        """1 / ``value``, an int or an Expr that must be a nonzero constant;
+        otherwise an error at the division ``op``."""
+        if value.__class__ is Expr:
+            value = self.constant(value, "division is only allowed by constants", op)
+        if not value:
+            raise self.error(op, "division by zero")
+        return Fraction(1, value)
 
-        def product(env):
+    def product_node(self, factors: list):
+        """The node of a product of factors, formed one by one.  A product
+        whose value is zero evaluates each later factor, for its errors, but
+        multiplies no more."""
+        factors = [(op, sign, self.value_of(factor)) for op, sign, factor in factors]
+
+        def product(env, acc, scale):
             value = None
             for op, sign, factor in factors:
-                if sign:
-                    acc = Accumulator()
-                    factor(env, acc, sign)
-                    other = acc.result()
-                else:
-                    other = factor(env)
+                other = factor(env) if sign == 1 else -factor(env)
                 if op is None:
                     value = other
                 elif self.kinds[op] == "*":
@@ -678,24 +669,20 @@ class _Parser:
                     self.check_product(value, other, op)
                     value = value * other
                 else:
-                    constant = self.constant(other, "division is only allowed by constants", op)
-                    if constant == 0:
-                        raise self.error(op, "division by zero")
-                    value = value / constant
-            return value
+                    value = value * self.reciprocal(other, op)
+            acc.add(value, scale)
         return product
 
-    def value_of(self, sign: int, kind: str, value):
-        """The value function (env -> Expr) of a factor of the given sign and
-        kind."""
-        if kind == _INT:
-            return lambda env: Expr.constant(sign * value(env))
-        if kind == _SUM:
-            return lambda env: self.evaluate((_SUM, value), sign, env)
-        if kind == _LEAF:
-            leaf = (value,)
-            return lambda env: self.values(leaf, env)[0] * sign
-        return value if sign == 1 else lambda env: -value(env)
+    def value_of(self, factor):
+        """The value function (env -> Expr) of a factor, a node or an item."""
+        if factor.__class__ is not tuple:
+            return partial(self.evaluate, factor, 1)
+        item = (factor,)
+
+        def value(env):
+            found = self.values(item, env)[0]
+            return found if found.__class__ is Expr else Expr.constant(found)
+        return value
 
     def power(self, base, at: int):
         """The value function of ``base`` to the int token ``at``."""
@@ -729,11 +716,11 @@ class _Parser:
         return power
 
     def parse_atom(self, i: int) -> tuple:
-        """(kind, value function, index after) of an atom."""
+        """An atom, as a factor of a product, and the index after it."""
         kinds = self.kinds
         kind = kinds[i]
         if kind == "int":
-            return _INT, lambda env: _literal(self, i), i + 1
+            return (None, None, lambda env: _literal(self, i)), i + 1
         if kind == "float":
             raise ProblemSyntaxError(
                 "decimal literals are not allowed in expressions; use rationals",
@@ -741,9 +728,9 @@ class _Parser:
             )
         if kind == "(":
             self.enter(i)
-            (kind, value), j = self.parse_expr(i + 1)
+            node, j = self.parse_expr(i + 1)
             self.depth -= 1
-            return kind, value, self.need(j, ")")
+            return node, self.need(j, ")")
         if kind != "name":
             self.fail(i, "a number", "'('", "'x'", "'y'", "'z'", "'sum'", "a metric name")
         name = self.texts[i]
@@ -755,7 +742,7 @@ class _Parser:
                           "int:an upper bound", ",")
             var = self.texts[i + 2]
             self.enter(i)
-            (kind, body), j = self.parse_expr(j)
+            body, j = self.parse_expr(j)
             self.depth -= 1
             j = self.need(j, ")")
 
@@ -771,22 +758,18 @@ class _Parser:
                     raise self.error(
                         i, f"sum evaluates its body {count} times, more than {_MAX_DEGREE}")
                 bound = env.get(var)
-                if kind == _SUM:
-                    for env[var] in values:
-                        body(env, acc, scale)
-                else:
-                    for env[var] in values:
-                        acc.add(body(env), scale)
+                for env[var] in values:
+                    body(env, acc, scale)
                 if bound is None:
                     env.pop(var, None)
                 else:
                     env[var] = bound
                 self.running = outer
                 self.bodies += times
-            return _SUM, total, j
+            return total, j
         if name not in ("x", "y", "z") and kinds[i + 1] != "[":
             # a bare identifier: a bound sum index used as a value
-            return _INT, lambda env: self.index(i, env, "identifier"), i + 1
+            return (None, None, lambda env: self.index(i, env, "identifier")), i + 1
         if kinds[i + 1] != "[":
             self.fail(i + 1, "[")
         names = []  # the index names the leaf reads, its memo key
@@ -821,7 +804,7 @@ class _Parser:
                 for idx in (r, c):
                     self.in_range("metric index", idx, len(matrix), i)
                 return matrix[r - 1][c - 1]
-        return _LEAF, ({}, itemgetter(*names) if names else lambda env: (), value), j + 1
+        return ({}, itemgetter(*names) if names else lambda env: (), value), j + 1
 
     def indices(self, i: int, count: int, names: list) -> int:
         """The index after the ``count`` index tokens from token ``i``, or
@@ -848,8 +831,8 @@ class _Parser:
             raise self.error(i, f"unbound {what} {self.texts[i]!r}") from None
 
     def values(self, factors, env) -> list:
-        """The values of ``factors`` in order, each a function as (None,
-        None, function) or a leaf (memo, key, function): a leaf's function
+        """The values of the items ``factors`` in order, each a function as
+        (None, None, function) or a leaf (memo, key, function): a leaf's function
         runs once in this parse per tuple of the values that the sums bind to
         the names it reads, its key of ``env``; a failed check stores
         nothing, and an unbound name makes the function raise its errors in
@@ -923,7 +906,7 @@ class _Parser:
         if size not in (cfg.m, cfg.n):
             sizes = " or ".join(f"{s}x{s}" for s in dict.fromkeys((cfg.m, cfg.n)))
             raise self.error(at, f"metric {name!r} is {size}x{size}; expected {sizes}")
-        if any(matrix[i][j] != matrix[j][i] for i in range(size) for j in range(i)):
+        if any(matrix[i][j] != matrix[j][i] for i in range(size) for j in range(size)):
             raise self.error(at, f"metric {name!r} is not symmetric")
         if _determinant(matrix) == 0:
             raise self.error(at, f"metric {name!r} is singular")
@@ -956,34 +939,32 @@ class _Parser:
     def constant(self, value: Expr, message: str, i: int) -> Fraction:
         """The rational value of a constant; any other value is an error at
         token ``i``."""
-        if value.degree():
+        constant = value.constant_term()
+        if value != Expr.constant(constant):
             raise self.error(i, message)
-        return Fraction(value.constant_term())
+        return Fraction(constant)
 
 
 def _determinant(matrix) -> Fraction:
-    """Exact determinant by fraction-free (Bareiss) elimination of the rows,
-    each scaled to integers by the lcm of its denominators: O(size^3)
-    integer steps, each division exact."""
-    scale, rows = 1, []
-    for row in matrix:
-        common = math.lcm(*(v.denominator for v in row))
-        scale *= common
-        rows.append([v.numerator * (common // v.denominator) for v in row])
-    size, sign, previous = len(rows), 1, 1
-    for col in range(size - 1):
+    """Exact determinant by Gaussian elimination: O(size^3) Fraction steps."""
+    rows = [[Fraction(v) for v in row] for row in matrix]
+    size = len(rows)
+    det = Fraction(1)
+    for col in range(size):
         pivot = next((r for r in range(col, size) if rows[r][col]), None)
         if pivot is None:
             return Fraction(0)
         if pivot != col:
             rows[col], rows[pivot] = rows[pivot], rows[col]
-            sign = -sign
+            det = -det
         head = rows[col]
+        det *= head[col]
         for row in rows[col + 1 :]:
-            for j in range(col + 1, size):
-                row[j] = (row[j] * head[col] - row[col] * head[j]) // previous
-        previous = head[col]
-    return Fraction(sign * rows[-1][-1], scale)
+            factor = row[col] / head[col]
+            if factor:
+                for j in range(col + 1, size):
+                    row[j] -= factor * head[j]
+    return det
 
 
 def parse_problem(text: str, counts: dict | None = None) -> ProblemSpec:

@@ -512,6 +512,11 @@ SUM_AND_ZERO_CASES = [
     ("dims 2 2 2; L = 0*y[1]*q;", "1:24: unbound identifier 'q'"),
     ("dims 2 2 2; L = 0*x[1]/0;", "1:23: division by zero"),
     ("dims 2 2 2; L = 0*x[1]/y[1];", "1:23: division is only allowed by constants"),
+    # and so in a product formed factor by factor, one with a factor in
+    # parentheses
+    ("dims 2 2 2; L = 0*(x[1] + 1)*z[1; 9];", "1:30: jet index 9 out of range 1..2"),
+    ("dims 2 2 2; L = (y[1] - y[1])*z[1; q];", "1:36: unbound index variable 'q'"),
+    ("dims 2 2 2; L = 0*(x[1] + 1)/y[1];", "1:29: division is only allowed by constants"),
     ("dims 2 2 2; L = sum(i,1,2, (i-1)*x[1]*z[i; 1 1 1]);", "1:39: jet order 3 > k = 2"),
     ("dims 2 2 2; L = 0*x[1]*(y[1] + 1)^3/7 + (x[1]-x[1])*z[2; 1 2];", None),
     # products of ints and leaves, each added as one monomial: minus terms,

@@ -225,12 +225,12 @@ MUTANTS = [
     # +, a product of ints and leaves formed as one monomial without its
     # ints, and a token's column counted from the line start before its own
     ("parse-chain-adds-a-minus-term", PROBLEM,
-     "                    term(env, acc, sign * scale)\n",
-     "                    term(env, acc, scale)\n",
+     "                term(env, acc, sign * scale)\n",
+     "                term(env, acc, scale)\n",
      ("tests/test_problem.py::test_sums_zero_products_and_leaves_evaluate_as_the_reference",)),
-    ("parse-monomial-drops-its-ints", PROBLEM,
-     "for op, _, kind, value in factors]",
-     "for op, _, kind, value in factors if kind != _INT]",
+    ("parse-monomial-drops-its-ints", EXPRESSIONS,
+     "                n *= f.numerator\n",
+     "                n *= 1 if f.__class__ is int else f.numerator\n",
      ("tests/test_problem.py::test_ladder_files_parse_to_the_ladders_lagrangian",)),
     ("parse-column-from-the-line-before", PROBLEM,
      'offset - text.rfind("\\n", 0, offset)',
