@@ -81,11 +81,6 @@ def _coefficient_key(a: int, i1: int, tail: tuple) -> str:
     return f"p[{a}; {indices}]"
 
 
-def _leading_coefficient(delta: Expr):
-    terms = delta.terms()
-    return terms[0][1] if terms else 0
-
-
 def cmd_euler_lagrange(spec: ProblemSpec, report: Report, args):
     deltas = derive(spec.cfg, spec.lagrangian).euler_lagrange()
     rendered = {}
@@ -93,7 +88,8 @@ def cmd_euler_lagrange(spec: ProblemSpec, report: Report, args):
     for a, delta in enumerate(deltas, start=1):
         rendered[str(a)] = render_expr(delta)
         report.say(f"deltaL/dy[{a}] = {rendered[str(a)]}")
-        lead = _leading_coefficient(delta)
+        terms = delta.terms()
+        lead = terms[0][1] if terms else 0
         if lead not in (0, 1):
             normalized[str(a)] = render_expr(delta / lead)
             report.say(
