@@ -283,11 +283,14 @@ class Accumulator:
         items = e._num
         if not items:
             return
-        if not self.num:
+        store, d = self.num, e._den
+        if not store:
             self.num = dict(items) if scale == 1 else {m: n * scale for m, n in items.items()}
-            self.den = e._den
+            self.den = d
             return
-        _add_into(self.num, items, scale * self._over(e._den))
+        if d != self.den:  # most adds share the denominator: no call for them
+            scale *= self._over(d)
+        _add_into(store, items, scale)
 
     def add_product(self, factors: list, scale: int) -> None:
         """Add ``scale`` times the product of ``factors``, each an int, a
