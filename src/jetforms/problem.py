@@ -296,10 +296,11 @@ class _Parser:
     a chain of + and - and the bodies of nested sums add into the one
     accumulator that a statement's value, or a factor that needs a value of
     its own, hands down.  A factor of a product is a node or an item of
-    :meth:`values`, whose value is an int or an Expr of at most one term: a
-    leaf, an integer, a bound index or a power of an item.  A product of
-    items adds into the accumulator as one monomial with its coefficient;
-    any other product is formed factor by factor."""
+    :meth:`values`, whose value is an int, a Fraction or an Expr of at most
+    one term: a leaf, an integer, a bound index, a power of an item or the
+    reciprocal of one.  A product of items adds into the accumulator as one
+    monomial with its coefficient; any other product is formed factor by
+    factor."""
 
     def __init__(self, text: str):
         self.text = text
