@@ -41,22 +41,23 @@ the symmetric table, kept once solved, plus the solve of its top-level data
 alone with Phi = 0: the skew table keeps those two as its parts and adds
 their coefficients into one table only when that is read.  Its checks read
 the parts, so the skew boundary form computes only the values of the small
-top-level solve; its divergences, the splitting sums S^a_I and Xi's d_m x
-coefficient below are, as for every table, computed once from its own
-coefficients.  Assembly's splitting check marks the table it verified
-against a Phi, the one record of that fact: a later check of that table
-against that very Phi reads the mark, and a sum table with one part so
-marked checks only the other part, against Phi = 0, whose residuals are the
-whole table's.  Two tables compared cancel the parts they share before any
-Expr is subtracted, so the symmetric table against the skew one reads the
-homogeneous solve, negated.
+top-level solve; its divergences and the splitting sums S^a_I are, as for
+every table, computed once from its own coefficients, and Xi's d_m x
+coefficient below once per form.  Assembly's splitting check marks the
+table it verified against a Phi, the one record of that fact: a later
+check of that table against that very Phi reads the mark, and a sum table
+with one part so marked checks only the other part, against Phi = 0, whose
+residuals are the whole table's.  Two tables compared cancel the parts they
+share before any Expr is subtracted, so the symmetric table against the
+skew one reads the homogeneous solve, negated.
 
 Since dx^i ^ (d/dx^{i1} -| d_m x) = delta^i_{i1} d_m x, Xi has one dz^a_T
 term per coefficient and one d_m x coefficient, -sum z^a_I S^a_I, with
 S^a_I the splitting sum of the system at (a, I), so Xi pulls back to zero
-along every section by construction.  Assembly forms the splitting sums,
-which give the residuals of the system, and Xi is written that way from
-the table on the first read of its form.
+along every section by construction.  Every boundary form carries the Phi
+it is a boundary form of: assembly takes that Phi, forms the splitting
+sums, which give the residuals of its system, and checks them, and Xi is
+written that way from the table on the first read of its form.
 
 The De Donder form is Theta = L d_m x + Xi, also written on the first read
 of its form; a section is critical for the action iff the pullbacks of
@@ -184,12 +185,14 @@ def phi_from_lagrangian(cfg: JetConfig, L: Expr):
 class BoundaryCoefficients:
     """Coefficients p^{i1,T}_a: first index free, tail canonical, level |T|+1 <= k.
 
-    The table is not mutated after construction: :meth:`divergence`,
-    :meth:`splitting_sums` and :meth:`volume_coefficient` memoize what they
-    read from it.  Every table is a sum of parts (:meth:`parts`): a plain
-    table is its own single part, and the sum of solved tables that
-    :func:`perturbed_coefficients` makes keeps them as its parts and forms
-    its own :attr:`table` only when that is read, by its memos among
+    The table is not mutated after construction: :meth:`divergence` and
+    :meth:`splitting_sums` memoize what they read from it, and
+    :meth:`volume_coefficient` is computed for the one form that keeps it.
+    A coefficient is read as ``table.get((a, i1, tail))``; an absent key
+    is a zero coefficient.  Every table is a sum of parts (:meth:`parts`):
+    a plain table is its own single part, and the sum of solved tables
+    that :func:`perturbed_coefficients` makes keeps them as its parts and
+    forms its own :attr:`table` only when that is read, by its memos among
     others.  Only assembly's splitting check marks a table as solving the
     system of a Phi (``_solves``): a later check against that Phi reads the
     mark, and a sum with that table as a part checks only its other part.
@@ -201,7 +204,6 @@ class BoundaryCoefficients:
             self.table = table
         self._divergences: dict = {}
         self._sums: dict | None = None
-        self._volume: Expr | None = None
         self._parts: tuple = ()
         # the Phi assembly verified the table against, held weakly: a Phi
         # keeps its symmetric table
@@ -212,9 +214,6 @@ class BoundaryCoefficients:
         """(a, i1, tail) -> Expr; a sum table adds its parts' tables on the
         first read."""
         return sum_by_key(item for part in self._parts for item in part.table.items())
-
-    def coefficient(self, a: int, i1: int, tail: tuple = ()) -> Expr:
-        return self.table.get((a, i1, tuple(tail)), Expr.zero())
 
     def parts(self) -> tuple:
         """The tables this one is the sum of; ``(self,)`` for a plain table."""
@@ -257,14 +256,13 @@ class BoundaryCoefficients:
 
     def volume_coefficient(self) -> Expr:
         """-sum_{a,I} z^a_I S^a_I, the d_m x coefficient of the boundary form
-        assembled from this table; computed once, as one
-        :func:`sum_of_products` in which each z^a_I goes into the monomials
-        of its S^a_I by insertion, with the sign -1."""
-        if self._volume is None:
-            self._volume = sum_of_products(
-                (Expr.variable(c), total, -1) for c, total in self.splitting_sums().items()
-            )
-        return self._volume
+        assembled from this table, as one :func:`sum_of_products` in which
+        each z^a_I goes into the monomials of its S^a_I by insertion, with
+        the sign -1.  It is not kept: its one reader,
+        :attr:`BoundaryForm.form`, keeps the form it writes."""
+        return sum_of_products(
+            (Expr.variable(c), total, -1) for c, total in self.splitting_sums().items()
+        )
 
 
 def _sum_of_tables(cfg: JetConfig, parts: tuple) -> BoundaryCoefficients:
@@ -294,24 +292,15 @@ def _check_key(cfg: JetConfig, key: tuple) -> None:
         raise ValueError(f"coefficient key {key} has level {len(tail) + 1}, above k={cfg.k}")
 
 
-def _splitting_system_rhs(
-    dec: PhiDecomposition, coeffs: BoundaryCoefficients, a: int, I: tuple
-) -> Expr:
-    """Phi^I_a, minus the divergence of the next level's coefficients with
-    tail I below the top level."""
-    if len(I) == dec.cfg.k:
-        return dec.component(a, I)
-    return dec.component(a, I) - coeffs.divergence(a, I)
-
-
 def _solve_top_down(dec: PhiDecomposition, top_delta: Mapping) -> BoundaryCoefficients:
     """Solve the boundary-coefficient system level by level from k down to 1.
 
-    At each level the right-hand side for canonical I is distributed equally
-    over the splittings of I; ``top_delta`` is then added to the top level,
-    and every lower level is solved against the level above it, whose
-    divergences the result keeps.  A level-(k-l+1) coefficient ends up with
-    jet order at most 2k - (k-l+1) = k+l-1.
+    At each level the right-hand side for canonical I, Phi^I_a minus the
+    divergence of the level above with tail I below the top level, is
+    distributed equally over the splittings of I; ``top_delta`` is then
+    added to the top level, and every lower level is solved against the
+    level above it, whose divergences the result keeps.  A level-(k-l+1)
+    coefficient ends up with jet order at most 2k - (k-l+1) = k+l-1.
     """
     cfg = dec.cfg
     coeffs = BoundaryCoefficients(cfg, {})
@@ -320,7 +309,10 @@ def _solve_top_down(dec: PhiDecomposition, top_delta: Mapping) -> BoundaryCoeffi
         for a in range(1, cfg.n + 1):
             for I in multiindices(cfg.m, level):
                 parts = splittings(I)
-                share = _splitting_system_rhs(dec, coeffs, a, I) / len(parts)
+                rhs = dec.component(a, I)
+                if level < cfg.k:
+                    rhs = rhs - coeffs.divergence(a, I)
+                share = rhs / len(parts)
                 if not share.is_zero:
                     for i1, tail in parts:
                         current[(a, i1, tail)] = share
@@ -492,16 +484,17 @@ STRUCTURAL_CHECKS = (
 
 
 class BoundaryForm:
-    """A boundary form: its coefficients and the Phi it was built against.
+    """A boundary form of a Phi: its coefficients and that Phi.
 
-    Whether the coefficients solve the system of a Phi is a fact of the
-    table, marked by :func:`assemble_boundary_form`, so a form built by hand
-    on a table assembly verified against this very Phi is not checked again.
-    :attr:`form` is written from the coefficients on its first read and may
-    be assigned.
+    Built by hand, it is not checked.  Whether the coefficients solve the
+    system of a Phi is a fact of the table, marked by
+    :func:`assemble_boundary_form`: :func:`verify_condition3` reads that
+    mark for a table that assembly verified against this very Phi, and
+    checks any other.  :attr:`form` is written from the coefficients on
+    its first read and may be assigned.
     """
 
-    def __init__(self, coefficients: BoundaryCoefficients, phi: PhiDecomposition | None = None):
+    def __init__(self, coefficients: BoundaryCoefficients, phi: PhiDecomposition):
         self.cfg = coefficients.cfg
         self.coefficients = coefficients
         self.phi = phi
@@ -529,10 +522,9 @@ class BoundaryForm:
         return DifferentialForm(cfg.m, terms)
 
 
-def assemble_boundary_form(
-    coeffs: BoundaryCoefficients, phi: PhiDecomposition | None = None
-) -> BoundaryForm:
-    """Assemble Xi = sum p^{i1,T}_a theta^a_T ^ (d/dx^{i1} -| d_m x).
+def assemble_boundary_form(coeffs: BoundaryCoefficients, phi: PhiDecomposition) -> BoundaryForm:
+    """Assemble Xi = sum p^{i1,T}_a theta^a_T ^ (d/dx^{i1} -| d_m x), the
+    boundary form of ``phi`` with the coefficients ``coeffs``.
 
     Assembly runs the checks and leaves the writing of Xi to the first read
     of :attr:`BoundaryForm.form`.  Each part's splitting sums are formed
@@ -540,24 +532,23 @@ def assemble_boundary_form(
 
     Every key within range writes one dz^a_T factor with |T| <= k-1, so Xi
     meets :data:`STRUCTURAL_CHECKS` and pulls back to zero by construction;
-    the ``verify`` command evaluates both and reduces the pullback.  When
-    ``phi`` is supplied, the defining coefficient system is checked exactly
-    on the splitting sums, only where :func:`_unverified_residuals` finds no
+    the ``verify`` command evaluates both and reduces the pullback.  The
+    defining coefficient system of ``phi`` is checked exactly on the
+    splitting sums, only where :func:`_unverified_residuals` finds no
     earlier check, its first failure raised as an ``AssertionError``, and
     the table is marked as solving the system of that Phi, which
     :func:`verify_condition3` then reads without a recompute.
     """
     for part in coeffs.parts():  # every key is a part's key
         part.splitting_sums()  # rejects a key out of range
-    if phi is not None:
-        failures = _unverified_residuals(phi, coeffs)
-        if failures:
-            a, I, residual = failures[0]
-            raise AssertionError(
-                f"coefficients do not solve the boundary system at a={a}, I={I}: "
-                f"{render_expr(residual)}"
-            )
-        coeffs._solves = ref(phi)
+    failures = _unverified_residuals(phi, coeffs)
+    if failures:
+        a, I, residual = failures[0]
+        raise AssertionError(
+            f"coefficients do not solve the boundary system at a={a}, I={I}: "
+            f"{render_expr(residual)}"
+        )
+    coeffs._solves = ref(phi)
     return BoundaryForm(coeffs, phi)
 
 
@@ -596,9 +587,9 @@ def dedonder_form(cfg: JetConfig, L: Expr, xi: BoundaryForm) -> DeDonderForm:
     if xi.cfg != cfg:
         raise ValueError(f"a boundary form of {xi.cfg} cannot make a De Donder form of {cfg}")
     phi = xi.phi
-    if phi is None or phi._lagrangian is not L or phi.cfg != cfg:
+    if phi._lagrangian is not L or phi.cfg != cfg:
         partials = PhiDecomposition.of_lagrangian(cfg, L).components
-        if phi is None or phi.components != partials:
+        if phi.components != partials:
             raise ValueError("a De Donder form needs a boundary form built against d(L d_m x)")
     # L d_m x has only dx factors and Xi is a sum of contact terms by
     # construction, so Theta is semi-basic over J^{k-1} and j*Theta = j*Lambda
@@ -755,13 +746,10 @@ def dedonder_residual(theta: DeDonderForm, section: PolynomialSection) -> dict:
     dXi and Xi solves the splitting system, so by the module's identity the
     d/dy^a entry is the pullback of (Phi_a - sum_i D_i p^i_a) d_m x, the
     Lagrange derivative, and every d/dz entry is the zero m-form.  A
-    section of another (m, n), or a Theta whose Xi carries no Phi, raises a
-    ``ValueError``.
+    section of another (m, n) raises a ``ValueError``.
     """
     cfg = theta.cfg
     theta.check_section(section)
-    if theta.boundary.phi is None:
-        raise ValueError("the De Donder residual needs a boundary form built against a Phi")
     densities = _body_densities(theta.boundary.phi, theta.boundary.coefficients)
     volume = volume_form(cfg)
     residuals = {}
@@ -796,7 +784,9 @@ class ComparisonReport:
 def compare_boundary_forms(xi: BoundaryForm, xi_prime: BoundaryForm) -> ComparisonReport:
     """Verify invariance of the decomposition under change of boundary form.
 
-    Checks, all exactly: the difference Q = p - p' satisfies the homogeneous
+    Both forms must be boundary forms of one Phi, compared by its
+    components; forms of different Phi raise a ``ValueError``.  Checks, all
+    exactly: the difference Q = p - p' satisfies the homogeneous
     coefficient relations; the level-one divergence trace sum_i D_i Q^i_a
     vanishes identically; and the pullbacks of X -| d(Xi - Xi') vanish for
     every source-vertical basis X.  Xi - Xi' is assembled from Q, so by the
@@ -808,8 +798,6 @@ def compare_boundary_forms(xi: BoundaryForm, xi_prime: BoundaryForm) -> Comparis
     is that part, or its negation when it is p''s, and the checks read the
     values it keeps; otherwise Q is the difference of the two whole tables.
     """
-    if xi.phi is None or xi_prime.phi is None:
-        raise ValueError("both forms must be boundary forms of a Phi")
     if xi.phi.components != xi_prime.phi.components:
         raise ValueError("the two boundary forms belong to different Phi")
     cfg = xi.cfg

@@ -1002,8 +1002,8 @@ class PolynomialSection:
     which makes a single instance stand for a whole family of sections.
     The section owns one table of images, keyed by coordinate id: the
     value of each coordinate on the section, filled the first time
-    :meth:`jet`, :meth:`coordinate_value` or a substitution asks for it,
-    and shared by all of them.
+    :meth:`coordinate_value` or a substitution asks for it, and shared by
+    both.
     """
 
     def __init__(self, cfg: JetConfig, components: Sequence[Expr]):
@@ -1020,10 +1020,6 @@ class PolynomialSection:
         self.cfg = cfg
         self.components = tuple(components)
         self._images: dict = {}  # id -> the coordinate's value
-
-    def jet(self, a: int, indices: Sequence[int]) -> Expr:
-        """Exact partial derivative of component a along the multi-index."""
-        return self.coordinate_value(jet_coord(a, indices))
 
     def coordinate_value(self, coord) -> Expr:
         """The value of a coordinate on the section, read from the table."""
@@ -1045,7 +1041,8 @@ class PolynomialSection:
         if tag == "y":
             return self.components[coord[1] - 1]
         if tag == "z":
-            return self.jet(coord[1], coord[2][:-1]).partial(base_coord(coord[2][-1]))
+            lower = self.coordinate_value(jet_coord(coord[1], coord[2][:-1]))
+            return lower.partial(base_coord(coord[2][-1]))
         return Expr.variable(coord)
 
     def jet_values(self, x0: Sequence, order: int) -> dict:
@@ -1070,7 +1067,8 @@ class PolynomialSection:
         for a in range(1, self.cfg.n + 1):
             for level in range(order + 1):
                 for I in multiindices(self.cfg.m, level):
-                    values[jet_coord(a, I)] = self.jet(a, I).evaluate(point)
+                    coord = jet_coord(a, I)
+                    values[coord] = self.coordinate_value(coord).evaluate(point)
         return values
 
 

@@ -64,7 +64,8 @@ evaluated once per parse for each tuple of the values that the sums bind to
 the index names it reads: the body of the fixture's six-fold contraction,
 run 64 times, computes 28 leaf values for its 320 leaf reads.  A product
 whose value is zero still evaluates each later factor, so that its errors
-are raised where they always were, but multiplies no more.
+are raised where they always were; a product with a zero factor forms no
+pair of terms, so it passes the size checks and is zero at once.
 """
 from __future__ import annotations
 
@@ -654,8 +655,8 @@ class _Parser:
 
     def product_node(self, factors: list):
         """The node of a product of factors, formed one by one.  A product
-        whose value is zero evaluates each later factor, for its errors, but
-        multiplies no more."""
+        whose value is zero evaluates each later factor, for its errors, and
+        stays zero."""
         factors = [(op, sign, self.value_of(factor)) for op, sign, factor in factors]
 
         def product(env, acc, scale):
@@ -665,8 +666,6 @@ class _Parser:
                 if op is None:
                     value = other
                 elif self.kinds[op] == "*":
-                    if value.is_zero:  # and stays zero; the factor ran for its errors
-                        continue
                     self.check_product(value, other, op)
                     value = value * other
                 else:

@@ -36,7 +36,7 @@ from jetforms.expressions import Expr, PolynomialSection, substitute_section
 from jetforms.jets import JetConfig, base_coord, jet_coord, multiindices
 from jetforms.numeric import GridSpec, _derivative_symbol
 from jetforms.prolongations import ProjectableField, characteristic_jets, noether_current
-from tests.support import at_rationals
+from tests.support import at_rationals, coefficient
 
 
 def meshes(grid: GridSpec) -> list:
@@ -274,7 +274,7 @@ def decomposition_terms(
         density = evaluate_on_grid(dec.component(a), arrays, region.shape)
         for i in range(1, cfg.m + 1):
             p_i = evaluate_on_grid(
-                xi.coefficients.coefficient(a, i), arrays, region.shape
+                coefficient(xi.coefficients, a, i), arrays, region.shape
             )
             density = density - _derivative(p_i, i - 1, region)
         body_vals += density * evaluate_on_grid(

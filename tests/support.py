@@ -14,10 +14,11 @@ and the prolongation, symmetry test, characteristic jets and currents by
 the total derivatives of the characteristic Q^a, the Cauchy step and slice
 energy as they were before each spectral operation ran once, the seeded
 band-limited spectrum as one expression of temporaries, powers by
-repeated multiplication, the comparison of two boundary forms by their
-full tables' difference, the summed coefficient table and the forms of Xi
-and Theta written out at once from it, and the substitution of an
-arbitrary coordinate map, which runs the library's substitution loop with
+repeated multiplication, one coefficient of a boundary table read by its
+key, the comparison of two boundary forms by their full tables'
+difference, the summed coefficient table and the forms of Xi and Theta
+written out at once from it, and the substitution of an arbitrary
+coordinate map, which runs the library's substitution loop with
 a table of images made for the call (for the property tests of that loop;
 the other tests set coordinates to rational numbers through the public
 ``terms()``, by ``at_rationals``).
@@ -891,6 +892,11 @@ def reference_compare_boundary_forms(xi, xi_prime) -> ComparisonReport:
         not pullback_failures, differences, relation_failures, divergence_residuals,
         pullback_failures,
     )
+
+
+def coefficient(coeffs: BoundaryCoefficients, a: int, i1: int, tail: tuple = ()) -> Expr:
+    """p^{i1,tail}_a of ``coeffs``, zero where its table has no such key."""
+    return coeffs.table.get((a, i1, tuple(tail)), Expr.zero())
 
 
 def summed_table(coeffs: BoundaryCoefficients) -> dict:

@@ -56,6 +56,7 @@ from jetforms.wave import wave_problem
 from tests.support import (
     basis_form,
     coeff_symbol,
+    coefficient,
     contact_form,
     eager_boundary_form,
     eager_dedonder_form,
@@ -110,15 +111,15 @@ def test_symmetric_coefficients_wave_closed_form():
                 expected = (
                     2 * g[a] * (g[i1] if i1 == i2 else Fraction(0)) * box
                 )
-                assert coeffs.coefficient(a, i1, (i2,)) == expected
+                assert coefficient(coeffs, a, i1, (i2,)) == expected
         # p^i_a = - sum_j D_j p^{j,(i)}: third-order jets with the metric signs
         for i in (1, 2):
             expected = Expr.zero()
             for j in (1, 2):
                 expected = expected - total_derivative(
-                    coeffs.coefficient(a, j, (i,)), j, wp.cfg
+                    coefficient(coeffs, a, j, (i,)), j, wp.cfg
                 )
-            assert coeffs.coefficient(a, i) == expected
+            assert coefficient(coeffs, a, i) == expected
 
 
 def test_coefficient_order_bounds():
@@ -150,7 +151,7 @@ def fresh_divergence(coeffs: BoundaryCoefficients, a: int, I: tuple) -> Expr:
     cfg = coeffs.cfg
     limit = cfg.working_order if I else cfg.expression_order
     return Expr.sum(
-        total_derivative(coeffs.coefficient(a, j, I), j, cfg, limit)
+        total_derivative(coefficient(coeffs, a, j, I), j, cfg, limit)
         for j in range(1, cfg.m + 1)
     )
 
@@ -389,9 +390,8 @@ def test_assemble_checks_and_condition3():
     # injected symmetric defect is detected at the right component
     broken = dict(wp.boundary_symmetric.coefficients.table)
     broken[(1, 1, (1,))] = broken.get((1, 1, (1,)), Expr.zero()) + y_var(1)
-    bad_xi = assemble_boundary_form(
-        BoundaryCoefficients(wp.cfg, broken)
-    )  # structural conditions still hold without a Phi
+    # built by hand, the form is not checked
+    bad_xi = BoundaryForm(BoundaryCoefficients(wp.cfg, broken), wp.decomposition)
     report = verify_condition3(wp.decomposition, bad_xi)
     assert not report.ok
     # failures come in coordinate order (|I|, a, I)
@@ -565,17 +565,13 @@ def test_dedonder_residual_examples():
 
 
 def test_dedonder_residual_rejects_a_section_or_theta_of_another_configuration():
-    # an n = 3 section against an n = 2 Theta, and a Theta whose Xi carries
-    # no Phi, are refused by name rather than read past their components
+    # an n = 3 section against an n = 2 Theta is refused by name rather
+    # than read past its components
     wp = wave_problem()
     x1, x2 = x_var(1), x_var(2)
     wider = PolynomialSection(JetConfig(2, 3, 2), (x1, x2, x1 * x2))
     with pytest.raises(ValueError, match=re.escape("(m, n) = (2, 3)")):
         dedonder_residual(wp.theta_symmetric, wider)
-    xi = wp.boundary_symmetric
-    no_phi = DeDonderForm(wp.cfg, wp.lagrangian, BoundaryForm(xi.coefficients))
-    with pytest.raises(ValueError, match="Phi"):
-        dedonder_residual(no_phi, PolynomialSection(wp.cfg, (x1, x2)))
 
 
 def reference_dedonder_residual(theta, section):
@@ -646,13 +642,6 @@ def test_dedonder_form_pullback_equals_lagrangian_pullback():
         assert holonomic_reduce(theta.form, theta.cfg) == lagrangian_form
         pulled = holonomic_pullback(theta.form, section)
         assert pulled.coefficient(vol) == substitute_section(theta.lagrangian, section)
-
-
-def test_dedonder_form_requires_provenance():
-    wp = wave_problem()
-    orphan = assemble_boundary_form(wp.boundary_symmetric.coefficients)
-    with pytest.raises(ValueError):
-        dedonder_form(wp.cfg, wp.lagrangian, orphan)
 
 
 def test_derive_treats_coefficient_symbols_as_constants():
@@ -801,8 +790,8 @@ def test_divergence_trace_hand_checkable_instance():
     delta = {(1, 1, (2,)): y_var(1), (1, 2, (1,)): -y_var(1)}
     sym = symmetric_boundary_coefficients(dec)
     alt = perturbed_coefficients(dec, delta)
-    q1 = alt.coefficient(1, 1) - sym.coefficient(1, 1)
-    q2 = alt.coefficient(1, 2) - sym.coefficient(1, 2)
+    q1 = coefficient(alt, 1, 1) - coefficient(sym, 1, 1)
+    q2 = coefficient(alt, 1, 2) - coefficient(sym, 1, 2)
     assert q1 == z_var(1, (2,))
     assert q2 == -z_var(1, (1,))
     divergence = total_derivative(q1, 1, cfg, max_order=4) + total_derivative(
@@ -831,7 +820,7 @@ def test_invalid_skew_rejected():
 
 def test_comparison_requires_same_phi():
     # Phi is compared by its components: equal ones from two derivations
-    # pass, those of another Lagrangian or a missing Phi are rejected
+    # pass, those of another Lagrangian are rejected
     cfg = JetConfig(2, 1, 2)
     xi_a = derive(cfg, z_var(1, (1, 1)) ** 2).boundary_symmetric
     xi_b = derive(cfg, z_var(1, (2, 2)) ** 2).boundary_symmetric
@@ -842,8 +831,6 @@ def test_comparison_requires_same_phi():
     again = derive(cfg, z_var(1, (1, 1)) ** 2).boundary_symmetric
     assert again.phi is not xi_a.phi
     assert compare_boundary_forms(xi_a, again).ok
-    with pytest.raises(ValueError, match="must be boundary forms of a Phi"):
-        compare_boundary_forms(xi_a, assemble_boundary_form(xi_a.coefficients))
 
 
 def test_divergence_trace_random_skew_family():
@@ -883,7 +870,7 @@ def test_condition3_reads_the_check_of_assembly(monkeypatch):
     assert len(checks) == 1  # the assembly of the skew form, not condition 3
     _, equal_dec = phi_from_lagrangian(wp.cfg, wp.lagrangian)
     assert verify_condition3(equal_dec, xi).ok and len(checks) == 2
-    assert verify_condition3(dec, BoundaryForm(xi.coefficients)).ok
+    assert verify_condition3(dec, BoundaryForm(xi.coefficients, dec)).ok
     assert len(checks) == 2
     corrupted = dict(xi.coefficients.table)
     corrupted[(1, 1, (1,))] = corrupted[(1, 1, (1,))] + y_var(1)
@@ -905,9 +892,8 @@ def test_coefficient_keys_out_of_range_are_rejected(key):
         perturbed_coefficients(dec, {key: y_var(1)})
     table = dict(symmetric_boundary_coefficients(dec).table)
     table[key] = y_var(1)
-    for phi in (dec, None):
-        with pytest.raises(ValueError, match=named):
-            assemble_boundary_form(BoundaryCoefficients(cfg, table), phi)
+    with pytest.raises(ValueError, match=named):
+        assemble_boundary_form(BoundaryCoefficients(cfg, table), dec)
 
 
 def test_a_tail_that_is_not_canonical_is_rejected():
@@ -917,7 +903,7 @@ def test_a_tail_that_is_not_canonical_is_rejected():
     with pytest.raises(ValueError, match=r"not canonical"):
         perturbed_coefficients(dec, {key: y_var(1), (1, 2, (1, 1)): -y_var(1)})
     with pytest.raises(ValueError, match=r"not canonical"):
-        assemble_boundary_form(BoundaryCoefficients(cfg, {key: y_var(1)}))
+        assemble_boundary_form(BoundaryCoefficients(cfg, {key: y_var(1)}), dec)
 
 
 def test_perturbed_coefficients_add_the_homogeneous_solve_to_the_symmetric_table(monkeypatch):
@@ -1085,19 +1071,28 @@ def test_ladder_shaped_forms_and_summed_tables_equal_the_eager_reference(shape):
         assert theta.form == eager_dedonder_form(L, xi.coefficients)
 
 
-def test_a_build_like_the_ladders_writes_no_form_and_sums_no_table():
+def test_a_build_like_the_ladders_writes_no_form_and_sums_no_table(monkeypatch):
     # the checks read the parts' tables and splitting sums, never a form,
     # the summed table or a d_m x coefficient
+    volumes = []
+    volume_coefficient = BoundaryCoefficients.volume_coefficient
+
+    def counted(coeffs):
+        volumes.append(coeffs)
+        return volume_coefficient(coeffs)
+
+    monkeypatch.setattr(BoundaryCoefficients, "volume_coefficient", counted)
     cfg, L, delta = ladder_problem((2, 2, 2), 0)
     dec, xi, theta, alt = build_like_the_ladder(cfg, L, delta)
     assert compare_boundary_forms(xi, alt).ok
     assert verify_condition3(dec, xi).ok and verify_condition3(dec, alt).ok
     assert not any("form" in vars(built) for built in (xi, theta, alt))
-    assert "table" not in vars(alt.coefficients)
-    assert all(part._volume is None for part in alt.coefficients.parts())
-    # reading Theta writes the symmetric Xi, and the skew Xi stays unwritten
+    assert "table" not in vars(alt.coefficients) and volumes == []
+    # reading Theta writes the symmetric Xi once, with its d_m x
+    # coefficient, and the skew Xi stays unwritten
     assert theta.form == eager_dedonder_form(L, xi.coefficients)
-    assert "form" in vars(xi) and xi.coefficients._volume is not None
+    assert theta.form is theta.form and xi.form is xi.form
+    assert "form" in vars(xi) and volumes == [xi.coefficients]
     assert "form" not in vars(alt) and "table" not in vars(alt.coefficients)
 
 
@@ -1110,9 +1105,8 @@ def test_assembly_itself_rejects_a_key_out_of_range_and_a_failing_system():
         BoundaryCoefficients(cfg, {**symmetric.table, (1, 3, (1,)): Expr.one()}),
         dedonder._sum_of_tables(cfg, (symmetric, out_of_range)),
     ):
-        for phi in (dec, None):
-            with pytest.raises(ValueError, match=re.escape("key (1, 3, (1,)) is out of range")):
-                assemble_boundary_form(coeffs, phi)
+        with pytest.raises(ValueError, match=re.escape("key (1, 3, (1,)) is out of range")):
+            assemble_boundary_form(coeffs, dec)
     key, value = next(iter(symmetric.table.items()))
     wrong = BoundaryCoefficients(cfg, {**symmetric.table, key: value + Expr.one()})
     with pytest.raises(AssertionError, match="do not solve the boundary system"):

@@ -256,13 +256,14 @@ def random_expr_in_x(rng, cfg, degree=4, terms=4):
 
 @pytest.mark.parametrize("coord", [("y", 0), ("y", 3), ("z", 1, (2,))])
 def test_section_substitution_rejects_a_coordinate_outside_the_section(coord):
-    # m = 1, n = 2: no field 0 or 3 and no derivative along x[2]; jet reads
-    # the table that substitution fills, and checks the coordinate alike
+    # m = 1, n = 2: no field 0 or 3 and no derivative along x[2];
+    # coordinate_value reads the table that substitution fills, and checks
+    # the coordinate alike
     section = PolynomialSection(JetConfig(1, 2, 1), (x_var(1), x_var(1) ** 2))
     with pytest.raises(ValueError, match=re.escape(str(coord))):
         substitute_section(Expr.variable(coord), section)
     with pytest.raises(ValueError, match=re.escape(str(coord))):
-        section.jet(coord[1], coord[2] if coord[0] == "z" else ())
+        section.coordinate_value(coord)
 
 
 def test_generic_section_realizes_jets():
@@ -277,7 +278,7 @@ def test_generic_section_realizes_jets():
     count = 0
     for level in range(0, 5):
         for I in multiindices(cfg.m, level):
-            value = at_rationals(sigma.jet(1, I), origin)
+            value = at_rationals(sigma.coordinate_value(jet_coord(1, I)), origin)
             free = {c for c in value.variables() if c[0] == "c"}
             assert len(free) == 1, (I, free)
             symbols |= free

@@ -25,7 +25,12 @@ from jetforms.problem import (
     _tokenize,
     parse_problem,
 )
-from tests.support import minors_determinant, reference_parse_problem, reference_tokenize
+from tests.support import (
+    coefficient,
+    minors_determinant,
+    reference_parse_problem,
+    reference_tokenize,
+)
 
 MINIMAL = "dims 1 1 1; L = (1/2)*z[1;1]^2;"
 
@@ -117,7 +122,7 @@ def test_the_fixtures_skew_data_is_the_top_level_data_the_solver_takes():
     derivation = derive(spec.cfg, spec.lagrangian)
     symmetric = derivation.boundary_symmetric.coefficients
     alt = perturbed_coefficients(derivation.decomposition, spec.skew)
-    shifts = {key: alt.coefficient(*key) - symmetric.coefficient(*key) for key in spec.skew}
+    shifts = {key: coefficient(alt, *key) - coefficient(symmetric, *key) for key in spec.skew}
     assert shifts == spec.skew
 
 

@@ -30,6 +30,7 @@ from jetforms.prolongations import (
 )
 from jetforms.wave import wave_problem
 from tests.support import (
+    coefficient,
     generic_section,
     lie_derivative,
     preserves_contact_ideal,
@@ -276,17 +277,17 @@ def test_energy_current_matches_display_structure():
     hand = {1: Expr.zero(), 2: Expr.zero()}
     for a in (1, 2):
         for j in (1, 2):
-            hand[j] = hand[j] + coeffs.coefficient(a, 2) * z_var(a, (j,))
+            hand[j] = hand[j] + coefficient(coeffs, a, 2) * z_var(a, (j,))
             for i2 in (1, 2):
-                hand[j] = hand[j] + coeffs.coefficient(a, 2, (i2,)) * z_var(
+                hand[j] = hand[j] + coefficient(coeffs, a, 2, (i2,)) * z_var(
                     a, tuple(sorted((i2, j)))
                 )
     legendre = Expr.zero()
     for a in (1, 2):
         for i in (1, 2):
-            legendre = legendre + coeffs.coefficient(a, i) * z_var(a, (i,))
+            legendre = legendre + coefficient(coeffs, a, i) * z_var(a, (i,))
             for i2 in (1, 2):
-                legendre = legendre + coeffs.coefficient(a, i, (i2,)) * z_var(
+                legendre = legendre + coefficient(coeffs, a, i, (i2,)) * z_var(
                     a, tuple(sorted((i, i2)))
                 )
     hand[2] = hand[2] - (legendre - wp.lagrangian)

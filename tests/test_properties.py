@@ -45,6 +45,7 @@ from jetforms.dedonder import (  # noqa: E402
     STRUCTURAL_CHECKS,
     BoundaryCoefficients,
     BoundaryForm,
+    PhiDecomposition,
     _check_key,
     _check_splitting_system,
     _solve_top_down,
@@ -89,6 +90,7 @@ from tests.support import (  # noqa: E402
     assert_canonical,
     basis_form,
     chain_lagrange_derivative,
+    coefficient,
     contact_boundary_form,
     generic_product,
     lie_derivative,
@@ -729,7 +731,7 @@ def test_vertical_contractions_of_phi_plus_dxi_follow_the_coefficient_identity(p
     for key, delta in corruption.items():
         table[key] = table.get(key, Expr.zero()) + delta
     coeffs = BoundaryCoefficients(cfg, {key: p for key, p in table.items() if not p.is_zero})
-    xi = assemble_boundary_form(coeffs)
+    xi = BoundaryForm(coeffs, dec)  # built by hand: a corrupted table is not rejected
     reference = reduced_vertical_contractions(dec.form() + xi.form.d(), cfg)
     volume = volume_form(cfg)
     identity = {
@@ -775,14 +777,14 @@ def coefficient_keys(cfg):
 def coefficient_tables(draw):
     """(cfg, table, dec): the symmetric table of a random Lagrangian, plus
     additions at a few keys that often break the system, or a table of
-    random coefficients with no Phi behind it (dec None)."""
+    random coefficients against Phi = 0."""
     cfg = JetConfig(*draw(st.sampled_from(TABLE_SHAPES)))
     coords = enumerate_coordinates(cfg, cfg.k)
     additions = st.dictionaries(
         st.sampled_from(coefficient_keys(cfg)), polynomials(coords, 2, min_terms=1), max_size=3
     )
     if draw(st.booleans()):
-        return cfg, draw(additions), None
+        return cfg, draw(additions), PhiDecomposition(cfg, {})
     _, dec = phi_from_lagrangian(cfg, draw(polynomials(coords, min_terms=1)))
     table = dict(symmetric_boundary_coefficients(dec).table)
     for key, value in draw(additions).items():
@@ -795,14 +797,18 @@ def coefficient_tables(draw):
 def test_boundary_form_from_the_table_equals_the_contact_form_reference(problem):
     # Xi written straight from the coefficient table is, term by term, the
     # sum of p^{i1,T}_a theta^a_T ^ (d/dx^{i1} -| d_m x) over contact forms,
-    # whether or not the table solves a system; it pulls back to zero along
-    # every section, which assembly leaves to verify
+    # whether or not the table solves the system of its Phi; it pulls back
+    # to zero along every section, which assembly leaves to verify, and
+    # assembly accepts the table exactly when it solves that system
     cfg, table, dec = problem
     coeffs = BoundaryCoefficients(cfg, table)
-    xi = assemble_boundary_form(coeffs)
+    xi = BoundaryForm(coeffs, dec)
     assert dict(xi.form.terms()) == dict(contact_boundary_form(table, cfg).terms())
     assert holonomic_reduce(xi.form, cfg).is_zero
-    if dec is not None and not _check_splitting_system(dec, coeffs):
+    if _check_splitting_system(dec, coeffs):
+        with pytest.raises(AssertionError, match="do not solve the boundary system"):
+            assemble_boundary_form(coeffs, dec)
+    else:
         assert assemble_boundary_form(coeffs, dec).form == xi.form
 
 
@@ -831,19 +837,23 @@ def test_tables_whose_keys_pass_the_key_check_assemble_to_a_structural_boundary_
     # assembly evaluates no structural predicate: a key that _check_key
     # accepts writes one dz^a_T factor with |T| <= k-1, so Xi meets both
     # STRUCTURAL_CHECKS; a table with a key it rejects raises a ValueError
+    # before any system is checked
     cfg, keys = problem
-    table = {key: Expr.variable(field_coord(1)) + 1 for key in keys}
+    coeffs = BoundaryCoefficients(cfg, {key: Expr.variable(field_coord(1)) + 1 for key in keys})
+    zero = PhiDecomposition(cfg, {})
     rejected = []
-    for key in table:
+    for key in coeffs.table:
         try:
             _check_key(cfg, key)
         except ValueError:
             rejected.append(key)
     if rejected:
         with pytest.raises(ValueError, match="coefficient key"):
-            assemble_boundary_form(BoundaryCoefficients(cfg, table))
+            assemble_boundary_form(coeffs, zero)
         return
-    xi = assemble_boundary_form(BoundaryCoefficients(cfg, table))
+    # the Phi the table solves: its residuals against Phi = 0
+    solved = {jet_coord(a, I): r for a, I, r in _check_splitting_system(zero, coeffs)}
+    xi = assemble_boundary_form(coeffs, PhiDecomposition(cfg, solved))
     assert all(holds(xi.form, cfg) for _, holds in STRUCTURAL_CHECKS)
 
 
@@ -893,7 +903,7 @@ def test_perturbed_coefficients_equal_a_fresh_solve(problem):
     for coeffs in (symmetric_boundary_coefficients(dec), perturbed):
         assert deltas == [
             dec.component(a) - Expr.sum(
-                total_derivative(coeffs.coefficient(a, i), i, cfg, cfg.expression_order)
+                total_derivative(coefficient(coeffs, a, i), i, cfg, cfg.expression_order)
                 for i in range(1, cfg.m + 1)
             )
             for a in range(1, cfg.n + 1)

@@ -290,7 +290,7 @@ def test_every_public_library_name_has_a_caller_outside_the_tests():
     by_module = {stem: _referenced_names(tree) for stem, tree in modules.items()}
     # the scan does see methods and properties
     labels = {label for label, _, _ in _public_definitions(modules["expressions"])}
-    assert {"Expr.derivation", "Expr.is_zero", "PolynomialSection.jet"} <= labels
+    assert {"Expr.derivation", "Expr.is_zero", "PolynomialSection.coordinate_value"} <= labels
     hits = []
     for stem, tree in modules.items():
         elsewhere = outside.union(*(names for other, names in by_module.items() if other != stem))

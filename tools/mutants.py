@@ -84,6 +84,11 @@ MUTANTS = [
      "for a, I, residual in _unverified_residuals(phi, xi.coefficients)",
      "for a, I, residual in []",
      (CONDITION3,)),
+    # assembly checks every table against its Phi: a corrupted one raises
+    ("assembly-skips-its-check", DEDONDER,
+     "failures = _unverified_residuals(phi, coeffs)",
+     "failures = []",
+     ("tests/test_dedonder.py::test_assemble_checks_and_condition3",)),
     # Xi, Theta and a sum's table as written on their first read
     ("lazy-xi-drops-the-volume-term", DEDONDER,
      "        if not volume.is_zero:\n            terms[tuple(dx)] = volume\n",
