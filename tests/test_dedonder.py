@@ -644,6 +644,23 @@ def test_dedonder_form_pullback_equals_lagrangian_pullback():
         assert pulled.coefficient(vol) == substitute_section(theta.lagrangian, section)
 
 
+def test_dedonder_form_requires_provenance():
+    # the provenance of Theta is the Phi its Xi carries: a boundary form has
+    # no Phi-less construction, and L's own coefficients under the Phi of
+    # another Lagrangian are refused, while under L's Phi they are taken
+    wp = wave_problem()
+    coeffs = wp.boundary_symmetric.coefficients
+    with pytest.raises(TypeError):
+        assemble_boundary_form(coeffs)
+    with pytest.raises(TypeError):
+        BoundaryForm(coeffs)
+    _, other = phi_from_lagrangian(wp.cfg, z_var(1, (1, 2)) ** 2)
+    with pytest.raises(ValueError, match=r"built against d\(L d_m x\)"):
+        dedonder_form(wp.cfg, wp.lagrangian, BoundaryForm(coeffs, other))
+    own = BoundaryForm(coeffs, wp.decomposition)
+    assert dedonder_form(wp.cfg, wp.lagrangian, own).form == wp.theta_symmetric.form
+
+
 def test_derive_treats_coefficient_symbols_as_constants():
     # Phi and the provenance check of Theta both read only the y and z
     # partials, so a constant symbol in L is no partial of its own
