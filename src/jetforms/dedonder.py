@@ -554,7 +554,9 @@ def assemble_boundary_form(coeffs: BoundaryCoefficients, phi: PhiDecomposition) 
 
 class DeDonderForm:
     """Theta = L d_m x + Xi on the order-(2k-1) jet space; its :attr:`form`
-    is written on the first read."""
+    is written on the first read.  Its Xi solves the splitting system of the
+    Phi it carries: :func:`dedonder_form` checks that, and :func:`derive`
+    and :meth:`Derivation.theta_skew` build Theta on assembled forms only."""
 
     def __init__(self, cfg: JetConfig, lagrangian: Expr, boundary: BoundaryForm):
         self.cfg = cfg
@@ -582,7 +584,12 @@ def dedonder_form(cfg: JetConfig, L: Expr, xi: BoundaryForm) -> DeDonderForm:
     very L, with a ``cfg`` equal to this one, holds them by construction and
     is taken without a second gradient of L; any other is compared with the
     partials of L, which are checked against ``cfg`` first.  A Xi of another
-    configuration than ``cfg`` raises a ``ValueError`` naming both.
+    configuration than ``cfg`` raises a ``ValueError`` naming both.  Then
+    ``xi.coefficients`` must solve the splitting system of ``xi.phi``, else
+    a ``ValueError`` names the first failing (a, I): a form built by hand
+    around a table that solves no system is refused.  The check reads
+    assembly's mark (:func:`_unverified_residuals`), so an assembled Xi, or
+    one built by hand around an assembled table and its Phi, costs nothing.
     """
     if xi.cfg != cfg:
         raise ValueError(f"a boundary form of {xi.cfg} cannot make a De Donder form of {cfg}")
@@ -591,6 +598,11 @@ def dedonder_form(cfg: JetConfig, L: Expr, xi: BoundaryForm) -> DeDonderForm:
         partials = PhiDecomposition.of_lagrangian(cfg, L).components
         if phi.components != partials:
             raise ValueError("a De Donder form needs a boundary form built against d(L d_m x)")
+    failures = _unverified_residuals(phi, xi.coefficients)
+    if failures:
+        a, I, _ = failures[0]
+        raise ValueError(f"a De Donder form needs a boundary form whose coefficients "
+                         f"solve the system of its Phi; they fail at a={a}, I={I}")
     # L d_m x has only dx factors and Xi is a sum of contact terms by
     # construction, so Theta is semi-basic over J^{k-1} and j*Theta = j*Lambda
     return DeDonderForm(cfg, L, xi)
@@ -743,7 +755,8 @@ def dedonder_residual(theta: DeDonderForm, section: PolynomialSection) -> dict:
     source-vertical coordinate of order <= 2k-1 in coordinate order.  All
     values vanish exactly when the section satisfies the De Donder
     equations, equivalently the Euler-Lagrange equations.  dTheta = Phi +
-    dXi and Xi solves the splitting system, so by the module's identity the
+    dXi and Xi solves the splitting system of its Phi, as every Theta's Xi
+    does (:class:`DeDonderForm`), so by the module's identity the
     d/dy^a entry is the pullback of (Phi_a - sum_i D_i p^i_a) d_m x, the
     Lagrange derivative, and every d/dz entry is the zero m-form.  A
     section of another (m, n) raises a ``ValueError``.

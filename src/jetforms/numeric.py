@@ -12,15 +12,19 @@ Everything here exists to corroborate the symbolic machinery:
   a step and the energy read and write only the band, and a band-limited
   state costs in proportion to its band, not to its grid.  The full
   spectrum is zero-padded on read.  Each spectral operation runs once: a
-  grid's wavenumbers, xi^j scales and energy powers xi^S are computed once
-  and travel with the state or the functional, the rotation xi dt with its
-  cosine and sine is formed once per step size, the energy weights once per
-  band, a step writes into five scratch buffers allocated once per grid and
-  band, an energy call scales each row it reads once, and one energy table
-  serves every boundary form.  So each array that a step or an energy call
-  reads from one call to the next is allocated once per ``evolve`` command:
-  a step allocates only the state it returns, an energy call only its
-  band-length rows and its sum.  Every power is taken on the full grid, as
+  grid's wavenumbers are evaluated once, and its xi^j scales and energy
+  powers xi^S are computed from them once and travel with the state or the
+  functional, the rotation xi dt with its cosine and sine is formed once
+  per step size, the energy weights and row scales once per band, a step
+  writes into five scratch buffers allocated once per grid and band, an
+  energy call scales each row it reads once, and one energy table, read
+  from the time density alone, serves every boundary form.  So each array
+  that a step or an energy call reads from one call to the next is
+  allocated once per ``evolve`` command: a step allocates only the state it
+  returns, an energy call only its band-length rows and its sum.  The real
+  constants that multiply complex data are kept as the complex arrays
+  x + 0j that numpy would cast them to on every product, which gives the
+  same bits with no cast.  Every power is taken on the full grid, as
   numpy's pow of a shorter array can differ in the last bit;
 * a flow oracle for prolongations.  The supported symmetry-field class keeps
   flows closed-form: base components affine in x, vertical components affine
@@ -52,20 +56,12 @@ from .dedonder import DeDonderForm
 from .expressions import Expr, PolynomialSection, render_expr
 from .jets import base_coord, field_coord, jet_coord, multiindices
 from .problem import GridSpec
-from .prolongations import ProjectableField, noether_current
+from .prolongations import ProjectableField, current_densities
 
 
 def _wavenumbers(count: int, length: float) -> np.ndarray:
     """Angular wavenumber xi of each rfft bin of a periodic axis."""
     return 2.0 * np.pi * np.fft.rfftfreq(count, d=length / count)
-
-
-def _derivative_symbol(count: int, length: float) -> np.ndarray:
-    """i xi per rfft bin, with the Nyquist bin zeroed for odd derivatives."""
-    freqs = _wavenumbers(count, length)
-    if count % 2 == 0:
-        freqs[-1] = 0.0
-    return 1j * freqs
 
 
 # -- the fourth-order wave Cauchy problem -------------------------------------
@@ -124,43 +120,41 @@ class CauchyState:
         return np.fft.irfft(scaled, n=self.grid.shape[0], axis=2)
 
 
-def _time_scales(grid: GridSpec) -> np.ndarray:
-    """xi^j per rfft bin in row j = 0..3, with xi = 1 in the zero mode."""
-    if grid.ndim != 1 or not grid.axes[0][3]:
-        raise ValueError("Cauchy evolution needs a 1-D periodic grid")
-    lo, hi, count, _ = grid.axes[0]
-    xi = _wavenumbers(count, hi - lo)
-    xi[0] = 1.0
-    with np.errstate(over="ignore"):
-        scales = xi ** np.arange(4)[:, None]
-    if not np.all((scales > 0.0) & (scales < np.inf)):
-        raise ValueError(f"a period of {hi - lo:g} puts xi^3 outside the float range")
-    return scales
-
-
 class _GridModes:
     """The constants of a 1-D periodic grid that a step and the slice energy
-    read: the xi^j time scales, the wavenumbers xi != 0 that the propagator
-    multiplies by dt, and xi of the derivative symbol, 0 in the Nyquist mode.
-    It also keeps the rotation of the last step, (dt, band, tau, cos tau,
-    sin tau), which a step of the same float dt and band reuses, and the
-    five scratch buffers of a step, one set per shape of a band's rows."""
+    read, all from one evaluation of its wavenumbers: the xi^j time scales,
+    xi = 1 in the zero mode, the wavenumbers xi != 0 that the propagator
+    multiplies by dt, and ``symbol_xi``, a real copy of xi with 0 in the
+    Nyquist mode, the xi of the derivative symbol.  It also keeps the
+    rotation of the last step, (dt, band, tau, cos tau, sin tau), which a
+    step of the same float dt and band reuses, and the five scratch buffers
+    of a step, one set per shape of a band's rows."""
 
     def __init__(self, grid: GridSpec):
-        self.grid = grid
-        self.scales = _time_scales(grid)
+        if grid.ndim != 1 or not grid.axes[0][3]:
+            raise ValueError("Cauchy evolution needs a 1-D periodic grid")
         lo, hi, count, _ = grid.axes[0]
-        self.xi = _wavenumbers(count, hi - lo)[1:]
-        self.symbol_xi = _derivative_symbol(count, hi - lo).imag
+        xi = _wavenumbers(count, hi - lo)
+        self.grid, self.xi, self.symbol_xi = grid, xi[1:], xi.copy()
+        if count % 2 == 0:
+            self.symbol_xi[-1] = 0.0
+        xi[0] = 1.0
+        with np.errstate(over="ignore"):
+            self.scales = xi ** np.arange(4)[:, None]
+        if not np.all((self.scales > 0.0) & (self.scales < np.inf)):
+            raise ValueError(f"a period of {hi - lo:g} puts xi^3 outside the float range")
         self._rotation = (None, None)
         self.scratch: dict = {}
 
     def rotation(self, dt: float, band: int) -> tuple:
-        """tau = xi dt, cos tau and sin tau in the modes 1..band-1."""
+        """tau = xi dt, cos tau and sin tau in the modes 1..band-1, each as
+        the complex array x + 0j that numpy's cast of it to the state's
+        dtype would make on every product of a step."""
         rotation = self._rotation  # read once: a concurrent step may replace it
         if rotation[:2] != (dt, band):
             tau = self.xi[: band - 1] * dt
-            rotation = self._rotation = (dt, band, tau, np.cos(tau), np.sin(tau))
+            rotation = (dt, band, *(x.astype(complex) for x in (tau, np.cos(tau), np.sin(tau))))
+            self._rotation = rotation
         return rotation[2:]
 
 
@@ -185,16 +179,21 @@ def cauchy_evolve(state: CauchyState, t_target: float) -> CauchyState:
     zero mode through the Taylor shift, the modes 1..b-1 through the
     propagator.  The wavenumbers come with the state, computed once per
     grid, and tau = xi dt with its cosine and sine once per step size:
-    consecutive steps of one float dt share them.  Every other array
-    operation writes into the new band's rows or into five scratch buffers,
-    all b - 1 modes wide, allocated on the grid's first step of that band
-    and reused by its later ones.  A step takes the set off the grid's
-    modes and hands it back at its end, so two concurrent steps never share
-    one.  The new state's band is allocated on every step, as callers keep
-    states.  The operations are the float operations of the expressions in
-    the comments below, in the same order, a halving written as a product
-    with 0.5, so no temporary is allocated and the result is the same to
-    the bit.
+    consecutive steps of one float dt share them.  The three are kept as
+    the complex arrays x + 0j that numpy's cast would make of them, so each
+    of their ten products is the same complex multiply, signed zeros
+    included, with no cast per product.  A real factor on the float views of
+    the rows would be cheaper but would drop the term -y 0 of the complex
+    multiply, which flips the sign of a zero in a mode of zero data.  Every
+    other array operation writes into the new band's rows, sliced per row
+    without a transposed view, or into five scratch buffers, all b - 1
+    modes wide, allocated on the grid's first step of that band and reused
+    by its later ones.  A step takes the set off the grid's modes and hands
+    it back at its end, so two concurrent steps never share one.  The new
+    state's band is allocated on every step, as callers keep states.  The
+    operations are the float operations of the expressions in the comments
+    below, in the same order, a halving written as a product with 0.5, so
+    no temporary is allocated and the result is the same to the bit.
     """
     dt = t_target - state.t
     if dt == 0.0:
@@ -202,9 +201,9 @@ def cauchy_evolve(state: CauchyState, t_target: float) -> CauchyState:
     taylor = [1.0, dt, dt**2 / 2.0, dt**3 / 6.0]  # a huge dt raises OverflowError
     band, modes = state._band, state.modes
     tau, c, s = modes.rotation(dt, band)
-    u0, u1, u2, u3 = np.moveaxis(state._u[:, :, 1:band], 1, 0)
+    u0, u1, u2, u3 = (state._u[:, j, 1:band] for j in range(4))
     out = np.empty_like(state._u)
-    v0, v1, v2, v3 = np.moveaxis(out[:, :, 1:band], 1, 0)
+    v0, v1, v2, v3 = (out[:, j, 1:band] for j in range(4))
     # five buffers: one block of the five was faster but raised the
     # evolve_16k benchmark's peak RSS by 0.7 MB more
     shape = u0.shape
@@ -268,7 +267,10 @@ class EnergyFunctional:
     """Spatial integral of the time-translation current of a De Donder form.
 
     On a constant-t slice only the dx^2 component of j sigma*(Y_T -| Theta),
-    Y_T = d/dx^1, survives; it must be a constant-coefficient quadratic form
+    Y_T = d/dx^1, survives: the time density L + sum p^{1,T}_a D_T Q^a,
+    which the table reads alone from
+    :func:`jetforms.prolongations.current_densities`, forming no product of
+    the dx^1 component.  It must be a constant-coefficient quadratic form
     in y and z with at most three time indices per factor (else ValueError).
     A coordinate with r time and s space indices has the mode value
     (i xi)^s v_r, v_r = rfft(d_t^r y^a); by Parseval E = (L / N^2) sum_k w_k
@@ -279,9 +281,11 @@ class EnergyFunctional:
     and ``evolve`` evaluates that one table once per state.  A call scales
     each distinct (field, row) spectrum the table reads once, in the modes
     of the state's stored band, then pairs and weights them.  The weights
-    c_e xi^S are formed on the first call of a grid and band and kept, in
-    the modes of the band only; each power xi^S, one per distinct S, is
-    formed and checked in every mode of the grid and then cut to the band.
+    c_e xi^S, and the row scales xi^r as the complex arrays x + 0j that
+    numpy's cast would make of them on every call, are formed on the first
+    call of a grid and band and kept, in the modes of the band only; each
+    power xi^S, one per distinct S, is formed and checked in every mode of
+    the grid and then cut to the band.
     A c_e past the float range is the coefficients' fault (OverflowError),
     checked first; then an xi^S past it is the grid's (ValueError); a
     finite xi^S whose weight is not, or a sum of finite weighted terms that
@@ -293,7 +297,7 @@ class EnergyFunctional:
         if cfg.m != 2:
             raise ValueError("the slice energy is defined for m = 2")
         y_t = ProjectableField(cfg, (Expr.one(), Expr.zero()), (Expr.zero(),) * cfg.n)
-        density = noether_current(y_t, theta, None).coefficient((base_coord(2),))
+        density = current_densities(y_t, theta, None, (1,))[1]
         entries: dict = {}
         for mono, coeff in density.terms():
             slots = sorted(  # (a, r, s) of each y/z factor
@@ -316,22 +320,26 @@ class EnergyFunctional:
             entries[key] = entries.get(key, 0) + sign * coeff
         self.entries = {key: c for key, c in sorted(entries.items()) if c != 0}
         # per entry the (field, row) spectra it pairs, its part, S and c_e;
-        # the weights c_e xi^S are evaluated once per grid and band
+        # the weights c_e xi^S and the row scales are evaluated once per
+        # grid and band
         self._terms = [((a - 1, r), (b - 1, r2), part, S, c)
                        for (a, r, b, r2, S, part), c in self.entries.items()]
         self._rows = list(dict.fromkeys(key for term in self._terms for key in term[:2]))
         # a (key, value) pair, read and replaced whole
-        self._weights = (None, None)
+        self._weights = (None, (None, None))
 
-    def _weights_on(self, modes: _GridModes, band: int) -> list:
-        """c_e xi^S per entry in the modes 0..band-1, each the product of
-        c_e with the power xi^S taken in every mode of the grid, xi = 0 in
-        the Nyquist mode, and cut to the band: numpy's pow of the band alone
-        may differ from it in the last bit.  A power or weight past the
-        float range in any mode raises, as the band may leave that mode out.
-        A weight is checked through its largest mode, c_e max|xi^S|: a
-        product of floats rounds monotonically, so it passes the range if
-        and only if the weight does in some mode."""
+    def _weights_on(self, modes: _GridModes, band: int) -> tuple:
+        """The weights c_e xi^S per entry, and the row scales xi^r, in the
+        modes 0..band-1.  A weight is the product of c_e with the power xi^S
+        taken in every mode of the grid, xi = 0 in the Nyquist mode, and cut
+        to the band: numpy's pow of the band alone may differ from it in the
+        last bit.  A power or weight past the float range in any mode
+        raises, as the band may leave that mode out.  A weight is checked
+        through its largest mode, c_e max|xi^S|: a product of floats rounds
+        monotonically, so it passes the range if and only if the weight does
+        in some mode.  The row scales are the complex arrays x + 0j that
+        numpy's cast of the real xi^r would make on every call, so a scaled
+        row is the same complex product."""
         if any(abs(c) > sys.float_info.max for *_, c in self._terms):
             raise OverflowError("the slice energy has a coefficient beyond the float range")
         lo, hi, _, _ = modes.grid.axes[0]
@@ -347,17 +355,18 @@ class EnergyFunctional:
                     f"the slice-energy weight {float(c):g}*xi^{S} of a period of "
                     f"{hi - lo:g} passes the float range"
                 )
-        return [float(c) * powers[S][:band] for *_, S, c in self._terms]
+        weights = [float(c) * powers[S][:band] for *_, S, c in self._terms]
+        return weights, modes.scales[:, :band].astype(complex)
 
     def __call__(self, state: CauchyState) -> float:
         lo, hi, count, _ = state.grid.axes[0]
         modes, band = state.modes, state._band
-        of, weights = self._weights
+        of, (weights, scales) = self._weights
         if of != (modes, band):
-            weights = self._weights_on(modes, band)
-            self._weights = ((modes, band), weights)
+            weights, scales = self._weights_on(modes, band)
+            self._weights = ((modes, band), (weights, scales))
         # products of the stored u_r = v_r / xi^r would overflow on wide domains
-        rows = {key: state._u[key] * modes.scales[key[1], :band] for key in self._rows}
+        rows = {key: state._u[key] * scales[key[1]] for key in self._rows}
         pair = np.empty(band, dtype=complex)
         term = np.empty(band)
         # full length with zeros past the band: the pairwise sum of a
@@ -391,7 +400,11 @@ def band_limited_state(
     formed in the array of the draws, read as complex a + i b and
     conjugated in place, which gives a - i b to the bit (but for the sign
     of a draw of exactly zero); each later factor is one in-place
-    operation, the division writing into the band.
+    operation.  The division writes into the band as the product of the
+    draws' float view with 1/xi^j, repeated for the real and the imaginary
+    part: numpy divides x + i y by the real xi^j, cast to xi^j + 0j, as
+    (x + y 0) (1/xi^j) + i (y - x 0) (1/xi^j), which is that product to
+    the bit (but again for the sign of a zero).
     """
     count = grid.shape[0]
     if 2 * max_mode >= count:
@@ -405,12 +418,13 @@ def band_limited_state(
     lo, hi, _, _ = grid.axes[0]
     k = np.arange(1, max_mode + 1)
     phase = np.exp(1j * k * (2.0 * np.pi / (hi - lo)) * lo)
-    u = np.zeros((n, 4, max_mode + 1), dtype=complex)
     z = amps.view(complex)[..., 0]
     np.conjugate(z, out=z)
     z *= count / 2.0
     z *= phase
-    np.divide(z, modes.scales[:, 1 : max_mode + 1], out=u[:, :, 1:])
+    u = np.zeros((n, 4, max_mode + 1), dtype=complex)
+    recip = np.repeat(1.0 / modes.scales[:, 1 : max_mode + 1], 2, axis=1)
+    np.multiply(amps.reshape(n, 4, 2 * max_mode), recip, out=u.view(float)[:, :, 2:])
     return CauchyState._from_spectrum(modes, u, 0.0)
 
 

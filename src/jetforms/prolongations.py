@@ -28,7 +28,10 @@ semi-basic over J^{k-1}:
 
     h(Y -| Theta) = sum_i [Y^i L + sum p^{i,T}_a D_T Q^a] d/dx^i -| d_m x ,
 
-with a section substituted into L, p and D_T Q^a afterwards.  Everything
+with a section substituted into L, p and D_T Q^a afterwards.  The density
+in the brackets is formed in one place, :func:`current_densities`, for the
+directions asked for: :func:`noether_current` sums it over every i, and
+the slice energy of :mod:`jetforms.numeric` reads i = 1 alone.  Everything
 here is exact; the flow oracle that corroborates :func:`prolong`
 numerically lives in :mod:`jetforms.numeric`.
 """
@@ -167,19 +170,15 @@ def characteristic_jets(Y: ProjectableField, order: int) -> dict:
     }
 
 
-def noether_current(
-    Y: ProjectableField, theta: DeDonderForm, section: PolynomialSection | None
-) -> DifferentialForm:
-    """The current j sigma*(Y^{2k-1} -| Theta), an (m-1)-form on the base.
-
-    sum_i [Y^i L + sum p^{i,T}_a D_T Q^a] d/dx^i -| d_m x, |T| <= k-1 as Theta
-    is semi-basic over J^{k-1}, with sigma substituted into L, p and D_T Q.
-    With ``section=None`` nothing is substituted and the result is the
-    holonomic reduction of Y^{2k-1} -| Theta, with jet-coordinate
-    coefficients; on sampled jets it gives the numeric densities.  Closed
-    whenever Y is a symmetry of the Lagrangian and the section solves the De
-    Donder equations; conservation fails off-shell.  A section of another
-    (m, n) than Theta's raises a ``ValueError``.
+def current_densities(
+    Y: ProjectableField, theta: DeDonderForm, section: PolynomialSection | None, directions
+) -> dict:
+    """{i: Y^i L + sum p^{i,T}_a D_T Q^a} for each i in ``directions``, the
+    coefficients of :func:`noether_current` on d/dx^i -| d_m x, with sigma
+    substituted into L, p and D_T Q, or nothing substituted for
+    ``section=None``.  A direction that is not asked for forms no product:
+    the slice energy reads only i = 1.  A section of another (m, n) than
+    Theta's raises a ``ValueError``.
     """
     cfg = theta.cfg
     if section is not None:
@@ -187,11 +186,31 @@ def noether_current(
     pull = (lambda e: e) if section is None else (lambda e: substitute_section(e, section))
     jets = {key: pull(dq) for key, dq in characteristic_jets(Y, cfg.k - 1).items()}
     lagrangian = pull(theta.lagrangian)
-    densities = [[Y.base_components[i] * lagrangian] for i in range(cfg.m)]
+    densities = {i: [Y.base_components[i - 1] * lagrangian] for i in directions}
     for (a, i, tail), p in theta.boundary.coefficients.table.items():
         dq = jets[(a, tail)]
-        if not dq.is_zero:
-            densities[i - 1].append(pull(p) * dq)
-    return DifferentialForm.sum(cfg.m - 1, (
-        base_contraction(cfg, i) * Expr.sum(terms) for i, terms in enumerate(densities, 1)
+        if i in densities and not dq.is_zero:
+            densities[i].append(pull(p) * dq)
+    return {i: Expr.sum(terms) for i, terms in densities.items()}
+
+
+def noether_current(
+    Y: ProjectableField, theta: DeDonderForm, section: PolynomialSection | None
+) -> DifferentialForm:
+    """The current j sigma*(Y^{2k-1} -| Theta), an (m-1)-form on the base.
+
+    sum_i [Y^i L + sum p^{i,T}_a D_T Q^a] d/dx^i -| d_m x, |T| <= k-1 as Theta
+    is semi-basic over J^{k-1}, with sigma substituted into L, p and D_T Q:
+    the densities of :func:`current_densities` in every direction.
+    With ``section=None`` nothing is substituted and the result is the
+    holonomic reduction of Y^{2k-1} -| Theta, with jet-coordinate
+    coefficients; on sampled jets it gives the numeric densities.  Closed
+    whenever Y is a symmetry of the Lagrangian and the section solves the De
+    Donder equations; conservation fails off-shell.  A section of another
+    (m, n) than Theta's raises a ``ValueError``.
+    """
+    m = theta.cfg.m
+    densities = current_densities(Y, theta, section, range(1, m + 1))
+    return DifferentialForm.sum(m - 1, (
+        base_contraction(theta.cfg, i) * density for i, density in densities.items()
     ))

@@ -34,9 +34,9 @@ import numpy as np
 from jetforms.dedonder import BoundaryForm, DeDonderForm, PhiDecomposition
 from jetforms.expressions import Expr, PolynomialSection, substitute_section
 from jetforms.jets import JetConfig, base_coord, jet_coord, multiindices
-from jetforms.numeric import GridSpec, _derivative_symbol
+from jetforms.numeric import GridSpec
 from jetforms.prolongations import ProjectableField, characteristic_jets, noether_current
-from tests.support import at_rationals, coefficient
+from tests.support import at_rationals, coefficient, derivative_symbol
 
 
 def meshes(grid: GridSpec) -> list:
@@ -81,7 +81,7 @@ def evaluate_on_grid(e: Expr, values: dict, shape: tuple) -> np.ndarray:
 
 def _spectral_derivative(values: np.ndarray, axis: int, length: float) -> np.ndarray:
     n = values.shape[axis]
-    symbol = _derivative_symbol(n, length)
+    symbol = derivative_symbol(n, length)
     shape = [1] * values.ndim
     shape[axis] = symbol.size
     spectrum = np.fft.rfft(values, axis=axis) * symbol.reshape(shape)

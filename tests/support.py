@@ -93,9 +93,7 @@ from jetforms.jets import (
 )
 from jetforms.numeric import (
     CauchyState,
-    _derivative_symbol,
     _GridModes,
-    _time_scales,
     _wavenumbers,
 )
 from jetforms.problem import (
@@ -1014,6 +1012,24 @@ def reference_noether_current(
 # -- the Cauchy step and the slice energy the library replaced ----------------
 
 
+def derivative_symbol(count: int, length: float) -> np.ndarray:
+    """i xi per rfft bin, with the Nyquist bin zeroed for odd derivatives."""
+    freqs = _wavenumbers(count, length)
+    if count % 2 == 0:
+        freqs[-1] = 0.0
+    return 1j * freqs
+
+
+def time_scales(grid) -> np.ndarray:
+    """xi^j per rfft bin in row j = 0..3, with xi = 1 in the zero mode, as
+    the library formed them from wavenumbers of their own before a grid's
+    constants shared one evaluation."""
+    lo, hi, count, _ = grid.axes[0]
+    xi = _wavenumbers(count, hi - lo)
+    xi[0] = 1.0
+    return xi ** np.arange(4)[:, None]
+
+
 def reference_cauchy_evolve(state, t_target: float):
     """``cauchy_evolve`` as it was before it wrote into preallocated buffers
     and kept a band: the time scales and wavenumbers recomputed per call, a
@@ -1054,7 +1070,7 @@ def reference_band_limited_state(grid, n: int, max_mode: int, seed: int):
     u = np.zeros((n, 4, max_mode + 1), dtype=complex)
     u[:, :, 1:] = (
         (amps[..., 0] - 1j * amps[..., 1]) * (count / 2.0) * phase
-    ) / _time_scales(grid)[:, 1 : max_mode + 1]
+    ) / time_scales(grid)[:, 1 : max_mode + 1]
     return CauchyState._from_spectrum(_GridModes(grid), u, 0.0)
 
 
@@ -1064,8 +1080,8 @@ def reference_energy(energy, state) -> float:
     formed per entry and call."""
     lo, hi, count, _ = state.grid.axes[0]
     # products of the stored u_r = v_r / xi^r would overflow on wide domains
-    rows = state.spectrum * _time_scales(state.grid)
-    xi = _derivative_symbol(count, hi - lo).imag  # 0 in the Nyquist mode
+    rows = state.spectrum * time_scales(state.grid)
+    xi = derivative_symbol(count, hi - lo).imag  # 0 in the Nyquist mode
     per_mode = np.zeros(count // 2 + 1)
     with np.errstate(over="ignore", invalid="ignore"):
         for (a, r, b, r2, total_s, part), coeff in energy.entries.items():

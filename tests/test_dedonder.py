@@ -661,6 +661,28 @@ def test_dedonder_form_requires_provenance():
     assert dedonder_form(wp.cfg, wp.lagrangian, own).form == wp.theta_symmetric.form
 
 
+def test_dedonder_form_refuses_a_boundary_form_whose_table_solves_no_system():
+    # the fixture's symmetric table with p^{1,(1)}_1 raised by y^1, built by
+    # hand around L's own Phi: condition 3 fails, and dedonder_form names
+    # the first failing (a, I) instead of taking a Theta whose d/dz
+    # residuals would read zero.  Assembled forms, and forms built by hand
+    # around an assembled table and its Phi, symmetric or skew, are taken
+    wp = wave_problem()
+    table = dict(wp.boundary_symmetric.coefficients.table)
+    table[(1, 1, (1,))] = table[(1, 1, (1,))] * y_var(1)
+    bad = BoundaryForm(BoundaryCoefficients(wp.cfg, table), wp.decomposition)
+    report = verify_condition3(wp.decomposition, bad)
+    assert not report.ok
+    a, I = report.failures[0][:2]
+    with pytest.raises(ValueError, match=re.escape(f"fail at a={a}, I={I}")):
+        dedonder_form(wp.cfg, wp.lagrangian, bad)
+    skew = wp.skew_boundary()
+    for xi in (wp.boundary_symmetric, skew,
+               BoundaryForm(wp.boundary_symmetric.coefficients, wp.decomposition),
+               BoundaryForm(skew.coefficients, wp.decomposition)):
+        assert dedonder_form(wp.cfg, wp.lagrangian, xi).boundary is xi
+
+
 def test_derive_treats_coefficient_symbols_as_constants():
     # Phi and the provenance check of Theta both read only the y and z
     # partials, so a constant symbol in L is no partial of its own

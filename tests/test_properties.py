@@ -1044,9 +1044,9 @@ def test_a_band_limited_state_steps_and_weighs_as_the_full_spectrum_references(
     import numpy as np
 
     from jetforms.numeric import (
-        CauchyState, GridSpec, _time_scales, band_limited_state, cauchy_evolve,
+        CauchyState, GridSpec, band_limited_state, cauchy_evolve,
     )
-    from tests.support import reference_cauchy_evolve, reference_energy
+    from tests.support import reference_cauchy_evolve, reference_energy, time_scales
 
     max_mode = data.draw(st.integers(1, (count - 1) // 2), label="max_mode")
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
@@ -1068,7 +1068,7 @@ def test_a_band_limited_state_steps_and_weighs_as_the_full_spectrum_references(
         assert state._u.shape == (n, 4, max_mode + 1)
         assert state.spectrum.shape == (n, 4, count // 2 + 1)
         assert not state.spectrum[:, :, max_mode + 1 :].any()
-        padded = np.fft.irfft(state.spectrum * _time_scales(grid), n=count, axis=2)
+        padded = np.fft.irfft(state.spectrum * time_scales(grid), n=count, axis=2)
         assert np.array_equal(state.data, padded)
         for energy in _wave_energies():
             assert energy(state) == reference_energy(energy, ref)

@@ -56,8 +56,8 @@ MUTANTS = [
      "shifts[j] = [(i, -part) for", "shifts[j] = [(i, part) for",
      ("tests/test_prolongations.py",)),
     ("noether-drops-the-lagrangian-term", PROLONGATIONS,
-     "densities = [[Y.base_components[i] * lagrangian] for",
-     "densities = [[] for",
+     "densities = {i: [Y.base_components[i - 1] * lagrangian] for",
+     "densities = {i: [] for",
      ("tests/test_prolongations.py",)),
     ("top-delta-after-the-lower-levels", DEDONDER,
      "        if level == cfg.k:\n"
@@ -89,6 +89,12 @@ MUTANTS = [
      "failures = _unverified_residuals(phi, coeffs)",
      "failures = []",
      ("tests/test_dedonder.py::test_assemble_checks_and_condition3",)),
+    # a De Donder form is built only on a Xi whose table solves its Phi
+    ("dedonder-form-skips-its-check", DEDONDER,
+     "failures = _unverified_residuals(phi, xi.coefficients)",
+     "failures = []",
+     ("tests/test_dedonder.py::"
+      "test_dedonder_form_refuses_a_boundary_form_whose_table_solves_no_system",)),
     # Xi, Theta and a sum's table as written on their first read
     ("lazy-xi-drops-the-volume-term", DEDONDER,
      "        if not volume.is_zero:\n            terms[tuple(dx)] = volume\n",
@@ -143,9 +149,18 @@ MUTANTS = [
      "    np.add(C, Dt, out=v1)\n    v1 += B\n",
      (TEST_NUMERIC,)),
     ("band-too-narrow-in-band-limited-state", NUMERIC,
-     "np.divide(z, modes.scales[:, 1 : max_mode + 1], out=u[:, :, 1:])",
-     "np.divide(z[..., :-1], modes.scales[:, 1:max_mode], out=u[:, :, 1:-1])",
+     "np.multiply(amps.reshape(n, 4, 2 * max_mode), recip, out=u.view(float)[:, :, 2:])",
+     "np.multiply(amps.reshape(n, 4, 2 * max_mode)[..., :-2], recip[:, :-2],\n"
+     "                out=u.view(float)[:, :, 2:-2])",
      (TEST_NUMERIC,)),
+    # the seeding's division by xi^j as numpy divides by xi^j + 0j: a float
+    # division instead of the product with 1/xi^j moves only last bits
+    ("seeding-divides-instead-of-reciprocal", NUMERIC,
+     "    recip = np.repeat(1.0 / modes.scales[:, 1 : max_mode + 1], 2, axis=1)\n"
+     "    np.multiply(amps.reshape(",
+     "    recip = np.repeat(modes.scales[:, 1 : max_mode + 1], 2, axis=1)\n"
+     "    np.divide(amps.reshape(",
+     (f"{TEST_NUMERIC}::test_band_limited_state_equals_the_expression_it_replaced_bit_for_bit",)),
     ("band-too-narrow-in-the-step", NUMERIC,
      "band, modes = state._band, state.modes",
      "band, modes = state._band - 1, state.modes",
@@ -181,9 +196,15 @@ MUTANTS = [
     # the row of a field's first (field, row) key serves all its rows, as a
     # cache keyed by field alone would
     ("energy-row-keyed-by-field-alone", NUMERIC,
-     "state._u[key] * modes.scales[key[1], :band]",
-     "state._u[key[0], 0] * modes.scales[0, :band]",
+     "state._u[key] * scales[key[1]]",
+     "state._u[key[0], 0] * scales[0]",
      (TEST_NUMERIC,)),
+    # the table reads the time density, the dx^2 component, of Y_T -| Theta;
+    # the density of direction 2 is the dx^1 component's
+    ("energy-density-of-the-other-direction", NUMERIC,
+     "current_densities(y_t, theta, None, (1,))[1]",
+     "current_densities(y_t, theta, None, (2,))[2]",
+     (f"{TEST_NUMERIC}::test_energy_tables_equal_the_tables_of_the_whole_reference_current",)),
     ("energy-coefficient-check-dropped", NUMERIC,
      "if any(abs(c) > sys.float_info.max for *_, c in self._terms):",
      "if False:",
@@ -262,8 +283,8 @@ MUTANTS = [
     # against the force decomposition's quadratures, and the Lagrange
     # derivative against the functional-derivative oracle
     ("noether-boundary-term-negated", PROLONGATIONS,
-     "densities[i - 1].append(pull(p) * dq)",
-     "densities[i - 1].append(-pull(p) * dq)",
+     "densities[i].append(pull(p) * dq)",
+     "densities[i].append(-pull(p) * dq)",
      (f"{TEST_NUMERIC}::test_decomposition_identity_and_invariance",)),
     # every level l >= 1 of the Euler operator with the sign (-1)^(l+1);
     # dL/dy^a keeps its sign
