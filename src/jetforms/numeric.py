@@ -123,21 +123,20 @@ class CauchyState:
 class _GridModes:
     """The constants of a 1-D periodic grid that a step and the slice energy
     read, all from one evaluation of its wavenumbers: the xi^j time scales,
-    xi = 1 in the zero mode, the wavenumbers xi != 0 that the propagator
-    multiplies by dt, and ``symbol_xi``, a real copy of xi with 0 in the
-    Nyquist mode, the xi of the derivative symbol.  It also keeps the
-    rotation of the last step, (dt, band, tau, cos tau, sin tau), which a
-    step of the same float dt and band reuses, and the five scratch buffers
-    of a step, one set per shape of a band's rows."""
+    xi = 1 in the zero mode, and the wavenumbers xi != 0 that the propagator
+    multiplies by dt.  ``symbol_xi``, the xi of the derivative symbol, is
+    copied from them on each read, as only the energy weights of a new band
+    read it.  It also keeps the rotation of the last step, (dt, band, tau,
+    cos tau, sin tau), which a step of the same float dt and band reuses,
+    and the five scratch buffers of a step, one set per shape of a band's
+    rows."""
 
     def __init__(self, grid: GridSpec):
         if grid.ndim != 1 or not grid.axes[0][3]:
             raise ValueError("Cauchy evolution needs a 1-D periodic grid")
         lo, hi, count, _ = grid.axes[0]
         xi = _wavenumbers(count, hi - lo)
-        self.grid, self.xi, self.symbol_xi = grid, xi[1:], xi.copy()
-        if count % 2 == 0:
-            self.symbol_xi[-1] = 0.0
+        self.grid, self.xi = grid, xi[1:]
         xi[0] = 1.0
         with np.errstate(over="ignore"):
             self.scales = xi ** np.arange(4)[:, None]
@@ -145,6 +144,15 @@ class _GridModes:
             raise ValueError(f"a period of {hi - lo:g} puts xi^3 outside the float range")
         self._rotation = (None, None)
         self.scratch: dict = {}
+
+    @property
+    def symbol_xi(self) -> np.ndarray:
+        """xi in every mode as a new real array, 0 in the zero mode and in the
+        Nyquist mode of an even count."""
+        symbol = np.concatenate(([0.0], self.xi))
+        if self.grid.shape[0] % 2 == 0:
+            symbol[-1] = 0.0
+        return symbol
 
     def rotation(self, dt: float, band: int) -> tuple:
         """tau = xi dt, cos tau and sin tau in the modes 1..band-1, each as
@@ -345,7 +353,8 @@ class EnergyFunctional:
         lo, hi, _, _ = modes.grid.axes[0]
         exponents = dict.fromkeys(S for *_, S, _ in self._terms)
         with np.errstate(over="ignore"):
-            powers = {S: modes.symbol_xi**S for S in exponents}
+            symbol = modes.symbol_xi
+            powers = {S: symbol**S for S in exponents}
         if not all(np.isfinite(power).all() for power in powers.values()):
             raise ValueError(f"a period of {hi - lo:g} puts xi^S outside the float range")
         peaks = {S: float(max(power.max(), -power.min())) for S, power in powers.items()}

@@ -601,8 +601,8 @@ def test_grid_modes_read_one_evaluation_of_the_wavenumbers_as_the_helpers_did(co
     # a grid's constants come from one evaluation of its wavenumbers: xi,
     # the real xi of the derivative symbol, 0 in the Nyquist mode of an even
     # count, and the time scales have every bit of the helpers that formed
-    # each from wavenumbers of its own; the symbol's xi owns its floats,
-    # so no complex symbol is kept for them
+    # each from wavenumbers of its own; the symbol's xi is a new real array
+    # on each read, so the grid keeps no complex symbol, nor a second xi
     for lo, hi in ((0.0, TWO_PI), (-1.3, 2.8)):
         grid = GridSpec(((lo, hi, count, True),))
         modes = _GridModes(grid)
@@ -610,6 +610,7 @@ def test_grid_modes_read_one_evaluation_of_the_wavenumbers_as_the_helpers_did(co
         symbol = derivative_symbol(count, hi - lo)
         assert np.array_equal(_bits(modes.symbol_xi), _bits(symbol.imag))
         assert modes.symbol_xi.dtype == float and modes.symbol_xi.flags.owndata
+        assert "symbol_xi" not in vars(modes)
         assert np.array_equal(_bits(modes.scales), _bits(time_scales(grid)))
 
 
